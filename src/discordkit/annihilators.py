@@ -23,13 +23,14 @@ from .channels import (
     random_channel,
 )
 from .cqsets import BothEntry, ConvexCQSubsetSpec, FixedEntry, PointEntry
-from .discord import is_cq_exact
+from .discord import CQ_DEFAULT_TOL, is_cq_exact
 from .states import (
     BipartiteState,
     DensityOperator,
     as_rng,
     basis_ket,
     hermitian_basis,
+    max_entangled,
     random_density,
     random_unitary,
 )
@@ -224,6 +225,36 @@ def random_da_spec(
 
 
 @dataclass(frozen=True, eq=False)
+class _CQScan:
+    """Outputs of a channel on a run of inputs, up to the first non-CQ one."""
+
+    outputs: list[BipartiteState]
+    worst_residual: float
+    worst_input: BipartiteState | None
+    failing_input: BipartiteState | None = None
+    failing_residual: float | None = None
+
+
+def _cq_scan(channel: QuantumChannel, inputs, tol: float = CQ_DEFAULT_TOL) -> _CQScan:
+    """Apply ``channel`` to each input in turn and run the exact CQ test.
+
+    Stops at the first output that is not classical-quantum.  The worst
+    residual is taken over every checked output, and its input is the
+    first one to reach it (``None`` while every residual is zero).
+    """
+    outputs = []
+    worst, worst_input = 0.0, None
+    for state in inputs:
+        outputs.append(channel.apply(state))
+        check = is_cq_exact(outputs[-1], tol)
+        if check.residual > worst:
+            worst, worst_input = check.residual, state
+        if not check:
+            return _CQScan(outputs, worst, worst_input, state, check.residual)
+    return _CQScan(outputs, worst, worst_input)
+
+
+@dataclass(frozen=True, eq=False)
 class CertificationReport:
     n_checked: int
     worst_residual: float
@@ -245,12 +276,8 @@ def _boundary_inputs(dim_a: int, dim_b: int, rng) -> list[BipartiteState]:
     va = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
     vb = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
     states.append(BipartiteState(dim_a, dim_b, DensityOperator.pure(np.kron(va, vb))))
-    m = min(dim_a, dim_b)
-    if m >= 2:
-        v = np.zeros(dim_a * dim_b, dtype=complex)
-        for i in range(m):
-            v[i * dim_b + i] = 1.0
-        states.append(BipartiteState(dim_a, dim_b, DensityOperator.pure(v)))
+    if min(dim_a, dim_b) >= 2:
+        states.append(max_entangled(dim_a, dim_b))
     d = dim_a * dim_b
     if d >= 2:
         states.append(
@@ -270,8 +297,9 @@ def apply_and_certify(
     """Apply the channel to random and boundary inputs, requiring CQ outputs.
 
     Each random input uses a generator seeded from (seed, index), so any
-    reported witness is reproducible.  The report carries the worst CQ
-    residual over all outputs and the first failing input, if any.
+    reported witness is reproducible.  The report carries the number of
+    inputs checked, the worst CQ residual over their outputs and the first
+    failing input, if any.
     """
     d = dim_a * dim_b
     if (channel.dim_in, channel.dim_out) != (d, d):
@@ -283,20 +311,12 @@ def apply_and_certify(
                 dim_a, dim_b, random_density(d, "hilbert-schmidt", as_rng([seed, index]))
             )
         )
-    worst = 0.0
-    for state in inputs:
-        output = channel.apply(state)
-        check = is_cq_exact(output, tol)
-        worst = max(worst, check.residual)
-        if not check:
-            return CertificationReport(
-                n_checked=len(inputs),
-                worst_residual=worst,
-                failing_input=state,
-                failing_residual=check.residual,
-            )
+    scan = _cq_scan(channel, inputs, tol)
     return CertificationReport(
-        n_checked=len(inputs), worst_residual=worst, failing_input=None, failing_residual=None
+        n_checked=len(scan.outputs),
+        worst_residual=scan.worst_residual,
+        failing_input=scan.failing_input,
+        failing_residual=scan.failing_residual,
     )
 
 
@@ -404,17 +424,15 @@ def structural_match(
         mixed = DensityOperator.maximally_mixed(d).matrix
         noise = random_density(d, "hilbert-schmidt", rng).matrix
         probes.append(BipartiteState.from_matrix((mixed + noise) / 2.0, dim_a, dim_b))
-    outputs = []
-    for probe in probes:
-        out = channel.apply(probe)
-        if not is_cq_exact(out):
-            return MatchResult(
-                spec=None,
-                residual=None,
-                counterexample=probe,
-                notes="probe output is not classical-quantum",
-            )
-        outputs.append(out)
+    scan = _cq_scan(channel, probes)
+    if scan.failing_input is not None:
+        return MatchResult(
+            spec=None,
+            residual=None,
+            counterexample=scan.failing_input,
+            notes="probe output is not classical-quantum",
+        )
+    outputs = scan.outputs
     generators = []
     for out in outputs:
         r4 = out.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
@@ -475,51 +493,3 @@ def structural_match(
         notes = f"rebuilt channel differs (residual {residual:.3e})"
     return MatchResult(spec=None, residual=None, counterexample=None, notes=notes)
 
-
-# -- local channels -------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class LocalDAVerdict:
-    kind: str  # "da-via-a" | "da-via-b" | "not-da"
-    witness: BipartiteState | None = None
-    residual: float | None = None
-
-    def __bool__(self) -> bool:
-        return self.kind != "not-da"
-
-
-def is_local_da(
-    channel_a: QuantumChannel,
-    channel_b: QuantumChannel,
-    *,
-    seed: int = 5,
-    budget: int = 200,
-) -> LocalDAVerdict:
-    """Decide whether a product channel annihilates discord.
-
-    This holds exactly when the A factor is a measure-and-prepare channel
-    diagonal in a fixed basis, or the B factor is a point channel.  When
-    neither holds, a witness input with a non-CQ output is searched for.
-    """
-    from .classify import is_point_channel, is_qc_channel, witness_probe_states
-
-    if is_qc_channel(channel_a).kind == "yes":
-        return LocalDAVerdict(kind="da-via-a")
-    if is_point_channel(channel_b).kind == "yes":
-        return LocalDAVerdict(kind="da-via-b")
-    from .channels import extend
-
-    dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
-    product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
-    worst_state = None
-    worst_residual = 0.0
-    for state in witness_probe_states(dim_a, dim_b, budget=budget, seed=seed):
-        out = product.apply(state)
-        check = is_cq_exact(out)
-        if not check:
-            return LocalDAVerdict(kind="not-da", witness=state, residual=check.residual)
-        if check.residual > worst_residual:
-            worst_residual = check.residual
-            worst_state = state
-    return LocalDAVerdict(kind="not-da", witness=worst_state, residual=worst_residual)

@@ -54,7 +54,7 @@ class QuantumChannel:
                 )
         completeness = sum(op.conj().T @ op for op in ops)
         defect = float(np.linalg.norm(completeness - np.eye(dim_in)))
-        if defect > TP_TOL * max(1.0, dim_in):
+        if not defect <= TP_TOL * max(1.0, dim_in):  # a NaN defect fails too
             raise InvalidChannelError(
                 f"Kraus set is not trace-preserving (defect {defect:.3e})"
             )
@@ -69,10 +69,6 @@ class QuantumChannel:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_kraus(cls, kraus, dim_in: int | None = None, dim_out: int | None = None):
-        return cls(kraus, dim_in, dim_out)
-
-    @classmethod
     def from_choi(cls, choi, dim_in: int, dim_out: int, *, cp_tol: float = CP_TOL):
         """Build a channel from a Choi matrix (input slot first).
 
@@ -84,9 +80,7 @@ class QuantumChannel:
         d = dim_in * dim_out
         if j.shape != (d, d):
             raise InvalidChannelError(f"Choi matrix has shape {j.shape}, expected ({d}, {d})")
-        scale = max(1.0, float(np.linalg.norm(j)))
-        if np.linalg.norm(j - j.conj().T) > 1e-9 * scale:
-            raise InvalidChannelError("Choi matrix is not Hermitian")
+        eigvals, eigvecs = eig_hermitian(j, what="Choi matrix", error=InvalidChannelError)
         j = (j + j.conj().T) / 2.0
         marginal = partial_trace_matrix(j, dim_in, dim_out, "A")
         tp_defect = float(np.linalg.norm(marginal - np.eye(dim_in)))
@@ -94,7 +88,6 @@ class QuantumChannel:
             raise InvalidChannelError(
                 f"Choi matrix is not trace-preserving (tr_out defect {tp_defect:.3e})"
             )
-        eigvals, eigvecs = np.linalg.eigh(j)
         if eigvals[0] < -cp_tol * max(1.0, abs(eigvals[-1])):
             raise InvalidChannelError(
                 f"Choi matrix is not PSD (min eigenvalue {eigvals[0]:.3e})"
@@ -237,19 +230,11 @@ class TransferAnalysis:
     """
 
     matrix: np.ndarray
-    singular_values: np.ndarray
     sigma_min: float
     sigma_max: float
     rank: int
     rank_deficient: bool
-    det_sign: float
-    log_abs_det: float
     det: float
-
-
-def min_singular_value(transfer: np.ndarray) -> float:
-    s = np.linalg.svd(np.asarray(transfer, dtype=float), compute_uv=False)
-    return float(s[-1])
 
 
 def analyze_transfer(channel: QuantumChannel) -> TransferAnalysis:
@@ -259,26 +244,17 @@ def analyze_transfer(channel: QuantumChannel) -> TransferAnalysis:
     sigma_min = float(s[-1])
     rank = int(np.sum(s > RANK_THRESHOLD * max(sigma_max, 1e-300)))
     deficient = sigma_min < RANK_THRESHOLD * sigma_max
-    if t.shape[0] == t.shape[1]:
-        sign, _ = np.linalg.slogdet(t)
-        sign = float(sign)
-    else:
-        sign = 0.0
+    sign = float(np.linalg.slogdet(t)[0]) if t.shape[0] == t.shape[1] else 0.0
     if deficient or sigma_min <= 0.0 or sign == 0.0:
-        log_abs = -np.inf
         det = 0.0
     else:
-        log_abs = float(np.sum(np.log(s)))
-        det = sign * float(np.exp(log_abs))
+        det = sign * float(np.exp(np.sum(np.log(s))))
     return TransferAnalysis(
         matrix=t,
-        singular_values=s,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
         rank=rank,
         rank_deficient=deficient,
-        det_sign=sign,
-        log_abs_det=log_abs,
         det=det,
     )
 
@@ -325,17 +301,17 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
     dim_in = effects[0].shape[0]
     dim_out = kets[0].size
     total = np.zeros((dim_in, dim_in), dtype=complex)
+    spectra = []
     for idx, f in enumerate(effects):
         if f.shape != (dim_in, dim_in):
             raise InvalidChannelError(f"POVM element {idx} has shape {f.shape}")
-        if np.linalg.norm(f - f.conj().T) > 1e-9 * max(1.0, np.linalg.norm(f)):
-            raise InvalidChannelError(f"POVM element {idx} is not Hermitian")
-        low = np.linalg.eigvalsh(f)[0]
-        if low < -1e-9:
+        eigvals, eigvecs = eig_hermitian(f, what=f"POVM element {idx}", error=InvalidChannelError)
+        if eigvals[0] < -1e-9:
             raise InvalidChannelError(
-                f"POVM element {idx} is not PSD (min eigenvalue {low:.3e})"
+                f"POVM element {idx} is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
         total += f
+        spectra.append((eigvals, eigvecs))
     if np.linalg.norm(total - np.eye(dim_in)) > 1e-9 * max(1.0, dim_in):
         raise InvalidChannelError("POVM elements do not sum to the identity")
     for a in range(len(kets)):
@@ -347,8 +323,7 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
                     f"output basis is not orthonormal: <{a}|{b}> = {overlap:.3e}"
                 )
     ops = []
-    for f, k in zip(effects, kets):
-        eigvals, eigvecs = np.linalg.eigh((f + f.conj().T) / 2.0)
+    for (eigvals, eigvecs), k in zip(spectra, kets):
         for m in range(dim_in):
             if eigvals[m] <= 1e-14:
                 continue

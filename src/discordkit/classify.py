@@ -13,24 +13,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annihilators import CertificationReport, MatchResult, apply_and_certify, structural_match
+from .annihilators import (
+    CertificationReport,
+    MatchResult,
+    _cq_scan,
+    apply_and_certify,
+    structural_match,
+)
 from .channels import (
     QuantumChannel,
     TransferAnalysis,
     analyze_transfer,
     choi_distance,
+    compose,
     extend,
     make_qc_channel,
     make_unital_qubit,
     UnitalQubitParams,
 )
-from .discord import Hybrid, discord, is_cq_exact
+from .discord import Hybrid, cq_decompose, discord, is_cq_exact
 from .states import (
     BipartiteState,
     DensityOperator,
     as_rng,
     basis_ket,
     bell_state,
+    max_entangled,
     partial_trace_matrix,
     random_density,
 )
@@ -67,7 +75,7 @@ def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, s
     if dim_a == 2 and dim_b == 2:
         states.extend(bell_state(k) for k in range(4))
     elif min(dim_a, dim_b) >= 2:
-        states.append(_embedded_max_entangled(dim_a, dim_b))
+        states.append(max_entangled(dim_a, dim_b))
     for i in range(min(dim_a, 2)):
         for j in range(min(dim_b, 2)):
             states.append(
@@ -101,14 +109,6 @@ def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, s
     return states[:budget]
 
 
-def _embedded_max_entangled(dim_a: int, dim_b: int) -> BipartiteState:
-    m = min(dim_a, dim_b)
-    v = np.zeros(dim_a * dim_b, dtype=complex)
-    for i in range(m):
-        v[i * dim_b + i] = 1.0
-    return BipartiteState(dim_a, dim_b, DensityOperator.pure(v))
-
-
 def _hermitian_probe_inputs(dim: int) -> list[np.ndarray]:
     """Density matrices spanning the Hermitian operators on a ``dim`` space."""
     probes = [np.outer(basis_ket(dim, i), basis_ket(dim, i).conj()) for i in range(dim)]
@@ -119,6 +119,49 @@ def _hermitian_probe_inputs(dim: int) -> list[np.ndarray]:
             probes.append(np.outer(plus, plus.conj()))
             probes.append(np.outer(plusi, plusi.conj()))
     return probes
+
+
+# Witnesses made of two probe inputs, by kind: the key their score is
+# reported under, and the score of the two outputs.
+_PAIR_WITNESSES = {
+    "distinct-outputs": ("distance", lambda x, y: float(np.linalg.norm(x - y))),
+    "noncommuting-outputs": (
+        "commutator_norm",
+        lambda x, y: float(np.linalg.norm(x @ y - y @ x)),
+    ),
+}
+
+
+def _probe_pair_witness(channel: QuantumChannel, kind: str) -> dict:
+    """The pair of Hermitian probe inputs whose outputs score highest.
+
+    Pairs are scanned in order and only a strictly higher score replaces
+    the best so far, so the first maximising pair wins.
+    """
+    score_key, score = _PAIR_WITNESSES[kind]
+    probes = _hermitian_probe_inputs(channel.dim_in)
+    images = [channel.apply_matrix(p) for p in probes]
+    best = None
+    best_score = 0.0
+    for a in range(len(probes)):
+        for b in range(a + 1, len(probes)):
+            value = score(images[a], images[b])
+            if value > best_score:
+                best_score = value
+                best = (probes[a], probes[b])
+    return {
+        "kind": kind,
+        "input_a": DensityOperator.from_matrix(best[0], name="witness input"),
+        "input_b": DensityOperator.from_matrix(best[1], name="witness input"),
+        score_key: best_score,
+    }
+
+
+def _choi_partial_transpose(channel: QuantumChannel) -> np.ndarray:
+    """Partial transpose, on the output slot, of the normalised Choi matrix."""
+    din, dout = channel.dim_in, channel.dim_out
+    nu = channel.choi / din
+    return nu.reshape(din, dout, din, dout).transpose(0, 3, 2, 1).reshape(nu.shape)
 
 
 # -- family tests --------------------------------------------------------------
@@ -141,22 +184,7 @@ def is_point_channel(channel: QuantumChannel, tol: float = POINT_TOL) -> Verdict
             residual=residual,
             details={"fixed_state": DensityOperator.from_matrix(sigma, name="point target")},
         )
-    best = None
-    best_dist = 0.0
-    probes = _hermitian_probe_inputs(channel.dim_in)
-    images = [channel.apply_matrix(p) for p in probes]
-    for a in range(len(probes)):
-        for b in range(a + 1, len(probes)):
-            dist = float(np.linalg.norm(images[a] - images[b]))
-            if dist > best_dist:
-                best_dist = dist
-                best = (probes[a], probes[b])
-    witness = {
-        "kind": "distinct-outputs",
-        "input_a": DensityOperator.from_matrix(best[0], name="witness input"),
-        "input_b": DensityOperator.from_matrix(best[1], name="witness input"),
-        "distance": best_dist,
-    }
+    witness = _probe_pair_witness(channel, "distinct-outputs")
     return Verdict(kind="no", residual=residual, witness=witness)
 
 
@@ -168,8 +196,6 @@ def is_qc_channel(channel: QuantumChannel, tol: float = QC_TOL) -> Verdict:
     CQ check on the slot-swapped normalised Choi and, on success, extracts
     the POVM ``F_k = dim_in * (conditional input block)^T`` and basis.
     """
-    from .discord import cq_decompose
-
     din, dout = channel.dim_in, channel.dim_out
     j = channel.choi
     swapped = (
@@ -197,47 +223,25 @@ def is_qc_channel(channel: QuantumChannel, tol: float = QC_TOL) -> Verdict:
             residual=residual,
             notes="Choi is classical on the output slot but the extracted form "
             "does not reproduce the channel",
-            witness=_noncommuting_output_witness(channel),
+            witness=_probe_pair_witness(channel, "noncommuting-outputs"),
         )
-    return Verdict(kind="no", residual=check.residual, witness=_noncommuting_output_witness(channel))
-
-
-def _noncommuting_output_witness(channel: QuantumChannel) -> dict:
-    probes = _hermitian_probe_inputs(channel.dim_in)
-    images = [channel.apply_matrix(p) for p in probes]
-    best = None
-    best_norm = 0.0
-    for a in range(len(probes)):
-        for b in range(a + 1, len(probes)):
-            comm = float(np.linalg.norm(images[a] @ images[b] - images[b] @ images[a]))
-            if comm > best_norm:
-                best_norm = comm
-                best = (probes[a], probes[b])
-    return {
-        "kind": "noncommuting-outputs",
-        "input_a": DensityOperator.from_matrix(best[0], name="witness input"),
-        "input_b": DensityOperator.from_matrix(best[1], name="witness input"),
-        "commutator_norm": best_norm,
-    }
+    return Verdict(
+        kind="no",
+        residual=check.residual,
+        witness=_probe_pair_witness(channel, "noncommuting-outputs"),
+    )
 
 
 def recheck_witness(channel: QuantumChannel, witness: dict) -> float:
     """Re-evaluate a witness residual from scratch; used to validate verdicts."""
     kind = witness["kind"]
-    if kind == "distinct-outputs":
+    if kind in _PAIR_WITNESSES:
         out_a = channel.apply_matrix(witness["input_a"].matrix)
         out_b = channel.apply_matrix(witness["input_b"].matrix)
-        return float(np.linalg.norm(out_a - out_b))
-    if kind == "noncommuting-outputs":
-        out_a = channel.apply_matrix(witness["input_a"].matrix)
-        out_b = channel.apply_matrix(witness["input_b"].matrix)
-        return float(np.linalg.norm(out_a @ out_b - out_b @ out_a))
+        return _PAIR_WITNESSES[kind][1](out_a, out_b)
     if kind == "npt-eigenvector":
         vec = witness["vector"]
-        din, dout = channel.dim_in, channel.dim_out
-        nu = channel.choi / din
-        pt = nu.reshape(din, dout, din, dout).transpose(0, 3, 2, 1).reshape(nu.shape)
-        return -float(np.real(vec.conj() @ pt @ vec))
+        return -float(np.real(vec.conj() @ _choi_partial_transpose(channel) @ vec))
     if kind == "discordant-output":
         raise ValueError("re-check discordant-output witnesses against the extended channel")
     raise ValueError(f"unknown witness kind {kind!r}")
@@ -251,9 +255,7 @@ def is_entanglement_breaking(channel: QuantumChannel) -> Verdict:
     in/out dimensions; elsewhere a PPT channel is reported "unknown".
     """
     din, dout = channel.dim_in, channel.dim_out
-    nu = channel.choi / din
-    pt = nu.reshape(din, dout, din, dout).transpose(0, 3, 2, 1).reshape(nu.shape)
-    eigvals, eigvecs = np.linalg.eigh(pt)
+    eigvals, eigvecs = np.linalg.eigh(_choi_partial_transpose(channel))
     if eigvals[0] < -PPT_TOL:
         witness = {
             "kind": "npt-eigenvector",
@@ -263,6 +265,7 @@ def is_entanglement_breaking(channel: QuantumChannel) -> Verdict:
         return Verdict(kind="no", residual=float(-eigvals[0]), witness=witness)
     if (din, dout) in {(2, 2), (2, 3), (3, 2)}:
         return Verdict(kind="yes", residual=float(max(0.0, -eigvals[0])))
+    nu = channel.choi / din
     marg_in = partial_trace_matrix(nu, din, dout, "A")
     marg_out = partial_trace_matrix(nu, din, dout, "B")
     if np.linalg.norm(nu - np.kron(marg_in, marg_out)) <= 1e-9:
@@ -317,17 +320,15 @@ def _discordant_output_witness(
 ) -> dict | None:
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
-    for state in witness_probe_states(dims[0], dims[1], seed=seed):
-        output = extended.apply(state)
-        check = is_cq_exact(output)
-        if not check:
-            return {
-                "kind": "discordant-output",
-                "input": state,
-                "output": output,
-                "cq_residual": check.residual,
-            }
-    return None
+    scan = _cq_scan(extended, witness_probe_states(dims[0], dims[1], seed=seed))
+    if scan.failing_input is None:
+        return None
+    return {
+        "kind": "discordant-output",
+        "input": scan.failing_input,
+        "output": scan.outputs[-1],
+        "cq_residual": scan.failing_residual,
+    }
 
 
 def classify_channel(
@@ -346,23 +347,16 @@ def classify_channel(
     transfer matrix, image certification on random inputs, and structural
     recovery of the annihilating form.
     """
-    if isinstance(context, ActsOnA):
-        verdict = is_qc_channel(channel)
+    if isinstance(context, (ActsOnA, ActsOnB)):
+        if isinstance(context, ActsOnA):
+            side, dim_other, verdict = "A", context.dim_b, is_qc_channel(channel)
+        else:
+            side, dim_other, verdict = "B", context.dim_a, is_point_channel(channel)
         eb = is_entanglement_breaking(channel)
         witness = None
         if verdict.kind != "yes":
-            witness = _discordant_output_witness(channel, "A", context.dim_b, seed=137 + seed)
-        label = "db-a" if verdict.kind == "yes" else "not-db-a"
-        return ClassificationReport(
-            context=context, label=label, db_verdict=verdict, eb_verdict=eb, witness=witness
-        )
-    if isinstance(context, ActsOnB):
-        verdict = is_point_channel(channel)
-        eb = is_entanglement_breaking(channel)
-        witness = None
-        if verdict.kind != "yes":
-            witness = _discordant_output_witness(channel, "B", context.dim_a, seed=137 + seed)
-        label = "db-b" if verdict.kind == "yes" else "not-db-b"
+            witness = _discordant_output_witness(channel, side, dim_other, seed=137 + seed)
+        label = ("db-" if verdict.kind == "yes" else "not-db-") + side.lower()
         return ClassificationReport(
             context=context, label=label, db_verdict=verdict, eb_verdict=eb, witness=witness
         )
@@ -482,3 +476,41 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
             f"{str(row.is_db).lower()},{str(row.is_eb).lower()},{row.max_discord:.9g}"
         )
     return "\n".join(lines) + "\n"
+
+
+# -- local product channels --------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class LocalDAVerdict:
+    kind: str  # "da-via-a" | "da-via-b" | "not-da"
+    witness: BipartiteState | None = None
+    residual: float | None = None
+
+    def __bool__(self) -> bool:
+        return self.kind != "not-da"
+
+
+def is_local_da(
+    channel_a: QuantumChannel,
+    channel_b: QuantumChannel,
+    *,
+    seed: int = 5,
+    budget: int = 200,
+) -> LocalDAVerdict:
+    """Decide whether a product channel annihilates discord.
+
+    This holds exactly when the A factor is a measure-and-prepare channel
+    diagonal in a fixed basis, or the B factor is a point channel.  When
+    neither holds, a witness input with a non-CQ output is searched for.
+    """
+    if is_qc_channel(channel_a).kind == "yes":
+        return LocalDAVerdict(kind="da-via-a")
+    if is_point_channel(channel_b).kind == "yes":
+        return LocalDAVerdict(kind="da-via-b")
+    dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
+    product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
+    scan = _cq_scan(product, witness_probe_states(dim_a, dim_b, budget=budget, seed=seed))
+    # A failing output's residual exceeds every passing one, so the scan's
+    # worst input is the first failing input when there is one.
+    return LocalDAVerdict(kind="not-da", witness=scan.worst_input, residual=scan.worst_residual)

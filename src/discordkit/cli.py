@@ -67,7 +67,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def _emit(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -166,11 +166,7 @@ def cmd_gen_da(args) -> int:
         spec = random_da_spec(da, db, rng=args.seed)
     channel = build_da_channel(spec)
     save_channel(channel, args.out)
-    echo = da_spec_to_json(spec)
-    if args.spec_out:
-        Path(args.spec_out).write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+    _emit(da_spec_to_json(spec), args.spec_out)
     return EXIT_OK
 
 
@@ -207,7 +203,7 @@ def cmd_verify_da(args) -> int:
             "input": state_to_json(report.failing_input),
             "cq_residual": report.failing_residual,
         }
-    Path(args.witness_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(payload, args.witness_out)
     sys.stderr.write(
         f"verification failed; report written to {args.witness_out}\n"
     )

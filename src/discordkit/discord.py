@@ -396,19 +396,6 @@ def discord(
 # -- exact classical-quantum structure ----------------------------------------
 
 
-def cq_commutator_residual(rho: BipartiteState) -> float:
-    """Relative norm of [rho, rho_A (x) 1]; zero for classical-quantum states.
-
-    This is a necessary condition only.  States with a degenerate A
-    marginal (the Bell states, for instance) can have zero residual while
-    still being discordant, so treat this as a fast pre-filter.
-    """
-    rho_a = partial_trace_matrix(rho.matrix, rho.dim_a, rho.dim_b, "A")
-    big = np.kron(rho_a, np.eye(rho.dim_b, dtype=complex))
-    comm = rho.matrix @ big - big @ rho.matrix
-    return float(np.linalg.norm(comm) / max(1.0, np.linalg.norm(rho.matrix)))
-
-
 def _b_blocks(rho: BipartiteState) -> np.ndarray:
     """Array blk[i, j] = <i|_B rho |j>_B of A-side operators, shape (dB, dB, dA, dA)."""
     r4 = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)

@@ -12,6 +12,7 @@ eigenvalue order.  Readers enforce the physical invariants and raise
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .annihilators import (
     DAChannelSpec,
     Entry,
     IdentityAction,
+    InvalidDASpecError,
     MultiEntry,
     PointTo,
     Rank1Entry,
@@ -43,6 +45,11 @@ def encode_matrix(m: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _is_finite_number(x) -> bool:
+    # bool is a subclass of int, but JSON true/false are not numbers.
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def decode_matrix(data, shape: tuple[int, int], field: str) -> np.ndarray:
     if not isinstance(data, list):
         raise FileFormatError(field, f"expected a list of [re, im] pairs, got {type(data).__name__}")
@@ -54,15 +61,25 @@ def decode_matrix(data, shape: tuple[int, int], field: str) -> np.ndarray:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(_is_finite_number(x) for x in pair)
         ):
-            raise FileFormatError(f"{field}[{idx}]", f"expected an [re, im] pair, got {pair!r}")
+            raise FileFormatError(
+                f"{field}[{idx}]", f"expected an [re, im] pair of finite numbers, got {pair!r}"
+            )
         out[idx] = complex(pair[0], pair[1])
     return out.reshape(shape)
 
 
 def decode_vector(data, dim: int, field: str) -> np.ndarray:
     return decode_matrix(data, (dim, 1), field).reshape(-1)
+
+
+def _state_field(data, dim: int, field: str) -> DensityOperator:
+    m = decode_matrix(data, (dim, dim), field)
+    try:
+        return DensityOperator.from_matrix(m, name=field)
+    except InvalidStateError as exc:
+        raise FileFormatError(field, str(exc)) from exc
 
 
 def _load_json(source) -> dict:
@@ -99,11 +116,7 @@ def load_state(source) -> DensityOperator | BipartiteState:
     total = int(np.prod(dims))
     if "matrix" not in payload:
         raise FileFormatError("matrix", "missing")
-    m = decode_matrix(payload["matrix"], (total, total), "matrix")
-    try:
-        op = DensityOperator.from_matrix(m, name="matrix")
-    except InvalidStateError as exc:
-        raise FileFormatError("matrix", str(exc)) from exc
+    op = _state_field(payload["matrix"], total, "matrix")
     if len(dims) == 2:
         return BipartiteState(dims[0], dims[1], op)
     return op
@@ -143,7 +156,7 @@ def load_channel(source, *, cp_tol: float = 1e-9) -> QuantumChannel:
             ops = [
                 decode_matrix(item, (dout, din), f"data[{i}]") for i, item in enumerate(data)
             ]
-            return QuantumChannel.from_kraus(ops, din, dout)
+            return QuantumChannel(ops, din, dout)
         d = din * dout
         j = decode_matrix(data, (d, d), "data")
         return QuantumChannel.from_choi(j, din, dout, cp_tol=cp_tol)
@@ -194,16 +207,10 @@ def _action_from_json(data, dim_b: int, field: str):
         raise FileFormatError(field, "expected an action of type 'point' or 'identity'")
     if data["type"] == "identity":
         return IdentityAction()
-    m = decode_matrix(data.get("state"), (dim_b, dim_b), f"{field}.state")
-    try:
-        return PointTo(DensityOperator.from_matrix(m, name=f"{field}.state"))
-    except InvalidStateError as exc:
-        raise FileFormatError(f"{field}.state", str(exc)) from exc
+    return PointTo(_state_field(data.get("state"), dim_b, f"{field}.state"))
 
 
 def load_da_spec(source) -> DAChannelSpec:
-    from .annihilators import InvalidDASpecError
-
     payload = _load_json(source)
     dims = payload.get("dims")
     if (
@@ -276,14 +283,6 @@ def cq_subset_spec_to_json(spec: ConvexCQSubsetSpec) -> dict:
             for e in spec.point_entries
         ],
     }
-
-
-def _state_field(data, dim: int, field: str) -> DensityOperator:
-    m = decode_matrix(data, (dim, dim), field)
-    try:
-        return DensityOperator.from_matrix(m, name=field)
-    except InvalidStateError as exc:
-        raise FileFormatError(field, str(exc)) from exc
 
 
 def load_cq_subset_spec(source) -> ConvexCQSubsetSpec:

@@ -9,10 +9,10 @@ Conventions
   (B) index fastest, matching ``np.kron``: the row index of a bipartite
   matrix is ``a * dim_b + b``.
 * Entropies are in bits (log base 2).
-* A matrix is accepted as a state when it is Hermitian and unit trace to
-  1e-9 and its smallest eigenvalue is at least -1e-9.  Negative eigenvalues
-  within that tolerance are clipped to zero and the state renormalised;
-  larger violations raise :class:`InvalidStateError`.
+* A matrix is accepted as a state when it is finite, Hermitian and unit
+  trace to 1e-9 and its smallest eigenvalue is at least -1e-9.  Negative
+  eigenvalues within that tolerance are clipped to zero and the state
+  renormalised; larger violations raise :class:`InvalidStateError`.
 """
 
 from __future__ import annotations
@@ -68,25 +68,19 @@ class DensityOperator:
     def from_matrix(cls, matrix, *, name: str = "state") -> "DensityOperator":
         """Validate ``matrix`` and wrap it.
 
-        Hermiticity and trace must hold to 1e-9; eigenvalues in
-        ``[-1e-9, 0)`` are clipped to the PSD cone and the result
-        renormalised.  Violations raise :class:`InvalidStateError` with a
-        message naming the offending invariant.
+        Entries must be finite, and Hermiticity and trace must hold to 1e-9;
+        eigenvalues in ``[-1e-9, 0)`` are clipped to the PSD cone and the
+        result renormalised.  Violations raise :class:`InvalidStateError`
+        with a message naming the offending invariant.
         """
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"{name}: expected a square matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        herm_defect = float(np.linalg.norm(m - m.conj().T))
-        if herm_defect > HERMITICITY_TOL * scale:
-            raise InvalidStateError(
-                f"{name}: matrix is not Hermitian (defect {herm_defect:.3e})"
-            )
+        eigvals, eigvecs = eig_hermitian(m, what=f"{name}: matrix", error=InvalidStateError)
         m = (m + m.conj().T) / 2.0
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"{name}: trace is {trace!r}, expected 1")
-        eigvals, eigvecs = np.linalg.eigh(m)
         if eigvals[0] < -PSD_TOL:
             raise InvalidStateError(
                 f"{name}: matrix is not positive semidefinite "
@@ -175,16 +169,26 @@ def partial_trace(rho: BipartiteState, keep: str) -> DensityOperator:
     return DensityOperator.from_matrix(reduced, name=f"tr over {keep}-complement")
 
 
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(
+    h: np.ndarray, *, what: str = "eig_hermitian: input", error: type[ValueError] = ValueError
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a finite Hermitian matrix.
 
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvector columns.  Raises ``ValueError`` for non-Hermitian input.
+    This is the Hermiticity check for states, Choi matrices and POVM
+    elements: the entries must be finite and the Frobenius defect
+    ``||h - h^dag||`` at most 1e-9 times ``max(1, ||h||)``.  A failure
+    raises ``error`` with a message starting with ``what``.  Returns the
+    eigenvalues of ``(h + h^dag) / 2`` in ascending order and the matching
+    orthonormal eigenvector columns.
     """
     h = np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(h)))
-    if np.linalg.norm(h - h.conj().T) > HERMITICITY_TOL * scale:
-        raise ValueError("eig_hermitian: input is not Hermitian")
+    norm = float(np.linalg.norm(h))
+    # Tested before max(1, norm) below, which would turn NaN into 1.
+    if not np.isfinite(norm):
+        raise error(f"{what} is not finite")
+    defect = float(np.linalg.norm(h - h.conj().T))
+    if defect > HERMITICITY_TOL * max(1.0, norm):
+        raise error(f"{what} is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigh((h + h.conj().T) / 2.0)
 
 
@@ -271,12 +275,16 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def max_entangled(dim: int) -> BipartiteState:
-    """Maximally entangled state sum_i |ii> / sqrt(dim) on dim (x) dim."""
-    v = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        v[i * dim + i] = 1.0
-    return BipartiteState(dim, dim, DensityOperator.pure(v))
+def max_entangled(dim_a: int, dim_b: int | None = None) -> BipartiteState:
+    """Maximally entangled state sum_i |ii> / sqrt(m) on dim_a (x) dim_b.
+
+    ``dim_b`` defaults to ``dim_a``; ``m = min(dim_a, dim_b)``, so for
+    unequal dimensions the state is embedded in the first ``m`` levels.
+    """
+    dim_b = dim_a if dim_b is None else dim_b
+    v = np.zeros(dim_a * dim_b, dtype=complex)
+    v[np.arange(min(dim_a, dim_b)) * (dim_b + 1)] = 1.0
+    return BipartiteState(dim_a, dim_b, DensityOperator.pure(v))
 
 
 def bell_state(which: int = 0) -> BipartiteState:

@@ -11,11 +11,11 @@ from discordkit.annihilators import (
     apply_and_certify,
     build_da_channel,
     induced_cq_subset,
-    is_local_da,
     random_da_spec,
     structural_match,
     _entry_projector,
 )
+from discordkit.classify import is_local_da
 from discordkit.channels import (
     QuantumChannel,
     UnitalQubitParams,
@@ -152,6 +152,13 @@ class TestApplyAndCertify:
         report = apply_and_certify(QuantumChannel.identity(4), 2, 2, n_samples=10, seed=0)
         assert not report.passed
         assert not is_cq_exact(report.failing_input)  # witness is itself non-CQ
+
+    def test_n_checked_stops_at_first_failure(self):
+        # The third boundary input, the maximally entangled state, is the first
+        # whose identity image is not CQ.
+        report = apply_and_certify(QuantumChannel.identity(4), 2, 2, n_samples=200, seed=0)
+        assert not report.passed
+        assert report.n_checked == 3
 
     def test_dephasing_on_a_certifies(self):
         report = apply_and_certify(extend(z_dephasing(), "A", 2), 2, 2, n_samples=100, seed=1)

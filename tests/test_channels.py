@@ -13,7 +13,6 @@ from discordkit.channels import (
     make_point_channel,
     make_qc_channel,
     make_unital_qubit,
-    min_singular_value,
     mix_channels,
     random_channel,
 )
@@ -108,6 +107,18 @@ class TestChoiConversions:
         with pytest.raises(InvalidChannelError, match="trace-preserving"):
             QuantumChannel([np.eye(2) * 0.5])
 
+    def test_non_finite_kraus_rejected(self):
+        op = np.eye(2, dtype=complex)
+        op[0, 1] = np.nan
+        with pytest.raises(InvalidChannelError, match="trace-preserving"):
+            QuantumChannel([op])
+
+    def test_from_choi_rejects_non_finite(self):
+        j = QuantumChannel.identity(2).choi.copy()
+        j[1, 1] = np.inf
+        with pytest.raises(InvalidChannelError, match="finite"):
+            QuantumChannel.from_choi(j, 2, 2)
+
 
 class TestComposeExtend:
     def test_compose_with_identity(self):
@@ -153,7 +164,7 @@ class TestRealTransfer:
         channel = make_point_channel(DensityOperator.maximally_mixed(dim))
         analysis = analyze_transfer(channel)
         assert analysis.rank == 1
-        assert min_singular_value(analysis.matrix) <= 1e-12
+        assert analysis.sigma_min <= 1e-12
         assert analysis.det == 0.0
 
     def test_unital_qubit_is_diagonal(self):

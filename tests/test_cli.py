@@ -68,6 +68,15 @@ class TestDiscordCommand:
         assert code == 2
         assert "matrix" in err
 
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        payload = state_to_json(bell_state(0))
+        payload["matrix"][1] = [float("nan"), 0.0]
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "discord", str(path))
+        assert code == 2
+        assert "matrix[1]" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "discord", "/nonexistent/state.json")
         assert code == 2
@@ -108,6 +117,19 @@ class TestClassifyCommand:
         payload = json.loads(out)
         assert payload["label"] == "not-da"
         assert "witness" in payload
+
+    def test_non_finite_kraus_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        payload = {
+            "type": "kraus",
+            "d_in": 2,
+            "d_out": 2,
+            "data": [[[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [1.0, 0.0]]],
+        }
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "classify", str(path), "--side", "B")
+        assert code == 2
+        assert "data[0][1]" in err
 
     def test_ab_requires_dims(self, tmp_path, capsys):
         path = tmp_path / "identity.json"

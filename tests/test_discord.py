@@ -10,7 +10,6 @@ from discordkit.discord import (
     MultiStart,
     ProjectiveMeasurement,
     classical_correlation,
-    cq_commutator_residual,
     cq_decompose,
     discord,
     is_cq_exact,
@@ -46,16 +45,6 @@ def cq_state(seed, dim_a=2, dim_b=2):
         cond = random_density(dim_b, "hilbert-schmidt", rng).matrix
         m += probs[k] * np.kron(proj, cond)
     return BipartiteState.from_matrix(m, dim_a, dim_b)
-
-
-def zero_plus_mixture():
-    """1/2 |0><0| (x) |0><0| + 1/2 |+><+| (x) |1><1|; discordant, nondegenerate."""
-    zero = np.array([1, 0], dtype=complex)
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    m = 0.5 * np.kron(np.outer(zero, zero), np.diag([1.0, 0.0])) + 0.5 * np.kron(
-        np.outer(plus, plus), np.diag([0.0, 1.0])
-    )
-    return BipartiteState.from_matrix(m, 2, 2)
 
 
 def dense_grid_oracle(rho, n_theta=128, n_phi=256):
@@ -210,20 +199,6 @@ class TestDiscord:
         rho = cq_state(17, dim_a=3, dim_b=2)
         result = discord(rho, MultiStart(restarts=8), seed=0)
         assert result.value <= 5e-3
-
-
-class TestCommutatorResidual:
-    def test_cq_state(self):
-        assert cq_commutator_residual(cq_state(20)) <= 1e-10
-
-    def test_discordant_mixture(self):
-        assert cq_commutator_residual(zero_plus_mixture()) > 1e-2
-
-    def test_bell_state_blind_spot(self):
-        # Degenerate A marginal: residual vanishes although the state is
-        # discordant, which is why this is only a pre-filter.
-        assert cq_commutator_residual(bell_state(0)) <= 1e-10
-        assert not is_cq_exact(bell_state(0))
 
 
 class TestIsCQExact:

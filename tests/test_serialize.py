@@ -62,6 +62,17 @@ class TestStateFiles:
         with pytest.raises(FileFormatError, match=r"matrix\[3\]"):
             load_state(payload)
 
+    def test_json_booleans_rejected(self):
+        payload = {"dims": [1], "matrix": [[True, False]]}
+        with pytest.raises(FileFormatError, match=r"matrix\[0\]"):
+            load_state(payload)
+
+    def test_non_finite_entry_rejected(self):
+        payload = state_to_json(random_density(2, "hilbert-schmidt", 2))
+        payload["matrix"][1] = [float("nan"), 0.0]
+        with pytest.raises(FileFormatError, match=r"matrix\[1\]"):
+            load_state(payload)
+
     def test_invalid_state_rejected(self):
         payload = {"dims": [2], "matrix": [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(FileFormatError, match="matrix"):

@@ -43,6 +43,10 @@ class TestDensityOperatorValidation:
         assert w[0] >= 0.0
         assert np.trace(op.matrix).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidStateError, match="finite"):
+            DensityOperator.from_matrix([[np.nan, 0.0], [0.0, 1.0]])
+
     def test_bipartite_dims_must_match(self):
         with pytest.raises(InvalidStateError, match="dims"):
             BipartiteState(2, 3, DensityOperator.maximally_mixed(4))
