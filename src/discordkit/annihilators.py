@@ -23,7 +23,7 @@ from .channels import (
     random_channel,
 )
 from .cqsets import BothEntry, ConvexCQSubsetSpec, FixedEntry, PointEntry
-from .discord import CQ_DEFAULT_TOL, is_cq_exact
+from .discord import is_cq_exact
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -34,9 +34,18 @@ from .states import (
     random_density,
     random_unitary,
 )
+from .tolerances import (
+    CLUSTER_GAP,
+    CQ_TOL,
+    EMPTY_BLOCK_WEIGHT,
+    NULLSPACE_CUTOFF,
+    PARTITION_TOL,
+    POINT_SPREAD_TOL,
+    REBUILD_TOL,
+)
 
-COMPLETENESS_TOL = 1e-10
-POINT_SPREAD_TOL = 1e-7
+# structural_match draws this many commutant elements before giving up.
+MATCH_RETRIES = 3
 
 
 class InvalidDASpecError(ValueError):
@@ -98,10 +107,10 @@ class DAChannelSpec:
                     raise InvalidDASpecError(
                         f"entry {i}: multi-dimensional entry has rank {rank}"
                     )
-            if np.linalg.norm(total @ proj) > COMPLETENESS_TOL:
+            if np.linalg.norm(total @ proj) > PARTITION_TOL:
                 raise InvalidDASpecError(f"entry {i}: subspace overlaps earlier entries")
             total += proj
-        if np.linalg.norm(total - np.eye(dim_a)) > COMPLETENESS_TOL:
+        if np.linalg.norm(total - np.eye(dim_a)) > PARTITION_TOL:
             raise InvalidDASpecError(
                 "partition does not resolve the identity on A "
                 "(required for trace preservation)"
@@ -128,7 +137,7 @@ def _entry_projector(entry: Entry, dim_a: int, *, index: int = -1) -> np.ndarray
     p = np.asarray(entry.projector, dtype=complex)
     if p.shape != (dim_a, dim_a):
         raise InvalidDASpecError(f"entry {index}: projector has shape {p.shape}")
-    if np.linalg.norm(p @ p - p) > COMPLETENESS_TOL:
+    if np.linalg.norm(p @ p - p) > PARTITION_TOL:
         raise InvalidDASpecError(f"entry {index}: matrix is not an orthogonal projector")
     return p
 
@@ -235,7 +244,7 @@ class _CQScan:
     failing_residual: float | None = None
 
 
-def _cq_scan(channel: QuantumChannel, inputs, tol: float = CQ_DEFAULT_TOL) -> _CQScan:
+def _cq_scan(channel: QuantumChannel, inputs, tol: float = CQ_TOL) -> _CQScan:
     """Apply ``channel`` to each input in turn and run the exact CQ test.
 
     Stops at the first output that is not classical-quantum.  The worst
@@ -292,7 +301,7 @@ def apply_and_certify(
     dim_b: int,
     n_samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = CQ_TOL,
 ) -> CertificationReport:
     """Apply the channel to random and boundary inputs, requiring CQ outputs.
 
@@ -345,10 +354,11 @@ def _commutant_element(generators, dim: int, rng) -> np.ndarray:
         rows.append(m.real)
         rows.append(m.imag)
     stacked = np.vstack(rows)
-    _, svals, vt = np.linalg.svd(stacked)
-    cutoff = 1e-7 * max(svals[0], 1e-300)
-    null = vt[len(svals) :].tolist()
-    null += [vt[i] for i in range(len(svals)) if svals[i] <= cutoff]
+    # 2 * len(generators) * dim**2 rows against dim**2 columns: the thin
+    # SVD's vt is square and holds every right singular vector.
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    cutoff = NULLSPACE_CUTOFF * max(svals[0], 1e-300)
+    null = [vt[i] for i in range(len(svals)) if svals[i] <= cutoff]
     coeffs = np.zeros(dim * dim)
     for direction in null:
         coeffs += rng.standard_normal() * np.asarray(direction)
@@ -356,14 +366,14 @@ def _commutant_element(generators, dim: int, rng) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def _eigen_clusters(x: np.ndarray, gap: float = 1e-6) -> list[np.ndarray]:
+def _eigen_clusters(x: np.ndarray) -> list[np.ndarray]:
     """Group eigenvectors of a Hermitian matrix by clustered eigenvalues."""
     eigvals, eigvecs = np.linalg.eigh(x)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
     groups = []
     start = 0
     for k in range(1, eigvals.size + 1):
-        if k == eigvals.size or eigvals[k] - eigvals[k - 1] > gap * scale:
+        if k == eigvals.size or eigvals[k] - eigvals[k - 1] > CLUSTER_GAP * scale:
             groups.append(eigvecs[:, start:k])
             start = k
     return groups
@@ -393,30 +403,22 @@ def structural_match(
     dim_b: int,
     *,
     seed: int = 23,
-    certify_samples: int = 60,
-    point_spread_tol: float = POINT_SPREAD_TOL,
-    rebuild_tol: float = 1e-6,
-    retries: int = 3,
+    tol: float = CQ_TOL,
 ) -> MatchResult:
     """Recover an annihilating-channel partition, or report a counterexample.
 
-    Probes the channel with the maximally mixed state and ``4 dim_a**2``
-    perturbed inputs; the A partition is the joint block structure of all
+    Callers certify the channel first (:func:`apply_and_certify`); this
+    does not repeat it.  Probes the channel with the maximally mixed state
+    and ``4 dim_a**2`` perturbed inputs, whose outputs must pass the exact
+    CQ test at ``tol``; the A partition is the joint block structure of all
     probe-output B blocks, extracted as the eigenspaces of a random element
     of their commutant.  Per-block B behaviour is classified as pinned when
-    the conditional states agree across probes within ``point_spread_tol``.
+    the conditional states agree across probes within ``POINT_SPREAD_TOL``.
     The recovered spec reuses the channel itself as pre-channel, which is
     exact for any channel of the annihilating form, and the Choi residual
-    between the rebuilt channel and the original certifies the match.
+    between the rebuilt channel and the original, within ``REBUILD_TOL``,
+    certifies the match.
     """
-    report = apply_and_certify(channel, dim_a, dim_b, n_samples=certify_samples, seed=seed)
-    if not report.passed:
-        return MatchResult(
-            spec=None,
-            residual=None,
-            counterexample=report.failing_input,
-            notes=f"certification failed (residual {report.failing_residual:.3e})",
-        )
     d = dim_a * dim_b
     rng = as_rng([seed, 0xA1])
     probes = [BipartiteState(dim_a, dim_b, DensityOperator.maximally_mixed(d))]
@@ -424,7 +426,7 @@ def structural_match(
         mixed = DensityOperator.maximally_mixed(d).matrix
         noise = random_density(d, "hilbert-schmidt", rng).matrix
         probes.append(BipartiteState.from_matrix((mixed + noise) / 2.0, dim_a, dim_b))
-    scan = _cq_scan(channel, probes)
+    scan = _cq_scan(channel, probes, tol)
     if scan.failing_input is not None:
         return MatchResult(
             spec=None,
@@ -442,7 +444,7 @@ def structural_match(
 
     scale = max(1.0, float(np.linalg.norm(channel.choi)))
     notes = ""
-    for _ in range(retries):
+    for _ in range(MATCH_RETRIES):
         x = _commutant_element(generators, dim_a, rng)
         groups = _eigen_clusters(x)
         entries = []
@@ -455,7 +457,7 @@ def structural_match(
                 block = np.einsum("ae,abcd,cf->ebfd", vecs.conj(), r4, vecs)
                 block = block.reshape(rank * dim_b, rank * dim_b)
                 weight = float(np.trace(block).real)
-                if weight < 1e-9:
+                if weight < EMPTY_BLOCK_WEIGHT:
                     continue
                 sub = block.reshape(rank, dim_b, rank, dim_b)
                 conditionals.append(np.trace(sub, axis1=0, axis2=2) / weight)
@@ -465,7 +467,7 @@ def structural_match(
             else:
                 mean = np.eye(dim_b, dtype=complex) / dim_b
                 spread = 0.0
-            pinned = spread <= point_spread_tol
+            pinned = spread <= POINT_SPREAD_TOL
             if rank == 1:
                 vec = _canonical_vector(vecs[:, 0])
                 if pinned:
@@ -488,7 +490,7 @@ def structural_match(
             dim_a, dim_b, _canonical_entries(entries, dim_a), pre_channel=channel
         )
         residual = choi_distance(build_da_channel(spec), channel) / scale
-        if residual <= rebuild_tol:
+        if residual <= REBUILD_TOL:
             return MatchResult(spec=spec, residual=residual, counterexample=None)
         notes = f"rebuilt channel differs (residual {residual:.3e})"
     return MatchResult(spec=None, residual=None, counterexample=None, notes=notes)

@@ -27,10 +27,7 @@ from .states import (
     partial_trace_matrix,
     random_unitary,
 )
-
-TP_TOL = 1e-9
-CP_TOL = 1e-9
-RANK_THRESHOLD = 1e-8
+from .tolerances import KRAUS_CUTOFF, RANK_TOL, VALIDITY_TOL, ZERO_CUTOFF
 
 
 class InvalidChannelError(ValueError):
@@ -54,7 +51,7 @@ class QuantumChannel:
                 )
         completeness = sum(op.conj().T @ op for op in ops)
         defect = float(np.linalg.norm(completeness - np.eye(dim_in)))
-        if not defect <= TP_TOL * max(1.0, dim_in):  # a NaN defect fails too
+        if not defect <= VALIDITY_TOL * max(1.0, dim_in):  # a NaN defect fails too
             raise InvalidChannelError(
                 f"Kraus set is not trace-preserving (defect {defect:.3e})"
             )
@@ -69,11 +66,11 @@ class QuantumChannel:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_choi(cls, choi, dim_in: int, dim_out: int, *, cp_tol: float = CP_TOL):
+    def from_choi(cls, choi, dim_in: int, dim_out: int, *, cp_tol: float = VALIDITY_TOL):
         """Build a channel from a Choi matrix (input slot first).
 
         The matrix must be PSD within ``-cp_tol`` and satisfy
-        ``tr_out J = identity`` within 1e-9; Kraus operators are extracted
+        ``tr_out J = identity`` within ``VALIDITY_TOL``; Kraus operators are extracted
         from the eigendecomposition in descending eigenvalue order.
         """
         j = np.asarray(choi, dtype=complex)
@@ -84,7 +81,7 @@ class QuantumChannel:
         j = (j + j.conj().T) / 2.0
         marginal = partial_trace_matrix(j, dim_in, dim_out, "A")
         tp_defect = float(np.linalg.norm(marginal - np.eye(dim_in)))
-        if tp_defect > TP_TOL * max(1.0, dim_in):
+        if tp_defect > VALIDITY_TOL * max(1.0, dim_in):
             raise InvalidChannelError(
                 f"Choi matrix is not trace-preserving (tr_out defect {tp_defect:.3e})"
             )
@@ -92,7 +89,7 @@ class QuantumChannel:
             raise InvalidChannelError(
                 f"Choi matrix is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
-        cutoff = 1e-12 * max(1.0, eigvals[-1])
+        cutoff = ZERO_CUTOFF * max(1.0, eigvals[-1])
         ops = []
         for idx in range(d - 1, -1, -1):
             if eigvals[idx] <= cutoff:
@@ -197,7 +194,7 @@ def extend(channel: QuantumChannel, side: str, dim_other: int) -> QuantumChannel
 def mix_channels(weighted: list[tuple[float, QuantumChannel]]) -> QuantumChannel:
     """Convex mixture of channels, realised as a weighted Kraus union."""
     total = sum(w for w, _ in weighted)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > VALIDITY_TOL:
         raise InvalidChannelError(f"mixture weights sum to {total!r}, expected 1")
     dims = {(c.dim_in, c.dim_out) for _, c in weighted}
     if len(dims) != 1:
@@ -225,7 +222,7 @@ class TransferAnalysis:
     The determinant is reported through the singular values,
     ``sign * exp(sum log sigma_i)``, with the sign taken from an LU
     factorisation; a matrix is flagged rank deficient when
-    ``sigma_min < 1e-8 * sigma_max``, in which case the determinant is
+    ``sigma_min < RANK_TOL * sigma_max``, in which case the determinant is
     reported as exactly zero.
     """
 
@@ -242,8 +239,8 @@ def analyze_transfer(channel: QuantumChannel) -> TransferAnalysis:
     s = np.linalg.svd(t, compute_uv=False)
     sigma_max = float(s[0])
     sigma_min = float(s[-1])
-    rank = int(np.sum(s > RANK_THRESHOLD * max(sigma_max, 1e-300)))
-    deficient = sigma_min < RANK_THRESHOLD * sigma_max
+    rank = int(np.sum(s > RANK_TOL * max(sigma_max, 1e-300)))
+    deficient = sigma_min < RANK_TOL * sigma_max
     sign = float(np.linalg.slogdet(t)[0]) if t.shape[0] == t.shape[1] else 0.0
     if deficient or sigma_min <= 0.0 or sign == 0.0:
         det = 0.0
@@ -272,7 +269,7 @@ def make_point_channel(sigma: DensityOperator, dim_in: int | None = None) -> Qua
     eigvals, eigvecs = eig_hermitian(sigma.matrix)
     ops = []
     for m in range(sigma.dim):
-        if eigvals[m] <= 1e-14:
+        if eigvals[m] <= KRAUS_CUTOFF:
             continue
         col = np.sqrt(eigvals[m]) * eigvecs[:, m]
         for n in range(dim_in):
@@ -306,26 +303,26 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
         if f.shape != (dim_in, dim_in):
             raise InvalidChannelError(f"POVM element {idx} has shape {f.shape}")
         eigvals, eigvecs = eig_hermitian(f, what=f"POVM element {idx}", error=InvalidChannelError)
-        if eigvals[0] < -1e-9:
+        if eigvals[0] < -VALIDITY_TOL:
             raise InvalidChannelError(
                 f"POVM element {idx} is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
         total += f
         spectra.append((eigvals, eigvecs))
-    if np.linalg.norm(total - np.eye(dim_in)) > 1e-9 * max(1.0, dim_in):
+    if np.linalg.norm(total - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in):
         raise InvalidChannelError("POVM elements do not sum to the identity")
     for a in range(len(kets)):
         for b in range(a, len(kets)):
             overlap = np.vdot(kets[a], kets[b])
             expected = 1.0 if a == b else 0.0
-            if abs(overlap - expected) > 1e-9:
+            if abs(overlap - expected) > VALIDITY_TOL:
                 raise InvalidChannelError(
                     f"output basis is not orthonormal: <{a}|{b}> = {overlap:.3e}"
                 )
     ops = []
     for (eigvals, eigvecs), k in zip(spectra, kets):
         for m in range(dim_in):
-            if eigvals[m] <= 1e-14:
+            if eigvals[m] <= KRAUS_CUTOFF:
                 continue
             ops.append(np.sqrt(eigvals[m]) * np.outer(k, eigvecs[:, m].conj()))
     return QuantumChannel(ops, dim_in, dim_out)
@@ -343,7 +340,7 @@ class UnitalQubitParams:
     l2: float
     l3: float
 
-    def in_cptp_tetrahedron(self, tol: float = 1e-12) -> bool:
+    def in_cptp_tetrahedron(self, tol: float = ZERO_CUTOFF) -> bool:
         return (
             abs(self.l1 + self.l2) <= 1.0 + self.l3 + tol
             and abs(self.l1 - self.l2) <= 1.0 - self.l3 + tol

@@ -31,7 +31,7 @@ from .channels import (
     make_unital_qubit,
     UnitalQubitParams,
 )
-from .discord import Hybrid, cq_decompose, discord, is_cq_exact
+from .discord import DecompositionError, Hybrid, cq_decompose, discord, is_cq_exact
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -42,10 +42,8 @@ from .states import (
     partial_trace_matrix,
     random_density,
 )
+from .tolerances import CQ_TOL, EB_TOL
 
-POINT_TOL = 1e-8
-QC_TOL = 1e-8
-PPT_TOL = 1e-9
 WITNESS_BUDGET = 500
 
 
@@ -167,7 +165,7 @@ def _choi_partial_transpose(channel: QuantumChannel) -> np.ndarray:
 # -- family tests --------------------------------------------------------------
 
 
-def is_point_channel(channel: QuantumChannel, tol: float = POINT_TOL) -> Verdict:
+def is_point_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     """Is the channel constant, ``X -> tr[X] sigma``?
 
     Tested on the Choi matrix: a point channel has ``J = 1 (x) sigma``
@@ -188,13 +186,15 @@ def is_point_channel(channel: QuantumChannel, tol: float = POINT_TOL) -> Verdict
     return Verdict(kind="no", residual=residual, witness=witness)
 
 
-def is_qc_channel(channel: QuantumChannel, tol: float = QC_TOL) -> Verdict:
+def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     """Is the channel measure-and-prepare into a fixed orthonormal basis?
 
     The Choi matrix of such a channel, read as a bipartite in (x) out
     operator, is classical on the output slot; the test runs the exact
     CQ check on the slot-swapped normalised Choi and, on success, extracts
     the POVM ``F_k = dim_in * (conditional input block)^T`` and basis.
+    The answer is "yes" only when the channel rebuilt from them lies within
+    ``tol`` of the original.
     """
     din, dout = channel.dim_in, channel.dim_out
     j = channel.choi
@@ -203,8 +203,17 @@ def is_qc_channel(channel: QuantumChannel, tol: float = QC_TOL) -> Verdict:
     )
     nu = BipartiteState.from_matrix(swapped / din, dout, din, name="swapped Choi")
     check = is_cq_exact(nu, tol)
-    if check:
+    if not check:
+        return Verdict(
+            kind="no",
+            residual=check.residual,
+            witness=_probe_pair_witness(channel, "noncommuting-outputs"),
+        )
+    try:
         decomp = cq_decompose(nu, tol)
+    except DecompositionError as exc:
+        residual = exc.residual
+    else:
         povm = []
         kets = []
         for k in range(dout):
@@ -218,16 +227,11 @@ def is_qc_channel(channel: QuantumChannel, tol: float = QC_TOL) -> Verdict:
                 residual=residual,
                 details={"povm": povm, "basis": kets},
             )
-        return Verdict(
-            kind="no",
-            residual=residual,
-            notes="Choi is classical on the output slot but the extracted form "
-            "does not reproduce the channel",
-            witness=_probe_pair_witness(channel, "noncommuting-outputs"),
-        )
     return Verdict(
         kind="no",
-        residual=check.residual,
+        residual=residual,
+        notes="Choi is classical on the output slot but the extracted form "
+        "does not reproduce the channel",
         witness=_probe_pair_witness(channel, "noncommuting-outputs"),
     )
 
@@ -256,7 +260,7 @@ def is_entanglement_breaking(channel: QuantumChannel) -> Verdict:
     """
     din, dout = channel.dim_in, channel.dim_out
     eigvals, eigvecs = np.linalg.eigh(_choi_partial_transpose(channel))
-    if eigvals[0] < -PPT_TOL:
+    if eigvals[0] < -EB_TOL:
         witness = {
             "kind": "npt-eigenvector",
             "eigenvalue": float(eigvals[0]),
@@ -268,7 +272,7 @@ def is_entanglement_breaking(channel: QuantumChannel) -> Verdict:
     nu = channel.choi / din
     marg_in = partial_trace_matrix(nu, din, dout, "A")
     marg_out = partial_trace_matrix(nu, din, dout, "B")
-    if np.linalg.norm(nu - np.kron(marg_in, marg_out)) <= 1e-9:
+    if np.linalg.norm(nu - np.kron(marg_in, marg_out)) <= EB_TOL:
         return Verdict(
             kind="yes",
             residual=float(max(0.0, -eigvals[0])),
@@ -316,11 +320,11 @@ class ClassificationReport:
 
 
 def _discordant_output_witness(
-    channel: QuantumChannel, side: str, dim_other: int, seed: int = 137
+    channel: QuantumChannel, side: str, dim_other: int, seed: int, tol: float
 ) -> dict | None:
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
-    scan = _cq_scan(extended, witness_probe_states(dims[0], dims[1], seed=seed))
+    scan = _cq_scan(extended, witness_probe_states(dims[0], dims[1], seed=seed), tol)
     if scan.failing_input is None:
         return None
     return {
@@ -337,7 +341,7 @@ def classify_channel(
     *,
     seed: int = 0,
     samples: int = 200,
-    cq_tol: float = 1e-8,
+    cq_tol: float = CQ_TOL,
 ) -> ClassificationReport:
     """Classify a channel in its acting context.
 
@@ -345,17 +349,18 @@ def classify_channel(
     (quantum-classical) channels; on B exactly the point channels.  On the
     joint system the classifier combines the rank screening of the real
     transfer matrix, image certification on random inputs, and structural
-    recovery of the annihilating form.
+    recovery of the annihilating form.  Every one of these discord
+    decisions is judged at ``cq_tol``.
     """
     if isinstance(context, (ActsOnA, ActsOnB)):
         if isinstance(context, ActsOnA):
-            side, dim_other, verdict = "A", context.dim_b, is_qc_channel(channel)
+            side, dim_other, verdict = "A", context.dim_b, is_qc_channel(channel, cq_tol)
         else:
-            side, dim_other, verdict = "B", context.dim_a, is_point_channel(channel)
+            side, dim_other, verdict = "B", context.dim_a, is_point_channel(channel, cq_tol)
         eb = is_entanglement_breaking(channel)
         witness = None
         if verdict.kind != "yes":
-            witness = _discordant_output_witness(channel, side, dim_other, seed=137 + seed)
+            witness = _discordant_output_witness(channel, side, dim_other, 137 + seed, cq_tol)
         label = ("db-" if verdict.kind == "yes" else "not-db-") + side.lower()
         return ClassificationReport(
             context=context, label=label, db_verdict=verdict, eb_verdict=eb, witness=witness
@@ -379,7 +384,7 @@ def classify_channel(
                 certification=certification,
                 witness=witness,
             )
-        match = structural_match(channel, dim_a, dim_b, seed=seed)
+        match = structural_match(channel, dim_a, dim_b, seed=seed, tol=cq_tol)
         label = "da" if match.matched else "inconclusive"
         return ClassificationReport(
             context=context,

@@ -42,6 +42,7 @@ from .serialize import (
     _jsonify,
 )
 from .states import BipartiteState, InvalidStateError
+from .tolerances import CQ_TOL, VALIDITY_TOL
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -220,10 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=42, help="seed for all randomness")
-        p.add_argument("--tol-cq", type=float, default=1e-8, dest="tol_cq",
-                       help="tolerance for the classical-quantum test")
-        p.add_argument("--tol-cptp", type=float, default=1e-9, dest="tol_cptp",
-                       help="tolerance for channel validity checks")
+
+    def add_tolerances(p):
+        p.add_argument("--tol-cq", type=float, default=CQ_TOL, dest="tol_cq",
+                       help="tolerance of every classical-quantum, measure-and-prepare "
+                       "and point-channel verdict")
+        p.add_argument("--tol-cptp", type=float, default=VALIDITY_TOL, dest="tol_cptp",
+                       help="tolerance of the complete-positivity check of Choi channel "
+                       "files (trace preservation and Kraus files keep the default)")
 
     p = sub.add_parser("discord", help="evaluate discord of a bipartite state file")
     p.add_argument("state", help="JSON state file with dims [dA, dB]")
@@ -244,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out", default=None)
     add_common(p)
+    add_tolerances(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("tetra-sweep", help="sweep the unital-qubit tetrahedron to CSV")
@@ -272,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--witness-out", default="da_witness.json", dest="witness_out")
     add_common(p)
+    add_tolerances(p)
     p.set_defaults(func=cmd_verify_da)
     return parser
 

@@ -23,9 +23,7 @@ from .states import (
     as_rng,
     random_density,
 )
-
-ORTHOGONALITY_TOL = 1e-10
-MEMBERSHIP_TOL = 1e-8
+from .tolerances import MEMBERSHIP_TOL, PARTITION_TOL, VALIDITY_TOL, ZERO_CUTOFF
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +100,7 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
         v = np.asarray(entry.vector).reshape(-1)
         if v.size != spec.dim_a:
             return SpecDiagnostics(False, f"{labels[i]}: vector has dimension {v.size}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(v) - 1.0) > VALIDITY_TOL:
             return SpecDiagnostics(False, f"{labels[i]}: vector is not normalised")
     offset = len(spec.both_entries) + len(spec.fixed_entries)
     for i, entry in enumerate(spec.point_entries):
@@ -110,7 +108,7 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
         label = labels[offset + i]
         if p.shape != (spec.dim_a, spec.dim_a):
             return SpecDiagnostics(False, f"{label}: projector has shape {p.shape}")
-        if np.linalg.norm(p @ p - p) > ORTHOGONALITY_TOL or np.linalg.norm(p - p.conj().T) > ORTHOGONALITY_TOL:
+        if np.linalg.norm(p @ p - p) > PARTITION_TOL or np.linalg.norm(p - p.conj().T) > PARTITION_TOL:
             return SpecDiagnostics(False, f"{label}: not an orthogonal projector")
         rank = int(round(np.trace(p).real))
         if rank < 2:
@@ -122,7 +120,7 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
     for i in range(len(projs)):
         for j in range(i + 1, len(projs)):
             overlap = float(np.linalg.norm(projs[i] @ projs[j]))
-            if overlap > ORTHOGONALITY_TOL:
+            if overlap > PARTITION_TOL:
                 return SpecDiagnostics(
                     False,
                     f"{labels[i]} and {labels[j]} overlap (norm {overlap:.3e})",
@@ -130,7 +128,7 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
     if projs:
         total = sum(projs)
         top = float(np.linalg.eigvalsh(total)[-1])
-        if top > 1.0 + ORTHOGONALITY_TOL:
+        if top > 1.0 + PARTITION_TOL:
             return SpecDiagnostics(False, f"entry supports exceed the identity (max eig {top:.6f})")
     return SpecDiagnostics(True, None)
 
@@ -165,7 +163,7 @@ def sample_state(
         t = rng.dirichlet(np.ones(n))
     else:
         t = np.asarray(weights, dtype=float)
-        if t.size != n or np.any(t < -1e-12) or abs(t.sum() - 1.0) > 1e-9:
+        if t.size != n or np.any(t < -ZERO_CUTOFF) or abs(t.sum() - 1.0) > VALIDITY_TOL:
             raise ValueError("weights must be a probability vector over the entries")
     m = np.zeros((spec.dim_a * spec.dim_b,) * 2, dtype=complex)
     idx = 0
@@ -204,13 +202,14 @@ def _hull_residual(sigma: np.ndarray, generators) -> float:
     return float(resid)
 
 
-def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState, tol: float = MEMBERSHIP_TOL) -> bool:
+def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState) -> bool:
     """Exact structural membership test against the spec.
 
     Checks support containment in the declared A subspaces, absence of
     cross-subspace coherence, equality of the conditional B state with the
     pinned state on BOTH and POINT blocks (POINT blocks must additionally
-    factorise), and hull membership on FIXED blocks.
+    factorise), and hull membership on FIXED blocks, each to
+    ``MEMBERSHIP_TOL``.
     """
     if (rho.dim_a, rho.dim_b) != (spec.dim_a, spec.dim_b):
         return False
@@ -222,13 +221,13 @@ def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState, tol: float = MEMBE
     projs = spec.support_projectors()
     total = sum(projs) if projs else np.zeros((spec.dim_a, spec.dim_a), dtype=complex)
     big = np.kron(total, eye_b)
-    if np.linalg.norm(m - big @ m @ big) > tol:
+    if np.linalg.norm(m - big @ m @ big) > MEMBERSHIP_TOL:
         return False
     for i in range(len(projs)):
         big_i = np.kron(projs[i], eye_b)
         for j in range(i + 1, len(projs)):
             big_j = np.kron(projs[j], eye_b)
-            if np.linalg.norm(big_i @ m @ big_j) > tol:
+            if np.linalg.norm(big_i @ m @ big_j) > MEMBERSHIP_TOL:
                 return False
 
     r4 = m.reshape(spec.dim_a, spec.dim_b, spec.dim_a, spec.dim_b)
@@ -240,20 +239,20 @@ def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState, tol: float = MEMBE
     for entry in spec.both_entries:
         block = vector_block(entry.vector)
         weight = float(np.trace(block).real)
-        if weight > 1e-12:
-            if np.linalg.norm(block / weight - entry.state.matrix) > tol:
+        if weight > ZERO_CUTOFF:
+            if np.linalg.norm(block / weight - entry.state.matrix) > MEMBERSHIP_TOL:
                 return False
     for entry in spec.fixed_entries:
         block = vector_block(entry.vector)
         weight = float(np.trace(block).real)
-        if weight > 1e-12:
+        if weight > ZERO_CUTOFF:
             sigma = block / weight
             if entry.generators is None:
                 try:
                     DensityOperator.from_matrix(sigma, name="conditional")
                 except ValueError:
                     return False
-            elif _hull_residual(sigma, entry.generators) > tol:
+            elif _hull_residual(sigma, entry.generators) > MEMBERSHIP_TOL:
                 return False
     for entry in spec.point_entries:
         iso = _subspace_isometry(entry.projector)
@@ -261,11 +260,11 @@ def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState, tol: float = MEMBE
         r = iso.shape[1]
         block = block.reshape(r * spec.dim_b, r * spec.dim_b)
         weight = float(np.trace(block).real)
-        if weight > 1e-12:
+        if weight > ZERO_CUTOFF:
             rho_a = np.trace(
                 block.reshape(r, spec.dim_b, r, spec.dim_b), axis1=1, axis2=3
             )
-            if np.linalg.norm(block - np.kron(rho_a, entry.state.matrix)) > tol:
+            if np.linalg.norm(block - np.kron(rho_a, entry.state.matrix)) > MEMBERSHIP_TOL:
                 return False
     return True
 

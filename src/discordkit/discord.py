@@ -27,13 +27,25 @@ from .states import (
     random_unitary,
     von_neumann_entropy,
 )
+from .tolerances import CQ_TOL, PARTITION_TOL, REFINE_MARGIN, ZERO_CUTOFF
 
-PROBABILITY_CUTOFF = 1e-12
-CQ_DEFAULT_TOL = 1e-8
+# cq_decompose draws random combinations of the blocks from this seed and
+# gives up after this many draws that do not reconstruct the state.
+DECOMPOSE_SEED = 11
+DECOMPOSE_RETRIES = 5
 
 
 class DecompositionError(ValueError):
-    """Raised when a classical-quantum decomposition cannot be extracted."""
+    """Raised when a classical-quantum decomposition cannot be extracted.
+
+    ``residual`` is the relative defect that failed the tolerance: the CQ
+    residual of a state that is not classical-quantum, or the last
+    reconstruction residual.
+    """
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 # -- measurements ------------------------------------------------------------
@@ -71,15 +83,15 @@ class ProjectiveMeasurement:
         eye = np.eye(2, dtype=complex)
         return cls(dim=2, projectors=((eye + nm) / 2.0, (eye - nm) / 2.0))
 
-    def _check(self, tol: float = 1e-10):
+    def _check(self):
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for a, pa in enumerate(self.projectors):
             for b, pb in enumerate(self.projectors):
                 target = pa if a == b else 0.0
-                if np.linalg.norm(pa @ pb - target) > tol:
+                if np.linalg.norm(pa @ pb - target) > PARTITION_TOL:
                     raise ValueError(f"projectors {a} and {b} are not orthogonal idempotents")
             total += pa
-        if np.linalg.norm(total - np.eye(self.dim)) > tol:
+        if np.linalg.norm(total - np.eye(self.dim)) > PARTITION_TOL:
             raise ValueError("projectors do not resolve the identity")
 
     def bloch_vector(self) -> np.ndarray:
@@ -159,7 +171,7 @@ def measure_and_condition(
 ) -> list[tuple[float, DensityOperator]]:
     """Outcome probabilities and conditional B states for a measurement on A.
 
-    Outcomes with probability below 1e-12 are omitted.
+    Outcomes with probability below ``ZERO_CUTOFF`` are omitted.
     """
     if measurement.dim != rho.dim_a:
         raise ValueError(
@@ -171,7 +183,7 @@ def measure_and_condition(
         big = np.kron(proj, eye_b)
         block = big @ rho.matrix @ big
         p = float(np.trace(block).real)
-        if p < PROBABILITY_CUTOFF:
+        if p < ZERO_CUTOFF:
             continue
         cond = partial_trace_matrix(block, rho.dim_a, rho.dim_b, "B") / p
         outcomes.append((p, DensityOperator.from_matrix(cond, name="conditional state")))
@@ -201,7 +213,7 @@ def _qubit_correlation_ops(rho: BipartiteState):
 def _batch_entropy(matrices: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(matrices)
     w = np.clip(w, 0.0, None)
-    logs = np.where(w > PROBABILITY_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
+    logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
     return -np.sum(w * logs, axis=-1)
 
 
@@ -214,10 +226,10 @@ def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
     p_minus = np.trace(minus, axis1=1, axis2=2).real
     avg = np.zeros(directions.shape[0])
     for p, block in ((p_plus, plus), (p_minus, minus)):
-        safe = np.clip(p, PROBABILITY_CUTOFF, None)
+        safe = np.clip(p, ZERO_CUTOFF, None)
         cond = block / safe[:, None, None]
         ent = _batch_entropy(cond)
-        avg += np.where(p > PROBABILITY_CUTOFF, p * ent, 0.0)
+        avg += np.where(p > ZERO_CUTOFF, p * ent, 0.0)
     return s_b - avg
 
 
@@ -264,7 +276,7 @@ def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid):
             options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 250},
         )
         refined.append(-float(res.fun))
-        if -res.fun > best_val + 1e-15:
+        if -res.fun > best_val + REFINE_MARGIN:
             best_val = -float(res.fun)
             best_angles = res.x
     return best_angles, OptimizerTrace(restarts=len(starts), best_values=tuple(refined))
@@ -299,7 +311,7 @@ def _unitary_score(r4: np.ndarray, s_b: float, u: np.ndarray) -> float:
         col = u[:, a]
         block = np.einsum("a,abcd,c->bd", col.conj(), r4, col)
         p = float(np.trace(block).real)
-        if p < PROBABILITY_CUTOFF:
+        if p < ZERO_CUTOFF:
             continue
         total += p * entropy_from_eigenvalues(np.linalg.eigvalsh(block / p))
     return s_b - total
@@ -419,7 +431,7 @@ class CQCheck:
         return self.is_cq
 
 
-def is_cq_exact(rho: BipartiteState, tol: float = CQ_DEFAULT_TOL) -> CQCheck:
+def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
     """Exact zero-discord (classical-quantum) test via block commutation.
 
     The state is CQ iff the blocks ``A_ij = <i|_B rho |j>_B`` are mutually
@@ -467,32 +479,28 @@ class CQDecomposition:
         return BipartiteState.from_matrix(m, self.dim_a, self.dim_b)
 
 
-def cq_decompose(
-    rho: BipartiteState,
-    tol: float = CQ_DEFAULT_TOL,
-    *,
-    retries: int = 5,
-    seed: int = 11,
-) -> CQDecomposition:
+def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
     """Extract the classical basis and conditional states of a CQ state.
 
     The common eigenbasis of the (commuting, normal) blocks is found by
     diagonalising a random real combination of their Hermitian and
-    anti-Hermitian parts; degenerate draws are retried with fresh
-    coefficients up to ``retries`` times.
+    anti-Hermitian parts.  A draw is accepted when the state rebuilt in its
+    basis lies within ``tol * max(1, ||rho||)`` of ``rho``; degenerate
+    draws are retried with fresh coefficients.
     """
     check = is_cq_exact(rho, tol)
     if not check:
         raise DecompositionError(
             f"state is not classical-quantum (residual {check.residual:.3e}, "
-            f"worst {check.worst})"
+            f"worst {check.worst})",
+            check.residual,
         )
     blocks = _b_blocks(rho)
     da, db = rho.dim_a, rho.dim_b
     scale = max(1.0, float(np.linalg.norm(rho.matrix)))
-    rng = as_rng(seed)
+    rng = as_rng(DECOMPOSE_SEED)
     last_residual = np.inf
-    for _ in range(retries):
+    for _ in range(DECOMPOSE_RETRIES):
         combined = np.zeros((da, da), dtype=complex)
         for i in range(db):
             for j in range(db):
@@ -507,10 +515,10 @@ def cq_decompose(
             da * db, da * db
         )
         last_residual = float(np.linalg.norm(rebuilt - rho.matrix))
-        if last_residual <= 1e-8 * scale:
+        if last_residual <= tol * scale:
             conditionals = []
             for k in range(da):
-                if probs[k] > PROBABILITY_CUTOFF:
+                if probs[k] > ZERO_CUTOFF:
                     conditionals.append(
                         DensityOperator.from_matrix(cond[k] / probs[k], name="conditional state")
                     )
@@ -525,6 +533,7 @@ def cq_decompose(
                 conditional_states=tuple(conditionals),
             )
     raise DecompositionError(
-        f"failed to resolve a common eigenbasis after {retries} attempts "
-        f"(last reconstruction residual {last_residual:.3e})"
+        f"failed to resolve a common eigenbasis after {DECOMPOSE_RETRIES} attempts "
+        f"(last reconstruction residual {last_residual:.3e})",
+        last_residual / scale,
     )

@@ -30,6 +30,7 @@ from .channels import InvalidChannelError, QuantumChannel, canonicalize
 from .cqsets import BothEntry, ConvexCQSubsetSpec, FixedEntry, PointEntry, validate_spec
 from .discord import DiscordResult
 from .states import BipartiteState, DensityOperator, InvalidStateError
+from .tolerances import VALIDITY_TOL
 
 
 class FileFormatError(ValueError):
@@ -139,7 +140,7 @@ def channel_to_json(channel: QuantumChannel) -> dict:
     }
 
 
-def load_channel(source, *, cp_tol: float = 1e-9) -> QuantumChannel:
+def load_channel(source, *, cp_tol: float = VALIDITY_TOL) -> QuantumChannel:
     payload = _load_json(source)
     kind = payload.get("type")
     if kind not in ("kraus", "choi"):

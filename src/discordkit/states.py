@@ -10,9 +10,10 @@ Conventions
   matrix is ``a * dim_b + b``.
 * Entropies are in bits (log base 2).
 * A matrix is accepted as a state when it is finite, Hermitian and unit
-  trace to 1e-9 and its smallest eigenvalue is at least -1e-9.  Negative
-  eigenvalues within that tolerance are clipped to zero and the state
-  renormalised; larger violations raise :class:`InvalidStateError`.
+  trace to ``VALIDITY_TOL`` and its smallest eigenvalue is at least
+  ``-VALIDITY_TOL``.  Negative eigenvalues within that tolerance are
+  clipped to zero and the state renormalised; larger violations raise
+  :class:`InvalidStateError`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-9
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-9
-ENTROPY_EIGENVALUE_CUTOFF = 1e-12
+from .tolerances import VALIDITY_TOL, ZERO_CUTOFF
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,10 +66,11 @@ class DensityOperator:
     def from_matrix(cls, matrix, *, name: str = "state") -> "DensityOperator":
         """Validate ``matrix`` and wrap it.
 
-        Entries must be finite, and Hermiticity and trace must hold to 1e-9;
-        eigenvalues in ``[-1e-9, 0)`` are clipped to the PSD cone and the
-        result renormalised.  Violations raise :class:`InvalidStateError`
-        with a message naming the offending invariant.
+        Entries must be finite, and Hermiticity and trace must hold to
+        ``VALIDITY_TOL``; eigenvalues in ``[-VALIDITY_TOL, 0)`` are clipped
+        to the PSD cone and the result renormalised.  Violations raise
+        :class:`InvalidStateError` with a message naming the offending
+        invariant.
         """
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -79,9 +78,9 @@ class DensityOperator:
         eigvals, eigvecs = eig_hermitian(m, what=f"{name}: matrix", error=InvalidStateError)
         m = (m + m.conj().T) / 2.0
         trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > TRACE_TOL:
+        if abs(trace - 1.0) > VALIDITY_TOL:
             raise InvalidStateError(f"{name}: trace is {trace!r}, expected 1")
-        if eigvals[0] < -PSD_TOL:
+        if eigvals[0] < -VALIDITY_TOL:
             raise InvalidStateError(
                 f"{name}: matrix is not positive semidefinite "
                 f"(min eigenvalue {eigvals[0]:.3e})"
@@ -98,7 +97,7 @@ class DensityOperator:
         """Rank-1 projector onto the (normalised) ``vector``."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
-        if norm < 1e-12:
+        if norm < ZERO_CUTOFF:
             raise InvalidStateError(f"{name}: zero vector cannot define a pure state")
         v = v / norm
         return cls(dim=v.size, matrix=_freeze(np.outer(v, v.conj())))
@@ -176,7 +175,7 @@ def eig_hermitian(
 
     This is the Hermiticity check for states, Choi matrices and POVM
     elements: the entries must be finite and the Frobenius defect
-    ``||h - h^dag||`` at most 1e-9 times ``max(1, ||h||)``.  A failure
+    ``||h - h^dag||`` at most ``VALIDITY_TOL * max(1, ||h||)``.  A failure
     raises ``error`` with a message starting with ``what``.  Returns the
     eigenvalues of ``(h + h^dag) / 2`` in ascending order and the matching
     orthonormal eigenvector columns.
@@ -187,7 +186,7 @@ def eig_hermitian(
     if not np.isfinite(norm):
         raise error(f"{what} is not finite")
     defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > HERMITICITY_TOL * max(1.0, norm):
+    if defect > VALIDITY_TOL * max(1.0, norm):
         raise error(f"{what} is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigh((h + h.conj().T) / 2.0)
 
@@ -195,11 +194,11 @@ def eig_hermitian(
 def entropy_from_eigenvalues(eigvals: np.ndarray) -> float:
     """Shannon entropy in bits of a spectrum, with the 0*log(0) := 0 rule.
 
-    Eigenvalues below 1e-12 (including small negatives from roundoff)
+    Eigenvalues below ``ZERO_CUTOFF`` (including small negatives from roundoff)
     contribute nothing.
     """
     w = np.asarray(eigvals, dtype=float)
-    w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
+    w = w[w > ZERO_CUTOFF]
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log2(w)))

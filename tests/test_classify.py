@@ -10,6 +10,7 @@ from discordkit.channels import (
     make_point_channel,
     make_qc_channel,
     make_unital_qubit,
+    mix_channels,
     random_channel,
 )
 from discordkit.classify import (
@@ -89,6 +90,23 @@ class TestIsQCChannel:
             channel = make_qc_channel(povm, [basis_ket(2, 0), basis_ket(2, 1)])
             assert is_qc_channel(channel).kind == "yes"
 
+    @pytest.mark.parametrize("weight", [1e-4, 3e-4, 1e-3, 3e-3])
+    def test_loose_tolerance_always_gives_a_verdict(self, weight):
+        # Near-QC channels pass the CQ test at 1e-3; a decomposition that
+        # does not rebuild the channel within it is a "no", not an error.
+        tol = 1e-3
+        kinds = []
+        for k in range(60):
+            rng = np.random.default_rng([k, 3])
+            frame = random_unitary(2, rng)
+            qc = make_qc_channel(random_povm(2, 2, rng), [frame[:, 0], frame[:, 1]])
+            channel = mix_channels([(1 - weight, qc), (weight, random_channel(2, 2, 2, rng))])
+            verdict = is_qc_channel(channel, tol=tol)
+            assert (verdict.kind == "yes") == (verdict.residual <= tol), (k, verdict)
+            kinds.append(verdict.kind)
+        if weight < tol:
+            assert "yes" in kinds
+
     def test_depolarizing_no_with_noncommuting_witness(self):
         channel = make_unital_qubit(UnitalQubitParams(0.5, 0.5, 0.5))
         verdict = is_qc_channel(channel)
@@ -162,6 +180,17 @@ class TestClassifyChannel:
         assert report.label == "da"
         assert report.match.matched
         assert report.transfer.rank_deficient
+
+    def test_cq_tol_reaches_structural_match(self):
+        # Passes certification at cq_tol = 1e-3 but not at the default; the
+        # structural stage must not re-judge the channel at the default.
+        da = build_da_channel(random_da_spec(2, 2, 0))
+        channel = mix_channels([(1 - 1e-5, da), (1e-5, QuantumChannel.identity(4))])
+        assert classify_channel(channel, ActsOnAB(2, 2), samples=20).label == "not-da"
+        report = classify_channel(channel, ActsOnAB(2, 2), cq_tol=1e-3)
+        assert report.certification.passed
+        assert report.match.counterexample is None
+        assert "certification" not in report.match.notes
 
     def test_identity_on_ab_not_da(self):
         report = classify_channel(QuantumChannel.identity(4), ActsOnAB(2, 2), samples=20)

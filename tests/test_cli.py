@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -9,10 +10,17 @@ from discordkit.annihilators import (
     Rank1Entry,
     build_da_channel,
 )
-from discordkit.channels import QuantumChannel, mix_channels
-from discordkit.cli import main
+from discordkit.channels import (
+    QuantumChannel,
+    make_point_channel,
+    make_qc_channel,
+    mix_channels,
+    random_channel,
+)
+from discordkit.cli import build_parser, main
 from discordkit.serialize import save_channel, save_state, state_to_json
 from discordkit.states import basis_ket, bell_state, product_state, random_density
+from discordkit.tolerances import CQ_TOL, VALIDITY_TOL
 
 
 @pytest.fixture
@@ -130,6 +138,24 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", str(path), "--side", "B")
         assert code == 2
         assert "data[0][1]" in err
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_tol_cq_reaches_side_verdicts(self, tmp_path, capsys, side):
+        rng = np.random.default_rng(8)
+        if side == "A":
+            effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+            exact = make_qc_channel(effects, [basis_ket(2, 0), basis_ket(2, 1)])
+        else:
+            exact = make_point_channel(random_density(2, "hilbert-schmidt", rng))
+        channel = mix_channels([(1 - 1e-4, exact), (1e-4, random_channel(2, 2, 2, rng))])
+        path = tmp_path / "near.json"
+        save_channel(channel, path)
+        label = "db-" + side.lower()
+        _, out, _ = run(capsys, "classify", str(path), "--side", side)
+        assert json.loads(out)["label"] == "not-" + label
+        code, out, _ = run(capsys, "classify", str(path), "--side", side, "--tol-cq", "1e-3")
+        assert code == 0
+        assert json.loads(out)["label"] == label
 
     def test_ab_requires_dims(self, tmp_path, capsys):
         path = tmp_path / "identity.json"
@@ -303,3 +329,18 @@ class TestGenAndVerify:
             "--samples", "100", "--witness-out", str(tmp_path / "w.json"),
         )
         assert code == 3
+
+
+def test_tolerance_flags_only_where_read():
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    tolerance_flags = {"--tol-cq", "--tol-cptp"}
+    for name, sub in commands.items():
+        flags = set(sub._option_string_actions)
+        assert "--seed" in flags, name
+        expected = tolerance_flags if name in {"classify", "verify-da"} else set()
+        assert flags & tolerance_flags == expected, name
+    args = parser.parse_args(["verify-da", "--channel", "c.json", "--dims", "2x2"])
+    assert (args.tol_cq, args.tol_cptp) == (CQ_TOL, VALIDITY_TOL)
