@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["hybrid", "grid", "multistart"], default="hybrid")
     p.add_argument("--grid", type=_grid_pair, default=(32, 64),
                    help="theta x phi grid resolution, e.g. 32x64")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_nonnegative_int, default=20)
     p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     add_common(p)
     p.set_defaults(func=cmd_discord)
@@ -287,7 +287,17 @@ def _grid_pair(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected NTHETAxNPHI, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    n_theta, n_phi = int(parts[0]), int(parts[1])
+    if n_theta < 1 or n_phi < 1:
+        raise argparse.ArgumentTypeError(f"grid counts must be at least 1, got {text!r}")
+    return n_theta, n_phi
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from .states import (
     random_unitary,
     von_neumann_entropy,
 )
-from .tolerances import CQ_TOL, PARTITION_TOL, REFINE_MARGIN, ZERO_CUTOFF
+from .tolerances import ANGLE_STEP_TOL, CQ_TOL, PARTITION_TOL, REFINE_MARGIN, ZERO_CUTOFF
 
 # cq_decompose draws random combinations of the blocks from this seed and
 # gives up after this many draws that do not reconstruct the state.
@@ -78,7 +78,7 @@ class ProjectiveMeasurement:
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "ProjectiveMeasurement":
         """Qubit measurement along the Bloch direction (theta, phi)."""
-        n = bloch_direction(theta, phi)
+        n = _bloch_directions(np.array([[theta, phi]]))[0]
         nm = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
         eye = np.eye(2, dtype=complex)
         return cls(dim=2, projectors=((eye + nm) / 2.0, (eye - nm) / 2.0))
@@ -102,9 +102,14 @@ class ProjectiveMeasurement:
         return np.array([np.trace(p0 @ s).real for s in PAULIS])
 
 
-def bloch_direction(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+def _bloch_directions(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors (N, 3) for Bloch angles (N, 2) given as (theta, phi)."""
+    return np.column_stack(
+        [
+            np.sin(angles[:, 0]) * np.cos(angles[:, 1]),
+            np.sin(angles[:, 0]) * np.sin(angles[:, 1]),
+            np.cos(angles[:, 0]),
+        ]
     )
 
 
@@ -130,7 +135,8 @@ class MultiStart:
 
 @dataclass(frozen=True)
 class Hybrid:
-    """Coarse grid followed by simplex refinement from the best grid points."""
+    """Coarse grid followed by a batched pattern search from the best grid
+    points; the search's first angle step is the grid spacing."""
 
     n_theta: int = 32
     n_phi: int = 64
@@ -210,76 +216,91 @@ def _qubit_correlation_ops(rho: BipartiteState):
     return t0, ts
 
 
-def _batch_entropy(matrices: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(matrices)
+def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
+    """Classical-correlation values for a batch of Bloch directions (N, 3).
+
+    The 2N conditional blocks (outcome + for every direction, then outcome
+    -) share one stacked ``eigvalsh``.
+    """
+    n = directions.shape[0]
+    correlated = np.tensordot(directions, ts, axes=(1, 0))  # (N, db, db)
+    # Filled in place, so the grid's 2N blocks exist once, not as a concatenated copy.
+    blocks = np.empty((2 * n,) + t0.shape, dtype=correlated.dtype)
+    np.add(t0, correlated, out=blocks[:n])
+    np.subtract(t0, correlated, out=blocks[n:])
+    blocks *= 0.5
+    p = np.trace(blocks, axis1=1, axis2=2).real
+    blocks /= np.clip(p, ZERO_CUTOFF, None)[:, None, None]
+    w = np.linalg.eigvalsh(blocks)
     w = np.clip(w, 0.0, None)
     logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
-    return -np.sum(w * logs, axis=-1)
+    weighted = np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0)
+    return s_b - (weighted[:n] + weighted[n:])
 
 
-def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
-    """Classical-correlation values for a batch of Bloch directions (N, 3)."""
-    correlated = np.tensordot(directions, ts, axes=(1, 0))  # (N, db, db)
-    plus = 0.5 * (t0[None, :, :] + correlated)
-    minus = 0.5 * (t0[None, :, :] - correlated)
-    p_plus = np.trace(plus, axis1=1, axis2=2).real
-    p_minus = np.trace(minus, axis1=1, axis2=2).real
-    avg = np.zeros(directions.shape[0])
-    for p, block in ((p_plus, plus), (p_minus, minus)):
-        safe = np.clip(p, ZERO_CUTOFF, None)
-        cond = block / safe[:, None, None]
-        ent = _batch_entropy(cond)
-        avg += np.where(p > ZERO_CUTOFF, p * ent, 0.0)
-    return s_b - avg
-
-
-def _grid_directions(n_theta: int, n_phi: int) -> np.ndarray:
+def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
     thetas = np.pi * np.arange(n_theta + 1) / n_theta
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    angles = np.column_stack([tt.ravel(), pp.ravel()])
-    dirs = np.column_stack(
-        [
-            np.sin(angles[:, 0]) * np.cos(angles[:, 1]),
-            np.sin(angles[:, 0]) * np.sin(angles[:, 1]),
-            np.cos(angles[:, 0]),
-        ]
-    )
-    return angles, dirs
+    return np.column_stack([tt.ravel(), pp.ravel()])
+
+
+# The 3x3 angle stencil around a pattern-search point, less its centre, in
+# units of the point's (theta, phi) step.
+_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+# Rounds after which the pattern search stops whatever its step; the default
+# grid reaches ANGLE_STEP_TOL in about 20 halvings plus a few dozen moves.
+PATTERN_MAX_ROUNDS = 200
+
+
+def _pattern_search(t0, ts, s_b, starts, values, step):
+    """Refine every start (theta, phi) at once by compass search.
+
+    Each round scores the stencil around every live start in one
+    :func:`_qubit_scores` call.  A start moves to its best neighbour only when
+    that scores strictly higher than the start, and otherwise halves its
+    step; it stops once both steps are below ``ANGLE_STEP_TOL``.
+    """
+    x = starts.copy()
+    val = values.copy()
+    h = np.tile(step, (len(x), 1))
+    for _ in range(PATTERN_MAX_ROUNDS):
+        live = np.flatnonzero(h.max(axis=1) >= ANGLE_STEP_TOL)
+        if live.size == 0:
+            break
+        cand = x[live, None, :] + _STENCIL * h[live, None, :]
+        scores = _qubit_scores(t0, ts, s_b, _bloch_directions(cand.reshape(-1, 2)))
+        scores = scores.reshape(live.size, len(_STENCIL))
+        pick = np.argmax(scores, axis=1)
+        gain = scores[np.arange(live.size), pick]
+        moved = gain > val[live]
+        x[live[moved]] = cand[moved, pick[moved]]
+        val[live[moved]] = gain[moved]
+        h[live[~moved]] /= 2.0
+    return x, val
 
 
 def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid):
     t0, ts = _qubit_correlation_ops(rho)
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    angles, dirs = _grid_directions(strategy.n_theta, strategy.n_phi)
-    scores = _qubit_scores(t0, ts, s_b, dirs)
+    angles = _grid_angles(strategy.n_theta, strategy.n_phi)
+    scores = _qubit_scores(t0, ts, s_b, _bloch_directions(angles))
     best_idx = int(np.argmax(scores))
     best_angles = angles[best_idx]
-    trace_values = [float(scores[best_idx])]
+    best_val = float(scores[best_idx])
 
     if isinstance(strategy, Grid):
-        return best_angles, OptimizerTrace(restarts=0, best_values=tuple(trace_values))
+        return best_angles, OptimizerTrace(restarts=0, best_values=(best_val,))
 
-    def negative(x):
-        d = bloch_direction(x[0], x[1])[None, :]
-        return -float(_qubit_scores(t0, ts, s_b, d)[0])
-
-    order = np.argsort(scores)[::-1]
-    starts = angles[order[: strategy.refine_top]]
-    best_val = float(scores[best_idx])
-    refined = []
-    for start in starts:
-        res = minimize(
-            negative,
-            x0=start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 250},
-        )
-        refined.append(-float(res.fun))
-        if -res.fun > best_val + REFINE_MARGIN:
-            best_val = -float(res.fun)
-            best_angles = res.x
-    return best_angles, OptimizerTrace(restarts=len(starts), best_values=tuple(refined))
+    top = np.argsort(scores)[::-1][: strategy.refine_top]
+    step = np.array([np.pi / strategy.n_theta, 2.0 * np.pi / strategy.n_phi])
+    refined_angles, refined = _pattern_search(t0, ts, s_b, angles[top], scores[top], step)
+    for x, val in zip(refined_angles, refined):
+        if val > best_val + REFINE_MARGIN:
+            best_val = float(val)
+            best_angles = x
+    trace = OptimizerTrace(restarts=len(top), best_values=tuple(float(v) for v in refined))
+    return best_angles, trace
 
 
 # -- general-dimension evaluation --------------------------------------------
@@ -306,14 +327,18 @@ def _givens_unitary(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _unitary_score(r4: np.ndarray, s_b: float, u: np.ndarray) -> float:
+    """S(B) minus the average conditional entropy for measurement basis ``u``.
+
+    All d_A conditional blocks come from one ``einsum`` and share one
+    stacked ``eigvalsh``; outcomes below ``ZERO_CUTOFF`` are skipped.
+    """
+    blocks = np.einsum("ak,abcd,ck->kbd", u.conj(), r4, u)
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    kept = probs >= ZERO_CUTOFF
+    spectra = np.linalg.eigvalsh(blocks[kept] / probs[kept, None, None])
     total = 0.0
-    for a in range(u.shape[1]):
-        col = u[:, a]
-        block = np.einsum("a,abcd,c->bd", col.conj(), r4, col)
-        p = float(np.trace(block).real)
-        if p < ZERO_CUTOFF:
-            continue
-        total += p * entropy_from_eigenvalues(np.linalg.eigvalsh(block / p))
+    for p, w in zip(probs[kept], spectra):
+        total += float(p) * entropy_from_eigenvalues(w)
     return s_b - total
 
 

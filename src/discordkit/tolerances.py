@@ -55,3 +55,6 @@ KRAUS_CUTOFF = 1e-14
 # -- optimisation --------------------------------------------------------------
 # A refined qubit measurement replaces the grid optimum only when it gains more.
 REFINE_MARGIN = 1e-15
+# The qubit pattern search stops refining a start once its Bloch-angle step
+# (radians) falls below this.
+ANGLE_STEP_TOL = 1e-7

@@ -171,7 +171,7 @@ class TestApplyAndCertify:
 
 
 class TestStructuralMatch:
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2), (4, 4)])
     def test_round_trip_recovers_structure(self, dims):
         for seed in range(5):
             spec = random_da_spec(dims[0], dims[1], [seed, dims[0]])

@@ -89,6 +89,23 @@ class TestDiscordCommand:
         code, _, err = run(capsys, "discord", "/nonexistent/state.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--grid", "32x0"),
+            ("--grid=-4x8",),
+            ("--grid", "0x64"),
+            ("--strategy", "multistart", "--restarts", "-3"),
+        ],
+        ids=["grid-32x0", "grid-neg4x8", "grid-0x64", "restarts-neg3"],
+    )
+    def test_degenerate_optimiser_setting_exits_2(self, bell_file, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["discord", bell_file, *flags])
+        assert exc.value.code == 2
+        flag = "--restarts" if "--restarts" in flags else "--grid"
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_point_channel_side_b(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from discordkit.discord import (
     DecompositionError,
@@ -9,6 +10,11 @@ from discordkit.discord import (
     Hybrid,
     MultiStart,
     ProjectiveMeasurement,
+    _bloch_directions,
+    _grid_angles,
+    _holevo_like_value,
+    _qubit_correlation_ops,
+    _qubit_scores,
     classical_correlation,
     cq_decompose,
     discord,
@@ -17,6 +23,7 @@ from discordkit.discord import (
     mutual_information,
 )
 from discordkit.states import (
+    PAULIS,
     BipartiteState,
     DensityOperator,
     bell_state,
@@ -25,7 +32,9 @@ from discordkit.states import (
     random_bipartite,
     random_density,
     random_unitary,
+    von_neumann_entropy,
 )
+from discordkit.tolerances import REFINE_MARGIN
 
 
 def classically_correlated():
@@ -76,6 +85,48 @@ def _entropy_oracle(m):
     w = np.linalg.eigvalsh(m)
     w = w[w > 1e-12]
     return float(-np.sum(w * np.log2(w))) if w.size else 0.0
+
+
+def nelder_mead_reference(rho, strategy=Hybrid()):
+    """Hybrid's former refinement: the same grid and top starts, each
+    refined alone by scipy's Nelder-Mead on (theta, phi)."""
+    t0, ts = _qubit_correlation_ops(rho)
+    s_b = von_neumann_entropy(partial_trace(rho, "B"))
+    angles = _grid_angles(strategy.n_theta, strategy.n_phi)
+    scores = _qubit_scores(t0, ts, s_b, _bloch_directions(angles))
+    best_idx = int(np.argmax(scores))
+    best_val, best_angles = float(scores[best_idx]), angles[best_idx]
+
+    def negative(x):
+        return -float(_qubit_scores(t0, ts, s_b, _bloch_directions(x[None, :]))[0])
+
+    for start in angles[np.argsort(scores)[::-1][: strategy.refine_top]]:
+        res = minimize(
+            negative,
+            x0=start,
+            method="Nelder-Mead",
+            options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 250},
+        )
+        if -res.fun > best_val + REFINE_MARGIN:
+            best_val, best_angles = -float(res.fun), res.x
+    return _holevo_like_value(rho, ProjectiveMeasurement.from_bloch(*best_angles))
+
+
+# Bell-diagonal correlation vectors c lie in the tetrahedron spanned by the
+# four Bell states.
+BELL_TETRAHEDRON = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+
+
+def bell_diagonal(c):
+    """(I + sum_i c_i sigma_i (x) sigma_i) / 4."""
+    m = np.eye(4, dtype=complex)
+    for ci, s in zip(c, PAULIS):
+        m = m + ci * np.kron(s, s)
+    return BipartiteState.from_matrix(m / 4.0, 2, 2)
+
+
+def binary_entropy(p):
+    return float(-sum(x * np.log2(x) for x in (p, 1.0 - p) if x > 0))
 
 
 class TestMutualInformation:
@@ -284,3 +335,30 @@ class TestHybridAgainstOracle:
             j_hybrid, _ = classical_correlation(rho, Hybrid())
             j_oracle = dense_grid_oracle(rho, 64, 128)
             assert j_hybrid == pytest.approx(j_oracle, abs=1e-3)
+
+
+class TestHybridAgainstNelderMead:
+    @pytest.mark.parametrize("dim_b", [2, 3, 4])
+    def test_never_below_reference(self, dim_b):
+        for seed in range(20):
+            rho = random_bipartite(2, dim_b, 1000 * dim_b + seed)
+            result = discord(rho)
+            assert result.classical_correlation >= nelder_mead_reference(rho) - 1e-12
+            assert result.trace.restarts == 5
+            assert len(result.trace.best_values) == 5
+
+
+class TestLuoClosedForm:
+    def test_bell_diagonal_states(self):
+        """J = 1 - h((1 + max|c_i|) / 2) (Luo 2008); every odd state is
+        turned by a random U_A (x) U_B, so its optimum lies off the grid."""
+        rng = np.random.default_rng(2008)
+        for k in range(60):
+            c = rng.dirichlet(np.ones(4)) @ BELL_TETRAHEDRON
+            rho = bell_diagonal(c)
+            if k % 2:
+                u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+                rho = BipartiteState.from_matrix(u @ rho.matrix @ u.conj().T, 2, 2)
+            j, _ = classical_correlation(rho, Hybrid())
+            expected = 1.0 - binary_entropy((1.0 + np.max(np.abs(c))) / 2.0)
+            assert abs(j - expected) <= 1e-12, (k, c)
