@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+# Not called here: bench/tracing.py wraps discordkit.discord.minimize by name.
+from scipy.optimize import minimize  # noqa: F401
 
 from .states import (
     BipartiteState,
@@ -128,7 +129,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class MultiStart:
-    """Seeded local searches over Givens-parametrised measurement unitaries."""
+    """Batched pattern search on U(dA) from the rho_A eigenbasis and
+    ``restarts`` seeded Haar frames; every round tries the Givens rotations
+    exp(±i·h·G) of each off-diagonal generator G on all live frames, first
+    step h = pi/4."""
 
     restarts: int = 20
 
@@ -148,8 +152,19 @@ Strategy = Grid | MultiStart | Hybrid
 
 @dataclass(frozen=True)
 class OptimizerTrace:
+    """What the optimiser did.
+
+    ``restarts`` starts were refined (0 for Grid), ending at the scores
+    ``best_values``; ``n_evals`` counts every objective evaluation (grid
+    points, starting frames and pattern-search candidates); ``converged`` is
+    False when a pattern search stopped at ``PATTERN_MAX_ROUNDS`` with a step
+    still above ``ANGLE_STEP_TOL``.
+    """
+
     restarts: int
     best_values: tuple[float, ...]
+    n_evals: int
+    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +231,24 @@ def _qubit_correlation_ops(rho: BipartiteState):
     return t0, ts
 
 
+def _weighted_entropies(blocks: np.ndarray) -> np.ndarray:
+    """p times the entropy of each unnormalised conditional block (..., db, db),
+    with p its trace; ``blocks`` is normalised in place.  All blocks share
+    one stacked ``eigvalsh``, and outcomes with p below ``ZERO_CUTOFF`` add
+    nothing."""
+    p = np.trace(blocks, axis1=-2, axis2=-1).real
+    blocks /= np.clip(p, ZERO_CUTOFF, None)[..., None, None]
+    w = np.linalg.eigvalsh(blocks)
+    w = np.clip(w, 0.0, None)
+    logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
+    return np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0)
+
+
 def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
     """Classical-correlation values for a batch of Bloch directions (N, 3).
 
-    The 2N conditional blocks (outcome + for every direction, then outcome
-    -) share one stacked ``eigvalsh``.
+    The 2N conditional blocks are outcome + for every direction, then
+    outcome -.
     """
     n = directions.shape[0]
     correlated = np.tensordot(directions, ts, axes=(1, 0))  # (N, db, db)
@@ -229,12 +257,7 @@ def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
     np.add(t0, correlated, out=blocks[:n])
     np.subtract(t0, correlated, out=blocks[n:])
     blocks *= 0.5
-    p = np.trace(blocks, axis1=1, axis2=2).real
-    blocks /= np.clip(p, ZERO_CUTOFF, None)[:, None, None]
-    w = np.linalg.eigvalsh(blocks)
-    w = np.clip(w, 0.0, None)
-    logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
-    weighted = np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0)
+    weighted = _weighted_entropies(blocks)
     return s_b - (weighted[:n] + weighted[n:])
 
 
@@ -245,101 +268,132 @@ def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
     return np.column_stack([tt.ravel(), pp.ravel()])
 
 
-# The 3x3 angle stencil around a pattern-search point, less its centre, in
-# units of the point's (theta, phi) step.
-_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
-# Rounds after which the pattern search stops whatever its step; the default
-# grid reaches ANGLE_STEP_TOL in about 20 halvings plus a few dozen moves.
+# Rounds after which a pattern search stops whatever its step; the default
+# qubit grid reaches ANGLE_STEP_TOL in about 20 halvings plus a few dozen
+# moves, a MultiStart frame in about 23 halvings plus its moves.
 PATTERN_MAX_ROUNDS = 200
 
 
-def _pattern_search(t0, ts, s_b, starts, values, step):
-    """Refine every start (theta, phi) at once by compass search.
+def _pattern_search(score, neighbours, starts, values, step):
+    """Refine every start at once by a pattern search.
 
-    Each round scores the stencil around every live start in one
-    :func:`_qubit_scores` call.  A start moves to its best neighbour only when
-    that scores strictly higher than the start, and otherwise halves its
-    step; it stops once both steps are below ``ANGLE_STEP_TOL``.
+    ``neighbours(x, h)`` gives the candidates around the live starts ``x`` at
+    steps ``h``, shape (live, m) + point shape, and ``score`` rates a flat
+    stack of points; each round makes one ``score`` call for all live
+    starts.  A start moves to its best neighbour only when that scores
+    strictly higher than the start, and otherwise halves its steps; it stops
+    once all its steps are below ``ANGLE_STEP_TOL``.  Returns the points,
+    their scores, the number of points scored and whether every start
+    stopped within ``PATTERN_MAX_ROUNDS``.
     """
     x = starts.copy()
     val = values.copy()
     h = np.tile(step, (len(x), 1))
+    n_evals = 0
     for _ in range(PATTERN_MAX_ROUNDS):
         live = np.flatnonzero(h.max(axis=1) >= ANGLE_STEP_TOL)
         if live.size == 0:
             break
-        cand = x[live, None, :] + _STENCIL * h[live, None, :]
-        scores = _qubit_scores(t0, ts, s_b, _bloch_directions(cand.reshape(-1, 2)))
-        scores = scores.reshape(live.size, len(_STENCIL))
+        cand = neighbours(x[live], h[live])
+        scores = score(cand.reshape((-1,) + x.shape[1:])).reshape(cand.shape[:2])
+        n_evals += scores.size
         pick = np.argmax(scores, axis=1)
         gain = scores[np.arange(live.size), pick]
         moved = gain > val[live]
         x[live[moved]] = cand[moved, pick[moved]]
         val[live[moved]] = gain[moved]
         h[live[~moved]] /= 2.0
-    return x, val
+    converged = bool((h.max(axis=1) < ANGLE_STEP_TOL).all())
+    return x, val, n_evals, converged
+
+
+# The 3x3 angle stencil around a Hybrid start, less its centre (whose score
+# is known), in units of the start's (theta, phi) step.
+_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+
+
+def _angle_neighbours(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return x[:, None, :] + _STENCIL * h[:, None, :]
 
 
 def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid):
     t0, ts = _qubit_correlation_ops(rho)
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
+
+    def score(angles):
+        return _qubit_scores(t0, ts, s_b, _bloch_directions(angles))
+
     angles = _grid_angles(strategy.n_theta, strategy.n_phi)
-    scores = _qubit_scores(t0, ts, s_b, _bloch_directions(angles))
+    scores = score(angles)
     best_idx = int(np.argmax(scores))
     best_angles = angles[best_idx]
     best_val = float(scores[best_idx])
 
     if isinstance(strategy, Grid):
-        return best_angles, OptimizerTrace(restarts=0, best_values=(best_val,))
+        trace = OptimizerTrace(
+            restarts=0, best_values=(best_val,), n_evals=len(angles), converged=True
+        )
+        return best_angles, trace
 
     top = np.argsort(scores)[::-1][: strategy.refine_top]
     step = np.array([np.pi / strategy.n_theta, 2.0 * np.pi / strategy.n_phi])
-    refined_angles, refined = _pattern_search(t0, ts, s_b, angles[top], scores[top], step)
+    refined_angles, refined, n_evals, converged = _pattern_search(
+        score, _angle_neighbours, angles[top], scores[top], step
+    )
     for x, val in zip(refined_angles, refined):
         if val > best_val + REFINE_MARGIN:
             best_val = float(val)
             best_angles = x
-    trace = OptimizerTrace(restarts=len(top), best_values=tuple(float(v) for v in refined))
+    trace = OptimizerTrace(
+        restarts=len(top),
+        best_values=tuple(float(v) for v in refined),
+        n_evals=len(angles) + n_evals,
+        converged=converged,
+    )
     return best_angles, trace
 
 
 # -- general-dimension evaluation --------------------------------------------
 
 
-def _givens_pairs(dim: int):
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+def _unitary_scores(r4: np.ndarray, s_b: float, us: np.ndarray) -> np.ndarray:
+    """S(B) minus the average conditional entropy for a stack of measurement
+    bases ``us`` (N, dA, dA), one outcome per column.
 
-
-def _givens_unitary(params: np.ndarray, dim: int) -> np.ndarray:
-    """Product of complex Givens rotations, two parameters (theta, phi) per pair."""
-    u = np.eye(dim, dtype=complex)
-    pairs = _givens_pairs(dim)
-    for idx, (i, j) in enumerate(pairs):
-        theta, phi = params[2 * idx], params[2 * idx + 1]
-        c, s = np.cos(theta), np.sin(theta)
-        g = np.eye(dim, dtype=complex)
-        g[i, i] = c
-        g[j, j] = c
-        g[i, j] = -np.exp(-1j * phi) * s
-        g[j, i] = np.exp(1j * phi) * s
-        u = u @ g
-    return u
-
-
-def _unitary_score(r4: np.ndarray, s_b: float, u: np.ndarray) -> float:
-    """S(B) minus the average conditional entropy for measurement basis ``u``.
-
-    All d_A conditional blocks come from one ``einsum`` and share one
-    stacked ``eigvalsh``; outcomes below ``ZERO_CUTOFF`` are skipped.
+    One matrix product with every column of every basis and one weighted sum
+    build all N·dA conditional blocks <u_k|_A rho |u_k>_A.
     """
-    blocks = np.einsum("ak,abcd,ck->kbd", u.conj(), r4, u)
-    probs = np.trace(blocks, axis1=1, axis2=2).real
-    kept = probs >= ZERO_CUTOFF
-    spectra = np.linalg.eigvalsh(blocks[kept] / probs[kept, None, None])
-    total = 0.0
-    for p, w in zip(probs[kept], spectra):
-        total += float(p) * entropy_from_eigenvalues(w)
-    return s_b - total
+    n, da, _ = us.shape
+    db = r4.shape[1]
+    # y[a, (b, d), n, k] = sum_c rho[(a, b), (c, d)] us[n, c, k]
+    y = r4.transpose(0, 1, 3, 2).reshape(-1, da) @ us.transpose(1, 0, 2).reshape(da, -1)
+    y = y.reshape(da, db * db, n, da)
+    y *= us.conj().transpose(1, 0, 2)[:, None]
+    blocks = y.sum(axis=0).transpose(1, 2, 0).reshape(n, da, db, db)
+    return s_b - _weighted_entropies(blocks).sum(axis=1)
+
+
+def _rotation_neighbours(us: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Neighbours ``u @ R`` of frames ``u`` for the 2·d(d−1) rotations
+    R = exp(±i·h·G), G the real or the imaginary off-diagonal generator of a
+    pair i < j.  R is the Givens rotation cos h on (i, i) and (j, j),
+    −e^{−iφ}·sin(±h) at (i, j) and e^{iφ}·sin(±h) at (j, i), with φ = 0 or π/2.
+    """
+    live, dim, _ = us.shape
+    i, j = np.triu_indices(dim, 1)
+    # Each pair at phase 1 (φ = 0) and 1j (φ = π/2), each at +h and −h.
+    n = len(i)
+    i, j = np.repeat(i, 4), np.repeat(j, 4)
+    phase = np.tile([1.0, 1.0, 1j, 1j], n)
+    angle = h * np.tile([1.0, -1.0, 1.0, -1.0], n)
+    c, s = np.cos(angle), np.sin(angle)
+    k = np.arange(4 * n)
+    r = np.broadcast_to(np.eye(dim, dtype=complex), (live, 4 * n, dim, dim)).copy()
+    r[:, k, i, i] = c
+    r[:, k, j, j] = c
+    r[:, k, i, j] = -phase.conj() * s
+    r[:, k, j, i] = phase * s
+    return us[:, None] @ r
 
 
 def _optimize_multistart(rho: BipartiteState, restarts: int, seed):
@@ -347,33 +401,25 @@ def _optimize_multistart(rho: BipartiteState, restarts: int, seed):
     dim_a = rho.dim_a
     r4 = rho.matrix.reshape(dim_a, rho.dim_b, dim_a, rho.dim_b)
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    n_params = 2 * len(_givens_pairs(dim_a))
+
+    def score(us):
+        return _unitary_scores(r4, s_b, us)
 
     rho_a = partial_trace_matrix(rho.matrix, dim_a, rho.dim_b, "A")
     _, eigbasis = np.linalg.eigh((rho_a + rho_a.conj().T) / 2.0)
-    frames = [eigbasis] + [random_unitary(dim_a, rng) for _ in range(restarts)]
-
-    best_u = None
-    best_val = -np.inf
-    per_start = []
-    for frame in frames:
-
-        def negative(x, frame=frame):
-            return -_unitary_score(r4, s_b, frame @ _givens_unitary(x, dim_a))
-
-        res = minimize(
-            negative,
-            x0=np.zeros(n_params),
-            method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-11, "maxiter": 400 * n_params},
-        )
-        val = -float(res.fun)
-        per_start.append(val)
-        if val > best_val:
-            best_val = val
-            best_u = frame @ _givens_unitary(res.x, dim_a)
-    trace = OptimizerTrace(restarts=len(frames), best_values=tuple(per_start))
-    return best_u, trace
+    frames = np.stack([eigbasis] + [random_unitary(dim_a, rng) for _ in range(restarts)])
+    # A one-dimensional A has no rotation, so its frames start converged.
+    step = np.array([np.pi / 4.0 if dim_a > 1 else 0.0])
+    us, values, n_evals, converged = _pattern_search(
+        score, _rotation_neighbours, frames, score(frames), step
+    )
+    trace = OptimizerTrace(
+        restarts=len(frames),
+        best_values=tuple(float(v) for v in values),
+        n_evals=len(frames) + n_evals,
+        converged=converged,
+    )
+    return us[int(np.argmax(values))], trace
 
 
 # -- public optimisation API ---------------------------------------------------

@@ -19,7 +19,14 @@ from discordkit.channels import (
 )
 from discordkit.cli import build_parser, main
 from discordkit.serialize import save_channel, save_state, state_to_json
-from discordkit.states import basis_ket, bell_state, product_state, random_density
+from discordkit.states import (
+    BipartiteState,
+    basis_ket,
+    bell_state,
+    product_state,
+    random_bipartite,
+    random_density,
+)
 from discordkit.tolerances import CQ_TOL, VALIDITY_TOL
 
 
@@ -88,6 +95,27 @@ class TestDiscordCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "discord", "/nonexistent/state.json")
         assert code == 2
+
+    def test_one_dimensional_a(self, tmp_path, capsys):
+        path = tmp_path / "one_by_two.json"
+        save_state(BipartiteState(1, 2, random_density(2, "hilbert-schmidt", 3)), path)
+        code, out, _ = run(capsys, "discord", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["classical_correlation"]) <= 1e-12
+        assert abs(payload["discord"]) <= 1e-12
+
+    def test_zero_restarts_searches_the_eigenbasis_frame(self, tmp_path, capsys):
+        path = tmp_path / "s32.json"
+        save_state(random_bipartite(3, 2, 2), path)
+        code, out, _ = run(
+            capsys, "discord", str(path), "--strategy", "multistart", "--restarts", "0"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["optimizer"]["restarts"] == 1
+        assert len(payload["optimizer"]["best_values"]) == 1
+        assert 0.0 <= payload["discord"] <= payload["mutual_information"]
 
     @pytest.mark.parametrize(
         "flags",

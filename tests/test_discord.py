@@ -1,3 +1,7 @@
+import importlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +41,10 @@ from discordkit.states import (
 from discordkit.tolerances import REFINE_MARGIN
 
 
+discord_module = importlib.import_module("discordkit.discord")
+MULTISTART_REFERENCE = Path(__file__).with_name("multistart_reference.json")
+
+
 def classically_correlated():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5
@@ -53,6 +61,18 @@ def cq_state(seed, dim_a=2, dim_b=2):
         proj = np.outer(basis[:, k], basis[:, k].conj())
         cond = random_density(dim_b, "hilbert-schmidt", rng).matrix
         m += probs[k] * np.kron(proj, cond)
+    return BipartiteState.from_matrix(m, dim_a, dim_b)
+
+
+def equal_weight_cq(dim_a, dim_b, seed):
+    """sum_k |psi_k><psi_k| (x) sigma_k / dim_a in a Haar basis: rho_A is I / dim_a,
+    so its eigenbasis says nothing about the optimal measurement."""
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(dim_a, rng)
+    m = np.zeros((dim_a * dim_b,) * 2, dtype=complex)
+    for k in range(dim_a):
+        proj = np.outer(basis[:, k], basis[:, k].conj())
+        m += np.kron(proj, random_density(dim_b, "hilbert-schmidt", rng).matrix) / dim_a
     return BipartiteState.from_matrix(m, dim_a, dim_b)
 
 
@@ -203,6 +223,14 @@ class TestClassicalCorrelation:
         j_multi, _ = classical_correlation(rho, MultiStart(restarts=8), seed=1)
         assert j_multi == pytest.approx(j_hybrid, abs=2e-3)
 
+    @pytest.mark.parametrize("dim_b", [2, 3, 4])
+    def test_multistart_reaches_hybrid_optimum_on_qubit(self, dim_b):
+        for seed in range(20):
+            rho = random_bipartite(2, dim_b, 50 + 10 * dim_b + seed)
+            j_hybrid, _ = classical_correlation(rho, Hybrid())
+            j_multi, _ = classical_correlation(rho, MultiStart(restarts=2), seed=seed)
+            assert abs(j_multi - j_hybrid) <= 1e-10, seed
+
 
 class TestDiscord:
     def test_product_state(self):
@@ -250,6 +278,108 @@ class TestDiscord:
         rho = cq_state(17, dim_a=3, dim_b=2)
         result = discord(rho, MultiStart(restarts=8), seed=0)
         assert result.value <= 5e-3
+
+
+class TestUnitaryScores:
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_match_one_measurement_at_a_time(self, dims):
+        """The batched score of each basis equals _holevo_like_value there,
+        also when outcomes have zero probability (identity frame on |0><0|)."""
+        dim_a, dim_b = dims
+        rng = np.random.default_rng(90 + dim_a)
+        sigma = random_density(dim_b, "hilbert-schmidt", rng)
+        pinned = DensityOperator.diagonal([1.0] + [0.0] * (dim_a - 1))
+        us = np.stack([np.eye(dim_a)] + [random_unitary(dim_a, rng) for _ in range(8)])
+        for rho in (random_bipartite(dim_a, dim_b, rng), product_state(pinned, sigma)):
+            r4 = rho.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+            s_b = von_neumann_entropy(partial_trace(rho, "B"))
+            scores = discord_module._unitary_scores(r4, s_b, us.astype(complex))
+            expected = [_holevo_like_value(rho, ProjectiveMeasurement.from_unitary(u)) for u in us]
+            np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+
+class TestMultiStartClosedForm:
+    @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2)], ids=["3x2", "3x3", "4x2"])
+    def test_equal_weight_cq_states(self, dims):
+        """A CQ state has zero discord, so D = I - J is the optimiser's shortfall."""
+        dim_a, dim_b = dims
+        for seed in range(6):
+            rho = equal_weight_cq(dim_a, dim_b, 100 * dim_a + 10 * dim_b + seed)
+            assert discord(rho, MultiStart(restarts=2)).value <= 1e-12, seed
+
+
+class TestMultiStartAgainstNelderMead:
+    @pytest.mark.parametrize("dims", ["3x2", "3x3", "4x2"])
+    def test_never_below_reference(self, dims):
+        """J is a certified lower bound, so it must not fall below what the
+        former per-restart Nelder-Mead reached (tests/make_multistart_reference.py)."""
+        table = json.loads(MULTISTART_REFERENCE.read_text())
+        rows = [row for row in table["states"] if row["dims"] == dims]
+        assert len(rows) == 8
+        dim_a, dim_b = map(int, dims.split("x"))
+        for row in rows:
+            rho = random_bipartite(dim_a, dim_b, row["state_seed"])
+            j, _ = classical_correlation(
+                rho, MultiStart(restarts=table["restarts"]), seed=table["seed"]
+            )
+            assert j >= row["j"] - 1e-12, row["state_seed"]
+
+
+class TestOptimizerTrace:
+    @staticmethod
+    def count_points(monkeypatch):
+        """Count every point the optimiser scores."""
+        scored = []
+        qubit, unitary = discord_module._qubit_scores, discord_module._unitary_scores
+
+        def count_qubit(t0, ts, s_b, directions):
+            scored.append(len(directions))
+            return qubit(t0, ts, s_b, directions)
+
+        def count_unitary(r4, s_b, us):
+            scored.append(len(us))
+            return unitary(r4, s_b, us)
+
+        monkeypatch.setattr(discord_module, "_qubit_scores", count_qubit)
+        monkeypatch.setattr(discord_module, "_unitary_scores", count_unitary)
+        return scored
+
+    CASES = [
+        (2, 3, Grid()),
+        (2, 3, Hybrid()),
+        (2, 2, MultiStart(restarts=3)),
+        (3, 3, MultiStart(restarts=2)),
+        (4, 2, MultiStart(restarts=0)),
+    ]
+    IDS = ["grid-2x3", "hybrid-2x3", "multistart-2x2", "multistart-3x3", "multistart0-4x2"]
+
+    @pytest.mark.parametrize("dim_a, dim_b, strategy", CASES, ids=IDS)
+    def test_n_evals_counts_points_scored(self, monkeypatch, dim_a, dim_b, strategy):
+        scored = self.count_points(monkeypatch)
+        trace = discord(random_bipartite(dim_a, dim_b, 77), strategy).trace
+        assert trace.converged
+        assert trace.n_evals == sum(scored)
+        if isinstance(strategy, Grid):
+            assert trace.n_evals == len(_grid_angles(strategy.n_theta, strategy.n_phi))
+
+    @pytest.mark.parametrize("dim_a, dim_b, strategy", CASES[1:], ids=IDS[1:])
+    def test_not_converged_only_at_round_cap(self, monkeypatch, dim_a, dim_b, strategy):
+        rho = random_bipartite(dim_a, dim_b, 78)
+        scored = self.count_points(monkeypatch)
+        assert discord(rho, strategy).trace.converged
+        rounds = len(scored) - 1  # the first call scores the grid or the frames
+        assert rounds < discord_module.PATTERN_MAX_ROUNDS
+        monkeypatch.setattr(discord_module, "PATTERN_MAX_ROUNDS", rounds)
+        assert discord(rho, strategy).trace.converged
+        monkeypatch.setattr(discord_module, "PATTERN_MAX_ROUNDS", rounds - 1)
+        assert not discord(rho, strategy).trace.converged
+
+    def test_one_dimensional_a_has_nothing_to_search(self):
+        rho = BipartiteState(1, 2, random_density(2, "hilbert-schmidt", 79))
+        result = discord(rho, MultiStart(restarts=2))
+        assert result.trace.converged
+        assert result.trace.n_evals == 3
+        assert abs(result.classical_correlation) <= 1e-12
 
 
 class TestIsCQExact:

@@ -2,8 +2,7 @@
 
 A float literal between 0 and 1e-5 in magnitude is a threshold or a
 cutoff; elsewhere in the package the only ones allowed are the
-``max(x, 1e-300)`` guards against division by zero and the scipy
-``minimize`` options of the discord optimiser.
+``max(x, 1e-300)`` guards against division by zero.
 """
 
 import ast
@@ -23,7 +22,7 @@ def _is_small_float(node: ast.AST) -> bool:
     )
 
 
-def _allowed(tree: ast.AST, module: str) -> set[int]:
+def _allowed(tree: ast.AST) -> set[int]:
     """ids of the literal nodes the rule allows in this module."""
     allowed = set()
     for node in ast.walk(tree):
@@ -33,10 +32,6 @@ def _allowed(tree: ast.AST, module: str) -> set[int]:
             guard = node.args[1]
             if isinstance(guard, ast.Constant) and guard.value == 1e-300:
                 allowed.add(id(guard))
-        if node.func.id == "minimize" and module == "discord.py":
-            for keyword in node.keywords:
-                if keyword.arg == "options":
-                    allowed.update(id(n) for n in ast.walk(keyword.value))
     return allowed
 
 
@@ -48,7 +43,7 @@ def test_tolerances_module_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_tolerance_literals_outside_tolerances_module(path):
     tree = ast.parse(path.read_text())
-    allowed = _allowed(tree, path.name)
+    allowed = _allowed(tree)
     offenders = [
         f"line {node.lineno}: {node.value!r}"
         for node in ast.walk(tree)
