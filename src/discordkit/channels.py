@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
+    PAULI_I,
+    PAULIS,
     BipartiteState,
     DensityOperator,
     as_rng,
@@ -71,7 +73,8 @@ class QuantumChannel:
 
         The matrix must be PSD within ``-cp_tol`` and satisfy
         ``tr_out J = identity`` within ``VALIDITY_TOL``; Kraus operators are extracted
-        from the eigendecomposition in descending eigenvalue order.
+        from the eigendecomposition in descending eigenvalue order, then renormalised
+        if the clipped negative eigenvalues leave them short of completeness.
         """
         j = np.asarray(choi, dtype=complex)
         d = dim_in * dim_out
@@ -96,7 +99,12 @@ class QuantumChannel:
                 break
             vec = eigvecs[:, idx] * np.sqrt(eigvals[idx])
             ops.append(vec.reshape(dim_in, dim_out).T)
-        channel = cls(ops, dim_in, dim_out)
+        try:
+            channel = cls(ops, dim_in, dim_out)
+        except InvalidChannelError:
+            # Only the clipped negative part can fail here: K -> K S^(-1/2).
+            w, v = np.linalg.eigh(sum(op.conj().T @ op for op in ops))
+            return cls([op @ (v / np.sqrt(w)) @ v.conj().T for op in ops], dim_in, dim_out)
         channel._choi = j
         return channel
 
@@ -350,30 +358,21 @@ class UnitalQubitParams:
 def make_unital_qubit(params: UnitalQubitParams) -> QuantumChannel:
     """Unital qubit channel with transfer matrix diag(1, l1, l2, l3).
 
-    Built through the Choi matrix in the Pauli frame so every point of the
-    CPTP tetrahedron (including the non-unitary extreme points) is valid.
+    The Pauli channel with Kraus operators ``sqrt(p_k) s_k``, s = (I, X, Y, Z),
+    p = (1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3) / 4
+    (King and Ruskai 2001, IEEE Trans. Inf. Theory 47, 192; Ruskai, Szarek
+    and Werner 2002, Lin. Alg. Appl. 347, 159).  Weights whose Choi
+    eigenvalue 2 p_k is at most ``ZERO_CUTOFF * max(1, 2 max p)`` are dropped.
     """
     if not params.in_cptp_tetrahedron():
         raise InvalidChannelError(
             f"({params.l1}, {params.l2}, {params.l3}) lies outside the CPTP tetrahedron"
         )
-    lam = (params.l1, params.l2, params.l3)
-    paulis = hermitian_basis(2).elements[1:]  # X, Y, Z over sqrt(2)
-
-    def image(unit: np.ndarray) -> np.ndarray:
-        out = np.trace(unit) * np.eye(2, dtype=complex) / 2.0
-        for l_i, g in zip(lam, paulis):
-            out += l_i * np.trace(g @ unit) * g
-        return out
-
-    blocks = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            blocks[i][j] = image(unit)
-    choi = np.block(blocks)
-    return QuantumChannel.from_choi(choi, 2, 2)
+    l1, l2, l3 = params.l1, params.l2, params.l3
+    p = 0.25 * np.array([1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
+    cutoff = ZERO_CUTOFF * max(1.0, 2.0 * p.max())
+    ops = [np.sqrt(w) * s for w, s in zip(p, (PAULI_I, *PAULIS)) if 2.0 * w > cutoff]
+    return QuantumChannel(ops, 2, 2)
 
 
 def random_channel(

@@ -3,13 +3,15 @@
 Point channels (the only channels on B that break discord), quantum-
 classical measure-and-prepare channels (the only ones on A that do),
 entanglement breaking via the PPT criterion, and the combined classifier
-with its tetrahedron sweep over unital qubit channels.  Every negative
-verdict carries a witness that can be re-checked independently.
+with its tetrahedron sweep over unital qubit channels.  Each family has one
+decision function, shared by its verdict and the sweep; every negative
+verdict adds a witness that can be re-checked independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,12 +167,8 @@ def _choi_partial_transpose(channel: QuantumChannel) -> np.ndarray:
 # -- family tests --------------------------------------------------------------
 
 
-def is_point_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
-    """Is the channel constant, ``X -> tr[X] sigma``?
-
-    Tested on the Choi matrix: a point channel has ``J = 1 (x) sigma``
-    with ``sigma = tr_in J / dim_in``.
-    """
+def _point_decision(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
+    """The decision of :func:`is_point_channel`, without a witness."""
     j = channel.choi
     sigma = partial_trace_matrix(j, channel.dim_in, channel.dim_out, "B") / channel.dim_in
     target = np.kron(np.eye(channel.dim_in, dtype=complex), sigma)
@@ -182,20 +180,11 @@ def is_point_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
             residual=residual,
             details={"fixed_state": DensityOperator.from_matrix(sigma, name="point target")},
         )
-    witness = _probe_pair_witness(channel, "distinct-outputs")
-    return Verdict(kind="no", residual=residual, witness=witness)
+    return Verdict(kind="no", residual=residual)
 
 
-def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
-    """Is the channel measure-and-prepare into a fixed orthonormal basis?
-
-    The Choi matrix of such a channel, read as a bipartite in (x) out
-    operator, is classical on the output slot; the test runs the exact
-    CQ check on the slot-swapped normalised Choi and, on success, extracts
-    the POVM ``F_k = dim_in * (conditional input block)^T`` and basis.
-    The answer is "yes" only when the channel rebuilt from them lies within
-    ``tol`` of the original.
-    """
+def _qc_decision(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
+    """The decision of :func:`is_qc_channel`, without a witness."""
     din, dout = channel.dim_in, channel.dim_out
     j = channel.choi
     swapped = (
@@ -204,11 +193,7 @@ def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     nu = BipartiteState.from_matrix(swapped / din, dout, din, name="swapped Choi")
     check = is_cq_exact(nu, tol)
     if not check:
-        return Verdict(
-            kind="no",
-            residual=check.residual,
-            witness=_probe_pair_witness(channel, "noncommuting-outputs"),
-        )
+        return Verdict(kind="no", residual=check.residual)
     try:
         decomp = cq_decompose(nu, tol)
     except DecompositionError as exc:
@@ -232,8 +217,37 @@ def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
         residual=residual,
         notes="Choi is classical on the output slot but the extracted form "
         "does not reproduce the channel",
-        witness=_probe_pair_witness(channel, "noncommuting-outputs"),
     )
+
+
+def _with_witness(verdict: Verdict, channel: QuantumChannel, kind: str) -> Verdict:
+    if verdict.kind == "yes":
+        return verdict
+    return replace(verdict, witness=_probe_pair_witness(channel, kind))
+
+
+def is_point_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
+    """Is the channel constant, ``X -> tr[X] sigma``?
+
+    Tested on the Choi matrix: a point channel has ``J = 1 (x) sigma``
+    with ``sigma = tr_in J / dim_in``.  A "no" carries the pair of probe
+    inputs whose outputs differ most.
+    """
+    return _with_witness(_point_decision(channel, tol), channel, "distinct-outputs")
+
+
+def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
+    """Is the channel measure-and-prepare into a fixed orthonormal basis?
+
+    The Choi matrix of such a channel, read as a bipartite in (x) out
+    operator, is classical on the output slot; the test runs the exact
+    CQ check on the slot-swapped normalised Choi and, on success, extracts
+    the POVM ``F_k = dim_in * (conditional input block)^T`` and basis.
+    The answer is "yes" only when the channel rebuilt from them lies within
+    ``tol`` of the original.  A "no" carries the pair of probe inputs whose
+    outputs commute least.
+    """
+    return _with_witness(_qc_decision(channel, tol), channel, "noncommuting-outputs")
 
 
 def recheck_witness(channel: QuantumChannel, witness: dict) -> float:
@@ -425,9 +439,9 @@ def tetrahedron_sweep(
 ) -> list[SweepRow]:
     """Classify the unital-qubit CPTP tetrahedron on a regular grid.
 
-    Each grid point is classified structurally (measure-and-prepare when
-    acting on A, point when acting on B) along with its entanglement-
-    breaking verdict; when ``n_probe_states`` is positive the maximal
+    Each grid point gets the witness-free decision of ``is_qc_channel`` (side
+    A) or ``is_point_channel`` (side B) and its entanglement-breaking
+    verdict; when ``n_probe_states`` is positive the maximal
     discord over the probe outputs of the extended channel is reported,
     otherwise NaN.  Rows are ordered by grid index.
     """
@@ -439,37 +453,20 @@ def tetrahedron_sweep(
     n = int(round(2.0 / step))
     values = -1.0 + step * np.arange(n + 1)
     probes = sweep_probe_states(side, dim_other, n_probe_states, seed) if n_probe_states else []
+    decide = _qc_decision if side == "A" else _point_decision
     rows = []
-    for l1 in values:
-        for l2 in values:
-            for l3 in values:
-                params = UnitalQubitParams(float(l1), float(l2), float(l3))
-                if not params.in_cptp_tetrahedron():
-                    continue
-                channel = make_unital_qubit(params)
-                if side == "A":
-                    is_db = is_qc_channel(channel).kind == "yes"
-                else:
-                    is_db = is_point_channel(channel).kind == "yes"
-                is_eb = is_entanglement_breaking(channel).kind == "yes"
-                max_discord = float("nan")
-                if probes:
-                    extended = extend(channel, side, dim_other)
-                    best = 0.0
-                    for probe in probes:
-                        result = discord(extended.apply(probe), Hybrid())
-                        best = max(best, result.value)
-                    max_discord = best
-                rows.append(
-                    SweepRow(
-                        l1=params.l1,
-                        l2=params.l2,
-                        l3=params.l3,
-                        is_db=is_db,
-                        is_eb=is_eb,
-                        max_discord=max_discord,
-                    )
-                )
+    for l1, l2, l3 in itertools.product(values.tolist(), repeat=3):
+        params = UnitalQubitParams(l1, l2, l3)
+        if not params.in_cptp_tetrahedron():
+            continue
+        channel = make_unital_qubit(params)
+        max_discord = float("nan")
+        if probes:
+            extended = extend(channel, side, dim_other)
+            max_discord = max([0.0] + [discord(extended.apply(p), Hybrid()).value for p in probes])
+        is_db = decide(channel).kind == "yes"
+        is_eb = is_entanglement_breaking(channel).kind == "yes"
+        rows.append(SweepRow(l1, l2, l3, is_db, is_eb, max_discord))
     return rows
 
 
@@ -509,9 +506,9 @@ def is_local_da(
     diagonal in a fixed basis, or the B factor is a point channel.  When
     neither holds, a witness input with a non-CQ output is searched for.
     """
-    if is_qc_channel(channel_a).kind == "yes":
+    if _qc_decision(channel_a).kind == "yes":
         return LocalDAVerdict(kind="da-via-a")
-    if is_point_channel(channel_b).kind == "yes":
+    if _point_decision(channel_b).kind == "yes":
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))

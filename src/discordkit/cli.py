@@ -75,12 +75,15 @@ def _emit(payload: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _strategy_from_args(args) -> Grid | MultiStart | Hybrid:
-    n_theta, n_phi = args.grid
+def _strategy_from_args(args, dim_a: int) -> Grid | MultiStart | Hybrid:
+    if dim_a != 2 and (args.strategy == "grid" or args.grid):
+        flag = "--strategy grid" if args.strategy == "grid" else "--grid"
+        raise InputError(f"{flag} needs a qubit A (dA = 2), but the state has dA = {dim_a}")
+    if args.strategy == "multistart" or dim_a != 2:
+        return MultiStart(restarts=args.restarts)
+    n_theta, n_phi = args.grid or (Grid.n_theta, Grid.n_phi)
     if args.strategy == "grid":
         return Grid(n_theta=n_theta, n_phi=n_phi)
-    if args.strategy == "multistart":
-        return MultiStart(restarts=args.restarts)
     return Hybrid(n_theta=n_theta, n_phi=n_phi)
 
 
@@ -88,7 +91,7 @@ def cmd_discord(args) -> int:
     state = load_state(args.state)
     if not isinstance(state, BipartiteState):
         raise InputError("dims: discord needs a bipartite state file with dims [dA, dB]")
-    result = discord(state, _strategy_from_args(args), seed=args.seed)
+    result = discord(state, _strategy_from_args(args, state.dim_a), seed=args.seed)
     _emit(discord_result_to_json(result), args.out)
     return EXIT_OK
 
@@ -233,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discord", help="evaluate discord of a bipartite state file")
     p.add_argument("state", help="JSON state file with dims [dA, dB]")
     p.add_argument("--strategy", choices=["hybrid", "grid", "multistart"], default="hybrid")
-    p.add_argument("--grid", type=_grid_pair, default=(32, 64),
-                   help="theta x phi grid resolution, e.g. 32x64")
-    p.add_argument("--restarts", type=_nonnegative_int, default=20)
+    p.add_argument("--grid", type=_grid_pair, default=None,
+                   help="theta x phi grid of hybrid and grid, dA = 2 only (default 32x64)")
+    p.add_argument("--restarts", type=_nonnegative_int, default=20,
+                   help="Haar frames of multistart, which every dA other than 2 uses")
     p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     add_common(p)
     p.set_defaults(func=cmd_discord)

@@ -20,6 +20,7 @@ from discordkit.states import (
     DensityOperator,
     bell_state,
     basis_ket,
+    hermitian_basis,
     random_density,
     random_unitary,
 )
@@ -30,6 +31,38 @@ def choi_contraction_oracle(choi, din, dout, rho):
     big = choi @ np.kron(rho.T, np.eye(dout))
     r = big.reshape(din, dout, din, dout)
     return np.trace(r, axis1=0, axis2=2)
+
+
+def unital_qubit_reference(params):
+    """The Choi-block construction that ``make_unital_qubit`` replaced: the
+    Choi matrix built entry by entry in the Pauli frame, then ``from_choi``."""
+    lam = (params.l1, params.l2, params.l3)
+    paulis = hermitian_basis(2).elements[1:]  # X, Y, Z over sqrt(2)
+
+    def image(unit):
+        out = np.trace(unit) * np.eye(2, dtype=complex) / 2.0
+        for l_i, g in zip(lam, paulis):
+            out += l_i * np.trace(g @ unit) * g
+        return out
+
+    blocks = [[None, None], [None, None]]
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            blocks[i][j] = image(unit)
+    return QuantumChannel.from_choi(np.block(blocks), 2, 2)
+
+
+def tetrahedron_points(step):
+    """Grid points of the CPTP tetrahedron at ``step``; with 2 / step whole,
+    the four vertices are among them."""
+    values = -1.0 + step * np.arange(int(round(2.0 / step)) + 1)
+    grid = [UnitalQubitParams(a, b, c) for a in values for b in values for c in values]
+    points = [p for p in grid if p.in_cptp_tetrahedron()]
+    vertices = {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
+    assert vertices <= {(p.l1, p.l2, p.l3) for p in points}
+    return points
 
 
 def z_dephasing():
@@ -112,6 +145,30 @@ class TestChoiConversions:
         op[0, 1] = np.nan
         with pytest.raises(InvalidChannelError, match="trace-preserving"):
             QuantumChannel([op])
+
+    def test_clipped_negative_part_is_renormalised(self):
+        # (1 - eps)|Omega><Omega| + eps SWAP: trace preserving, with the
+        # eigenvalue -eps on the singlet.
+        eps = 5.8e-8
+        j = (1 - eps) * QuantumChannel.identity(2).choi + eps * np.eye(4)[[0, 2, 1, 3]]
+        with pytest.raises(InvalidChannelError, match="PSD"):
+            QuantumChannel.from_choi(j, 2, 2)
+        channel = QuantumChannel.from_choi(j, 2, 2, cp_tol=1e-6)
+        completeness = sum(k.conj().T @ k for k in channel.kraus)
+        assert np.linalg.norm(completeness - np.eye(2)) <= 1e-14
+        assert np.linalg.norm(channel.choi - j) <= 2 * eps
+
+    def test_psd_choi_keeps_its_eigen_kraus_set(self):
+        for seed in range(10):
+            j = random_channel(2, 3, 3, seed).choi
+            channel = QuantumChannel.from_choi(j, 2, 3)
+            w, v = np.linalg.eigh((j + j.conj().T) / 2)
+            expected = [
+                (v[:, i] * np.sqrt(w[i])).reshape(2, 3).T for i in range(5, -1, -1) if w[i] > 1e-12
+            ]
+            assert len(channel.kraus) == len(expected)
+            for k, e in zip(channel.kraus, expected):
+                assert np.array_equal(k, e)
 
     def test_from_choi_rejects_non_finite(self):
         j = QuantumChannel.identity(2).choi.copy()
@@ -263,6 +320,27 @@ class TestUnitalQubit:
     def test_tetrahedron_excludes_large_l3(self):
         assert not UnitalQubitParams(0, 0, -2).in_cptp_tetrahedron()
         assert not UnitalQubitParams(0, 0, 2).in_cptp_tetrahedron()
+
+    def test_matches_choi_block_reference(self):
+        for params in tetrahedron_points(0.125):
+            channel = make_unital_qubit(params)
+            reference = unital_qubit_reference(params)
+            assert np.abs(channel.choi - reference.choi).max() <= 1e-14, params
+            assert len(channel.kraus) == len(reference.kraus), params
+
+    def test_transfer_is_diag_one_lambda(self):
+        for params in tetrahedron_points(0.125):
+            expected = np.diag([1.0, params.l1, params.l2, params.l3])
+            assert np.abs(make_unital_qubit(params).transfer() - expected).max() <= 1e-14, params
+
+    def test_built_from_pauli_kraus_without_choi(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_unital_qubit must not go through the Choi matrix")
+
+        monkeypatch.setattr(QuantumChannel, "from_choi", refuse)
+        monkeypatch.setattr(np, "block", refuse)
+        channel = make_unital_qubit(UnitalQubitParams(0.5, -0.25, 0.0))
+        assert len(channel.kraus) == 4
 
 
 class TestMixtures:

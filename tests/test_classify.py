@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from discordkit import classify
 
 from discordkit.annihilators import random_da_spec, build_da_channel
 from discordkit.channels import (
@@ -220,7 +224,65 @@ class TestClassifyChannel:
             assert classify_channel(compose(pre, point), ActsOnB(dim_a=2)).label == "db-b"
 
 
+class TestUnitaryInvariance:
+    """Point and measure-and-prepare channels stay so under unitaries before
+    and after, and channels outside those families stay outside."""
+
+    @staticmethod
+    def family_member(family, dim, rng):
+        if family == "qc":
+            basis = random_unitary(dim, rng)
+            return make_qc_channel(random_povm(dim, dim, rng), list(basis.T))
+        if family == "point":
+            return make_point_channel(random_density(dim, "hilbert-schmidt", rng))
+        return random_channel(dim, dim, 2, rng)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["qc", "point", "random"]),
+        dim=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_verdict_kinds_invariant(self, family, dim, seed):
+        rng = np.random.default_rng(seed)
+        channel = self.family_member(family, dim, rng)
+        pre = QuantumChannel([random_unitary(dim, rng)])
+        post = QuantumChannel([random_unitary(dim, rng)])
+        turned = compose(post, compose(channel, pre))
+        expected = {
+            is_qc_channel: family != "random",
+            is_point_channel: family == "point",
+        }
+        for verdict, yes in expected.items():
+            assert verdict(channel).kind == ("yes" if yes else "no")
+            assert verdict(turned).kind == verdict(channel).kind
+
+
 class TestTetrahedronSweep:
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_rows_follow_the_verdicts(self, side):
+        verdict = is_qc_channel if side == "A" else is_point_channel
+        for row in tetrahedron_sweep(step=0.25, side=side):
+            channel = make_unital_qubit(UnitalQubitParams(row.l1, row.l2, row.l3))
+            assert row.is_db == (verdict(channel).kind == "yes")
+
+    def test_sweep_builds_no_witness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep discards witnesses, so it must not build one")
+
+        monkeypatch.setattr(classify, "_probe_pair_witness", refuse)
+        for side in ("A", "B"):
+            assert any(not row.is_db for row in tetrahedron_sweep(step=0.25, side=side))
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_eb_closed_form(self, side):
+        # Ruskai 2003: a unital qubit channel is entanglement breaking exactly
+        # when |l1| + |l2| + |l3| <= 1.  Grid values are dyadic, so the sum is exact.
+        rows = tetrahedron_sweep(step=0.125, side=side)
+        assert len(rows) == 1649
+        for row in rows:
+            assert row.is_eb == (abs(row.l1) + abs(row.l2) + abs(row.l3) <= 1.0), row
+
     def test_axis_law_side_a(self):
         rows = tetrahedron_sweep(step=0.25, side="A")
         for row in rows:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from discordkit.channels import (
     random_channel,
 )
 from discordkit.cli import build_parser, main
-from discordkit.serialize import save_channel, save_state, state_to_json
+from discordkit.serialize import encode_matrix, save_channel, save_state, state_to_json
 from discordkit.states import (
     BipartiteState,
     basis_ket,
@@ -46,6 +47,13 @@ def product_file(tmp_path):
         ),
         path,
     )
+    return str(path)
+
+
+@pytest.fixture
+def qutrit_a_file(tmp_path):
+    path = tmp_path / "s32.json"
+    save_state(random_bipartite(3, 2, 2), path)
     return str(path)
 
 
@@ -135,6 +143,39 @@ class TestDiscordCommand:
         assert f"argument {flag}" in capsys.readouterr().err
 
 
+    def test_restarts_reach_qudit_a(self, qutrit_a_file, capsys):
+        code, out, _ = run(capsys, "discord", qutrit_a_file, "--restarts", "2")
+        assert code == 0
+        assert json.loads(out)["optimizer"]["restarts"] == 3
+        _, multistart, _ = run(
+            capsys, "discord", qutrit_a_file, "--strategy", "multistart", "--restarts", "2"
+        )
+        assert out == multistart
+
+    def test_default_on_qudit_a_is_multistart(self, qutrit_a_file, capsys):
+        code, out, _ = run(capsys, "discord", qutrit_a_file)
+        assert code == 0
+        assert json.loads(out)["optimizer"]["restarts"] == 21
+        _, multistart, _ = run(capsys, "discord", qutrit_a_file, "--strategy", "multistart")
+        assert out == multistart
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--grid", "2x2"), "--grid"),
+            (("--strategy", "grid"), "--strategy grid"),
+            (("--strategy", "grid", "--grid", "8x8"), "--strategy grid"),
+            (("--strategy", "multistart", "--grid", "8x8"), "--grid"),
+        ],
+        ids=["grid", "strategy-grid", "strategy-grid-with-grid", "multistart-with-grid"],
+    )
+    def test_qubit_only_flags_on_qudit_a_exit_2(self, qutrit_a_file, capsys, flags, named):
+        code, out, err = run(capsys, "discord", qutrit_a_file, *flags)
+        assert code == 2
+        assert out == ""
+        assert f"error: {named} needs a qubit A" in err
+
+
 class TestClassifyCommand:
     def test_point_channel_side_b(self, tmp_path, capsys):
         from discordkit.channels import make_point_channel
@@ -202,6 +243,21 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["label"] == label
 
+    def test_tol_cptp_admits_slightly_negative_choi(self, tmp_path, capsys):
+        # (1 - eps)|Omega><Omega| + eps SWAP has the eigenvalue -eps on the singlet.
+        eps = 5.8e-8
+        j = (1 - eps) * QuantumChannel.identity(2).choi + eps * np.eye(4)[[0, 2, 1, 3]]
+        path = tmp_path / "choi.json"
+        path.write_text(
+            json.dumps({"type": "choi", "d_in": 2, "d_out": 2, "data": encode_matrix(j)})
+        )
+        code, out, _ = run(capsys, "classify", str(path), "--side", "A", "--tol-cptp", "1e-6")
+        assert code == 0
+        assert json.loads(out)["label"] == "not-db-a"
+        code, _, err = run(capsys, "classify", str(path), "--side", "A")
+        assert code == 2
+        assert "not PSD" in err
+
     def test_ab_requires_dims(self, tmp_path, capsys):
         path = tmp_path / "identity.json"
         save_channel(QuantumChannel.identity(4), path)
@@ -247,6 +303,20 @@ class TestSweepCommand:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "side, digest",
+        [
+            ("A", "4c456851aa8d92f276ca053189755bd549222761fd51919ed09cc31a9a10b634"),
+            ("B", "502a1fbda6c9e1171b13f8c282c4b2c63b6bf8fd742d1715879db45a6df4bfab"),
+        ],
+    )
+    def test_step_eighth_output_pinned(self, capsys, side, digest):
+        # The rows hold only booleans and nan, so the digest does not depend
+        # on the BLAS build.
+        code, out, _ = run(capsys, "tetra-sweep", "--step", "0.125", "--side", side)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_step(self, capsys):
         code, _, err = run(capsys, "tetra-sweep", "--step", "1.5", "--side", "A")

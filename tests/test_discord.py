@@ -267,6 +267,15 @@ class TestDiscord:
         assert discord(rotated).value == pytest.approx(discord(rho).value, abs=2e-3)
         assert bool(is_cq_exact(rotated)) == bool(is_cq_exact(rho))
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_hybrid_invariant_under_local_unitaries(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = BipartiteState(2, 2, random_density(4, "hilbert-schmidt", rng))
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        rotated = BipartiteState.from_matrix(u @ rho.matrix @ u.conj().T, 2, 2)
+        assert abs(discord(rotated, Hybrid()).value - discord(rho, Hybrid()).value) <= 1e-9
+
     def test_multistart_on_qutrit_a(self):
         rho = product_state(
             random_density(3, "hilbert-schmidt", 15), random_density(2, "hilbert-schmidt", 16)
