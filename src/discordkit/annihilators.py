@@ -23,7 +23,7 @@ from .channels import (
     random_channel,
 )
 from .cqsets import BothEntry, ConvexCQSubsetSpec, FixedEntry, PointEntry
-from .discord import is_cq_exact
+from .discord import _b_blocks, is_cq_exact
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -150,16 +150,14 @@ def build_da_channel(spec: DAChannelSpec) -> QuantumChannel:
     The union is trace-preserving exactly when the partition is complete.
     """
     ops = []
-    eye_b = np.eye(spec.dim_b, dtype=complex)
+    eye_b = np.eye(spec.dim_b, dtype=complex)[None]
     for i, entry in enumerate(spec.entries):
         proj = _entry_projector(entry, spec.dim_a, index=i)
         if isinstance(entry.action, IdentityAction):
             ops.append(np.kron(proj, eye_b))
         else:
-            point = make_point_channel(entry.action.state)
-            for kraus in point.kraus:
-                ops.append(np.kron(proj, kraus))
-    stage = QuantumChannel(ops)
+            ops.append(np.kron(proj, make_point_channel(entry.action.state).kraus))
+    stage = QuantumChannel(np.concatenate(ops))
     if spec.pre_channel is None:
         return stage
     return compose(stage, spec.pre_channel)
@@ -435,12 +433,7 @@ def structural_match(
             notes="probe output is not classical-quantum",
         )
     outputs = scan.outputs
-    generators = []
-    for out in outputs:
-        r4 = out.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-        for i in range(dim_b):
-            for j in range(dim_b):
-                generators.append(np.ascontiguousarray(r4[:, i, :, j]))
+    generators = np.concatenate([_b_blocks(out).reshape(-1, dim_a, dim_a) for out in outputs])
 
     scale = max(1.0, float(np.linalg.norm(channel.choi)))
     notes = ""

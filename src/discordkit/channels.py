@@ -1,7 +1,8 @@
 """CPTP channel representations and constructors.
 
-A :class:`QuantumChannel` is stored as a Kraus set and converts on demand
-to a Choi matrix or a real transfer matrix.  Conversions are cached on the
+A :class:`QuantumChannel` is stored as one read-only Kraus stack of shape
+``(r, dim_out, dim_in)`` and converts on demand to a Choi matrix or a real
+transfer matrix.  Both are derived from the stack alone, cached on the
 instance and never recomputed differently.
 
 Choi convention
@@ -37,30 +38,33 @@ class InvalidChannelError(ValueError):
 
 
 class QuantumChannel:
-    """Completely positive trace-preserving map held as a Kraus set."""
+    """Completely positive trace-preserving map held as a Kraus stack.
 
-    def __init__(self, kraus, dim_in: int | None = None, dim_out: int | None = None):
-        ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        if not ops:
+    ``kraus`` is a read-only complex array of shape ``(r, dim_out, dim_in)``;
+    ``dim_in`` and ``dim_out`` are read from its shape.
+    """
+
+    def __init__(self, kraus):
+        if len(kraus) == 0:
             raise InvalidChannelError("a channel needs at least one Kraus operator")
-        rows, cols = ops[0].shape
-        dim_out = rows if dim_out is None else dim_out
-        dim_in = cols if dim_in is None else dim_in
-        for i, op in enumerate(ops):
-            if op.shape != (dim_out, dim_in):
-                raise InvalidChannelError(
-                    f"Kraus operator {i} has shape {op.shape}, expected ({dim_out}, {dim_in})"
-                )
-        completeness = sum(op.conj().T @ op for op in ops)
-        defect = float(np.linalg.norm(completeness - np.eye(dim_in)))
-        if not defect <= VALIDITY_TOL * max(1.0, dim_in):  # a NaN defect fails too
+        try:
+            ops = np.array(kraus, dtype=complex)
+        except ValueError:  # ragged
+            ops = None
+        if ops is None or ops.ndim != 3:
+            shapes = [np.shape(k) for k in kraus]
+            i = next((i for i, s in enumerate(shapes) if len(s) != 2 or s != shapes[0]), 0)
+            expected = shapes[0] if len(shapes[i]) == 2 else "a matrix"
+            raise InvalidChannelError(
+                f"Kraus operator {i} has shape {shapes[i]}, expected {expected}"
+            )
+        self.dim_out, self.dim_in = ops.shape[1:]
+        defect = float(np.linalg.norm(_completeness(ops) - np.eye(self.dim_in)))
+        if not defect <= VALIDITY_TOL * max(1.0, self.dim_in):  # a NaN defect fails too
             raise InvalidChannelError(
                 f"Kraus set is not trace-preserving (defect {defect:.3e})"
             )
-        for op in ops:
-            op.setflags(write=False)
-        self.dim_in = dim_in
-        self.dim_out = dim_out
+        ops.setflags(write=False)
         self.kraus = ops
         self._choi: np.ndarray | None = None
         self._transfer: np.ndarray | None = None
@@ -74,15 +78,15 @@ class QuantumChannel:
         The matrix must be PSD within ``-cp_tol`` and satisfy
         ``tr_out J = identity`` within ``VALIDITY_TOL``; Kraus operators are extracted
         from the eigendecomposition in descending eigenvalue order, then renormalised
-        if the clipped negative eigenvalues leave them short of completeness.
+        if the clipped negative eigenvalues leave them short of completeness.  The
+        channel's Choi matrix is that of the kept Kraus set.
         """
         j = np.asarray(choi, dtype=complex)
         d = dim_in * dim_out
         if j.shape != (d, d):
             raise InvalidChannelError(f"Choi matrix has shape {j.shape}, expected ({d}, {d})")
         eigvals, eigvecs = eig_hermitian(j, what="Choi matrix", error=InvalidChannelError)
-        j = (j + j.conj().T) / 2.0
-        marginal = partial_trace_matrix(j, dim_in, dim_out, "A")
+        marginal = partial_trace_matrix((j + j.conj().T) / 2.0, dim_in, dim_out, "A")
         tp_defect = float(np.linalg.norm(marginal - np.eye(dim_in)))
         if tp_defect > VALIDITY_TOL * max(1.0, dim_in):
             raise InvalidChannelError(
@@ -92,25 +96,19 @@ class QuantumChannel:
             raise InvalidChannelError(
                 f"Choi matrix is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
-        cutoff = ZERO_CUTOFF * max(1.0, eigvals[-1])
-        ops = []
-        for idx in range(d - 1, -1, -1):
-            if eigvals[idx] <= cutoff:
-                break
-            vec = eigvecs[:, idx] * np.sqrt(eigvals[idx])
-            ops.append(vec.reshape(dim_in, dim_out).T)
+        keep = eigvals > ZERO_CUTOFF * max(1.0, eigvals[-1])
+        vecs = (eigvecs[:, keep] * np.sqrt(eigvals[keep]))[:, ::-1]
+        ops = vecs.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
         try:
-            channel = cls(ops, dim_in, dim_out)
+            return cls(ops)
         except InvalidChannelError:
             # Only the clipped negative part can fail here: K -> K S^(-1/2).
-            w, v = np.linalg.eigh(sum(op.conj().T @ op for op in ops))
-            return cls([op @ (v / np.sqrt(w)) @ v.conj().T for op in ops], dim_in, dim_out)
-        channel._choi = j
-        return channel
+            w, v = np.linalg.eigh(_completeness(ops))
+            return cls(ops @ (v / np.sqrt(w)) @ v.conj().T)
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
-        return cls([np.eye(dim, dtype=complex)])
+        return cls(np.eye(dim, dtype=complex)[None])
 
     # -- representations --------------------------------------------------
 
@@ -120,8 +118,7 @@ class QuantumChannel:
         if self._choi is None:
             d = self.dim_in * self.dim_out
             j = np.zeros((d, d), dtype=complex)
-            for op in self.kraus:
-                vec = op.T.reshape(-1)
+            for vec in self.kraus.transpose(0, 2, 1).reshape(-1, d):
                 j += np.outer(vec, vec.conj())
             self._choi = j
         return self._choi
@@ -134,25 +131,22 @@ class QuantumChannel:
         the channel is Hermiticity-preserving.
         """
         if self._transfer is None:
-            basis_in = hermitian_basis(self.dim_in).elements
-            basis_out = hermitian_basis(self.dim_out).elements
-            t = np.empty((len(basis_out), len(basis_in)))
-            for b, g_in in enumerate(basis_in):
-                image = self.apply_matrix(g_in)
-                for a, g_out in enumerate(basis_out):
-                    t[a, b] = np.trace(g_out @ image).real
-            self._transfer = t
+            basis_out = np.array(hermitian_basis(self.dim_out).elements)
+            columns = [
+                np.trace(basis_out @ self.apply_matrix(g_in), axis1=1, axis2=2).real
+                for g_in in hermitian_basis(self.dim_in).elements
+            ]
+            self._transfer = np.column_stack(columns)
             self._transfer.setflags(write=False)
         return self._transfer
 
     # -- action ------------------------------------------------------------
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Linear action on an arbitrary operator, no state validation."""
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for op in self.kraus:
-            out += op @ m @ op.conj().T
-        return out
+        """Linear action on an operator or a stack ``(..., dim_in, dim_in)`` of
+        them, no state validation."""
+        m = np.asarray(m)[..., None, :, :]
+        return (self.kraus @ m @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=-3)
 
     def apply(self, rho: DensityOperator | BipartiteState):
         """Apply to a state, validating the output (same wrapper type back)."""
@@ -171,14 +165,19 @@ class QuantumChannel:
         return DensityOperator.from_matrix(self.apply_matrix(rho.matrix), name="channel output")
 
 
+def _completeness(ops: np.ndarray) -> np.ndarray:
+    """``sum_k K_k^dag K_k`` of a Kraus stack."""
+    return np.einsum("kij,kil->jl", ops.conj(), ops)
+
+
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     """Channel composition ``second o first`` with Kraus products."""
     if first.dim_out != second.dim_in:
         raise InvalidChannelError(
             f"cannot compose: inner dimensions {first.dim_out} and {second.dim_in} differ"
         )
-    ops = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
-    return QuantumChannel(ops, first.dim_in, second.dim_out)
+    ops = second.kraus[:, None] @ first.kraus
+    return QuantumChannel(ops.reshape(-1, second.dim_out, first.dim_in))
 
 
 def extend(channel: QuantumChannel, side: str, dim_other: int) -> QuantumChannel:
@@ -191,9 +190,9 @@ def extend(channel: QuantumChannel, side: str, dim_other: int) -> QuantumChannel
     eye = np.eye(dim_other, dtype=complex)
     side = side.upper()
     if side == "A":
-        ops = [np.kron(op, eye) for op in channel.kraus]
+        ops = np.kron(channel.kraus, eye)
     elif side == "B":
-        ops = [np.kron(eye, op) for op in channel.kraus]
+        ops = np.kron(eye, channel.kraus)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return QuantumChannel(ops)
@@ -207,8 +206,7 @@ def mix_channels(weighted: list[tuple[float, QuantumChannel]]) -> QuantumChannel
     dims = {(c.dim_in, c.dim_out) for _, c in weighted}
     if len(dims) != 1:
         raise InvalidChannelError(f"cannot mix channels with differing dimensions {dims}")
-    ops = [np.sqrt(w) * op for w, c in weighted for op in c.kraus]
-    return QuantumChannel(ops)
+    return QuantumChannel(np.concatenate([np.sqrt(w) * c.kraus for w, c in weighted]))
 
 
 def canonicalize(channel: QuantumChannel) -> QuantumChannel:
@@ -275,16 +273,13 @@ def make_point_channel(sigma: DensityOperator, dim_in: int | None = None) -> Qua
     """
     dim_in = sigma.dim if dim_in is None else dim_in
     eigvals, eigvecs = eig_hermitian(sigma.matrix)
-    ops = []
-    for m in range(sigma.dim):
-        if eigvals[m] <= KRAUS_CUTOFF:
-            continue
-        col = np.sqrt(eigvals[m]) * eigvecs[:, m]
-        for n in range(dim_in):
-            op = np.zeros((sigma.dim, dim_in), dtype=complex)
-            op[:, n] = col
-            ops.append(op)
-    return QuantumChannel(ops, dim_in, sigma.dim)
+    keep = eigvals > KRAUS_CUTOFF
+    cols = eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    # ops[m, n][:, n] = col_m, written into zeros so every other entry is +0.
+    ops = np.zeros((cols.shape[1], dim_in, sigma.dim, dim_in), dtype=complex)
+    n = np.arange(dim_in)
+    ops[:, n, :, n] = cols.T
+    return QuantumChannel(ops.reshape(-1, sigma.dim, dim_in))
 
 
 def make_qc_channel(povm, basis) -> QuantumChannel:
@@ -304,10 +299,9 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
     if not effects:
         raise InvalidChannelError("POVM must be non-empty")
     dim_in = effects[0].shape[0]
-    dim_out = kets[0].size
     total = np.zeros((dim_in, dim_in), dtype=complex)
-    spectra = []
-    for idx, f in enumerate(effects):
+    ops = []
+    for idx, (f, k) in enumerate(zip(effects, kets)):
         if f.shape != (dim_in, dim_in):
             raise InvalidChannelError(f"POVM element {idx} has shape {f.shape}")
         eigvals, eigvecs = eig_hermitian(f, what=f"POVM element {idx}", error=InvalidChannelError)
@@ -316,7 +310,10 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
                 f"POVM element {idx} is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
         total += f
-        spectra.append((eigvals, eigvecs))
+        # sqrt(mu_m) |k><v_m| over the kept eigenpairs of F.
+        keep = eigvals > KRAUS_CUTOFF
+        outers = k[:, None] * eigvecs[:, keep].conj().T[:, None, :]
+        ops.append(np.sqrt(eigvals[keep])[:, None, None] * outers)
     if np.linalg.norm(total - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in):
         raise InvalidChannelError("POVM elements do not sum to the identity")
     for a in range(len(kets)):
@@ -327,13 +324,7 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
                 raise InvalidChannelError(
                     f"output basis is not orthonormal: <{a}|{b}> = {overlap:.3e}"
                 )
-    ops = []
-    for (eigvals, eigvecs), k in zip(spectra, kets):
-        for m in range(dim_in):
-            if eigvals[m] <= KRAUS_CUTOFF:
-                continue
-            ops.append(np.sqrt(eigvals[m]) * np.outer(k, eigvecs[:, m].conj()))
-    return QuantumChannel(ops, dim_in, dim_out)
+    return QuantumChannel(np.concatenate(ops))
 
 
 @dataclass(frozen=True)
@@ -371,8 +362,8 @@ def make_unital_qubit(params: UnitalQubitParams) -> QuantumChannel:
     l1, l2, l3 = params.l1, params.l2, params.l3
     p = 0.25 * np.array([1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
     cutoff = ZERO_CUTOFF * max(1.0, 2.0 * p.max())
-    ops = [np.sqrt(w) * s for w, s in zip(p, (PAULI_I, *PAULIS)) if 2.0 * w > cutoff]
-    return QuantumChannel(ops, 2, 2)
+    keep = 2.0 * p > cutoff
+    return QuantumChannel(np.sqrt(p[keep])[:, None, None] * np.array((PAULI_I, *PAULIS))[keep])
 
 
 def random_channel(
@@ -388,6 +379,4 @@ def random_channel(
             f"kraus_rank {kraus_rank} too small for a {dim_in} -> {dim_out} isometry"
         )
     u = random_unitary(dim_out * kraus_rank, rng)
-    iso = u[:, :dim_in]
-    ops = [iso[m * dim_out : (m + 1) * dim_out, :] for m in range(kraus_rank)]
-    return QuantumChannel(ops, dim_in, dim_out)
+    return QuantumChannel(u[:, :dim_in].reshape(kraus_rank, dim_out, dim_in))

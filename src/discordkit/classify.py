@@ -140,7 +140,7 @@ def _probe_pair_witness(channel: QuantumChannel, kind: str) -> dict:
     """
     score_key, score = _PAIR_WITNESSES[kind]
     probes = _hermitian_probe_inputs(channel.dim_in)
-    images = [channel.apply_matrix(p) for p in probes]
+    images = channel.apply_matrix(np.array(probes))
     best = None
     best_score = 0.0
     for a in range(len(probes)):
@@ -424,12 +424,6 @@ class SweepRow:
     max_discord: float
 
 
-def sweep_probe_states(side: str, dim_other: int, n: int, seed: int = 71) -> list[BipartiteState]:
-    """Probe inputs for sweep diagnostics, on 2 (x) dim_other or its mirror."""
-    dims = (2, dim_other) if side.upper() == "A" else (dim_other, 2)
-    return witness_probe_states(dims[0], dims[1], budget=n, seed=seed)
-
-
 def tetrahedron_sweep(
     step: float,
     side: str,
@@ -452,7 +446,8 @@ def tetrahedron_sweep(
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     n = int(round(2.0 / step))
     values = -1.0 + step * np.arange(n + 1)
-    probes = sweep_probe_states(side, dim_other, n_probe_states, seed) if n_probe_states else []
+    dims = (2, dim_other) if side == "A" else (dim_other, 2)
+    probes = witness_probe_states(*dims, budget=n_probe_states, seed=seed) if n_probe_states else []
     decide = _qc_decision if side == "A" else _point_decision
     rows = []
     for l1, l2, l3 in itertools.product(values.tolist(), repeat=3):

@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_pair, default=None,
                    help="theta x phi grid of hybrid and grid, dA = 2 only (default 32x64)")
     p.add_argument("--restarts", type=_nonnegative_int, default=20,
-                   help="Haar frames of multistart, which every dA other than 2 uses")
+                   help="Haar frames of multistart, which every dA other than 2 uses; "
+                   "hybrid and grid on a qubit A ignore it")
     p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     add_common(p)
     p.set_defaults(func=cmd_discord)

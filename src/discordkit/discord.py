@@ -140,7 +140,8 @@ class MultiStart:
 @dataclass(frozen=True)
 class Hybrid:
     """Coarse grid followed by a batched pattern search from the best grid
-    points; the search's first angle step is the grid spacing."""
+    points; the search's first angle step is the grid spacing.  Defined for a
+    qubit A only: on dA != 2 it runs ``MultiStart(20)`` instead."""
 
     n_theta: int = 32
     n_phi: int = 64
@@ -434,7 +435,9 @@ def classical_correlation(
 
     The returned value is evaluated exactly at the returned measurement
     (a certified lower bound on the true maximum); ties between candidate
-    measurements fall to the lowest grid or restart index.
+    measurements fall to the lowest grid or restart index.  ``Hybrid`` and
+    ``Grid`` need a qubit A: on dA != 2, ``Hybrid`` runs ``MultiStart(20)``
+    and ``Grid`` raises ValueError.
     """
     value, meas, _ = _classical_correlation_traced(rho, strategy, seed)
     return value, meas
@@ -463,7 +466,8 @@ def discord(
 
     Because J is a lower bound on the true maximum, the returned value is
     an upper bound on the discord; use :func:`is_cq_exact` to certify zero
-    discord rather than testing this value against zero.
+    discord rather than testing this value against zero.  On dA != 2,
+    ``Hybrid`` runs ``MultiStart(20)`` and ``Grid`` raises ValueError.
     """
     info = mutual_information(rho)
     j_value, meas, trace = _classical_correlation_traced(rho, strategy, seed)

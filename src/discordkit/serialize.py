@@ -157,7 +157,7 @@ def load_channel(source, *, cp_tol: float = VALIDITY_TOL) -> QuantumChannel:
             ops = [
                 decode_matrix(item, (dout, din), f"data[{i}]") for i, item in enumerate(data)
             ]
-            return QuantumChannel(ops, din, dout)
+            return QuantumChannel(ops)
         d = din * dout
         j = decode_matrix(data, (d, d), "data")
         return QuantumChannel.from_choi(j, din, dout, cp_tol=cp_tol)

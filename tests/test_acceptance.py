@@ -33,8 +33,8 @@ from discordkit.classify import (
     ActsOnA,
     classify_channel,
     is_entanglement_breaking,
-    sweep_probe_states,
     tetrahedron_sweep,
+    witness_probe_states,
 )
 from discordkit.cqsets import (
     BothEntry,
@@ -223,7 +223,7 @@ def test_criterion_1_axis_law_side_a():
             axis_rows.append(row)
     assert len(axis_rows) == 49
 
-    probes = sweep_probe_states("A", 2, 20, seed=PROBE_SEED)
+    probes = witness_probe_states(2, 2, budget=20, seed=PROBE_SEED)
     worst_axis = 0.0
     for row in axis_rows:
         channel = extend(make_unital_qubit(UnitalQubitParams(row.l1, row.l2, row.l3)), "A", 2)
@@ -430,7 +430,7 @@ def test_criterion_6_composition_and_nonconvexity():
     certification = apply_and_certify(da_mix, 2, 2, n_samples=200, seed=0)
     assert not certification.passed
     da_witness_discord = 0.0
-    for probe in sweep_probe_states("A", 2, 20, seed=PROBE_SEED):
+    for probe in witness_probe_states(2, 2, budget=20, seed=PROBE_SEED):
         da_witness_discord = max(
             da_witness_discord, discord(da_mix.apply(probe), Hybrid()).value
         )

@@ -54,6 +54,34 @@ def unital_qubit_reference(params):
     return QuantumChannel.from_choi(np.block(blocks), 2, 2)
 
 
+def choi_from_kraus(kraus):
+    """``sum_k vec(K_k^T) vec(K_k^T)^dag`` by one matrix product."""
+    vecs = np.asarray(kraus).transpose(0, 2, 1).reshape(len(kraus), -1)
+    return vecs.T @ vecs.conj()
+
+
+def apply_kraus_loop(kraus, m):
+    """The Kraus sum one operator at a time, as channels were applied before
+    the Kraus set became one stack."""
+    out = np.zeros((kraus[0].shape[0],) * 2, dtype=complex)
+    for op in kraus:
+        out += op @ m @ op.conj().T
+    return out
+
+
+def transfer_double_loop(channel):
+    """The transfer matrix entry by entry, as it was built before the Kraus
+    set became one stack."""
+    basis_in = hermitian_basis(channel.dim_in).elements
+    basis_out = hermitian_basis(channel.dim_out).elements
+    t = np.empty((len(basis_out), len(basis_in)))
+    for b, g_in in enumerate(basis_in):
+        image = apply_kraus_loop(channel.kraus, g_in)
+        for a, g_out in enumerate(basis_out):
+            t[a, b] = np.trace(g_out @ image).real
+    return t
+
+
 def tetrahedron_points(step):
     """Grid points of the CPTP tetrahedron at ``step``; with 2 / step whole,
     the four vertices are among them."""
@@ -169,6 +197,16 @@ class TestChoiConversions:
             assert len(channel.kraus) == len(expected)
             for k, e in zip(channel.kraus, expected):
                 assert np.array_equal(k, e)
+
+    def test_choi_is_that_of_the_kept_kraus_set(self):
+        # eps is below the default cp_tol, so the eigenvalue -eps passes the
+        # PSD check and is dropped; the Choi matrix must drop it too.
+        eps = 5e-10
+        j = (1 - eps) * QuantumChannel.identity(2).choi + eps * np.eye(4)[[0, 2, 1, 3]]
+        channel = QuantumChannel.from_choi(j, 2, 2)
+        assert len(channel.kraus) == 3
+        assert np.abs(channel.choi - choi_from_kraus(channel.kraus)).max() <= 1e-15
+        assert np.linalg.eigvalsh(channel.choi)[0] >= -1e-15
 
     def test_from_choi_rejects_non_finite(self):
         j = QuantumChannel.identity(2).choi.copy()
@@ -370,3 +408,52 @@ class TestConstructedChannelInvariants:
 
         marg = partial_trace_matrix(channel.choi, 3, 2, "A")
         assert np.linalg.norm(marg - np.eye(3)) <= 1e-9
+
+
+class TestKrausStack:
+    def test_stack_shape_and_dims(self):
+        channel = random_channel(3, 2, 4, 80)
+        assert channel.kraus.shape == (4, 2, 3)
+        assert channel.kraus.dtype == complex
+        assert (channel.dim_in, channel.dim_out) == (3, 2)
+
+    def test_stack_is_read_only(self):
+        ops = np.array([np.eye(2, dtype=complex)])
+        channel = QuantumChannel(ops)
+        assert not channel.kraus.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            channel.kraus[0, 0, 0] = 2.0
+        ops[0, 0, 0] = 2.0  # the channel holds its own copy
+        assert channel.kraus[0, 0, 0] == 1.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidChannelError, match="at least one Kraus operator"):
+            QuantumChannel([])
+
+    def test_ragged_rejected(self):
+        with pytest.raises(InvalidChannelError, match=r"operator 1 has shape \(3, 3\)"):
+            QuantumChannel([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("kraus", [np.eye(2), [np.zeros((1, 2, 2))]])
+    def test_non_3d_rejected(self, kraus):
+        with pytest.raises(InvalidChannelError, match="expected a matrix"):
+            QuantumChannel(kraus)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4)])
+    def test_apply_matrix_on_a_stack_equals_single_calls(self, dims):
+        din, dout = dims
+        channel = random_channel(din, dout, 3, 81)
+        rng = np.random.default_rng(82)
+        stack = rng.standard_normal((2, 5, din, din)) + 1j * rng.standard_normal((2, 5, din, din))
+        images = channel.apply_matrix(stack)
+        assert images.shape == (2, 5, dout, dout)
+        for idx in np.ndindex(2, 5):
+            single = channel.apply_matrix(stack[idx])
+            assert np.array_equal(images[idx], single)
+            assert np.array_equal(single, apply_kraus_loop(channel.kraus, stack[idx]))
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_transfer_equals_double_loop(self, dim):
+        for din, dout in ((dim, dim), (dim, dim - 1), (dim - 1, dim)):
+            channel = random_channel(din, dout, 3, 90 + dim)
+            assert np.array_equal(channel.transfer(), transfer_double_loop(channel)), (din, dout)

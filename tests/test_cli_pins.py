@@ -1,0 +1,158 @@
+"""SHA-256 pins of the CLI's output on seeded inputs.
+
+Every command runs in process with the default ``--seed`` 42 unless it
+names one.  The digests cover stdout and every file a command writes, and
+hold for the pinned numpy 2.4 / OpenBLAS build; another BLAS build may
+round the printed floats differently.  A change that moves a digest on
+purpose records the old and new digest, and why, in CHANGES.md.  The
+step-0.125 sweeps are pinned in ``test_cli.py``.
+
+Inputs: ``s22`` = ``random_bipartite(2, 2, 1)``, ``s32`` =
+``random_bipartite(3, 2, 2)``, ``rand2`` = ``random_channel(2, 2, 2, 3)``,
+``rand4`` = ``random_channel(4, 4, 2, 5)``, ``deph`` = Kraus
+{sqrt(0.7) I, sqrt(0.3) Z} and ``dephfull`` = {sqrt(0.5) I, sqrt(0.5) Z},
+every channel written by ``save_channel``.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from discordkit.channels import QuantumChannel, random_channel
+from discordkit.cli import main
+from discordkit.serialize import save_channel, save_state
+from discordkit.states import PAULI_I, PAULIS, random_bipartite
+
+GEN_DA = {
+    "gen_22": ["--random", "2x2", "--seed", "7", "--out", "{w}/da22.json"],
+    "gen_33": [
+        "--random", "3x3", "--seed", "8", "--out", "{w}/da33.json",
+        "--spec-out", "{w}/da33_spec.json",
+    ],
+    "gen_23": ["--random", "2x3", "--seed", "9", "--out", "{w}/da23.json"],
+    "gen_42": ["--random", "4x2", "--seed", "10", "--out", "{w}/da42.json"],
+}
+
+# (name, argv, exit code); every name is the digest of that command's stdout.
+COMMANDS = [
+    ("cls_AB_da22", ["classify", "{w}/da22.json", "--side", "AB", "--dims", "2x2"], 0),
+    (
+        "cls_AB_da22_s20",
+        ["classify", "{w}/da22.json", "--side", "AB", "--dims", "2x2", "--samples", "20"],
+        0,
+    ),
+    ("cls_AB_da23", ["classify", "{w}/da23.json", "--side", "AB", "--dims", "2x3"], 0),
+    ("cls_AB_da33", ["classify", "{w}/da33.json", "--side", "AB", "--dims", "3x3"], 0),
+    ("cls_AB_da42", ["classify", "{w}/da42.json", "--side", "AB", "--dims", "4x2"], 0),
+    ("cls_AB_rand", ["classify", "{w}/rand4.json", "--side", "AB", "--dims", "2x2"], 0),
+    ("cls_A_deph", ["classify", "{w}/deph.json", "--side", "A"], 0),
+    ("cls_A_dephfull", ["classify", "{w}/dephfull.json", "--side", "A"], 0),
+    ("cls_A_rand", ["classify", "{w}/rand2.json", "--side", "A"], 0),
+    ("cls_B_deph", ["classify", "{w}/deph.json", "--side", "B"], 0),
+    ("cls_B_dephfull", ["classify", "{w}/dephfull.json", "--side", "B"], 0),
+    ("cls_B_rand", ["classify", "{w}/rand2.json", "--side", "B"], 0),
+    ("discord_22", ["discord", "{w}/s22.json"], 0),
+    ("grid_22", ["discord", "{w}/s22.json", "--strategy", "grid"], 0),
+    (
+        "discord_32",
+        ["discord", "{w}/s32.json", "--strategy", "multistart", "--restarts", "2"],
+        0,
+    ),
+    ("default_32", ["discord", "{w}/s32.json"], 0),
+    ("verify_pass", ["verify-da", "--channel", "{w}/da22.json", "--dims", "2x2"], 0),
+    (
+        "verify_fail",
+        [
+            "verify-da", "--channel", "{w}/rand4.json", "--dims", "2x2",
+            "--witness-out", "{w}/witness.json",
+        ],
+        3,
+    ),
+    ("sweep_A", ["tetra-sweep", "--step", "0.25", "--side", "A"], 0),
+    ("sweep_B", ["tetra-sweep", "--step", "0.25", "--side", "B"], 0),
+]
+
+DIGESTS = {
+    "gen_22": "68bd60e921ccb62c1b924f7d1802c18a137118807a97cf09b5d46c95f3a01897",
+    "gen_33": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "gen_23": "21bf9a4a7f7e80157d8da7ee5963d88ae3ce323e2145880899dfd102ea30bb1e",
+    "gen_42": "b4f7df6c45fad3db721926c92a1175c7bb83f14f226151bee971e9d1c5f03489",
+    "da22.json": "c986faadd340ae93edfe7abccbe1c4a3addabc1142bd67a947e72ad536301e96",
+    "da23.json": "fd9f8f4c83bb2c9f1b1ac360f98970228df159957b8d4129beeb991a3418bdb9",
+    "da33.json": "af4d55d71e5f486139008316f6ae4bd155c56574a1ffe89315c27b9fe93ad03e",
+    "da33_spec.json": "dc9b3ac6806ae3dd8ad6c69487c9c8d0ae95154bf926142576256e34f4c98a76",
+    "da42.json": "729582e246181bd9f31bfa2da3948c613ae0f35e0b3cc7b35f514fe5dd6be298",
+    "cls_AB_da22": "3cc3067ecb770697b7f5a0d966531d44fd0725d71b204f49431d553fbb0df117",
+    "cls_AB_da22_s20": "5b084d793881bd84ab4a0ba07aa2e9eeded7c14a5d7439085108334e7cd987e8",
+    "cls_AB_da23": "10608a376ca9a849d23a2c0a03c530aa75c2d423669a7957d660b17527684023",
+    "cls_AB_da33": "586885771ddec452c30347f2b096aaa77c2b2d8363fcdd64411168ec3a2d71f2",
+    "cls_AB_da42": "2898fb2ca6b4e466cfef3734ddf9d9a1cdfe03c31dcb19b465380e3a282daf9b",
+    "cls_AB_rand": "ed08aa69485a1028d6e04a873f814b4d885e11a4d248499d3143c979f77c50ea",
+    "cls_A_deph": "759ebbd53a4eb67d3bb45bfd3df95191ca027d675395efa2b3b4c798b94d7732",
+    "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",
+    "cls_A_rand": "5e8c562db0f5b2d93714c64921066ca1436631242a6e3ee6efddf110ff60c59f",
+    "cls_B_deph": "dc1e814afc96a18c22627e58a6dbcef024fe62e13699e91924511f72ee6aada4",
+    "cls_B_dephfull": "227fb9eb162c9db82e45a72a6289f1b8cd66d0f35dea5713b3e7256f5dbb8598",
+    "cls_B_rand": "909727375e0d744243144180898832133d6a20af4bd3cc0cce11a483bf816885",
+    "discord_22": "0a2f4a00f78a15e05e3c8a0d0067bf5a4536c644ac2ac46d9eed8ecb4848e9b4",
+    "grid_22": "cae568e19f051e1cb36e8bc01a391e7a772c167eab005b2fbbd1a54424bc89fc",
+    "discord_32": "88512f45a3a6bc9eac11654e71e341231abdfba56ffff2fefccd5bbe980495e6",
+    "default_32": "0deb86556ddb2c9b17dcdc9e698ba8d598158144e25ed62e80cf0a7b48178a3f",
+    "verify_pass": "bedeff0891b98d58497d8227be972b258c9a7f4e9dbc03f03ebb77b1abc8be37",
+    "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "witness.json": "6541c0614a0e0ff76f556a3fa6400b22c565333ea4e28a48fe0cdebf84515bf5",
+    "sweep_A": "5864d72ec2b19cc30caa2921749f25c9e5db64f497736726e9b3ef118f31482c",
+    "sweep_B": "7ded4d5ba4f1e1318525af2d0d3c728c5b4052c192f1d070884dfabd977c7ba8",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(argv, work) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([arg.format(w=work) for arg in argv])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """The input files, then the four ``gen-da`` runs and their stdout."""
+    w = tmp_path_factory.mktemp("pins")
+    save_state(random_bipartite(2, 2, 1), w / "s22.json")
+    save_state(random_bipartite(3, 2, 2), w / "s32.json")
+    save_channel(random_channel(2, 2, 2, 3), w / "rand2.json")
+    save_channel(random_channel(4, 4, 2, 5), w / "rand4.json")
+    for name, p, q in (("deph", 0.7, 0.3), ("dephfull", 0.5, 0.5)):
+        kraus = [np.sqrt(p) * PAULI_I, np.sqrt(q) * PAULIS[2]]
+        save_channel(QuantumChannel(kraus), w / f"{name}.json")
+    gen_stdout = {name: run_cli(["gen-da", *argv], w) for name, argv in GEN_DA.items()}
+    return w, gen_stdout
+
+
+@pytest.mark.parametrize("name", list(GEN_DA))
+def test_gen_da_stdout_pinned(work, name):
+    code, out = work[1][name]
+    assert code == 0
+    assert sha256(out.encode()) == DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["da22.json", "da23.json", "da33.json", "da33_spec.json", "da42.json"]
+)
+def test_gen_da_files_pinned(work, name):
+    assert sha256((work[0] / name).read_bytes()) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, argv, code", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_command_stdout_pinned(work, name, argv, code):
+    got_code, out = run_cli(argv, work[0])
+    assert got_code == code
+    assert sha256(out.encode()) == DIGESTS[name]
+    if name == "verify_fail":
+        assert sha256((work[0] / "witness.json").read_bytes()) == DIGESTS["witness.json"]
