@@ -137,7 +137,8 @@ def _entry_projector(entry: Entry, dim_a: int, *, index: int = -1) -> np.ndarray
     p = np.asarray(entry.projector, dtype=complex)
     if p.shape != (dim_a, dim_a):
         raise InvalidDASpecError(f"entry {index}: projector has shape {p.shape}")
-    if np.linalg.norm(p @ p - p) > PARTITION_TOL:
+    hermitian_defect = np.linalg.norm(p - p.conj().T)
+    if np.linalg.norm(p @ p - p) > PARTITION_TOL or hermitian_defect > PARTITION_TOL:
         raise InvalidDASpecError(f"entry {index}: matrix is not an orthogonal projector")
     return p
 
@@ -185,13 +186,7 @@ def induced_cq_subset(spec: DAChannelSpec) -> ConvexCQSubsetSpec:
     )
 
 
-def random_da_spec(
-    dim_a: int,
-    dim_b: int,
-    rng,
-    *,
-    pre_kraus_rank: int | None = None,
-) -> DAChannelSpec:
+def random_da_spec(dim_a: int, dim_b: int, rng) -> DAChannelSpec:
     """Random partition (rank-1 entries with either action, larger ones pinned)
     over a Haar-random A basis, with a random CPTP pre-channel."""
     rng = as_rng(rng)
@@ -223,8 +218,7 @@ def random_da_spec(
                 MultiEntry(projector=block @ block.conj().T, action=PointTo(target))
             )
     d = dim_a * dim_b
-    rank = pre_kraus_rank if pre_kraus_rank is not None else int(rng.integers(2, 5))
-    pre = random_channel(d, d, rank, rng)
+    pre = random_channel(d, d, int(rng.integers(2, 5)), rng)
     return DAChannelSpec.make(dim_a, dim_b, entries, pre_channel=pre)
 
 
@@ -345,13 +339,12 @@ class MatchResult:
 def _commutant_element(generators, dim: int, rng) -> np.ndarray:
     """Random Hermitian element commuting with every generator."""
     basis = hermitian_basis(dim).elements
-    rows = []
-    for g in generators:
-        cols = [(b @ g - g @ b).reshape(-1) for b in basis]
-        m = np.column_stack(cols)
-        rows.append(m.real)
-        rows.append(m.imag)
-    stacked = np.vstack(rows)
+    stack = np.array(basis)
+    g = np.asarray(generators)[:, None]
+    comms = (stack @ g - g @ stack).reshape(len(g), len(basis), dim * dim)
+    # Rows [g0 real, g0 imag, g1 real, ...], one column per basis element.
+    parts = np.stack([comms.real, comms.imag], axis=1)
+    stacked = parts.transpose(0, 1, 3, 2).reshape(-1, len(basis))
     # 2 * len(generators) * dim**2 rows against dim**2 columns: the thin
     # SVD's vt is square and holds every right singular vector.
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)

@@ -265,21 +265,21 @@ def analyze_transfer(channel: QuantumChannel) -> TransferAnalysis:
 # -- named constructors ----------------------------------------------------
 
 
-def make_point_channel(sigma: DensityOperator, dim_in: int | None = None) -> QuantumChannel:
-    """Constant channel ``X -> tr[X] sigma``.
+def make_point_channel(sigma: DensityOperator) -> QuantumChannel:
+    """Constant channel ``X -> tr[X] sigma`` on the space of ``sigma``.
 
     Kraus operators are ``sqrt(mu_m) |v_m><n|`` over the eigenpairs of
     ``sigma`` and the input basis kets ``|n>``.
     """
-    dim_in = sigma.dim if dim_in is None else dim_in
+    d = sigma.dim
     eigvals, eigvecs = eig_hermitian(sigma.matrix)
     keep = eigvals > KRAUS_CUTOFF
     cols = eigvecs[:, keep] * np.sqrt(eigvals[keep])
     # ops[m, n][:, n] = col_m, written into zeros so every other entry is +0.
-    ops = np.zeros((cols.shape[1], dim_in, sigma.dim, dim_in), dtype=complex)
-    n = np.arange(dim_in)
+    ops = np.zeros((cols.shape[1], d, d, d), dtype=complex)
+    n = np.arange(d)
     ops[:, n, :, n] = cols.T
-    return QuantumChannel(ops.reshape(-1, sigma.dim, dim_in))
+    return QuantumChannel(ops.reshape(-1, d, d))
 
 
 def make_qc_channel(povm, basis) -> QuantumChannel:
@@ -316,14 +316,14 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
         ops.append(np.sqrt(eigvals[keep])[:, None, None] * outers)
     if np.linalg.norm(total - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in):
         raise InvalidChannelError("POVM elements do not sum to the identity")
-    for a in range(len(kets)):
-        for b in range(a, len(kets)):
-            overlap = np.vdot(kets[a], kets[b])
-            expected = 1.0 if a == b else 0.0
-            if abs(overlap - expected) > VALIDITY_TOL:
-                raise InvalidChannelError(
-                    f"output basis is not orthonormal: <{a}|{b}> = {overlap:.3e}"
-                )
+    gram = np.conj(kets) @ np.transpose(kets)
+    first, second = np.triu_indices(len(kets))
+    bad = np.flatnonzero(np.abs(gram[first, second] - (first == second)) > VALIDITY_TOL)
+    if bad.size:
+        a, b = first[bad[0]], second[bad[0]]
+        raise InvalidChannelError(
+            f"output basis is not orthonormal: <{a}|{b}> = {gram[a, b]:.3e}"
+        )
     return QuantumChannel(np.concatenate(ops))
 
 

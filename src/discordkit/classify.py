@@ -37,6 +37,7 @@ from .discord import DecompositionError, Hybrid, cq_decompose, discord, is_cq_ex
 from .states import (
     BipartiteState,
     DensityOperator,
+    _frobenius_norms,
     as_rng,
     basis_ket,
     bell_state,
@@ -71,6 +72,8 @@ def _fourier_ket(dim: int, k: int) -> np.ndarray:
 def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, seed: int = 137):
     """Deterministic probe family: entangled states, product extremes and
     noncommuting classical mixtures first, then seeded random states."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     states: list[BipartiteState] = []
     if dim_a == 2 and dim_b == 2:
         states.extend(bell_state(k) for k in range(4))
@@ -122,38 +125,30 @@ def _hermitian_probe_inputs(dim: int) -> list[np.ndarray]:
 
 
 # Witnesses made of two probe inputs, by kind: the key their score is
-# reported under, and the score of the two outputs.
+# reported under, and the scores of stacks of output pairs.
 _PAIR_WITNESSES = {
-    "distinct-outputs": ("distance", lambda x, y: float(np.linalg.norm(x - y))),
-    "noncommuting-outputs": (
-        "commutator_norm",
-        lambda x, y: float(np.linalg.norm(x @ y - y @ x)),
-    ),
+    "distinct-outputs": ("distance", lambda x, y: _frobenius_norms(x - y)),
+    "noncommuting-outputs": ("commutator_norm", lambda x, y: _frobenius_norms(x @ y - y @ x)),
 }
 
 
 def _probe_pair_witness(channel: QuantumChannel, kind: str) -> dict:
     """The pair of Hermitian probe inputs whose outputs score highest.
 
-    Pairs are scanned in order and only a strictly higher score replaces
-    the best so far, so the first maximising pair wins.
+    Every pair is scored as one stack, in row-major order of the upper
+    triangle, and the first maximising pair wins.
     """
     score_key, score = _PAIR_WITNESSES[kind]
-    probes = _hermitian_probe_inputs(channel.dim_in)
-    images = channel.apply_matrix(np.array(probes))
-    best = None
-    best_score = 0.0
-    for a in range(len(probes)):
-        for b in range(a + 1, len(probes)):
-            value = score(images[a], images[b])
-            if value > best_score:
-                best_score = value
-                best = (probes[a], probes[b])
+    probes = np.array(_hermitian_probe_inputs(channel.dim_in))
+    images = channel.apply_matrix(probes)
+    first, second = np.triu_indices(len(probes), 1)
+    scores = score(images[first], images[second])
+    best = int(np.argmax(scores))
     return {
         "kind": kind,
-        "input_a": DensityOperator.from_matrix(best[0], name="witness input"),
-        "input_b": DensityOperator.from_matrix(best[1], name="witness input"),
-        score_key: best_score,
+        "input_a": DensityOperator.from_matrix(probes[first[best]], name="witness input"),
+        "input_b": DensityOperator.from_matrix(probes[second[best]], name="witness input"),
+        score_key: float(scores[best]),
     }
 
 
@@ -254,9 +249,9 @@ def recheck_witness(channel: QuantumChannel, witness: dict) -> float:
     """Re-evaluate a witness residual from scratch; used to validate verdicts."""
     kind = witness["kind"]
     if kind in _PAIR_WITNESSES:
-        out_a = channel.apply_matrix(witness["input_a"].matrix)
-        out_b = channel.apply_matrix(witness["input_b"].matrix)
-        return _PAIR_WITNESSES[kind][1](out_a, out_b)
+        out_a = channel.apply_matrix(witness["input_a"].matrix[None])
+        out_b = channel.apply_matrix(witness["input_b"].matrix[None])
+        return float(_PAIR_WITNESSES[kind][1](out_a, out_b)[0])
     if kind == "npt-eigenvector":
         vec = witness["vector"]
         return -float(np.real(vec.conj() @ _choi_partial_transpose(channel) @ vec))
@@ -488,13 +483,12 @@ class LocalDAVerdict:
         return self.kind != "not-da"
 
 
-def is_local_da(
-    channel_a: QuantumChannel,
-    channel_b: QuantumChannel,
-    *,
-    seed: int = 5,
-    budget: int = 200,
-) -> LocalDAVerdict:
+# is_local_da searches this many witness probe states, drawn from this seed.
+_LOCAL_DA_BUDGET = 200
+_LOCAL_DA_SEED = 5
+
+
+def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDAVerdict:
     """Decide whether a product channel annihilates discord.
 
     This holds exactly when the A factor is a measure-and-prepare channel
@@ -507,7 +501,7 @@ def is_local_da(
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
-    scan = _cq_scan(product, witness_probe_states(dim_a, dim_b, budget=budget, seed=seed))
+    scan = _cq_scan(product, witness_probe_states(dim_a, dim_b, _LOCAL_DA_BUDGET, _LOCAL_DA_SEED))
     # A failing output's residual exceeds every passing one, so the scan's
     # worst input is the first failing input when there is one.
     return LocalDAVerdict(kind="not-da", witness=scan.worst_input, residual=scan.worst_residual)

@@ -248,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a channel file")
     p.add_argument("channel", help="JSON channel file")
     p.add_argument("--side", choices=["A", "B", "AB", "a", "b", "ab"], required=True)
-    p.add_argument("--dim-other", type=int, default=2, dest="dim_other",
+    p.add_argument("--dim-other", type=_positive_int, default=2, dest="dim_other",
                    help="dimension of the untouched subsystem (sides A and B)")
     p.add_argument("--dims", default=None, help="dAxdB split for side AB")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_nonnegative_int, default=200)
     p.add_argument("--out", default=None)
     add_common(p)
     add_tolerances(p)
@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tetra-sweep", help="sweep the unital-qubit tetrahedron to CSV")
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--side", choices=["A", "B", "a", "b"], required=True)
-    p.add_argument("--dim-other", type=int, default=2, dest="dim_other")
-    p.add_argument("--probes", type=int, default=0,
+    p.add_argument("--dim-other", type=_positive_int, default=2, dest="dim_other")
+    p.add_argument("--probes", type=_nonnegative_int, default=0,
                    help="probe states per grid point for the discord column (0 = skip)")
     p.add_argument("--out", default=None)
     add_common(p)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-da", help="certify a channel as discord-annihilating")
     p.add_argument("--channel", required=True)
     p.add_argument("--dims", required=True, metavar="dAxdB")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_nonnegative_int, default=200)
     p.add_argument("--witness-out", default="da_witness.json", dest="witness_out")
     add_common(p)
     add_tolerances(p)
@@ -302,6 +302,13 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 

@@ -20,6 +20,7 @@ from .discord import is_cq_exact
 from .states import (
     BipartiteState,
     DensityOperator,
+    _frobenius_norms,
     as_rng,
     random_density,
 )
@@ -62,15 +63,15 @@ class ConvexCQSubsetSpec:
     fixed_entries: tuple[FixedEntry, ...] = ()
     point_entries: tuple[PointEntry, ...] = ()
 
-    def support_projectors(self) -> list[np.ndarray]:
-        """One A-side projector per entry, in (both, fixed, point) order."""
+    def support_projectors(self) -> np.ndarray:
+        """Stack ``(n_entries, dA, dA)`` of A-side projectors, in (both, fixed, point) order."""
         projs = []
         for entry in self.both_entries + self.fixed_entries:
             v = entry.vector / np.linalg.norm(entry.vector)
             projs.append(np.outer(v, v.conj()))
         for entry in self.point_entries:
-            projs.append(np.asarray(entry.projector, dtype=complex))
-        return projs
+            projs.append(entry.projector)
+        return np.array(projs, dtype=complex).reshape(-1, self.dim_a, self.dim_a)
 
     @property
     def n_entries(self) -> int:
@@ -117,17 +118,16 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
         if entry.generators is not None and len(entry.generators) == 0:
             return SpecDiagnostics(False, f"{label}: empty generator list")
     projs = spec.support_projectors()
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            overlap = float(np.linalg.norm(projs[i] @ projs[j]))
-            if overlap > PARTITION_TOL:
-                return SpecDiagnostics(
-                    False,
-                    f"{labels[i]} and {labels[j]} overlap (norm {overlap:.3e})",
-                )
-    if projs:
-        total = sum(projs)
-        top = float(np.linalg.eigvalsh(total)[-1])
+    first, second = np.triu_indices(len(projs), 1)
+    overlaps = _frobenius_norms(projs[first] @ projs[second])
+    bad = np.flatnonzero(overlaps > PARTITION_TOL)
+    if bad.size:
+        i, j = first[bad[0]], second[bad[0]]
+        return SpecDiagnostics(
+            False, f"{labels[i]} and {labels[j]} overlap (norm {overlaps[bad[0]]:.3e})"
+        )
+    if len(projs):
+        top = float(np.linalg.eigvalsh(projs.sum(axis=0))[-1])
         if top > 1.0 + PARTITION_TOL:
             return SpecDiagnostics(False, f"entry supports exceed the identity (max eig {top:.6f})")
     return SpecDiagnostics(True, None)
@@ -217,18 +217,13 @@ def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState) -> bool:
     if not diag:
         raise ValueError(f"invalid subset spec: {diag.message}")
     m = rho.matrix
-    eye_b = np.eye(spec.dim_b, dtype=complex)
-    projs = spec.support_projectors()
-    total = sum(projs) if projs else np.zeros((spec.dim_a, spec.dim_a), dtype=complex)
-    big = np.kron(total, eye_b)
-    if np.linalg.norm(m - big @ m @ big) > MEMBERSHIP_TOL:
+    big = np.kron(spec.support_projectors(), np.eye(spec.dim_b, dtype=complex))
+    whole = big.sum(axis=0)
+    if np.linalg.norm(m - whole @ m @ whole) > MEMBERSHIP_TOL:
         return False
-    for i in range(len(projs)):
-        big_i = np.kron(projs[i], eye_b)
-        for j in range(i + 1, len(projs)):
-            big_j = np.kron(projs[j], eye_b)
-            if np.linalg.norm(big_i @ m @ big_j) > MEMBERSHIP_TOL:
-                return False
+    first, second = np.triu_indices(len(big), 1)
+    if np.any(_frobenius_norms(big[first] @ m @ big[second]) > MEMBERSHIP_TOL):
+        return False
 
     r4 = m.reshape(spec.dim_a, spec.dim_b, spec.dim_a, spec.dim_b)
 

@@ -21,6 +21,7 @@ from .states import (
     BipartiteState,
     DensityOperator,
     PAULIS,
+    _frobenius_norms,
     as_rng,
     entropy_from_eigenvalues,
     partial_trace,
@@ -85,14 +86,17 @@ class ProjectiveMeasurement:
         return cls(dim=2, projectors=((eye + nm) / 2.0, (eye - nm) / 2.0))
 
     def _check(self):
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, pa in enumerate(self.projectors):
-            for b, pb in enumerate(self.projectors):
-                target = pa if a == b else 0.0
-                if np.linalg.norm(pa @ pb - target) > PARTITION_TOL:
-                    raise ValueError(f"projectors {a} and {b} are not orthogonal idempotents")
-            total += pa
-        if np.linalg.norm(total - np.eye(self.dim)) > PARTITION_TOL:
+        # The projectors are Hermitian, so ||P_b P_a|| = ||P_a P_b|| and the
+        # upper triangle holds the first failing pair.
+        projs = np.array(self.projectors)
+        first, second = np.triu_indices(len(projs))
+        same = (first == second)[:, None, None]
+        defects = _frobenius_norms(projs[first] @ projs[second] - same * projs[first])
+        bad = np.flatnonzero(defects > PARTITION_TOL)
+        if bad.size:
+            a, b = first[bad[0]], second[bad[0]]
+            raise ValueError(f"projectors {a} and {b} are not orthogonal idempotents")
+        if np.linalg.norm(projs.sum(axis=0) - np.eye(self.dim)) > PARTITION_TOL:
             raise ValueError("projectors do not resolve the identity")
 
     def bloch_vector(self) -> np.ndarray:
@@ -511,27 +515,24 @@ def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
 
     The state is CQ iff the blocks ``A_ij = <i|_B rho |j>_B`` are mutually
     commuting normal operators; both defects are measured in Frobenius
-    norm against ``tol * ||rho||_F``.
+    norm against ``tol * ||rho||_F``.  Block pairs are scanned as one stack
+    in row-major order of the upper triangle, each block's normality defect
+    first, and the first pair to reach the largest defect is ``worst``.
     """
-    blocks = _b_blocks(rho)
     db = rho.dim_b
-    scale = float(np.linalg.norm(rho.matrix))
+    blocks = _b_blocks(rho).reshape(db * db, rho.dim_a, rho.dim_a)
+    first, second = np.triu_indices(db * db)
+    a = blocks[first]
+    # On the diagonal the pair is (A, A^dag), whose commutator is the normality defect.
+    b = np.where((first == second)[:, None, None], a.conj().transpose(0, 2, 1), blocks[second])
+    defects = _frobenius_norms(a @ b - b @ a)
+    x = int(np.argmax(defects))
+    worst_val = float(defects[x])
     worst = None
-    worst_val = 0.0
-    labels = [(i, j) for i in range(db) for j in range(db)]
-    flat = [blocks[i, j] for i, j in labels]
-    for x, (i, j) in enumerate(labels):
-        a_ij = flat[x]
-        defect = float(np.linalg.norm(a_ij @ a_ij.conj().T - a_ij.conj().T @ a_ij))
-        if defect > worst_val:
-            worst_val = defect
-            worst = ("normality", (i, j))
-        for y in range(x + 1, len(labels)):
-            a_kl = flat[y]
-            comm = float(np.linalg.norm(a_ij @ a_kl - a_kl @ a_ij))
-            if comm > worst_val:
-                worst_val = comm
-                worst = ("commutator", (i, j), labels[y])
+    if worst_val > 0.0:
+        pair = divmod(int(first[x]), db), divmod(int(second[x]), db)
+        worst = ("normality", pair[0]) if pair[0] == pair[1] else ("commutator", *pair)
+    scale = float(np.linalg.norm(rho.matrix))
     residual = worst_val / max(scale, 1e-300)
     return CQCheck(is_cq=residual <= tol, residual=residual, worst=worst, tol=tol)
 

@@ -168,6 +168,14 @@ def partial_trace(rho: BipartiteState, keep: str) -> DensityOperator:
     return DensityOperator.from_matrix(reduced, name=f"tr over {keep}-complement")
 
 
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a complex stack, bit for bit equal to
+    ``np.linalg.norm`` of that matrix (``axis=(1, 2)`` sums in another order)."""
+    flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+
+
 def eig_hermitian(
     h: np.ndarray, *, what: str = "eig_hermitian: input", error: type[ValueError] = ValueError
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from discordkit.annihilators import (
     induced_cq_subset,
     random_da_spec,
     structural_match,
+    _commutant_element,
     _entry_projector,
 )
 from discordkit.classify import is_local_da
@@ -30,13 +33,17 @@ from discordkit.channels import (
     random_channel,
 )
 from discordkit.cqsets import membership
-from discordkit.discord import is_cq_exact
+from discordkit.discord import _b_blocks, is_cq_exact
+from discordkit.serialize import FileFormatError, da_spec_to_json, encode_matrix, load_da_spec
 from discordkit.states import (
+    as_rng,
     basis_ket,
+    hermitian_basis,
     random_bipartite,
     random_density,
     random_unitary,
 )
+from discordkit.tolerances import NULLSPACE_CUTOFF
 
 
 def z_dephasing():
@@ -44,6 +51,36 @@ def z_dephasing():
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
         [basis_ket(2, 0), basis_ket(2, 1)],
     )
+
+
+def commutant_element_loop(generators, dim, rng):
+    """The per-generator loop that ``_commutant_element`` replaced: the
+    linear system built one generator and one basis element at a time."""
+    basis = hermitian_basis(dim).elements
+    rows = []
+    for g in generators:
+        cols = [(b @ g - g @ b).reshape(-1) for b in basis]
+        m = np.column_stack(cols)
+        rows.append(m.real)
+        rows.append(m.imag)
+    stacked = np.vstack(rows)
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    cutoff = NULLSPACE_CUTOFF * max(svals[0], 1e-300)
+    null = [vt[i] for i in range(len(svals)) if svals[i] <= cutoff]
+    coeffs = np.zeros(dim * dim)
+    for direction in null:
+        coeffs += rng.standard_normal() * np.asarray(direction)
+    x = sum(c * b for c, b in zip(coeffs, basis))
+    return (x + x.conj().T) / 2.0
+
+
+def oblique_spec_entries():
+    """{P, I - P} on dA = 4 with P = diag(1, 1, 0, 0) + E_02: P is idempotent
+    but not Hermitian, so the pair is not an orthogonal partition."""
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    p[0, 2] = 1.0
+    sigma = random_density(2, "hilbert-schmidt", 3)
+    return [MultiEntry(p, PointTo(sigma)), MultiEntry(np.eye(4) - p, PointTo(sigma))]
 
 
 def entry_signature(spec):
@@ -90,6 +127,27 @@ class TestSpecValidation:
                 ],
                 pre_channel=QuantumChannel.identity(2),
             )
+
+    def test_oblique_projector_rejected(self):
+        entries = oblique_spec_entries()
+        p = entries[0].projector
+        assert np.linalg.norm(p @ p - p) == 0.0
+        assert np.linalg.norm(p - p.conj().T) > 1.4
+        with pytest.raises(InvalidDASpecError, match="entry 0: matrix is not an orthogonal"):
+            DAChannelSpec.make(4, 2, entries)
+
+    def test_oblique_projector_in_spec_file_rejected(self, tmp_path):
+        entries = oblique_spec_entries()
+        halves = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+        orthogonal = [MultiEntry(h, e.action) for h, e in zip(halves, entries)]
+        payload = da_spec_to_json(DAChannelSpec.make(4, 2, orthogonal))
+        for item, entry in zip(payload["entries"], entries):
+            item["projector"] = encode_matrix(entry.projector)
+        path = tmp_path / "oblique.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FileFormatError, match="entry 0: matrix is not an orthogonal") as info:
+            load_da_spec(path)
+        assert info.value.field == "entries"
 
 
 class TestBuildDAChannel:
@@ -253,3 +311,31 @@ class TestIsLocalDA:
             extend(z_dephasing(), "B", 2), extend(depolarizing, "A", 2)
         )
         assert not is_cq_exact(product.apply(verdict.witness))
+
+
+class TestCommutantElement:
+    @staticmethod
+    def generator_sets():
+        """100 seeded generator sets for dA = 2, 3, 4: the B blocks of DA
+        channel outputs (a block commutant) and of generic states (only the
+        identity commutes with them all)."""
+        sets = []
+        for dim_a in (2, 3, 4):
+            for k in range(34 if dim_a < 4 else 32):
+                if k % 3:
+                    channel = build_da_channel(random_da_spec(dim_a, 2, [dim_a, k]))
+                    inputs = [random_bipartite(dim_a, 2, [dim_a, k, j]) for j in range(3)]
+                    states = [channel.apply(rho) for rho in inputs]
+                else:
+                    states = [random_bipartite(dim_a, 2, [dim_a, k, j]) for j in range(2)]
+                blocks = [_b_blocks(out).reshape(-1, dim_a, dim_a) for out in states]
+                sets.append((dim_a, np.concatenate(blocks), [dim_a, k]))
+        return sets
+
+    def test_bitwise_equal_to_the_generator_loop(self):
+        sets = self.generator_sets()
+        assert len(sets) == 100
+        for dim_a, generators, seed in sets:
+            got = _commutant_element(generators, dim_a, as_rng(seed))
+            want = commutant_element_loop(generators, dim_a, as_rng(seed))
+            assert np.array_equal(got, want)

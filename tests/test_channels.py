@@ -330,6 +330,18 @@ class TestQCChannel:
                 [basis_ket(2, 0), np.array([1, 1]) / np.sqrt(2)],
             )
 
+    @pytest.mark.parametrize(
+        "kets, message",
+        [
+            ([[1, 0, 0], [0, 1, 0], [0, 2, 0]], r"<1\|2> = 2.000e\+00\+0.000e\+00j"),
+            ([[1, 0, 0], [0, 2, 0], [0, 0, 1]], r"<1\|1> = 4.000e\+00\+0.000e\+00j"),
+            ([[0, 1j, 0], [0, 1, 0], [0, 0, 1]], r"<0\|1> = 0.000e\+00-1.000e\+00j"),
+        ],
+    )
+    def test_first_non_orthonormal_pair_reported(self, kets, message):
+        with pytest.raises(InvalidChannelError, match=message):
+            make_qc_channel([np.eye(3, dtype=complex) / 3] * 3, kets)
+
 
 class TestUnitalQubit:
     def test_identity_point(self):

@@ -21,6 +21,8 @@ from discordkit.classify import (
     ActsOnA,
     ActsOnAB,
     ActsOnB,
+    _hermitian_probe_inputs,
+    _probe_pair_witness,
     classify_channel,
     is_entanglement_breaking,
     is_point_channel,
@@ -28,9 +30,11 @@ from discordkit.classify import (
     recheck_witness,
     sweep_to_csv,
     tetrahedron_sweep,
+    witness_probe_states,
 )
 from discordkit.discord import Hybrid, discord, is_cq_exact
 from discordkit.states import (
+    DensityOperator,
     basis_ket,
     bell_state,
     random_density,
@@ -53,6 +57,43 @@ def random_povm(dim, n_outcomes, rng):
         iso[k * dim : (k + 1) * dim].conj().T @ iso[k * dim : (k + 1) * dim]
         for k in range(n_outcomes)
     ]
+
+
+# The scalar scores the probe-pair witnesses used before pairs became one stack.
+PAIR_SCORES_LOOP = {
+    "distinct-outputs": ("distance", lambda x, y: float(np.linalg.norm(x - y))),
+    "noncommuting-outputs": (
+        "commutator_norm",
+        lambda x, y: float(np.linalg.norm(x @ y - y @ x)),
+    ),
+}
+
+
+def probe_pair_witness_loop(channel, kind):
+    """The pair loop that ``_probe_pair_witness`` replaced: pairs in order,
+    a strictly higher score replacing the best so far."""
+    score_key, score = PAIR_SCORES_LOOP[kind]
+    probes = _hermitian_probe_inputs(channel.dim_in)
+    images = channel.apply_matrix(np.array(probes))
+    best = None
+    best_score = 0.0
+    for a in range(len(probes)):
+        for b in range(a + 1, len(probes)):
+            value = score(images[a], images[b])
+            if value > best_score:
+                best_score = value
+                best = (probes[a], probes[b])
+    return {
+        "kind": kind,
+        "input_a": DensityOperator.from_matrix(best[0], name="witness input"),
+        "input_b": DensityOperator.from_matrix(best[1], name="witness input"),
+        score_key: best_score,
+    }
+
+
+def qutrit_dephasing():
+    """The completely dephasing qutrit channel: its probe outputs tie in many pairs."""
+    return QuantumChannel([np.diag(basis_ket(3, k)) for k in range(3)])
 
 
 class TestIsPointChannel:
@@ -314,3 +355,55 @@ class TestTetrahedronSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "l1,l2,l3,is_db,is_eb,max_discord"
         assert len(lines) == len(rows) + 1
+
+
+class TestProbePairWitness:
+    @staticmethod
+    def corpus():
+        channels = [random_channel(d, d, 1 + k % 4, [d, k]) for d in (2, 3, 4) for k in range(60)]
+        channels += [qutrit_dephasing(), z_dephasing(), QuantumChannel([np.eye(3)])]
+        channels += [
+            make_unital_qubit(UnitalQubitParams(l1, l2, l3))
+            for l1, l2, l3 in [(1, 0, 0), (0.5, 0.5, 0), (0.5, -0.5, 0), (0.25, 0.25, 0.25)]
+        ]
+        return channels
+
+    @pytest.mark.parametrize(
+        "kind, verdict",
+        [("distinct-outputs", is_point_channel), ("noncommuting-outputs", is_qc_channel)],
+    )
+    def test_bitwise_equal_to_the_pair_loop(self, kind, verdict):
+        key = PAIR_SCORES_LOOP[kind][0]
+        # A witness is built only for a "no", as the verdicts build it.
+        channels = [c for c in self.corpus() if verdict(c).kind == "no"]
+        assert len(channels) >= 180
+        for channel in channels:
+            got = _probe_pair_witness(channel, kind)
+            want = probe_pair_witness_loop(channel, kind)
+            assert got[key] == want[key]
+            assert np.array_equal(got["input_a"].matrix, want["input_a"].matrix)
+            assert np.array_equal(got["input_b"].matrix, want["input_b"].matrix)
+            assert recheck_witness(channel, got) == got[key]
+
+    def test_first_pair_wins_ties(self):
+        channel = qutrit_dephasing()
+        images = channel.apply_matrix(np.array(_hermitian_probe_inputs(3)))
+        scores = [
+            float(np.linalg.norm(images[a] - images[b]))
+            for a in range(len(images))
+            for b in range(a + 1, len(images))
+        ]
+        assert scores.count(max(scores)) > 1
+        got = _probe_pair_witness(channel, "distinct-outputs")
+        assert np.array_equal(got["input_a"].matrix, np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(got["input_b"].matrix, np.diag([0.0, 1.0, 0.0]))
+
+
+class TestWitnessProbeStates:
+    def test_budget_counts_states(self):
+        assert len(witness_probe_states(2, 2, budget=3)) == 3
+        assert witness_probe_states(2, 2, budget=0) == []
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget must be at least 0"):
+            witness_probe_states(2, 2, budget=-1)

@@ -266,6 +266,42 @@ class TestClassifyCommand:
         assert "dims" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "{deph}", "--side", "A", "--dim-other", "0"], "--dim-other"),
+        (["classify", "{deph}", "--side", "B", "--dim-other", "-1"], "--dim-other"),
+        (
+            ["tetra-sweep", "--step", "0.5", "--side", "A", "--dim-other", "0", "--probes", "1"],
+            "--dim-other",
+        ),
+        (["classify", "{id4}", "--side", "AB", "--dims", "2x2", "--samples", "-5"], "--samples"),
+        (
+            [
+                "verify-da", "--channel", "{id4}", "--dims", "2x2", "--samples", "-5",
+                "--witness-out", "{w}/witness.json",
+            ],
+            "--samples",
+        ),
+        (["tetra-sweep", "--step", "0.5", "--side", "A", "--probes", "-1"], "--probes"),
+    ],
+    ids=[
+        "classify-A-dim-other-0", "classify-B-dim-other-neg1", "sweep-dim-other-0",
+        "classify-samples-neg5", "verify-samples-neg5", "sweep-probes-neg1",
+    ],
+)
+def test_out_of_range_count_exits_2(tmp_path, capsys, argv, flag):
+    deph = tmp_path / "deph.json"
+    kraus = [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.diag([1.0, -1.0])]
+    save_channel(QuantumChannel(kraus), deph)
+    save_channel(QuantumChannel.identity(4), tmp_path / "id4.json")
+    names = {"deph": deph, "id4": tmp_path / "id4.json", "w": tmp_path}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**names) for arg in argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_axis_rows_side_a(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -373,6 +409,23 @@ class TestGenAndVerify:
         )
         assert code == 2
         assert "rank-1" in err
+
+    def test_spec_with_oblique_projector_exits_2(self, tmp_path, capsys):
+        # P = diag(1, 1, 0, 0) + E_02 is idempotent but not Hermitian.
+        p = np.diag([1.0, 1.0, 0.0, 0.0])
+        p[0, 2] = 1.0
+        point = {"type": "point", "state": encode_matrix(np.diag([0.5, 0.5]))}
+        entries = [
+            {"kind": "multi", "projector": encode_matrix(q), "action": point}
+            for q in (p, np.eye(4) - p)
+        ]
+        spec_path = tmp_path / "oblique.json"
+        spec_path.write_text(json.dumps({"dims": [4, 2], "entries": entries}))
+        code, _, err = run(
+            capsys, "gen-da", "--spec", str(spec_path), "--out", str(tmp_path / "na.json")
+        )
+        assert code == 2
+        assert "entries: entry 0: matrix is not an orthogonal projector" in err
 
     def test_full_space_point_spec(self, tmp_path, capsys):
         from discordkit.channels import choi_distance, extend, make_point_channel

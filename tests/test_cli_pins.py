@@ -9,8 +9,10 @@ step-0.125 sweeps are pinned in ``test_cli.py``.
 
 Inputs: ``s22`` = ``random_bipartite(2, 2, 1)``, ``s32`` =
 ``random_bipartite(3, 2, 2)``, ``rand2`` = ``random_channel(2, 2, 2, 3)``,
-``rand4`` = ``random_channel(4, 4, 2, 5)``, ``deph`` = Kraus
-{sqrt(0.7) I, sqrt(0.3) Z} and ``dephfull`` = {sqrt(0.5) I, sqrt(0.5) Z},
+``rand4`` = ``random_channel(4, 4, 2, 5)``, ``rand3`` =
+``random_channel(3, 3, 2, 7)``, ``deph`` = Kraus {sqrt(0.7) I, sqrt(0.3) Z},
+``dephfull`` = {sqrt(0.5) I, sqrt(0.5) Z} and ``deph3`` = {|k><k|}, the
+completely dephasing qutrit channel, whose probe outputs tie in many pairs;
 every channel written by ``save_channel``.
 """
 
@@ -54,6 +56,10 @@ COMMANDS = [
     ("cls_B_deph", ["classify", "{w}/deph.json", "--side", "B"], 0),
     ("cls_B_dephfull", ["classify", "{w}/dephfull.json", "--side", "B"], 0),
     ("cls_B_rand", ["classify", "{w}/rand2.json", "--side", "B"], 0),
+    ("cls_A_rand3", ["classify", "{w}/rand3.json", "--side", "A"], 0),
+    ("cls_B_rand3", ["classify", "{w}/rand3.json", "--side", "B"], 0),
+    ("cls_A_deph3", ["classify", "{w}/deph3.json", "--side", "A"], 0),
+    ("cls_B_deph3", ["classify", "{w}/deph3.json", "--side", "B"], 0),
     ("discord_22", ["discord", "{w}/s22.json"], 0),
     ("grid_22", ["discord", "{w}/s22.json", "--strategy", "grid"], 0),
     (
@@ -97,6 +103,10 @@ DIGESTS = {
     "cls_B_deph": "dc1e814afc96a18c22627e58a6dbcef024fe62e13699e91924511f72ee6aada4",
     "cls_B_dephfull": "227fb9eb162c9db82e45a72a6289f1b8cd66d0f35dea5713b3e7256f5dbb8598",
     "cls_B_rand": "909727375e0d744243144180898832133d6a20af4bd3cc0cce11a483bf816885",
+    "cls_A_rand3": "9de8fafb98887416bd3436b48118a47629c445b7b332e4e6ff455af1514b60b2",
+    "cls_B_rand3": "52eed063e407a03c7b9f4b69d3c2674ea2e5b121e2ae8d60f5bfcaf6b6c875a2",
+    "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
+    "cls_B_deph3": "8e779326204699ec004f34d65f220f4e7c3331ca903bd27cee3c113b7297f466",
     "discord_22": "0a2f4a00f78a15e05e3c8a0d0067bf5a4536c644ac2ac46d9eed8ecb4848e9b4",
     "grid_22": "cae568e19f051e1cb36e8bc01a391e7a772c167eab005b2fbbd1a54424bc89fc",
     "discord_32": "88512f45a3a6bc9eac11654e71e341231abdfba56ffff2fefccd5bbe980495e6",
@@ -128,6 +138,8 @@ def work(tmp_path_factory):
     save_state(random_bipartite(3, 2, 2), w / "s32.json")
     save_channel(random_channel(2, 2, 2, 3), w / "rand2.json")
     save_channel(random_channel(4, 4, 2, 5), w / "rand4.json")
+    save_channel(random_channel(3, 3, 2, 7), w / "rand3.json")
+    save_channel(QuantumChannel([np.diag(np.eye(3)[k]) for k in range(3)]), w / "deph3.json")
     for name, p, q in (("deph", 0.7, 0.3), ("dephfull", 0.5, 0.5)):
         kraus = [np.sqrt(p) * PAULI_I, np.sqrt(q) * PAULIS[2]]
         save_channel(QuantumChannel(kraus), w / f"{name}.json")

@@ -111,6 +111,23 @@ class TestValidateSpec:
         )
         assert validate_spec(spec)
 
+    def test_first_overlapping_pair_reported(self):
+        spec = ConvexCQSubsetSpec(
+            dim_a=3,
+            dim_b=2,
+            both_entries=tuple(
+                BothEntry(basis_ket(3, k), random_density(2, "hilbert-schmidt", k)) for k in (0, 1)
+            ),
+            point_entries=(PointEntry(np.eye(3), random_density(2, "hilbert-schmidt", 2)),),
+        )
+        diag = validate_spec(spec)
+        assert diag.message == "both[0] and point[0] overlap (norm 1.000e+00)"
+
+    def test_empty_spec_valid_but_holds_no_state(self):
+        spec = ConvexCQSubsetSpec(dim_a=2, dim_b=2)
+        assert validate_spec(spec)
+        assert not membership(spec, BipartiteState(2, 2, DensityOperator.maximally_mixed(4)))
+
 
 class TestSampleState:
     def test_both_only_is_cq_form(self):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from discordkit.discord import (
+    CQCheck,
     DecompositionError,
     Grid,
     Hybrid,
@@ -18,6 +20,7 @@ from discordkit.discord import (
     _grid_angles,
     _holevo_like_value,
     _qubit_correlation_ops,
+    _b_blocks,
     _qubit_scores,
     classical_correlation,
     cq_decompose,
@@ -31,6 +34,7 @@ from discordkit.states import (
     BipartiteState,
     DensityOperator,
     bell_state,
+    max_entangled,
     partial_trace,
     product_state,
     random_bipartite,
@@ -74,6 +78,56 @@ def equal_weight_cq(dim_a, dim_b, seed):
         proj = np.outer(basis[:, k], basis[:, k].conj())
         m += np.kron(proj, random_density(dim_b, "hilbert-schmidt", rng).matrix) / dim_a
     return BipartiteState.from_matrix(m, dim_a, dim_b)
+
+
+def is_cq_exact_loop(rho, tol=1e-9):
+    """The block-pair loop that ``is_cq_exact`` replaced: every normality
+    defect and commutator one at a time, a strictly larger one replacing
+    the worst so far."""
+    blocks = _b_blocks(rho)
+    db = rho.dim_b
+    scale = float(np.linalg.norm(rho.matrix))
+    worst = None
+    worst_val = 0.0
+    labels = [(i, j) for i in range(db) for j in range(db)]
+    flat = [blocks[i, j] for i, j in labels]
+    for x, (i, j) in enumerate(labels):
+        a_ij = flat[x]
+        defect = float(np.linalg.norm(a_ij @ a_ij.conj().T - a_ij.conj().T @ a_ij))
+        if defect > worst_val:
+            worst_val = defect
+            worst = ("normality", (i, j))
+        for y in range(x + 1, len(labels)):
+            a_kl = flat[y]
+            comm = float(np.linalg.norm(a_ij @ a_kl - a_kl @ a_ij))
+            if comm > worst_val:
+                worst_val = comm
+                worst = ("commutator", (i, j), labels[y])
+    residual = worst_val / max(scale, 1e-300)
+    return CQCheck(is_cq=residual <= tol, residual=residual, worst=worst, tol=tol)
+
+
+def cq_test_corpus():
+    """900 seeded states over every dA, dB in 1..4: Hilbert-Schmidt draws,
+    exact CQ states, products, the maximally mixed state (no defect at all)
+    and maximally entangled states (many tied block pairs)."""
+    states = [bell_state(k) for k in range(4)]
+    for dim_a in range(1, 5):
+        for dim_b in range(1, 5):
+            d = dim_a * dim_b
+            seed = 100 * dim_a + 10 * dim_b
+            states += [random_bipartite(dim_a, dim_b, [seed, k]) for k in range(48)]
+            states += [cq_state([seed, k], dim_a, dim_b) for k in range(4)]
+            states += [
+                product_state(
+                    random_density(dim_a, "hilbert-schmidt", [seed, 50 + k]),
+                    random_density(dim_b, "hilbert-schmidt", [seed, 60 + k]),
+                )
+                for k in range(2)
+            ]
+            states.append(BipartiteState(dim_a, dim_b, DensityOperator.maximally_mixed(d)))
+            states.append(max_entangled(dim_a, dim_b))
+    return states
 
 
 def dense_grid_oracle(rho, n_theta=128, n_phi=256):
@@ -161,6 +215,28 @@ class TestMutualInformation:
 
     def test_classically_correlated(self):
         assert mutual_information(classically_correlated()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestProjectiveMeasurement:
+    def test_from_unitary_accepted(self):
+        meas = ProjectiveMeasurement.from_unitary(random_unitary(4, 3))
+        assert len(meas.projectors) == 4
+
+    @pytest.mark.parametrize(
+        "vectors, pair",
+        [
+            ([[1, 0, 0], [1, 1, 0], [0, 0, 1]], "0 and 1"),
+            ([[1, 0, 0], [0, 1, 0], [0, 1, 1]], "1 and 2"),
+            ([[1, 0, 1], [0, 1, 0], [1, 0, 0]], "0 and 2"),
+        ],
+    )
+    def test_first_non_orthogonal_pair_reported(self, vectors, pair):
+        with pytest.raises(ValueError, match=f"projectors {pair} are not orthogonal"):
+            ProjectiveMeasurement.from_vectors(vectors)
+
+    def test_incomplete_set_rejected(self):
+        with pytest.raises(ValueError, match="do not resolve the identity"):
+            ProjectiveMeasurement.from_vectors([[1, 0, 0], [0, 1, 0]])
 
 
 class TestMeasureAndCondition:
@@ -416,6 +492,33 @@ class TestIsCQExact:
     def test_trivial_b(self):
         rho = BipartiteState(2, 1, random_density(2, "hilbert-schmidt", 21))
         assert is_cq_exact(rho)
+
+    def test_bitwise_equal_to_the_pair_loop(self):
+        corpus = cq_test_corpus()
+        assert len(corpus) == 900
+        none_worst = 0
+        for rho in corpus:
+            got, want = is_cq_exact(rho), is_cq_exact_loop(rho)
+            assert got.residual == want.residual
+            assert got.worst == want.worst
+            assert got.is_cq == want.is_cq
+            none_worst += want.worst is None
+        assert none_worst >= 16
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)])
+    def test_first_pair_wins_ties(self, dims):
+        rho = max_entangled(*dims)
+        blocks = _b_blocks(rho).reshape(-1, dims[0], dims[0])
+        pairs = [(a, a.conj().T) for a in blocks]
+        pairs += list(itertools.combinations(blocks, 2))
+        values = [float(np.linalg.norm(a @ b - b @ a)) for a, b in pairs]
+        assert values.count(max(values)) >= 2
+        assert is_cq_exact(rho).worst == is_cq_exact_loop(rho).worst
+
+    def test_exactly_cq_state_has_no_worst_pair(self):
+        rho = BipartiteState(3, 3, DensityOperator.maximally_mixed(9))
+        check = is_cq_exact(rho)
+        assert check.is_cq and check.residual == 0.0 and check.worst is None
 
 
 class TestCQDecompose:

@@ -8,6 +8,7 @@ from discordkit.states import (
     DensityOperator,
     InvalidStateError,
     PAULI_Z,
+    _frobenius_norms,
     bell_state,
     eig_hermitian,
     hermitian_basis,
@@ -144,6 +145,20 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestFrobeniusNorms:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 9])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 6, 9])
+    def test_bitwise_equal_to_one_norm_per_matrix(self, rows, cols):
+        rng = np.random.default_rng([rows, cols])
+        stack = rng.standard_normal((50, rows, cols)) + 1j * rng.standard_normal((50, rows, cols))
+        stack = stack @ stack.conj().transpose(0, 2, 1) @ stack  # computed, C-ordered matrices
+        got = _frobenius_norms(stack)
+        assert got.tolist() == [float(np.linalg.norm(m)) for m in stack]
+
+    def test_empty_stack(self):
+        assert _frobenius_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
 
 
 class TestEntropy:
