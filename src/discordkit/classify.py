@@ -69,47 +69,33 @@ def _fourier_ket(dim: int, k: int) -> np.ndarray:
     return phases / np.sqrt(dim)
 
 
-def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, seed: int = 137):
-    """Deterministic probe family: entangled states, product extremes and
+def _witness_probes(dim_a: int, dim_b: int, seed: int):
+    """Endless probe stream: entangled states, product extremes and
     noncommuting classical mixtures first, then seeded random states."""
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
-    states: list[BipartiteState] = []
     if dim_a == 2 and dim_b == 2:
-        states.extend(bell_state(k) for k in range(4))
+        yield from map(bell_state, range(4))
     elif min(dim_a, dim_b) >= 2:
-        states.append(max_entangled(dim_a, dim_b))
-    for i in range(min(dim_a, 2)):
-        for j in range(min(dim_b, 2)):
-            states.append(
-                BipartiteState(
-                    dim_a,
-                    dim_b,
-                    DensityOperator.pure(np.kron(basis_ket(dim_a, i), basis_ket(dim_b, j))),
-                )
-            )
+        yield max_entangled(dim_a, dim_b)
+    for i, j in itertools.product(range(min(dim_a, 2)), range(min(dim_b, 2))):
+        ket = np.kron(basis_ket(dim_a, i), basis_ket(dim_b, j))
+        yield BipartiteState(dim_a, dim_b, DensityOperator.pure(ket))
     plus_a = _fourier_ket(dim_a, 1) if dim_a > 1 else basis_ket(1, 0)
     plus_b = _fourier_ket(dim_b, 1) if dim_b > 1 else basis_ket(1, 0)
     zero_a, zero_b = basis_ket(dim_a, 0), basis_ket(dim_b, 0)
-    half = 0.5
-    mixtures = [
-        half * np.kron(np.outer(zero_a, zero_a.conj()), np.outer(zero_b, zero_b.conj()))
-        + half * np.kron(np.outer(plus_a, plus_a.conj()), np.outer(plus_b, plus_b.conj())),
-        half * np.kron(np.outer(zero_a, zero_a.conj()), np.outer(zero_b, zero_b.conj()))
-        + half
-        * np.kron(
-            np.outer(plus_a, plus_a.conj()),
-            np.outer(basis_ket(dim_b, dim_b - 1), basis_ket(dim_b, dim_b - 1).conj()),
-        ),
-    ]
-    for m in mixtures:
-        states.append(BipartiteState.from_matrix(m, dim_a, dim_b))
+    zero = np.kron(np.outer(zero_a, zero_a.conj()), np.outer(zero_b, zero_b.conj()))
+    for ket_b in (plus_b, basis_ket(dim_b, dim_b - 1)):
+        plus = np.kron(np.outer(plus_a, plus_a.conj()), np.outer(ket_b, ket_b.conj()))
+        yield BipartiteState.from_matrix(0.5 * zero + 0.5 * plus, dim_a, dim_b)
     rng = as_rng(seed)
-    while len(states) < budget:
-        states.append(
-            BipartiteState(dim_a, dim_b, random_density(dim_a * dim_b, "hilbert-schmidt", rng))
-        )
-    return states[:budget]
+    while True:
+        yield BipartiteState(dim_a, dim_b, random_density(dim_a * dim_b, "hilbert-schmidt", rng))
+
+
+def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, seed: int = 137):
+    """The first ``budget`` states of the deterministic witness probe stream."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    return list(itertools.islice(_witness_probes(dim_a, dim_b, seed), budget))
 
 
 def _hermitian_probe_inputs(dim: int) -> list[np.ndarray]:
@@ -297,18 +283,27 @@ def is_entanglement_breaking(channel: QuantumChannel) -> Verdict:
 # -- combined classification -----------------------------------------------------
 
 
+class _Dimensions:
+    """Refuses a dimension below 1 in any field of a context."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
-class ActsOnA:
+class ActsOnA(_Dimensions):
     dim_b: int
 
 
 @dataclass(frozen=True)
-class ActsOnB:
+class ActsOnB(_Dimensions):
     dim_a: int
 
 
 @dataclass(frozen=True)
-class ActsOnAB:
+class ActsOnAB(_Dimensions):
     dim_a: int
     dim_b: int
 
@@ -333,7 +328,8 @@ def _discordant_output_witness(
 ) -> dict | None:
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
-    scan = _cq_scan(extended, witness_probe_states(dims[0], dims[1], seed=seed), tol)
+    probes = itertools.islice(_witness_probes(dims[0], dims[1], seed), WITNESS_BUDGET)
+    scan = _cq_scan(extended, probes, tol)
     if scan.failing_input is None:
         return None
     return {
@@ -439,6 +435,8 @@ def tetrahedron_sweep(
     side = side.upper()
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if dim_other < 1:
+        raise ValueError(f"dim_other must be at least 1, got {dim_other}")
     n = int(round(2.0 / step))
     values = -1.0 + step * np.arange(n + 1)
     dims = (2, dim_other) if side == "A" else (dim_other, 2)
@@ -501,7 +499,8 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
-    scan = _cq_scan(product, witness_probe_states(dim_a, dim_b, _LOCAL_DA_BUDGET, _LOCAL_DA_SEED))
+    probes = itertools.islice(_witness_probes(dim_a, dim_b, _LOCAL_DA_SEED), _LOCAL_DA_BUDGET)
+    scan = _cq_scan(product, probes)
     # A failing output's residual exceeds every passing one, so the scan's
     # worst input is the first failing input when there is one.
     return LocalDAVerdict(kind="not-da", witness=scan.worst_input, residual=scan.worst_residual)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .classify import (
 from .discord import Grid, Hybrid, MultiStart, discord
 from .serialize import (
     FileFormatError,
+    certification_to_json,
     da_spec_to_json,
     discord_result_to_json,
     load_channel,
@@ -130,11 +132,7 @@ def cmd_classify(args) -> int:
             "det": report.transfer.det,
         }
     if report.certification is not None:
-        payload["certification"] = {
-            "passed": report.certification.passed,
-            "n_checked": report.certification.n_checked,
-            "worst_residual": report.certification.worst_residual,
-        }
+        payload["certification"] = certification_to_json(report.certification)
     if report.match is not None and report.match.matched:
         payload["recovered_spec"] = da_spec_to_json(report.match.spec)
         payload["match_residual"] = report.match.residual
@@ -192,11 +190,7 @@ def cmd_verify_da(args) -> int:
             "sigma_max": analysis.sigma_max,
             "rank_deficient": analysis.rank_deficient,
         },
-        "certification": {
-            "passed": report.passed,
-            "n_checked": report.n_checked,
-            "worst_residual": report.worst_residual,
-        },
+        "certification": certification_to_json(report),
     }
     ok = report.passed and analysis.rank_deficient
     if ok:
@@ -226,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="seed for all randomness")
 
     def add_tolerances(p):
-        p.add_argument("--tol-cq", type=float, default=CQ_TOL, dest="tol_cq",
+        p.add_argument("--tol-cq", type=_tolerance, default=CQ_TOL, dest="tol_cq",
                        help="tolerance of every classical-quantum, measure-and-prepare "
                        "and point-channel verdict")
-        p.add_argument("--tol-cptp", type=float, default=VALIDITY_TOL, dest="tol_cptp",
+        p.add_argument("--tol-cptp", type=_tolerance, default=VALIDITY_TOL, dest="tol_cptp",
                        help="tolerance of the complete-positivity check of Choi channel "
                        "files (trace preservation and Kraus files keep the default)")
 
@@ -309,6 +303,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text!r}")
     return value
 
 

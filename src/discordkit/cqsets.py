@@ -101,7 +101,7 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
         v = np.asarray(entry.vector).reshape(-1)
         if v.size != spec.dim_a:
             return SpecDiagnostics(False, f"{labels[i]}: vector has dimension {v.size}")
-        if abs(np.linalg.norm(v) - 1.0) > VALIDITY_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= VALIDITY_TOL:
             return SpecDiagnostics(False, f"{labels[i]}: vector is not normalised")
     offset = len(spec.both_entries) + len(spec.fixed_entries)
     for i, entry in enumerate(spec.point_entries):
@@ -109,7 +109,8 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
         label = labels[offset + i]
         if p.shape != (spec.dim_a, spec.dim_a):
             return SpecDiagnostics(False, f"{label}: projector has shape {p.shape}")
-        if np.linalg.norm(p @ p - p) > PARTITION_TOL or np.linalg.norm(p - p.conj().T) > PARTITION_TOL:
+        idempotent, hermitian = np.linalg.norm(p @ p - p), np.linalg.norm(p - p.conj().T)
+        if not (idempotent <= PARTITION_TOL and hermitian <= PARTITION_TOL):
             return SpecDiagnostics(False, f"{label}: not an orthogonal projector")
         rank = int(round(np.trace(p).real))
         if rank < 2:
@@ -120,7 +121,7 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
     projs = spec.support_projectors()
     first, second = np.triu_indices(len(projs), 1)
     overlaps = _frobenius_norms(projs[first] @ projs[second])
-    bad = np.flatnonzero(overlaps > PARTITION_TOL)
+    bad = np.flatnonzero(~(overlaps <= PARTITION_TOL))
     if bad.size:
         i, j = first[bad[0]], second[bad[0]]
         return SpecDiagnostics(
@@ -128,7 +129,7 @@ def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
         )
     if len(projs):
         top = float(np.linalg.eigvalsh(projs.sum(axis=0))[-1])
-        if top > 1.0 + PARTITION_TOL:
+        if not top <= 1.0 + PARTITION_TOL:
             return SpecDiagnostics(False, f"entry supports exceed the identity (max eig {top:.6f})")
     return SpecDiagnostics(True, None)
 

@@ -65,8 +65,11 @@ class ProjectiveMeasurement:
         vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
         dim = vecs[0].size
         projs = []
-        for v in vecs:
-            v = v / np.linalg.norm(v)
+        for i, v in enumerate(vecs):
+            norm = np.linalg.norm(v)
+            if not 0.0 < norm < np.inf:
+                raise ValueError(f"vector {i} has zero or non-finite norm {norm}")
+            v = v / norm
             projs.append(np.outer(v, v.conj()))
         meas = cls(dim=dim, projectors=tuple(projs))
         meas._check()
@@ -92,11 +95,11 @@ class ProjectiveMeasurement:
         first, second = np.triu_indices(len(projs))
         same = (first == second)[:, None, None]
         defects = _frobenius_norms(projs[first] @ projs[second] - same * projs[first])
-        bad = np.flatnonzero(defects > PARTITION_TOL)
+        bad = np.flatnonzero(~(defects <= PARTITION_TOL))
         if bad.size:
             a, b = first[bad[0]], second[bad[0]]
             raise ValueError(f"projectors {a} and {b} are not orthogonal idempotents")
-        if np.linalg.norm(projs.sum(axis=0) - np.eye(self.dim)) > PARTITION_TOL:
+        if not np.linalg.norm(projs.sum(axis=0) - np.eye(self.dim)) <= PARTITION_TOL:
             raise ValueError("projectors do not resolve the identity")
 
     def bloch_vector(self) -> np.ndarray:
@@ -143,13 +146,12 @@ class MultiStart:
 
 @dataclass(frozen=True)
 class Hybrid:
-    """Coarse grid followed by a batched pattern search from the best grid
+    """Coarse grid followed by a batched pattern search from the 5 best grid
     points; the search's first angle step is the grid spacing.  Defined for a
     qubit A only: on dA != 2 it runs ``MultiStart(20)`` instead."""
 
     n_theta: int = 32
     n_phi: int = 64
-    refine_top: int = 5
 
 
 Strategy = Grid | MultiStart | Hybrid
@@ -277,6 +279,8 @@ def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
 # qubit grid reaches ANGLE_STEP_TOL in about 20 halvings plus a few dozen
 # moves, a MultiStart frame in about 23 halvings plus its moves.
 PATTERN_MAX_ROUNDS = 200
+# Hybrid refines this many of its best grid points.
+_REFINE_TOP = 5
 
 
 def _pattern_search(score, neighbours, starts, values, step):
@@ -340,7 +344,7 @@ def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid):
         )
         return best_angles, trace
 
-    top = np.argsort(scores)[::-1][: strategy.refine_top]
+    top = np.argsort(scores)[::-1][:_REFINE_TOP]
     step = np.array([np.pi / strategy.n_theta, 2.0 * np.pi / strategy.n_phi])
     refined_angles, refined, n_evals, converged = _pattern_search(
         score, _angle_neighbours, angles[top], scores[top], step

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .annihilators import (
+    CertificationReport,
     DAChannelSpec,
     Entry,
     IdentityAction,
@@ -369,6 +370,10 @@ def discord_result_to_json(result: DiscordResult) -> dict:
             "best_values": list(result.trace.best_values),
         },
     }
+
+
+def certification_to_json(report: CertificationReport) -> dict:
+    return {key: getattr(report, key) for key in ("passed", "n_checked", "worst_residual")}
 
 
 def verdict_to_json(verdict) -> dict:

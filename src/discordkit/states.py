@@ -264,16 +264,9 @@ def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_bipartite(
-    dim_a: int,
-    dim_b: int,
-    rng: int | np.random.Generator,
-    ensemble: str = "hilbert-schmidt",
-    *,
-    rank: int | None = None,
-) -> BipartiteState:
-    op = random_density(dim_a * dim_b, ensemble, rng, rank=rank)
-    return BipartiteState(dim_a, dim_b, op)
+def random_bipartite(dim_a: int, dim_b: int, rng: int | np.random.Generator) -> BipartiteState:
+    """Hilbert-Schmidt random state on ``dim_a (x) dim_b``."""
+    return BipartiteState(dim_a, dim_b, random_density(dim_a * dim_b, "hilbert-schmidt", rng))
 
 
 def basis_ket(dim: int, index: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from discordkit.cqsets import membership
 from discordkit.discord import _b_blocks, is_cq_exact
 from discordkit.serialize import FileFormatError, da_spec_to_json, encode_matrix, load_da_spec
 from discordkit.states import (
+    DensityOperator,
     as_rng,
     basis_ket,
     hermitian_basis,
@@ -135,6 +136,20 @@ class TestSpecValidation:
         assert np.linalg.norm(p - p.conj().T) > 1.4
         with pytest.raises(InvalidDASpecError, match="entry 0: matrix is not an orthogonal"):
             DAChannelSpec.make(4, 2, entries)
+
+    def test_zero_vector_rejected(self):
+        entries = [
+            Rank1Entry(np.zeros(2), IdentityAction()),
+            Rank1Entry(basis_ket(2, 1), IdentityAction()),
+        ]
+        with pytest.raises(InvalidDASpecError, match="entry 0: vector has zero or non-finite"):
+            DAChannelSpec.make(2, 2, entries)
+
+    def test_nan_projector_rejected(self):
+        point = PointTo(DensityOperator.maximally_mixed(2))
+        entries = [MultiEntry(np.full((2, 2), np.nan, dtype=complex), point)]
+        with pytest.raises(InvalidDASpecError, match="entry 0: matrix is not an orthogonal"):
+            DAChannelSpec.make(2, 2, entries)
 
     def test_oblique_projector_in_spec_file_rejected(self, tmp_path):
         entries = oblique_spec_entries()

@@ -265,6 +265,21 @@ class TestClassifyChannel:
             assert classify_channel(compose(pre, point), ActsOnB(dim_a=2)).label == "db-b"
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: ActsOnA(dim_b=0), "dim_b"),
+        (lambda: ActsOnB(dim_a=0), "dim_a"),
+        (lambda: ActsOnAB(dim_a=0, dim_b=2), "dim_a"),
+        (lambda: ActsOnAB(dim_a=2, dim_b=-1), "dim_b"),
+    ],
+    ids=["A", "B", "AB-a", "AB-b"],
+)
+def test_context_dimension_below_one_rejected(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        make()
+
+
 class TestUnitaryInvariance:
     """Point and measure-and-prepare channels stay so under unitaries before
     and after, and channels outside those families stay outside."""
@@ -343,6 +358,11 @@ class TestTetrahedronSweep:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
             tetrahedron_sweep(step=0.0, side="A")
+
+    @pytest.mark.parametrize("dim_other", [0, -1])
+    def test_dimension_below_one_rejected(self, dim_other):
+        with pytest.raises(ValueError, match="dim_other must be at least 1"):
+            tetrahedron_sweep(step=0.5, side="A", dim_other=dim_other, n_probe_states=1)
 
     def test_csv_deterministic(self):
         rows1 = tetrahedron_sweep(step=0.5, side="A", n_probe_states=3, seed=9)

@@ -302,6 +302,23 @@ def test_out_of_range_count_exits_2(tmp_path, capsys, argv, flag):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-cq", "--tol-cptp"])
+@pytest.mark.parametrize("command", ["classify", "verify-da"])
+def test_out_of_range_tolerance_exits_2(tmp_path, capsys, command, flag, value):
+    path = tmp_path / "id4.json"
+    save_channel(QuantumChannel.identity(4), path)
+    if command == "classify":
+        argv = ["classify", str(path), "--side", "B"]
+    else:
+        argv = ["verify-da", "--channel", str(path), "--dims", "2x2",
+                "--witness-out", str(tmp_path / "witness.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_axis_rows_side_a(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -426,6 +443,21 @@ class TestGenAndVerify:
         )
         assert code == 2
         assert "entries: entry 0: matrix is not an orthogonal projector" in err
+
+    def test_spec_with_zero_vector_exits_2(self, tmp_path, capsys):
+        identity = {"type": "identity"}
+        entries = [
+            {"kind": "rank1", "vector": encode_matrix(v), "action": identity}
+            for v in (np.zeros(2), basis_ket(2, 1))
+        ]
+        spec_path = tmp_path / "zero.json"
+        spec_path.write_text(json.dumps({"dims": [2, 2], "entries": entries}))
+        code, _, err = run(
+            capsys, "gen-da", "--spec", str(spec_path), "--out", str(tmp_path / "na.json")
+        )
+        assert code == 2
+        assert "entries: entry 0: vector has zero or non-finite norm 0.0" in err
+        assert "Warning" not in err
 
     def test_full_space_point_spec(self, tmp_path, capsys):
         from discordkit.channels import choi_distance, extend, make_point_channel

@@ -64,6 +64,14 @@ class TestValidateSpec:
     def test_z_both_valid(self):
         assert validate_spec(z_both_spec())
 
+    def test_nan_vector_invalid(self):
+        spec = z_both_spec()
+        nan_entry = BothEntry(np.array([np.nan, 0.0]), spec.both_entries[0].state)
+        spec = ConvexCQSubsetSpec(2, 2, both_entries=(nan_entry, spec.both_entries[1]))
+        diag = validate_spec(spec)
+        assert not diag
+        assert diag.message == "both[0]: vector is not normalised"
+
     def test_overlapping_point_entries_invalid(self):
         p = np.eye(4, dtype=complex)
         p[3, 3] = 0.0

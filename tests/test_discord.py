@@ -16,6 +16,7 @@ from discordkit.discord import (
     Hybrid,
     MultiStart,
     ProjectiveMeasurement,
+    _REFINE_TOP,
     _bloch_directions,
     _grid_angles,
     _holevo_like_value,
@@ -174,7 +175,7 @@ def nelder_mead_reference(rho, strategy=Hybrid()):
     def negative(x):
         return -float(_qubit_scores(t0, ts, s_b, _bloch_directions(x[None, :]))[0])
 
-    for start in angles[np.argsort(scores)[::-1][: strategy.refine_top]]:
+    for start in angles[np.argsort(scores)[::-1][:_REFINE_TOP]]:
         res = minimize(
             negative,
             x0=start,
@@ -237,6 +238,16 @@ class TestProjectiveMeasurement:
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="do not resolve the identity"):
             ProjectiveMeasurement.from_vectors([[1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("bad", [[0, 0], [np.nan, 1]], ids=["zero", "nan"])
+    def test_zero_or_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="vector 1 has zero or non-finite norm"):
+            ProjectiveMeasurement.from_vectors([[1, 0], bad])
+
+    def test_nan_projectors_fail_the_check(self):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="projectors 0 and 0 are not orthogonal"):
+            ProjectiveMeasurement(dim=2, projectors=(nan, np.eye(2) - nan))._check()
 
 
 class TestMeasureAndCondition:
