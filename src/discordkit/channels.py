@@ -148,14 +148,17 @@ class QuantumChannel:
         m = np.asarray(m)[..., None, :, :]
         return (self.kraus @ m @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=-3)
 
+    def _check_in_place(self, rho: BipartiteState) -> None:
+        if rho.state.dim != self.dim_in or self.dim_in != self.dim_out:
+            raise InvalidChannelError(
+                f"channel ({self.dim_in} -> {self.dim_out}) cannot act in place "
+                f"on a {rho.dim_a} (x) {rho.dim_b} state"
+            )
+
     def apply(self, rho: DensityOperator | BipartiteState):
         """Apply to a state, validating the output (same wrapper type back)."""
         if isinstance(rho, BipartiteState):
-            if rho.state.dim != self.dim_in or self.dim_in != self.dim_out:
-                raise InvalidChannelError(
-                    f"channel ({self.dim_in} -> {self.dim_out}) cannot act in place "
-                    f"on a {rho.dim_a} (x) {rho.dim_b} state"
-                )
+            self._check_in_place(rho)
             out = DensityOperator.from_matrix(self.apply_matrix(rho.matrix), name="channel output")
             return BipartiteState(rho.dim_a, rho.dim_b, out)
         if rho.dim != self.dim_in:

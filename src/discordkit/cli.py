@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=42, help="seed for all randomness")
+        p.add_argument("--seed", type=_nonnegative_int, default=42, help="seed for all randomness")
 
     def add_tolerances(p):
         p.add_argument("--tol-cq", type=_tolerance, default=CQ_TOL, dest="tol_cq",

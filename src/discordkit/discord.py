@@ -12,6 +12,7 @@ of the state directly, which is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 # Not called here: bench/tracing.py wraps discordkit.discord.minimize by name.
@@ -523,22 +524,43 @@ def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
     in row-major order of the upper triangle, each block's normality defect
     first, and the first pair to reach the largest defect is ``worst``.
     """
-    db = rho.dim_b
-    blocks = _b_blocks(rho).reshape(db * db, rho.dim_a, rho.dim_a)
-    first, second = np.triu_indices(db * db)
-    a = blocks[first]
-    # On the diagonal the pair is (A, A^dag), whose commutator is the normality defect.
-    b = np.where((first == second)[:, None, None], a.conj().transpose(0, 2, 1), blocks[second])
-    defects = _frobenius_norms(a @ b - b @ a)
-    x = int(np.argmax(defects))
-    worst_val = float(defects[x])
-    worst = None
-    if worst_val > 0.0:
-        pair = divmod(int(first[x]), db), divmod(int(second[x]), db)
-        worst = ("normality", pair[0]) if pair[0] == pair[1] else ("commutator", *pair)
-    scale = float(np.linalg.norm(rho.matrix))
-    residual = worst_val / max(scale, 1e-300)
+    (residual,), (worst,) = _cq_residuals(rho.matrix[None], rho.dim_a, rho.dim_b)
     return CQCheck(is_cq=residual <= tol, residual=residual, worst=worst, tol=tol)
+
+
+@lru_cache(maxsize=None)
+def _block_pairs(dim_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper triangle of the ``dim_b**2`` B blocks in row-major order: each
+    pair's two block indices and a mask of the diagonal pairs."""
+    first, second = np.triu_indices(dim_b * dim_b)
+    diagonal = (first == second)[:, None, None]
+    for index in (first, second, diagonal):
+        index.setflags(write=False)
+    return first, second, diagonal
+
+
+def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[list[float], list]:
+    """The residual and ``worst`` label of :func:`is_cq_exact` for each state of
+    the stack ``(n, dim_a * dim_b, dim_a * dim_b)``, bit for bit, in one scan."""
+    n = len(matrices)
+    first, second, diagonal = _block_pairs(dim_b)
+    blocks = matrices.reshape(n, dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 4, 1, 3)
+    blocks = blocks.reshape(n, dim_b * dim_b, dim_a, dim_a)
+    a = blocks[:, first]
+    # On the diagonal the pair is (A, A^dag), whose commutator is the normality defect.
+    b = np.where(diagonal, a.conj().transpose(0, 1, 3, 2), blocks[:, second])
+    defects = _frobenius_norms((a @ b - b @ a).reshape(-1, dim_a, dim_a)).reshape(n, len(first))
+    x = np.argmax(defects, axis=1)
+    worst_vals = defects[np.arange(n), x].tolist()
+    residuals, worst = [], []
+    for p, q, val, scale in zip(
+        first[x].tolist(), second[x].tolist(), worst_vals, _frobenius_norms(matrices).tolist()
+    ):
+        pair = divmod(p, dim_b), divmod(q, dim_b)
+        label = ("normality", pair[0]) if p == q else ("commutator", *pair)
+        worst.append(label if val > 0.0 else None)
+        residuals.append(val / max(scale, 1e-300))
+    return residuals, worst
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,22 +76,10 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"{name}: expected a square matrix, got shape {m.shape}")
-        eigvals, eigvecs = eig_hermitian(m, what=f"{name}: matrix", error=InvalidStateError)
-        m = (m + m.conj().T) / 2.0
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > VALIDITY_TOL:
-            raise InvalidStateError(f"{name}: trace is {trace!r}, expected 1")
-        if eigvals[0] < -VALIDITY_TOL:
-            raise InvalidStateError(
-                f"{name}: matrix is not positive semidefinite "
-                f"(min eigenvalue {eigvals[0]:.3e})"
-            )
-        if eigvals[0] < 0.0:
-            clipped = np.clip(eigvals, 0.0, None)
-            m = (eigvecs * clipped) @ eigvecs.conj().T
-            m = (m + m.conj().T) / 2.0
-            m = m / np.trace(m).real
-        return cls(dim=m.shape[0], matrix=_freeze(m))
+        valid, error = _validate_states(m[None], name=name)
+        if error is not None:
+            raise error
+        return cls(dim=len(m), matrix=_freeze(valid[0]))
 
     @classmethod
     def pure(cls, vector, *, name: str = "state") -> "DensityOperator":
@@ -189,14 +178,61 @@ def eig_hermitian(
     orthonormal eigenvector columns.
     """
     h = np.asarray(h, dtype=complex)
-    norm = float(np.linalg.norm(h))
-    # Tested before max(1, norm) below, which would turn NaN into 1.
-    if not np.isfinite(norm):
-        raise error(f"{what} is not finite")
-    defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > VALIDITY_TOL * max(1.0, norm):
-        raise error(f"{what} is not Hermitian (defect {defect:.3e})")
+    _, err = _hermitian_prefix(h[None], what, error)
+    if err is not None:
+        raise err
     return np.linalg.eigh((h + h.conj().T) / 2.0)
+
+
+def _hermitian_prefix(hs: np.ndarray, what: str, error: type[ValueError]):
+    """Length of the run of finite Hermitian matrices that opens the stack ``hs``,
+    and the error :func:`eig_hermitian` raises on the next member (None if none)."""
+    n = len(hs)
+    with np.errstate(invalid="ignore"):  # inf - inf in a member that is not finite
+        norms = _frobenius_norms(np.concatenate((hs, hs - hs.conj().transpose(0, 2, 1))))
+    for k, (norm, defect) in enumerate(zip(norms[:n].tolist(), norms[n:].tolist())):
+        # Tested before max(1, norm) below, which would turn NaN into 1.
+        if not math.isfinite(norm):
+            return k, error(f"{what} is not finite")
+        if defect > VALIDITY_TOL * max(1.0, norm):
+            return k, error(f"{what} is not Hermitian (defect {defect:.3e})")
+    return n, None
+
+
+def _validate_states(
+    ms: np.ndarray, *, name: str = "state"
+) -> tuple[np.ndarray, InvalidStateError | None]:
+    """Validate a stack ``(n, d, d)`` of matrices as states, in order.
+
+    Returns the matrices that :meth:`DensityOperator.from_matrix` would hold
+    for the members before the first invalid one, bit for bit, and the error
+    it raises on that member (None when every member is a state).  The
+    stack takes one ``eigh``; members with a negative eigenvalue within
+    ``VALIDITY_TOL`` are clipped from their own eigenpairs.
+    """
+    n_ok, error = _hermitian_prefix(ms, f"{name}: matrix", InvalidStateError)
+    h = ms[:n_ok]
+    h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(h)
+    clip = []
+    for k, trace in enumerate(np.trace(h, axis1=1, axis2=2).real.tolist()):
+        if abs(trace - 1.0) > VALIDITY_TOL:
+            error, h = InvalidStateError(f"{name}: trace is {trace!r}, expected 1"), h[:k]
+            break
+        if eigvals[k, 0] < -VALIDITY_TOL:
+            error, h = InvalidStateError(
+                f"{name}: matrix is not positive semidefinite "
+                f"(min eigenvalue {eigvals[k, 0]:.3e})"
+            ), h[:k]
+            break
+        if eigvals[k, 0] < 0.0:
+            clip.append(k)
+    if clip:
+        vecs = eigvecs[clip]
+        m = (vecs * np.clip(eigvals[clip], 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        m = (m + m.conj().transpose(0, 2, 1)) / 2.0
+        h[clip] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return h, error
 
 
 def entropy_from_eigenvalues(eigvals: np.ndarray) -> float:
@@ -249,9 +285,15 @@ def random_density(
         k = rank
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
+    return DensityOperator.from_matrix(_ginibre_density(dim, k, rng))
+
+
+def _ginibre_density(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The matrix G G^dag / tr(G G^dag) of a complex standard-normal ``dim x k``
+    G drawn from ``rng``, before validation."""
     g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     m = g @ g.conj().T
-    return DensityOperator.from_matrix(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:

@@ -284,10 +284,13 @@ class TestClassifyCommand:
             "--samples",
         ),
         (["tetra-sweep", "--step", "0.5", "--side", "A", "--probes", "-1"], "--probes"),
+        (["gen-da", "--random", "2x2", "--seed", "-1", "--out", "{w}/da.json"], "--seed"),
+        (["tetra-sweep", "--step", "0.5", "--side", "A", "--probes", "1", "--seed", "-1"], "--seed"),
     ],
     ids=[
         "classify-A-dim-other-0", "classify-B-dim-other-neg1", "sweep-dim-other-0",
         "classify-samples-neg5", "verify-samples-neg5", "sweep-probes-neg1",
+        "gen-da-seed-neg1", "sweep-seed-neg1",
     ],
 )
 def test_out_of_range_count_exits_2(tmp_path, capsys, argv, flag):

@@ -22,6 +22,7 @@ from discordkit.discord import (
     _holevo_like_value,
     _qubit_correlation_ops,
     _b_blocks,
+    _cq_residuals,
     _qubit_scores,
     classical_correlation,
     cq_decompose,
@@ -530,6 +531,37 @@ class TestIsCQExact:
         rho = BipartiteState(3, 3, DensityOperator.maximally_mixed(9))
         check = is_cq_exact(rho)
         assert check.is_cq and check.residual == 0.0 and check.worst is None
+
+
+class TestStackedCQResiduals:
+    """One stacked scan gives each state's residual and ``worst`` label bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_bitwise_equal_to_one_state_at_a_time(self, dims):
+        d = dims[0] * dims[1]
+        states = [random_bipartite(*dims, [7, *dims, k]) for k in range(300)]
+        states += [cq_state([8, k], *dims) for k in range(10)]
+        states += [max_entangled(*dims), BipartiteState(*dims, DensityOperator.maximally_mixed(d))]
+        residuals, worst = _cq_residuals(np.array([rho.matrix for rho in states]), *dims)
+        assert len(residuals) == len(worst) == len(states)
+        for rho, residual, label in zip(states, residuals, worst):
+            check, loop = is_cq_exact(rho), is_cq_exact_loop(rho)
+            assert residual == check.residual == loop.residual
+            assert label == check.worst == loop.worst
+        assert residuals[-1] == 0.0 and worst[-1] is None
+        assert sum(r <= 1e-12 for r in residuals) >= 11
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)])
+    def test_ties_between_states_of_a_stack(self, dims):
+        tied = max_entangled(*dims)
+        states = [tied, random_bipartite(*dims, 3), tied]
+        residuals, worst = _cq_residuals(np.array([rho.matrix for rho in states]), *dims)
+        assert worst[0] == worst[2] == is_cq_exact_loop(tied).worst
+        assert residuals[0] == residuals[2] == is_cq_exact(tied).residual
+
+    def test_empty_stack(self):
+        residuals, worst = _cq_residuals(np.zeros((0, 6, 6), dtype=complex), 3, 2)
+        assert residuals == worst == []
 
 
 class TestCQDecompose:

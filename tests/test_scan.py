@@ -44,6 +44,7 @@ from discordkit.discord import is_cq_exact
 from discordkit.states import (
     BipartiteState,
     DensityOperator,
+    InvalidStateError,
     as_rng,
     basis_ket,
     bell_state,
@@ -372,14 +373,68 @@ class TestInputsDrawnOnDemand:
         assert draws == []
 
     def test_failing_certification_builds_few_inputs(self, monkeypatch):
+        # The boundary draw takes random_density, the samples are raw draws.
         draws = count_calls(monkeypatch, annihilators, "random_density")
+        samples = count_calls(monkeypatch, annihilators, "_ginibre_density")
         channels = [(QuantumChannel.identity(4), 2, 2), (QuantumChannel.identity(6), 3, 2)]
         channels += [(random_channel(d, d, 2, [seed, d]), d // 2, 2) for d in (4, 6) for seed in range(3)]
         for channel, dim_a, dim_b in channels:
             draws.clear()
+            samples.clear()
             report = apply_and_certify(channel, dim_a, dim_b)
             assert not report.passed
-            assert len(draws) <= 2 * report.n_checked - 1
+            assert len(draws) + len(samples) <= 2 * report.n_checked - 1
+
+    def test_passing_certification_takes_two_eigh_per_chunk(self, monkeypatch):
+        channel = build_da_channel(random_da_spec(3, 3, [0, 3, 3]))
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        report = apply_and_certify(channel, 3, 3, seed=0)
+        assert report.passed and report.n_checked == 204
+        # Chunks of 1, 2, ..., 128 inputs: one stacked validation of the raw
+        # samples and one of the outputs each, plus the boundary rank draw.
+        assert len(calls) <= 2 * 8 + 1
+
+
+# -- chunk order ------------------------------------------------------------------------------
+
+
+class SpoiledIdentity(QuantumChannel):
+    """The two-qubit identity, except that its image of ``marked`` is ``image``."""
+
+    def __init__(self, marked, image):
+        super().__init__(np.eye(4, dtype=complex)[None])
+        self.marked, self.image = marked, image
+
+    def apply_matrix(self, m):
+        out = super().apply_matrix(m)
+        out[np.all(m == self.marked, axis=(-2, -1))] = self.image
+        return out
+
+
+NOT_PSD = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+
+
+class TestFirstFailureInAChunk:
+    """Member k and k + 1 fail in a chunk: the earlier one decides, as one at a time."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_non_cq_output_before_an_invalid_one(self, k):
+        inputs = classical_then_bell(k)
+        channel = SpoiledIdentity(inputs[k].matrix, NOT_PSD)
+        report = _cq_scan(channel, inputs)
+        assert report.n_checked == k and not report.passed
+        assert_same_scan(report, cq_scan_loop(channel, inputs))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_invalid_output_before_a_non_cq_one(self, k):
+        inputs = classical_then_bell(k + 1)
+        channel = SpoiledIdentity(inputs[k - 1].matrix, NOT_PSD)
+        with pytest.raises(InvalidStateError) as eager:
+            cq_scan_loop(channel, inputs)
+        with pytest.raises(InvalidStateError) as chunked:
+            _cq_scan(channel, inputs)
+        assert str(chunked.value) == str(eager.value)
+        assert "channel output: matrix is not positive semidefinite" in str(chunked.value)
 
 
 def test_report_counts_its_outputs():

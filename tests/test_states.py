@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discordkit.annihilators import build_da_channel, random_da_spec
 from discordkit.states import (
     BipartiteState,
     DensityOperator,
     InvalidStateError,
     PAULI_Z,
     _frobenius_norms,
+    _ginibre_density,
+    _validate_states,
     bell_state,
     eig_hermitian,
     hermitian_basis,
@@ -21,6 +24,133 @@ from discordkit.states import (
     tensor,
     von_neumann_entropy,
 )
+from discordkit.tolerances import VALIDITY_TOL
+
+
+def from_matrix_reference(matrix, name="state"):
+    """The per-matrix validation that the stacked validator replaced, verbatim:
+    the matrix ``DensityOperator.from_matrix`` held, or the error it raised."""
+    m = np.asarray(matrix, dtype=complex)
+    what = f"{name}: matrix"
+    norm = float(np.linalg.norm(m))
+    if not np.isfinite(norm):
+        return InvalidStateError(f"{what} is not finite")
+    defect = float(np.linalg.norm(m - m.conj().T))
+    if defect > VALIDITY_TOL * max(1.0, norm):
+        return InvalidStateError(f"{what} is not Hermitian (defect {defect:.3e})")
+    eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    m = (m + m.conj().T) / 2.0
+    trace = float(np.trace(m).real)
+    if abs(trace - 1.0) > VALIDITY_TOL:
+        return InvalidStateError(f"{name}: trace is {trace!r}, expected 1")
+    if eigvals[0] < -VALIDITY_TOL:
+        return InvalidStateError(
+            f"{name}: matrix is not positive semidefinite "
+            f"(min eigenvalue {eigvals[0]:.3e})"
+        )
+    if eigvals[0] < 0.0:
+        clipped = np.clip(eigvals, 0.0, None)
+        m = (eigvecs * clipped) @ eigvecs.conj().T
+        m = (m + m.conj().T) / 2.0
+        m = m / np.trace(m).real
+    return m
+
+
+def from_matrix_outcome(matrix, name="state"):
+    try:
+        return DensityOperator.from_matrix(matrix, name=name).matrix
+    except InvalidStateError as exc:
+        return exc
+
+
+def same_outcome(x, y) -> bool:
+    if isinstance(x, Exception) or isinstance(y, Exception):
+        return type(x) is type(y) and str(x) == str(y)
+    return np.array_equal(x, y)
+
+
+def validator_corpus(d, seed):
+    """Raw matrices of dimension ``d``: Hilbert-Schmidt draws, rank-deficient
+    outputs of an annihilating channel and pure states."""
+    rng = np.random.default_rng(seed)
+    hs = [_ginibre_density(d, d, rng) for _ in range(60)]
+    dim_a = 2 if d % 2 == 0 else 3
+    channel = build_da_channel(random_da_spec(dim_a, d // dim_a, seed))
+    outputs = list(channel.apply_matrix(np.array(hs)))
+    vs = rng.standard_normal((60, d)) + 1j * rng.standard_normal((60, d))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    pure = [np.outer(v, v.conj()) for v in vs]
+    return np.array(hs + outputs + pure)
+
+
+def spoil(m, kind):
+    """A copy of ``m`` that fails exactly one state invariant."""
+    m = m.copy()
+    if kind == "nan":
+        m[0, -1] = np.nan
+    elif kind == "non-hermitian":
+        m[0, -1] += 1e-3
+    elif kind == "trace":
+        m = m * 1.01
+    elif kind == "not-psd":
+        # Move weight from the lowest eigenvector to the highest, past zero.
+        w, v = np.linalg.eigh(m)
+        low, high = np.outer(v[:, 0], v[:, 0].conj()), np.outer(v[:, -1], v[:, -1].conj())
+        m = m + (w[0] + 1e-3) * (high - low)
+    return m
+
+
+SPOILS = ("nan", "non-hermitian", "trace", "not-psd")
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("d, seed", [(4, 1), (6, 2), (9, 3), (8, 4)])
+    def test_bitwise_equal_to_one_call_per_matrix(self, d, seed):
+        stack = validator_corpus(d, seed)
+        valid, error = _validate_states(stack)
+        assert error is None and len(valid) == len(stack)
+        clipped = 0
+        for m, got in zip(stack, valid):
+            assert np.array_equal(got, from_matrix_outcome(m))
+            assert np.array_equal(got, from_matrix_reference(m))
+            clipped += np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] < 0.0
+        # The corpus reaches the clip branch, and not only there.
+        assert 30 <= clipped < len(stack)
+
+    def test_the_spoiled_matrices_fail_their_invariant(self):
+        m = validator_corpus(4, 1)[0]
+        messages = [str(from_matrix_outcome(spoil(m, kind))) for kind in SPOILS]
+        for message, word in zip(messages, ["finite", "Hermitian", "trace", "semidefinite"]):
+            assert word in message
+
+    @pytest.mark.parametrize("kind", SPOILS)
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_first_bad_member_gives_the_error_of_from_matrix(self, kind, k):
+        stack = validator_corpus(4, 5)[50:58].copy()
+        stack[k] = spoil(stack[k], kind)
+        valid, error = _validate_states(stack, name="channel output")
+        assert len(valid) == k
+        for m, got in zip(stack, valid):
+            assert np.array_equal(got, from_matrix_outcome(m, "channel output"))
+        assert same_outcome(error, from_matrix_outcome(stack[k], "channel output"))
+        assert same_outcome(error, from_matrix_reference(stack[k], "channel output"))
+
+    @pytest.mark.parametrize("first", SPOILS)
+    @pytest.mark.parametrize("second", SPOILS)
+    def test_the_earlier_of_two_bad_members_wins(self, first, second):
+        stack = validator_corpus(6, 6)[55:65].copy()
+        stack[2] = spoil(stack[2], first)
+        stack[5] = spoil(stack[5], second)
+        valid, error = _validate_states(stack)
+        assert len(valid) == 2
+        assert same_outcome(error, from_matrix_outcome(stack[2]))
+
+    def test_empty_and_zero_dimensional_stacks(self):
+        valid, error = _validate_states(np.zeros((0, 3, 3), dtype=complex))
+        assert valid.shape == (0, 3, 3) and error is None
+        valid, error = _validate_states(np.zeros((1, 0, 0), dtype=complex))
+        assert len(valid) == 0
+        assert same_outcome(error, from_matrix_reference(np.zeros((0, 0))))
 
 
 class TestDensityOperatorValidation:
