@@ -24,6 +24,8 @@ from .states import (
     PAULIS,
     BipartiteState,
     DensityOperator,
+    _frobenius_norms,
+    _hermitian_prefix,
     as_rng,
     eig_hermitian,
     hermitian_basis,
@@ -59,11 +61,7 @@ class QuantumChannel:
                 f"Kraus operator {i} has shape {shapes[i]}, expected {expected}"
             )
         self.dim_out, self.dim_in = ops.shape[1:]
-        defect = float(np.linalg.norm(_completeness(ops) - np.eye(self.dim_in)))
-        if not defect <= VALIDITY_TOL * max(1.0, self.dim_in):  # a NaN defect fails too
-            raise InvalidChannelError(
-                f"Kraus set is not trace-preserving (defect {defect:.3e})"
-            )
+        _check_trace_preserving(ops[None])
         ops.setflags(write=False)
         self.kraus = ops
         self._choi: np.ndarray | None = None
@@ -116,11 +114,7 @@ class QuantumChannel:
     def choi(self) -> np.ndarray:
         """Choi matrix, input slot first, unnormalised."""
         if self._choi is None:
-            d = self.dim_in * self.dim_out
-            j = np.zeros((d, d), dtype=complex)
-            for vec in self.kraus.transpose(0, 2, 1).reshape(-1, d):
-                j += np.outer(vec, vec.conj())
-            self._choi = j
+            self._choi = _choi_matrices(self.kraus)
         return self._choi
 
     def transfer(self) -> np.ndarray:
@@ -169,8 +163,39 @@ class QuantumChannel:
 
 
 def _completeness(ops: np.ndarray) -> np.ndarray:
-    """``sum_k K_k^dag K_k`` of a Kraus stack."""
-    return np.einsum("kij,kil->jl", ops.conj(), ops)
+    """``sum_k K_k^dag K_k`` of a Kraus stack, or of each of a stack of them."""
+    return np.einsum("...kij,...kil->...jl", ops.conj(), ops)
+
+
+def _check_trace_preserving(ops: np.ndarray) -> None:
+    """Raise on the first Kraus set of the stack ``(n, r, dim_out, dim_in)``
+    whose completeness defect exceeds ``VALIDITY_TOL * max(1, dim_in)``."""
+    dim_in = ops.shape[-1]
+    defects = _frobenius_norms(_completeness(ops) - np.eye(dim_in))
+    bad = ~(defects <= VALIDITY_TOL * max(1.0, dim_in))  # a NaN defect fails too
+    if bad.any():
+        raise InvalidChannelError(
+            f"Kraus set is not trace-preserving (defect {defects[bad][0]:.3e})"
+        )
+
+
+def _choi_matrices(kraus: np.ndarray) -> np.ndarray:
+    """Choi matrices of a Kraus stack ``(..., r, dim_out, dim_in)``.
+
+    The r outer products of the vectorised operators ``vec(K_k^T)`` are
+    added to zero in k order, one stacked product each, so every matrix is
+    bit for bit the sum a loop of ``np.outer`` gives (one ``einsum`` or
+    matrix product sums in another order).  An exact-zero operator adds
+    nothing.
+    """
+    *lead, r, dim_out, dim_in = kraus.shape
+    d = dim_in * dim_out
+    vecs = kraus.swapaxes(-1, -2).reshape(*lead, r, d)
+    j = np.zeros((*lead, d, d), dtype=complex)
+    for k in range(r):
+        vec = vecs[..., k, :]
+        j += vec[..., :, None] * vec[..., None, :].conj()
+    return j
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
@@ -302,32 +327,60 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
     if not effects:
         raise InvalidChannelError("POVM must be non-empty")
     dim_in = effects[0].shape[0]
-    total = np.zeros((dim_in, dim_in), dtype=complex)
-    ops = []
-    for idx, (f, k) in enumerate(zip(effects, kets)):
+    for idx, f in enumerate(effects):
         if f.shape != (dim_in, dim_in):
             raise InvalidChannelError(f"POVM element {idx} has shape {f.shape}")
-        eigvals, eigvecs = eig_hermitian(f, what=f"POVM element {idx}", error=InvalidChannelError)
-        if eigvals[0] < -VALIDITY_TOL:
-            raise InvalidChannelError(
-                f"POVM element {idx} is not PSD (min eigenvalue {eigvals[0]:.3e})"
-            )
-        total += f
-        # sqrt(mu_m) |k><v_m| over the kept eigenpairs of F.
-        keep = eigvals > KRAUS_CUTOFF
-        outers = k[:, None] * eigvecs[:, keep].conj().T[:, None, :]
-        ops.append(np.sqrt(eigvals[keep])[:, None, None] * outers)
-    if np.linalg.norm(total - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in):
-        raise InvalidChannelError("POVM elements do not sum to the identity")
-    gram = np.conj(kets) @ np.transpose(kets)
-    first, second = np.triu_indices(len(kets))
-    bad = np.flatnonzero(np.abs(gram[first, second] - (first == second)) > VALIDITY_TOL)
-    if bad.size:
-        a, b = first[bad[0]], second[bad[0]]
+    (ops,), (keep,) = _qc_kraus(np.array(effects)[None], np.array(kets)[None])
+    return QuantumChannel(ops[keep])
+
+
+def _qc_kraus(effects: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stacks of the measure-and-prepare channels with POVMs ``effects``
+    ``(n, K, dim_in, dim_in)`` and output kets ``(n, K, dim_out)``.
+
+    The operators are ``sqrt(mu_m) |k><v_m|`` over the eigenpairs of each
+    ``F_k``, in (k, m) order, shaped ``(n, K * dim_in, dim_out, dim_in)``;
+    an eigenvalue at most ``KRAUS_CUTOFF`` gets an exact zero in place of its
+    operator, and the mask of kept operators comes back with the stack.  The
+    checks of :func:`make_qc_channel` run over the whole stack in its order,
+    and the first failure raises its error: a POVM element that is not
+    Hermitian or not PSD, then a POVM that does not sum to the identity,
+    then an output basis that is not orthonormal.
+    """
+    n, n_out, dim_in = effects.shape[:3]
+    flat = effects.reshape(n * n_out, dim_in, dim_in)
+    n_hermitian, _ = _hermitian_prefix(flat, "POVM element", InvalidChannelError)
+    h = flat[:n_hermitian]
+    eigvals, eigvecs = np.linalg.eigh((h + h.conj().transpose(0, 2, 1)) / 2.0)
+    not_psd = np.flatnonzero(eigvals[:, 0] < -VALIDITY_TOL)
+    if not_psd.size:
+        e = not_psd[0]
         raise InvalidChannelError(
-            f"output basis is not orthonormal: <{a}|{b}> = {gram[a, b]:.3e}"
+            f"POVM element {e % n_out} is not PSD (min eigenvalue {eigvals[e, 0]:.3e})"
         )
-    return QuantumChannel(np.concatenate(ops))
+    if n_hermitian < len(flat):  # eig_hermitian raises that element's error
+        what = f"POVM element {n_hermitian % n_out}"
+        eig_hermitian(flat[n_hermitian], what=what, error=InvalidChannelError)
+    totals = np.zeros((n, dim_in, dim_in), dtype=complex)
+    for k in range(n_out):
+        totals += effects[:, k]
+    if (_frobenius_norms(totals - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in)).any():
+        raise InvalidChannelError("POVM elements do not sum to the identity")
+    gram = kets.conj() @ kets.transpose(0, 2, 1)
+    first, second = np.triu_indices(n_out)
+    bad = np.argwhere(np.abs(gram[:, first, second] - (first == second)) > VALIDITY_TOL)
+    if bad.size:
+        channel, pair = bad[0]
+        a, b = first[pair], second[pair]
+        raise InvalidChannelError(
+            f"output basis is not orthonormal: <{a}|{b}> = {gram[channel, a, b]:.3e}"
+        )
+    keep = eigvals > KRAUS_CUTOFF
+    dim_out = kets.shape[-1]
+    bras = eigvecs.conj().transpose(0, 2, 1)  # row m of element e is <v_m|
+    outers = kets.reshape(-1, dim_out)[:, None, :, None] * bras[:, :, None, :]
+    ops = np.sqrt(np.where(keep, eigvals, 0.0))[..., None, None] * outers
+    return ops.reshape(n, n_out * dim_in, dim_out, dim_in), keep.reshape(n, n_out * dim_in)
 
 
 @dataclass(frozen=True)
@@ -343,10 +396,32 @@ class UnitalQubitParams:
     l3: float
 
     def in_cptp_tetrahedron(self, tol: float = ZERO_CUTOFF) -> bool:
-        return (
-            abs(self.l1 + self.l2) <= 1.0 + self.l3 + tol
-            and abs(self.l1 - self.l2) <= 1.0 - self.l3 + tol
-        )
+        return bool(_in_cptp_tetrahedron(self.l1, self.l2, self.l3, tol))
+
+
+def _in_cptp_tetrahedron(l1, l2, l3, tol: float = ZERO_CUTOFF):
+    """The tetrahedron test of :class:`UnitalQubitParams`, elementwise on arrays."""
+    return (np.abs(l1 + l2) <= 1.0 + l3 + tol) & (np.abs(l1 - l2) <= 1.0 - l3 + tol)
+
+
+_PAULI_STACK = np.array((PAULI_I, *PAULIS))
+_PAULI_STACK.setflags(write=False)
+
+
+def _unital_qubit_kraus(l1, l2, l3) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli Kraus stacks ``(..., 4, 2, 2)`` of :func:`make_unital_qubit` for
+    scalar or array contractions, and the mask ``(..., 4)`` of kept weights.
+
+    A dropped weight's operator is an exact zero, which adds nothing to the
+    Choi matrix or the completeness sum.
+    """
+    l1, l2, l3 = np.broadcast_arrays(l1, l2, l3)
+    p = 0.25 * np.stack(
+        [1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3], axis=-1
+    )
+    cutoff = ZERO_CUTOFF * np.maximum(1.0, 2.0 * p.max(axis=-1, keepdims=True))
+    keep = 2.0 * p > cutoff
+    return np.sqrt(np.where(keep, p, 0.0))[..., None, None] * _PAULI_STACK, keep
 
 
 def make_unital_qubit(params: UnitalQubitParams) -> QuantumChannel:
@@ -362,11 +437,8 @@ def make_unital_qubit(params: UnitalQubitParams) -> QuantumChannel:
         raise InvalidChannelError(
             f"({params.l1}, {params.l2}, {params.l3}) lies outside the CPTP tetrahedron"
         )
-    l1, l2, l3 = params.l1, params.l2, params.l3
-    p = 0.25 * np.array([1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
-    cutoff = ZERO_CUTOFF * max(1.0, 2.0 * p.max())
-    keep = 2.0 * p > cutoff
-    return QuantumChannel(np.sqrt(p[keep])[:, None, None] * np.array((PAULI_I, *PAULIS))[keep])
+    ops, keep = _unital_qubit_kraus(params.l1, params.l2, params.l3)
+    return QuantumChannel(ops[keep])
 
 
 def random_channel(

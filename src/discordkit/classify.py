@@ -4,8 +4,9 @@ Point channels (the only channels on B that break discord), quantum-
 classical measure-and-prepare channels (the only ones on A that do),
 entanglement breaking via the PPT criterion, and the combined classifier
 with its tetrahedron sweep over unital qubit channels.  Each family has one
-decision function, shared by its verdict and the sweep; every negative
-verdict adds a witness that can be re-checked independently.
+decision function, which takes a stack of Choi matrices: the public verdict
+is its one-channel case and the sweep calls it once per slab of grid points.
+Every negative verdict adds a witness that can be re-checked independently.
 """
 
 from __future__ import annotations
@@ -25,19 +26,21 @@ from .annihilators import (
 from .channels import (
     QuantumChannel,
     TransferAnalysis,
+    _check_trace_preserving,
+    _choi_matrices,
+    _in_cptp_tetrahedron,
+    _qc_kraus,
+    _unital_qubit_kraus,
     analyze_transfer,
-    choi_distance,
     compose,
     extend,
-    make_qc_channel,
-    make_unital_qubit,
-    UnitalQubitParams,
 )
-from .discord import DecompositionError, Hybrid, cq_decompose, discord, is_cq_exact
+from .discord import Hybrid, _cq_conditionals, _cq_draws, _cq_residuals, discord
 from .states import (
     BipartiteState,
     DensityOperator,
     _frobenius_norms,
+    _validate_states,
     as_rng,
     basis_ket,
     bell_state,
@@ -138,67 +141,101 @@ def _probe_pair_witness(channel: QuantumChannel, kind: str) -> dict:
     }
 
 
-def _choi_partial_transpose(channel: QuantumChannel) -> np.ndarray:
-    """Partial transpose, on the output slot, of the normalised Choi matrix."""
-    din, dout = channel.dim_in, channel.dim_out
-    nu = channel.choi / din
-    return nu.reshape(din, dout, din, dout).transpose(0, 3, 2, 1).reshape(nu.shape)
+def _choi_partial_transpose(chois: np.ndarray, dim_in: int) -> np.ndarray:
+    """Partial transpose, on the output slot, of each normalised Choi matrix of
+    the stack ``(n, d, d)``."""
+    n, d = chois.shape[:2]
+    dim_out = d // dim_in
+    nu = chois / dim_in
+    return nu.reshape(n, dim_in, dim_out, dim_in, dim_out).transpose(0, 1, 4, 3, 2).reshape(n, d, d)
 
 
 # -- family tests --------------------------------------------------------------
+# Each decision takes a stack ``(n, d, d)`` of Choi matrices with input
+# dimension ``dim_in`` and returns one witness-free verdict per matrix.
 
 
-def _point_decision(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
-    """The decision of :func:`is_point_channel`, without a witness."""
-    j = channel.choi
-    sigma = partial_trace_matrix(j, channel.dim_in, channel.dim_out, "B") / channel.dim_in
-    target = np.kron(np.eye(channel.dim_in, dtype=complex), sigma)
-    residual = float(np.linalg.norm(j - target))
-    threshold = tol * max(1.0, float(np.linalg.norm(j)))
-    if residual <= threshold:
-        return Verdict(
+def _point_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> list[Verdict]:
+    """The decisions of :func:`is_point_channel`, without a witness."""
+    dim_out = chois.shape[-1] // dim_in
+    sigmas = partial_trace_matrix(chois, dim_in, dim_out, "B") / dim_in
+    targets = np.kron(np.eye(dim_in, dtype=complex), sigmas)
+    residuals = _frobenius_norms(chois - targets).tolist()
+    thresholds = (tol * np.maximum(1.0, _frobenius_norms(chois))).tolist()
+    return [
+        Verdict(
             kind="yes",
             residual=residual,
             details={"fixed_state": DensityOperator.from_matrix(sigma, name="point target")},
         )
-    return Verdict(kind="no", residual=residual)
+        if residual <= threshold
+        else Verdict(kind="no", residual=residual)
+        for sigma, residual, threshold in zip(sigmas, residuals, thresholds)
+    ]
 
 
-def _qc_decision(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
-    """The decision of :func:`is_qc_channel`, without a witness."""
-    din, dout = channel.dim_in, channel.dim_out
-    j = channel.choi
-    swapped = (
-        j.reshape(din, dout, din, dout).transpose(1, 0, 3, 2).reshape(din * dout, din * dout)
-    )
-    nu = BipartiteState.from_matrix(swapped / din, dout, din, name="swapped Choi")
-    check = is_cq_exact(nu, tol)
-    if not check:
-        return Verdict(kind="no", residual=check.residual)
-    try:
-        decomp = cq_decompose(nu, tol)
-    except DecompositionError as exc:
-        residual = exc.residual
-    else:
-        povm = []
-        kets = []
-        for k in range(dout):
-            povm.append(din * decomp.probs[k] * decomp.conditional_states[k].matrix.T)
-            kets.append(decomp.basis[:, k])
-        rebuilt = make_qc_channel(povm, kets)
-        residual = choi_distance(rebuilt, channel) / max(1.0, float(np.linalg.norm(j)))
-        if residual <= tol:
-            return Verdict(
-                kind="yes",
-                residual=residual,
-                details={"povm": povm, "basis": kets},
-            )
-    return Verdict(
-        kind="no",
-        residual=residual,
-        notes="Choi is classical on the output slot but the extracted form "
-        "does not reproduce the channel",
-    )
+def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> list[Verdict]:
+    """The decisions of :func:`is_qc_channel`, without a witness: one stacked
+    validation and CQ test of the slot-swapped normalised Choi matrices, then
+    one stacked rebuild of the channels that pass."""
+    n, d = chois.shape[:2]
+    dim_out = d // dim_in
+    swapped = chois.reshape(n, dim_in, dim_out, dim_in, dim_out).transpose(0, 2, 1, 4, 3)
+    nus, error = _validate_states(swapped.reshape(n, d, d) / dim_in, name="swapped Choi")
+    if error is not None:
+        raise error
+    residuals, _ = _cq_residuals(nus, dim_out, dim_in)
+    verdicts = [Verdict(kind="no", residual=residual) for residual in residuals]
+    cq = np.flatnonzero(np.array(residuals) <= tol)
+    if cq.size:
+        for row, verdict in zip(cq.tolist(), _qc_rebuild(chois[cq], nus[cq], dim_in, tol)):
+            verdicts[row] = verdict
+    return verdicts
+
+
+def _qc_rebuild(chois: np.ndarray, nus: np.ndarray, dim_in: int, tol: float) -> list[Verdict]:
+    """The verdicts on channels whose slot-swapped normalised Choi matrices
+    ``nus`` are CQ.
+
+    Each draw of the CQ decomposition that reconstructs a channel's ``nu``
+    gives a POVM ``F_k = dim_in * (conditional input block)^T`` and an
+    output basis.  The answer is "yes" at the first draw whose rebuilt
+    channel lies within ``tol`` of the original; otherwise "no" with the
+    smallest rebuild residual, or the last reconstruction residual when no
+    draw reconstructs ``nu``.
+    """
+    n = len(chois)
+    dim_out = chois.shape[-1] // dim_in
+    scales = np.maximum(1.0, _frobenius_norms(chois))
+    verdicts: list[Verdict | None] = [None] * n
+    misses: list[list[float]] = [[] for _ in range(n)]
+    for relative, accepted, basis, weights, blocks in _cq_draws(nus, dim_out, dim_in, tol):
+        rows = np.flatnonzero(accepted & np.array([v is None for v in verdicts], dtype=bool))
+        if rows.size:
+            probs, conditionals = _cq_conditionals(weights[rows], blocks[rows])
+            povms = (dim_in * probs)[..., None, None] * conditionals.transpose(0, 1, 3, 2)
+            kets = basis[rows].transpose(0, 2, 1)  # row k is basis[:, k]
+            kraus, _ = _qc_kraus(povms, kets)
+            _check_trace_preserving(kraus)
+            rebuilt = _frobenius_norms(_choi_matrices(kraus) - chois[rows]) / scales[rows]
+            for row, residual, povm, ket in zip(rows.tolist(), rebuilt.tolist(), povms, kets):
+                if residual <= tol:
+                    details = {"povm": list(povm), "basis": list(ket)}
+                    verdicts[row] = Verdict(kind="yes", residual=residual, details=details)
+                else:
+                    misses[row].append(residual)
+        if all(verdicts):
+            break
+    return [
+        verdict
+        or Verdict(
+            kind="no",
+            residual=min(misses[row], default=float(relative[row])),
+            notes="Choi is classical on the output slot but the extracted form "
+            "does not reproduce the channel",
+        )
+        for row, verdict in enumerate(verdicts)
+    ]
 
 
 def _with_witness(verdict: Verdict, channel: QuantumChannel, kind: str) -> Verdict:
@@ -214,7 +251,8 @@ def is_point_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     with ``sigma = tr_in J / dim_in``.  A "no" carries the pair of probe
     inputs whose outputs differ most.
     """
-    return _with_witness(_point_decision(channel, tol), channel, "distinct-outputs")
+    (verdict,) = _point_decision(channel.choi[None], channel.dim_in, tol)
+    return _with_witness(verdict, channel, "distinct-outputs")
 
 
 def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
@@ -228,7 +266,8 @@ def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     ``tol`` of the original.  A "no" carries the pair of probe inputs whose
     outputs commute least.
     """
-    return _with_witness(_qc_decision(channel, tol), channel, "noncommuting-outputs")
+    (verdict,) = _qc_decision(channel.choi[None], channel.dim_in, tol)
+    return _with_witness(verdict, channel, "noncommuting-outputs")
 
 
 def recheck_witness(channel: QuantumChannel, witness: dict) -> float:
@@ -240,7 +279,8 @@ def recheck_witness(channel: QuantumChannel, witness: dict) -> float:
         return float(_PAIR_WITNESSES[kind][1](out_a, out_b)[0])
     if kind == "npt-eigenvector":
         vec = witness["vector"]
-        return -float(np.real(vec.conj() @ _choi_partial_transpose(channel) @ vec))
+        (pt,) = _choi_partial_transpose(channel.choi[None], channel.dim_in)
+        return -float(np.real(vec.conj() @ pt @ vec))
     if kind == "discordant-output":
         raise ValueError("re-check discordant-output witnesses against the extended channel")
     raise ValueError(f"unknown witness kind {kind!r}")
@@ -253,31 +293,33 @@ def is_entanglement_breaking(channel: QuantumChannel) -> Verdict:
     eigenvector as witness.  PPT is conclusive only for 2x2, 2x3 and 3x2
     in/out dimensions; elsewhere a PPT channel is reported "unknown".
     """
-    din, dout = channel.dim_in, channel.dim_out
-    eigvals, eigvecs = np.linalg.eigh(_choi_partial_transpose(channel))
-    if eigvals[0] < -EB_TOL:
-        witness = {
-            "kind": "npt-eigenvector",
-            "eigenvalue": float(eigvals[0]),
-            "vector": eigvecs[:, 0],
-        }
-        return Verdict(kind="no", residual=float(-eigvals[0]), witness=witness)
-    if (din, dout) in {(2, 2), (2, 3), (3, 2)}:
-        return Verdict(kind="yes", residual=float(max(0.0, -eigvals[0])))
-    nu = channel.choi / din
-    marg_in = partial_trace_matrix(nu, din, dout, "A")
-    marg_out = partial_trace_matrix(nu, din, dout, "B")
-    if np.linalg.norm(nu - np.kron(marg_in, marg_out)) <= EB_TOL:
-        return Verdict(
-            kind="yes",
-            residual=float(max(0.0, -eigvals[0])),
-            notes="Choi matrix is a product state, hence separable in any dimension",
-        )
-    return Verdict(
-        kind="unknown",
-        residual=float(max(0.0, -eigvals[0])),
-        notes="PPT holds but is not sufficient for separability in these dimensions",
-    )
+    (verdict,) = _eb_decision(channel.choi[None], channel.dim_in)
+    return verdict
+
+
+def _eb_decision(chois: np.ndarray, dim_in: int) -> list[Verdict]:
+    """The verdicts of :func:`is_entanglement_breaking`, from one stacked
+    ``eigh`` of the partial transposes."""
+    dim_out = chois.shape[-1] // dim_in
+    eigvals, eigvecs = np.linalg.eigh(_choi_partial_transpose(chois, dim_in))
+    verdicts = []
+    for choi, lowest, vecs in zip(chois, eigvals[:, 0].tolist(), eigvecs):
+        if lowest < -EB_TOL:
+            witness = {"kind": "npt-eigenvector", "eigenvalue": lowest, "vector": vecs[:, 0]}
+            verdicts.append(Verdict(kind="no", residual=-lowest, witness=witness))
+            continue
+        kind, notes = "yes", ""
+        if (dim_in, dim_out) not in {(2, 2), (2, 3), (3, 2)}:
+            nu = choi / dim_in
+            marg_in = partial_trace_matrix(nu, dim_in, dim_out, "A")
+            marg_out = partial_trace_matrix(nu, dim_in, dim_out, "B")
+            if np.linalg.norm(nu - np.kron(marg_in, marg_out)) <= EB_TOL:
+                notes = "Choi matrix is a product state, hence separable in any dimension"
+            else:
+                kind = "unknown"
+                notes = "PPT holds but is not sufficient for separability in these dimensions"
+        verdicts.append(Verdict(kind=kind, residual=max(0.0, -lowest), notes=notes))
+    return verdicts
 
 
 # -- combined classification -----------------------------------------------------
@@ -415,6 +457,20 @@ class SweepRow:
     max_discord: float
 
 
+def _axis_count(step: float) -> int:
+    """Grid values per axis of a sweep at ``step``, ``round(2 / step) + 1``.
+
+    Refuses a step outside (0, 1], and one whose count exceeds the largest
+    float array numpy can allocate.
+    """
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must lie in (0, 1], got {step}")
+    intervals = 2.0 / step  # inf for a subnormal step
+    if not intervals < np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"step {step} gives more grid values per axis than numpy can allocate")
+    return round(intervals) + 1
+
+
 def tetrahedron_sweep(
     step: float,
     side: str,
@@ -428,33 +484,38 @@ def tetrahedron_sweep(
     A) or ``is_point_channel`` (side B) and its entanglement-breaking
     verdict; when ``n_probe_states`` is positive the maximal
     discord over the probe outputs of the extended channel is reported,
-    otherwise NaN.  Rows are ordered by grid index.
+    otherwise NaN.  Rows are ordered by grid index.  The grid is decided one
+    ``l1`` slab at a time: the slab's points inside the tetrahedron get one
+    Pauli Kraus stack, one completeness check, one Choi stack and one call
+    of each stacked decision.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must lie in (0, 1], got {step}")
+    count = _axis_count(step)
     side = side.upper()
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if dim_other < 1:
         raise ValueError(f"dim_other must be at least 1, got {dim_other}")
-    n = int(round(2.0 / step))
-    values = -1.0 + step * np.arange(n + 1)
+    values = -1.0 + step * np.arange(count)
     dims = (2, dim_other) if side == "A" else (dim_other, 2)
     probes = witness_probe_states(*dims, budget=n_probe_states, seed=seed) if n_probe_states else []
     decide = _qc_decision if side == "A" else _point_decision
+    slab_l2, slab_l3 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
     rows = []
-    for l1, l2, l3 in itertools.product(values.tolist(), repeat=3):
-        params = UnitalQubitParams(l1, l2, l3)
-        if not params.in_cptp_tetrahedron():
-            continue
-        channel = make_unital_qubit(params)
-        max_discord = float("nan")
-        if probes:
-            extended = extend(channel, side, dim_other)
-            max_discord = max([0.0] + [discord(extended.apply(p), Hybrid()).value for p in probes])
-        is_db = decide(channel).kind == "yes"
-        is_eb = is_entanglement_breaking(channel).kind == "yes"
-        rows.append(SweepRow(l1, l2, l3, is_db, is_eb, max_discord))
+    for l1 in values.tolist():
+        inside = _in_cptp_tetrahedron(l1, slab_l2, slab_l3)
+        l2, l3 = slab_l2[inside], slab_l3[inside]
+        kraus, kept = _unital_qubit_kraus(l1, l2, l3)
+        _check_trace_preserving(kraus)
+        chois = _choi_matrices(kraus)
+        is_db = [verdict.kind == "yes" for verdict in decide(chois, 2)]
+        is_eb = [verdict.kind == "yes" for verdict in _eb_decision(chois, 2)]
+        for i, (x2, x3) in enumerate(zip(l2.tolist(), l3.tolist())):
+            max_discord = float("nan")
+            if probes:
+                extended = extend(QuantumChannel(kraus[i, kept[i]]), side, dim_other)
+                discords = [discord(extended.apply(p), Hybrid()).value for p in probes]
+                max_discord = max([0.0] + discords)
+            rows.append(SweepRow(l1, x2, x3, is_db[i], is_eb[i], max_discord))
     return rows
 
 
@@ -493,9 +554,9 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
     diagonal in a fixed basis, or the B factor is a point channel.  When
     neither holds, a witness input with a non-CQ output is searched for.
     """
-    if _qc_decision(channel_a).kind == "yes":
+    if _qc_decision(channel_a.choi[None], channel_a.dim_in)[0].kind == "yes":
         return LocalDAVerdict(kind="da-via-a")
-    if _point_decision(channel_b).kind == "yes":
+    if _point_decision(channel_b.choi[None], channel_b.dim_in)[0].kind == "yes":
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))

@@ -25,6 +25,7 @@ from .classify import (
     ActsOnA,
     ActsOnAB,
     ActsOnB,
+    _axis_count,
     classify_channel,
     sweep_to_csv,
     tetrahedron_sweep,
@@ -141,8 +142,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tetra_sweep(args) -> int:
-    if not 0.0 < args.step <= 1.0:
-        raise InputError(f"--step must lie in (0, 1], got {args.step}")
+    try:
+        _axis_count(args.step)
+    except ValueError as exc:
+        raise InputError(f"--{exc}") from None
     rows = tetrahedron_sweep(
         step=args.step,
         side=args.side,

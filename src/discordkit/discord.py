@@ -22,7 +22,9 @@ from .states import (
     BipartiteState,
     DensityOperator,
     PAULIS,
+    _freeze,
     _frobenius_norms,
+    _validate_states,
     as_rng,
     entropy_from_eigenvalues,
     partial_trace,
@@ -597,45 +599,67 @@ def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
             f"worst {check.worst})",
             check.residual,
         )
-    blocks = _b_blocks(rho)
     da, db = rho.dim_a, rho.dim_b
-    scale = max(1.0, float(np.linalg.norm(rho.matrix)))
-    rng = as_rng(DECOMPOSE_SEED)
-    last_residual = np.inf
-    for _ in range(DECOMPOSE_RETRIES):
-        combined = np.zeros((da, da), dtype=complex)
-        for i in range(db):
-            for j in range(db):
-                a_ij = blocks[i, j]
-                herm = (a_ij + a_ij.conj().T) / 2.0
-                skew = (a_ij - a_ij.conj().T) / 2j
-                combined += rng.standard_normal() * herm + rng.standard_normal() * skew
-        _, basis = np.linalg.eigh(combined)
-        cond = np.einsum("ak,ijab,bk->kij", basis.conj(), blocks, basis)
-        probs = np.clip(np.einsum("kii->k", cond).real, 0.0, None)
-        rebuilt = np.einsum("ak,ck,kij->aicj", basis, basis.conj(), cond).reshape(
-            da * db, da * db
-        )
-        last_residual = float(np.linalg.norm(rebuilt - rho.matrix))
-        if last_residual <= tol * scale:
-            conditionals = []
-            for k in range(da):
-                if probs[k] > ZERO_CUTOFF:
-                    conditionals.append(
-                        DensityOperator.from_matrix(cond[k] / probs[k], name="conditional state")
-                    )
-                else:
-                    conditionals.append(DensityOperator.maximally_mixed(db))
-            total = probs.sum()
+    for residuals, accepted, basis, weights, blocks in _cq_draws(rho.matrix[None], da, db, tol):
+        if accepted[0]:
+            (probs,), (conditionals,) = _cq_conditionals(weights, blocks)
             return CQDecomposition(
                 dim_a=da,
                 dim_b=db,
-                basis=basis,
-                probs=probs / total,
-                conditional_states=tuple(conditionals),
+                basis=basis[0],
+                probs=probs,
+                conditional_states=tuple(DensityOperator(db, _freeze(c)) for c in conditionals),
             )
     raise DecompositionError(
         f"failed to resolve a common eigenbasis after {DECOMPOSE_RETRIES} attempts "
-        f"(last reconstruction residual {last_residual:.3e})",
-        last_residual / scale,
+        f"(last reconstruction residual {residuals[0]:.3e})",
+        float(residuals[0]),
     )
+
+
+def _cq_draws(matrices: np.ndarray, dim_a: int, dim_b: int, tol: float):
+    """The ``DECOMPOSE_RETRIES`` draws of :func:`cq_decompose` on a stack
+    ``(n, d, d)`` of CQ states, one draw at a time.
+
+    Every state takes the same random coefficients in a draw.  Each draw
+    yields the reconstruction residuals relative to ``max(1, ||rho||)``,
+    the mask of those within ``tol``, the eigenbases ``(n, dim_a, dim_a)``,
+    the unnormalised weights ``(n, dim_a)`` and the conditional blocks
+    ``(n, dim_a, dim_b, dim_b)``.
+    """
+    n = len(matrices)
+    da, db = dim_a, dim_b
+    blocks = matrices.reshape(n, da, db, da, db).transpose(0, 2, 4, 1, 3)
+    scales = np.maximum(1.0, _frobenius_norms(matrices))
+    rng = as_rng(DECOMPOSE_SEED)
+    for _ in range(DECOMPOSE_RETRIES):
+        combined = np.zeros((n, da, da), dtype=complex)
+        for i in range(db):
+            for j in range(db):
+                a_ij = blocks[:, i, j]
+                herm = (a_ij + a_ij.conj().transpose(0, 2, 1)) / 2.0
+                skew = (a_ij - a_ij.conj().transpose(0, 2, 1)) / 2j
+                combined += rng.standard_normal() * herm + rng.standard_normal() * skew
+        _, basis = np.linalg.eigh(combined)
+        cond = np.einsum("nak,nijab,nbk->nkij", basis.conj(), blocks, basis)
+        weights = np.clip(np.einsum("nkii->nk", cond).real, 0.0, None)
+        rebuilt = np.einsum("nak,nck,nkij->naicj", basis, basis.conj(), cond)
+        residuals = _frobenius_norms(rebuilt.reshape(matrices.shape) - matrices)
+        yield residuals / scales, residuals <= tol * scales, basis, weights, cond
+
+
+def _cq_conditionals(weights: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised weights and conditional states of accepted draws: each
+    block ``(..., dim_b, dim_b)`` whose weight exceeds ``ZERO_CUTOFF`` over
+    that weight, validated as a state, and the maximally mixed state for the
+    rest."""
+    dim_b = blocks.shape[-1]
+    states = np.broadcast_to(np.eye(dim_b, dtype=complex) / dim_b, blocks.shape).copy()
+    live = weights > ZERO_CUTOFF
+    valid, error = _validate_states(
+        blocks[live] / weights[live][:, None, None], name="conditional state"
+    )
+    if error is not None:
+        raise error
+    states[live] = valid
+    return weights / weights.sum(axis=-1, keepdims=True), states

@@ -141,13 +141,15 @@ def product_state(a: DensityOperator, b: DensityOperator) -> BipartiteState:
 
 
 def partial_trace_matrix(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Partial trace of a raw ``(dim_a*dim_b)``-square matrix."""
-    r = np.asarray(m).reshape(dim_a, dim_b, dim_a, dim_b)
+    """Partial trace of a raw ``(dim_a*dim_b)``-square matrix, or of each
+    matrix of a stack ``(..., dim_a*dim_b, dim_a*dim_b)``."""
+    m = np.asarray(m)
+    r = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     keep = keep.upper()
     if keep == "A":
-        return np.trace(r, axis1=1, axis2=3)
+        return np.trace(r, axis1=-3, axis2=-1)
     if keep == "B":
-        return np.trace(r, axis1=0, axis2=2)
+        return np.trace(r, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

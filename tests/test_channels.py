@@ -5,6 +5,9 @@ from discordkit.channels import (
     InvalidChannelError,
     QuantumChannel,
     UnitalQubitParams,
+    _check_trace_preserving,
+    _choi_matrices,
+    _qc_kraus,
     analyze_transfer,
     canonicalize,
     choi_distance,
@@ -58,6 +61,40 @@ def choi_from_kraus(kraus):
     """``sum_k vec(K_k^T) vec(K_k^T)^dag`` by one matrix product."""
     vecs = np.asarray(kraus).transpose(0, 2, 1).reshape(len(kraus), -1)
     return vecs.T @ vecs.conj()
+
+
+def choi_outer_loop(kraus):
+    """The ``np.outer`` loop that built ``QuantumChannel.choi`` before the
+    stacked helper, kept as its bitwise reference."""
+    kraus = np.asarray(kraus)
+    d = kraus.shape[1] * kraus.shape[2]
+    j = np.zeros((d, d), dtype=complex)
+    for vec in kraus.transpose(0, 2, 1).reshape(-1, d):
+        j += np.outer(vec, vec.conj())
+    return j
+
+
+def qc_kraus_loop(povm, kets):
+    """The per-element Kraus loop ``make_qc_channel`` ran before the stacked
+    builder, kept as its bitwise reference."""
+    ops = []
+    for f, k in zip(povm, kets):
+        eigvals, eigvecs = np.linalg.eigh((f + f.conj().T) / 2.0)
+        keep = eigvals > 1e-14
+        outers = k[:, None] * eigvecs[:, keep].conj().T[:, None, :]
+        ops.append(np.sqrt(eigvals[keep])[:, None, None] * outers)
+    return np.concatenate(ops)
+
+
+def random_qc_inputs(n, dim_in, dim_out, rng):
+    """POVMs of ``dim_out`` rank-deficient effects on ``dim_in`` and output frames."""
+    povms, frames = [], []
+    for _ in range(n):
+        iso = random_unitary(dim_in * dim_out, rng)[:, :dim_in]
+        blocks = iso.reshape(dim_out, dim_in, dim_in)
+        povms.append(blocks.conj().transpose(0, 2, 1) @ blocks)
+        frames.append(random_unitary(dim_out, rng).T)
+    return np.array(povms), np.array(frames)
 
 
 def apply_kraus_loop(kraus, m):
@@ -342,6 +379,32 @@ class TestQCChannel:
         with pytest.raises(InvalidChannelError, match=message):
             make_qc_channel([np.eye(3, dtype=complex) / 3] * 3, kets)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_stacked_kraus_equals_the_element_loop(self, dims):
+        dim_in, dim_out = dims
+        povms, frames = random_qc_inputs(6, dim_in, dim_out, np.random.default_rng(sum(dims)))
+        ops, keep = _qc_kraus(povms, frames)
+        assert ops.shape == (6, dim_out * dim_in, dim_out, dim_in)
+        for o, k, povm, frame in zip(ops, keep, povms, frames):
+            assert np.array_equal(o[k], qc_kraus_loop(povm, frame))
+            assert np.array_equal(make_qc_channel(list(povm), list(frame)).kraus, o[k])
+            assert np.array_equal(_choi_matrices(o), choi_outer_loop(o[k]))
+
+    def test_stack_raises_the_first_failing_check(self):
+        povms, frames = random_qc_inputs(3, 2, 2, np.random.default_rng(94))
+        povms[1, 1] = -povms[1, 1]
+        povms[2, 1, 0, 1] += 1.0
+        with pytest.raises(InvalidChannelError, match="POVM element 1 is not PSD"):
+            _qc_kraus(povms, frames)
+        with pytest.raises(InvalidChannelError, match="POVM element 1 is not Hermitian"):
+            _qc_kraus(povms[[0, 2]], frames[[0, 2]])
+        frames[0, 1] = frames[0, 0]
+        with pytest.raises(InvalidChannelError, match=r"not orthonormal: <0\|1>"):
+            _qc_kraus(povms[:1], frames[:1])
+        povms[0, 0] *= 2.0
+        with pytest.raises(InvalidChannelError, match="do not sum to the identity"):
+            _qc_kraus(povms[:1], frames[:1])
+
 
 class TestUnitalQubit:
     def test_identity_point(self):
@@ -469,3 +532,27 @@ class TestKrausStack:
         for din, dout in ((dim, dim), (dim, dim - 1), (dim - 1, dim)):
             channel = random_channel(din, dout, 3, 90 + dim)
             assert np.array_equal(channel.transfer(), transfer_double_loop(channel)), (din, dout)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (6, 6), (4, 9)])
+    def test_choi_equals_outer_loop(self, dims):
+        din, dout = dims
+        channels = [
+            random_channel(din, dout, rank, [seed, rank]) for seed in range(5) for rank in (2, 3, 5)
+        ]
+        for channel in channels:
+            assert np.array_equal(channel.choi, choi_outer_loop(channel.kraus))
+        stack = np.array([c.kraus for c in channels if len(c.kraus) == 3])
+        for j, ops in zip(_choi_matrices(stack), stack):
+            assert np.array_equal(j, choi_outer_loop(ops))
+
+    def test_zero_operators_add_nothing_to_the_choi(self):
+        ops = random_channel(3, 3, 2, 91).kraus
+        padded = np.concatenate([ops[:1], np.zeros((2, 3, 3)), ops[1:], np.zeros((1, 3, 3))])
+        assert np.array_equal(_choi_matrices(padded), choi_outer_loop(ops))
+
+    def test_trace_preserving_check_names_the_first_bad_member(self):
+        good = random_channel(2, 2, 2, 92).kraus
+        stack = np.array([good, 2.0 * good, 3.0 * good])
+        with pytest.raises(InvalidChannelError, match=r"defect 4\.243e\+00"):
+            _check_trace_preserving(stack)
+        _check_trace_preserving(stack[:1])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,9 @@ from discordkit.annihilators import random_da_spec, build_da_channel
 from discordkit.channels import (
     QuantumChannel,
     UnitalQubitParams,
+    _choi_matrices,
+    _in_cptp_tetrahedron,
+    _unital_qubit_kraus,
     compose,
     extend,
     make_point_channel,
@@ -21,8 +26,11 @@ from discordkit.classify import (
     ActsOnA,
     ActsOnAB,
     ActsOnB,
+    _eb_decision,
     _hermitian_probe_inputs,
+    _point_decision,
     _probe_pair_witness,
+    _qc_decision,
     classify_channel,
     is_entanglement_breaking,
     is_point_channel,
@@ -57,6 +65,14 @@ def random_povm(dim, n_outcomes, rng):
         iso[k * dim : (k + 1) * dim].conj().T @ iso[k * dim : (k + 1) * dim]
         for k in range(n_outcomes)
     ]
+
+
+def near_qc_channel(k, weight):
+    """The k-th seeded qubit QC channel mixed with ``weight`` of a random channel."""
+    rng = np.random.default_rng([k, 3])
+    frame = random_unitary(2, rng)
+    qc = make_qc_channel(random_povm(2, 2, rng), [frame[:, 0], frame[:, 1]])
+    return mix_channels([(1 - weight, qc), (weight, random_channel(2, 2, 2, rng))])
 
 
 # The scalar scores the probe-pair witnesses used before pairs became one stack.
@@ -142,15 +158,19 @@ class TestIsQCChannel:
         tol = 1e-3
         kinds = []
         for k in range(60):
-            rng = np.random.default_rng([k, 3])
-            frame = random_unitary(2, rng)
-            qc = make_qc_channel(random_povm(2, 2, rng), [frame[:, 0], frame[:, 1]])
-            channel = mix_channels([(1 - weight, qc), (weight, random_channel(2, 2, 2, rng))])
-            verdict = is_qc_channel(channel, tol=tol)
+            verdict = is_qc_channel(near_qc_channel(k, weight), tol=tol)
             assert (verdict.kind == "yes") == (verdict.residual <= tol), (k, verdict)
             kinds.append(verdict.kind)
         if weight < tol:
             assert "yes" in kinds
+
+    @pytest.mark.parametrize("k", [16, 22, 33, 36, 57])
+    def test_loose_tolerance_tries_every_draw(self, k):
+        # The channel rebuilt from the first accepted decomposition draw misses
+        # by 1.0e-3 to 1.6e-3; a later draw rebuilds it within 1.3e-4.
+        verdict = is_qc_channel(near_qc_channel(k, 1e-4), tol=1e-3)
+        assert verdict.kind == "yes"
+        assert verdict.residual <= 1e-3
 
     def test_depolarizing_no_with_noncommuting_witness(self):
         channel = make_unital_qubit(UnitalQubitParams(0.5, 0.5, 0.5))
@@ -314,7 +334,134 @@ class TestUnitaryInvariance:
             assert verdict(turned).kind == verdict(channel).kind
 
 
+def bits(verdict):
+    return verdict.kind, struct.pack("<d", verdict.residual)
+
+
+def grid_slabs(step):
+    """The sweep's slabs at ``step``: each ``l1`` with the arrays of the
+    ``(l2, l3)`` grid points inside the tetrahedron, in row order."""
+    values = -1.0 + step * np.arange(int(round(2.0 / step)) + 1)
+    l2, l3 = (a.ravel() for a in np.meshgrid(values, values, indexing="ij"))
+    for l1 in values.tolist():
+        inside = _in_cptp_tetrahedron(l1, l2, l3)
+        if inside.any():
+            yield l1, l2[inside], l3[inside]
+
+
+def special_points():
+    """The four vertices, where three Pauli weights drop, and points on the six
+    edges, where two drop."""
+    vertices = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], dtype=float)
+    points = [tuple(v) for v in vertices.tolist()]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            for t in (0.125, 0.3, 0.5, 0.7):
+                points.append(tuple(((1 - t) * vertices[a] + t * vertices[b]).tolist()))
+    return points
+
+
+def interior_points(n, seed):
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        lam = rng.uniform(-1.0, 1.0, 3)
+        if _in_cptp_tetrahedron(*lam, tol=-1e-3):
+            points.append(tuple(lam.tolist()))
+    return points
+
+
+class TestStackedDecisions:
+    """The slab path of the sweep (Pauli Kraus stack, Choi stack, stacked
+    decisions) against one channel at a time, bit for bit."""
+
+    DECISIONS = (_qc_decision, _point_decision)
+
+    def assert_stack_matches(self, l1, l2, l3):
+        kraus, kept = _unital_qubit_kraus(l1, l2, l3)
+        chois = _choi_matrices(kraus)
+        stacked = [decide(chois, 2) for decide in self.DECISIONS] + [_eb_decision(chois, 2)]
+        points = np.broadcast_arrays(l1, l2, l3)
+        for i, lam in enumerate(zip(*(p.tolist() for p in points))):
+            channel = make_unital_qubit(UnitalQubitParams(*lam))
+            assert np.array_equal(kraus[i, kept[i]], channel.kraus), lam
+            assert np.array_equal(chois[i], channel.choi), lam
+            singles = [decide(channel.choi[None], 2) for decide in self.DECISIONS]
+            singles.append(_eb_decision(channel.choi[None], 2))
+            for verdicts, (single,) in zip(stacked, singles):
+                assert bits(verdicts[i]) == bits(single), lam
+        return stacked
+
+    def test_every_grid_point_at_step_sixteenth(self):
+        n_rows = 0
+        for l1, l2, l3 in grid_slabs(0.0625):
+            n_rows += len(self.assert_stack_matches(l1, l2, l3)[0])
+        assert n_rows == 12001
+
+    @pytest.mark.parametrize(
+        "points", [interior_points(100, 2026), special_points()], ids=["interior", "vertices-edges"]
+    )
+    def test_public_verdicts(self, points):
+        l1, l2, l3 = np.array(points).T
+        qc, point, eb = self.assert_stack_matches(l1, l2, l3)
+        for i, lam in enumerate(points):
+            channel = make_unital_qubit(UnitalQubitParams(*lam))
+            assert bits(qc[i]) == bits(is_qc_channel(channel)), lam
+            assert bits(point[i]) == bits(is_point_channel(channel)), lam
+            assert bits(eb[i]) == bits(is_entanglement_breaking(channel)), lam
+
+    @pytest.mark.parametrize("weight", [1e-4, 1e-3])
+    def test_rows_that_need_later_draws(self, weight):
+        # At tol 1e-3 rows finish at different draws, and at weight 1e-3 four
+        # stay "no"; the stack must decide each row as it would alone.
+        channels = [near_qc_channel(k, weight) for k in range(60)]
+        stacked = _qc_decision(np.array([c.choi for c in channels]), 2, 1e-3)
+        for channel, verdict in zip(channels, stacked):
+            (single,) = _qc_decision(channel.choi[None], 2, 1e-3)
+            assert bits(verdict) == bits(single)
+            assert bits(verdict) == bits(is_qc_channel(channel, 1e-3))
+        assert sum(v.kind == "no" for v in stacked) == (0 if weight < 1e-3 else 4)
+
+    def test_weights_drop_where_expected(self):
+        points = special_points()
+        _, kept = _unital_qubit_kraus(*np.array(points).T)
+        assert kept.sum(axis=1).tolist() == [1] * 4 + [2] * 24
+
+    def test_eb_column_is_ruskai_closed_form(self):
+        # Ruskai 2003: entanglement breaking exactly when |l1| + |l2| + |l3| <= 1.
+        points = interior_points(100, 2027) + special_points()
+        l1, l2, l3 = np.array(points).T
+        chois = _choi_matrices(_unital_qubit_kraus(l1, l2, l3)[0])
+        for lam, verdict in zip(points, _eb_decision(chois, 2)):
+            total = sum(abs(v) for v in lam)
+            if abs(total - 1.0) > 1e-9:
+                assert (verdict.kind == "yes") == (total < 1.0), lam
+
+
 class TestTetrahedronSweep:
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_one_stacked_decision_per_slab(self, monkeypatch, side):
+        calls = []
+        name = "_qc_decision" if side == "A" else "_point_decision"
+        decide = getattr(classify, name)
+
+        def counted(chois, dim_in, tol=classify.CQ_TOL):
+            calls.append(len(chois))
+            return decide(chois, dim_in, tol)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("without probes the sweep builds no channel per row")
+
+        monkeypatch.setattr(classify, name, counted)
+        monkeypatch.setattr(classify, "QuantumChannel", refuse)
+        rows = tetrahedron_sweep(step=0.25, side=side)
+        assert len(calls) == 9 and sum(calls) == len(rows)
+
+    @pytest.mark.parametrize("step", [1e-30, 1e-300, 5e-324])
+    def test_step_beyond_an_array_rejected(self, step):
+        with pytest.raises(ValueError, match="step .* than numpy can allocate"):
+            tetrahedron_sweep(step=step, side="A")
+
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_rows_follow_the_verdicts(self, side):
         verdict = is_qc_channel if side == "A" else is_point_channel

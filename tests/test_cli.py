@@ -379,6 +379,13 @@ class TestSweepCommand:
         assert code == 2
         assert "step" in err
 
+    @pytest.mark.parametrize("step", ["1e-30", "5e-324"])
+    def test_step_beyond_an_array_is_an_input_error(self, capsys, step):
+        code, out, err = run(capsys, "tetra-sweep", "--step", step, "--side", "A")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --step {step} gives more grid values")
+
 
 class TestGenAndVerify:
     def test_random_generation_verifies(self, tmp_path, capsys):

@@ -5,7 +5,8 @@ names one.  The digests cover stdout and every file a command writes, and
 hold for the pinned numpy 2.4 / OpenBLAS build; another BLAS build may
 round the printed floats differently.  A change that moves a digest on
 purpose records the old and new digest, and why, in CHANGES.md.  The
-step-0.125 sweeps are pinned in ``test_cli.py``.
+step-0.125 sweeps are pinned in ``test_cli.py``; the two ``--probes 3``
+sweeps here pin the per-row discord column.
 
 Inputs: ``s22`` = ``random_bipartite(2, 2, 1)``, ``s32`` =
 ``random_bipartite(3, 2, 2)``, ``rand2`` = ``random_channel(2, 2, 2, 3)``,
@@ -79,6 +80,8 @@ COMMANDS = [
     ),
     ("sweep_A", ["tetra-sweep", "--step", "0.25", "--side", "A"], 0),
     ("sweep_B", ["tetra-sweep", "--step", "0.25", "--side", "B"], 0),
+    ("sweep_A_probes", ["tetra-sweep", "--step", "0.5", "--side", "A", "--probes", "3"], 0),
+    ("sweep_B_probes", ["tetra-sweep", "--step", "0.5", "--side", "B", "--probes", "3"], 0),
 ]
 
 DIGESTS = {
@@ -116,6 +119,8 @@ DIGESTS = {
     "witness.json": "6541c0614a0e0ff76f556a3fa6400b22c565333ea4e28a48fe0cdebf84515bf5",
     "sweep_A": "5864d72ec2b19cc30caa2921749f25c9e5db64f497736726e9b3ef118f31482c",
     "sweep_B": "7ded4d5ba4f1e1318525af2d0d3c728c5b4052c192f1d070884dfabd977c7ba8",
+    "sweep_A_probes": "32be2fa791f0b19c43af15fbcb29cbf003991cc1f3a02032ef33a6a0857ac72b",
+    "sweep_B_probes": "98be79853fcef5e5991ae747ed5d72c2003486b5521791e8de14b0029c295ebb",
 }
 
 

@@ -17,6 +17,7 @@ from discordkit.states import (
     hermitian_basis,
     max_entangled,
     partial_trace,
+    partial_trace_matrix,
     product_state,
     random_bipartite,
     random_density,
@@ -250,6 +251,16 @@ class TestPartialTrace:
         sigma = random_density(3, "hilbert-schmidt", seed + 1)
         joint = product_state(rho, sigma)
         assert np.linalg.norm(partial_trace(joint, "A").matrix - rho.matrix) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_stack_equals_single_matrices(self, dims):
+        da, db = dims
+        rng = np.random.default_rng(sum(dims))
+        stack = rng.standard_normal((7, da * db, da * db)) + 1j * rng.standard_normal((7, da * db, da * db))
+        for keep in ("A", "B"):
+            traced = partial_trace_matrix(stack, da, db, keep)
+            for m, t in zip(stack, traced):
+                assert np.array_equal(t, partial_trace_matrix(m, da, db, keep))
 
 
 class TestEigHermitian:
