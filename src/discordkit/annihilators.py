@@ -6,19 +6,19 @@ conditional action on B: rank-1 subspaces may keep B untouched or send it
 to a fixed state, while subspaces of rank two or more must send B to a
 fixed state.  :func:`build_da_channel` realises that form,
 :func:`apply_and_certify` samples its image, and :func:`structural_match`
-recovers the partition of a channel that is annihilating.
+recovers the partition of a channel that is annihilating from the span of
+its image, which the range of its transfer matrix gives exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import (
     QuantumChannel,
-    choi_distance,
     compose,
     make_point_channel,
     random_channel,
@@ -45,10 +45,13 @@ from .tolerances import (
     NULLSPACE_CUTOFF,
     PARTITION_TOL,
     POINT_SPREAD_TOL,
+    RANK_TOL,
     REBUILD_TOL,
 )
 
-# structural_match draws this many commutant elements before giving up.
+# structural_match draws its commutant elements from this seed, and gives up
+# after this many draws.
+MATCH_SEED = 0xA1
 MATCH_RETRIES = 3
 
 
@@ -318,6 +321,16 @@ def _boundary_inputs(dim_a: int, dim_b: int, rng):
         yield BipartiteState(dim_a, dim_b, random_density(d, "rank", rng, rank=max(1, d // 2)))
 
 
+def _check_acts_on_ab(channel: QuantumChannel, dim_a: int, dim_b: int) -> None:
+    """Raise ``ValueError`` unless the channel maps the ``dim_a x dim_b`` space to itself."""
+    d = dim_a * dim_b
+    if (channel.dim_in, channel.dim_out) != (d, d):
+        raise ValueError(
+            f"channel acts on {channel.dim_in} -> {channel.dim_out}, "
+            f"but a {dim_a}x{dim_b} split needs {d} -> {d}"
+        )
+
+
 def apply_and_certify(
     channel: QuantumChannel,
     dim_a: int,
@@ -332,9 +345,8 @@ def apply_and_certify(
     reported witness is reproducible.  Inputs are drawn only as the scan
     reaches them, so a failing channel stops before most are built.
     """
+    _check_acts_on_ab(channel, dim_a, dim_b)
     d = dim_a * dim_b
-    if (channel.dim_in, channel.dim_out) != (d, d):
-        raise ValueError(f"channel acts on dimension {channel.dim_in}, expected {d}")
     # Hilbert-Schmidt draws, validated by the scan one chunk at a time.
     samples = (_ginibre_density(d, d, as_rng([seed, index])) for index in range(n_samples))
     inputs = itertools.chain(_boundary_inputs(dim_a, dim_b, as_rng([seed, 0xB0])), samples)
@@ -348,7 +360,6 @@ def apply_and_certify(
 class MatchResult:
     spec: DAChannelSpec | None
     residual: float | None
-    counterexample: BipartiteState | None
     notes: str = ""
 
     @property
@@ -408,100 +419,66 @@ def _canonical_entries(entries: list[Entry], dim_a: int) -> tuple[Entry, ...]:
     return tuple(sorted(entries, key=key))
 
 
-def structural_match(
-    channel: QuantumChannel,
-    dim_a: int,
-    dim_b: int,
-    *,
-    seed: int = 23,
-    tol: float = CQ_TOL,
-) -> MatchResult:
-    """Recover an annihilating-channel partition, or report a counterexample.
+def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchResult:
+    """Recover an annihilating-channel partition from the channel's image span.
 
     Callers certify the channel first (:func:`apply_and_certify`); this
-    does not repeat it.  Probes the channel with the maximally mixed state
-    and ``4 dim_a**2`` perturbed inputs, whose outputs must pass the exact
-    CQ test at ``tol``; the A partition is the joint block structure of all
-    probe-output B blocks, extracted as the eigenspaces of a random element
-    of their commutant.  Per-block B behaviour is classified as pinned when
-    the conditional states agree across probes within ``POINT_SPREAD_TOL``.
+    does not repeat it.  The left singular vectors of ``channel.transfer()``
+    above the ``RANK_TOL`` cut are the coordinates of an orthonormal
+    Hermitian basis ``X_m`` of the span of the channel's outputs.  The A
+    partition is the joint block structure of the B blocks of the ``X_m``,
+    extracted as the eigenspaces of a random element of their commutant,
+    drawn from ``MATCH_SEED``.  A block with projector ``P`` is pinned to
+    ``sigma`` when ``tr_A[(P (x) 1) X_m] = tr[(P (x) 1) X_m] sigma`` for every
+    ``m`` within ``POINT_SPREAD_TOL``, with ``sigma`` the least-squares fit.
     The recovered spec reuses the channel itself as pre-channel, which is
-    exact for any channel of the annihilating form, and the Choi residual
-    between the rebuilt channel and the original, within ``REBUILD_TOL``,
-    certifies the match.
+    exact for any channel of the annihilating form; the rebuilt stage is
+    applied once to the blocks of the channel's Choi matrix, and their
+    distance from the original, relative to ``max(1, ||J||)`` and within
+    ``REBUILD_TOL``, certifies the match.
     """
+    _check_acts_on_ab(channel, dim_a, dim_b)
     d = dim_a * dim_b
-    rng = as_rng([seed, 0xA1])
-    mixed = DensityOperator.maximally_mixed(d)
-    # A passing scan exhausts the probes, so rng is drained before the
-    # commutant draws below.
-    noisy = (
-        BipartiteState.from_matrix(
-            (mixed.matrix + random_density(d, "hilbert-schmidt", rng).matrix) / 2.0, dim_a, dim_b
-        )
-        for _ in range(4 * dim_a * dim_a)
-    )
-    scan = _cq_scan(channel, itertools.chain([BipartiteState(dim_a, dim_b, mixed)], noisy), tol)
-    if scan.failing_input is not None:
-        return MatchResult(
-            spec=None,
-            residual=None,
-            counterexample=scan.failing_input,
-            notes="probe output is not classical-quantum",
-        )
-    outputs = scan.outputs
-    generators = np.concatenate([_b_blocks(out).reshape(-1, dim_a, dim_a) for out in outputs])
-
+    u, svals, _ = np.linalg.svd(channel.transfer())
+    coords = u[:, svals > RANK_TOL * max(svals[0], 1e-300)]
+    images = np.einsum("am,aij->mij", coords, np.array(hermitian_basis(d).elements))
+    x4 = images.reshape(-1, dim_a, dim_b, dim_a, dim_b)
+    generators = _b_blocks(images, dim_a, dim_b).reshape(-1, dim_a, dim_a)
+    # Block (i, j) is Phi(|i><j|): the Choi matrix of stage o Phi is the stage on each.
+    blocks = channel.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d, d)
     scale = max(1.0, float(np.linalg.norm(channel.choi)))
+    rng = as_rng(MATCH_SEED)
     notes = ""
     for _ in range(MATCH_RETRIES):
-        x = _commutant_element(generators, dim_a, rng)
-        groups = _eigen_clusters(x)
         entries = []
-        consistent = True
-        for vecs in groups:
+        for vecs in _eigen_clusters(_commutant_element(generators, dim_a, rng)):
             rank = vecs.shape[1]
-            conditionals = []
-            for out in outputs:
-                r4 = out.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-                block = np.einsum("ae,abcd,cf->ebfd", vecs.conj(), r4, vecs)
-                block = block.reshape(rank * dim_b, rank * dim_b)
-                weight = float(np.trace(block).real)
-                if weight < EMPTY_BLOCK_WEIGHT:
-                    continue
-                sub = block.reshape(rank, dim_b, rank, dim_b)
-                conditionals.append(np.trace(sub, axis1=0, axis2=2) / weight)
-            if conditionals:
-                mean = sum(conditionals) / len(conditionals)
-                spread = max(float(np.linalg.norm(c - mean)) for c in conditionals)
+            # y[m] = tr_A[(P (x) 1) X_m] and c[m] = tr[(P (x) 1) X_m], P = vecs vecs^dag.
+            y = np.einsum("ae,mabcd,ce->mbd", vecs.conj(), x4, vecs)
+            c = np.trace(y, axis1=1, axis2=2).real
+            if np.linalg.norm(c) < EMPTY_BLOCK_WEIGHT:
+                sigma, pinned = np.eye(dim_b, dtype=complex) / dim_b, True
             else:
-                mean = np.eye(dim_b, dtype=complex) / dim_b
-                spread = 0.0
-            pinned = spread <= POINT_SPREAD_TOL
+                sigma = np.einsum("m,mbd->bd", c, y) / (c @ c)
+                pinned = np.linalg.norm(y - c[:, None, None] * sigma) <= POINT_SPREAD_TOL
+            if rank > 1 and not pinned:
+                notes = f"rank-{rank} block has input-dependent B conditional"
+                break
+            if pinned:
+                action = PointTo(DensityOperator.from_matrix(sigma, name="recovered point target"))
+            else:
+                action = IdentityAction()
             if rank == 1:
-                vec = _canonical_vector(vecs[:, 0])
-                if pinned:
-                    target = DensityOperator.from_matrix(mean, name="recovered point target")
-                    entries.append(Rank1Entry(vector=vec, action=PointTo(target)))
-                else:
-                    entries.append(Rank1Entry(vector=vec, action=IdentityAction()))
+                entries.append(Rank1Entry(vector=_canonical_vector(vecs[:, 0]), action=action))
             else:
-                if not pinned:
-                    consistent = False
-                    notes = f"rank-{rank} block has input-dependent B conditional"
-                    break
-                target = DensityOperator.from_matrix(mean, name="recovered point target")
-                entries.append(
-                    MultiEntry(projector=vecs @ vecs.conj().T, action=PointTo(target))
-                )
-        if not consistent:
-            continue
-        spec = DAChannelSpec.make(
-            dim_a, dim_b, _canonical_entries(entries, dim_a), pre_channel=channel
-        )
-        residual = choi_distance(build_da_channel(spec), channel) / scale
-        if residual <= REBUILD_TOL:
-            return MatchResult(spec=spec, residual=residual, counterexample=None)
-        notes = f"rebuilt channel differs (residual {residual:.3e})"
-    return MatchResult(spec=None, residual=None, counterexample=None, notes=notes)
-
+                entries.append(MultiEntry(projector=vecs @ vecs.conj().T, action=action))
+        else:
+            spec = DAChannelSpec.make(
+                dim_a, dim_b, _canonical_entries(entries, dim_a), pre_channel=channel
+            )
+            stage = build_da_channel(replace(spec, pre_channel=None))
+            residual = float(np.linalg.norm(stage.apply_matrix(blocks) - blocks)) / scale
+            if residual <= REBUILD_TOL:
+                return MatchResult(spec=spec, residual=residual)
+            notes = f"rebuilt channel differs (residual {residual:.3e})"
+    return MatchResult(spec=None, residual=None, notes=notes)

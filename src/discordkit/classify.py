@@ -396,8 +396,10 @@ def classify_channel(
     (quantum-classical) channels; on B exactly the point channels.  On the
     joint system the classifier combines the rank screening of the real
     transfer matrix, image certification on random inputs, and structural
-    recovery of the annihilating form.  Every one of these discord
-    decisions is judged at ``cq_tol``.
+    recovery of the annihilating form from the span of the channel's image.
+    Every discord decision, on A, on B and in the certification, is judged
+    at ``cq_tol``; the recovery draws no inputs and does not depend on
+    ``seed``.
     """
     if isinstance(context, (ActsOnA, ActsOnB)):
         if isinstance(context, ActsOnA):
@@ -431,7 +433,7 @@ def classify_channel(
                 certification=certification,
                 witness=witness,
             )
-        match = structural_match(channel, dim_a, dim_b, seed=seed, tol=cq_tol)
+        match = structural_match(channel, dim_a, dim_b)
         label = "da" if match.matched else "inconclusive"
         return ClassificationReport(
             context=context,

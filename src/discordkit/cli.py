@@ -70,6 +70,17 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return da, db
 
 
+def _ab_dims(channel, text: str) -> tuple[int, int]:
+    """The ``--dims`` split of a channel on AB, which must map it to itself."""
+    da, db = _parse_dims(text)
+    if channel.dim_in != da * db or channel.dim_out != da * db:
+        raise InputError(
+            f"dims: channel acts on {channel.dim_in} -> {channel.dim_out}, "
+            f"but --dims gives {da * db}"
+        )
+    return da, db
+
+
 def _emit(payload: dict, out: str | None):
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
@@ -109,12 +120,7 @@ def cmd_classify(args) -> int:
     else:
         if args.dims is None:
             raise InputError("--dims dAxdB is required for side AB")
-        da, db = _parse_dims(args.dims)
-        if channel.dim_in != da * db:
-            raise InputError(
-                f"dims: channel acts on dimension {channel.dim_in}, but --dims gives {da * db}"
-            )
-        context = ActsOnAB(dim_a=da, dim_b=db)
+        context = ActsOnAB(*_ab_dims(channel, args.dims))
     report = classify_channel(
         channel, context, seed=args.seed, samples=args.samples, cq_tol=args.tol_cq
     )
@@ -177,12 +183,7 @@ def cmd_gen_da(args) -> int:
 
 def cmd_verify_da(args) -> int:
     channel = load_channel(args.channel, cp_tol=args.tol_cptp)
-    da, db = _parse_dims(args.dims)
-    if channel.dim_in != da * db or channel.dim_out != da * db:
-        raise InputError(
-            f"dims: channel acts on {channel.dim_in} -> {channel.dim_out}, "
-            f"but --dims gives {da * db}"
-        )
+    da, db = _ab_dims(channel, args.dims)
     analysis = analyze_transfer(channel)
     report = apply_and_certify(
         channel, da, db, n_samples=args.samples, seed=args.seed, tol=args.tol_cq

@@ -494,10 +494,11 @@ def discord(
 # -- exact classical-quantum structure ----------------------------------------
 
 
-def _b_blocks(rho: BipartiteState) -> np.ndarray:
-    """Array blk[i, j] = <i|_B rho |j>_B of A-side operators, shape (dB, dB, dA, dA)."""
-    r4 = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return r4.transpose(1, 3, 0, 2)
+def _b_blocks(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Blocks blk[..., i, j] = <i|_B m |j>_B of an operator or a stack of them, as
+    A-side operators of shape (..., dB, dB, dA, dA)."""
+    r = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
+    return np.moveaxis(r, (-3, -1), (-4, -3))
 
 
 @dataclass(frozen=True)
@@ -526,7 +527,12 @@ def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
     in row-major order of the upper triangle, each block's normality defect
     first, and the first pair to reach the largest defect is ``worst``.
     """
-    (residual,), (worst,) = _cq_residuals(rho.matrix[None], rho.dim_a, rho.dim_b)
+    (residual,), (pair,) = _cq_residuals(rho.matrix[None], rho.dim_a, rho.dim_b)
+    worst = None
+    if residual > 0.0:
+        first, second, _ = _block_pairs(rho.dim_b)
+        p, q = divmod(int(first[pair]), rho.dim_b), divmod(int(second[pair]), rho.dim_b)
+        worst = ("normality", p) if p == q else ("commutator", p, q)
     return CQCheck(is_cq=residual <= tol, residual=residual, worst=worst, tol=tol)
 
 
@@ -541,28 +547,21 @@ def _block_pairs(dim_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, diagonal
 
 
-def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[list[float], list]:
-    """The residual and ``worst`` label of :func:`is_cq_exact` for each state of
-    the stack ``(n, dim_a * dim_b, dim_a * dim_b)``, bit for bit, in one scan."""
+def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[list[float], np.ndarray]:
+    """The residual of :func:`is_cq_exact` for each state of the stack
+    ``(n, dim_a * dim_b, dim_a * dim_b)``, bit for bit, in one scan, and the
+    index in :func:`_block_pairs` of each state's first worst pair."""
     n = len(matrices)
     first, second, diagonal = _block_pairs(dim_b)
-    blocks = matrices.reshape(n, dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 4, 1, 3)
-    blocks = blocks.reshape(n, dim_b * dim_b, dim_a, dim_a)
+    blocks = _b_blocks(matrices, dim_a, dim_b).reshape(n, dim_b * dim_b, dim_a, dim_a)
     a = blocks[:, first]
     # On the diagonal the pair is (A, A^dag), whose commutator is the normality defect.
     b = np.where(diagonal, a.conj().transpose(0, 1, 3, 2), blocks[:, second])
     defects = _frobenius_norms((a @ b - b @ a).reshape(-1, dim_a, dim_a)).reshape(n, len(first))
-    x = np.argmax(defects, axis=1)
-    worst_vals = defects[np.arange(n), x].tolist()
-    residuals, worst = [], []
-    for p, q, val, scale in zip(
-        first[x].tolist(), second[x].tolist(), worst_vals, _frobenius_norms(matrices).tolist()
-    ):
-        pair = divmod(p, dim_b), divmod(q, dim_b)
-        label = ("normality", pair[0]) if p == q else ("commutator", *pair)
-        worst.append(label if val > 0.0 else None)
-        residuals.append(val / max(scale, 1e-300))
-    return residuals, worst
+    pairs = np.argmax(defects, axis=1)
+    worst = defects[np.arange(n), pairs].tolist()
+    scales = _frobenius_norms(matrices).tolist()
+    return [val / max(scale, 1e-300) for val, scale in zip(worst, scales)], pairs
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,8 @@ VALIDITY_TOL = 1e-9
 # measure-and-prepare channels on A, point channels on B, certification of
 # annihilating channels on AB and reconstruction of a CQ decomposition.
 CQ_TOL = 1e-8
-# A transfer matrix is rank deficient when sigma_min < RANK_TOL * sigma_max.
+# A transfer matrix is rank deficient when sigma_min < RANK_TOL * sigma_max;
+# the singular directions above that cut span a channel's image.
 RANK_TOL = 1e-8
 # Structural membership of a state in a convex CQ subset.
 MEMBERSHIP_TOL = 1e-8
@@ -37,9 +38,11 @@ PARTITION_TOL = 1e-10
 NULLSPACE_CUTOFF = 1e-7
 # Eigenvalues of a commutant element closer than CLUSTER_GAP * scale share a block.
 CLUSTER_GAP = 1e-6
-# Probe outputs whose weight on a block is below this say nothing about it.
+# A block whose weights tr[(P (x) 1) X_m] over the orthonormal image basis X_m
+# have a norm below this receives no output; it points to the maximally mixed state.
 EMPTY_BLOCK_WEIGHT = 1e-9
-# A block's B conditional is pinned when it moves less than this across probes.
+# A block's B conditional is pinned when, over the image basis, the parts
+# tr_A[(P (x) 1) X_m] lie within this of their fit to weight * sigma.
 POINT_SPREAD_TOL = 1e-7
 # Relative Choi distance within which the rebuilt channel matches.
 REBUILD_TOL = 1e-6

@@ -249,16 +249,26 @@ class TestStructuralMatch:
         for seed in range(5):
             spec = random_da_spec(dims[0], dims[1], [seed, dims[0]])
             built = build_da_channel(spec)
-            match = structural_match(built, dims[0], dims[1], seed=seed)
+            match = structural_match(built, dims[0], dims[1])
             assert match.matched, match.notes
             assert entry_signature(match.spec) == entry_signature(spec)
             assert match.residual <= 1e-6
 
-    def test_identity_channel_yields_counterexample(self):
-        match = structural_match(QuantumChannel.identity(4), 2, 2)
+    def test_identity_channel_not_matched(self):
+        # The identity's image spans every operator, so A is one block whose
+        # B conditional follows the input; the sampled scan holds the witness.
+        identity = QuantumChannel.identity(4)
+        match = structural_match(identity, 2, 2)
         assert not match.matched
-        assert match.counterexample is not None
-        assert not is_cq_exact(QuantumChannel.identity(4).apply(match.counterexample))
+        assert match.notes == "rank-2 block has input-dependent B conditional"
+        report = apply_and_certify(identity, 2, 2, n_samples=20, seed=0)
+        assert not is_cq_exact(identity.apply(report.failing_input))
+
+    @pytest.mark.parametrize("check", [apply_and_certify, structural_match])
+    def test_channel_off_the_split_rejected(self, check):
+        message = "channel acts on 4 -> 2, but a 2x2 split needs 4 -> 4"
+        with pytest.raises(ValueError, match=message):
+            check(random_channel(4, 2, 2, 1), 2, 2)
 
     def test_point_on_b_recovered_as_full_space_entry(self):
         r = random_density(2, "hilbert-schmidt", 7)
@@ -343,7 +353,9 @@ class TestCommutantElement:
                     states = [channel.apply(rho) for rho in inputs]
                 else:
                     states = [random_bipartite(dim_a, 2, [dim_a, k, j]) for j in range(2)]
-                blocks = [_b_blocks(out).reshape(-1, dim_a, dim_a) for out in states]
+                blocks = [
+                    _b_blocks(out.matrix, dim_a, 2).reshape(-1, dim_a, dim_a) for out in states
+                ]
                 sets.append((dim_a, np.concatenate(blocks), [dim_a, k]))
         return sets
 

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -41,6 +42,7 @@ from discordkit.classify import (
     witness_probe_states,
 )
 from discordkit.discord import Hybrid, discord, is_cq_exact
+from discordkit.serialize import da_spec_to_json
 from discordkit.states import (
     DensityOperator,
     basis_ket,
@@ -254,8 +256,18 @@ class TestClassifyChannel:
         assert classify_channel(channel, ActsOnAB(2, 2), samples=20).label == "not-da"
         report = classify_channel(channel, ActsOnAB(2, 2), cq_tol=1e-3)
         assert report.certification.passed
-        assert report.match.counterexample is None
+        assert report.label == "inconclusive"
         assert "certification" not in report.match.notes
+
+    @pytest.mark.parametrize("dims", [(3, 2), (4, 2)])
+    def test_recovered_spec_independent_of_seed(self, dims):
+        channel = build_da_channel(random_da_spec(*dims, [13, *dims]))
+        specs = set()
+        for seed in range(5):
+            report = classify_channel(channel, ActsOnAB(*dims), seed=seed, samples=20)
+            assert report.label == "da"
+            specs.add(json.dumps(da_spec_to_json(report.match.spec), sort_keys=True))
+        assert len(specs) == 1
 
     def test_identity_on_ab_not_da(self):
         report = classify_channel(QuantumChannel.identity(4), ActsOnAB(2, 2), samples=20)

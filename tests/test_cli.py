@@ -265,6 +265,23 @@ class TestClassifyCommand:
         assert code == 2
         assert "dims" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "{c}", "--side", "AB", "--dims", "2x2"],
+            ["verify-da", "--channel", "{c}", "--dims", "2x2", "--witness-out", "{w}"],
+        ],
+        ids=["classify", "verify-da"],
+    )
+    def test_ab_dims_check_both_sides_of_the_channel(self, tmp_path, capsys, argv):
+        path = tmp_path / "shrink.json"
+        save_channel(random_channel(4, 2, 2, 1), path)
+        witness = tmp_path / "witness.json"
+        argv = [a.format(c=path, w=witness) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and not witness.exists()
+        assert err == "error: dims: channel acts on 4 -> 2, but --dims gives 4\n"
+
 
 @pytest.mark.parametrize(
     "argv, flag",

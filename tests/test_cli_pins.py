@@ -94,11 +94,11 @@ DIGESTS = {
     "da33.json": "af4d55d71e5f486139008316f6ae4bd155c56574a1ffe89315c27b9fe93ad03e",
     "da33_spec.json": "dc9b3ac6806ae3dd8ad6c69487c9c8d0ae95154bf926142576256e34f4c98a76",
     "da42.json": "729582e246181bd9f31bfa2da3948c613ae0f35e0b3cc7b35f514fe5dd6be298",
-    "cls_AB_da22": "3cc3067ecb770697b7f5a0d966531d44fd0725d71b204f49431d553fbb0df117",
-    "cls_AB_da22_s20": "5b084d793881bd84ab4a0ba07aa2e9eeded7c14a5d7439085108334e7cd987e8",
-    "cls_AB_da23": "10608a376ca9a849d23a2c0a03c530aa75c2d423669a7957d660b17527684023",
-    "cls_AB_da33": "586885771ddec452c30347f2b096aaa77c2b2d8363fcdd64411168ec3a2d71f2",
-    "cls_AB_da42": "2898fb2ca6b4e466cfef3734ddf9d9a1cdfe03c31dcb19b465380e3a282daf9b",
+    "cls_AB_da22": "b135fbcaa575ed7e5dbd984c362dd9801aecfe2b8b5028c10f580c26f45dd537",
+    "cls_AB_da22_s20": "88a658dc4ff11c7d4e68655a43a9216a74d3dec84e3d90386824d86afaf9fc70",
+    "cls_AB_da23": "0b590c1972a3d5b1d587ac867f5d07bd358ba789cce5ed26f226e51baa61d973",
+    "cls_AB_da33": "44d75bc6f24c0e2a187162f61ced28f2d90959ebe7f2642a74fd2e491586dfc5",
+    "cls_AB_da42": "8c7bea02cd44e8734cb392c129e17b179c7dd36b3616e8437ae979ecca9518b5",
     "cls_AB_rand": "ed08aa69485a1028d6e04a873f814b4d885e11a4d248499d3143c979f77c50ea",
     "cls_A_deph": "759ebbd53a4eb67d3bb45bfd3df95191ca027d675395efa2b3b4c798b94d7732",
     "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",

@@ -86,7 +86,7 @@ def is_cq_exact_loop(rho, tol=1e-9):
     """The block-pair loop that ``is_cq_exact`` replaced: every normality
     defect and commutator one at a time, a strictly larger one replacing
     the worst so far."""
-    blocks = _b_blocks(rho)
+    blocks = _b_blocks(rho.matrix, rho.dim_a, rho.dim_b)
     db = rho.dim_b
     scale = float(np.linalg.norm(rho.matrix))
     worst = None
@@ -520,7 +520,7 @@ class TestIsCQExact:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)])
     def test_first_pair_wins_ties(self, dims):
         rho = max_entangled(*dims)
-        blocks = _b_blocks(rho).reshape(-1, dims[0], dims[0])
+        blocks = _b_blocks(rho.matrix, rho.dim_a, rho.dim_b).reshape(-1, dims[0], dims[0])
         pairs = [(a, a.conj().T) for a in blocks]
         pairs += list(itertools.combinations(blocks, 2))
         values = [float(np.linalg.norm(a @ b - b @ a)) for a, b in pairs]
@@ -534,7 +534,8 @@ class TestIsCQExact:
 
 
 class TestStackedCQResiduals:
-    """One stacked scan gives each state's residual and ``worst`` label bit for bit."""
+    """One stacked scan gives each state's residual bit for bit, and the worst pair
+    from which ``is_cq_exact`` builds its ``worst`` label."""
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_bitwise_equal_to_one_state_at_a_time(self, dims):
@@ -542,26 +543,27 @@ class TestStackedCQResiduals:
         states = [random_bipartite(*dims, [7, *dims, k]) for k in range(300)]
         states += [cq_state([8, k], *dims) for k in range(10)]
         states += [max_entangled(*dims), BipartiteState(*dims, DensityOperator.maximally_mixed(d))]
-        residuals, worst = _cq_residuals(np.array([rho.matrix for rho in states]), *dims)
-        assert len(residuals) == len(worst) == len(states)
-        for rho, residual, label in zip(states, residuals, worst):
+        residuals, pairs = _cq_residuals(np.array([rho.matrix for rho in states]), *dims)
+        assert len(residuals) == len(pairs) == len(states)
+        for rho, residual in zip(states, residuals):
             check, loop = is_cq_exact(rho), is_cq_exact_loop(rho)
             assert residual == check.residual == loop.residual
-            assert label == check.worst == loop.worst
-        assert residuals[-1] == 0.0 and worst[-1] is None
+            assert check.worst == loop.worst
+        assert residuals[-1] == 0.0 and is_cq_exact(states[-1]).worst is None
         assert sum(r <= 1e-12 for r in residuals) >= 11
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)])
     def test_ties_between_states_of_a_stack(self, dims):
         tied = max_entangled(*dims)
         states = [tied, random_bipartite(*dims, 3), tied]
-        residuals, worst = _cq_residuals(np.array([rho.matrix for rho in states]), *dims)
-        assert worst[0] == worst[2] == is_cq_exact_loop(tied).worst
+        residuals, pairs = _cq_residuals(np.array([rho.matrix for rho in states]), *dims)
+        assert pairs[0] == pairs[2]
+        assert is_cq_exact(tied).worst == is_cq_exact_loop(tied).worst
         assert residuals[0] == residuals[2] == is_cq_exact(tied).residual
 
     def test_empty_stack(self):
-        residuals, worst = _cq_residuals(np.zeros((0, 6, 6), dtype=complex), 3, 2)
-        assert residuals == worst == []
+        residuals, pairs = _cq_residuals(np.zeros((0, 6, 6), dtype=complex), 3, 2)
+        assert residuals == [] and len(pairs) == 0
 
 
 class TestCQDecompose:

@@ -22,7 +22,6 @@ from discordkit.annihilators import (
     apply_and_certify,
     build_da_channel,
     random_da_spec,
-    structural_match,
 )
 from discordkit.channels import (
     QuantumChannel,
@@ -33,6 +32,7 @@ from discordkit.channels import (
 )
 from discordkit.classify import (
     ActsOnA,
+    ActsOnAB,
     ActsOnB,
     _discordant_output_witness,
     _fourier_ket,
@@ -110,16 +110,6 @@ def certification_inputs_list(dim_a, dim_b, n_samples=200, seed=0):
             )
         )
     return inputs
-
-
-def match_probes_list(dim_a, dim_b, rng):
-    d = dim_a * dim_b
-    probes = [BipartiteState(dim_a, dim_b, DensityOperator.maximally_mixed(d))]
-    for _ in range(4 * dim_a * dim_a):
-        mixed = DensityOperator.maximally_mixed(d).matrix
-        noise = random_density(d, "hilbert-schmidt", rng).matrix
-        probes.append(BipartiteState.from_matrix((mixed + noise) / 2.0, dim_a, dim_b))
-    return probes
 
 
 def witness_probe_states_list(dim_a: int, dim_b: int, budget: int = 500, seed: int = 137):
@@ -248,43 +238,6 @@ class TestCertificationMatchesEagerScan:
             assert k <= len(pulled) <= 2 * k - 1
 
 
-class TestStructuralMatchProbes:
-    def record(self, monkeypatch):
-        scans, rng_states = [], []
-        original_scan, original_element = annihilators._cq_scan, annihilators._commutant_element
-
-        def scan(*args):
-            scans.append(original_scan(*args))
-            return scans[-1]
-
-        def element(generators, dim, rng):
-            rng_states.append(rng.bit_generator.state)
-            return original_element(generators, dim, rng)
-
-        monkeypatch.setattr(annihilators, "_cq_scan", scan)
-        monkeypatch.setattr(annihilators, "_commutant_element", element)
-        return scans, rng_states
-
-    @pytest.mark.parametrize("dims", DA_DIMS)
-    def test_passing_probes_drain_the_rng_first(self, monkeypatch, dims):
-        scans, rng_states = self.record(monkeypatch)
-        for seed in range(2):
-            channel = build_da_channel(random_da_spec(*dims, [seed, *dims]))
-            assert structural_match(channel, *dims, seed=seed).matched
-            rng = as_rng([seed, 0xA1])
-            assert_same_scan(scans[-1], cq_scan_loop(channel, match_probes_list(*dims, rng)))
-            assert rng_states[-1] == rng.bit_generator.state
-
-    def test_failing_probes(self, monkeypatch):
-        scans, rng_states = self.record(monkeypatch)
-        channel = QuantumChannel.identity(6)
-        match = structural_match(channel, 3, 2, seed=4)
-        assert match.counterexample is not None and not rng_states
-        old = cq_scan_loop(channel, match_probes_list(3, 2, as_rng([4, 0xA1])))
-        assert_same_scan(scans[-1], old)
-        assert same_state(match.counterexample, old.failing_input)
-
-
 # -- witness searches ------------------------------------------------------------------------
 
 
@@ -384,6 +337,16 @@ class TestInputsDrawnOnDemand:
             report = apply_and_certify(channel, dim_a, dim_b)
             assert not report.passed
             assert len(draws) + len(samples) <= 2 * report.n_checked - 1
+
+    @pytest.mark.parametrize("dims", DA_DIMS)
+    def test_structural_match_draws_no_input(self, monkeypatch, dims):
+        # The one scan of classify --side AB is its certification.
+        channel = build_da_channel(random_da_spec(*dims, [0, *dims]))
+        scans = count_calls(monkeypatch, annihilators, "_cq_scan")
+        draws = count_calls(monkeypatch, annihilators, "random_density")
+        report = classify_channel(channel, ActsOnAB(*dims), samples=20)
+        assert report.label == "da" and len(scans) == 1
+        assert len(draws) == 1  # the boundary rank draw of the certification
 
     def test_passing_certification_takes_two_eigh_per_chunk(self, monkeypatch):
         channel = build_da_channel(random_da_spec(3, 3, [0, 3, 3]))
