@@ -45,7 +45,6 @@ from .discord import (
     cq_decompose,
     discord,
     is_cq_exact,
-    measure_and_condition,
     mutual_information,
 )
 from .cqsets import (

@@ -2,11 +2,14 @@
 
 Discord is computed as ``D = I(A:B) - J(B|A)`` where the classical
 correlation ``J`` is maximised over rank-1 projective measurements on A.
-The optimiser returns a certified lower bound on ``J`` (it is evaluated
-exactly at the returned measurement), so the reported discord is an upper
-bound on the true value.  Zero-discord certification therefore never uses
-the optimiser: :func:`is_cq_exact` tests the block-commutation structure
-of the state directly, which is exact.
+There is one evaluator of J: the reported value is the score that the
+optimiser's scorer (``_qubit_scores`` or ``_unitary_scores``) gave the
+returned measurement, with the same S(B) that I(A:B) uses.  It is the
+classical correlation of an actual measurement, a lower bound on the true
+maximum up to rounding, so the reported discord is an upper bound on the
+true value.  Zero-discord certification therefore never uses the
+optimiser: :func:`is_cq_exact` tests the block-commutation structure of
+the state directly, which is exact.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from .states import (
     _frobenius_norms,
     _validate_states,
     as_rng,
-    entropy_from_eigenvalues,
-    partial_trace,
     partial_trace_matrix,
     random_unitary,
     von_neumann_entropy,
@@ -191,43 +192,16 @@ class DiscordResult:
 
 def mutual_information(rho: BipartiteState) -> float:
     """Quantum mutual information S(A) + S(B) - S(AB) in bits."""
-    s_a = von_neumann_entropy(partial_trace_matrix(rho.matrix, rho.dim_a, rho.dim_b, "A"))
-    s_b = von_neumann_entropy(partial_trace_matrix(rho.matrix, rho.dim_a, rho.dim_b, "B"))
-    s_ab = von_neumann_entropy(rho.state)
-    return s_a + s_b - s_ab
+    return _mutual_information(rho, _reduced_entropy(rho, "B"))
 
 
-def measure_and_condition(
-    rho: BipartiteState, measurement: ProjectiveMeasurement
-) -> list[tuple[float, DensityOperator]]:
-    """Outcome probabilities and conditional B states for a measurement on A.
-
-    Outcomes with probability below ``ZERO_CUTOFF`` are omitted.
-    """
-    if measurement.dim != rho.dim_a:
-        raise ValueError(
-            f"measurement dimension {measurement.dim} does not match dim_a {rho.dim_a}"
-        )
-    eye_b = np.eye(rho.dim_b, dtype=complex)
-    outcomes = []
-    for proj in measurement.projectors:
-        big = np.kron(proj, eye_b)
-        block = big @ rho.matrix @ big
-        p = float(np.trace(block).real)
-        if p < ZERO_CUTOFF:
-            continue
-        cond = partial_trace_matrix(block, rho.dim_a, rho.dim_b, "B") / p
-        outcomes.append((p, DensityOperator.from_matrix(cond, name="conditional state")))
-    return outcomes
+def _reduced_entropy(rho: BipartiteState, keep: str) -> float:
+    """Entropy of the raw reduced matrix of the kept subsystem, unvalidated."""
+    return von_neumann_entropy(partial_trace_matrix(rho.matrix, rho.dim_a, rho.dim_b, keep))
 
 
-def _holevo_like_value(rho: BipartiteState, measurement: ProjectiveMeasurement) -> float:
-    """S(B) minus the average conditional entropy at one measurement."""
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    avg = 0.0
-    for p, cond in measure_and_condition(rho, measurement):
-        avg += p * von_neumann_entropy(cond)
-    return s_b - avg
+def _mutual_information(rho: BipartiteState, s_b: float) -> float:
+    return _reduced_entropy(rho, "A") + s_b - von_neumann_entropy(rho.state)
 
 
 # -- fast qubit evaluation ---------------------------------------------------
@@ -328,9 +302,8 @@ def _angle_neighbours(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return x[:, None, :] + _STENCIL * h[:, None, :]
 
 
-def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid):
+def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid, s_b: float):
     t0, ts = _qubit_correlation_ops(rho)
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
 
     def score(angles):
         return _qubit_scores(t0, ts, s_b, _bloch_directions(angles))
@@ -345,7 +318,7 @@ def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid):
         trace = OptimizerTrace(
             restarts=0, best_values=(best_val,), n_evals=len(angles), converged=True
         )
-        return best_angles, trace
+        return best_angles, best_val, trace
 
     top = np.argsort(scores)[::-1][:_REFINE_TOP]
     step = np.array([np.pi / strategy.n_theta, 2.0 * np.pi / strategy.n_phi])
@@ -362,7 +335,7 @@ def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid):
         n_evals=len(angles) + n_evals,
         converged=converged,
     )
-    return best_angles, trace
+    return best_angles, best_val, trace
 
 
 # -- general-dimension evaluation --------------------------------------------
@@ -408,11 +381,10 @@ def _rotation_neighbours(us: np.ndarray, h: np.ndarray) -> np.ndarray:
     return us[:, None] @ r
 
 
-def _optimize_multistart(rho: BipartiteState, restarts: int, seed):
+def _optimize_multistart(rho: BipartiteState, restarts: int, seed, s_b: float):
     rng = as_rng(seed)
     dim_a = rho.dim_a
     r4 = rho.matrix.reshape(dim_a, rho.dim_b, dim_a, rho.dim_b)
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
 
     def score(us):
         return _unitary_scores(r4, s_b, us)
@@ -431,7 +403,8 @@ def _optimize_multistart(rho: BipartiteState, restarts: int, seed):
         n_evals=len(frames) + n_evals,
         converged=converged,
     )
-    return us[int(np.argmax(values))], trace
+    best = int(np.argmax(values))
+    return us[best], float(values[best]), trace
 
 
 # -- public optimisation API ---------------------------------------------------
@@ -444,27 +417,28 @@ def classical_correlation(
 ) -> tuple[float, ProjectiveMeasurement]:
     """Maximal classical correlation J(B|A) over rank-1 projective measurements.
 
-    The returned value is evaluated exactly at the returned measurement
-    (a certified lower bound on the true maximum); ties between candidate
-    measurements fall to the lowest grid or restart index.  ``Hybrid`` and
-    ``Grid`` need a qubit A: on dA != 2, ``Hybrid`` runs ``MultiStart(20)``
-    and ``Grid`` raises ValueError.
+    The returned value is the score that the strategy's own scorer gave the
+    returned measurement, so it is the classical correlation of that
+    measurement (a lower bound on the true maximum, up to rounding); ties
+    between candidate measurements fall to the lowest grid or restart index.
+    ``Hybrid`` and ``Grid`` need a qubit A: on dA != 2, ``Hybrid`` runs
+    ``MultiStart(20)`` and ``Grid`` raises ValueError.
     """
-    value, meas, _ = _classical_correlation_traced(rho, strategy, seed)
+    s_b = _reduced_entropy(rho, "B")
+    value, meas, _ = _classical_correlation_traced(rho, strategy, seed, s_b)
     return value, meas
 
 
-def _classical_correlation_traced(rho, strategy, seed):
+def _classical_correlation_traced(rho, strategy, seed, s_b):
     if isinstance(strategy, Grid) and rho.dim_a != 2:
         raise ValueError("Grid strategy is only defined for dim_a = 2")
     if rho.dim_a == 2 and isinstance(strategy, (Grid, Hybrid)):
-        angles, trace = _optimize_qubit(rho, strategy)
+        angles, value, trace = _optimize_qubit(rho, strategy, s_b)
         meas = ProjectiveMeasurement.from_bloch(angles[0], angles[1])
     else:
         restarts = strategy.restarts if isinstance(strategy, MultiStart) else 20
-        u, trace = _optimize_multistart(rho, restarts, seed)
+        u, value, trace = _optimize_multistart(rho, restarts, seed, s_b)
         meas = ProjectiveMeasurement.from_unitary(u)
-    value = _holevo_like_value(rho, meas)
     return value, meas, trace
 
 
@@ -475,13 +449,17 @@ def discord(
 ) -> DiscordResult:
     """Quantum discord D(A) = I(A:B) - J(B|A), in bits.
 
-    Because J is a lower bound on the true maximum, the returned value is
-    an upper bound on the discord; use :func:`is_cq_exact` to certify zero
-    discord rather than testing this value against zero.  On dA != 2,
-    ``Hybrid`` runs ``MultiStart(20)`` and ``Grid`` raises ValueError.
+    I and J share one S(B), taken from the raw reduced matrix, and J is the
+    optimiser's own score at the returned measurement.  Because J is a lower
+    bound on the true maximum, the returned value is an upper bound on the
+    discord, and on a zero-discord state it can read a few 1e-15 below zero;
+    use :func:`is_cq_exact` to certify zero discord rather than testing this
+    value against zero.  On dA != 2, ``Hybrid`` runs ``MultiStart(20)`` and
+    ``Grid`` raises ValueError.
     """
-    info = mutual_information(rho)
-    j_value, meas, trace = _classical_correlation_traced(rho, strategy, seed)
+    s_b = _reduced_entropy(rho, "B")
+    info = _mutual_information(rho, s_b)
+    j_value, meas, trace = _classical_correlation_traced(rho, strategy, seed, s_b)
     return DiscordResult(
         value=info - j_value,
         mutual_information=info,

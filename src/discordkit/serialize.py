@@ -52,6 +52,22 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _dimensions(value, field: str, lengths: tuple[int, ...] | None = None):
+    """``value`` if it is a positive integer (``lengths`` None) or a list of
+    positive integers of one of the ``lengths``; otherwise a
+    :class:`FileFormatError` naming ``field``.  JSON true/false are refused
+    even though bool is a subclass of int."""
+    items = [value] if lengths is None else value
+    if (lengths is None or isinstance(value, list) and len(value) in lengths) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in items
+    ):
+        return value
+    if lengths is None:
+        raise FileFormatError(field, f"expected a positive integer, got {value!r}")
+    shapes = " or ".join({1: "[d]", 2: "[dA, dB]"}[n] for n in lengths)
+    raise FileFormatError(field, f"expected {shapes} of positive integers, got {value!r}")
+
+
 def decode_matrix(data, shape: tuple[int, int], field: str) -> np.ndarray:
     if not isinstance(data, list):
         raise FileFormatError(field, f"expected a list of [re, im] pairs, got {type(data).__name__}")
@@ -110,11 +126,7 @@ def load_state(source) -> DensityOperator | BipartiteState:
     payload = _load_json(source)
     if "dims" not in payload:
         raise FileFormatError("dims", "missing")
-    dims = payload["dims"]
-    if not isinstance(dims, list) or len(dims) not in (1, 2) or not all(
-        isinstance(d, int) and d >= 1 for d in dims
-    ):
-        raise FileFormatError("dims", f"expected [d] or [dA, dB] of positive integers, got {dims!r}")
+    dims = _dimensions(payload["dims"], "dims", (1, 2))
     total = int(np.prod(dims))
     if "matrix" not in payload:
         raise FileFormatError("matrix", "missing")
@@ -146,10 +158,7 @@ def load_channel(source, *, cp_tol: float = VALIDITY_TOL) -> QuantumChannel:
     kind = payload.get("type")
     if kind not in ("kraus", "choi"):
         raise FileFormatError("type", f"expected 'kraus' or 'choi', got {kind!r}")
-    for key in ("d_in", "d_out"):
-        if not isinstance(payload.get(key), int) or payload[key] < 1:
-            raise FileFormatError(key, f"expected a positive integer, got {payload.get(key)!r}")
-    din, dout = payload["d_in"], payload["d_out"]
+    din, dout = (_dimensions(payload.get(key), key) for key in ("d_in", "d_out"))
     data = payload.get("data")
     try:
         if kind == "kraus":
@@ -214,14 +223,7 @@ def _action_from_json(data, dim_b: int, field: str):
 
 def load_da_spec(source) -> DAChannelSpec:
     payload = _load_json(source)
-    dims = payload.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
-    ):
-        raise FileFormatError("dims", f"expected [dA, dB] of positive integers, got {dims!r}")
-    dim_a, dim_b = dims
+    dim_a, dim_b = _dimensions(payload.get("dims"), "dims", (2,))
     raw_entries = payload.get("entries")
     if not isinstance(raw_entries, list) or not raw_entries:
         raise FileFormatError("entries", "expected a non-empty list")
@@ -289,14 +291,7 @@ def cq_subset_spec_to_json(spec: ConvexCQSubsetSpec) -> dict:
 
 def load_cq_subset_spec(source) -> ConvexCQSubsetSpec:
     payload = _load_json(source)
-    dims = payload.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
-    ):
-        raise FileFormatError("dims", f"expected [dA, dB] of positive integers, got {dims!r}")
-    dim_a, dim_b = dims
+    dim_a, dim_b = _dimensions(payload.get("dims"), "dims", (2,))
     both, fixed, point = [], [], []
     for i, item in enumerate(payload.get("both", [])):
         field = f"both[{i}]"

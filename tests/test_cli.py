@@ -100,6 +100,15 @@ class TestDiscordCommand:
         assert code == 2
         assert "matrix[1]" in err
 
+    def test_boolean_dimension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bool_dims.json"
+        payload = state_to_json(bell_state(0))
+        payload["dims"] = [True, 2]
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "discord", str(path))
+        assert code == 2
+        assert "dims" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "discord", "/nonexistent/state.json")
         assert code == 2
@@ -224,6 +233,14 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", str(path), "--side", "B")
         assert code == 2
         assert "data[0][1]" in err
+
+    def test_boolean_dimensions_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bool_dims.json"
+        payload = {"type": "kraus", "d_in": True, "d_out": True, "data": [[[1.0, 0.0]]]}
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "classify", str(path), "--side", "B")
+        assert code == 2
+        assert "d_in" in err
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_tol_cq_reaches_side_verdicts(self, tmp_path, capsys, side):

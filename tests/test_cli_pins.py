@@ -110,10 +110,10 @@ DIGESTS = {
     "cls_B_rand3": "52eed063e407a03c7b9f4b69d3c2674ea2e5b121e2ae8d60f5bfcaf6b6c875a2",
     "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
     "cls_B_deph3": "8e779326204699ec004f34d65f220f4e7c3331ca903bd27cee3c113b7297f466",
-    "discord_22": "0a2f4a00f78a15e05e3c8a0d0067bf5a4536c644ac2ac46d9eed8ecb4848e9b4",
-    "grid_22": "cae568e19f051e1cb36e8bc01a391e7a772c167eab005b2fbbd1a54424bc89fc",
-    "discord_32": "88512f45a3a6bc9eac11654e71e341231abdfba56ffff2fefccd5bbe980495e6",
-    "default_32": "0deb86556ddb2c9b17dcdc9e698ba8d598158144e25ed62e80cf0a7b48178a3f",
+    "discord_22": "f2dad77e031c2650f3a7ed36ffba233cc12e53d83e685630321f6a0896d3c81e",
+    "grid_22": "03a0f469f7ee9ad73d8e5df81dc5ce8d766e4258c804e1850200e90c8c5e6c90",
+    "discord_32": "57589866f5292f7a5827ebcabaf6a4a2095c30adc83d97ca260a619930b2907e",
+    "default_32": "fb722b32b1683e3064b003a1b09959f183b3bb733858dd9a01cdaf740d2002fe",
     "verify_pass": "bedeff0891b98d58497d8227be972b258c9a7f4e9dbc03f03ebb77b1abc8be37",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "witness.json": "6541c0614a0e0ff76f556a3fa6400b22c565333ea4e28a48fe0cdebf84515bf5",

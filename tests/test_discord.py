@@ -19,7 +19,6 @@ from discordkit.discord import (
     _REFINE_TOP,
     _bloch_directions,
     _grid_angles,
-    _holevo_like_value,
     _qubit_correlation_ops,
     _b_blocks,
     _cq_residuals,
@@ -28,7 +27,6 @@ from discordkit.discord import (
     cq_decompose,
     discord,
     is_cq_exact,
-    measure_and_condition,
     mutual_information,
 )
 from discordkit.states import (
@@ -38,13 +36,15 @@ from discordkit.states import (
     bell_state,
     max_entangled,
     partial_trace,
+    partial_trace_matrix,
     product_state,
     random_bipartite,
     random_density,
     random_unitary,
     von_neumann_entropy,
 )
-from discordkit.tolerances import REFINE_MARGIN
+from discordkit.annihilators import build_da_channel, random_da_spec
+from discordkit.tolerances import REFINE_MARGIN, ZERO_CUTOFF
 
 
 discord_module = importlib.import_module("discordkit.discord")
@@ -163,6 +163,25 @@ def _entropy_oracle(m):
     return float(-np.sum(w * np.log2(w))) if w.size else 0.0
 
 
+def holevo_like_value(rho, measurement):
+    """S(B) minus the average conditional entropy at one measurement: every
+    outcome projected with np.kron, every conditional state validated, and
+    outcomes below ZERO_CUTOFF skipped.  The library's former second
+    evaluation of J, kept as an oracle for the scorers."""
+    s_b = von_neumann_entropy(partial_trace(rho, "B"))
+    eye_b = np.eye(rho.dim_b, dtype=complex)
+    avg = 0.0
+    for proj in measurement.projectors:
+        big = np.kron(proj, eye_b)
+        block = big @ rho.matrix @ big
+        p = float(np.trace(block).real)
+        if p < ZERO_CUTOFF:
+            continue
+        cond = partial_trace_matrix(block, rho.dim_a, rho.dim_b, "B") / p
+        avg += p * von_neumann_entropy(DensityOperator.from_matrix(cond, name="conditional state"))
+    return s_b - avg
+
+
 def nelder_mead_reference(rho, strategy=Hybrid()):
     """Hybrid's former refinement: the same grid and top starts, each
     refined alone by scipy's Nelder-Mead on (theta, phi)."""
@@ -185,7 +204,7 @@ def nelder_mead_reference(rho, strategy=Hybrid()):
         )
         if -res.fun > best_val + REFINE_MARGIN:
             best_val, best_angles = -float(res.fun), res.x
-    return _holevo_like_value(rho, ProjectiveMeasurement.from_bloch(*best_angles))
+    return holevo_like_value(rho, ProjectiveMeasurement.from_bloch(*best_angles))
 
 
 # Bell-diagonal correlation vectors c lie in the tetrahedron spanned by the
@@ -249,33 +268,6 @@ class TestProjectiveMeasurement:
         nan = np.full((2, 2), np.nan, dtype=complex)
         with pytest.raises(ValueError, match="projectors 0 and 0 are not orthogonal"):
             ProjectiveMeasurement(dim=2, projectors=(nan, np.eye(2) - nan))._check()
-
-
-class TestMeasureAndCondition:
-    def test_product_state_conditionals(self):
-        sigma = random_density(2, "hilbert-schmidt", 2)
-        rho = product_state(random_density(2, "hilbert-schmidt", 3), sigma)
-        meas = ProjectiveMeasurement.from_bloch(0.7, 1.2)
-        for _, cond in measure_and_condition(rho, meas):
-            assert np.linalg.norm(cond.matrix - sigma.matrix) <= 1e-10
-
-    def test_bell_in_z(self):
-        meas = ProjectiveMeasurement.from_bloch(0.0, 0.0)
-        outcomes = measure_and_condition(bell_state(0), meas)
-        assert len(outcomes) == 2
-        for p, cond in outcomes:
-            assert p == pytest.approx(0.5, abs=1e-12)
-            assert cond.purity() == pytest.approx(1.0, abs=1e-10)
-
-    def test_no_signalling(self):
-        rho = random_bipartite(2, 3, 4)
-        meas = ProjectiveMeasurement.from_bloch(1.1, 0.3)
-        total = sum(p * cond.matrix for p, cond in measure_and_condition(rho, meas))
-        assert np.linalg.norm(total - partial_trace(rho, "B").matrix) <= 1e-10
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            measure_and_condition(random_bipartite(3, 2, 0), ProjectiveMeasurement.from_bloch(0, 0))
 
 
 class TestClassicalCorrelation:
@@ -377,10 +369,97 @@ class TestDiscord:
         assert result.value <= 5e-3
 
 
+def pinned_a_states(dim_a, dim_b, seed):
+    """States whose best frames have an outcome of probability zero: a
+    product with a pure A, and a CQ state with no weight on the last vector
+    of a Haar A basis."""
+    rng = np.random.default_rng(seed)
+    pinned = DensityOperator.diagonal([1.0] + [0.0] * (dim_a - 1))
+    basis = random_unitary(dim_a, rng)
+    probs = rng.dirichlet(np.ones(dim_a - 1))
+    m = np.zeros((dim_a * dim_b,) * 2, dtype=complex)
+    for k, p in enumerate(probs):
+        proj = np.outer(basis[:, k], basis[:, k].conj())
+        m += p * np.kron(proj, random_density(dim_b, "hilbert-schmidt", rng).matrix)
+    return [
+        product_state(pinned, random_density(dim_b, "hilbert-schmidt", rng)),
+        BipartiteState.from_matrix(m, dim_a, dim_b),
+    ]
+
+
+def one_evaluator_corpus(dims):
+    """Eight seeded Hilbert-Schmidt states and the two pinned-A states of ``dims``."""
+    dim_a, dim_b = dims
+    seed = 300 + 10 * dim_a + dim_b
+    states = [random_bipartite(dim_a, dim_b, [seed, k]) for k in range(8)]
+    return states + pinned_a_states(dim_a, dim_b, seed)
+
+
+class TestOneEvaluator:
+    """The reported J is the score that the optimiser's own scorer gave the
+    returned measurement, and I and J share one S(B)."""
+
+    CASES = [
+        (Grid(), (2, 2)),
+        (Grid(), (2, 3)),
+        (Hybrid(), (2, 2)),
+        (Hybrid(), (2, 3)),
+        (Hybrid(), (2, 4)),
+        (MultiStart(restarts=2), (3, 2)),
+        (MultiStart(restarts=2), (3, 3)),
+        (MultiStart(restarts=2), (4, 2)),
+    ]
+    IDS = ["grid-2x2", "grid-2x3", "hybrid-2x2", "hybrid-2x3", "hybrid-2x4"]
+    IDS += ["multistart-3x2", "multistart-3x3", "multistart-4x2"]
+
+    @pytest.mark.parametrize("strategy, dims", CASES, ids=IDS)
+    def test_j_is_the_optimisers_best_score(self, strategy, dims):
+        for k, rho in enumerate(one_evaluator_corpus(dims)):
+            result = discord(rho, strategy)
+            best = max(result.trace.best_values)
+            j = result.classical_correlation
+            if isinstance(strategy, Hybrid):
+                assert best - REFINE_MARGIN <= j <= best, k
+            else:
+                assert j == best, k
+            assert result.mutual_information == mutual_information(rho), k
+            assert result.value == result.mutual_information - j, k
+
+    @pytest.mark.parametrize("strategy, dims", CASES, ids=IDS)
+    def test_j_matches_the_kron_oracle(self, strategy, dims):
+        zero_outcomes = 0
+        for k, rho in enumerate(one_evaluator_corpus(dims)):
+            j, meas = classical_correlation(rho, strategy)
+            assert abs(j - holevo_like_value(rho, meas)) <= 1e-14, k
+            probs = [np.trace(p @ partial_trace(rho, "A").matrix).real for p in meas.projectors]
+            zero_outcomes += min(probs) < ZERO_CUTOFF
+        if isinstance(strategy, MultiStart):
+            assert zero_outcomes >= 1
+
+    @pytest.mark.parametrize("dim_a", [1, 2, 3])
+    def test_zero_discord_states_read_at_most_rounding_below_zero(self, dim_a):
+        states = []
+        for dim_b in (2, 3):
+            seed = 400 + 10 * dim_a + dim_b
+            states += [
+                product_state(
+                    random_density(dim_a, "hilbert-schmidt", [seed, k]),
+                    random_density(dim_b, "hilbert-schmidt", [seed, 10 + k]),
+                )
+                for k in range(4)
+            ]
+            for k in range(4):
+                channel = build_da_channel(random_da_spec(dim_a, dim_b, [seed, 20 + k]))
+                states.append(channel.apply(random_bipartite(dim_a, dim_b, [seed, 30 + k])))
+        for k, rho in enumerate(states):
+            assert is_cq_exact(rho), k
+            assert discord(rho).value >= -1e-14, k
+
+
 class TestUnitaryScores:
     @pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_match_one_measurement_at_a_time(self, dims):
-        """The batched score of each basis equals _holevo_like_value there,
+        """The batched score of each basis equals holevo_like_value there,
         also when outcomes have zero probability (identity frame on |0><0|)."""
         dim_a, dim_b = dims
         rng = np.random.default_rng(90 + dim_a)
@@ -391,7 +470,7 @@ class TestUnitaryScores:
             r4 = rho.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
             s_b = von_neumann_entropy(partial_trace(rho, "B"))
             scores = discord_module._unitary_scores(r4, s_b, us.astype(complex))
-            expected = [_holevo_like_value(rho, ProjectiveMeasurement.from_unitary(u)) for u in us]
+            expected = [holevo_like_value(rho, ProjectiveMeasurement.from_unitary(u)) for u in us]
             np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
 
 

@@ -52,6 +52,11 @@ class TestStateFiles:
         with pytest.raises(FileFormatError, match="dims"):
             load_state({"dims": [2, 0], "matrix": []})
 
+    @pytest.mark.parametrize("dims", [[True, 2], [True, True], [False], [2, 2.0]])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(FileFormatError, match="dims: expected"):
+            load_state({"dims": dims, "matrix": [[1.0, 0.0]]})
+
     def test_matrix_length_mismatch(self):
         with pytest.raises(FileFormatError, match="matrix"):
             load_state({"dims": [2], "matrix": [[1.0, 0.0]]})
@@ -110,6 +115,14 @@ class TestChannelFiles:
         with pytest.raises(FileFormatError, match="type"):
             load_channel({"type": "magic", "d_in": 2, "d_out": 2, "data": []})
 
+    @pytest.mark.parametrize(
+        "d_in, d_out, field", [(True, 1, "d_in"), (1, True, "d_out"), (1, 0, "d_out")]
+    )
+    def test_non_integer_dimension_rejected(self, d_in, d_out, field):
+        payload = {"type": "kraus", "d_in": d_in, "d_out": d_out, "data": [[[1.0, 0.0]]]}
+        with pytest.raises(FileFormatError, match=f"{field}: expected a positive integer"):
+            load_channel(payload)
+
     def test_non_tp_choi_rejected(self):
         payload = {
             "type": "choi",
@@ -126,6 +139,13 @@ class TestDASpecFiles:
         spec = random_da_spec(2, 2, 20)
         loaded = load_da_spec(da_spec_to_json(spec))
         assert choi_distance(build_da_channel(loaded), build_da_channel(spec)) <= 1e-9
+
+    @pytest.mark.parametrize("dims", [[True, 2], [2, False], [2], "2x2"])
+    def test_non_integer_dims_rejected(self, dims):
+        payload = da_spec_to_json(random_da_spec(2, 2, 21))
+        payload["dims"] = dims
+        with pytest.raises(FileFormatError, match=r"dims: expected \[dA, dB\]"):
+            load_da_spec(payload)
 
     def test_multi_identity_rejected_with_constraint_message(self):
         payload = {
@@ -201,6 +221,13 @@ class TestSubsetSpecFiles:
         )
         loaded = load_cq_subset_spec(cq_subset_spec_to_json(spec))
         assert loaded.fixed_entries[0].generators is None
+
+    @pytest.mark.parametrize("dims", [[True, 2], [2, True], [2, 2, 2]])
+    def test_non_integer_dims_rejected(self, dims):
+        from discordkit.serialize import load_cq_subset_spec
+
+        with pytest.raises(FileFormatError, match=r"dims: expected \[dA, dB\]"):
+            load_cq_subset_spec({"dims": dims, "both": [], "fixed": [], "point": []})
 
     def test_invalid_spec_rejected(self):
         import numpy as np
