@@ -256,13 +256,18 @@ class CertificationReport:
 
 
 def _cq_scan(
-    channel: QuantumChannel, inputs, tol: float = CQ_TOL, dims: tuple[int, int] | None = None
+    channel: QuantumChannel,
+    inputs,
+    tol: float = CQ_TOL,
+    dims: tuple[int, int] | None = None,
+    out_dims: tuple[int, int] | None = None,
 ) -> CertificationReport:
     """Apply ``channel`` to the inputs and run the exact CQ test on each output.
 
     Stops at the first output that is not classical-quantum.  ``inputs``
     may be any iterable of states on one split, or of raw matrices that are
-    states on ``dims``; it is pulled in chunks of 1, 2, 4, ..., so at most
+    states on ``dims``, and outputs are judged on ``out_dims`` (by default
+    the inputs' split); it is pulled in chunks of 1, 2, 4, ..., so at most
     ``2 * n_checked - 1`` inputs are built.  Each chunk takes one stacked
     validation of its raw matrices, one stacked application, one stacked
     output validation and one stacked CQ test, bit for bit equal to
@@ -275,14 +280,15 @@ def _cq_scan(
     size = 1
     while chunk := list(itertools.islice(inputs, size)):
         chunk = _as_states(chunk, dims)
+        split = out_dims or (chunk[0].dim_a, chunk[0].dim_b)
         for state in chunk:
-            channel._check_in_place(state)
+            channel._check_split(state, split)
         images = channel.apply_matrix(np.array([state.matrix for state in chunk]))
         valid, error = _validate_states(images, name="channel output")
-        residuals, _ = _cq_residuals(valid, chunk[0].dim_a, chunk[0].dim_b)
+        residuals, _ = _cq_residuals(valid, *split)
         for state, matrix, residual in zip(chunk, valid, residuals):
             out = DensityOperator(dim=channel.dim_out, matrix=_freeze(matrix))
-            outputs.append(BipartiteState(state.dim_a, state.dim_b, out))
+            outputs.append(BipartiteState(*split, out))
             if residual > worst:
                 worst, worst_input = residual, state
             if not residual <= tol:

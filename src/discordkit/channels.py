@@ -25,7 +25,6 @@ from .states import (
     BipartiteState,
     DensityOperator,
     _frobenius_norms,
-    _hermitian_prefix,
     as_rng,
     eig_hermitian,
     hermitian_basis,
@@ -142,17 +141,19 @@ class QuantumChannel:
         m = np.asarray(m)[..., None, :, :]
         return (self.kraus @ m @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=-3)
 
-    def _check_in_place(self, rho: BipartiteState) -> None:
-        if rho.state.dim != self.dim_in or self.dim_in != self.dim_out:
+    def _check_split(self, rho: BipartiteState, out_dims: tuple[int, int]) -> None:
+        """Raise unless the channel maps the split of ``rho`` to ``out_dims``."""
+        out_a, out_b = out_dims
+        if rho.state.dim != self.dim_in or out_a * out_b != self.dim_out:
             raise InvalidChannelError(
-                f"channel ({self.dim_in} -> {self.dim_out}) cannot act in place "
-                f"on a {rho.dim_a} (x) {rho.dim_b} state"
+                f"channel ({self.dim_in} -> {self.dim_out}) cannot map a "
+                f"{rho.dim_a} (x) {rho.dim_b} state to {out_a} (x) {out_b}"
             )
 
     def apply(self, rho: DensityOperator | BipartiteState):
         """Apply to a state, validating the output (same wrapper type back)."""
         if isinstance(rho, BipartiteState):
-            self._check_in_place(rho)
+            self._check_split(rho, (rho.dim_a, rho.dim_b))
             out = DensityOperator.from_matrix(self.apply_matrix(rho.matrix), name="channel output")
             return BipartiteState(rho.dim_a, rho.dim_b, out)
         if rho.dim != self.dim_in:
@@ -316,7 +317,8 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
     ``povm`` is a sequence of PSD operators summing to the identity and
     ``basis`` the matching orthonormal output kets.  Outputs of the
     resulting channel are diagonal in ``basis`` and therefore mutually
-    commute.
+    commute.  The first failing check raises, in this order: the shapes, each
+    element's Hermiticity and positivity, the sum to the identity, the basis.
     """
     effects = [np.asarray(f, dtype=complex) for f in povm]
     kets = [np.asarray(k, dtype=complex).reshape(-1) for k in basis]
@@ -330,57 +332,27 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
     for idx, f in enumerate(effects):
         if f.shape != (dim_in, dim_in):
             raise InvalidChannelError(f"POVM element {idx} has shape {f.shape}")
-    (ops,), (keep,) = _qc_kraus(np.array(effects)[None], np.array(kets)[None])
-    return QuantumChannel(ops[keep])
-
-
-def _qc_kraus(effects: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus stacks of the measure-and-prepare channels with POVMs ``effects``
-    ``(n, K, dim_in, dim_in)`` and output kets ``(n, K, dim_out)``.
-
-    The operators are ``sqrt(mu_m) |k><v_m|`` over the eigenpairs of each
-    ``F_k``, in (k, m) order, shaped ``(n, K * dim_in, dim_out, dim_in)``;
-    an eigenvalue at most ``KRAUS_CUTOFF`` gets an exact zero in place of its
-    operator, and the mask of kept operators comes back with the stack.  The
-    checks of :func:`make_qc_channel` run over the whole stack in its order,
-    and the first failure raises its error: a POVM element that is not
-    Hermitian or not PSD, then a POVM that does not sum to the identity,
-    then an output basis that is not orthonormal.
-    """
-    n, n_out, dim_in = effects.shape[:3]
-    flat = effects.reshape(n * n_out, dim_in, dim_in)
-    n_hermitian, _ = _hermitian_prefix(flat, "POVM element", InvalidChannelError)
-    h = flat[:n_hermitian]
-    eigvals, eigvecs = np.linalg.eigh((h + h.conj().transpose(0, 2, 1)) / 2.0)
-    not_psd = np.flatnonzero(eigvals[:, 0] < -VALIDITY_TOL)
-    if not_psd.size:
-        e = not_psd[0]
-        raise InvalidChannelError(
-            f"POVM element {e % n_out} is not PSD (min eigenvalue {eigvals[e, 0]:.3e})"
-        )
-    if n_hermitian < len(flat):  # eig_hermitian raises that element's error
-        what = f"POVM element {n_hermitian % n_out}"
-        eig_hermitian(flat[n_hermitian], what=what, error=InvalidChannelError)
-    totals = np.zeros((n, dim_in, dim_in), dtype=complex)
-    for k in range(n_out):
-        totals += effects[:, k]
-    if (_frobenius_norms(totals - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in)).any():
+    ops = []
+    for idx, (f, k) in enumerate(zip(effects, kets)):
+        eigvals, eigvecs = eig_hermitian(f, what=f"POVM element {idx}", error=InvalidChannelError)
+        if eigvals[0] < -VALIDITY_TOL:
+            raise InvalidChannelError(
+                f"POVM element {idx} is not PSD (min eigenvalue {eigvals[0]:.3e})"
+            )
+        keep = eigvals > KRAUS_CUTOFF
+        outers = k[:, None] * eigvecs[:, keep].conj().T[:, None, :]
+        ops.append(np.sqrt(eigvals[keep])[:, None, None] * outers)
+    if np.linalg.norm(sum(effects) - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in):
         raise InvalidChannelError("POVM elements do not sum to the identity")
-    gram = kets.conj() @ kets.transpose(0, 2, 1)
-    first, second = np.triu_indices(n_out)
-    bad = np.argwhere(np.abs(gram[:, first, second] - (first == second)) > VALIDITY_TOL)
+    gram = np.conj(kets) @ np.transpose(kets)
+    first, second = np.triu_indices(len(kets))
+    bad = np.flatnonzero(np.abs(gram[first, second] - (first == second)) > VALIDITY_TOL)
     if bad.size:
-        channel, pair = bad[0]
-        a, b = first[pair], second[pair]
+        a, b = first[bad[0]], second[bad[0]]
         raise InvalidChannelError(
-            f"output basis is not orthonormal: <{a}|{b}> = {gram[channel, a, b]:.3e}"
+            f"output basis is not orthonormal: <{a}|{b}> = {gram[a, b]:.3e}"
         )
-    keep = eigvals > KRAUS_CUTOFF
-    dim_out = kets.shape[-1]
-    bras = eigvecs.conj().transpose(0, 2, 1)  # row m of element e is <v_m|
-    outers = kets.reshape(-1, dim_out)[:, None, :, None] * bras[:, :, None, :]
-    ops = np.sqrt(np.where(keep, eigvals, 0.0))[..., None, None] * outers
-    return ops.reshape(n, n_out * dim_in, dim_out, dim_in), keep.reshape(n, n_out * dim_in)
+    return QuantumChannel(np.concatenate(ops))
 
 
 @dataclass(frozen=True)

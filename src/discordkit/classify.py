@@ -29,16 +29,16 @@ from .channels import (
     _check_trace_preserving,
     _choi_matrices,
     _in_cptp_tetrahedron,
-    _qc_kraus,
     _unital_qubit_kraus,
     analyze_transfer,
     compose,
     extend,
 )
-from .discord import Hybrid, _cq_conditionals, _cq_draws, _cq_residuals, discord
+from .discord import Hybrid, _cq_conditionals, _cq_draws, _cq_form, _cq_residuals, discord
 from .states import (
     BipartiteState,
     DensityOperator,
+    _AtLeast,
     _frobenius_norms,
     _validate_states,
     as_rng,
@@ -141,6 +141,14 @@ def _probe_pair_witness(channel: QuantumChannel, kind: str) -> dict:
     }
 
 
+def _swap_slots(matrices: np.ndarray, dim_first: int, dim_second: int) -> np.ndarray:
+    """Each matrix of the stack ``(n, d, d)`` on ``first (x) second`` with its
+    two slots swapped, as a matrix on ``second (x) first``."""
+    n, d = matrices.shape[:2]
+    swapped = matrices.reshape(n, dim_first, dim_second, dim_first, dim_second)
+    return swapped.transpose(0, 2, 1, 4, 3).reshape(n, d, d)
+
+
 def _choi_partial_transpose(chois: np.ndarray, dim_in: int) -> np.ndarray:
     """Partial transpose, on the output slot, of each normalised Choi matrix of
     the stack ``(n, d, d)``."""
@@ -178,10 +186,8 @@ def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> list[Ve
     """The decisions of :func:`is_qc_channel`, without a witness: one stacked
     validation and CQ test of the slot-swapped normalised Choi matrices, then
     one stacked rebuild of the channels that pass."""
-    n, d = chois.shape[:2]
-    dim_out = d // dim_in
-    swapped = chois.reshape(n, dim_in, dim_out, dim_in, dim_out).transpose(0, 2, 1, 4, 3)
-    nus, error = _validate_states(swapped.reshape(n, d, d) / dim_in, name="swapped Choi")
+    dim_out = chois.shape[-1] // dim_in
+    nus, error = _validate_states(_swap_slots(chois, dim_in, dim_out) / dim_in, name="swapped Choi")
     if error is not None:
         raise error
     residuals, _ = _cq_residuals(nus, dim_out, dim_in)
@@ -198,11 +204,12 @@ def _qc_rebuild(chois: np.ndarray, nus: np.ndarray, dim_in: int, tol: float) -> 
     ``nus`` are CQ.
 
     Each draw of the CQ decomposition that reconstructs a channel's ``nu``
-    gives a POVM ``F_k = dim_in * (conditional input block)^T`` and an
-    output basis.  The answer is "yes" at the first draw whose rebuilt
-    channel lies within ``tol`` of the original; otherwise "no" with the
-    smallest rebuild residual, or the last reconstruction residual when no
-    draw reconstructs ``nu``.
+    gives a POVM ``F_k = dim_in * p_k * tau_k^T`` and an output basis
+    ``|k>``, whose channel has the Choi matrix ``sum_k F_k^T (x) |k><k|``:
+    the slot swap of their CQ form.  The answer is "yes" at the first draw
+    whose rebuilt Choi matrix lies within ``tol`` of the original;
+    otherwise "no" with the smallest rebuild residual, or the last
+    reconstruction residual when no draw reconstructs ``nu``.
     """
     n = len(chois)
     dim_out = chois.shape[-1] // dim_in
@@ -213,12 +220,12 @@ def _qc_rebuild(chois: np.ndarray, nus: np.ndarray, dim_in: int, tol: float) -> 
         rows = np.flatnonzero(accepted & np.array([v is None for v in verdicts], dtype=bool))
         if rows.size:
             probs, conditionals = _cq_conditionals(weights[rows], blocks[rows])
-            povms = (dim_in * probs)[..., None, None] * conditionals.transpose(0, 1, 3, 2)
+            weighted = (dim_in * probs)[..., None, None] * conditionals  # the F_k^T
+            rebuilt = _swap_slots(_cq_form(basis[rows], weighted), dim_out, dim_in)
+            residuals = _frobenius_norms(rebuilt - chois[rows]) / scales[rows]
+            povms = weighted.transpose(0, 1, 3, 2)
             kets = basis[rows].transpose(0, 2, 1)  # row k is basis[:, k]
-            kraus, _ = _qc_kraus(povms, kets)
-            _check_trace_preserving(kraus)
-            rebuilt = _frobenius_norms(_choi_matrices(kraus) - chois[rows]) / scales[rows]
-            for row, residual, povm, ket in zip(rows.tolist(), rebuilt.tolist(), povms, kets):
+            for row, residual, povm, ket in zip(rows.tolist(), residuals.tolist(), povms, kets):
                 if residual <= tol:
                     details = {"povm": list(povm), "basis": list(ket)}
                     verdicts[row] = Verdict(kind="yes", residual=residual, details=details)
@@ -262,9 +269,10 @@ def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     operator, is classical on the output slot; the test runs the exact
     CQ check on the slot-swapped normalised Choi and, on success, extracts
     the POVM ``F_k = dim_in * (conditional input block)^T`` and basis.
-    The answer is "yes" only when the channel rebuilt from them lies within
-    ``tol`` of the original.  A "no" carries the pair of probe inputs whose
-    outputs commute least.
+    The answer is "yes" only when the Choi matrix ``sum_k F_k^T (x) |k><k|``
+    rebuilt from them lies within ``tol * max(1, ||J||)`` of the channel's
+    ``J``.  A "no" carries the pair of probe inputs whose outputs commute
+    least.
     """
     (verdict,) = _qc_decision(channel.choi[None], channel.dim_in, tol)
     return _with_witness(verdict, channel, "noncommuting-outputs")
@@ -325,27 +333,18 @@ def _eb_decision(chois: np.ndarray, dim_in: int) -> list[Verdict]:
 # -- combined classification -----------------------------------------------------
 
 
-class _Dimensions:
-    """Refuses a dimension below 1 in any field of a context."""
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-
-
 @dataclass(frozen=True)
-class ActsOnA(_Dimensions):
+class ActsOnA(_AtLeast):
     dim_b: int
 
 
 @dataclass(frozen=True)
-class ActsOnB(_Dimensions):
+class ActsOnB(_AtLeast):
     dim_a: int
 
 
 @dataclass(frozen=True)
-class ActsOnAB(_Dimensions):
+class ActsOnAB(_AtLeast):
     dim_a: int
     dim_b: int
 
@@ -370,8 +369,9 @@ def _discordant_output_witness(
 ) -> dict | None:
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
+    out_dims = (channel.dim_out, dim_other) if side == "A" else (dim_other, channel.dim_out)
     probes = itertools.islice(_witness_probes(dims[0], dims[1], seed), WITNESS_BUDGET)
-    scan = _cq_scan(extended, probes, tol)
+    scan = _cq_scan(extended, probes, tol, out_dims=out_dims)
     if scan.failing_input is None:
         return None
     return {
@@ -563,7 +563,7 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
     probes = itertools.islice(_witness_probes(dim_a, dim_b, _LOCAL_DA_SEED), _LOCAL_DA_BUDGET)
-    scan = _cq_scan(product, probes)
+    scan = _cq_scan(product, probes, out_dims=(channel_a.dim_out, channel_b.dim_out))
     # A failing output's residual exceeds every passing one, so the scan's
     # worst input is the first failing input when there is one.
     return LocalDAVerdict(kind="not-da", witness=scan.worst_input, residual=scan.worst_residual)

@@ -25,6 +25,7 @@ from .states import (
     BipartiteState,
     DensityOperator,
     PAULIS,
+    _AtLeast,
     _freeze,
     _frobenius_norms,
     _validate_states,
@@ -129,7 +130,7 @@ def _bloch_directions(angles: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Grid:
+class Grid(_AtLeast):
     """Exhaustive Bloch-angle grid for qubit A; theta_k = pi k / n_theta
     (k = 0..n_theta) and phi_k = 2 pi k / n_phi, so doubling both counts
     refines the grid in place."""
@@ -139,17 +140,18 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class MultiStart:
+class MultiStart(_AtLeast):
     """Batched pattern search on U(dA) from the rho_A eigenbasis and
     ``restarts`` seeded Haar frames; every round tries the Givens rotations
     exp(±i·h·G) of each off-diagonal generator G on all live frames, first
     step h = pi/4."""
 
+    minimum = 0
     restarts: int = 20
 
 
 @dataclass(frozen=True)
-class Hybrid:
+class Hybrid(_AtLeast):
     """Coarse grid followed by a batched pattern search from the 5 best grid
     points; the search's first angle step is the grid spacing.  Defined for a
     qubit A only: on dA != 2 it runs ``MultiStart(20)`` instead."""
@@ -553,10 +555,8 @@ class CQDecomposition:
     conditional_states: tuple[DensityOperator, ...]
 
     def reconstruct(self) -> BipartiteState:
-        m = np.zeros((self.dim_a * self.dim_b,) * 2, dtype=complex)
-        for k in range(self.dim_a):
-            proj = np.outer(self.basis[:, k], self.basis[:, k].conj())
-            m += self.probs[k] * np.kron(proj, self.conditional_states[k].matrix)
+        conditionals = np.array([state.matrix for state in self.conditional_states])
+        (m,) = _cq_form(self.basis[None], (self.probs[:, None, None] * conditionals)[None])
         return BipartiteState.from_matrix(m, self.dim_a, self.dim_b)
 
 
@@ -565,9 +565,10 @@ def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
 
     The common eigenbasis of the (commuting, normal) blocks is found by
     diagonalising a random real combination of their Hermitian and
-    anti-Hermitian parts.  A draw is accepted when the state rebuilt in its
-    basis lies within ``tol * max(1, ||rho||)`` of ``rho``; degenerate
-    draws are retried with fresh coefficients.
+    anti-Hermitian parts.  A draw is accepted when the CQ form of its basis
+    and blocks (:func:`_cq_form`, which also serves ``reconstruct`` and the
+    measure-and-prepare rebuild) lies within ``tol * max(1, ||rho||)`` of
+    ``rho``; degenerate draws are retried with fresh coefficients.
     """
     check = is_cq_exact(rho, tol)
     if not check:
@@ -620,9 +621,17 @@ def _cq_draws(matrices: np.ndarray, dim_a: int, dim_b: int, tol: float):
         _, basis = np.linalg.eigh(combined)
         cond = np.einsum("nak,nijab,nbk->nkij", basis.conj(), blocks, basis)
         weights = np.clip(np.einsum("nkii->nk", cond).real, 0.0, None)
-        rebuilt = np.einsum("nak,nck,nkij->naicj", basis, basis.conj(), cond)
-        residuals = _frobenius_norms(rebuilt.reshape(matrices.shape) - matrices)
+        residuals = _frobenius_norms(_cq_form(basis, cond) - matrices)
         yield residuals / scales, residuals <= tol * scales, basis, weights, cond
+
+
+def _cq_form(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The CQ matrices ``sum_k |psi_k><psi_k| (x) B_k`` of a stack of bases
+    ``(n, dim_a, dim_a)``, whose columns are the ``|psi_k>``, and blocks
+    ``(n, dim_a, dim_b, dim_b)``, each as one ``(dim_a * dim_b)``-square matrix."""
+    n, dim_a, dim_b = blocks.shape[:3]
+    form = np.einsum("nak,nck,nkij->naicj", basis, basis.conj(), blocks)
+    return form.reshape(n, dim_a * dim_b, dim_a * dim_b)
 
 
 def _cq_conditionals(weights: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

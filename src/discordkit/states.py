@@ -50,6 +50,17 @@ def as_rng(seed: int | np.random.Generator | list | None) -> np.random.Generator
     return np.random.default_rng(seed)
 
 
+class _AtLeast:
+    """Refuses a dataclass field below ``minimum`` when the instance is built."""
+
+    minimum = 1
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < self.minimum:
+                raise ValueError(f"{name} must be at least {self.minimum}, got {value}")
+
+
 def _freeze(m: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(m)
     m.setflags(write=False)

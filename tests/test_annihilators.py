@@ -36,6 +36,7 @@ from discordkit.cqsets import membership
 from discordkit.discord import _b_blocks, is_cq_exact
 from discordkit.serialize import FileFormatError, da_spec_to_json, encode_matrix, load_da_spec
 from discordkit.states import (
+    BipartiteState,
     DensityOperator,
     as_rng,
     basis_ket,
@@ -336,6 +337,22 @@ class TestIsLocalDA:
             extend(z_dephasing(), "B", 2), extend(depolarizing, "A", 2)
         )
         assert not is_cq_exact(product.apply(verdict.witness))
+
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2to3", "3to2"])
+    def test_non_square_factor_gives_witness(self, dims):
+        dim_in, dim_out = dims
+        channel_a, channel_b = random_channel(dim_in, dim_out, 2, 40), random_channel(2, 2, 2, 41)
+        verdict = is_local_da(channel_a, channel_b)
+        assert verdict.kind == "not-da"
+        assert verdict.witness.dim_a == dim_in
+        product = compose(extend(channel_b, "B", dim_out), extend(channel_a, "A", 2))
+        output = BipartiteState.from_matrix(
+            product.apply_matrix(verdict.witness.matrix), dim_out, 2
+        )
+        check = is_cq_exact(output)
+        assert not check
+        assert verdict.residual == check.residual
 
 
 class TestCommutantElement:

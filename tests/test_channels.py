@@ -7,7 +7,6 @@ from discordkit.channels import (
     UnitalQubitParams,
     _check_trace_preserving,
     _choi_matrices,
-    _qc_kraus,
     analyze_transfer,
     canonicalize,
     choi_distance,
@@ -75,8 +74,8 @@ def choi_outer_loop(kraus):
 
 
 def qc_kraus_loop(povm, kets):
-    """The per-element Kraus loop ``make_qc_channel`` ran before the stacked
-    builder, kept as its bitwise reference."""
+    """The per-element Kraus loop of ``make_qc_channel``, with ``np.linalg.eigh``
+    in place of the validating ``eig_hermitian``, kept as its bitwise reference."""
     ops = []
     for f, k in zip(povm, kets):
         eigvals, eigvecs = np.linalg.eigh((f + f.conj().T) / 2.0)
@@ -381,29 +380,35 @@ class TestQCChannel:
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_stacked_kraus_equals_the_element_loop(self, dims):
+        # The Kraus stack of each channel, bit for bit the per-element loop.
         dim_in, dim_out = dims
         povms, frames = random_qc_inputs(6, dim_in, dim_out, np.random.default_rng(sum(dims)))
-        ops, keep = _qc_kraus(povms, frames)
-        assert ops.shape == (6, dim_out * dim_in, dim_out, dim_in)
-        for o, k, povm, frame in zip(ops, keep, povms, frames):
-            assert np.array_equal(o[k], qc_kraus_loop(povm, frame))
-            assert np.array_equal(make_qc_channel(list(povm), list(frame)).kraus, o[k])
-            assert np.array_equal(_choi_matrices(o), choi_outer_loop(o[k]))
+        for povm, frame in zip(povms, frames):
+            channel = make_qc_channel(list(povm), list(frame))
+            assert np.array_equal(channel.kraus, qc_kraus_loop(povm, frame))
+            assert np.array_equal(channel.choi, choi_outer_loop(channel.kraus))
 
     def test_stack_raises_the_first_failing_check(self):
+        # Each POVM stack raises its first failing check.
         povms, frames = random_qc_inputs(3, 2, 2, np.random.default_rng(94))
         povms[1, 1] = -povms[1, 1]
         povms[2, 1, 0, 1] += 1.0
         with pytest.raises(InvalidChannelError, match="POVM element 1 is not PSD"):
-            _qc_kraus(povms, frames)
+            make_qc_channel(povms[1], frames[1])
         with pytest.raises(InvalidChannelError, match="POVM element 1 is not Hermitian"):
-            _qc_kraus(povms[[0, 2]], frames[[0, 2]])
+            make_qc_channel(povms[2], frames[2])
+        # Element order: a non-PSD element 0 is reported before a non-Hermitian
+        # element 1, and a wrong shape anywhere before either.
+        with pytest.raises(InvalidChannelError, match="POVM element 0 is not PSD"):
+            make_qc_channel([povms[1, 1], povms[2, 1]], frames[0])
+        with pytest.raises(InvalidChannelError, match=r"POVM element 1 has shape \(3, 3\)"):
+            make_qc_channel([povms[1, 1], np.eye(3)], frames[0])
         frames[0, 1] = frames[0, 0]
         with pytest.raises(InvalidChannelError, match=r"not orthonormal: <0\|1>"):
-            _qc_kraus(povms[:1], frames[:1])
+            make_qc_channel(povms[0], frames[0])
         povms[0, 0] *= 2.0
         with pytest.raises(InvalidChannelError, match="do not sum to the identity"):
-            _qc_kraus(povms[:1], frames[:1])
+            make_qc_channel(povms[0], frames[0])
 
 
 class TestUnitalQubit:

@@ -41,10 +41,18 @@ from discordkit.classify import (
     tetrahedron_sweep,
     witness_probe_states,
 )
-from discordkit.discord import Hybrid, discord, is_cq_exact
+from discordkit.discord import (
+    Hybrid,
+    _cq_conditionals,
+    _cq_draws,
+    _cq_residuals,
+    discord,
+    is_cq_exact,
+)
 from discordkit.serialize import da_spec_to_json
 from discordkit.states import (
     DensityOperator,
+    _validate_states,
     basis_ket,
     bell_state,
     random_density,
@@ -75,6 +83,63 @@ def near_qc_channel(k, weight):
     frame = random_unitary(2, rng)
     qc = make_qc_channel(random_povm(2, 2, rng), [frame[:, 0], frame[:, 1]])
     return mix_channels([(1 - weight, qc), (weight, random_channel(2, 2, 2, rng))])
+
+
+def near_qc_corpus(dim_in, dim_out, weight, n):
+    """``n`` seeded measure-and-prepare channels ``dim_in -> dim_out``, each
+    mixed with ``weight`` of a random channel."""
+    channels = []
+    for k in range(n):
+        rng = np.random.default_rng([k, dim_in, dim_out, 17])
+        frame = random_unitary(dim_out, rng)
+        qc = make_qc_channel(random_povm(dim_in, dim_out, rng), list(frame.T))
+        noise = random_channel(dim_in, dim_out, 2, rng)
+        channels.append(mix_channels([(1 - weight, qc), (weight, noise)]) if weight else qc)
+    return channels
+
+
+def qc_decision_kraus_route(chois, dim_in, tol):
+    """The kinds and residuals of ``_qc_decision`` as it rebuilt channels
+    before it read the Choi matrix off the CQ form: each accepted draw's POVM
+    ``F_k = dim_in * p_k * tau_k^T`` and basis became the Kraus operators
+    ``sqrt(mu_m) |k><v_m|`` (one ``eigh`` per element, ``mu_m`` above 1e-14),
+    checked for completeness, and their Choi matrix was compared with the
+    channel's."""
+    n, d = chois.shape[:2]
+    dim_out = d // dim_in
+    swapped = chois.reshape(n, dim_in, dim_out, dim_in, dim_out).transpose(0, 2, 1, 4, 3)
+    nus, error = _validate_states(swapped.reshape(n, d, d) / dim_in)
+    assert error is None
+    residuals, _ = _cq_residuals(nus, dim_out, dim_in)
+    verdicts = [("no", residual) for residual in residuals]
+    cq = np.flatnonzero(np.array(residuals) <= tol)
+    done = {}
+    misses = {int(row): [] for row in cq}
+    for relative, accepted, basis, weights, blocks in _cq_draws(nus[cq], dim_out, dim_in, tol):
+        rows = [i for i in np.flatnonzero(accepted).tolist() if i not in done]
+        if rows:
+            probs, conditionals = _cq_conditionals(weights[rows], blocks[rows])
+            for i, p, taus in zip(rows, probs, conditionals):
+                kraus = []
+                for p_k, tau, ket in zip(p, taus, basis[i].T):
+                    f = dim_in * p_k * tau.T
+                    eigvals, eigvecs = np.linalg.eigh((f + f.conj().T) / 2.0)
+                    for mu, vec in zip(eigvals, eigvecs.T):
+                        if mu > 1e-14:
+                            kraus.append(np.sqrt(mu) * np.outer(ket, vec.conj()))
+                row = int(cq[i])
+                choi = QuantumChannel(np.array(kraus)).choi
+                residual = np.linalg.norm(choi - chois[row]) / max(1.0, np.linalg.norm(chois[row]))
+                if residual <= tol:
+                    done[i] = verdicts[row] = ("yes", residual)
+                else:
+                    misses[row].append(residual)
+        if len(done) == len(cq):
+            break
+    for i, row in enumerate(cq.tolist()):
+        if i not in done:
+            verdicts[row] = ("no", min(misses[row], default=float(relative[i])))
+    return verdicts
 
 
 # The scalar scores the probe-pair witnesses used before pairs became one stack.
@@ -165,6 +230,19 @@ class TestIsQCChannel:
             kinds.append(verdict.kind)
         if weight < tol:
             assert "yes" in kinds
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_rebuild_matches_the_kraus_route(self, dims, tol):
+        kinds = []
+        for weight in (0.0, 1e-9, 1e-4, 1e-3):
+            chois = np.array([c.choi for c in near_qc_corpus(*dims, weight, 12)])
+            reference = qc_decision_kraus_route(chois, dims[0], tol)
+            for verdict, (kind, residual) in zip(_qc_decision(chois, dims[0], tol), reference):
+                assert verdict.kind == kind
+                assert abs(verdict.residual - residual) <= 1e-15
+                kinds.append(kind)
+        assert "yes" in kinds and "no" in kinds
 
     @pytest.mark.parametrize("k", [16, 22, 33, 36, 57])
     def test_loose_tolerance_tries_every_draw(self, k):

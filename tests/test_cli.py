@@ -19,7 +19,14 @@ from discordkit.channels import (
     random_channel,
 )
 from discordkit.cli import build_parser, main
-from discordkit.serialize import encode_matrix, save_channel, save_state, state_to_json
+from discordkit.discord import is_cq_exact
+from discordkit.serialize import (
+    encode_matrix,
+    load_state,
+    save_channel,
+    save_state,
+    state_to_json,
+)
 from discordkit.states import (
     BipartiteState,
     basis_ket,
@@ -220,6 +227,25 @@ class TestClassifyCommand:
         payload = json.loads(out)
         assert payload["label"] == "not-da"
         assert "witness" in payload
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2to3", "3to2"])
+    def test_non_square_channel_on_one_side(self, tmp_path, capsys, side, dims):
+        # The witness output lives on the output split, not the input split.
+        dim_in, dim_out = dims
+        path = tmp_path / "non_square.json"
+        save_channel(random_channel(dim_in, dim_out, 2, 11), path)
+        code, out, err = run(capsys, "classify", str(path), "--side", side)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["label"] == f"not-db-{side.lower()}"
+        assert payload["witness"]["kind"] == "discordant-output"
+        output_path = tmp_path / "output.json"
+        output_path.write_text(json.dumps(payload["witness"]["output"]))
+        output = load_state(output_path)
+        expected = (dim_out, 2) if side == "A" else (2, dim_out)
+        assert (output.dim_a, output.dim_b) == expected
+        assert not is_cq_exact(output)
 
     def test_non_finite_kraus_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

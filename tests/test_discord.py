@@ -312,6 +312,24 @@ class TestClassicalCorrelation:
             assert abs(j_multi - j_hybrid) <= 1e-10, seed
 
 
+class TestStrategyCounts:
+    @pytest.mark.parametrize(
+        "strategy, args",
+        [(Grid, (0, 64)), (Grid, (32, 0)), (Hybrid, (0, 64)), (Hybrid, (32, -1)), (MultiStart, (-3,))],
+        ids=["grid-0x64", "grid-32x0", "hybrid-0x64", "hybrid-32xneg1", "multistart-neg3"],
+    )
+    def test_count_below_minimum_rejected(self, strategy, args):
+        # Grid(0, 64) used to run and report D = -0.499 with a NaN Bloch vector,
+        # and MultiStart(-3) ran with no restarts.
+        with pytest.raises(ValueError, match="must be at least"):
+            strategy(*args)
+
+    def test_smallest_counts_run(self):
+        for strategy in (Grid(1, 1), Hybrid(1, 1)):
+            assert np.isfinite(discord(bell_state(0), strategy).value)
+        assert discord(cq_state(3, 3, 2), MultiStart(0)).trace.restarts == 1
+
+
 class TestDiscord:
     def test_product_state(self):
         rho = product_state(
@@ -684,6 +702,19 @@ class TestCQDecompose:
     def test_rejects_non_cq(self):
         with pytest.raises(DecompositionError, match="not classical-quantum"):
             cq_decompose(bell_state(0))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
+    def test_reconstruct_equals_the_kron_sum(self, dims):
+        # The CQ form of the decomposition, against one np.kron term per outcome.
+        for seed in range(5):
+            rho = cq_state(seed, *dims)
+            decomp = cq_decompose(rho)
+            m = np.zeros_like(rho.matrix)
+            for k, (p, cond) in enumerate(zip(decomp.probs, decomp.conditional_states)):
+                proj = np.outer(decomp.basis[:, k], decomp.basis[:, k].conj())
+                m += p * np.kron(proj, cond.matrix)
+            assert np.linalg.norm(decomp.reconstruct().matrix - m) <= 1e-15
+            assert np.linalg.norm(decomp.reconstruct().matrix - rho.matrix) <= 1e-12
 
     def test_degenerate_weights_still_decompose(self):
         # Equal probabilities and equal conditionals: every basis works.

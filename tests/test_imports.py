@@ -1,7 +1,9 @@
 """Import structure of the package: module-level imports only, no unused
-import, and no cycle from ``annihilators`` back to ``classify``."""
+import or private definition, and no cycle from ``annihilators`` back to
+``classify``."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,51 @@ def test_unused_import_is_found():
 )
 def test_every_import_is_used(path):
     unused = _unused_imports(path.read_text())
+    assert not unused, unused
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement binds by ``def``, ``class`` or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    names = []
+    for target in targets:
+        elts = target.elts if isinstance(target, ast.Tuple) else [target]
+        names += [elt.id for elt in elts if isinstance(elt, ast.Name)]
+    return names
+
+
+def _unused_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants of ``sources``
+    (module name -> source) that no statement but their own definition loads,
+    by name or as an attribute.  Dunder names are not private."""
+    defined, loaded = [], defaultdict(set)
+    for module, source in sources.items():
+        for index, node in enumerate(ast.parse(source).body):
+            for name in _bound_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, (module, index)))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    loaded[sub.id].add((module, index))
+                elif isinstance(sub, ast.Attribute):
+                    loaded[sub.attr].add((module, index))
+    return [f"{module}: {name}" for module, name, where in defined if not loaded[name] - {where}]
+
+
+def test_unused_private_is_found():
+    sources = {
+        "a": "def _loop(n):\n    return _loop(n - 1)\n_LIMIT = 3\ndef _used():\n    pass\n",
+        "b": "from a import _loop, _used\nimport a\n_x, _y = 1, a._used\nprint(_y)\n",
+    }
+    assert _unused_privates(sources) == ["a: _loop", "a: _LIMIT", "b: _x"]
+
+
+def test_every_private_definition_is_used():
+    unused = _unused_privates({p.name: p.read_text() for p in MODULES})
     assert not unused, unused
 
 
