@@ -48,10 +48,12 @@ from .discord import (
     mutual_information,
 )
 from .cqsets import (
-    BothEntry,
     ConvexCQSubsetSpec,
-    FixedEntry,
-    PointEntry,
+    Hull,
+    IdentityAction,
+    MultiEntry,
+    PointTo,
+    Rank1Entry,
     membership,
     mixing_closure_check,
     sample_state,
@@ -59,10 +61,6 @@ from .cqsets import (
 )
 from .annihilators import (
     DAChannelSpec,
-    IdentityAction,
-    MultiEntry,
-    PointTo,
-    Rank1Entry,
     apply_and_certify,
     build_da_channel,
     induced_cq_subset,

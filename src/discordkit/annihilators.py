@@ -2,9 +2,13 @@
 
 A discord-annihilating channel on AB factors as an arbitrary pre-channel
 followed by a pinch into mutually orthogonal A subspaces with a
-conditional action on B: rank-1 subspaces may keep B untouched or send it
-to a fixed state, while subspaces of rank two or more must send B to a
-fixed state.  :func:`build_da_channel` realises that form,
+conditional action on B: rank-1 subspaces may keep B untouched
+(:class:`IdentityAction`) or send it to a fixed state (:class:`PointTo`),
+while subspaces of rank two or more must send B to a fixed state.  The
+entries are the partition model of :mod:`discordkit.cqsets`, checked by
+its one partition check, and the channel's image lies in the convex CQ
+subset with the same entries (:func:`induced_cq_subset`).
+:func:`build_da_channel` realises that form,
 :func:`apply_and_certify` samples its image, and :func:`structural_match`
 recovers the partition of a channel that is annihilating from the span of
 its image, which the range of its transfer matrix gives exactly.
@@ -23,7 +27,16 @@ from .channels import (
     make_point_channel,
     random_channel,
 )
-from .cqsets import BothEntry, ConvexCQSubsetSpec, FixedEntry, PointEntry
+from .cqsets import (
+    ConvexCQSubsetSpec,
+    Entry,
+    Hull,
+    IdentityAction,
+    MultiEntry,
+    PointTo,
+    Rank1Entry,
+    _entry_projectors,
+)
 from .discord import _b_blocks, _cq_residuals
 from .states import (
     BipartiteState,
@@ -60,64 +73,28 @@ class InvalidDASpecError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class PointTo:
-    """Conditional action on B: prepare this fixed state."""
-
-    state: DensityOperator
-
-
-@dataclass(frozen=True)
-class IdentityAction:
-    """Conditional action on B: leave it untouched."""
-
-
-Action = PointTo | IdentityAction
-
-
-@dataclass(frozen=True, eq=False)
-class Rank1Entry:
-    vector: np.ndarray
-    action: Action
-
-
-@dataclass(frozen=True, eq=False)
-class MultiEntry:
-    projector: np.ndarray
-    action: PointTo
-
-
-Entry = Rank1Entry | MultiEntry
-
-
-@dataclass(frozen=True, eq=False)
 class DAChannelSpec:
-    """Pre-channel plus a complete orthogonal partition of A with conditional B actions."""
+    """Pre-channel plus a complete orthogonal partition of A with conditional B actions.
+
+    ``projectors`` stacks the entries' A projectors, computed once by :meth:`make`.
+    """
 
     dim_a: int
     dim_b: int
     pre_channel: QuantumChannel | None
     entries: tuple[Entry, ...]
+    projectors: np.ndarray
 
     @classmethod
     def make(cls, dim_a, dim_b, entries, pre_channel=None) -> "DAChannelSpec":
         entries = tuple(entries)
-        total = np.zeros((dim_a, dim_a), dtype=complex)
         for i, entry in enumerate(entries):
-            proj = _entry_projector(entry, dim_a, index=i)
-            if isinstance(entry, MultiEntry):
-                if not isinstance(entry.action, PointTo):
-                    raise InvalidDASpecError(
-                        f"entry {i}: a subspace of rank >= 2 must point to a fixed B state"
-                    )
-                rank = int(round(np.trace(proj).real))
-                if rank < 2:
-                    raise InvalidDASpecError(
-                        f"entry {i}: multi-dimensional entry has rank {rank}"
-                    )
-            if not np.linalg.norm(total @ proj) <= PARTITION_TOL:
-                raise InvalidDASpecError(f"entry {i}: subspace overlaps earlier entries")
-            total += proj
-        if not np.linalg.norm(total - np.eye(dim_a)) <= PARTITION_TOL:
+            if isinstance(entry.action, Hull):
+                raise InvalidDASpecError(f"entry {i}: a hull is a subset condition, not a B action")
+        projectors, problem = _entry_projectors(dim_a, dim_b, entries)
+        if problem is not None:
+            raise InvalidDASpecError(problem)
+        if not np.linalg.norm(projectors.sum(axis=0) - np.eye(dim_a)) <= PARTITION_TOL:
             raise InvalidDASpecError(
                 "partition does not resolve the identity on A "
                 "(required for trace preservation)"
@@ -128,29 +105,7 @@ class DAChannelSpec:
                 raise InvalidDASpecError(
                     f"pre-channel acts on dimension {pre_channel.dim_in}, expected {d}"
                 )
-        for entry in entries:
-            if isinstance(entry.action, PointTo) and entry.action.state.dim != dim_b:
-                raise InvalidDASpecError("point target dimension does not match dim_b")
-        return cls(dim_a=dim_a, dim_b=dim_b, pre_channel=pre_channel, entries=entries)
-
-
-def _entry_projector(entry: Entry, dim_a: int, *, index: int = -1) -> np.ndarray:
-    if isinstance(entry, Rank1Entry):
-        v = np.asarray(entry.vector, dtype=complex).reshape(-1)
-        if v.size != dim_a:
-            raise InvalidDASpecError(f"entry {index}: vector has dimension {v.size}")
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < np.inf:
-            raise InvalidDASpecError(f"entry {index}: vector has zero or non-finite norm {norm}")
-        v = v / norm
-        return np.outer(v, v.conj())
-    p = np.asarray(entry.projector, dtype=complex)
-    if p.shape != (dim_a, dim_a):
-        raise InvalidDASpecError(f"entry {index}: projector has shape {p.shape}")
-    hermitian_defect = np.linalg.norm(p - p.conj().T)
-    if not (np.linalg.norm(p @ p - p) <= PARTITION_TOL and hermitian_defect <= PARTITION_TOL):
-        raise InvalidDASpecError(f"entry {index}: matrix is not an orthogonal projector")
-    return p
+        return cls(dim_a, dim_b, pre_channel, entries, _freeze(projectors))
 
 
 def build_da_channel(spec: DAChannelSpec) -> QuantumChannel:
@@ -162,8 +117,7 @@ def build_da_channel(spec: DAChannelSpec) -> QuantumChannel:
     """
     ops = []
     eye_b = np.eye(spec.dim_b, dtype=complex)[None]
-    for i, entry in enumerate(spec.entries):
-        proj = _entry_projector(entry, spec.dim_a, index=i)
+    for proj, entry in zip(spec.projectors, spec.entries):
         if isinstance(entry.action, IdentityAction):
             ops.append(np.kron(proj, eye_b))
         else:
@@ -175,25 +129,9 @@ def build_da_channel(spec: DAChannelSpec) -> QuantumChannel:
 
 
 def induced_cq_subset(spec: DAChannelSpec) -> ConvexCQSubsetSpec:
-    """The convex classical-quantum subset containing the channel's image."""
-    both, fixed, point = [], [], []
-    for entry in spec.entries:
-        if isinstance(entry, Rank1Entry):
-            v = np.asarray(entry.vector, dtype=complex).reshape(-1)
-            v = v / np.linalg.norm(v)
-            if isinstance(entry.action, PointTo):
-                both.append(BothEntry(vector=v, state=entry.action.state))
-            else:
-                fixed.append(FixedEntry(vector=v, generators=None))
-        else:
-            point.append(PointEntry(projector=np.asarray(entry.projector), state=entry.action.state))
-    return ConvexCQSubsetSpec(
-        dim_a=spec.dim_a,
-        dim_b=spec.dim_b,
-        both_entries=tuple(both),
-        fixed_entries=tuple(fixed),
-        point_entries=tuple(point),
-    )
+    """The convex classical-quantum subset containing the channel's image: the
+    spec's own entries, a free B conditional wherever the channel leaves B alone."""
+    return ConvexCQSubsetSpec(spec.dim_a, spec.dim_b, spec.entries)
 
 
 def random_da_spec(dim_a: int, dim_b: int, rng) -> DAChannelSpec:
@@ -413,16 +351,16 @@ def _canonical_vector(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def _canonical_entries(entries: list[Entry], dim_a: int) -> tuple[Entry, ...]:
+def _canonical_entries(entries: list[Entry], dim_a: int, dim_b: int) -> tuple[Entry, ...]:
     """Sort by subspace rank, then lexicographically on the rounded support."""
+    projs, _ = _entry_projectors(dim_a, dim_b, entries)
 
-    def key(entry: Entry):
-        proj = _entry_projector(entry, dim_a)
-        rank = int(round(np.trace(proj).real))
-        flat = np.round(proj.reshape(-1), 9)
+    def key(k: int):
+        rank = int(round(np.trace(projs[k]).real))
+        flat = np.round(projs[k].reshape(-1), 9)
         return (rank, tuple(flat.real) + tuple(flat.imag))
 
-    return tuple(sorted(entries, key=key))
+    return tuple(entries[k] for k in sorted(range(len(entries)), key=key))
 
 
 def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchResult:
@@ -480,7 +418,7 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
                 entries.append(MultiEntry(projector=vecs @ vecs.conj().T, action=action))
         else:
             spec = DAChannelSpec.make(
-                dim_a, dim_b, _canonical_entries(entries, dim_a), pre_channel=channel
+                dim_a, dim_b, _canonical_entries(entries, dim_a, dim_b), pre_channel=channel
             )
             stage = build_da_channel(replace(spec, pre_channel=None))
             residual = float(np.linalg.norm(stage.apply_matrix(blocks) - blocks)) / scale

@@ -344,6 +344,12 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
         ops.append(np.sqrt(eigvals[keep])[:, None, None] * outers)
     if np.linalg.norm(sum(effects) - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in):
         raise InvalidChannelError("POVM elements do not sum to the identity")
+    ragged = [idx for idx, k in enumerate(kets) if k.size != kets[0].size]
+    if ragged:
+        raise InvalidChannelError(
+            f"output basis vector {ragged[0]} has length {kets[ragged[0]].size}, "
+            f"but vector 0 has length {kets[0].size}"
+        )
     gram = np.conj(kets) @ np.transpose(kets)
     first, second = np.triu_indices(len(kets))
     bad = np.flatnonzero(np.abs(gram[first, second] - (first == second)) > VALIDITY_TOL)

@@ -1,11 +1,20 @@
-"""Convex subsets of classical-quantum states.
+"""Convex subsets of classical-quantum states, and the partition model they
+share with discord-annihilating channels.
 
-A :class:`ConvexCQSubsetSpec` names the structure every state of one such
-subset shares: rank-1 directions on A paired with a fixed B state (BOTH
-entries), rank-1 directions on A whose B conditional ranges over a convex
-set (FIXED entries), and orthogonal A subspaces of rank two or more whose
-B conditional is pinned to a fixed state (POINT entries).  Mixing states
-with the same structure stays inside the subset; mixing across structures
+A partition is an ordered tuple of entries on mutually orthogonal A
+subspaces: a :class:`Rank1Entry` (one vector, normalised when used) or a
+:class:`MultiEntry` (an orthogonal projector of rank two or more), each
+with a conditional on B.  In a :class:`ConvexCQSubsetSpec` the conditional
+says which B states the block may carry: :class:`PointTo` pins it to one
+state, :class:`IdentityAction` leaves it free and :class:`Hull` restricts
+it to the convex hull of its generators; a subspace must be pinned.  In
+the BOTH / FIXED / POINT terms of the subset literature, BOTH is a pinned
+rank-1 entry, FIXED an unrestricted or hull rank-1 entry and POINT a
+pinned subspace.  An annihilating channel
+(:class:`~discordkit.annihilators.DAChannelSpec`) reads the same entries
+as actions on B, preparing the pinned state or leaving B alone, and its
+image lies in the subset with its own entries.  Mixing states with the
+same structure stays inside the subset; mixing across structures
 generically does not stay classical-quantum.
 """
 
@@ -28,54 +37,50 @@ from .tolerances import MEMBERSHIP_TOL, PARTITION_TOL, VALIDITY_TOL, ZERO_CUTOFF
 
 
 @dataclass(frozen=True, eq=False)
-class BothEntry:
-    """Rank-1 A direction with a pinned conditional B state."""
+class PointTo:
+    """Conditional on B pinned to this state; a channel prepares it."""
 
-    vector: np.ndarray
     state: DensityOperator
 
 
+@dataclass(frozen=True)
+class IdentityAction:
+    """Conditional on B left free; a channel leaves B untouched."""
+
+
 @dataclass(frozen=True, eq=False)
-class FixedEntry:
-    """Rank-1 A direction whose B conditional ranges over a convex set.
+class Hull:
+    """Conditional on B restricted to the convex hull of ``generators``
+    (a subset condition only; no channel acts this way)."""
 
-    ``generators`` lists the extreme points of the allowed set; ``None``
-    means the full state space on B.
-    """
+    generators: tuple[DensityOperator, ...]
 
+
+Action = PointTo | IdentityAction | Hull
+
+
+@dataclass(frozen=True, eq=False)
+class Rank1Entry:
     vector: np.ndarray
-    generators: tuple[DensityOperator, ...] | None
+    action: Action
 
 
 @dataclass(frozen=True, eq=False)
-class PointEntry:
-    """A subspace of rank >= 2 (as an orthogonal projector) with a pinned B state."""
-
+class MultiEntry:
     projector: np.ndarray
-    state: DensityOperator
+    action: PointTo
+
+
+Entry = Rank1Entry | MultiEntry
 
 
 @dataclass(frozen=True, eq=False)
 class ConvexCQSubsetSpec:
+    """Entries on orthogonal A subspaces that together cover at most the identity."""
+
     dim_a: int
     dim_b: int
-    both_entries: tuple[BothEntry, ...] = ()
-    fixed_entries: tuple[FixedEntry, ...] = ()
-    point_entries: tuple[PointEntry, ...] = ()
-
-    def support_projectors(self) -> np.ndarray:
-        """Stack ``(n_entries, dA, dA)`` of A-side projectors, in (both, fixed, point) order."""
-        projs = []
-        for entry in self.both_entries + self.fixed_entries:
-            v = entry.vector / np.linalg.norm(entry.vector)
-            projs.append(np.outer(v, v.conj()))
-        for entry in self.point_entries:
-            projs.append(entry.projector)
-        return np.array(projs, dtype=complex).reshape(-1, self.dim_a, self.dim_a)
-
-    @property
-    def n_entries(self) -> int:
-        return len(self.both_entries) + len(self.fixed_entries) + len(self.point_entries)
+    entries: tuple[Entry, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -87,51 +92,81 @@ class SpecDiagnostics:
         return self.ok
 
 
-def _entry_labels(spec: ConvexCQSubsetSpec) -> list[str]:
-    labels = [f"both[{i}]" for i in range(len(spec.both_entries))]
-    labels += [f"fixed[{i}]" for i in range(len(spec.fixed_entries))]
-    labels += [f"point[{i}]" for i in range(len(spec.point_entries))]
-    return labels
+def _entry_projectors(dim_a: int, dim_b: int, entries) -> tuple[np.ndarray | None, str | None]:
+    """Stack ``(n, dA, dA)`` of the entries' A projectors and None, or None and
+    the first violation of the partition rules.
 
-
-def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
-    """Check orthogonality, rank and state validity; reports the first violation."""
-    labels = _entry_labels(spec)
-    for i, entry in enumerate(spec.both_entries + spec.fixed_entries):
-        v = np.asarray(entry.vector).reshape(-1)
-        if v.size != spec.dim_a:
-            return SpecDiagnostics(False, f"{labels[i]}: vector has dimension {v.size}")
-        if not abs(np.linalg.norm(v) - 1.0) <= VALIDITY_TOL:
-            return SpecDiagnostics(False, f"{labels[i]}: vector is not normalised")
-    offset = len(spec.both_entries) + len(spec.fixed_entries)
-    for i, entry in enumerate(spec.point_entries):
-        p = np.asarray(entry.projector)
-        label = labels[offset + i]
-        if p.shape != (spec.dim_a, spec.dim_a):
-            return SpecDiagnostics(False, f"{label}: projector has shape {p.shape}")
-        idempotent, hermitian = np.linalg.norm(p @ p - p), np.linalg.norm(p - p.conj().T)
-        if not (idempotent <= PARTITION_TOL and hermitian <= PARTITION_TOL):
-            return SpecDiagnostics(False, f"{label}: not an orthogonal projector")
-        rank = int(round(np.trace(p).real))
-        if rank < 2:
-            return SpecDiagnostics(False, f"{label}: projector rank {rank} is below 2")
-    for entry, label in zip(spec.fixed_entries, labels[len(spec.both_entries) : offset]):
-        if entry.generators is not None and len(entry.generators) == 0:
-            return SpecDiagnostics(False, f"{label}: empty generator list")
-    projs = spec.support_projectors()
-    first, second = np.triu_indices(len(projs), 1)
+    Entry by entry: a vector must be finite and nonzero (it is normalised
+    here), a projector Hermitian and idempotent, a subspace pinned and of rank
+    two or more, every B state of dimension ``dim_b`` and a hull non-empty.
+    Then the first pair, in upper-triangle order, whose projectors overlap.
+    Coverage of the identity is the caller's check.
+    """
+    projs = np.zeros((len(entries), dim_a, dim_a), dtype=complex)
+    for i, entry in enumerate(entries):
+        action = entry.action
+        if isinstance(entry, Rank1Entry):
+            v = np.asarray(entry.vector, dtype=complex).reshape(-1)
+            if v.size != dim_a:
+                return None, f"entry {i}: vector has dimension {v.size}"
+            norm = np.linalg.norm(v)
+            if not 0.0 < norm < np.inf:
+                return None, f"entry {i}: vector has zero or non-finite norm {norm}"
+            v = v / norm
+            projs[i] = np.outer(v, v.conj())
+        else:
+            p = np.asarray(entry.projector, dtype=complex)
+            if p.shape != (dim_a, dim_a):
+                return None, f"entry {i}: projector has shape {p.shape}"
+            hermitian_defect = np.linalg.norm(p - p.conj().T)
+            if not (np.linalg.norm(p @ p - p) <= PARTITION_TOL and hermitian_defect <= PARTITION_TOL):
+                return None, f"entry {i}: matrix is not an orthogonal projector"
+            if not isinstance(action, PointTo):
+                return None, f"entry {i}: a subspace of rank >= 2 must point to a fixed B state"
+            rank = int(round(np.trace(p).real))
+            if rank < 2:
+                return None, f"entry {i}: subspace has rank {rank}, below 2"
+            projs[i] = p
+        states = ()
+        if isinstance(action, PointTo):
+            states = (action.state,)
+        elif isinstance(action, Hull):
+            if not action.generators:
+                return None, f"entry {i}: hull has no generators"
+            states = action.generators
+        for state in states:
+            if state.dim != dim_b:
+                return None, f"entry {i}: B state has dimension {state.dim}, expected {dim_b}"
+    first, second = np.triu_indices(len(entries), 1)
     overlaps = _frobenius_norms(projs[first] @ projs[second])
     bad = np.flatnonzero(~(overlaps <= PARTITION_TOL))
     if bad.size:
         i, j = first[bad[0]], second[bad[0]]
-        return SpecDiagnostics(
-            False, f"{labels[i]} and {labels[j]} overlap (norm {overlaps[bad[0]]:.3e})"
-        )
-    if len(projs):
+        return None, f"entries {i} and {j} overlap (norm {overlaps[bad[0]]:.3e})"
+    return projs, None
+
+
+def _subset_projectors(spec: ConvexCQSubsetSpec) -> tuple[np.ndarray | None, str | None]:
+    """:func:`_entry_projectors` of the spec, whose entries may cover at most the identity."""
+    projs, problem = _entry_projectors(spec.dim_a, spec.dim_b, spec.entries)
+    if problem is None and len(projs):
         top = float(np.linalg.eigvalsh(projs.sum(axis=0))[-1])
         if not top <= 1.0 + PARTITION_TOL:
-            return SpecDiagnostics(False, f"entry supports exceed the identity (max eig {top:.6f})")
-    return SpecDiagnostics(True, None)
+            return None, f"entry supports exceed the identity (max eig {top:.6f})"
+    return projs, problem
+
+
+def validate_spec(spec: ConvexCQSubsetSpec) -> SpecDiagnostics:
+    """Check the partition rules and the coverage; reports the first violation."""
+    _, problem = _subset_projectors(spec)
+    return SpecDiagnostics(problem is None, problem)
+
+
+def _checked_projectors(spec: ConvexCQSubsetSpec) -> np.ndarray:
+    projs, problem = _subset_projectors(spec)
+    if problem is not None:
+        raise ValueError(f"invalid subset spec: {problem}")
+    return projs
 
 
 def _subspace_isometry(projector: np.ndarray) -> np.ndarray:
@@ -148,16 +183,14 @@ def sample_state(
 ) -> BipartiteState:
     """Draw a state of the subset.
 
-    Weights default to a Dirichlet draw over the entries; FIXED conditionals
-    are random convex combinations of the generators (or Hilbert-Schmidt
-    draws when unrestricted) and POINT conditional A states are
-    Hilbert-Schmidt within the subspace.
+    Weights default to a Dirichlet draw over the entries.  A free
+    conditional is a Hilbert-Schmidt draw, a hull conditional a random
+    convex combination of its generators, and the A state of a subspace a
+    Hilbert-Schmidt draw within it.
     """
-    diag = validate_spec(spec)
-    if not diag:
-        raise ValueError(f"invalid subset spec: {diag.message}")
+    projs = _checked_projectors(spec)
     rng = as_rng(rng)
-    n = spec.n_entries
+    n = len(spec.entries)
     if n == 0:
         raise ValueError("spec has no entries to sample from")
     if weights is None:
@@ -167,26 +200,20 @@ def sample_state(
         if t.size != n or np.any(t < -ZERO_CUTOFF) or abs(t.sum() - 1.0) > VALIDITY_TOL:
             raise ValueError("weights must be a probability vector over the entries")
     m = np.zeros((spec.dim_a * spec.dim_b,) * 2, dtype=complex)
-    idx = 0
-    for entry in spec.both_entries:
-        v = entry.vector / np.linalg.norm(entry.vector)
-        m += t[idx] * np.kron(np.outer(v, v.conj()), entry.state.matrix)
-        idx += 1
-    for entry in spec.fixed_entries:
-        v = entry.vector / np.linalg.norm(entry.vector)
-        if entry.generators is None:
-            sigma = random_density(spec.dim_b, "hilbert-schmidt", rng).matrix
+    for weight, rho_a, entry in zip(t, projs, spec.entries):
+        action = entry.action
+        if isinstance(entry, MultiEntry):
+            iso = _subspace_isometry(rho_a)  # rho_a is the subspace's projector until here
+            sub = random_density(iso.shape[1], "hilbert-schmidt", rng).matrix
+            rho_a = iso @ sub @ iso.conj().T
+        if isinstance(action, PointTo):
+            sigma = action.state.matrix
+        elif isinstance(action, Hull):
+            coeffs = rng.dirichlet(np.ones(len(action.generators)))
+            sigma = sum(c * g.matrix for c, g in zip(coeffs, action.generators))
         else:
-            coeffs = rng.dirichlet(np.ones(len(entry.generators)))
-            sigma = sum(c * g.matrix for c, g in zip(coeffs, entry.generators))
-        m += t[idx] * np.kron(np.outer(v, v.conj()), sigma)
-        idx += 1
-    for entry in spec.point_entries:
-        iso = _subspace_isometry(entry.projector)
-        sub = random_density(iso.shape[1], "hilbert-schmidt", rng).matrix
-        rho_a = iso @ sub @ iso.conj().T
-        m += t[idx] * np.kron(rho_a, entry.state.matrix)
-        idx += 1
+            sigma = random_density(spec.dim_b, "hilbert-schmidt", rng).matrix
+        m += weight * np.kron(rho_a, sigma)
     return BipartiteState.from_matrix(m, spec.dim_a, spec.dim_b, name="subset sample")
 
 
@@ -203,22 +230,28 @@ def _hull_residual(sigma: np.ndarray, generators) -> float:
     return float(resid)
 
 
+def _is_state(sigma: np.ndarray) -> bool:
+    try:
+        DensityOperator.from_matrix(sigma, name="conditional")
+    except ValueError:
+        return False
+    return True
+
+
 def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState) -> bool:
     """Exact structural membership test against the spec.
 
-    Checks support containment in the declared A subspaces, absence of
-    cross-subspace coherence, equality of the conditional B state with the
-    pinned state on BOTH and POINT blocks (POINT blocks must additionally
-    factorise), and hull membership on FIXED blocks, each to
-    ``MEMBERSHIP_TOL``.
+    Checks support containment in the entries' A subspaces, absence of
+    cross-subspace coherence, and each entry's conditional, each to
+    ``MEMBERSHIP_TOL``: a subspace block must factorise with its pinned B
+    state, and a rank-1 block's conditional must equal its pinned state,
+    lie in its hull, or be a state when free.
     """
     if (rho.dim_a, rho.dim_b) != (spec.dim_a, spec.dim_b):
         return False
-    diag = validate_spec(spec)
-    if not diag:
-        raise ValueError(f"invalid subset spec: {diag.message}")
+    projs = _checked_projectors(spec)
     m = rho.matrix
-    big = np.kron(spec.support_projectors(), np.eye(spec.dim_b, dtype=complex))
+    big = np.kron(projs, np.eye(spec.dim_b, dtype=complex))
     whole = big.sum(axis=0)
     if np.linalg.norm(m - whole @ m @ whole) > MEMBERSHIP_TOL:
         return False
@@ -227,41 +260,33 @@ def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState) -> bool:
         return False
 
     r4 = m.reshape(spec.dim_a, spec.dim_b, spec.dim_a, spec.dim_b)
-
-    def vector_block(vec: np.ndarray) -> np.ndarray:
-        v = vec / np.linalg.norm(vec)
-        return np.einsum("a,abcd,c->bd", v.conj(), r4, v)
-
-    for entry in spec.both_entries:
-        block = vector_block(entry.vector)
-        weight = float(np.trace(block).real)
-        if weight > ZERO_CUTOFF:
-            if np.linalg.norm(block / weight - entry.state.matrix) > MEMBERSHIP_TOL:
-                return False
-    for entry in spec.fixed_entries:
-        block = vector_block(entry.vector)
-        weight = float(np.trace(block).real)
-        if weight > ZERO_CUTOFF:
-            sigma = block / weight
-            if entry.generators is None:
-                try:
-                    DensityOperator.from_matrix(sigma, name="conditional")
-                except ValueError:
+    for proj, entry in zip(projs, spec.entries):
+        action = entry.action
+        if isinstance(entry, MultiEntry):
+            iso = _subspace_isometry(proj)
+            r = iso.shape[1]
+            block = np.einsum("ae,abcd,cf->ebfd", iso.conj(), r4, iso)
+            block = block.reshape(r * spec.dim_b, r * spec.dim_b)
+            if float(np.trace(block).real) > ZERO_CUTOFF:
+                rho_a = np.trace(block.reshape(r, spec.dim_b, r, spec.dim_b), axis1=1, axis2=3)
+                if np.linalg.norm(block - np.kron(rho_a, action.state.matrix)) > MEMBERSHIP_TOL:
                     return False
-            elif _hull_residual(sigma, entry.generators) > MEMBERSHIP_TOL:
-                return False
-    for entry in spec.point_entries:
-        iso = _subspace_isometry(entry.projector)
-        block = np.einsum("ae,abcd,cf->ebfd", iso.conj(), r4, iso)
-        r = iso.shape[1]
-        block = block.reshape(r * spec.dim_b, r * spec.dim_b)
+            continue
+        v = np.asarray(entry.vector).reshape(-1)
+        v = v / np.linalg.norm(v)
+        block = np.einsum("a,abcd,c->bd", v.conj(), r4, v)
         weight = float(np.trace(block).real)
-        if weight > ZERO_CUTOFF:
-            rho_a = np.trace(
-                block.reshape(r, spec.dim_b, r, spec.dim_b), axis1=1, axis2=3
-            )
-            if np.linalg.norm(block - np.kron(rho_a, entry.state.matrix)) > MEMBERSHIP_TOL:
-                return False
+        if not weight > ZERO_CUTOFF:
+            continue
+        sigma = block / weight
+        if isinstance(action, PointTo):
+            outside = np.linalg.norm(sigma - action.state.matrix) > MEMBERSHIP_TOL
+        elif isinstance(action, Hull):
+            outside = _hull_residual(sigma, action.generators) > MEMBERSHIP_TOL
+        else:
+            outside = not _is_state(sigma)
+        if outside:
+            return False
     return True
 
 

@@ -28,7 +28,6 @@ from .annihilators import (
     Rank1Entry,
 )
 from .channels import InvalidChannelError, QuantumChannel, canonicalize
-from .cqsets import BothEntry, ConvexCQSubsetSpec, FixedEntry, PointEntry, validate_spec
 from .discord import DiscordResult
 from .states import BipartiteState, DensityOperator, InvalidStateError
 from .tolerances import VALIDITY_TOL
@@ -255,88 +254,6 @@ def load_da_spec(source) -> DAChannelSpec:
         return DAChannelSpec.make(dim_a, dim_b, entries, pre_channel=pre)
     except InvalidDASpecError as exc:
         raise FileFormatError("entries", str(exc)) from exc
-
-
-# -- convex CQ subset specs ----------------------------------------------------------
-
-
-def cq_subset_spec_to_json(spec: ConvexCQSubsetSpec) -> dict:
-    return {
-        "dims": [spec.dim_a, spec.dim_b],
-        "both": [
-            {
-                "vector": encode_matrix(np.asarray(e.vector).reshape(-1, 1)),
-                "state": encode_matrix(e.state.matrix),
-            }
-            for e in spec.both_entries
-        ],
-        "fixed": [
-            {
-                "vector": encode_matrix(np.asarray(e.vector).reshape(-1, 1)),
-                "generators": None
-                if e.generators is None
-                else [encode_matrix(g.matrix) for g in e.generators],
-            }
-            for e in spec.fixed_entries
-        ],
-        "point": [
-            {
-                "projector": encode_matrix(e.projector),
-                "state": encode_matrix(e.state.matrix),
-            }
-            for e in spec.point_entries
-        ],
-    }
-
-
-def load_cq_subset_spec(source) -> ConvexCQSubsetSpec:
-    payload = _load_json(source)
-    dim_a, dim_b = _dimensions(payload.get("dims"), "dims", (2,))
-    both, fixed, point = [], [], []
-    for i, item in enumerate(payload.get("both", [])):
-        field = f"both[{i}]"
-        both.append(
-            BothEntry(
-                vector=decode_vector(item.get("vector"), dim_a, f"{field}.vector"),
-                state=_state_field(item.get("state"), dim_b, f"{field}.state"),
-            )
-        )
-    for i, item in enumerate(payload.get("fixed", [])):
-        field = f"fixed[{i}]"
-        raw = item.get("generators")
-        if raw is None:
-            generators = None
-        elif isinstance(raw, list) and raw:
-            generators = tuple(
-                _state_field(g, dim_b, f"{field}.generators[{j}]") for j, g in enumerate(raw)
-            )
-        else:
-            raise FileFormatError(f"{field}.generators", "expected null or a non-empty list")
-        fixed.append(
-            FixedEntry(
-                vector=decode_vector(item.get("vector"), dim_a, f"{field}.vector"),
-                generators=generators,
-            )
-        )
-    for i, item in enumerate(payload.get("point", [])):
-        field = f"point[{i}]"
-        point.append(
-            PointEntry(
-                projector=decode_matrix(item.get("projector"), (dim_a, dim_a), f"{field}.projector"),
-                state=_state_field(item.get("state"), dim_b, f"{field}.state"),
-            )
-        )
-    spec = ConvexCQSubsetSpec(
-        dim_a=dim_a,
-        dim_b=dim_b,
-        both_entries=tuple(both),
-        fixed_entries=tuple(fixed),
-        point_entries=tuple(point),
-    )
-    diag = validate_spec(spec)
-    if not diag:
-        raise FileFormatError("entries", diag.message)
-    return spec
 
 
 # -- results -------------------------------------------------------------------------

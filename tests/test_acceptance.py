@@ -18,7 +18,6 @@ from discordkit.annihilators import (
     build_da_channel,
     random_da_spec,
     structural_match,
-    _entry_projector,
 )
 from discordkit.channels import (
     QuantumChannel,
@@ -37,10 +36,10 @@ from discordkit.classify import (
     witness_probe_states,
 )
 from discordkit.cqsets import (
-    BothEntry,
     ConvexCQSubsetSpec,
-    FixedEntry,
-    PointEntry,
+    Hull,
+    IdentityAction,
+    MultiEntry,
     mixing_closure_check,
     sample_state,
 )
@@ -145,8 +144,8 @@ def random_povm(dim, n_outcomes, rng):
 
 def entry_signature(spec: DAChannelSpec):
     sig = []
-    for entry in spec.entries:
-        rank = int(round(np.trace(_entry_projector(entry, spec.dim_a)).real))
+    for proj, entry in zip(spec.projectors, spec.entries):
+        rank = int(round(np.trace(proj).real))
         sig.append((rank, type(entry.action).__name__))
     return sorted(sig)
 
@@ -171,7 +170,9 @@ def sample_interior_points(n: int, rng) -> list[tuple[float, float, float]]:
 
 
 def random_subset_spec(rng) -> ConvexCQSubsetSpec:
-    """Random convex CQ subset: Haar basis, random partition, mixed entry kinds."""
+    """Random convex CQ subset: Haar basis, random partition, mixed entry kinds.
+    The entries are listed pinned rank-1 first, then free and hull rank-1, then
+    subspaces."""
     dim_a = int(rng.choice([2, 3, 4]))
     dim_b = 2
     sizes = []
@@ -188,25 +189,23 @@ def random_subset_spec(rng) -> ConvexCQSubsetSpec:
         col += size
         if size == 1:
             if rng.uniform() < 0.5:
-                both.append(BothEntry(block[:, 0], random_density(dim_b, "hilbert-schmidt", rng)))
+                both.append(
+                    Rank1Entry(block[:, 0], PointTo(random_density(dim_b, "hilbert-schmidt", rng)))
+                )
             elif rng.uniform() < 0.5:
-                fixed.append(FixedEntry(block[:, 0], None))
+                fixed.append(Rank1Entry(block[:, 0], IdentityAction()))
             else:
                 gens = tuple(
                     random_density(dim_b, "hilbert-schmidt", rng) for _ in range(3)
                 )
-                fixed.append(FixedEntry(block[:, 0], gens))
+                fixed.append(Rank1Entry(block[:, 0], Hull(gens)))
         else:
             point.append(
-                PointEntry(block @ block.conj().T, random_density(dim_b, "hilbert-schmidt", rng))
+                MultiEntry(
+                    block @ block.conj().T, PointTo(random_density(dim_b, "hilbert-schmidt", rng))
+                )
             )
-    return ConvexCQSubsetSpec(
-        dim_a=dim_a,
-        dim_b=dim_b,
-        both_entries=tuple(both),
-        fixed_entries=tuple(fixed),
-        point_entries=tuple(point),
-    )
+    return ConvexCQSubsetSpec(dim_a, dim_b, tuple(both + fixed + point))
 
 
 # -- criteria -------------------------------------------------------------------
@@ -328,16 +327,16 @@ def test_criterion_5_convex_subset_closure():
         u1, u2 = random_unitary(2, pair_rng), random_unitary(2, pair_rng)
         spec1 = ConvexCQSubsetSpec(
             2, 2,
-            both_entries=(
-                BothEntry(u1[:, 0], random_density(2, "hilbert-schmidt", pair_rng)),
-                BothEntry(u1[:, 1], random_density(2, "hilbert-schmidt", pair_rng)),
+            (
+                Rank1Entry(u1[:, 0], PointTo(random_density(2, "hilbert-schmidt", pair_rng))),
+                Rank1Entry(u1[:, 1], PointTo(random_density(2, "hilbert-schmidt", pair_rng))),
             ),
         )
         spec2 = ConvexCQSubsetSpec(
             2, 2,
-            both_entries=(
-                BothEntry(u2[:, 0], random_density(2, "hilbert-schmidt", pair_rng)),
-                BothEntry(u2[:, 1], random_density(2, "hilbert-schmidt", pair_rng)),
+            (
+                Rank1Entry(u2[:, 0], PointTo(random_density(2, "hilbert-schmidt", pair_rng))),
+                Rank1Entry(u2[:, 1], PointTo(random_density(2, "hilbert-schmidt", pair_rng))),
             ),
         )
         mixed = BipartiteState.from_matrix(

@@ -16,7 +16,6 @@ from discordkit.annihilators import (
     random_da_spec,
     structural_match,
     _commutant_element,
-    _entry_projector,
 )
 from discordkit.classify import is_local_da
 from discordkit.channels import (
@@ -32,7 +31,7 @@ from discordkit.channels import (
     mix_channels,
     random_channel,
 )
-from discordkit.cqsets import membership
+from discordkit.cqsets import Hull, membership
 from discordkit.discord import _b_blocks, is_cq_exact
 from discordkit.serialize import FileFormatError, da_spec_to_json, encode_matrix, load_da_spec
 from discordkit.states import (
@@ -87,8 +86,8 @@ def oblique_spec_entries():
 
 def entry_signature(spec):
     sig = []
-    for entry in spec.entries:
-        rank = int(round(np.trace(_entry_projector(entry, spec.dim_a)).real))
+    for proj, entry in zip(spec.projectors, spec.entries):
+        rank = int(round(np.trace(proj).real))
         sig.append((rank, type(entry.action).__name__))
     return sorted(sig)
 
@@ -117,6 +116,37 @@ class TestSpecValidation:
                     Rank1Entry(basis_ket(2, 1), IdentityAction()),
                 ],
             )
+
+    def test_overlapping_pair_named(self):
+        entries = [
+            Rank1Entry(basis_ket(2, 0), IdentityAction()),
+            Rank1Entry(basis_ket(2, 1), IdentityAction()),
+            MultiEntry(np.eye(2, dtype=complex), PointTo(DensityOperator.maximally_mixed(2))),
+        ]
+        with pytest.raises(InvalidDASpecError, match=r"^entries 0 and 2 overlap \(norm 1\.000e\+00\)$"):
+            DAChannelSpec.make(2, 2, entries)
+
+    def test_hull_entry_rejected(self):
+        gens = (DensityOperator.maximally_mixed(2),)
+        entries = [
+            Rank1Entry(basis_ket(2, 0), Hull(gens)),
+            Rank1Entry(basis_ket(2, 1), IdentityAction()),
+        ]
+        with pytest.raises(InvalidDASpecError, match="entry 0: a hull is a subset condition"):
+            DAChannelSpec.make(2, 2, entries)
+
+    def test_point_target_dimension_checked(self):
+        entries = [
+            Rank1Entry(basis_ket(2, 0), PointTo(DensityOperator.maximally_mixed(3))),
+            Rank1Entry(basis_ket(2, 1), IdentityAction()),
+        ]
+        with pytest.raises(InvalidDASpecError, match="entry 0: B state has dimension 3, expected 2"):
+            DAChannelSpec.make(2, 2, entries)
+
+    def test_projectors_stored_once(self):
+        spec = random_da_spec(3, 2, 4)
+        assert not spec.projectors.flags.writeable
+        assert np.allclose(spec.projectors.sum(axis=0), np.eye(3), atol=1e-10)
 
     def test_pre_channel_dimension_checked(self):
         with pytest.raises(InvalidDASpecError, match="pre-channel"):

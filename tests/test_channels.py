@@ -410,6 +410,16 @@ class TestQCChannel:
         with pytest.raises(InvalidChannelError, match="do not sum to the identity"):
             make_qc_channel(povms[0], frames[0])
 
+    def test_ragged_output_basis_raises(self):
+        half = np.eye(2) / 2
+        with pytest.raises(
+            InvalidChannelError, match="output basis vector 1 has length 3, but vector 0 has length 2"
+        ):
+            make_qc_channel([half, half], [[1, 0], [0, 1, 0]])
+        # The basis is checked last: a POVM that does not sum to the identity wins.
+        with pytest.raises(InvalidChannelError, match="do not sum to the identity"):
+            make_qc_channel([half, half / 2], [[1, 0], [0, 1, 0]])
+
 
 class TestUnitalQubit:
     def test_identity_point(self):

@@ -529,6 +529,20 @@ class TestGenAndVerify:
         assert "entries: entry 0: vector has zero or non-finite norm 0.0" in err
         assert "Warning" not in err
 
+    def test_spec_with_overlapping_entries_exits_2(self, tmp_path, capsys):
+        identity = {"type": "identity"}
+        entries = [
+            {"kind": "rank1", "vector": encode_matrix(v), "action": identity}
+            for v in (basis_ket(2, 0), basis_ket(2, 1), np.array([1.0, 1.0]))
+        ]
+        spec_path = tmp_path / "overlap.json"
+        spec_path.write_text(json.dumps({"dims": [2, 2], "entries": entries}))
+        code, _, err = run(
+            capsys, "gen-da", "--spec", str(spec_path), "--out", str(tmp_path / "na.json")
+        )
+        assert code == 2
+        assert "entries: entries 0 and 2 overlap (norm 7.071e-01)" in err
+
     def test_full_space_point_spec(self, tmp_path, capsys):
         from discordkit.channels import choi_distance, extend, make_point_channel
         from discordkit.serialize import load_channel

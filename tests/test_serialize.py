@@ -176,78 +176,6 @@ class TestDASpecFiles:
             load_da_spec(payload)
 
 
-class TestSubsetSpecFiles:
-    def test_round_trip(self):
-        import numpy as np
-        from discordkit.cqsets import (
-            BothEntry,
-            ConvexCQSubsetSpec,
-            FixedEntry,
-            PointEntry,
-            membership,
-            sample_state,
-        )
-        from discordkit.serialize import cq_subset_spec_to_json, load_cq_subset_spec
-        from discordkit.states import random_unitary
-
-        rng = np.random.default_rng(50)
-        frame = random_unitary(4, rng)
-        block = frame[:, 2:4]
-        spec = ConvexCQSubsetSpec(
-            dim_a=4,
-            dim_b=2,
-            both_entries=(BothEntry(frame[:, 0], random_density(2, "hilbert-schmidt", rng)),),
-            fixed_entries=(
-                FixedEntry(
-                    frame[:, 1],
-                    tuple(random_density(2, "hilbert-schmidt", rng) for _ in range(2)),
-                ),
-            ),
-            point_entries=(
-                PointEntry(block @ block.conj().T, random_density(2, "hilbert-schmidt", rng)),
-            ),
-        )
-        loaded = load_cq_subset_spec(cq_subset_spec_to_json(spec))
-        state = sample_state(loaded, 51)
-        assert membership(spec, state)
-        assert membership(loaded, sample_state(spec, 52))
-
-    def test_unrestricted_fixed_entry_round_trips(self):
-        from discordkit.cqsets import ConvexCQSubsetSpec, FixedEntry
-        from discordkit.serialize import cq_subset_spec_to_json, load_cq_subset_spec
-
-        spec = ConvexCQSubsetSpec(
-            dim_a=2, dim_b=2, fixed_entries=(FixedEntry(basis_ket(2, 0), None),)
-        )
-        loaded = load_cq_subset_spec(cq_subset_spec_to_json(spec))
-        assert loaded.fixed_entries[0].generators is None
-
-    @pytest.mark.parametrize("dims", [[True, 2], [2, True], [2, 2, 2]])
-    def test_non_integer_dims_rejected(self, dims):
-        from discordkit.serialize import load_cq_subset_spec
-
-        with pytest.raises(FileFormatError, match=r"dims: expected \[dA, dB\]"):
-            load_cq_subset_spec({"dims": dims, "both": [], "fixed": [], "point": []})
-
-    def test_invalid_spec_rejected(self):
-        import numpy as np
-        from discordkit.serialize import load_cq_subset_spec
-
-        payload = {
-            "dims": [2, 2],
-            "both": [],
-            "fixed": [],
-            "point": [
-                {
-                    "projector": [[float(x), 0.0] for x in np.diag([1.0, 0.0]).reshape(-1)],
-                    "state": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
-                }
-            ],
-        }
-        with pytest.raises(FileFormatError, match="rank"):
-            load_cq_subset_spec(payload)
-
-
 class TestResultPayloads:
     def test_discord_result_fields(self):
         result = discord(bell_state(0), Hybrid())
