@@ -376,9 +376,9 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
     ``sigma`` when ``tr_A[(P (x) 1) X_m] = tr[(P (x) 1) X_m] sigma`` for every
     ``m`` within ``POINT_SPREAD_TOL``, with ``sigma`` the least-squares fit.
     The recovered spec reuses the channel itself as pre-channel, which is
-    exact for any channel of the annihilating form; the rebuilt stage is
-    applied once to the blocks of the channel's Choi matrix, and their
-    distance from the original, relative to ``max(1, ||J||)`` and within
+    exact for any channel of the annihilating form.  The superoperator
+    product ``S_stage S`` is that of the rebuilt stage after the channel, and
+    its distance from ``S``, relative to ``max(1, ||S||)`` and within
     ``REBUILD_TOL``, certifies the match.
     """
     _check_acts_on_ab(channel, dim_a, dim_b)
@@ -388,9 +388,8 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
     images = np.einsum("am,aij->mij", coords, np.array(hermitian_basis(d).elements))
     x4 = images.reshape(-1, dim_a, dim_b, dim_a, dim_b)
     generators = _b_blocks(images, dim_a, dim_b).reshape(-1, dim_a, dim_a)
-    # Block (i, j) is Phi(|i><j|): the Choi matrix of stage o Phi is the stage on each.
-    blocks = channel.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d, d)
-    scale = max(1.0, float(np.linalg.norm(channel.choi)))
+    superop = channel.superop
+    scale = max(1.0, float(np.linalg.norm(superop)))
     rng = as_rng(MATCH_SEED)
     notes = ""
     for _ in range(MATCH_RETRIES):
@@ -421,7 +420,7 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
                 dim_a, dim_b, _canonical_entries(entries, dim_a, dim_b), pre_channel=channel
             )
             stage = build_da_channel(replace(spec, pre_channel=None))
-            residual = float(np.linalg.norm(stage.apply_matrix(blocks) - blocks)) / scale
+            residual = float(np.linalg.norm(stage.superop @ superop - superop)) / scale
             if residual <= REBUILD_TOL:
                 return MatchResult(spec=spec, residual=residual)
             notes = f"rebuilt channel differs (residual {residual:.3e})"

@@ -188,7 +188,10 @@ def sample_state(
     convex combination of its generators, and the A state of a subspace a
     Hilbert-Schmidt draw within it.
     """
-    projs = _checked_projectors(spec)
+    return _sample_state(spec, _checked_projectors(spec), rng, weights)
+
+
+def _sample_state(spec, projs, rng, weights=None) -> BipartiteState:
     rng = as_rng(rng)
     n = len(spec.entries)
     if n == 0:
@@ -249,7 +252,10 @@ def membership(spec: ConvexCQSubsetSpec, rho: BipartiteState) -> bool:
     """
     if (rho.dim_a, rho.dim_b) != (spec.dim_a, spec.dim_b):
         return False
-    projs = _checked_projectors(spec)
+    return _membership(spec, _checked_projectors(spec), rho)
+
+
+def _membership(spec, projs, rho: BipartiteState) -> bool:
     m = rho.matrix
     big = np.kron(projs, np.eye(spec.dim_b, dtype=complex))
     whole = big.sum(axis=0)
@@ -307,18 +313,19 @@ def mixing_closure_check(spec: ConvexCQSubsetSpec, n_pairs: int, seed) -> Closur
     Every mixture must pass both the exact classical-quantum test and the
     structural membership test; the report lists the indices that fail.
     """
+    projs = _checked_projectors(spec)
     rng = as_rng(seed)
     failures = []
     worst = 0.0
     for k in range(n_pairs):
-        x = sample_state(spec, rng)
-        y = sample_state(spec, rng)
+        x = _sample_state(spec, projs, rng)
+        y = _sample_state(spec, projs, rng)
         w = rng.uniform()
         mixed = BipartiteState.from_matrix(
             w * x.matrix + (1.0 - w) * y.matrix, spec.dim_a, spec.dim_b
         )
         check = is_cq_exact(mixed)
         worst = max(worst, check.residual)
-        if not check or not membership(spec, mixed):
+        if not check or not _membership(spec, projs, mixed):
             failures.append(k)
     return ClosureReport(n_pairs=n_pairs, failures=tuple(failures), worst_residual=worst)

@@ -313,12 +313,23 @@ def test_criterion_4_structure_round_trip():
     )
 
 
+# The worst CQ residual of each closure check, pinned bitwise: checking the
+# spec once per check must leave every draw and verdict as it was.
+CRITERION_5_WORST = (
+    "0x1.34fccf763ecdep-55", "0x1.54ebfbf788bb6p-54", "0x1.6211847039f3ap-54",
+    "0x1.19c0f1e3295a1p-55", "0x1.9b52f9153abedp-55", "0x1.ca4f80fb8af2fp-54",
+    "0x1.7e96befa81dcap-53", "0x1.01a39c247f999p-54", "0x1.5b34a386b6b1ep-54",
+    "0x1.4b85ca0ac028ep-54",
+)
+
+
 def test_criterion_5_convex_subset_closure():
     rng = np.random.default_rng(505)
     for k in range(10):
         spec = random_subset_spec(rng)
         report = mixing_closure_check(spec, n_pairs=200, seed=[505, k])
         assert report.ok, (k, report.failures[:5])
+        assert report.worst_residual.hex() == CRITERION_5_WORST[k], k
 
     # cross-structure mixtures: noncommuting Haar bases, independent conditionals
     failures = 0

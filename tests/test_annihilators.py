@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,6 +311,29 @@ class TestStructuralMatch:
         assert entry_signature(match.spec) == [(2, "PointTo")]
         target = match.spec.entries[0].action.state.matrix
         assert np.linalg.norm(target - r.matrix) <= 1e-7
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_stage_superop_product_is_the_composition(self, dims):
+        # The match residual reads S_stage S as the superoperator of stage o channel.
+        for seed in range(3):
+            spec = random_da_spec(dims[0], dims[1], [seed, 17])
+            channel = build_da_channel(spec)
+            stage = build_da_channel(replace(spec, pre_channel=None))
+            product = stage.superop @ channel.superop
+            assert np.linalg.norm(product - compose(stage, channel).superop) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_4x4_match_peak_memory(self, seed):
+        # A match holds no (d², r, d, d) Kraus intermediate; at 4x4 it needs 6-8 MiB.
+        channel = build_da_channel(random_da_spec(4, 4, seed))
+        channel.choi
+        tracemalloc.start()
+        try:
+            assert structural_match(channel, 4, 4).matched
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCompositionClosure:

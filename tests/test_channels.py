@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,8 +99,8 @@ def random_qc_inputs(n, dim_in, dim_out, rng):
 
 
 def apply_kraus_loop(kraus, m):
-    """The Kraus sum one operator at a time, as channels were applied before
-    the Kraus set became one stack."""
+    """The Kraus sum one operator at a time, an oracle independent of the
+    superoperator."""
     out = np.zeros((kraus[0].shape[0],) * 2, dtype=complex)
     for op in kraus:
         out += op @ m @ op.conj().T
@@ -106,8 +108,7 @@ def apply_kraus_loop(kraus, m):
 
 
 def transfer_double_loop(channel):
-    """The transfer matrix entry by entry, as it was built before the Kraus
-    set became one stack."""
+    """The transfer matrix entry by entry from :func:`apply_kraus_loop`."""
     basis_in = hermitian_basis(channel.dim_in).elements
     basis_out = hermitian_basis(channel.dim_out).elements
     t = np.empty((len(basis_out), len(basis_in)))
@@ -531,6 +532,7 @@ class TestKrausStack:
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4)])
     def test_apply_matrix_on_a_stack_equals_single_calls(self, dims):
+        # Bitwise against single calls; the Kraus sum adds in another order.
         din, dout = dims
         channel = random_channel(din, dout, 3, 81)
         rng = np.random.default_rng(82)
@@ -540,13 +542,33 @@ class TestKrausStack:
         for idx in np.ndindex(2, 5):
             single = channel.apply_matrix(stack[idx])
             assert np.array_equal(images[idx], single)
-            assert np.array_equal(single, apply_kraus_loop(channel.kraus, stack[idx]))
+            bound = 1e-14 * max(1.0, np.linalg.norm(stack[idx]))
+            assert np.linalg.norm(single - apply_kraus_loop(channel.kraus, stack[idx])) <= bound
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16,), (8, 2), (3, 3)])
+    def test_apply_matrix_refuses_a_wrong_trailing_shape(self, shape):
+        channel = random_channel(4, 4, 2, 83)
+        message = re.escape(f"array of shape {shape}, expected (..., 4, 4)")
+        with pytest.raises(InvalidChannelError, match=message):
+            channel.apply_matrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_superop_is_the_choi_index_map(self, dims):
+        din, dout = dims
+        channel = random_channel(din, dout, 3, 84)
+        j, s = channel.choi, channel.superop
+        assert s.shape == (dout * dout, din * din) and not j.flags.writeable
+        for a, c, b, d in np.ndindex(dout, dout, din, din):
+            assert s[a * dout + c, b * din + d] == j[b * dout + a, d * dout + c]
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_transfer_equals_double_loop(self, dim):
+        # Within rounding: the superoperator product adds in another order.
         for din, dout in ((dim, dim), (dim, dim - 1), (dim - 1, dim)):
             channel = random_channel(din, dout, 3, 90 + dim)
-            assert np.array_equal(channel.transfer(), transfer_double_loop(channel)), (din, dout)
+            t = channel.transfer()
+            assert np.abs(t - transfer_double_loop(channel)).max() <= 1e-14, (din, dout)
+            assert t is channel.transfer() and not t.flags.writeable
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (6, 6), (4, 9)])
     def test_choi_equals_outer_loop(self, dims):

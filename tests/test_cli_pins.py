@@ -94,29 +94,29 @@ DIGESTS = {
     "da33.json": "af4d55d71e5f486139008316f6ae4bd155c56574a1ffe89315c27b9fe93ad03e",
     "da33_spec.json": "dc9b3ac6806ae3dd8ad6c69487c9c8d0ae95154bf926142576256e34f4c98a76",
     "da42.json": "729582e246181bd9f31bfa2da3948c613ae0f35e0b3cc7b35f514fe5dd6be298",
-    "cls_AB_da22": "b135fbcaa575ed7e5dbd984c362dd9801aecfe2b8b5028c10f580c26f45dd537",
-    "cls_AB_da22_s20": "88a658dc4ff11c7d4e68655a43a9216a74d3dec84e3d90386824d86afaf9fc70",
-    "cls_AB_da23": "0b590c1972a3d5b1d587ac867f5d07bd358ba789cce5ed26f226e51baa61d973",
-    "cls_AB_da33": "44d75bc6f24c0e2a187162f61ced28f2d90959ebe7f2642a74fd2e491586dfc5",
-    "cls_AB_da42": "8c7bea02cd44e8734cb392c129e17b179c7dd36b3616e8437ae979ecca9518b5",
-    "cls_AB_rand": "ed08aa69485a1028d6e04a873f814b4d885e11a4d248499d3143c979f77c50ea",
-    "cls_A_deph": "759ebbd53a4eb67d3bb45bfd3df95191ca027d675395efa2b3b4c798b94d7732",
+    "cls_AB_da22": "3bde367a69d275204ace0358af0d272ae9a8664d35db50b38b859c4feebfde0e",
+    "cls_AB_da22_s20": "36c717b2860f2b929a06eafee18247d14248ddc7f1e1b7a0d0bab342d9ca5a73",
+    "cls_AB_da23": "2d082378bff61a8d23009ea3e29fdada661dc3b300b8e1d79d5afb82ddedc103",
+    "cls_AB_da33": "ce46b21c06199ea368fe4856326e2e0625f9b80a376fa6e9faefeb8c27b93ba2",
+    "cls_AB_da42": "5f6c928af0720bb7e433b7d97cdc7c7c13a2be6deb446a17100ca9f79e4f9366",
+    "cls_AB_rand": "79464789a967339d47ed3cccc23484be543564f4f29414e4a2693e2ab4e7e164",
+    "cls_A_deph": "cf70682bb4c96bb0fde1e55172b1ead8ac90bcbae099aea9deee9241181b12e4",
     "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",
-    "cls_A_rand": "5e8c562db0f5b2d93714c64921066ca1436631242a6e3ee6efddf110ff60c59f",
-    "cls_B_deph": "dc1e814afc96a18c22627e58a6dbcef024fe62e13699e91924511f72ee6aada4",
+    "cls_A_rand": "32ab4f3d1bf4ad0f45bce81bc7573ab51056024345781446569bd5925120be59",
+    "cls_B_deph": "3d4f37346858c023ef97c313c9059f3209fb428c6733e8f1fdbb2e123a6e60f6",
     "cls_B_dephfull": "227fb9eb162c9db82e45a72a6289f1b8cd66d0f35dea5713b3e7256f5dbb8598",
-    "cls_B_rand": "909727375e0d744243144180898832133d6a20af4bd3cc0cce11a483bf816885",
-    "cls_A_rand3": "9de8fafb98887416bd3436b48118a47629c445b7b332e4e6ff455af1514b60b2",
-    "cls_B_rand3": "52eed063e407a03c7b9f4b69d3c2674ea2e5b121e2ae8d60f5bfcaf6b6c875a2",
+    "cls_B_rand": "b61d2e16901ea1964d0e63e0bd440ea8c84637d19daf9e2264c2498ae41177ac",
+    "cls_A_rand3": "575d8acb683ef08b0ad4f61f2ada7fcb3b215c62b4566bd563ad962b4f514a1b",
+    "cls_B_rand3": "87427d30e30f907ce55c91aeda0a042948c14024eca31805aea4aa877ed02c83",
     "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
     "cls_B_deph3": "8e779326204699ec004f34d65f220f4e7c3331ca903bd27cee3c113b7297f466",
     "discord_22": "f2dad77e031c2650f3a7ed36ffba233cc12e53d83e685630321f6a0896d3c81e",
     "grid_22": "03a0f469f7ee9ad73d8e5df81dc5ce8d766e4258c804e1850200e90c8c5e6c90",
     "discord_32": "57589866f5292f7a5827ebcabaf6a4a2095c30adc83d97ca260a619930b2907e",
     "default_32": "fb722b32b1683e3064b003a1b09959f183b3bb733858dd9a01cdaf740d2002fe",
-    "verify_pass": "bedeff0891b98d58497d8227be972b258c9a7f4e9dbc03f03ebb77b1abc8be37",
+    "verify_pass": "1f9f26ad89ec4d9ca382ce49f609ded23a9ce02c33c480526886fa07bd2d5c75",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "witness.json": "6541c0614a0e0ff76f556a3fa6400b22c565333ea4e28a48fe0cdebf84515bf5",
+    "witness.json": "772e54f27efd85298524fbe0add1e9aacac9da92f7e78f1b537ad880f6caab66",
     "sweep_A": "5864d72ec2b19cc30caa2921749f25c9e5db64f497736726e9b3ef118f31482c",
     "sweep_B": "7ded4d5ba4f1e1318525af2d0d3c728c5b4052c192f1d070884dfabd977c7ba8",
     "sweep_A_probes": "32be2fa791f0b19c43af15fbcb29cbf003991cc1f3a02032ef33a6a0857ac72b",

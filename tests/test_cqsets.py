@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+from discordkit import cqsets
 from discordkit.cqsets import (
+    ClosureReport,
     ConvexCQSubsetSpec,
     Hull,
     IdentityAction,
@@ -20,6 +22,7 @@ from discordkit.discord import is_cq_exact
 from discordkit.states import (
     BipartiteState,
     DensityOperator,
+    as_rng,
     basis_ket,
     random_density,
     random_unitary,
@@ -282,11 +285,42 @@ class TestConvexity:
             assert membership(spec, mixed)
 
 
+def closure_check_loop(spec, n_pairs, seed):
+    """The closure check through the public ``sample_state`` and ``membership``,
+    which check the spec again on every call."""
+    rng = as_rng(seed)
+    failures, worst = [], 0.0
+    for k in range(n_pairs):
+        x, y = sample_state(spec, rng), sample_state(spec, rng)
+        w = rng.uniform()
+        mixed = BipartiteState.from_matrix(
+            w * x.matrix + (1.0 - w) * y.matrix, spec.dim_a, spec.dim_b
+        )
+        check = is_cq_exact(mixed)
+        worst = max(worst, check.residual)
+        if not check or not membership(spec, mixed):
+            failures.append(k)
+    return ClosureReport(n_pairs=n_pairs, failures=tuple(failures), worst_residual=worst)
+
+
 class TestMixingClosure:
     def test_valid_spec_closes(self):
         report = mixing_closure_check(mixed_spec(seed=22), n_pairs=200, seed=23)
         assert report.ok
         assert report.n_pairs == 200
+        assert report == closure_check_loop(mixed_spec(seed=22), n_pairs=200, seed=23)
+
+    def test_spec_checked_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return subset_projectors(spec)
+
+        subset_projectors = cqsets._subset_projectors
+        monkeypatch.setattr(cqsets, "_subset_projectors", counted)
+        mixing_closure_check(mixed_spec(seed=22), n_pairs=20, seed=23)
+        assert len(calls) == 1
 
     def test_incompatible_specs_break(self):
         rng = np.random.default_rng(24)
