@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="JSON state file with dims [dA, dB]")
     p.add_argument("--strategy", choices=["hybrid", "grid", "multistart"], default="hybrid")
     p.add_argument("--grid", type=_grid_pair, default=None,
-                   help="theta x phi grid of hybrid and grid, dA = 2 only (default 32x64)")
+                   help="theta x phi grid of hybrid and grid, dA = 2 only (default 32x64); "
+                   "each measurement is scored once, so antipodal points are skipped")
     p.add_argument("--restarts", type=_nonnegative_int, default=20,
                    help="Haar frames of multistart, which every dA other than 2 uses; "
                    "hybrid and grid on a qubit A ignore it")

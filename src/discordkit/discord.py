@@ -133,7 +133,9 @@ def _bloch_directions(angles: np.ndarray) -> np.ndarray:
 class Grid(_AtLeast):
     """Exhaustive Bloch-angle grid for qubit A; theta_k = pi k / n_theta
     (k = 0..n_theta) and phi_k = 2 pi k / n_phi, so doubling both counts
-    refines the grid in place."""
+    refines the grid in place.  Directions n and -n are one measurement, so
+    each is scored once: the pole rows count as the north pole alone and,
+    for even n_phi, the grid is a hemisphere (993 points at 32 x 64)."""
 
     n_theta: int = 32
     n_phi: int = 64
@@ -152,9 +154,10 @@ class MultiStart(_AtLeast):
 
 @dataclass(frozen=True)
 class Hybrid(_AtLeast):
-    """Coarse grid followed by a batched pattern search from the 5 best grid
-    points; the search's first angle step is the grid spacing.  Defined for a
-    qubit A only: on dA != 2 it runs ``MultiStart(20)`` instead."""
+    """The :class:`Grid` followed by a batched pattern search from its 5 best
+    points, which are 5 distinct measurements; the search's first angle step
+    is the grid spacing.  Defined for a qubit A only: on dA != 2 it runs
+    ``MultiStart(20)`` instead."""
 
     n_theta: int = 32
     n_phi: int = 64
@@ -168,10 +171,11 @@ class OptimizerTrace:
     """What the optimiser did.
 
     ``restarts`` starts were refined (0 for Grid), ending at the scores
-    ``best_values``; ``n_evals`` counts every objective evaluation (grid
-    points, starting frames and pattern-search candidates); ``converged`` is
-    False when a pattern search stopped at ``PATTERN_MAX_ROUNDS`` with a step
-    still above ``ANGLE_STEP_TOL``.
+    ``best_values``; ``n_evals`` counts every objective evaluation: grid
+    points (one per distinct measurement), starting frames and
+    pattern-search candidates; ``converged`` is False when a pattern search
+    stopped at ``PATTERN_MAX_ROUNDS`` with a step still above
+    ``ANGLE_STEP_TOL``.
     """
 
     restarts: int
@@ -219,12 +223,19 @@ def _qubit_correlation_ops(rho: BipartiteState):
 
 def _weighted_entropies(blocks: np.ndarray) -> np.ndarray:
     """p times the entropy of each unnormalised conditional block (..., db, db),
-    with p its trace; ``blocks`` is normalised in place.  All blocks share
-    one stacked ``eigvalsh``, and outcomes with p below ``ZERO_CUTOFF`` add
+    with p its trace; ``blocks`` is normalised in place.  A 2x2 block
+    [[a, b*], [b, d]] has the eigenvalues ((a + d) -+ sqrt((a - d)^2 + 4|b|^2)) / 2
+    (read, like ``eigvalsh``, from the lower triangle); larger blocks share
+    one stacked ``eigvalsh``.  Outcomes with p below ``ZERO_CUTOFF`` add
     nothing."""
     p = np.trace(blocks, axis1=-2, axis2=-1).real
     blocks /= np.clip(p, ZERO_CUTOFF, None)[..., None, None]
-    w = np.linalg.eigvalsh(blocks)
+    if blocks.shape[-1] == 2:
+        a, d, b = blocks[..., 0, 0].real, blocks[..., 1, 1].real, blocks[..., 1, 0]
+        root = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
+        w = np.stack([(a + d) - root, (a + d) + root], axis=-1) / 2.0
+    else:
+        w = np.linalg.eigvalsh(blocks)
     w = np.clip(w, 0.0, None)
     logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
     return np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0)
@@ -248,10 +259,18 @@ def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
 
 
 def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
-    thetas = np.pi * np.arange(n_theta + 1) / n_theta
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return np.column_stack([tt.ravel(), pp.ravel()])
+    """The (theta_k, phi_j) of :class:`Grid` in row-major order, less every
+    point that repeats the measurement of an earlier one: n and -n are one
+    measurement, so only the north pole (0, 0) of the two pole rows stays
+    and, when n_phi is even, the later point of each antipodal pair
+    (k, j) and (n_theta - k, j + n_phi / 2) goes."""
+    index = np.arange((n_theta + 1) * n_phi)
+    k, j = np.divmod(index, n_phi)
+    keep = (k % n_theta != 0) | (index == 0)
+    if n_phi % 2 == 0:
+        keep &= (n_theta - k) * n_phi + (j + n_phi // 2) % n_phi > index
+    k, j = k[keep], j[keep]
+    return np.column_stack([np.pi * k / n_theta, 2.0 * np.pi * j / n_phi])
 
 
 # Rounds after which a pattern search stops whatever its step; the default

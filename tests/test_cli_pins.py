@@ -110,10 +110,10 @@ DIGESTS = {
     "cls_B_rand3": "87427d30e30f907ce55c91aeda0a042948c14024eca31805aea4aa877ed02c83",
     "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
     "cls_B_deph3": "8e779326204699ec004f34d65f220f4e7c3331ca903bd27cee3c113b7297f466",
-    "discord_22": "f2dad77e031c2650f3a7ed36ffba233cc12e53d83e685630321f6a0896d3c81e",
-    "grid_22": "03a0f469f7ee9ad73d8e5df81dc5ce8d766e4258c804e1850200e90c8c5e6c90",
-    "discord_32": "57589866f5292f7a5827ebcabaf6a4a2095c30adc83d97ca260a619930b2907e",
-    "default_32": "fb722b32b1683e3064b003a1b09959f183b3bb733858dd9a01cdaf740d2002fe",
+    "discord_22": "f7caf42231d9789e620025df4483a069025b691eb1409f5c32618c23d95f4228",
+    "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
+    "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
+    "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",
     "verify_pass": "1f9f26ad89ec4d9ca382ce49f609ded23a9ce02c33c480526886fa07bd2d5c75",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "witness.json": "772e54f27efd85298524fbe0add1e9aacac9da92f7e78f1b537ad880f6caab66",

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -17,12 +18,15 @@ from discordkit.discord import (
     MultiStart,
     ProjectiveMeasurement,
     _REFINE_TOP,
+    _angle_neighbours,
     _bloch_directions,
     _grid_angles,
+    _pattern_search,
     _qubit_correlation_ops,
     _b_blocks,
     _cq_residuals,
     _qubit_scores,
+    _weighted_entropies,
     classical_correlation,
     cq_decompose,
     discord,
@@ -49,6 +53,7 @@ from discordkit.tolerances import REFINE_MARGIN, ZERO_CUTOFF
 
 discord_module = importlib.import_module("discordkit.discord")
 MULTISTART_REFERENCE = Path(__file__).with_name("multistart_reference.json")
+BENCH_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
 
 
 def classically_correlated():
@@ -745,17 +750,277 @@ class TestHybridAgainstNelderMead:
             assert len(result.trace.best_values) == 5
 
 
+def luo_corpus():
+    """60 seeded Bell-diagonal states and their correlation vectors c; every
+    odd state is turned by a random U_A (x) U_B, so its optimum lies off the
+    grid."""
+    rng = np.random.default_rng(2008)
+    corpus = []
+    for k in range(60):
+        c = rng.dirichlet(np.ones(4)) @ BELL_TETRAHEDRON
+        rho = bell_diagonal(c)
+        if k % 2:
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            rho = BipartiteState.from_matrix(u @ rho.matrix @ u.conj().T, 2, 2)
+        corpus.append((rho, c))
+    return corpus
+
+
 class TestLuoClosedForm:
     def test_bell_diagonal_states(self):
-        """J = 1 - h((1 + max|c_i|) / 2) (Luo 2008); every odd state is
-        turned by a random U_A (x) U_B, so its optimum lies off the grid."""
-        rng = np.random.default_rng(2008)
-        for k in range(60):
-            c = rng.dirichlet(np.ones(4)) @ BELL_TETRAHEDRON
-            rho = bell_diagonal(c)
-            if k % 2:
-                u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-                rho = BipartiteState.from_matrix(u @ rho.matrix @ u.conj().T, 2, 2)
+        """J = 1 - h((1 + max|c_i|) / 2) (Luo 2008)."""
+        for k, (rho, c) in enumerate(luo_corpus()):
             j, _ = classical_correlation(rho, Hybrid())
             expected = 1.0 - binary_entropy((1.0 + np.max(np.abs(c))) / 2.0)
             assert abs(j - expected) <= 1e-12, (k, c)
+
+
+# -- the qubit path before the closed-form spectra and the hemisphere grid ------
+
+
+def full_sphere_grid_angles(n_theta, n_phi):
+    """The grid before the hemisphere cut: every (theta_k, phi_j) in row-major
+    order, both pole rows and both points of every antipodal pair included."""
+    thetas = np.pi * np.arange(n_theta + 1) / n_theta
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    return np.column_stack([tt.ravel(), pp.ravel()])
+
+
+def eigvalsh_weighted_entropies(blocks):
+    """``_weighted_entropies`` before the 2x2 closed form: one stacked
+    ``eigvalsh`` for every block size."""
+    p = np.trace(blocks, axis1=-2, axis2=-1).real
+    blocks /= np.clip(p, ZERO_CUTOFF, None)[..., None, None]
+    w = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
+    logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
+    return np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0)
+
+
+def old_path_j(rho, strategy):
+    """J of the former qubit path: the full-sphere grid scored through
+    ``eigvalsh`` and, for Hybrid, the library's pattern search from its 5 best
+    points, which may repeat a measurement."""
+    t0, ts = _qubit_correlation_ops(rho)
+    s_b = von_neumann_entropy(partial_trace_matrix(rho.matrix, 2, rho.dim_b, "B"))
+
+    def score(angles):
+        correlated = np.tensordot(_bloch_directions(angles), ts, axes=(1, 0))
+        blocks = np.concatenate([t0 + correlated, t0 - correlated]) * 0.5
+        weighted = eigvalsh_weighted_entropies(blocks)
+        return s_b - (weighted[: len(angles)] + weighted[len(angles) :])
+
+    angles = full_sphere_grid_angles(strategy.n_theta, strategy.n_phi)
+    scores = score(angles)
+    best = float(scores.max())
+    if isinstance(strategy, Grid):
+        return best
+    top = np.argsort(scores)[::-1][:_REFINE_TOP]
+    step = np.array([np.pi / strategy.n_theta, 2.0 * np.pi / strategy.n_phi])
+    _, refined, _, _ = _pattern_search(score, _angle_neighbours, angles[top], scores[top], step)
+    for val in refined:
+        if val > best + REFINE_MARGIN:
+            best = float(val)
+    return best
+
+
+def bench_qubit_pool():
+    """The 40 qubit-A members of the benchmark's discord pool: eight of each
+    kind whose A is a qubit, unrotated."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    states = []
+    for kind, (dim_a, dim_b) in corpus.DISCORD_KINDS.items():
+        if dim_a == 2:
+            for index in range(8):
+                _, m = corpus.discord_input(kind, index)
+                states.append(BipartiteState.from_matrix(m, dim_a, dim_b))
+    return states
+
+
+def seeded_qubit_states(per_dims):
+    return [
+        random_bipartite(2, dim_b, [1700, dim_b, k]) for dim_b in (2, 3, 4) for k in range(per_dims)
+    ]
+
+
+def conditional_block_stack(dim, seed):
+    """Unnormalised conditional blocks (2, 30, dim, dim): Hilbert-Schmidt draws
+    of spread weights, pure blocks, maximally mixed blocks, blocks of weight
+    below ``ZERO_CUTOFF`` and zero blocks."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in range(60):
+        p = 10.0 ** rng.uniform(-6, 0)
+        kind = k % 6
+        if kind < 2:
+            m = random_density(dim, "hilbert-schmidt", rng).matrix
+        elif kind == 2:
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            m = np.outer(v, v.conj()) / np.vdot(v, v).real
+        elif kind == 3:
+            m = np.eye(dim, dtype=complex) / dim
+        else:
+            m = random_density(dim, "hilbert-schmidt", rng).matrix
+            p = 0.0 if kind == 5 else ZERO_CUTOFF * rng.uniform(0.1, 0.9)
+        blocks.append(p * m)
+    return np.array(blocks).reshape(2, 30, dim, dim)
+
+
+class TestClosedFormSpectra:
+    def test_2x2_blocks_match_eigvalsh(self):
+        """Degenerate (r = 0), pure (r = 1) and below-cutoff blocks included."""
+        for seed in range(5):
+            blocks = conditional_block_stack(2, [17, seed])
+            got = _weighted_entropies(blocks.copy())
+            want = eigvalsh_weighted_entropies(blocks.copy())
+            assert got.shape == (2, 30)
+            assert np.abs(got - want).max() <= 1e-15, seed
+            assert (got[:, 4::6] == 0.0).all() and (got[:, 5::6] == 0.0).all()
+
+    def test_pure_and_degenerate_blocks(self):
+        v = np.array([0.6, 0.8j])
+        blocks = np.array([np.outer(v, v.conj()), np.eye(2) / 2.0], dtype=complex) * 0.5
+        got = _weighted_entropies(blocks)
+        assert abs(got[0]) <= 1e-15
+        assert abs(got[1] - 0.5) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_larger_blocks_keep_eigvalsh_bit_for_bit(self, dim):
+        for seed in range(3):
+            blocks = conditional_block_stack(dim, [18, dim, seed])
+            got = _weighted_entropies(blocks.copy())
+            assert np.array_equal(got, eigvalsh_weighted_entropies(blocks.copy())), seed
+
+    def test_2x2_hybrid_diagonalises_no_conditional_block(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        discord(random_bipartite(2, 2, 77), Hybrid())
+        # Only the entropies S(B), S(A) and S(AB) of I(A:B).
+        assert shapes == [(2, 2), (2, 2), (4, 4)]
+        shapes.clear()
+        discord(random_bipartite(2, 3, 77), Hybrid())
+        assert shapes[:3] == [(3, 3), (2, 2), (6, 6)]
+        assert len(shapes) > 3 and all(len(s) == 3 and s[1:] == (3, 3) for s in shapes[3:])
+
+
+class TestHemisphereGrid:
+    SHAPES = [(32, 64), (8, 8), (5, 8), (4, 3), (7, 5), (2, 2), (1, 1), (1, 4), (3, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_no_two_points_are_one_measurement(self, shape):
+        d = _bloch_directions(_grid_angles(*shape))
+        overlap = np.abs(d @ d.T)
+        np.fill_diagonal(overlap, 0.0)
+        assert overlap.max() <= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_full_sphere_measurement_is_kept(self, shape):
+        old = _bloch_directions(full_sphere_grid_angles(*shape))
+        new = _bloch_directions(_grid_angles(*shape))
+        assert (np.abs(old @ new.T).max(axis=1) >= 1.0 - 1e-12).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_points_keep_their_angles_and_row_major_order(self, shape):
+        old, new = full_sphere_grid_angles(*shape), _grid_angles(*shape)
+        positions = [int(np.flatnonzero((old == point).all(axis=1))[0]) for point in new]
+        assert positions[0] == 0
+        assert positions == sorted(set(positions))
+
+    @pytest.mark.parametrize(
+        "shape, count",
+        [((32, 64), 993), ((8, 8), 29), ((5, 8), 17), ((4, 3), 10), ((7, 5), 31), ((1, 1), 1)],
+        ids=["default", "even", "odd-theta", "odd-phi", "odd-both", "1x1"],
+    )
+    def test_counts(self, shape, count):
+        # Odd n_phi has no antipodal pairs off the poles, so its lower rows stay.
+        assert len(_grid_angles(*shape)) == count
+        assert len(full_sphere_grid_angles(*shape)) == (shape[0] + 1) * shape[1]
+
+
+class TestAgainstTheFullSphereEigvalshPath:
+    """J never falls below what the full-sphere grid and stacked ``eigvalsh``
+    reached with the same pattern search."""
+
+    CORPORA = {
+        "seeded": lambda: seeded_qubit_states(20),
+        "luo": lambda: [rho for rho, _ in luo_corpus()],
+        "bench-pool": bench_qubit_pool,
+    }
+
+    @pytest.mark.parametrize("corpus", list(CORPORA))
+    def test_never_below_the_old_path(self, corpus):
+        states = self.CORPORA[corpus]()
+        assert len(states) in (40, 60)
+        for k, rho in enumerate(states):
+            for strategy in (Hybrid(), Grid()):
+                j, _ = classical_correlation(rho, strategy)
+                assert j >= old_path_j(rho, strategy) - 1e-14, (k, strategy)
+
+
+# -- Koashi-Winter oracle for rank-2 dA x 2 states --------------------------------
+
+
+def rank_two_state(dim_a, seed):
+    """A rank-2 dA x 2 state from a Haar 2-frame and Dirichlet weights, and
+    the columns sqrt(w_e) |f_e> of its purification on a qubit E."""
+    rng = np.random.default_rng(seed)
+    frame = random_unitary(2 * dim_a, rng)[:, :2] * np.sqrt(rng.dirichlet(np.ones(2)))
+    rho = BipartiteState.from_matrix(frame @ frame.conj().T, dim_a, 2)
+    return rho, frame
+
+
+def koashi_winter_j(rho, frame):
+    """J(B|A) over POVMs on A, S(B) - E_F(rho_BE) (Koashi and Winter 2004).
+
+    With |psi> = sum_e sqrt(w_e) |f_e>_AB |e>_E, rho_BE = sum_a x_a x_a^dag
+    for x_a = <a|_A psi, and Wootters' concurrence is max(0, l_1 - l_2 - ...)
+    over the singular values l of X^T (sigma_y (x) sigma_y) X (Wootters 1998).
+    """
+    x = frame.reshape(rho.dim_a, 4).T
+    yy = np.kron(PAULIS[1], PAULIS[1])
+    sv = np.linalg.svd(x.T @ yy @ x, compute_uv=False)
+    concurrence = max(0.0, sv[0] - sv[1:].sum())
+    e_f = binary_entropy((1.0 + np.sqrt(1.0 - concurrence**2)) / 2.0)
+    return von_neumann_entropy(partial_trace(rho, "B")) - e_f
+
+
+class TestKoashiWinter:
+    COUNTS = {2: 30, 3: 8, 4: 8}
+
+    def test_oracle_on_states_of_known_j(self):
+        """A pure A times a rank-2 B state has J = 0, so E_F(rho_BE) = S(B) > 0;
+        a rank-2 Bell-diagonal state has J = 1 - h((1 + max|c_i|) / 2) = 1,
+        because any two vertices of the tetrahedron share a coordinate."""
+        rng = np.random.default_rng(2004)
+        bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T
+        for k in range(20):
+            psi = random_unitary(2, rng)[:, 0]
+            q = rng.uniform(0.1, 0.5)
+            frame = np.kron(psi[:, None], random_unitary(2, rng) * np.sqrt([q, 1.0 - q]))
+            rho = BipartiteState.from_matrix(frame @ frame.conj().T, 2, 2)
+            assert von_neumann_entropy(partial_trace(rho, "B")) >= 0.4, k
+            assert abs(koashi_winter_j(rho, frame)) <= 1e-13, k
+            frame = bells[:, rng.choice(4, 2, replace=False)] / np.sqrt(2.0)
+            frame = frame * np.sqrt(rng.dirichlet(np.ones(2)))
+            rho = BipartiteState.from_matrix(frame @ frame.conj().T, 2, 2)
+            assert abs(koashi_winter_j(rho, frame) - 1.0) <= 1e-13, k
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 4])
+    def test_j_never_exceeds_the_povm_value(self, dim_a):
+        strategies = [Hybrid(), MultiStart(restarts=2)] + ([Grid()] if dim_a == 2 else [])
+        for k in range(self.COUNTS[dim_a]):
+            rho, frame = rank_two_state(dim_a, [2004, dim_a, k])
+            j_kw = koashi_winter_j(rho, frame)
+            for strategy in strategies:
+                j, _ = classical_correlation(rho, strategy)
+                assert j <= j_kw + 1e-14, (k, strategy)
+                if dim_a == 2 and isinstance(strategy, Hybrid):
+                    assert j_kw - j <= 1e-7, k
