@@ -24,7 +24,6 @@ from .channels import (
     QuantumChannel,
     UnitalQubitParams,
     analyze_transfer,
-    canonicalize,
     choi_distance,
     compose,
     extend,

@@ -112,7 +112,8 @@ def build_da_channel(spec: DAChannelSpec) -> QuantumChannel:
     """Kraus realisation of the pinch-then-conditional-action channel.
 
     Identity entries contribute ``Q_i (x) 1``; point entries contribute
-    ``Q_i (x) L`` over the Kraus operators ``L`` of the point channel on B.
+    ``Q_i (x) L`` over the derived Kraus operators ``L`` of the point channel
+    on B.  The pre-channel is composed on the Choi matrices.
     The union is trace-preserving exactly when the partition is complete.
     """
     ops = []

@@ -1,9 +1,9 @@
 """CPTP channel representations and constructors.
 
-A :class:`QuantumChannel` is stored as one read-only Kraus stack of shape
-``(r, dim_out, dim_in)``.  Its Choi matrix is built from the stack on demand,
-and its superoperator is that matrix's entries permuted; the action and the
-real transfer matrix both read the superoperator.  Each form is cached.
+A :class:`QuantumChannel` stores one read-only Choi matrix, and composition,
+extension, mixtures and point channels are built on it.  The superoperator,
+which the action and the real transfer matrix read, is its entries permuted;
+a Kraus set is derived on demand from its eigendecomposition.
 
 Choi convention
 ---------------
@@ -42,10 +42,11 @@ class InvalidChannelError(ValueError):
 
 
 class QuantumChannel:
-    """Completely positive trace-preserving map held as a Kraus stack.
+    """Completely positive trace-preserving map held as its Choi matrix.
 
-    ``kraus`` is a read-only complex array of shape ``(r, dim_out, dim_in)``;
-    ``dim_in`` and ``dim_out`` are read from its shape.
+    ``QuantumChannel(kraus)`` takes a Kraus set of shape ``(r, dim_out,
+    dim_in)`` and keeps only its Choi matrix; ``choi`` is read-only and set
+    at construction.
     """
 
     def __init__(self, kraus):
@@ -62,14 +63,22 @@ class QuantumChannel:
             raise InvalidChannelError(
                 f"Kraus operator {i} has shape {shapes[i]}, expected {expected}"
             )
-        self.dim_out, self.dim_in = ops.shape[1:]
-        _check_trace_preserving(ops[None])
-        ops.setflags(write=False)
-        self.kraus = ops
-        self._choi: np.ndarray | None = None
+        self._hold(_choi_matrices(ops), ops.shape[2], ops.shape[1])
+
+    def _hold(self, choi: np.ndarray, dim_in: int, dim_out: int) -> None:
+        _check_trace_preserving(choi[None], dim_in)
+        self.dim_in, self.dim_out = dim_in, dim_out
+        self.choi = _freeze(choi)
         self._transfer: np.ndarray | None = None
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _of_choi(cls, choi: np.ndarray, dim_in: int, dim_out: int) -> "QuantumChannel":
+        """The channel of a Choi matrix that is PSD by construction."""
+        channel = cls.__new__(cls)
+        channel._hold(choi, dim_in, dim_out)
+        return channel
 
     @classmethod
     def from_choi(cls, choi, dim_in: int, dim_out: int, *, cp_tol: float = VALIDITY_TOL):
@@ -86,24 +95,17 @@ class QuantumChannel:
         if j.shape != (d, d):
             raise InvalidChannelError(f"Choi matrix has shape {j.shape}, expected ({d}, {d})")
         eigvals, eigvecs = eig_hermitian(j, what="Choi matrix", error=InvalidChannelError)
-        marginal = partial_trace_matrix((j + j.conj().T) / 2.0, dim_in, dim_out, "A")
-        tp_defect = float(np.linalg.norm(marginal - np.eye(dim_in)))
-        if tp_defect > VALIDITY_TOL * max(1.0, dim_in):
-            raise InvalidChannelError(
-                f"Choi matrix is not trace-preserving (tr_out defect {tp_defect:.3e})"
-            )
+        _check_trace_preserving(((j + j.conj().T) / 2.0)[None], dim_in)
         if eigvals[0] < -cp_tol * max(1.0, abs(eigvals[-1])):
             raise InvalidChannelError(
                 f"Choi matrix is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
-        keep = eigvals > ZERO_CUTOFF * max(1.0, eigvals[-1])
-        vecs = (eigvecs[:, keep] * np.sqrt(eigvals[keep]))[:, ::-1]
-        ops = vecs.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
+        ops = _eigen_kraus(eigvals, eigvecs, dim_in, dim_out)
         try:
             return cls(ops)
         except InvalidChannelError:
             # Only the clipped negative part can fail here: K -> K S^(-1/2).
-            w, v = np.linalg.eigh(_completeness(ops))
+            w, v = np.linalg.eigh(np.einsum("kij,kil->jl", ops.conj(), ops))
             return cls(ops @ (v / np.sqrt(w)) @ v.conj().T)
 
     @classmethod
@@ -113,11 +115,11 @@ class QuantumChannel:
     # -- representations --------------------------------------------------
 
     @property
-    def choi(self) -> np.ndarray:
-        """Read-only Choi matrix, input slot first, unnormalised."""
-        if self._choi is None:
-            self._choi = _freeze(_choi_matrices(self.kraus))
-        return self._choi
+    def kraus(self) -> np.ndarray:
+        """Canonical Kraus set ``(r, dim_out, dim_in)``, derived on each call: the
+        Choi eigenvectors above the cutoff, scaled, in descending eigenvalue order."""
+        eigvals, eigvecs = eig_hermitian(self.choi, what="Choi matrix", error=InvalidChannelError)
+        return _freeze(_eigen_kraus(eigvals, eigvecs, self.dim_in, self.dim_out))
 
     @property
     def superop(self) -> np.ndarray:
@@ -177,21 +179,25 @@ class QuantumChannel:
         return DensityOperator.from_matrix(self.apply_matrix(rho.matrix), name="channel output")
 
 
-def _completeness(ops: np.ndarray) -> np.ndarray:
-    """``sum_k K_k^dag K_k`` of a Kraus stack, or of each of a stack of them."""
-    return np.einsum("...kij,...kil->...jl", ops.conj(), ops)
-
-
-def _check_trace_preserving(ops: np.ndarray) -> None:
-    """Raise on the first Kraus set of the stack ``(n, r, dim_out, dim_in)``
-    whose completeness defect exceeds ``VALIDITY_TOL * max(1, dim_in)``."""
-    dim_in = ops.shape[-1]
-    defects = _frobenius_norms(_completeness(ops) - np.eye(dim_in))
+def _check_trace_preserving(chois: np.ndarray, dim_in: int) -> None:
+    """Raise on the first Choi matrix of the stack ``(n, d, d)`` whose output
+    trace misses the identity by more than ``VALIDITY_TOL * max(1, dim_in)``."""
+    marginals = partial_trace_matrix(chois, dim_in, chois.shape[-1] // dim_in, "A")
+    defects = _frobenius_norms(marginals - np.eye(dim_in))
     bad = ~(defects <= VALIDITY_TOL * max(1.0, dim_in))  # a NaN defect fails too
     if bad.any():
         raise InvalidChannelError(
-            f"Kraus set is not trace-preserving (defect {defects[bad][0]:.3e})"
+            f"channel is not trace-preserving (tr_out defect {defects[bad][0]:.3e})"
         )
+
+
+def _eigen_kraus(eigvals, eigvecs, dim_in: int, dim_out: int) -> np.ndarray:
+    """Kraus operators of a Choi eigendecomposition (ascending, as ``eigh``
+    returns it): eigenvalues above ``ZERO_CUTOFF * max(1, largest)`` in
+    descending order, each vector scaled by the root of its eigenvalue."""
+    keep = eigvals > ZERO_CUTOFF * max(1.0, eigvals[-1])
+    vecs = (eigvecs[:, keep] * np.sqrt(eigvals[keep]))[:, ::-1]
+    return vecs.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
 
 
 def _choi_matrices(kraus: np.ndarray) -> np.ndarray:
@@ -214,13 +220,17 @@ def _choi_matrices(kraus: np.ndarray) -> np.ndarray:
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel composition ``second o first`` with Kraus products."""
+    """Channel composition ``second o first``, contracted on the Choi matrices:
+    ``J[(a, c), (b, d)] = sum_xy J1[(a, x), (b, y)] J2[(x, c), (y, d)]``."""
     if first.dim_out != second.dim_in:
         raise InvalidChannelError(
             f"cannot compose: inner dimensions {first.dim_out} and {second.dim_in} differ"
         )
-    ops = second.kraus[:, None] @ first.kraus
-    return QuantumChannel(ops.reshape(-1, second.dim_out, first.dim_in))
+    d_in, d_mid, d_out = first.dim_in, first.dim_out, second.dim_out
+    j1 = first.choi.reshape(d_in, d_mid, d_in, d_mid)
+    j2 = second.choi.reshape(d_mid, d_out, d_mid, d_out)
+    j = np.einsum("axby,xCyD->aCbD", j1, j2)
+    return QuantumChannel._of_choi(j.reshape(d_in * d_out, d_in * d_out), d_in, d_out)
 
 
 def extend(channel: QuantumChannel, side: str, dim_other: int) -> QuantumChannel:
@@ -228,33 +238,33 @@ def extend(channel: QuantumChannel, side: str, dim_other: int) -> QuantumChannel
 
     ``side`` names the subsystem the channel acts on: ``"A"`` produces
     ``Phi (x) id`` and ``"B"`` produces ``id (x) Phi``, in the shared
-    B-fastest basis ordering.
+    B-fastest basis ordering.  The identity's Choi matrix is
+    ``delta_(e e') delta_(f f')`` on its (input, output) index pairs.
     """
-    eye = np.eye(dim_other, dtype=complex)
     side = side.upper()
-    if side == "A":
-        ops = np.kron(channel.kraus, eye)
-    elif side == "B":
-        ops = np.kron(eye, channel.kraus)
-    else:
+    if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return QuantumChannel(ops)
+    d_in, d_out, eye = channel.dim_in, channel.dim_out, np.eye(dim_other, dtype=complex)
+    out = "aeAEcfCF" if side == "A" else "eaEAfcFC"
+    j = np.einsum(f"aAcC,eE,fF->{out}", channel.choi.reshape(d_in, d_out, d_in, d_out), eye, eye)
+    d = d_in * d_out * dim_other**2
+    return QuantumChannel._of_choi(j.reshape(d, d), d_in * dim_other, d_out * dim_other)
 
 
 def mix_channels(weighted: list[tuple[float, QuantumChannel]]) -> QuantumChannel:
-    """Convex mixture of channels, realised as a weighted Kraus union."""
+    """Convex mixture of channels: the weighted sum of their Choi matrices,
+    completely positive because each weight is finite and non-negative."""
+    for i, (w, _) in enumerate(weighted):
+        if not (np.isfinite(w) and w >= 0):
+            raise InvalidChannelError(f"mixture weight {i} is {w!r}, expected finite and >= 0")
     total = sum(w for w, _ in weighted)
     if abs(total - 1.0) > VALIDITY_TOL:
         raise InvalidChannelError(f"mixture weights sum to {total!r}, expected 1")
     dims = {(c.dim_in, c.dim_out) for _, c in weighted}
     if len(dims) != 1:
         raise InvalidChannelError(f"cannot mix channels with differing dimensions {dims}")
-    return QuantumChannel(np.concatenate([np.sqrt(w) * c.kraus for w, c in weighted]))
-
-
-def canonicalize(channel: QuantumChannel) -> QuantumChannel:
-    """Re-extract a minimal Kraus set from the Choi eigendecomposition."""
-    return QuantumChannel.from_choi(channel.choi, channel.dim_in, channel.dim_out)
+    ((dim_in, dim_out),) = dims
+    return QuantumChannel._of_choi(sum(w * c.choi for w, c in weighted), dim_in, dim_out)
 
 
 def choi_distance(a: QuantumChannel, b: QuantumChannel) -> float:
@@ -309,20 +319,10 @@ def analyze_transfer(channel: QuantumChannel) -> TransferAnalysis:
 
 
 def make_point_channel(sigma: DensityOperator) -> QuantumChannel:
-    """Constant channel ``X -> tr[X] sigma`` on the space of ``sigma``.
-
-    Kraus operators are ``sqrt(mu_m) |v_m><n|`` over the eigenpairs of
-    ``sigma`` and the input basis kets ``|n>``.
-    """
+    """Constant channel ``X -> tr[X] sigma`` on the space of ``sigma``; its
+    Choi matrix is ``1 (x) sigma``."""
     d = sigma.dim
-    eigvals, eigvecs = eig_hermitian(sigma.matrix)
-    keep = eigvals > KRAUS_CUTOFF
-    cols = eigvecs[:, keep] * np.sqrt(eigvals[keep])
-    # ops[m, n][:, n] = col_m, written into zeros so every other entry is +0.
-    ops = np.zeros((cols.shape[1], d, d, d), dtype=complex)
-    n = np.arange(d)
-    ops[:, n, :, n] = cols.T
-    return QuantumChannel(ops.reshape(-1, d, d))
+    return QuantumChannel._of_choi(np.kron(np.eye(d), sigma.matrix), d, d)
 
 
 def make_qc_channel(povm, basis) -> QuantumChannel:

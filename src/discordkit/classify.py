@@ -488,8 +488,8 @@ def tetrahedron_sweep(
     discord over the probe outputs of the extended channel is reported,
     otherwise NaN.  Rows are ordered by grid index.  The grid is decided one
     ``l1`` slab at a time: the slab's points inside the tetrahedron get one
-    Pauli Kraus stack, one completeness check, one Choi stack and one call
-    of each stacked decision.
+    Pauli Kraus stack, one Choi stack, one trace-preservation check and one
+    call of each stacked decision.
     """
     count = _axis_count(step)
     side = side.upper()
@@ -506,15 +506,14 @@ def tetrahedron_sweep(
     for l1 in values.tolist():
         inside = _in_cptp_tetrahedron(l1, slab_l2, slab_l3)
         l2, l3 = slab_l2[inside], slab_l3[inside]
-        kraus, kept = _unital_qubit_kraus(l1, l2, l3)
-        _check_trace_preserving(kraus)
-        chois = _choi_matrices(kraus)
+        chois = _choi_matrices(_unital_qubit_kraus(l1, l2, l3)[0])
+        _check_trace_preserving(chois, 2)
         is_db = [verdict.kind == "yes" for verdict in decide(chois, 2)]
         is_eb = [verdict.kind == "yes" for verdict in _eb_decision(chois, 2)]
         for i, (x2, x3) in enumerate(zip(l2.tolist(), l3.tolist())):
             max_discord = float("nan")
             if probes:
-                extended = extend(QuantumChannel(kraus[i, kept[i]]), side, dim_other)
+                extended = extend(QuantumChannel._of_choi(chois[i], 2, 2), side, dim_other)
                 discords = [discord(extended.apply(p), Hybrid()).value for p in probes]
                 max_discord = max([0.0] + discords)
             rows.append(SweepRow(l1, x2, x3, is_db[i], is_eb[i], max_discord))

@@ -27,7 +27,7 @@ from .annihilators import (
     PointTo,
     Rank1Entry,
 )
-from .channels import InvalidChannelError, QuantumChannel, canonicalize
+from .channels import InvalidChannelError, QuantumChannel
 from .discord import DiscordResult
 from .states import BipartiteState, DensityOperator, InvalidStateError
 from .tolerances import VALIDITY_TOL
@@ -143,12 +143,11 @@ def save_state(state, path):
 
 
 def channel_to_json(channel: QuantumChannel) -> dict:
-    canonical = canonicalize(channel)
     return {
         "type": "kraus",
-        "d_in": canonical.dim_in,
-        "d_out": canonical.dim_out,
-        "data": [encode_matrix(k) for k in canonical.kraus],
+        "d_in": channel.dim_in,
+        "d_out": channel.dim_out,
+        "data": [encode_matrix(k) for k in channel.kraus],
     }
 
 

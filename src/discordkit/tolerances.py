@@ -52,7 +52,7 @@ REBUILD_TOL = 1e-6
 # slack of the unital-qubit tetrahedron test and of Kraus extraction from a
 # Choi matrix (relative to its largest eigenvalue).
 ZERO_CUTOFF = 1e-12
-# Eigenvalues of a POVM element or point target dropped from its Kraus set.
+# Eigenvalues of a POVM element dropped from the Kraus set of a measure-and-prepare channel.
 KRAUS_CUTOFF = 1e-14
 
 # -- optimisation --------------------------------------------------------------

@@ -312,7 +312,7 @@ class TestStructuralMatch:
         target = match.spec.entries[0].action.state.matrix
         assert np.linalg.norm(target - r.matrix) <= 1e-7
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4)])
     def test_stage_superop_product_is_the_composition(self, dims):
         # The match residual reads S_stage S as the superoperator of stage o channel.
         for seed in range(3):

@@ -10,7 +10,6 @@ from discordkit.channels import (
     _check_trace_preserving,
     _choi_matrices,
     analyze_transfer,
-    canonicalize,
     choi_distance,
     compose,
     extend,
@@ -25,6 +24,7 @@ from discordkit.states import (
     bell_state,
     basis_ket,
     hermitian_basis,
+    partial_trace_matrix,
     random_density,
     random_unitary,
 )
@@ -75,6 +75,20 @@ def choi_outer_loop(kraus):
     return j
 
 
+def eigen_kraus_loop(j, din, dout):
+    """The Kraus set ``from_choi`` extracts: one scaled eigenvector of J per
+    eigenvalue above ``1e-12 * max(1, largest)``, in descending order."""
+    w, v = np.linalg.eigh((j + j.conj().T) / 2)
+    cut = 1e-12 * max(1.0, w[-1])
+    keep = [i for i in range(len(w) - 1, -1, -1) if w[i] > cut]
+    return [(v[:, i] * np.sqrt(w[i])).reshape(din, dout).T for i in keep]
+
+
+def isometry_kraus(din, dout, rank, seed):
+    """Kraus set of a sliced Haar isometry, as ``random_channel`` builds it."""
+    return random_unitary(dout * rank, seed)[:, :din].reshape(rank, dout, din)
+
+
 def qc_kraus_loop(povm, kets):
     """The per-element Kraus loop of ``make_qc_channel``, with ``np.linalg.eigh``
     in place of the validating ``eig_hermitian``, kept as its bitwise reference."""
@@ -112,8 +126,9 @@ def transfer_double_loop(channel):
     basis_in = hermitian_basis(channel.dim_in).elements
     basis_out = hermitian_basis(channel.dim_out).elements
     t = np.empty((len(basis_out), len(basis_in)))
+    kraus = channel.kraus
     for b, g_in in enumerate(basis_in):
-        image = apply_kraus_loop(channel.kraus, g_in)
+        image = apply_kraus_loop(kraus, g_in)
         for a, g_out in enumerate(basis_out):
             t[a, b] = np.trace(g_out @ image).real
     return t
@@ -186,10 +201,14 @@ class TestChoiConversions:
         assert choi_distance(channel, rebuilt) <= 1e-10
 
     def test_kraus_rank_matches_choi_rank(self):
+        # The derived Kraus set is the eigen-Kraus set of the stored Choi matrix.
         channel = random_channel(2, 2, 3, 12)
-        rebuilt = canonicalize(channel)
         choi_rank = int(np.sum(np.linalg.eigvalsh(channel.choi) > 1e-10))
-        assert len(rebuilt.kraus) == choi_rank
+        assert len(channel.kraus) == choi_rank
+        expected = eigen_kraus_loop(channel.choi, 2, 2)
+        assert len(expected) == choi_rank
+        for k, e in zip(channel.kraus, expected):
+            assert np.array_equal(k, e)
 
     def test_from_choi_rejects_non_tp(self):
         with pytest.raises(InvalidChannelError, match="trace-preserving"):
@@ -219,21 +238,18 @@ class TestChoiConversions:
         with pytest.raises(InvalidChannelError, match="PSD"):
             QuantumChannel.from_choi(j, 2, 2)
         channel = QuantumChannel.from_choi(j, 2, 2, cp_tol=1e-6)
-        completeness = sum(k.conj().T @ k for k in channel.kraus)
-        assert np.linalg.norm(completeness - np.eye(2)) <= 1e-14
+        marginal = partial_trace_matrix(channel.choi, 2, 2, "A")
+        assert np.linalg.norm(marginal - np.eye(2)) <= 1e-14
         assert np.linalg.norm(channel.choi - j) <= 2 * eps
 
     def test_psd_choi_keeps_its_eigen_kraus_set(self):
+        # The stored Choi matrix is, bit for bit, that of the eigen-Kraus set of J.
         for seed in range(10):
             j = random_channel(2, 3, 3, seed).choi
             channel = QuantumChannel.from_choi(j, 2, 3)
-            w, v = np.linalg.eigh((j + j.conj().T) / 2)
-            expected = [
-                (v[:, i] * np.sqrt(w[i])).reshape(2, 3).T for i in range(5, -1, -1) if w[i] > 1e-12
-            ]
-            assert len(channel.kraus) == len(expected)
-            for k, e in zip(channel.kraus, expected):
-                assert np.array_equal(k, e)
+            expected = eigen_kraus_loop(j, 2, 3)
+            assert len(expected) == 3
+            assert np.array_equal(channel.choi, choi_outer_loop(expected))
 
     def test_choi_is_that_of_the_kept_kraus_set(self):
         # eps is below the default cp_tol, so the eigenvalue -eps passes the
@@ -316,8 +332,6 @@ class TestPointChannel:
     def test_choi_trace_out_is_identity(self):
         sigma = random_density(3, "hilbert-schmidt", 50)
         j = make_point_channel(sigma).choi
-        from discordkit.states import partial_trace_matrix
-
         np.testing.assert_allclose(partial_trace_matrix(j, 3, 3, "A"), np.eye(3), atol=1e-10)
 
     def test_sandwiched_by_channels_stays_point(self):
@@ -381,13 +395,12 @@ class TestQCChannel:
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_stacked_kraus_equals_the_element_loop(self, dims):
-        # The Kraus stack of each channel, bit for bit the per-element loop.
+        # The Choi matrix of each channel, bit for bit that of the per-element loop.
         dim_in, dim_out = dims
         povms, frames = random_qc_inputs(6, dim_in, dim_out, np.random.default_rng(sum(dims)))
         for povm, frame in zip(povms, frames):
             channel = make_qc_channel(list(povm), list(frame))
-            assert np.array_equal(channel.kraus, qc_kraus_loop(povm, frame))
-            assert np.array_equal(channel.choi, choi_outer_loop(channel.kraus))
+            assert np.array_equal(channel.choi, choi_outer_loop(qc_kraus_loop(povm, frame)))
 
     def test_stack_raises_the_first_failing_check(self):
         # Each POVM stack raises its first failing check.
@@ -488,6 +501,98 @@ class TestMixtures:
         with pytest.raises(InvalidChannelError, match="weights"):
             mix_channels([(0.5, a), (0.6, a)])
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((1.5, -0.5), "mixture weight 1 is -0.5"),
+            ((float("nan"), 1.0), "mixture weight 0 is nan"),
+            ((0.5, float("inf")), "mixture weight 1 is inf"),
+        ],
+    )
+    def test_negative_or_non_finite_weight_rejected(self, weights, message):
+        # A negative weight would sum to a trace-preserving map that is not
+        # completely positive; a NaN weight would pass the sum check.
+        a, b = random_channel(2, 2, 2, 72), random_channel(2, 2, 2, 73)
+        with pytest.raises(InvalidChannelError, match=message):
+            mix_channels(list(zip(weights, (a, b))))
+
+
+class TestChoiForm:
+    """Compose, extend, mix and point channels are built on the Choi matrix;
+    each is checked against a test-local Kraus route."""
+
+    DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_extend_equals_the_kron_route_bitwise(self, dims, side):
+        din, dout = dims
+        for seed, dim_other in ((0, 1), (1, 2), (2, 3)):
+            ops = isometry_kraus(din, dout, 3, [seed, din, dout])
+            eye = np.eye(dim_other)
+            kraus = [np.kron(k, eye) if side == "A" else np.kron(eye, k) for k in ops]
+            extended = extend(QuantumChannel(ops), side, dim_other)
+            assert (extended.dim_in, extended.dim_out) == (din * dim_other, dout * dim_other)
+            assert np.array_equal(extended.choi, choi_outer_loop(kraus))
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_compose_equals_the_kraus_product_route(self, dims):
+        din, dmid = dims
+        for seed in range(3):
+            first_ops = isometry_kraus(din, dmid, 3, [seed, 1])
+            second_ops = isometry_kraus(dmid, din, 2, [seed, 2])
+            composed = compose(QuantumChannel(second_ops), QuantumChannel(first_ops))
+            reference = choi_outer_loop([b @ a for b in second_ops for a in first_ops])
+            bound = 1e-14 * max(1.0, np.linalg.norm(reference))
+            assert np.linalg.norm(composed.choi - reference) <= bound
+            assert (composed.dim_in, composed.dim_out) == (din, din)
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_mix_equals_the_weighted_kraus_union(self, dims):
+        din, dout = dims
+        weights = (0.2, 0.5, 0.3)
+        sets = [isometry_kraus(din, dout, rank, [rank, din, dout]) for rank in (2, 3, 4)]
+        mixed = mix_channels([(w, QuantumChannel(ops)) for w, ops in zip(weights, sets)])
+        union = np.concatenate([np.sqrt(w) * ops for w, ops in zip(weights, sets)])
+        reference = choi_outer_loop(union)
+        assert np.linalg.norm(mixed.choi - reference) <= 1e-14 * max(1.0, np.linalg.norm(reference))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_point_channel_choi_is_exactly_one_kron_sigma(self, dim):
+        sigma = random_density(dim, "hilbert-schmidt", 40 + dim)
+        assert np.array_equal(make_point_channel(sigma).choi, np.kron(np.eye(dim), sigma.matrix))
+
+    def test_constructors_build_no_kraus_set(self, monkeypatch):
+        from discordkit import channels
+
+        a, b = random_channel(2, 2, 2, 60), random_channel(2, 2, 3, 61)
+        sigma = random_density(3, "hilbert-schmidt", 62)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Choi matrix from a Kraus set")
+
+        monkeypatch.setattr(channels, "_choi_matrices", refuse)
+        assert compose(b, a).dim_in == 2
+        assert extend(a, "B", 3).dim_in == 6
+        assert mix_channels([(0.25, a), (0.75, b)]).dim_in == 2
+        assert make_point_channel(sigma).dim_in == 3
+
+    def test_channel_stores_only_its_choi_matrix(self):
+        channel = compose(random_channel(2, 3, 2, 63), random_channel(2, 2, 2, 64))
+        channel.kraus  # derived on demand, not kept
+        arrays = [name for name, value in vars(channel).items() if isinstance(value, np.ndarray)]
+        assert arrays == ["choi"]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 4)])
+    def test_derived_kraus_rebuilds_the_choi_matrix(self, dims):
+        din, dout = dims
+        channel = mix_channels(
+            [(0.5, random_channel(din, dout, 2, 65)), (0.5, random_channel(din, dout, 3, 66))]
+        )
+        kraus = channel.kraus
+        assert kraus.shape == (min(5, din * dout), dout, din)
+        assert np.linalg.norm(choi_outer_loop(kraus) - channel.choi) <= 1e-14
+
 
 class TestConstructedChannelInvariants:
     @pytest.mark.parametrize("seed", range(5))
@@ -495,8 +600,6 @@ class TestConstructedChannelInvariants:
         channel = random_channel(3, 2, 2, seed)
         w = np.linalg.eigvalsh(channel.choi)
         assert w[0] >= -1e-9
-        from discordkit.states import partial_trace_matrix
-
         marg = partial_trace_matrix(channel.choi, 3, 2, "A")
         assert np.linalg.norm(marg - np.eye(3)) <= 1e-9
 
@@ -511,11 +614,13 @@ class TestKrausStack:
     def test_stack_is_read_only(self):
         ops = np.array([np.eye(2, dtype=complex)])
         channel = QuantumChannel(ops)
-        assert not channel.kraus.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            channel.kraus[0, 0, 0] = 2.0
-        ops[0, 0, 0] = 2.0  # the channel holds its own copy
-        assert channel.kraus[0, 0, 0] == 1.0
+        reference = choi_outer_loop(ops)
+        for stored in (channel.choi, channel.kraus):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 2.0
+        ops[0, 0, 0] = 2.0  # the channel holds no view of its input
+        assert np.array_equal(channel.choi, reference)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidChannelError, match="at least one Kraus operator"):
@@ -573,23 +678,24 @@ class TestKrausStack:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (6, 6), (4, 9)])
     def test_choi_equals_outer_loop(self, dims):
         din, dout = dims
-        channels = [
-            random_channel(din, dout, rank, [seed, rank]) for seed in range(5) for rank in (2, 3, 5)
+        sets = [
+            isometry_kraus(din, dout, rank, [seed, rank]) for seed in range(5) for rank in (2, 3, 5)
         ]
-        for channel in channels:
-            assert np.array_equal(channel.choi, choi_outer_loop(channel.kraus))
-        stack = np.array([c.kraus for c in channels if len(c.kraus) == 3])
+        for ops in sets:
+            assert np.array_equal(QuantumChannel(ops).choi, choi_outer_loop(ops))
+        stack = np.array([ops for ops in sets if len(ops) == 3])
         for j, ops in zip(_choi_matrices(stack), stack):
             assert np.array_equal(j, choi_outer_loop(ops))
 
     def test_zero_operators_add_nothing_to_the_choi(self):
-        ops = random_channel(3, 3, 2, 91).kraus
+        ops = isometry_kraus(3, 3, 2, 91)
         padded = np.concatenate([ops[:1], np.zeros((2, 3, 3)), ops[1:], np.zeros((1, 3, 3))])
         assert np.array_equal(_choi_matrices(padded), choi_outer_loop(ops))
 
     def test_trace_preserving_check_names_the_first_bad_member(self):
-        good = random_channel(2, 2, 2, 92).kraus
-        stack = np.array([good, 2.0 * good, 3.0 * good])
-        with pytest.raises(InvalidChannelError, match=r"defect 4\.243e\+00"):
-            _check_trace_preserving(stack)
-        _check_trace_preserving(stack[:1])
+        # The Choi matrices of the Kraus sets K, 2K and 3K: tr_out reads 1, 4 and 9.
+        good = random_channel(2, 2, 2, 92).choi
+        stack = np.array([good, 4.0 * good, 9.0 * good])
+        with pytest.raises(InvalidChannelError, match=r"tr_out defect 4\.243e\+00"):
+            _check_trace_preserving(stack, 2)
+        _check_trace_preserving(stack[:1], 2)

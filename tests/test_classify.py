@@ -474,7 +474,7 @@ class TestStackedDecisions:
         points = np.broadcast_arrays(l1, l2, l3)
         for i, lam in enumerate(zip(*(p.tolist() for p in points))):
             channel = make_unital_qubit(UnitalQubitParams(*lam))
-            assert np.array_equal(kraus[i, kept[i]], channel.kraus), lam
+            assert np.array_equal(QuantumChannel(kraus[i, kept[i]]).choi, channel.choi), lam
             assert np.array_equal(chois[i], channel.choi), lam
             singles = [decide(channel.choi[None], 2) for decide in self.DECISIONS]
             singles.append(_eb_decision(channel.choi[None], 2))

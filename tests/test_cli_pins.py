@@ -89,16 +89,16 @@ DIGESTS = {
     "gen_33": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "gen_23": "21bf9a4a7f7e80157d8da7ee5963d88ae3ce323e2145880899dfd102ea30bb1e",
     "gen_42": "b4f7df6c45fad3db721926c92a1175c7bb83f14f226151bee971e9d1c5f03489",
-    "da22.json": "c986faadd340ae93edfe7abccbe1c4a3addabc1142bd67a947e72ad536301e96",
-    "da23.json": "fd9f8f4c83bb2c9f1b1ac360f98970228df159957b8d4129beeb991a3418bdb9",
-    "da33.json": "af4d55d71e5f486139008316f6ae4bd155c56574a1ffe89315c27b9fe93ad03e",
+    "da22.json": "bb0b3b6c32a686c12c82de402467bfec6718a405d0cb3687e89c694cebad6e73",
+    "da23.json": "a50f70c7bdc81d27e61c375cff2a34674ae2f5299648dd93de79341a0f6f0241",
+    "da33.json": "5aa2b2238ee3cc7fec1ae388cfa1f1b08f7bf889d38573581c005c449887bfe0",
     "da33_spec.json": "dc9b3ac6806ae3dd8ad6c69487c9c8d0ae95154bf926142576256e34f4c98a76",
-    "da42.json": "729582e246181bd9f31bfa2da3948c613ae0f35e0b3cc7b35f514fe5dd6be298",
-    "cls_AB_da22": "3bde367a69d275204ace0358af0d272ae9a8664d35db50b38b859c4feebfde0e",
-    "cls_AB_da22_s20": "36c717b2860f2b929a06eafee18247d14248ddc7f1e1b7a0d0bab342d9ca5a73",
-    "cls_AB_da23": "2d082378bff61a8d23009ea3e29fdada661dc3b300b8e1d79d5afb82ddedc103",
-    "cls_AB_da33": "ce46b21c06199ea368fe4856326e2e0625f9b80a376fa6e9faefeb8c27b93ba2",
-    "cls_AB_da42": "5f6c928af0720bb7e433b7d97cdc7c7c13a2be6deb446a17100ca9f79e4f9366",
+    "da42.json": "ea6b178711258945e1ec13f77bf1d694168ca6cf8b6863f375eea7d7bf56dfdb",
+    "cls_AB_da22": "3ee219df92fbce78e54e3cd5363caaacf8ddac4ed0f305f8140d4cc7c15c3461",
+    "cls_AB_da22_s20": "84d6a88e63144e5056f21d41ea72d2b08985d04d11c64898c28fe68a7a3d9b6a",
+    "cls_AB_da23": "0df7e4c155facf44d8d914feff34e321cb029e32993ae834a2b2f55f2bbd5f25",
+    "cls_AB_da33": "42edb8e2c169e97302aefc9f0c4b0a7ffe8be818442d8e59659f772c1a428e38",
+    "cls_AB_da42": "3564efe403017eb0fd692748ee96154e427652a04722f026ab71529c3ddc0ec1",
     "cls_AB_rand": "79464789a967339d47ed3cccc23484be543564f4f29414e4a2693e2ab4e7e164",
     "cls_A_deph": "cf70682bb4c96bb0fde1e55172b1ead8ac90bcbae099aea9deee9241181b12e4",
     "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",
@@ -114,7 +114,7 @@ DIGESTS = {
     "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
     "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
     "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",
-    "verify_pass": "1f9f26ad89ec4d9ca382ce49f609ded23a9ce02c33c480526886fa07bd2d5c75",
+    "verify_pass": "42d27b2e11bb652c58a4a5b137944dc8eca5af3366fdda63a2c057047642ed10",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "witness.json": "772e54f27efd85298524fbe0add1e9aacac9da92f7e78f1b537ad880f6caab66",
     "sweep_A": "5864d72ec2b19cc30caa2921749f25c9e5db64f497736726e9b3ef118f31482c",

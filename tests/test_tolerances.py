@@ -50,3 +50,30 @@ def test_no_tolerance_literals_outside_tolerances_module(path):
         if _is_small_float(node) and id(node) not in allowed
     ]
     assert not offenders, offenders
+
+
+def _constants() -> set[str]:
+    tree = ast.parse((PACKAGE / "tolerances.py").read_text())
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _imported_tolerances(path: Path) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "tolerances" and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_every_tolerance_has_a_reader():
+    constants = _constants()
+    assert {"VALIDITY_TOL", "CQ_TOL", "KRAUS_CUTOFF"} <= constants
+    read = set().union(*(_imported_tolerances(path) for path in MODULES))
+    assert not constants - read, sorted(constants - read)
