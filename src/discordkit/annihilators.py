@@ -23,6 +23,7 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
+    _canonical_phase,
     compose,
     make_point_channel,
     random_channel,
@@ -109,21 +110,24 @@ class DAChannelSpec:
 
 
 def build_da_channel(spec: DAChannelSpec) -> QuantumChannel:
-    """Kraus realisation of the pinch-then-conditional-action channel.
+    """The pinch-then-conditional-action channel, built on its Choi matrix.
 
-    Identity entries contribute ``Q_i (x) 1``; point entries contribute
-    ``Q_i (x) L`` over the derived Kraus operators ``L`` of the point channel
-    on B.  The pre-channel is composed on the Choi matrices.
-    The union is trace-preserving exactly when the partition is complete.
+    Entry i pinches A with its projector ``P_i`` (Choi matrix
+    ``vec(P_i^T) vec(P_i^T)^dag``) and acts on B with the identity or its
+    point channel; the stage's Choi matrix is the sum over entries of the
+    Choi matrices of these products, trace-preserving exactly when the
+    partition is complete.  The pre-channel is composed on the Choi matrices.
     """
-    ops = []
-    eye_b = np.eye(spec.dim_b, dtype=complex)[None]
-    for proj, entry in zip(spec.projectors, spec.entries):
-        if isinstance(entry.action, IdentityAction):
-            ops.append(np.kron(proj, eye_b))
-        else:
-            ops.append(np.kron(proj, make_point_channel(entry.action.state).kraus))
-    stage = QuantumChannel(np.concatenate(ops))
+    d_a, d_b, n = spec.dim_a, spec.dim_b, len(spec.entries)
+    vecs = spec.projectors.transpose(0, 2, 1).reshape(n, d_a * d_a)
+    pinches = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(n, *[d_a] * 4)
+    b_chois = np.array([
+        QuantumChannel.identity(d_b).choi if isinstance(e.action, IdentityAction)
+        else make_point_channel(e.action.state).choi
+        for e in spec.entries
+    ]).reshape(n, *[d_b] * 4)
+    j = np.einsum("iaAcC,ibBdD->abABcdCD", pinches, b_chois).reshape(d_a**2 * d_b**2, -1)
+    stage = QuantumChannel._of_choi(j, d_a * d_b, d_a * d_b)
     if spec.pre_channel is None:
         return stage
     return compose(stage, spec.pre_channel)
@@ -346,12 +350,6 @@ def _eigen_clusters(x: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _canonical_vector(v: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(v)))
-    phase = v[pivot] / abs(v[pivot])
-    return v / phase
-
-
 def _canonical_entries(entries: list[Entry], dim_a: int, dim_b: int) -> tuple[Entry, ...]:
     """Sort by subspace rank, then lexicographically on the rounded support."""
     projs, _ = _entry_projectors(dim_a, dim_b, entries)
@@ -413,7 +411,7 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
             else:
                 action = IdentityAction()
             if rank == 1:
-                entries.append(Rank1Entry(vector=_canonical_vector(vecs[:, 0]), action=action))
+                entries.append(Rank1Entry(vector=_canonical_phase(vecs[:, 0]), action=action))
             else:
                 entries.append(MultiEntry(projector=vecs @ vecs.conj().T, action=action))
         else:

@@ -1,9 +1,10 @@
 """CPTP channel representations and constructors.
 
-A :class:`QuantumChannel` stores one read-only Choi matrix, and composition,
-extension, mixtures and point channels are built on it.  The superoperator,
-which the action and the real transfer matrix read, is its entries permuted;
-a Kraus set is derived on demand from its eigendecomposition.
+A :class:`QuantumChannel` stores one read-only Choi matrix, and every channel
+the library builds is made from one; Kraus operators enter only through
+``QuantumChannel(kraus)``.  The superoperator, which the action and the real
+transfer matrix read, is its entries permuted; a Kraus set is derived on
+demand from its eigendecomposition, with one phase rule.
 
 Choi convention
 ---------------
@@ -34,7 +35,7 @@ from .states import (
     partial_trace_matrix,
     random_unitary,
 )
-from .tolerances import KRAUS_CUTOFF, RANK_TOL, VALIDITY_TOL, ZERO_CUTOFF
+from .tolerances import RANK_TOL, VALIDITY_TOL, ZERO_CUTOFF
 
 
 class InvalidChannelError(ValueError):
@@ -66,6 +67,7 @@ class QuantumChannel:
         self._hold(_choi_matrices(ops), ops.shape[2], ops.shape[1])
 
     def _hold(self, choi: np.ndarray, dim_in: int, dim_out: int) -> None:
+        _require_dims(dim_in=dim_in, dim_out=dim_out)
         _check_trace_preserving(choi[None], dim_in)
         self.dim_in, self.dim_out = dim_in, dim_out
         self.choi = _freeze(choi)
@@ -85,11 +87,11 @@ class QuantumChannel:
         """Build a channel from a Choi matrix (input slot first).
 
         The matrix must be PSD within ``-cp_tol`` and satisfy
-        ``tr_out J = identity`` within ``VALIDITY_TOL``; Kraus operators are extracted
-        from the eigendecomposition in descending eigenvalue order, then renormalised
-        if the clipped negative eigenvalues leave them short of completeness.  The
-        channel's Choi matrix is that of the kept Kraus set.
+        ``tr_out J = identity`` within ``VALIDITY_TOL``; it is then clipped as
+        :func:`_psd_part` clips, and renormalised, ``J -> R J R`` with
+        ``R = (tr_out J)^(-1/2) (x) 1``, only if that breaks trace preservation.
         """
+        _require_dims(dim_in=dim_in, dim_out=dim_out)
         j = np.asarray(choi, dtype=complex)
         d = dim_in * dim_out
         if j.shape != (d, d):
@@ -100,26 +102,35 @@ class QuantumChannel:
             raise InvalidChannelError(
                 f"Choi matrix is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
-        ops = _eigen_kraus(eigvals, eigvecs, dim_in, dim_out)
+        j = _psd_part(j, eigvals, eigvecs)
         try:
-            return cls(ops)
+            return cls._of_choi(j, dim_in, dim_out)
         except InvalidChannelError:
-            # Only the clipped negative part can fail here: K -> K S^(-1/2).
-            w, v = np.linalg.eigh(np.einsum("kij,kil->jl", ops.conj(), ops))
-            return cls(ops @ (v / np.sqrt(w)) @ v.conj().T)
+            # Only the clipped negative part can fail here.
+            w, v = np.linalg.eigh(partial_trace_matrix(j, dim_in, dim_out, "A"))
+            r = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(dim_out))
+            return cls._of_choi(r @ j @ r, dim_in, dim_out)
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
-        return cls(np.eye(dim, dtype=complex)[None])
+        _require_dims(dim=dim)
+        omega = np.eye(dim, dtype=complex).reshape(-1)
+        return cls._of_choi(np.outer(omega, omega), dim, dim)
 
     # -- representations --------------------------------------------------
 
     @property
     def kraus(self) -> np.ndarray:
         """Canonical Kraus set ``(r, dim_out, dim_in)``, derived on each call: the
-        Choi eigenvectors above the cutoff, scaled, in descending eigenvalue order."""
+        Choi eigenvectors above ``ZERO_CUTOFF * max(1, largest)`` in descending
+        eigenvalue order, each with :func:`_canonical_phase` and scaled by the
+        root of its eigenvalue.  Choi matrices that differ by rounding give
+        Kraus sets that do too, as long as no kept eigenvalue is degenerate;
+        no rule picks the basis of a degenerate eigenspace."""
         eigvals, eigvecs = eig_hermitian(self.choi, what="Choi matrix", error=InvalidChannelError)
-        return _freeze(_eigen_kraus(eigvals, eigvecs, self.dim_in, self.dim_out))
+        keep = eigvals > ZERO_CUTOFF * max(1.0, eigvals[-1])
+        vecs = _canonical_phase(eigvecs[:, keep].T[::-1]) * np.sqrt(eigvals[keep][::-1, None])
+        return _freeze(vecs.reshape(-1, self.dim_in, self.dim_out).transpose(0, 2, 1))
 
     @property
     def superop(self) -> np.ndarray:
@@ -191,32 +202,58 @@ def _check_trace_preserving(chois: np.ndarray, dim_in: int) -> None:
         )
 
 
-def _eigen_kraus(eigvals, eigvecs, dim_in: int, dim_out: int) -> np.ndarray:
-    """Kraus operators of a Choi eigendecomposition (ascending, as ``eigh``
-    returns it): eigenvalues above ``ZERO_CUTOFF * max(1, largest)`` in
-    descending order, each vector scaled by the root of its eigenvalue."""
-    keep = eigvals > ZERO_CUTOFF * max(1.0, eigvals[-1])
-    vecs = (eigvecs[:, keep] * np.sqrt(eigvals[keep]))[:, ::-1]
-    return vecs.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
+def _require_dims(**dims: int) -> None:
+    """Raise on the first named dimension below 1."""
+    for name, value in dims.items():
+        if not value >= 1:
+            raise InvalidChannelError(f"{name} must be at least 1, got {value}")
+
+
+def _psd_part(h: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """The Hermitian part of ``h``, first clipped from its own eigenpairs (the
+    ascending ``eigvals`` and ``eigvecs`` of that part) if one is negative."""
+    if eigvals[0] < 0.0:
+        h = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis divided by the phase of its pivot, which
+    becomes real and positive: the first entry whose magnitude lies within a
+    relative ``ZERO_CUTOFF`` of the largest, so rounding cannot break a tie."""
+    mags = np.abs(vecs)
+    first = (mags >= (1.0 - ZERO_CUTOFF) * mags.max(axis=-1, keepdims=True)).argmax(axis=-1)
+    pivots = np.take_along_axis(vecs, first[..., None], axis=-1)
+    return vecs / (pivots / np.abs(pivots))
 
 
 def _choi_matrices(kraus: np.ndarray) -> np.ndarray:
-    """Choi matrices of a Kraus stack ``(..., r, dim_out, dim_in)``.
-
-    The r outer products of the vectorised operators ``vec(K_k^T)`` are
-    added to zero in k order, one stacked product each, so every matrix is
-    bit for bit the sum a loop of ``np.outer`` gives (one ``einsum`` or
-    matrix product sums in another order).  An exact-zero operator adds
-    nothing.
-    """
-    *lead, r, dim_out, dim_in = kraus.shape
-    d = dim_in * dim_out
-    vecs = kraus.swapaxes(-1, -2).reshape(*lead, r, d)
-    j = np.zeros((*lead, d, d), dtype=complex)
-    for k in range(r):
-        vec = vecs[..., k, :]
-        j += vec[..., :, None] * vec[..., None, :].conj()
+    """Choi matrix of a Kraus set ``(r, dim_out, dim_in)``: the r outer
+    products of the vectorised operators ``vec(K_k^T)`` added to zero in k
+    order, bit for bit the sum a loop of ``np.outer`` gives.  An exact-zero
+    operator adds nothing."""
+    r, dim_out, dim_in = kraus.shape
+    j = np.zeros((dim_in * dim_out,) * 2, dtype=complex)
+    for vec in kraus.swapaxes(-1, -2).reshape(r, -1):
+        j += vec[:, None] * vec[None, :].conj()
     return j
+
+
+def _cq_form(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The CQ matrices ``sum_k |psi_k><psi_k| (x) B_k`` of a stack of kets
+    ``(n, dim_a, K)``, whose columns are the ``|psi_k>``, and blocks
+    ``(n, K, dim_b, dim_b)``, each as one ``(dim_a * dim_b)``-square matrix."""
+    (n, dim_a, _), dim_b = basis.shape, blocks.shape[-1]
+    form = np.einsum("nak,nck,nkij->naicj", basis, basis.conj(), blocks)
+    return form.reshape(n, dim_a * dim_b, dim_a * dim_b)
+
+
+def _swap_slots(matrices: np.ndarray, dim_first: int, dim_second: int) -> np.ndarray:
+    """Each matrix of the stack ``(n, d, d)`` on ``first (x) second`` with its
+    two slots swapped, as a matrix on ``second (x) first``."""
+    n, d = matrices.shape[:2]
+    swapped = matrices.reshape(n, dim_first, dim_second, dim_first, dim_second)
+    return swapped.transpose(0, 2, 1, 4, 3).reshape(n, d, d)
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
@@ -229,7 +266,7 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     d_in, d_mid, d_out = first.dim_in, first.dim_out, second.dim_out
     j1 = first.choi.reshape(d_in, d_mid, d_in, d_mid)
     j2 = second.choi.reshape(d_mid, d_out, d_mid, d_out)
-    j = np.einsum("axby,xCyD->aCbD", j1, j2)
+    j = np.einsum("axby,xCyD->aCbD", j1, j2, optimize=True)
     return QuantumChannel._of_choi(j.reshape(d_in * d_out, d_in * d_out), d_in, d_out)
 
 
@@ -244,6 +281,7 @@ def extend(channel: QuantumChannel, side: str, dim_other: int) -> QuantumChannel
     side = side.upper()
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    _require_dims(dim_other=dim_other)
     d_in, d_out, eye = channel.dim_in, channel.dim_out, np.eye(dim_other, dtype=complex)
     out = "aeAEcfCF" if side == "A" else "eaEAfcFC"
     j = np.einsum(f"aAcC,eE,fF->{out}", channel.choi.reshape(d_in, d_out, d_in, d_out), eye, eye)
@@ -333,6 +371,8 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
     resulting channel are diagonal in ``basis`` and therefore mutually
     commute.  The first failing check raises, in this order: the shapes, each
     element's Hermiticity and positivity, the sum to the identity, the basis.
+    The Choi matrix is ``sum_k F_k^T (x) |k><k|``, the slot swap of a CQ
+    form, over the elements as :func:`_psd_part` returns them.
     """
     effects = [np.asarray(f, dtype=complex) for f in povm]
     kets = [np.asarray(k, dtype=complex).reshape(-1) for k in basis]
@@ -346,16 +386,14 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
     for idx, f in enumerate(effects):
         if f.shape != (dim_in, dim_in):
             raise InvalidChannelError(f"POVM element {idx} has shape {f.shape}")
-    ops = []
-    for idx, (f, k) in enumerate(zip(effects, kets)):
+    effects_t = []
+    for idx, f in enumerate(effects):
         eigvals, eigvecs = eig_hermitian(f, what=f"POVM element {idx}", error=InvalidChannelError)
         if eigvals[0] < -VALIDITY_TOL:
             raise InvalidChannelError(
                 f"POVM element {idx} is not PSD (min eigenvalue {eigvals[0]:.3e})"
             )
-        keep = eigvals > KRAUS_CUTOFF
-        outers = k[:, None] * eigvecs[:, keep].conj().T[:, None, :]
-        ops.append(np.sqrt(eigvals[keep])[:, None, None] * outers)
+        effects_t.append(_psd_part(f, eigvals, eigvecs).T)
     if np.linalg.norm(sum(effects) - np.eye(dim_in)) > VALIDITY_TOL * max(1.0, dim_in):
         raise InvalidChannelError("POVM elements do not sum to the identity")
     ragged = [idx for idx, k in enumerate(kets) if k.size != kets[0].size]
@@ -372,7 +410,9 @@ def make_qc_channel(povm, basis) -> QuantumChannel:
         raise InvalidChannelError(
             f"output basis is not orthonormal: <{a}|{b}> = {gram[a, b]:.3e}"
         )
-    return QuantumChannel(np.concatenate(ops))
+    dim_out = kets[0].size
+    cq = _cq_form(np.transpose(kets)[None], np.array(effects_t)[None])
+    return QuantumChannel._of_choi(_swap_slots(cq, dim_out, dim_in)[0], dim_in, dim_out)
 
 
 @dataclass(frozen=True)
@@ -396,30 +436,26 @@ def _in_cptp_tetrahedron(l1, l2, l3, tol: float = ZERO_CUTOFF):
     return (np.abs(l1 + l2) <= 1.0 + l3 + tol) & (np.abs(l1 - l2) <= 1.0 - l3 + tol)
 
 
-_PAULI_STACK = np.array((PAULI_I, *PAULIS))
-_PAULI_STACK.setflags(write=False)
+_PAULI_VECS = np.transpose((PAULI_I, *PAULIS), (0, 2, 1)).reshape(4, 4)
+_PAULI_CHOIS = _freeze(_PAULI_VECS[:, :, None] * _PAULI_VECS[:, None, :].conj())
 
 
-def _unital_qubit_kraus(l1, l2, l3) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli Kraus stacks ``(..., 4, 2, 2)`` of :func:`make_unital_qubit` for
-    scalar or array contractions, and the mask ``(..., 4)`` of kept weights.
-
-    A dropped weight's operator is an exact zero, which adds nothing to the
-    Choi matrix or the completeness sum.
-    """
+def _unital_qubit_chois(l1, l2, l3) -> np.ndarray:
+    """Choi matrices ``(..., 4, 4)`` of :func:`make_unital_qubit` for scalar or array
+    contractions: the kept weights times the Pauli Choi matrices, in Pauli order."""
     l1, l2, l3 = np.broadcast_arrays(l1, l2, l3)
     p = 0.25 * np.stack(
         [1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3], axis=-1
     )
     cutoff = ZERO_CUTOFF * np.maximum(1.0, 2.0 * p.max(axis=-1, keepdims=True))
-    keep = 2.0 * p > cutoff
-    return np.sqrt(np.where(keep, p, 0.0))[..., None, None] * _PAULI_STACK, keep
+    p = np.where(2.0 * p > cutoff, p, 0.0)
+    return sum(p[..., k, None, None] * _PAULI_CHOIS[k] for k in range(4))
 
 
 def make_unital_qubit(params: UnitalQubitParams) -> QuantumChannel:
     """Unital qubit channel with transfer matrix diag(1, l1, l2, l3).
 
-    The Pauli channel with Kraus operators ``sqrt(p_k) s_k``, s = (I, X, Y, Z),
+    The Pauli channel ``X -> sum_k p_k s_k X s_k``, s = (I, X, Y, Z),
     p = (1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3) / 4
     (King and Ruskai 2001, IEEE Trans. Inf. Theory 47, 192; Ruskai, Szarek
     and Werner 2002, Lin. Alg. Appl. 347, 159).  Weights whose Choi
@@ -429,8 +465,7 @@ def make_unital_qubit(params: UnitalQubitParams) -> QuantumChannel:
         raise InvalidChannelError(
             f"({params.l1}, {params.l2}, {params.l3}) lies outside the CPTP tetrahedron"
         )
-    ops, keep = _unital_qubit_kraus(params.l1, params.l2, params.l3)
-    return QuantumChannel(ops[keep])
+    return QuantumChannel._of_choi(_unital_qubit_chois(params.l1, params.l2, params.l3), 2, 2)
 
 
 def random_channel(
@@ -440,6 +475,7 @@ def random_channel(
     rng,
 ) -> QuantumChannel:
     """Random CPTP channel from a sliced Haar isometry with ``kraus_rank`` blocks."""
+    _require_dims(dim_in=dim_in, dim_out=dim_out, kraus_rank=kraus_rank)
     rng = as_rng(rng)
     if kraus_rank * dim_out < dim_in:
         raise InvalidChannelError(

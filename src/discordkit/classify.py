@@ -27,14 +27,16 @@ from .channels import (
     QuantumChannel,
     TransferAnalysis,
     _check_trace_preserving,
-    _choi_matrices,
+    _cq_form,
     _in_cptp_tetrahedron,
-    _unital_qubit_kraus,
+    _require_dims,
+    _swap_slots,
+    _unital_qubit_chois,
     analyze_transfer,
     compose,
     extend,
 )
-from .discord import Hybrid, _cq_conditionals, _cq_draws, _cq_form, _cq_residuals, discord
+from .discord import Hybrid, _cq_conditionals, _cq_draws, _cq_residuals, discord
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -141,14 +143,6 @@ def _probe_pair_witness(channel: QuantumChannel, kind: str) -> dict:
     }
 
 
-def _swap_slots(matrices: np.ndarray, dim_first: int, dim_second: int) -> np.ndarray:
-    """Each matrix of the stack ``(n, d, d)`` on ``first (x) second`` with its
-    two slots swapped, as a matrix on ``second (x) first``."""
-    n, d = matrices.shape[:2]
-    swapped = matrices.reshape(n, dim_first, dim_second, dim_first, dim_second)
-    return swapped.transpose(0, 2, 1, 4, 3).reshape(n, d, d)
-
-
 def _choi_partial_transpose(chois: np.ndarray, dim_in: int) -> np.ndarray:
     """Partial transpose, on the output slot, of each normalised Choi matrix of
     the stack ``(n, d, d)``."""
@@ -206,9 +200,9 @@ def _qc_rebuild(chois: np.ndarray, nus: np.ndarray, dim_in: int, tol: float) -> 
     Each draw of the CQ decomposition that reconstructs a channel's ``nu``
     gives a POVM ``F_k = dim_in * p_k * tau_k^T`` and an output basis
     ``|k>``, whose channel has the Choi matrix ``sum_k F_k^T (x) |k><k|``:
-    the slot swap of their CQ form.  The answer is "yes" at the first draw
-    whose rebuilt Choi matrix lies within ``tol`` of the original;
-    otherwise "no" with the smallest rebuild residual, or the last
+    the slot swap of their CQ form, as ``make_qc_channel`` builds it.  The
+    answer is "yes" at the first draw whose rebuilt Choi matrix lies within
+    ``tol``; otherwise "no" with the smallest rebuild residual, or the last
     reconstruction residual when no draw reconstructs ``nu``.
     """
     n = len(chois)
@@ -488,15 +482,14 @@ def tetrahedron_sweep(
     discord over the probe outputs of the extended channel is reported,
     otherwise NaN.  Rows are ordered by grid index.  The grid is decided one
     ``l1`` slab at a time: the slab's points inside the tetrahedron get one
-    Pauli Kraus stack, one Choi stack, one trace-preservation check and one
-    call of each stacked decision.
+    Choi stack from the Pauli Choi matrices, one trace-preservation check and
+    one call of each stacked decision.
     """
     count = _axis_count(step)
     side = side.upper()
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if dim_other < 1:
-        raise ValueError(f"dim_other must be at least 1, got {dim_other}")
+    _require_dims(dim_other=dim_other)
     values = -1.0 + step * np.arange(count)
     dims = (2, dim_other) if side == "A" else (dim_other, 2)
     probes = witness_probe_states(*dims, budget=n_probe_states, seed=seed) if n_probe_states else []
@@ -506,7 +499,7 @@ def tetrahedron_sweep(
     for l1 in values.tolist():
         inside = _in_cptp_tetrahedron(l1, slab_l2, slab_l3)
         l2, l3 = slab_l2[inside], slab_l3[inside]
-        chois = _choi_matrices(_unital_qubit_kraus(l1, l2, l3)[0])
+        chois = _unital_qubit_chois(l1, l2, l3)
         _check_trace_preserving(chois, 2)
         is_db = [verdict.kind == "yes" for verdict in decide(chois, 2)]
         is_eb = [verdict.kind == "yes" for verdict in _eb_decision(chois, 2)]

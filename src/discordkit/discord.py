@@ -21,6 +21,7 @@ import numpy as np
 # Not called here: bench/tracing.py wraps discordkit.discord.minimize by name.
 from scipy.optimize import minimize  # noqa: F401
 
+from .channels import _cq_form
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -642,15 +643,6 @@ def _cq_draws(matrices: np.ndarray, dim_a: int, dim_b: int, tol: float):
         weights = np.clip(np.einsum("nkii->nk", cond).real, 0.0, None)
         residuals = _frobenius_norms(_cq_form(basis, cond) - matrices)
         yield residuals / scales, residuals <= tol * scales, basis, weights, cond
-
-
-def _cq_form(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The CQ matrices ``sum_k |psi_k><psi_k| (x) B_k`` of a stack of bases
-    ``(n, dim_a, dim_a)``, whose columns are the ``|psi_k>``, and blocks
-    ``(n, dim_a, dim_b, dim_b)``, each as one ``(dim_a * dim_b)``-square matrix."""
-    n, dim_a, dim_b = blocks.shape[:3]
-    form = np.einsum("nak,nck,nkij->naicj", basis, basis.conj(), blocks)
-    return form.reshape(n, dim_a * dim_b, dim_a * dim_b)
 
 
 def _cq_conditionals(weights: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,11 @@ pairs.  State files carry ``{"dims": [dA, dB] or [d], "matrix": ...}``;
 channel files carry ``{"type": "kraus"|"choi", "d_in": ..., "d_out": ...,
 "data": ...}``.  The channel writer always emits the canonical form:
 Kraus operators extracted from the Choi eigendecomposition in descending
-eigenvalue order.  Readers enforce the physical invariants and raise
-:class:`FileFormatError` naming the offending field.
+eigenvalue order, each with the phase that makes its pivot (its first entry
+within a relative ``ZERO_CUTOFF`` of the largest magnitude) real and
+positive, so Choi matrices that differ by rounding write entries that do
+too, unless a kept eigenvalue is degenerate.  Readers enforce the physical
+invariants and raise :class:`FileFormatError` naming the offending field.
 """
 
 from __future__ import annotations

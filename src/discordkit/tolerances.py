@@ -50,10 +50,9 @@ REBUILD_TOL = 1e-6
 # -- zero cutoffs --------------------------------------------------------------
 # Probabilities, eigenvalues and norms below this count as zero; also the
 # slack of the unital-qubit tetrahedron test and of Kraus extraction from a
-# Choi matrix (relative to its largest eigenvalue).
+# Choi matrix (relative to its largest eigenvalue), and the relative slack
+# within which entries tie for the phase pivot of a derived Kraus operator.
 ZERO_CUTOFF = 1e-12
-# Eigenvalues of a POVM element dropped from the Kraus set of a measure-and-prepare channel.
-KRAUS_CUTOFF = 1e-14
 
 # -- optimisation --------------------------------------------------------------
 # A refined qubit measurement replaces the grid optimum only when it gains more.

@@ -1,8 +1,11 @@
+import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from discordkit.annihilators import build_da_channel, random_da_spec
 from discordkit.channels import (
     InvalidChannelError,
     QuantumChannel,
@@ -19,6 +22,7 @@ from discordkit.channels import (
     mix_channels,
     random_channel,
 )
+from discordkit.classify import tetrahedron_sweep
 from discordkit.states import (
     DensityOperator,
     bell_state,
@@ -75,13 +79,20 @@ def choi_outer_loop(kraus):
     return j
 
 
+def pivot_phase_loop(v):
+    """``v`` divided by the phase of its first largest-magnitude entry."""
+    pivot = int(np.argmax(np.abs(v)))
+    return v / (v[pivot] / abs(v[pivot]))
+
+
 def eigen_kraus_loop(j, din, dout):
-    """The Kraus set ``from_choi`` extracts: one scaled eigenvector of J per
-    eigenvalue above ``1e-12 * max(1, largest)``, in descending order."""
+    """The derived Kraus set: one eigenvector of J per eigenvalue above
+    ``1e-12 * max(1, largest)``, in descending order, its largest-magnitude
+    entry made real and positive, scaled by the root of its eigenvalue."""
     w, v = np.linalg.eigh((j + j.conj().T) / 2)
     cut = 1e-12 * max(1.0, w[-1])
     keep = [i for i in range(len(w) - 1, -1, -1) if w[i] > cut]
-    return [(v[:, i] * np.sqrt(w[i])).reshape(din, dout).T for i in keep]
+    return [(pivot_phase_loop(v[:, i]) * np.sqrt(w[i])).reshape(din, dout).T for i in keep]
 
 
 def isometry_kraus(din, dout, rank, seed):
@@ -90,8 +101,8 @@ def isometry_kraus(din, dout, rank, seed):
 
 
 def qc_kraus_loop(povm, kets):
-    """The per-element Kraus loop of ``make_qc_channel``, with ``np.linalg.eigh``
-    in place of the validating ``eig_hermitian``, kept as its bitwise reference."""
+    """A Kraus set of the measure-and-prepare channel: ``sqrt(mu) |k><v|`` over
+    the eigenpairs of each POVM element above 1e-14."""
     ops = []
     for f, k in zip(povm, kets):
         eigvals, eigvecs = np.linalg.eigh((f + f.conj().T) / 2.0)
@@ -241,15 +252,46 @@ class TestChoiConversions:
         marginal = partial_trace_matrix(channel.choi, 2, 2, "A")
         assert np.linalg.norm(marginal - np.eye(2)) <= 1e-14
         assert np.linalg.norm(channel.choi - j) <= 2 * eps
+        # A non-unital 2 -> 2 channel and a 2 -> 3 channel, each plus 1e-7 of
+        # a Hermitian part with tr_out zero: tr_out J and tr_in J differ, and
+        # only tr_out J, the identity, may set R.
+        damping = QuantumChannel([np.diag([1.0, 0.7**0.5]), [[0.0, 0.3**0.5], [0.0, 0.0]]])
+        for base, seed in ((damping, 1), (random_channel(2, 3, 1, 4), 2)):
+            din, dout = base.dim_in, base.dim_out
+            g = np.random.default_rng(seed).standard_normal((din * dout, din * dout, 2)) @ [1, 1j]
+            h = g + g.conj().T
+            h -= np.kron(partial_trace_matrix(h, din, dout, "A"), np.eye(dout) / dout)
+            j = base.choi + 1e-7 * h
+            w, v = np.linalg.eigh(j)
+            clipped = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            defect = np.linalg.norm(partial_trace_matrix(clipped, din, dout, "A") - np.eye(din))
+            assert defect > 1e-9 * din  # the clip alone is not trace preserving
+            with pytest.raises(InvalidChannelError, match="PSD"):
+                QuantumChannel.from_choi(j, din, dout)
+            channel = QuantumChannel.from_choi(j, din, dout, cp_tol=1e-6)
+            marginal = partial_trace_matrix(channel.choi, din, dout, "A")
+            assert np.linalg.norm(marginal - np.eye(din)) <= 1e-14
+            assert np.linalg.norm(channel.choi - j) <= 2 * np.linalg.norm(clipped - j)
 
     def test_psd_choi_keeps_its_eigen_kraus_set(self):
-        # The stored Choi matrix is, bit for bit, that of the eigen-Kraus set of J.
-        for seed in range(10):
-            j = random_channel(2, 3, 3, seed).choi
+        # A Choi matrix with no negative eigenvalue (full rank 6) is stored as
+        # its Hermitian part, bit for bit; one whose zero eigenvalues come out
+        # slightly negative (rank 3) is clipped from its own eigenpairs.
+        # Either keeps its eigen-Kraus set.
+        clipped = []
+        for seed, rank in itertools.product(range(5), (3, 6)):
+            j = random_channel(2, 3, rank, seed).choi
             channel = QuantumChannel.from_choi(j, 2, 3)
-            expected = eigen_kraus_loop(j, 2, 3)
-            assert len(expected) == 3
-            assert np.array_equal(channel.choi, choi_outer_loop(expected))
+            expected = (j + j.conj().T) / 2.0
+            w, v = np.linalg.eigh(expected)
+            if w[0] < 0.0:
+                clipped.append(rank)
+                expected = (v * np.clip(w, 0.0, None)) @ v.conj().T
+                expected = (expected + expected.conj().T) / 2.0
+            assert np.array_equal(channel.choi, expected)
+            assert np.linalg.norm(channel.choi - j) <= 4e-15 * np.linalg.norm(j)
+            assert len(channel.kraus) == rank
+        assert clipped == [3] * 5
 
     def test_choi_is_that_of_the_kept_kraus_set(self):
         # eps is below the default cp_tol, so the eigenvalue -eps passes the
@@ -395,12 +437,33 @@ class TestQCChannel:
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_stacked_kraus_equals_the_element_loop(self, dims):
-        # The Choi matrix of each channel, bit for bit that of the per-element loop.
+        # The Choi matrix of each channel is sum_k F_k^T (x) |k><k| over the
+        # Hermitian parts of the (positive definite) elements, written on its
+        # (input, output) index pairs, bit for bit, and that of a Kraus set of
+        # the channel within rounding: |k><l| over the columns l of the
+        # Cholesky factor of F_k.
         dim_in, dim_out = dims
         povms, frames = random_qc_inputs(6, dim_in, dim_out, np.random.default_rng(sum(dims)))
         for povm, frame in zip(povms, frames):
             channel = make_qc_channel(list(povm), list(frame))
-            assert np.array_equal(channel.choi, choi_outer_loop(qc_kraus_loop(povm, frame)))
+            hermitian = (povm + povm.conj().transpose(0, 2, 1)) / 2.0
+            assert np.linalg.eigvalsh(hermitian).min() > 0.0
+            kets, effects_t = frame.T, hermitian.swapaxes(1, 2)
+            formula = np.einsum("ak,ck,kij->iajc", kets, kets.conj(), effects_t)
+            assert np.array_equal(channel.choi, formula.reshape(channel.choi.shape))
+            factors = np.linalg.cholesky(hermitian)
+            kraus = np.einsum("ko,kim->kmoi", frame, factors.conj())
+            kraus_route = choi_outer_loop(kraus.reshape(-1, dim_out, dim_in))
+            assert np.linalg.norm(channel.choi - kraus_route) <= 1e-15 * np.linalg.norm(kraus_route)
+
+    def test_fewer_outcomes_than_output_dimensions(self):
+        # Two outcomes prepared in a qutrit: the CQ form takes K = 2 < d_out kets.
+        povm = [np.diag([0.7, 0.2]).astype(complex), np.diag([0.3, 0.8]).astype(complex)]
+        kets = [basis_ket(3, 0), basis_ket(3, 2)]
+        channel = make_qc_channel(povm, kets)
+        assert (channel.dim_in, channel.dim_out) == (2, 3)
+        reference = choi_outer_loop(qc_kraus_loop(povm, kets))
+        assert np.abs(channel.choi - reference).max() <= 1e-15
 
     def test_stack_raises_the_first_failing_check(self):
         # Each POVM stack raises its first failing check.
@@ -476,8 +539,9 @@ class TestUnitalQubit:
             assert np.abs(make_unital_qubit(params).transfer() - expected).max() <= 1e-14, params
 
     def test_built_from_pauli_kraus_without_choi(self, monkeypatch):
+        # Built from the Pauli Choi matrices, not through from_choi or Choi blocks.
         def refuse(*args, **kwargs):
-            raise AssertionError("make_unital_qubit must not go through the Choi matrix")
+            raise AssertionError("make_unital_qubit must not go through from_choi")
 
         monkeypatch.setattr(QuantumChannel, "from_choi", refuse)
         monkeypatch.setattr(np, "block", refuse)
@@ -567,15 +631,36 @@ class TestChoiForm:
 
         a, b = random_channel(2, 2, 2, 60), random_channel(2, 2, 3, 61)
         sigma = random_density(3, "hilbert-schmidt", 62)
+        spec = random_da_spec(2, 3, 63)  # its pre-channel is a random (Kraus) channel
+        povm, frame = random_qc_inputs(1, 3, 2, np.random.default_rng(64))
 
         def refuse(*args, **kwargs):
             raise AssertionError("built a Choi matrix from a Kraus set")
 
         monkeypatch.setattr(channels, "_choi_matrices", refuse)
+        monkeypatch.setattr(QuantumChannel, "__init__", refuse)
         assert compose(b, a).dim_in == 2
         assert extend(a, "B", 3).dim_in == 6
         assert mix_channels([(0.25, a), (0.75, b)]).dim_in == 2
         assert make_point_channel(sigma).dim_in == 3
+        assert QuantumChannel.identity(3).dim_in == 3
+        assert make_qc_channel(list(povm[0]), list(frame[0])).dim_out == 2
+        assert make_unital_qubit(UnitalQubitParams(0.5, -0.25, 0.0)).dim_in == 2
+        assert build_da_channel(spec).dim_in == 6
+        assert QuantumChannel.from_choi(a.choi, 2, 2).dim_in == 2
+        assert len(tetrahedron_sweep(1.0, "A", n_probe_states=1)) == 11
+
+    def test_compose_is_the_superoperator_product(self):
+        # The BLAS contraction equals S2 S1 bit for bit, 4x4 annihilating
+        # channels after their stage included.
+        pairs = [(random_channel(3, 2, 2, 70), random_channel(2, 3, 3, 71))]
+        for seed in range(3):
+            spec = random_da_spec(4, 4, [seed, 17])
+            stage = build_da_channel(replace(spec, pre_channel=None))
+            pairs.append((stage, build_da_channel(spec)))
+        for second, first in pairs:
+            composed = compose(second, first)
+            assert np.array_equal(composed.superop, second.superop @ first.superop)
 
     def test_channel_stores_only_its_choi_matrix(self):
         channel = compose(random_channel(2, 3, 2, 63), random_channel(2, 2, 2, 64))
@@ -683,9 +768,7 @@ class TestKrausStack:
         ]
         for ops in sets:
             assert np.array_equal(QuantumChannel(ops).choi, choi_outer_loop(ops))
-        stack = np.array([ops for ops in sets if len(ops) == 3])
-        for j, ops in zip(_choi_matrices(stack), stack):
-            assert np.array_equal(j, choi_outer_loop(ops))
+            assert np.array_equal(_choi_matrices(ops), choi_outer_loop(ops))
 
     def test_zero_operators_add_nothing_to_the_choi(self):
         ops = isometry_kraus(3, 3, 2, 91)
@@ -699,3 +782,41 @@ class TestKrausStack:
         with pytest.raises(InvalidChannelError, match=r"tr_out defect 4\.243e\+00"):
             _check_trace_preserving(stack, 2)
         _check_trace_preserving(stack[:1], 2)
+
+
+class TestDimensionsBelowOne:
+    """A dimension below 1 is refused by name, before any division by it or
+    any ``np.eye`` of it."""
+
+    CASES = {
+        "identity-0": (lambda: QuantumChannel.identity(0), "dim must be at least 1, got 0"),
+        "identity-neg": (lambda: QuantumChannel.identity(-1), "dim must be at least 1, got -1"),
+        "extend-0": (
+            lambda: extend(QuantumChannel.identity(2), "A", 0),
+            "dim_other must be at least 1, got 0",
+        ),
+        "extend-neg": (
+            lambda: extend(QuantumChannel.identity(2), "B", -1),
+            "dim_other must be at least 1, got -1",
+        ),
+        "random-0": (lambda: random_channel(0, 2, 1, 0), "dim_in must be at least 1, got 0"),
+        "random-neg": (lambda: random_channel(-1, 2, 1, 0), "dim_in must be at least 1, got -1"),
+        "kraus-0": (
+            lambda: QuantumChannel(np.zeros((1, 0, 2))),
+            "dim_out must be at least 1, got 0",
+        ),
+        "choi-neg": (
+            lambda: QuantumChannel.from_choi(np.eye(2), -1, -2),
+            "dim_in must be at least 1, got -1",
+        ),
+        "builder-0": (
+            lambda: QuantumChannel._of_choi(np.zeros((0, 0)), 0, 3),
+            "dim_in must be at least 1, got 0",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_by_name(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(InvalidChannelError, match=message):
+            build()

@@ -12,9 +12,8 @@ from discordkit.annihilators import random_da_spec, build_da_channel
 from discordkit.channels import (
     QuantumChannel,
     UnitalQubitParams,
-    _choi_matrices,
     _in_cptp_tetrahedron,
-    _unital_qubit_kraus,
+    _unital_qubit_chois,
     compose,
     extend,
     make_point_channel,
@@ -244,6 +243,25 @@ class TestIsQCChannel:
                 kinds.append(kind)
         assert "yes" in kinds and "no" in kinds
 
+    def test_details_rebuild_the_decisions_choi_matrix(self, monkeypatch):
+        # make_qc_channel on a "yes" verdict's POVM and basis builds, bit for
+        # bit, the Choi matrix that the decision rebuilt and accepted.
+        swap, rebuilt = classify._swap_slots, []
+
+        def recorded(*args):
+            rebuilt.append(swap(*args))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(classify, "_swap_slots", recorded)
+        channels = [z_dephasing(), make_unital_qubit(UnitalQubitParams(0, 0, 0.7))]
+        for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            channels += near_qc_corpus(*dims, 0.0, 6) + near_qc_corpus(*dims, 1e-9, 6)
+        for channel in channels:
+            verdict = is_qc_channel(channel)
+            assert verdict.kind == "yes"
+            built = make_qc_channel(verdict.details["povm"], verdict.details["basis"])
+            assert np.array_equal(built.choi, rebuilt[-1][0])
+
     @pytest.mark.parametrize("k", [16, 22, 33, 36, 57])
     def test_loose_tolerance_tries_every_draw(self, k):
         # The channel rebuilt from the first accepted decomposition draw misses
@@ -462,19 +480,17 @@ def interior_points(n, seed):
 
 
 class TestStackedDecisions:
-    """The slab path of the sweep (Pauli Kraus stack, Choi stack, stacked
-    decisions) against one channel at a time, bit for bit."""
+    """The slab path of the sweep (Choi stack, stacked decisions) against one
+    channel at a time, bit for bit."""
 
     DECISIONS = (_qc_decision, _point_decision)
 
     def assert_stack_matches(self, l1, l2, l3):
-        kraus, kept = _unital_qubit_kraus(l1, l2, l3)
-        chois = _choi_matrices(kraus)
+        chois = _unital_qubit_chois(l1, l2, l3)
         stacked = [decide(chois, 2) for decide in self.DECISIONS] + [_eb_decision(chois, 2)]
         points = np.broadcast_arrays(l1, l2, l3)
         for i, lam in enumerate(zip(*(p.tolist() for p in points))):
             channel = make_unital_qubit(UnitalQubitParams(*lam))
-            assert np.array_equal(QuantumChannel(kraus[i, kept[i]]).choi, channel.choi), lam
             assert np.array_equal(chois[i], channel.choi), lam
             singles = [decide(channel.choi[None], 2) for decide in self.DECISIONS]
             singles.append(_eb_decision(channel.choi[None], 2))
@@ -513,15 +529,17 @@ class TestStackedDecisions:
         assert sum(v.kind == "no" for v in stacked) == (0 if weight < 1e-3 else 4)
 
     def test_weights_drop_where_expected(self):
-        points = special_points()
-        _, kept = _unital_qubit_kraus(*np.array(points).T)
-        assert kept.sum(axis=1).tolist() == [1] * 4 + [2] * 24
+        # The Pauli Choi matrices are orthogonal rank-one projectors times 2, so
+        # the rank of J counts the kept weights.
+        chois = _unital_qubit_chois(*np.array(special_points()).T)
+        ranks = (np.linalg.eigvalsh(chois) > 1e-12).sum(axis=1)
+        assert ranks.tolist() == [1] * 4 + [2] * 24
 
     def test_eb_column_is_ruskai_closed_form(self):
         # Ruskai 2003: entanglement breaking exactly when |l1| + |l2| + |l3| <= 1.
         points = interior_points(100, 2027) + special_points()
         l1, l2, l3 = np.array(points).T
-        chois = _choi_matrices(_unital_qubit_kraus(l1, l2, l3)[0])
+        chois = _unital_qubit_chois(l1, l2, l3)
         for lam, verdict in zip(points, _eb_decision(chois, 2)):
             total = sum(abs(v) for v in lam)
             if abs(total - 1.0) > 1e-9:

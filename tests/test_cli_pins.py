@@ -85,38 +85,38 @@ COMMANDS = [
 ]
 
 DIGESTS = {
-    "gen_22": "68bd60e921ccb62c1b924f7d1802c18a137118807a97cf09b5d46c95f3a01897",
+    "gen_22": "a1cbeebfdd9a704204802e8fba18ec2403d18916391b60fd7722da1ce7d9d774",
     "gen_33": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "gen_23": "21bf9a4a7f7e80157d8da7ee5963d88ae3ce323e2145880899dfd102ea30bb1e",
-    "gen_42": "b4f7df6c45fad3db721926c92a1175c7bb83f14f226151bee971e9d1c5f03489",
-    "da22.json": "bb0b3b6c32a686c12c82de402467bfec6718a405d0cb3687e89c694cebad6e73",
-    "da23.json": "a50f70c7bdc81d27e61c375cff2a34674ae2f5299648dd93de79341a0f6f0241",
-    "da33.json": "5aa2b2238ee3cc7fec1ae388cfa1f1b08f7bf889d38573581c005c449887bfe0",
-    "da33_spec.json": "dc9b3ac6806ae3dd8ad6c69487c9c8d0ae95154bf926142576256e34f4c98a76",
-    "da42.json": "ea6b178711258945e1ec13f77bf1d694168ca6cf8b6863f375eea7d7bf56dfdb",
-    "cls_AB_da22": "3ee219df92fbce78e54e3cd5363caaacf8ddac4ed0f305f8140d4cc7c15c3461",
-    "cls_AB_da22_s20": "84d6a88e63144e5056f21d41ea72d2b08985d04d11c64898c28fe68a7a3d9b6a",
-    "cls_AB_da23": "0df7e4c155facf44d8d914feff34e321cb029e32993ae834a2b2f55f2bbd5f25",
-    "cls_AB_da33": "42edb8e2c169e97302aefc9f0c4b0a7ffe8be818442d8e59659f772c1a428e38",
-    "cls_AB_da42": "3564efe403017eb0fd692748ee96154e427652a04722f026ab71529c3ddc0ec1",
-    "cls_AB_rand": "79464789a967339d47ed3cccc23484be543564f4f29414e4a2693e2ab4e7e164",
+    "gen_23": "6c150b23e55c10a101fe9cf10b3e784e4b7f24e074f961d503efa9b7d38e9373",
+    "gen_42": "1118bd93f2dec523bd8026e685860e44cd475377564ad0a15f3ef87bd2daec6b",
+    "da22.json": "66bc020fab4ca260beaa162a467d08d2cb068c54ed78df65005e6d941197cec0",
+    "da23.json": "595fcd4249821f727aaae241f5e551360364df61e6eb8e091c18591c08f2235e",
+    "da33.json": "bac63b7b6f4135287d01e620c7bf0ff216fe9c48b3e7af70df0fd43ac9ca32ca",
+    "da33_spec.json": "a306d0358b1ede5d5867db25f1d5862b21e46791a120235cc58b7efacf2b7990",
+    "da42.json": "f7d577bb17cfba210677420240922272713c7bd427a2be7a292b78d9ffd2e2be",
+    "cls_AB_da22": "973ec17ba352619e708dc53d2276c53560f1b77401be28f51db4e08311228edf",
+    "cls_AB_da22_s20": "7642f7ad8ec0f32eecce9b90d6d64ad13c438c1ecb2f4172efdca678c50f36e8",
+    "cls_AB_da23": "95ddaac08c8018ca99c9319b3d07a351a2c417724747698a99ded74204541f6c",
+    "cls_AB_da33": "c5d639d940408b686cdc8aa0c47c6982aa240b0db30111051bf57564823495d5",
+    "cls_AB_da42": "3e8d2a49f4bf002f75bf3ec82fffb9b8d5d43f864140981b219ded866c90a99d",
+    "cls_AB_rand": "f6345dc904d4faef7cc1e9079d90a8f0753fdd2d3c5c0797ab2be187ec50caf4",
     "cls_A_deph": "cf70682bb4c96bb0fde1e55172b1ead8ac90bcbae099aea9deee9241181b12e4",
     "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",
-    "cls_A_rand": "32ab4f3d1bf4ad0f45bce81bc7573ab51056024345781446569bd5925120be59",
+    "cls_A_rand": "8ae1d4db890707e68350182c77ba644119750df8e9a1fe06f6f45c443632d4c4",
     "cls_B_deph": "3d4f37346858c023ef97c313c9059f3209fb428c6733e8f1fdbb2e123a6e60f6",
     "cls_B_dephfull": "227fb9eb162c9db82e45a72a6289f1b8cd66d0f35dea5713b3e7256f5dbb8598",
-    "cls_B_rand": "b61d2e16901ea1964d0e63e0bd440ea8c84637d19daf9e2264c2498ae41177ac",
-    "cls_A_rand3": "575d8acb683ef08b0ad4f61f2ada7fcb3b215c62b4566bd563ad962b4f514a1b",
-    "cls_B_rand3": "87427d30e30f907ce55c91aeda0a042948c14024eca31805aea4aa877ed02c83",
+    "cls_B_rand": "763701c060bfd5ef4cbd3064fb75af6b6fd1423c470742fa7c43ee161567c507",
+    "cls_A_rand3": "f381468d4c0415fcd86176509f25ea1fa91db6ae853bd445ab6f63345b87cf6d",
+    "cls_B_rand3": "ff10a51111c3bd432b536f0240d01b0985ccf23a96eeb9baf73254b30238e4e3",
     "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
     "cls_B_deph3": "8e779326204699ec004f34d65f220f4e7c3331ca903bd27cee3c113b7297f466",
     "discord_22": "f7caf42231d9789e620025df4483a069025b691eb1409f5c32618c23d95f4228",
     "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
     "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
     "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",
-    "verify_pass": "42d27b2e11bb652c58a4a5b137944dc8eca5af3366fdda63a2c057047642ed10",
+    "verify_pass": "f76939b6521f072d8fe9158f60991d181a0132ae4ff09b53580d4ba85aa9ade7",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "witness.json": "772e54f27efd85298524fbe0add1e9aacac9da92f7e78f1b537ad880f6caab66",
+    "witness.json": "e6ee8c78fb84229b9b84b8e323a91c92afe136547dd7433f71bc00aee34e98a3",
     "sweep_A": "5864d72ec2b19cc30caa2921749f25c9e5db64f497736726e9b3ef118f31482c",
     "sweep_B": "7ded4d5ba4f1e1318525af2d0d3c728c5b4052c192f1d070884dfabd977c7ba8",
     "sweep_A_probes": "32be2fa791f0b19c43af15fbcb29cbf003991cc1f3a02032ef33a6a0857ac72b",

@@ -127,3 +127,41 @@ def test_annihilators_does_not_import_classify():
     tree = ast.parse((PACKAGE / "annihilators.py").read_text())
     imported = [name for node in ast.walk(tree) for name in _imported_modules(node)]
     assert "discordkit.classify" not in imported, imported
+
+
+def _kraus_constructor_callers(sources: dict[str, str]) -> list[str]:
+    """``module: function`` for each call of ``QuantumChannel(...)``, or of
+    ``cls(...)`` inside ``class QuantumChannel``, in ``sources``."""
+    callers = []
+
+    def visit(node, function, in_channel):
+        if isinstance(node, ast.ClassDef):
+            in_channel = node.name == "QuantumChannel"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "QuantumChannel" or (in_channel and node.func.id == "cls"):
+                callers.append(f"{module}: {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, in_channel)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), None, False)
+    return callers
+
+
+def test_kraus_constructor_caller_is_found():
+    source = (
+        "class QuantumChannel:\n    @classmethod\n    def identity(cls, d):\n"
+        "        return cls([d])\n    @classmethod\n    def _of_choi(cls, j):\n"
+        "        return cls.__new__(cls)\n"
+        "def load():\n    return QuantumChannel([1])\n"
+        "class Other:\n    @classmethod\n    def make(cls):\n        return cls()\n"
+    )
+    assert _kraus_constructor_callers({"m": source}) == ["m: identity", "m: load"]
+
+
+def test_kraus_operators_enter_only_at_the_file_boundary():
+    # Every other channel is built on its Choi matrix.
+    callers = _kraus_constructor_callers({p.name: p.read_text() for p in MODULES})
+    assert sorted(callers) == ["channels.py: random_channel", "serialize.py: load_channel"]

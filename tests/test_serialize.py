@@ -1,10 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from discordkit.annihilators import build_da_channel, random_da_spec
-from discordkit.channels import choi_distance, random_channel
+from discordkit.channels import (
+    QuantumChannel,
+    UnitalQubitParams,
+    choi_distance,
+    make_unital_qubit,
+    random_channel,
+)
 from discordkit.classify import is_point_channel
 from discordkit.discord import Hybrid, discord
 from discordkit.serialize import (
@@ -25,7 +32,23 @@ from discordkit.states import (
     bell_state,
     random_bipartite,
     random_density,
+    random_unitary,
 )
+
+
+def da_superop_pair(dims, seed):
+    """An annihilating channel of ``random_da_spec`` and the product
+    ``S_stage S_pre`` of the superoperators of its two parts."""
+    spec = random_da_spec(*dims, seed)
+    stage = build_da_channel(replace(spec, pre_channel=None))
+    return build_da_channel(spec), stage.superop @ spec.pre_channel.superop
+
+
+def pauli_superop_pair(params, seed):
+    """A Pauli channel and its superoperator conjugated by a unitary and back."""
+    channel = make_unital_qubit(UnitalQubitParams(*params))
+    u = random_unitary(2, seed)
+    return channel, np.kron(u.conj().T, u.T) @ (np.kron(u, u.conj()) @ channel.superop)
 
 
 class TestStateFiles:
@@ -99,6 +122,35 @@ class TestChannelFiles:
             np.linalg.norm([complex(re, im) for re, im in k]) for k in payload["data"]
         ]
         assert norms == sorted(norms, reverse=True)
+
+    @pytest.mark.parametrize(
+        "pair, arg, seed",
+        [
+            pytest.param(da_superop_pair, (2, 2), 7, id="da-2x2-7"),
+            pytest.param(da_superop_pair, (3, 3), 8, id="da-3x3-8"),
+            pytest.param(da_superop_pair, (2, 3), 9, id="da-2x3-9"),
+            pytest.param(da_superop_pair, (4, 2), 10, id="da-4x2-10"),
+            pytest.param(pauli_superop_pair, (0.3, 0.2, 0.1), 0, id="pauli-0"),
+            pytest.param(pauli_superop_pair, (0.3, 0.2, 0.1), 1, id="pauli-1"),
+            pytest.param(pauli_superop_pair, (0.1, 0.05, -0.3), 2, id="pauli-2"),
+        ],
+    )
+    def test_rounding_in_the_choi_matrix_moves_written_kraus_by_rounding(self, pair, arg, seed):
+        # A channel against the same channel with its Choi matrix permuted back
+        # from a superoperator that differs by rounding, and clipped by
+        # from_choi.  The written Kraus entries must differ by rounding too.
+        # With no phase rule, da 2x3 seed 9 wrote operators that differ by
+        # 0.65; with the pivot taken by argmax alone, the Pauli cases, whose
+        # eigenvectors vec(s_k^T)/sqrt(2) have two entries of equal
+        # magnitude, wrote operators that differ by up to 1.12.
+        channel, s = pair(arg, seed)
+        d = channel.dim_in
+        j = s.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+        rounded = QuantumChannel.from_choi(j, d, d)
+        assert 0 < np.abs(rounded.choi - channel.choi).max() <= 1e-14
+        written = [np.array(channel_to_json(c)["data"]) for c in (channel, rounded)]
+        assert written[0].shape == written[1].shape
+        assert np.abs(written[0] - written[1]).max() <= 1e-12
 
     def test_choi_input_accepted(self):
         channel = random_channel(2, 2, 2, 12)

@@ -74,6 +74,6 @@ def _imported_tolerances(path: Path) -> set[str]:
 
 def test_every_tolerance_has_a_reader():
     constants = _constants()
-    assert {"VALIDITY_TOL", "CQ_TOL", "KRAUS_CUTOFF"} <= constants
+    assert {"VALIDITY_TOL", "CQ_TOL", "ZERO_CUTOFF"} <= constants
     read = set().union(*(_imported_tolerances(path) for path in MODULES))
     assert not constants - read, sorted(constants - read)
