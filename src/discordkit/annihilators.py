@@ -9,9 +9,11 @@ entries are the partition model of :mod:`discordkit.cqsets`, checked by
 its one partition check, and the channel's image lies in the convex CQ
 subset with the same entries (:func:`induced_cq_subset`).
 :func:`build_da_channel` realises that form,
-:func:`apply_and_certify` samples its image, and :func:`structural_match`
-recovers the partition of a channel that is annihilating from the span of
-its image, which the range of its transfer matrix gives exactly.
+:func:`apply_and_certify` scans its image on the one probe stream (fixed
+probes, then seeded Hilbert-Schmidt draws) that every discordant-output
+search of the package draws from, and :func:`structural_match` recovers the
+partition of a channel that is annihilating from the span of its image,
+which the range of its transfer matrix gives exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .states import (
     _validate_states,
     as_rng,
     basis_ket,
+    bell_state,
     hermitian_basis,
     max_entangled,
     random_density,
@@ -180,94 +183,107 @@ def random_da_spec(dim_a: int, dim_b: int, rng) -> DAChannelSpec:
 
 @dataclass(frozen=True, eq=False)
 class CertificationReport:
-    """Outputs of a channel on a run of inputs, up to the first non-CQ one.  The worst
-    residual is over every output, its input the first to reach it (None if all 0)."""
+    """A CQ scan of a channel's outputs up to the first non-CQ one, the failing
+    input, residual and output (None if every output is CQ).  The worst residual
+    is over every output, its input the first to reach it (None if all 0)."""
 
-    outputs: list[BipartiteState]
+    n_checked: int
     worst_residual: float
     worst_input: BipartiteState | None
     failing_input: BipartiteState | None
     failing_residual: float | None
-
-    @property
-    def n_checked(self) -> int:
-        return len(self.outputs)
+    failing_output: BipartiteState | None
 
     @property
     def passed(self) -> bool:
         return self.failing_input is None
 
 
+def _probe_stream(dim_a: int, dim_b: int, seed: int, n_draws: int | None = None):
+    """The one stream of probe inputs, as raw matrices on ``dim_a (x) dim_b``.
+
+    First a fixed head: the four Bell states at 2x2, otherwise the maximally
+    entangled state when both dimensions are at least 2; the product states
+    ``|ij>`` with ``i, j < 2``; and two noncommuting classical mixtures.  Then
+    ``n_draws`` Hilbert-Schmidt draws (endless when None), draw ``i`` from a
+    generator seeded with ``(seed, i)``, so every probe is reproducible.  The
+    dimensions are checked at the call; each probe is built when it is pulled.
+    """
+    for name, value in (("dim_a", dim_a), ("dim_b", dim_b)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+    def probes():
+        if dim_a == 2 and dim_b == 2:
+            for k in range(4):
+                yield bell_state(k).matrix
+        elif min(dim_a, dim_b) >= 2:
+            yield max_entangled(dim_a, dim_b).matrix
+        for i, j in itertools.product(range(min(dim_a, 2)), range(min(dim_b, 2))):
+            ket = np.kron(basis_ket(dim_a, i), basis_ket(dim_b, j))
+            yield np.outer(ket, ket.conj())
+        plus_a, plus_b = (np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d) for d in (dim_a, dim_b))
+        zero_a, zero_b = basis_ket(dim_a, 0), basis_ket(dim_b, 0)
+        zero = np.kron(np.outer(zero_a, zero_a.conj()), np.outer(zero_b, zero_b.conj()))
+        for ket_b in (plus_b, basis_ket(dim_b, dim_b - 1)):
+            plus = np.kron(np.outer(plus_a, plus_a.conj()), np.outer(ket_b, ket_b.conj()))
+            yield 0.5 * zero + 0.5 * plus
+        d = dim_a * dim_b
+        for index in itertools.count() if n_draws is None else range(n_draws):
+            yield _ginibre_density(d, d, as_rng([seed, index]))
+
+    return probes()
+
+
 def _cq_scan(
     channel: QuantumChannel,
     inputs,
-    tol: float = CQ_TOL,
-    dims: tuple[int, int] | None = None,
+    dims: tuple[int, int],
+    tol: float,
     out_dims: tuple[int, int] | None = None,
 ) -> CertificationReport:
     """Apply ``channel`` to the inputs and run the exact CQ test on each output.
 
-    Stops at the first output that is not classical-quantum.  ``inputs``
-    may be any iterable of states on one split, or of raw matrices that are
-    states on ``dims``, and outputs are judged on ``out_dims`` (by default
-    the inputs' split); it is pulled in chunks of 1, 2, 4, ..., so at most
-    ``2 * n_checked - 1`` inputs are built.  Each chunk takes one stacked
-    validation of its raw matrices, one stacked application, one stacked
-    output validation and one stacked CQ test, bit for bit equal to
-    per-input calls, and is then judged in input order: an output that is
-    not a state raises only after every earlier output has passed.
+    Stops at the first output that is not classical-quantum.  ``inputs`` is
+    any iterable of raw matrices that are states on ``dims``, and outputs are
+    judged on ``out_dims`` (by default ``dims``); it is pulled in chunks of
+    1, 2, 4, ..., so at most ``2 * n_checked - 1`` inputs are built.  Each
+    chunk takes one stacked validation of its inputs, one stacked
+    application, one stacked output validation and one stacked CQ test, bit
+    for bit equal to per-input calls, and is then judged in input order: an
+    output that is not a state raises only after every earlier output has
+    passed.  Only the worst input and the failing input and output are kept.
     """
+    out_dims = out_dims or dims
     inputs = iter(inputs)
-    outputs = []
-    worst, worst_input = 0.0, None
+    n_checked, worst, worst_input = 0, 0.0, None
     size = 1
     while chunk := list(itertools.islice(inputs, size)):
-        chunk = _as_states(chunk, dims)
-        split = out_dims or (chunk[0].dim_a, chunk[0].dim_b)
-        for state in chunk:
-            channel._check_split(state, split)
-        images = channel.apply_matrix(np.array([state.matrix for state in chunk]))
-        valid, error = _validate_states(images, name="channel output")
-        residuals, _ = _cq_residuals(valid, *split)
-        for state, matrix, residual in zip(chunk, valid, residuals):
-            out = DensityOperator(dim=channel.dim_out, matrix=_freeze(matrix))
-            outputs.append(BipartiteState(*split, out))
+        states, error = _validate_states(np.array(chunk, dtype=complex))
+        if error is not None:
+            raise error
+        valid, error = _validate_states(channel.apply_matrix(states), name="channel output")
+        residuals, _ = _cq_residuals(valid, *out_dims)
+        for state, image, residual in zip(states, valid, residuals):
+            n_checked += 1
             if residual > worst:
                 worst, worst_input = residual, state
             if not residual <= tol:
-                return CertificationReport(outputs, worst, worst_input, state, residual)
+                return CertificationReport(
+                    n_checked, worst, _wrap(worst_input, dims), _wrap(state, dims),
+                    residual, _wrap(image, out_dims),
+                )
         if error is not None:
             raise error
         size *= 2
-    return CertificationReport(outputs, worst, worst_input, None, None)
+    return CertificationReport(n_checked, worst, _wrap(worst_input, dims), None, None, None)
 
 
-def _as_states(chunk: list, dims: tuple[int, int] | None) -> list[BipartiteState]:
-    """The chunk with its raw matrices validated as one stack and wrapped as
-    states on ``dims``; inputs that are states pass through."""
-    raw = [k for k, item in enumerate(chunk) if not isinstance(item, BipartiteState)]
-    if not raw:
-        return chunk
-    valid, error = _validate_states(np.array([chunk[k] for k in raw], dtype=complex))
-    if error is not None:
-        raise error
-    for k, matrix in zip(raw, valid):
-        chunk[k] = BipartiteState(*dims, DensityOperator(dim=len(matrix), matrix=_freeze(matrix)))
-    return chunk
-
-
-def _boundary_inputs(dim_a: int, dim_b: int, rng):
-    pure_a = basis_ket(dim_a, 0)
-    pure_b = basis_ket(dim_b, 0)
-    yield BipartiteState(dim_a, dim_b, DensityOperator.pure(np.kron(pure_a, pure_b)))
-    va = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
-    vb = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
-    yield BipartiteState(dim_a, dim_b, DensityOperator.pure(np.kron(va, vb)))
-    if min(dim_a, dim_b) >= 2:
-        yield max_entangled(dim_a, dim_b)
-    d = dim_a * dim_b
-    if d >= 2:
-        yield BipartiteState(dim_a, dim_b, random_density(d, "rank", rng, rank=max(1, d // 2)))
+def _wrap(matrix: np.ndarray | None, dims: tuple[int, int]) -> BipartiteState | None:
+    """A validated matrix as a state on ``dims`` (None stays None)."""
+    if matrix is None:
+        return None
+    return BipartiteState(*dims, DensityOperator(dim=len(matrix), matrix=_freeze(matrix)))
 
 
 def _check_acts_on_ab(channel: QuantumChannel, dim_a: int, dim_b: int) -> None:
@@ -288,18 +304,18 @@ def apply_and_certify(
     seed: int = 0,
     tol: float = CQ_TOL,
 ) -> CertificationReport:
-    """Apply the channel to boundary and random inputs, requiring CQ outputs.
+    """Apply the channel to the fixed probes and ``n_samples`` seeded
+    Hilbert-Schmidt draws of the probe stream, requiring CQ outputs.
 
-    Each random input uses a generator seeded from (seed, index), so any
-    reported witness is reproducible.  Inputs are drawn only as the scan
-    reaches them, so a failing channel stops before most are built.
+    Draw ``i`` uses a generator seeded from ``(seed, i)``, so any reported
+    witness is reproducible.  Inputs are built only as the scan reaches them,
+    so a failing channel stops before most are built.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be at least 0, got {n_samples}")
     _check_acts_on_ab(channel, dim_a, dim_b)
-    d = dim_a * dim_b
-    # Hilbert-Schmidt draws, validated by the scan one chunk at a time.
-    samples = (_ginibre_density(d, d, as_rng([seed, index])) for index in range(n_samples))
-    inputs = itertools.chain(_boundary_inputs(dim_a, dim_b, as_rng([seed, 0xB0])), samples)
-    return _cq_scan(channel, inputs, tol, dims=(dim_a, dim_b))
+    probes = _probe_stream(dim_a, dim_b, seed, n_draws=n_samples)
+    return _cq_scan(channel, probes, (dim_a, dim_b), tol)
 
 
 # -- structural recovery -------------------------------------------------------

@@ -168,19 +168,14 @@ class QuantumChannel:
         out = m.reshape(*m.shape[:-2], 1, d * d) @ self.superop.T
         return out.reshape(*m.shape[:-2], self.dim_out, self.dim_out)
 
-    def _check_split(self, rho: BipartiteState, out_dims: tuple[int, int]) -> None:
-        """Raise unless the channel maps the split of ``rho`` to ``out_dims``."""
-        out_a, out_b = out_dims
-        if rho.state.dim != self.dim_in or out_a * out_b != self.dim_out:
-            raise InvalidChannelError(
-                f"channel ({self.dim_in} -> {self.dim_out}) cannot map a "
-                f"{rho.dim_a} (x) {rho.dim_b} state to {out_a} (x) {out_b}"
-            )
-
     def apply(self, rho: DensityOperator | BipartiteState):
         """Apply to a state, validating the output (same wrapper type back)."""
         if isinstance(rho, BipartiteState):
-            self._check_split(rho, (rho.dim_a, rho.dim_b))
+            if not rho.state.dim == self.dim_in == self.dim_out:
+                raise InvalidChannelError(
+                    f"channel ({self.dim_in} -> {self.dim_out}) cannot map a "
+                    f"{rho.dim_a} (x) {rho.dim_b} state to a state on the same split"
+                )
             out = DensityOperator.from_matrix(self.apply_matrix(rho.matrix), name="channel output")
             return BipartiteState(rho.dim_a, rho.dim_b, out)
         if rho.dim != self.dim_in:

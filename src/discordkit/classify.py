@@ -6,7 +6,9 @@ entanglement breaking via the PPT criterion, and the combined classifier
 with its tetrahedron sweep over unital qubit channels.  Each family has one
 decision function, which takes a stack of Choi matrices: the public verdict
 is its one-channel case and the sweep calls it once per slab of grid points.
-Every negative verdict adds a witness that can be re-checked independently.
+Every negative verdict adds a witness that can be re-checked independently;
+the discordant-output searches and the sweep's probe states take prefixes of
+the probe stream of :mod:`discordkit.annihilators`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .annihilators import (
     CertificationReport,
     MatchResult,
     _cq_scan,
+    _probe_stream,
     apply_and_certify,
     structural_match,
 )
@@ -43,12 +46,8 @@ from .states import (
     _AtLeast,
     _frobenius_norms,
     _validate_states,
-    as_rng,
     basis_ket,
-    bell_state,
-    max_entangled,
     partial_trace_matrix,
-    random_density,
 )
 from .tolerances import CQ_TOL, EB_TOL
 
@@ -69,38 +68,12 @@ class Verdict:
 # -- witness probe states -----------------------------------------------------
 
 
-def _fourier_ket(dim: int, k: int) -> np.ndarray:
-    phases = np.exp(2j * np.pi * k * np.arange(dim) / dim)
-    return phases / np.sqrt(dim)
-
-
-def _witness_probes(dim_a: int, dim_b: int, seed: int):
-    """Endless probe stream: entangled states, product extremes and
-    noncommuting classical mixtures first, then seeded random states."""
-    if dim_a == 2 and dim_b == 2:
-        yield from map(bell_state, range(4))
-    elif min(dim_a, dim_b) >= 2:
-        yield max_entangled(dim_a, dim_b)
-    for i, j in itertools.product(range(min(dim_a, 2)), range(min(dim_b, 2))):
-        ket = np.kron(basis_ket(dim_a, i), basis_ket(dim_b, j))
-        yield BipartiteState(dim_a, dim_b, DensityOperator.pure(ket))
-    plus_a = _fourier_ket(dim_a, 1) if dim_a > 1 else basis_ket(1, 0)
-    plus_b = _fourier_ket(dim_b, 1) if dim_b > 1 else basis_ket(1, 0)
-    zero_a, zero_b = basis_ket(dim_a, 0), basis_ket(dim_b, 0)
-    zero = np.kron(np.outer(zero_a, zero_a.conj()), np.outer(zero_b, zero_b.conj()))
-    for ket_b in (plus_b, basis_ket(dim_b, dim_b - 1)):
-        plus = np.kron(np.outer(plus_a, plus_a.conj()), np.outer(ket_b, ket_b.conj()))
-        yield BipartiteState.from_matrix(0.5 * zero + 0.5 * plus, dim_a, dim_b)
-    rng = as_rng(seed)
-    while True:
-        yield BipartiteState(dim_a, dim_b, random_density(dim_a * dim_b, "hilbert-schmidt", rng))
-
-
 def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, seed: int = 137):
-    """The first ``budget`` states of the deterministic witness probe stream."""
+    """The first ``budget`` states of the probe stream, validated."""
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    return list(itertools.islice(_witness_probes(dim_a, dim_b, seed), budget))
+    probes = itertools.islice(_probe_stream(dim_a, dim_b, seed), budget)
+    return [BipartiteState.from_matrix(m, dim_a, dim_b) for m in probes]
 
 
 def _hermitian_probe_inputs(dim: int) -> list[np.ndarray]:
@@ -364,14 +337,14 @@ def _discordant_output_witness(
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
     out_dims = (channel.dim_out, dim_other) if side == "A" else (dim_other, channel.dim_out)
-    probes = itertools.islice(_witness_probes(dims[0], dims[1], seed), WITNESS_BUDGET)
-    scan = _cq_scan(extended, probes, tol, out_dims=out_dims)
+    probes = itertools.islice(_probe_stream(*dims, seed), WITNESS_BUDGET)
+    scan = _cq_scan(extended, probes, dims, tol, out_dims)
     if scan.failing_input is None:
         return None
     return {
         "kind": "discordant-output",
         "input": scan.failing_input,
-        "output": scan.outputs[-1],
+        "output": scan.failing_output,
         "cq_residual": scan.failing_residual,
     }
 
@@ -554,8 +527,8 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
-    probes = itertools.islice(_witness_probes(dim_a, dim_b, _LOCAL_DA_SEED), _LOCAL_DA_BUDGET)
-    scan = _cq_scan(product, probes, out_dims=(channel_a.dim_out, channel_b.dim_out))
+    probes = itertools.islice(_probe_stream(dim_a, dim_b, _LOCAL_DA_SEED), _LOCAL_DA_BUDGET)
+    scan = _cq_scan(product, probes, (dim_a, dim_b), CQ_TOL, (channel_a.dim_out, channel_b.dim_out))
     # A failing output's residual exceeds every passing one, so the scan's
     # worst input is the first failing input when there is one.
     return LocalDAVerdict(kind="not-da", witness=scan.worst_input, residual=scan.worst_residual)

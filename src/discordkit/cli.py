@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-other", type=_positive_int, default=2, dest="dim_other",
                    help="dimension of the untouched subsystem (sides A and B)")
     p.add_argument("--dims", default=None, help="dAxdB split for side AB")
-    p.add_argument("--samples", type=_nonnegative_int, default=200)
+    p.add_argument("--samples", type=_nonnegative_int, default=200,
+                   help="seeded Hilbert-Schmidt draws certified after the fixed probes (side AB)")
     p.add_argument("--out", default=None)
     add_common(p)
     add_tolerances(p)
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-da", help="certify a channel as discord-annihilating")
     p.add_argument("--channel", required=True)
     p.add_argument("--dims", required=True, metavar="dAxdB")
-    p.add_argument("--samples", type=_nonnegative_int, default=200)
+    p.add_argument("--samples", type=_nonnegative_int, default=200,
+                   help="seeded Hilbert-Schmidt draws certified after the fixed probes")
     p.add_argument("--witness-out", default="da_witness.json", dest="witness_out")
     add_common(p)
     add_tolerances(p)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from discordkit import annihilators
 from discordkit.annihilators import (
     DAChannelSpec,
     IdentityAction,
@@ -19,7 +20,7 @@ from discordkit.annihilators import (
     structural_match,
     _commutant_element,
 )
-from discordkit.classify import is_local_da
+from discordkit.classify import ActsOnAB, classify_channel, is_local_da
 from discordkit.channels import (
     QuantumChannel,
     UnitalQubitParams,
@@ -260,15 +261,25 @@ class TestApplyAndCertify:
         assert not is_cq_exact(report.failing_input)  # witness is itself non-CQ
 
     def test_n_checked_stops_at_first_failure(self):
-        # The third boundary input, the maximally entangled state, is the first
-        # whose identity image is not CQ.
+        # The first probe, the Bell state Phi+, is the first whose identity
+        # image is not CQ.
         report = apply_and_certify(QuantumChannel.identity(4), 2, 2, n_samples=200, seed=0)
         assert not report.passed
-        assert report.n_checked == 3
+        assert report.n_checked == 1
 
     def test_dephasing_on_a_certifies(self):
         report = apply_and_certify(extend(z_dephasing(), "A", 2), 2, 2, n_samples=100, seed=1)
         assert report.passed
+
+    def test_negative_sample_count_rejected(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(annihilators, "_ginibre_density", lambda *args: draws.append(args))
+        channel = extend(z_dephasing(), "A", 2)
+        with pytest.raises(ValueError, match=r"^n_samples must be at least 0, got -5$"):
+            apply_and_certify(channel, 2, 2, n_samples=-5)
+        with pytest.raises(ValueError, match=r"^n_samples must be at least 0, got -3$"):
+            classify_channel(channel, ActsOnAB(2, 2), samples=-3)
+        assert draws == []
 
     def test_witness_is_reproducible(self):
         first = apply_and_certify(QuantumChannel.identity(4), 2, 2, n_samples=10, seed=5)

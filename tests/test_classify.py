@@ -682,3 +682,16 @@ class TestWitnessProbeStates:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget must be at least 0"):
             witness_probe_states(2, 2, budget=-1)
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((0, 2), "dim_a must be at least 1, got 0"),
+            ((-1, 2), "dim_a must be at least 1, got -1"),
+            ((2, 0), "dim_b must be at least 1, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_dimension_below_one_rejected_by_name(self, dims, message, budget):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            witness_probe_states(*dims, budget=budget)

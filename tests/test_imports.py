@@ -165,3 +165,41 @@ def test_kraus_operators_enter_only_at_the_file_boundary():
     # Every other channel is built on its Choi matrix.
     callers = _kraus_constructor_callers({p.name: p.read_text() for p in MODULES})
     assert sorted(callers) == ["channels.py: random_channel", "serialize.py: load_channel"]
+
+
+PROBE_BUILDERS = {"_ginibre_density", "bell_state", "max_entangled"}
+
+
+def _probe_builder_callers(sources: dict[str, str]) -> list[str]:
+    """``module: function`` for each call of a probe builder in ``sources``, by
+    name or as an attribute, named after the module-level function that holds
+    it (None at module level)."""
+    callers = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            function = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in PROBE_BUILDERS:
+                        callers.append(f"{module}: {function}")
+    return callers
+
+
+def test_probe_builder_caller_is_found():
+    source = (
+        "import states\n"
+        "def stream(n):\n    def head():\n        yield bell_state(0)\n"
+        "    return head()\n"
+        "def draw(rng):\n    return states._ginibre_density(2, 2, rng)\n"
+        "def other():\n    return bell_state\n"
+        "PROBE = max_entangled(2)\n"
+    )
+    assert _probe_builder_callers({"m": source}) == ["m: stream", "m: draw", "m: None"]
+
+
+def test_one_probe_generator():
+    # Every probe state comes from the probe stream or from random_density.
+    callers = _probe_builder_callers({p.name: p.read_text() for p in MODULES})
+    assert sorted(set(callers)) == ["annihilators.py: _probe_stream", "states.py: random_density"]

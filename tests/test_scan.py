@@ -1,11 +1,13 @@
-"""The one CQ scan: a lazy, chunked pull that matches the eager scan bit for bit.
+"""The one CQ scan over the one probe stream: a lazy, chunked pull that
+matches the eager scan bit for bit.
 
-``_cq_scan`` pulls its inputs in chunks of 1, 2, 4, ... and every input family
-is a generator.  The eager reference below is a verbatim copy of the list
-builders and the scan loop that came before: each test checks that the lazy
-scan returns the same outputs, ``n_checked``, residuals and worst and failing
-inputs, bit for bit, and that a failing scan builds at most
-``2 * n_checked - 1`` inputs.
+``_cq_scan`` pulls raw input matrices in chunks of 1, 2, 4, ..., and
+``_probe_stream`` builds each probe when it is pulled.  The eager reference
+below builds the stream as a list, the fixed head state by state and then the
+seeded draws one index at a time, and scans it one input at a time: each test
+checks that the lazy scan returns the same ``n_checked``, residuals, worst and
+failing inputs and failing output, bit for bit, and that a failing scan builds
+at most ``2 * n_checked - 1`` inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from discordkit import annihilators, classify
+from discordkit import annihilators
 from discordkit.annihilators import (
     CertificationReport,
     _cq_scan,
@@ -35,7 +37,6 @@ from discordkit.classify import (
     ActsOnAB,
     ActsOnB,
     _discordant_output_witness,
-    _fourier_ket,
     classify_channel,
     is_local_da,
     witness_probe_states,
@@ -53,7 +54,7 @@ from discordkit.states import (
 )
 from discordkit.tolerances import CQ_TOL
 
-# -- eager reference: the list builders and scan loop, verbatim ----------------------
+# -- eager reference: the probe stream as a list, scanned one input at a time ---------
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +69,11 @@ class _CQScan:
 
 
 def cq_scan_loop(channel: QuantumChannel, inputs, tol: float = CQ_TOL) -> _CQScan:
+    """The scan one input at a time, each input validated as it is reached."""
     outputs = []
     worst, worst_input = 0.0, None
     for state in inputs:
+        state = BipartiteState.from_matrix(state.matrix, state.dim_a, state.dim_b)
         outputs.append(channel.apply(state))
         check = is_cq_exact(outputs[-1], tol)
         if check.residual > worst:
@@ -80,39 +83,7 @@ def cq_scan_loop(channel: QuantumChannel, inputs, tol: float = CQ_TOL) -> _CQSca
     return _CQScan(outputs, worst, worst_input)
 
 
-def boundary_inputs_list(dim_a: int, dim_b: int, rng) -> list[BipartiteState]:
-    states = []
-    pure_a = basis_ket(dim_a, 0)
-    pure_b = basis_ket(dim_b, 0)
-    states.append(
-        BipartiteState(dim_a, dim_b, DensityOperator.pure(np.kron(pure_a, pure_b)))
-    )
-    va = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
-    vb = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
-    states.append(BipartiteState(dim_a, dim_b, DensityOperator.pure(np.kron(va, vb))))
-    if min(dim_a, dim_b) >= 2:
-        states.append(max_entangled(dim_a, dim_b))
-    d = dim_a * dim_b
-    if d >= 2:
-        states.append(
-            BipartiteState(dim_a, dim_b, random_density(d, "rank", rng, rank=max(1, d // 2)))
-        )
-    return states
-
-
-def certification_inputs_list(dim_a, dim_b, n_samples=200, seed=0):
-    d = dim_a * dim_b
-    inputs = boundary_inputs_list(dim_a, dim_b, as_rng([seed, 0xB0]))
-    for index in range(n_samples):
-        inputs.append(
-            BipartiteState(
-                dim_a, dim_b, random_density(d, "hilbert-schmidt", as_rng([seed, index]))
-            )
-        )
-    return inputs
-
-
-def witness_probe_states_list(dim_a: int, dim_b: int, budget: int = 500, seed: int = 137):
+def probe_head_list(dim_a: int, dim_b: int) -> list[BipartiteState]:
     states: list[BipartiteState] = []
     if dim_a == 2 and dim_b == 2:
         states.extend(bell_state(k) for k in range(4))
@@ -127,8 +98,8 @@ def witness_probe_states_list(dim_a: int, dim_b: int, budget: int = 500, seed: i
                     DensityOperator.pure(np.kron(basis_ket(dim_a, i), basis_ket(dim_b, j))),
                 )
             )
-    plus_a = _fourier_ket(dim_a, 1) if dim_a > 1 else basis_ket(1, 0)
-    plus_b = _fourier_ket(dim_b, 1) if dim_b > 1 else basis_ket(1, 0)
+    plus_a = fourier_ket(dim_a, 1) if dim_a > 1 else basis_ket(1, 0)
+    plus_b = fourier_ket(dim_b, 1) if dim_b > 1 else basis_ket(1, 0)
     zero_a, zero_b = basis_ket(dim_a, 0), basis_ket(dim_b, 0)
     half = 0.5
     mixtures = [
@@ -143,11 +114,29 @@ def witness_probe_states_list(dim_a: int, dim_b: int, budget: int = 500, seed: i
     ]
     for m in mixtures:
         states.append(BipartiteState.from_matrix(m, dim_a, dim_b))
-    rng = as_rng(seed)
-    while len(states) < budget:
-        states.append(
-            BipartiteState(dim_a, dim_b, random_density(dim_a * dim_b, "hilbert-schmidt", rng))
-        )
+    return states
+
+
+def fourier_ket(dim: int, k: int) -> np.ndarray:
+    phases = np.exp(2j * np.pi * k * np.arange(dim) / dim)
+    return phases / np.sqrt(dim)
+
+
+def draws_list(dim_a: int, dim_b: int, n: int, seed: int) -> list[BipartiteState]:
+    d = dim_a * dim_b
+    return [
+        BipartiteState(dim_a, dim_b, random_density(d, "hilbert-schmidt", as_rng([seed, index])))
+        for index in range(n)
+    ]
+
+
+def certification_inputs_list(dim_a, dim_b, n_samples=200, seed=0):
+    return probe_head_list(dim_a, dim_b) + draws_list(dim_a, dim_b, n_samples, seed)
+
+
+def witness_probe_states_list(dim_a: int, dim_b: int, budget: int = 500, seed: int = 137):
+    states = probe_head_list(dim_a, dim_b)
+    states += draws_list(dim_a, dim_b, max(0, budget - len(states)), seed)
     return states[:budget]
 
 
@@ -176,7 +165,7 @@ def same_state(x, y) -> bool:
 
 def assert_same_scan(new: CertificationReport, old: _CQScan):
     assert new.n_checked == len(old.outputs)
-    assert all(same_state(a, b) for a, b in zip(new.outputs, old.outputs))
+    assert same_state(new.failing_output, old.outputs[-1] if old.failing_input else None)
     assert new.worst_residual == old.worst_residual
     assert new.failing_residual == old.failing_residual
     assert same_state(new.worst_input, old.worst_input)
@@ -199,6 +188,15 @@ def classical_then_bell(k: int, n: int = 40) -> list[BipartiteState]:
 DA_DIMS = [(2, 2), (3, 2), (2, 3), (3, 3)]
 
 
+def head_length(dim_a: int, dim_b: int) -> int:
+    return len(probe_head_list(dim_a, dim_b))
+
+
+def scan_states(channel, states, tol=CQ_TOL) -> CertificationReport:
+    """``_cq_scan`` on the matrices of two-qubit states."""
+    return _cq_scan(channel, (state.matrix for state in states), (2, 2), tol)
+
+
 # -- certification -------------------------------------------------------------------------
 
 
@@ -208,7 +206,7 @@ class TestCertificationMatchesEagerScan:
         for seed in range(2):
             channel = build_da_channel(random_da_spec(*dims, [seed, *dims]))
             report = apply_and_certify(channel, *dims, seed=seed)
-            assert report.passed and report.n_checked == 204
+            assert report.passed and report.n_checked == head_length(*dims) + 200
             assert_same_scan(report, cq_scan_loop(channel, certification_inputs_list(*dims, seed=seed)))
 
     @pytest.mark.parametrize("dims", DA_DIMS)
@@ -221,10 +219,10 @@ class TestCertificationMatchesEagerScan:
             old = cq_scan_loop(channel, certification_inputs_list(*dims, 50, seed))
             assert_same_scan(report, old)
 
-    def test_identity_fails_at_the_third_input(self):
+    def test_identity_fails_at_the_first_input(self):
         channel = QuantumChannel.identity(4)
         report = apply_and_certify(channel, 2, 2)
-        assert report.n_checked == 3
+        assert report.n_checked == 1
         assert_same_scan(report, cq_scan_loop(channel, certification_inputs_list(2, 2)))
 
     def test_first_failure_at_every_position(self):
@@ -232,7 +230,7 @@ class TestCertificationMatchesEagerScan:
         for k in range(1, 41):
             inputs = classical_then_bell(k)
             pulled = []
-            report = _cq_scan(channel, (pulled.append(s) or s for s in inputs))
+            report = scan_states(channel, (pulled.append(s) or s for s in inputs))
             assert report.n_checked == k
             assert_same_scan(report, cq_scan_loop(channel, inputs))
             assert k <= len(pulled) <= 2 * k - 1
@@ -316,46 +314,89 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def count_pulls(monkeypatch) -> list:
+    """Record every probe the certification pulls from the probe stream."""
+    pulled = []
+    original = annihilators._probe_stream
+
+    def counted(*args, **kwargs):
+        for probe in original(*args, **kwargs):
+            pulled.append(probe)
+            yield probe
+
+    monkeypatch.setattr(annihilators, "_probe_stream", counted)
+    return pulled
+
+
 class TestInputsDrawnOnDemand:
     @pytest.mark.parametrize("context", [ActsOnA(dim_b=2), ActsOnB(dim_a=2)], ids=["A", "B"])
     def test_side_witness_draws_no_random_probe(self, monkeypatch, context):
-        draws = count_calls(monkeypatch, classify, "random_density")
+        draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
         for seed in range(3):
             report = classify_channel(random_channel(2, 2, 2, 60 + seed), context, seed=seed)
             assert report.witness is not None
         assert draws == []
 
+    def test_head_is_built_one_probe_per_pull(self, monkeypatch):
+        bells = count_calls(monkeypatch, annihilators, "bell_state")
+        draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
+        stream = annihilators._probe_stream(2, 2, 0)
+        assert bells == [] and draws == []
+        for k in range(1, 15):
+            next(stream)
+            assert len(bells) == min(k, 4)
+            assert len(draws) == max(0, k - head_length(2, 2))
+
     def test_failing_certification_builds_few_inputs(self, monkeypatch):
-        # The boundary draw takes random_density, the samples are raw draws.
-        draws = count_calls(monkeypatch, annihilators, "random_density")
-        samples = count_calls(monkeypatch, annihilators, "_ginibre_density")
+        pulled = count_pulls(monkeypatch)
+        draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
         channels = [(QuantumChannel.identity(4), 2, 2), (QuantumChannel.identity(6), 3, 2)]
         channels += [(random_channel(d, d, 2, [seed, d]), d // 2, 2) for d in (4, 6) for seed in range(3)]
         for channel, dim_a, dim_b in channels:
+            pulled.clear()
             draws.clear()
-            samples.clear()
             report = apply_and_certify(channel, dim_a, dim_b)
             assert not report.passed
-            assert len(draws) + len(samples) <= 2 * report.n_checked - 1
+            assert len(pulled) <= 2 * report.n_checked - 1
+            assert len(draws) == max(0, len(pulled) - head_length(dim_a, dim_b))
 
     @pytest.mark.parametrize("dims", DA_DIMS)
     def test_structural_match_draws_no_input(self, monkeypatch, dims):
         # The one scan of classify --side AB is its certification.
         channel = build_da_channel(random_da_spec(*dims, [0, *dims]))
         scans = count_calls(monkeypatch, annihilators, "_cq_scan")
-        draws = count_calls(monkeypatch, annihilators, "random_density")
+        draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
         report = classify_channel(channel, ActsOnAB(*dims), samples=20)
         assert report.label == "da" and len(scans) == 1
-        assert len(draws) == 1  # the boundary rank draw of the certification
+        assert len(draws) == 20  # the certification's samples
 
     def test_passing_certification_takes_two_eigh_per_chunk(self, monkeypatch):
         channel = build_da_channel(random_da_spec(3, 3, [0, 3, 3]))
+        n_inputs = head_length(3, 3) + 200
         calls = count_calls(monkeypatch, np.linalg, "eigh")
         report = apply_and_certify(channel, 3, 3, seed=0)
-        assert report.passed and report.n_checked == 204
-        # Chunks of 1, 2, ..., 128 inputs: one stacked validation of the raw
-        # samples and one of the outputs each, plus the boundary rank draw.
-        assert len(calls) <= 2 * 8 + 1
+        assert report.passed and report.n_checked == n_inputs
+        # Chunks of 1, 2, ..., 128 inputs: one stacked validation of the
+        # inputs and one of the outputs each.
+        assert len(calls) <= 2 * 8
+
+
+class TestCertificationChecksTheProbeStates:
+    @pytest.mark.parametrize("dims", DA_DIMS)
+    def test_checked_inputs_are_the_probe_states(self, monkeypatch, dims):
+        d = dims[0] * dims[1]
+        pulled = count_pulls(monkeypatch)
+        for seed in range(3):
+            for channel in (
+                build_da_channel(random_da_spec(*dims, [seed, *dims])),
+                random_channel(d, d, 2, [seed, d]),
+            ):
+                pulled.clear()
+                report = apply_and_certify(channel, *dims, n_samples=30, seed=seed)
+                probes = witness_probe_states(*dims, budget=report.n_checked, seed=seed)
+                checked = [BipartiteState.from_matrix(m, *dims) for m in pulled[: report.n_checked]]
+                assert len(checked) == len(probes) == report.n_checked
+                assert all(same_state(a, b) for a, b in zip(checked, probes))
 
 
 # -- chunk order ------------------------------------------------------------------------------
@@ -384,7 +425,7 @@ class TestFirstFailureInAChunk:
     def test_non_cq_output_before_an_invalid_one(self, k):
         inputs = classical_then_bell(k)
         channel = SpoiledIdentity(inputs[k].matrix, NOT_PSD)
-        report = _cq_scan(channel, inputs)
+        report = scan_states(channel, inputs)
         assert report.n_checked == k and not report.passed
         assert_same_scan(report, cq_scan_loop(channel, inputs))
 
@@ -395,13 +436,16 @@ class TestFirstFailureInAChunk:
         with pytest.raises(InvalidStateError) as eager:
             cq_scan_loop(channel, inputs)
         with pytest.raises(InvalidStateError) as chunked:
-            _cq_scan(channel, inputs)
+            scan_states(channel, inputs)
         assert str(chunked.value) == str(eager.value)
         assert "channel output: matrix is not positive semidefinite" in str(chunked.value)
 
 
-def test_report_counts_its_outputs():
-    report = apply_and_certify(QuantumChannel.identity(4), 2, 2)
-    assert report.n_checked == len(report.outputs) == 3
-    assert not report.passed
-    assert report.failing_residual == report.worst_residual > CQ_TOL
+def test_report_keeps_the_failing_output():
+    for seed in range(4):
+        channel = random_channel(4, 4, 2, [seed, 4])
+        report = apply_and_certify(channel, 2, 2)
+        assert not report.passed
+        assert report.failing_residual == report.worst_residual > CQ_TOL
+        expected = channel.apply(report.failing_input)
+        assert same_state(report.failing_output, expected)
