@@ -519,7 +519,10 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
 
     This holds exactly when the A factor is a measure-and-prepare channel
     diagonal in a fixed basis, or the B factor is a point channel.  When
-    neither holds, a witness input with a non-CQ output is searched for.
+    neither holds the verdict is ``not-da``, and a witness input with a
+    non-CQ output is searched for.  ``residual`` is the largest output CQ
+    residual the search reached; when it is within ``CQ_TOL`` no probe
+    failed, and ``witness`` is None rather than an input whose output passes.
     """
     if _qc_decision(channel_a.choi[None], channel_a.dim_in)[0].kind == "yes":
         return LocalDAVerdict(kind="da-via-a")
@@ -529,6 +532,4 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
     probes = itertools.islice(_probe_stream(dim_a, dim_b, _LOCAL_DA_SEED), _LOCAL_DA_BUDGET)
     scan = _cq_scan(product, probes, (dim_a, dim_b), CQ_TOL, (channel_a.dim_out, channel_b.dim_out))
-    # A failing output's residual exceeds every passing one, so the scan's
-    # worst input is the first failing input when there is one.
-    return LocalDAVerdict(kind="not-da", witness=scan.worst_input, residual=scan.worst_residual)
+    return LocalDAVerdict(kind="not-da", witness=scan.failing_input, residual=scan.worst_residual)

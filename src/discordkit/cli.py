@@ -13,6 +13,7 @@ same flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,7 +213,9 @@ def cmd_verify_da(args) -> int:
     return EXIT_CERTIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="discordkit",
         description="Construct, apply and classify quantum channels that destroy discord.",

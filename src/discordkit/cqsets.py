@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .discord import is_cq_exact
 from .states import (
@@ -221,7 +220,11 @@ def _sample_state(spec, projs, rng, weights=None) -> BipartiteState:
 
 
 def _hull_residual(sigma: np.ndarray, generators) -> float:
-    """Distance of a state from the convex hull of the generators (NNLS)."""
+    """Distance of a state from the convex hull of the generators (NNLS).
+
+    scipy is imported on the first call: only a ``Hull`` entry loads it."""
+    from scipy.optimize import nnls
+
     cols = []
     for g in generators:
         v = g.matrix.reshape(-1)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# Not called here: bench/tracing.py wraps discordkit.discord.minimize by name.
-from scipy.optimize import minimize  # noqa: F401
 
 from .channels import _cq_form
 from .states import (
@@ -36,6 +34,17 @@ from .states import (
     von_neumann_entropy,
 )
 from .tolerances import ANGLE_STEP_TOL, CQ_TOL, PARTITION_TOL, REFINE_MARGIN, ZERO_CUTOFF
+
+
+def __getattr__(name: str):
+    # bench/tracing.py wraps scipy's minimize under this module's name.
+    # Nothing here calls it, so it is imported only when asked for (PEP 562).
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # cq_decompose draws random combinations of the blocks from this seed and
 # gives up after this many draws that do not reconstruct the state.

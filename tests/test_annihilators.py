@@ -47,7 +47,7 @@ from discordkit.states import (
     random_density,
     random_unitary,
 )
-from discordkit.tolerances import NULLSPACE_CUTOFF
+from discordkit.tolerances import CQ_TOL, NULLSPACE_CUTOFF
 
 
 def z_dephasing():
@@ -419,6 +419,30 @@ class TestIsLocalDA:
         check = is_cq_exact(output)
         assert not check
         assert verdict.residual == check.residual
+
+    @pytest.mark.parametrize("eps", [1e-7, 5e-8, 2e-8])
+    def test_near_qc_factor_never_returns_a_passing_witness(self, eps):
+        # A measure-and-prepare A factor in a Haar basis, nudged off the
+        # family by eps.  For most such products no probe output fails, and
+        # the verdict then carries no witness rather than an input that passes.
+        no_witness = 0
+        for s in range(10):
+            frame = random_unitary(2, [s, 1])
+            kets = [frame[:, k] for k in range(2)]
+            qc = make_qc_channel([np.outer(k, k.conj()) for k in kets], kets)
+            channel_a = mix_channels([(1 - eps, qc), (eps, random_channel(2, 2, 2, [s, 2]))])
+            channel_b = random_channel(2, 2, 2, [s, 3])
+            verdict = is_local_da(channel_a, channel_b)
+            if verdict.kind != "not-da":
+                continue
+            if verdict.witness is None:
+                no_witness += 1
+                assert verdict.residual <= CQ_TOL
+                continue
+            product = compose(extend(channel_b, "B", 2), extend(channel_a, "A", 2))
+            assert verdict.residual > CQ_TOL
+            assert not is_cq_exact(product.apply(verdict.witness))
+        assert no_witness > 0
 
 
 class TestCommutantElement:

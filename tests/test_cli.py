@@ -1,14 +1,20 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from discordkit import cli
 from discordkit.annihilators import (
     DAChannelSpec,
     PointTo,
     Rank1Entry,
+    apply_and_certify,
     build_da_channel,
 )
 from discordkit.channels import (
@@ -628,3 +634,26 @@ def test_tolerance_flags_only_where_read():
         assert flags & tolerance_flags == expected, name
     args = parser.parse_args(["verify-da", "--channel", "c.json", "--dims", "2x2"])
     assert (args.tol_cq, args.tol_cptp) == (CQ_TOL, VALIDITY_TOL)
+
+
+def test_parser_built_once_keeps_no_parse_state(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    channel = tmp_path / "da.json"
+    assert run(capsys, "gen-da", "--random", "2x2", "--out", str(channel))[0] == 0
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["n_samples"], kwargs["tol"]))
+        return apply_and_certify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "apply_and_certify", spy)
+    argv = ["verify-da", "--channel", str(channel), "--dims", "2x2"]
+    run(capsys, *argv, "--samples", "5", "--tol-cq", "1e-3")
+    code, out, _ = run(capsys, *argv)
+    assert seen == [(5, 1e-3), (200, CQ_TOL)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-m", "discordkit.cli", *argv], capture_output=True, text=True,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
+    )
+    assert (fresh.returncode, fresh.stdout) == (code, out)

@@ -1,6 +1,6 @@
-"""Import structure of the package: module-level imports only, no unused
-import or private definition, and no cycle from ``annihilators`` back to
-``classify``."""
+"""Import structure of the package: package imports at module level only
+(scipy alone is imported where it is used), no unused import or private
+definition, and no cycle from ``annihilators`` back to ``classify``."""
 
 import ast
 from collections import defaultdict

@@ -2,7 +2,9 @@
 
 ``bench/tracing.py`` patches each ``TRACED`` name after importing the CLI
 and fails on a name that is gone, so a rename in the library would break
-``bench/run.py --trace 1`` without failing any other test.
+``bench/run.py --trace 1`` without failing any other test.  scipy's
+``minimize`` resolves through the module ``__getattr__`` of
+``discordkit.discord``, which imports it on first request.
 """
 
 import importlib.util
