@@ -300,14 +300,18 @@ def _eb_decision(chois: np.ndarray, dim_in: int) -> list[Verdict]:
 # -- combined classification -----------------------------------------------------
 
 
+# A one-dimensional untouched subsystem makes every state CQ, so sides A and B
+# need the other dimension to be at least 2.
 @dataclass(frozen=True)
 class ActsOnA(_AtLeast):
     dim_b: int
+    minimum = 2
 
 
 @dataclass(frozen=True)
 class ActsOnB(_AtLeast):
     dim_a: int
+    minimum = 2
 
 
 @dataclass(frozen=True)
@@ -333,20 +337,25 @@ class ClassificationReport:
 
 def _discordant_output_witness(
     channel: QuantumChannel, side: str, dim_other: int, seed: int, tol: float
-) -> dict | None:
+) -> tuple[dict | None, str]:
+    """The first probe input whose output is not CQ, as a witness, or None and
+    a note of how many probes were checked and how close their outputs came."""
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
     out_dims = (channel.dim_out, dim_other) if side == "A" else (dim_other, channel.dim_out)
     probes = itertools.islice(_probe_stream(*dims, seed), WITNESS_BUDGET)
     scan = _cq_scan(extended, probes, dims, tol, out_dims)
     if scan.failing_input is None:
-        return None
+        return None, (
+            f"no discordant output among {scan.n_checked} probe inputs: their largest "
+            f"CQ residual {scan.worst_residual:.3e} is within cq_tol {tol:.3e}"
+        )
     return {
         "kind": "discordant-output",
         "input": scan.failing_input,
         "output": scan.failing_output,
         "cq_residual": scan.failing_residual,
-    }
+    }, ""
 
 
 def classify_channel(
@@ -366,7 +375,8 @@ def classify_channel(
     recovery of the annihilating form from the span of the channel's image.
     Every discord decision, on A, on B and in the certification, is judged
     at ``cq_tol``; the recovery draws no inputs and does not depend on
-    ``seed``.
+    ``seed``.  A "no" on A or B whose probe outputs are all CQ carries no
+    witness; its notes give the probe count and their largest CQ residual.
     """
     if isinstance(context, (ActsOnA, ActsOnB)):
         if isinstance(context, ActsOnA):
@@ -376,7 +386,9 @@ def classify_channel(
         eb = is_entanglement_breaking(channel)
         witness = None
         if verdict.kind != "yes":
-            witness = _discordant_output_witness(channel, side, dim_other, 137 + seed, cq_tol)
+            witness, note = _discordant_output_witness(channel, side, dim_other, 137 + seed, cq_tol)
+            if note:
+                verdict = replace(verdict, notes="; ".join(filter(None, (verdict.notes, note))))
         label = ("db-" if verdict.kind == "yes" else "not-db-") + side.lower()
         return ClassificationReport(
             context=context, label=label, db_verdict=verdict, eb_verdict=eb, witness=witness

@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a channel file")
     p.add_argument("channel", help="JSON channel file")
     p.add_argument("--side", choices=["A", "B", "AB", "a", "b", "ab"], required=True)
-    p.add_argument("--dim-other", type=_positive_int, default=2, dest="dim_other",
-                   help="dimension of the untouched subsystem (sides A and B)")
+    p.add_argument("--dim-other", type=_other_dimension, default=2, dest="dim_other",
+                   help="dimension of the untouched subsystem, at least 2 (sides A and B)")
     p.add_argument("--dims", default=None, help="dAxdB split for side AB")
     p.add_argument("--samples", type=_nonnegative_int, default=200,
                    help="seeded Hilbert-Schmidt draws certified after the fixed probes (side AB)")
@@ -313,6 +313,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _other_dimension(text: str) -> int:
+    """``classify --dim-other``, at least the minimum of the side A and B contexts."""
+    value = int(text)
+    if value < ActsOnA.minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {ActsOnA.minimum}, got {text!r}")
     return value
 
 

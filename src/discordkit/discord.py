@@ -514,9 +514,9 @@ def _b_blocks(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 class CQCheck:
     """Outcome of the exact classical-quantum test.
 
-    ``residual`` is the worst commutator or normality defect among the
-    B-indexed blocks, relative to the Frobenius norm of the state, and
-    ``worst`` labels the offending block pair."""
+    ``residual`` is the worst commutator of two distinct B-indexed blocks (a
+    normality defect only repeats one), relative to the Frobenius norm of
+    the state, and ``worst`` is ``("commutator", p, q)`` for that pair."""
 
     is_cq: bool
     residual: float
@@ -531,45 +531,45 @@ def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
     """Exact zero-discord (classical-quantum) test via block commutation.
 
     The state is CQ iff the blocks ``A_ij = <i|_B rho |j>_B`` are mutually
-    commuting normal operators; both defects are measured in Frobenius
-    norm against ``tol * ||rho||_F``.  Block pairs are scanned as one stack
-    in row-major order of the upper triangle, each block's normality defect
-    first, and the first pair to reach the largest defect is ``worst``.
+    commuting normal operators.  As ``A_ji = A_ij^dag``, the normality defect
+    of ``A_ij`` is its commutator with ``A_ji``, so only pairs of distinct
+    blocks are scanned, in Frobenius norm against ``tol * ||rho||_F``, as one
+    stack in row-major order; the first pair to reach the maximum is ``worst``.
     """
     (residual,), (pair,) = _cq_residuals(rho.matrix[None], rho.dim_a, rho.dim_b)
     worst = None
     if residual > 0.0:
-        first, second, _ = _block_pairs(rho.dim_b)
-        p, q = divmod(int(first[pair]), rho.dim_b), divmod(int(second[pair]), rho.dim_b)
-        worst = ("normality", p) if p == q else ("commutator", p, q)
+        worst = ("commutator", *(divmod(int(k[pair]), rho.dim_b) for k in _block_pairs(rho.dim_b)))
     return CQCheck(is_cq=residual <= tol, residual=residual, worst=worst, tol=tol)
 
 
 @lru_cache(maxsize=None)
-def _block_pairs(dim_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The upper triangle of the ``dim_b**2`` B blocks in row-major order: each
-    pair's two block indices and a mask of the diagonal pairs."""
-    first, second = np.triu_indices(dim_b * dim_b)
-    diagonal = (first == second)[:, None, None]
-    for index in (first, second, diagonal):
+def _block_pairs(dim_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of distinct blocks among the ``dim_b**2`` B blocks, in
+    row-major order of the upper triangle: each pair's two block indices."""
+    first, second = np.triu_indices(dim_b * dim_b, 1)
+    for index in (first, second):
         index.setflags(write=False)
-    return first, second, diagonal
+    return first, second
 
 
 def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[list[float], np.ndarray]:
     """The residual of :func:`is_cq_exact` for each state of the stack
     ``(n, dim_a * dim_b, dim_a * dim_b)``, bit for bit, in one scan, and the
-    index in :func:`_block_pairs` of each state's first worst pair."""
+    index in :func:`_block_pairs` of each state's first worst pair (0 if none).
+    The stack is read as its Hermitian part, a no-op on a validated state, so
+    ``A_ji = A_ij^dag`` holds exactly and each normality defect is a commutator."""
     n = len(matrices)
-    first, second, diagonal = _block_pairs(dim_b)
-    blocks = _b_blocks(matrices, dim_a, dim_b).reshape(n, dim_b * dim_b, dim_a, dim_a)
-    a = blocks[:, first]
-    # On the diagonal the pair is (A, A^dag), whose commutator is the normality defect.
-    b = np.where(diagonal, a.conj().transpose(0, 1, 3, 2), blocks[:, second])
+    if dim_b == 1:  # no pair of distinct blocks: every state is CQ
+        return [0.0] * n, np.zeros(n, dtype=np.intp)
+    first, second = _block_pairs(dim_b)
+    herm = (matrices + matrices.conj().transpose(0, 2, 1)) / 2.0
+    blocks = _b_blocks(herm, dim_a, dim_b).reshape(n, dim_b * dim_b, dim_a, dim_a)
+    a, b = blocks[:, first], blocks[:, second]
     defects = _frobenius_norms((a @ b - b @ a).reshape(-1, dim_a, dim_a)).reshape(n, len(first))
     pairs = np.argmax(defects, axis=1)
     worst = defects[np.arange(n), pairs].tolist()
-    scales = _frobenius_norms(matrices).tolist()
+    scales = _frobenius_norms(herm).tolist()
     return [val / max(scale, 1e-300) for val, scale in zip(worst, scales)], pairs
 
 
@@ -636,7 +636,7 @@ def _cq_draws(matrices: np.ndarray, dim_a: int, dim_b: int, tol: float):
     """
     n = len(matrices)
     da, db = dim_a, dim_b
-    blocks = matrices.reshape(n, da, db, da, db).transpose(0, 2, 4, 1, 3)
+    blocks = _b_blocks(matrices, da, db)
     scales = np.maximum(1.0, _frobenius_norms(matrices))
     rng = as_rng(DECOMPOSE_SEED)
     for _ in range(DECOMPOSE_RETRIES):

@@ -57,6 +57,7 @@ from discordkit.states import (
     random_density,
     random_unitary,
 )
+from discordkit.tolerances import CQ_TOL
 
 
 def z_dephasing():
@@ -337,6 +338,46 @@ class TestClassifyChannel:
         report = classify_channel(make_point_channel(sigma), ActsOnB(dim_a=2))
         assert report.label == "db-b"
 
+    @staticmethod
+    def near_family_corpus(side, eps):
+        """A measure-and-prepare channel in a Haar basis (side A) or a point
+        channel (side B), mixed with ``eps`` of a random channel, seeds 0-9."""
+        for s in range(10):
+            if side == "A":
+                frame = random_unitary(2, [s, 1])
+                kets = [frame[:, k] for k in range(2)]
+                member = make_qc_channel([np.outer(k, k.conj()) for k in kets], kets)
+            else:
+                member = make_point_channel(random_density(2, "hilbert-schmidt", [s, 1]))
+            yield mix_channels([(1 - eps, member), (eps, random_channel(2, 2, 2, [s, 2]))])
+
+    @pytest.mark.parametrize(
+        "side, eps, witnessed, unwitnessed",
+        [("A", 2e-8, 0, 6), ("B", 5e-8, 0, 10), ("A", 1e-3, 10, 0), ("B", 1e-3, 10, 0)],
+    )
+    def test_every_not_db_report_says_why(self, side, eps, witnessed, unwitnessed):
+        """Each "not-db" label carries a witness whose output re-checks as not
+        CQ, or a note that every probe output was CQ within ``cq_tol``."""
+        context = ActsOnA(dim_b=2) if side == "A" else ActsOnB(dim_a=2)
+        notes, n_witnessed = [], 0
+        for channel in self.near_family_corpus(side, eps):
+            report = classify_channel(channel, context)
+            if report.label == "db-" + side.lower():
+                continue
+            assert report.label == "not-db-" + side.lower()
+            if report.witness is None:
+                notes.append(report.db_verdict.notes)
+                continue
+            check = is_cq_exact(extend(channel, side, 2).apply(report.witness["input"]))
+            assert check.residual == report.witness["cq_residual"] > CQ_TOL
+            assert "no discordant output" not in report.db_verdict.notes
+            n_witnessed += 1
+        assert (n_witnessed, len(notes)) == (witnessed, unwitnessed)
+        for note in notes:
+            _, found, tail = note.partition("no discordant output among 500 probe inputs: ")
+            assert found and tail.endswith(f" is within cq_tol {CQ_TOL:.3e}")
+            assert float(tail.split()[4]) <= CQ_TOL
+
     def test_built_da_channel_on_ab(self):
         spec = random_da_spec(2, 2, 5)
         report = classify_channel(build_da_channel(spec), ActsOnAB(2, 2), samples=60)
@@ -394,17 +435,21 @@ class TestClassifyChannel:
 
 
 @pytest.mark.parametrize(
-    "make, field",
+    "make, message",
     [
-        (lambda: ActsOnA(dim_b=0), "dim_b"),
-        (lambda: ActsOnB(dim_a=0), "dim_a"),
-        (lambda: ActsOnAB(dim_a=0, dim_b=2), "dim_a"),
-        (lambda: ActsOnAB(dim_a=2, dim_b=-1), "dim_b"),
+        (lambda: ActsOnA(dim_b=0), "dim_b must be at least 2, got 0"),
+        (lambda: ActsOnB(dim_a=0), "dim_a must be at least 2, got 0"),
+        (lambda: ActsOnAB(dim_a=0, dim_b=2), "dim_a must be at least 1, got 0"),
+        (lambda: ActsOnAB(dim_a=2, dim_b=-1), "dim_b must be at least 1, got -1"),
+        (lambda: ActsOnA(dim_b=1), "dim_b must be at least 2, got 1"),
+        (lambda: ActsOnB(dim_a=1), "dim_a must be at least 2, got 1"),
     ],
-    ids=["A", "B", "AB-a", "AB-b"],
+    ids=["A", "B", "AB-a", "AB-b", "A-1", "B-1"],
 )
-def test_context_dimension_below_one_rejected(make, field):
-    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+def test_context_dimension_below_one_rejected(make, message):
+    """A one-dimensional other subsystem on side A or B is refused too: every
+    state on it is CQ, so every channel would break discord there."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 
 

@@ -337,6 +337,8 @@ class TestClassifyCommand:
     [
         (["classify", "{deph}", "--side", "A", "--dim-other", "0"], "--dim-other"),
         (["classify", "{deph}", "--side", "B", "--dim-other", "-1"], "--dim-other"),
+        (["classify", "{deph}", "--side", "A", "--dim-other", "1"], "--dim-other"),
+        (["classify", "{deph}", "--side", "B", "--dim-other", "1"], "--dim-other"),
         (
             ["tetra-sweep", "--step", "0.5", "--side", "A", "--dim-other", "0", "--probes", "1"],
             "--dim-other",
@@ -354,7 +356,8 @@ class TestClassifyCommand:
         (["tetra-sweep", "--step", "0.5", "--side", "A", "--probes", "1", "--seed", "-1"], "--seed"),
     ],
     ids=[
-        "classify-A-dim-other-0", "classify-B-dim-other-neg1", "sweep-dim-other-0",
+        "classify-A-dim-other-0", "classify-B-dim-other-neg1", "classify-A-dim-other-1",
+        "classify-B-dim-other-1", "sweep-dim-other-0",
         "classify-samples-neg5", "verify-samples-neg5", "sweep-probes-neg1",
         "gen-da-seed-neg1", "sweep-seed-neg1",
     ],

@@ -37,6 +37,7 @@ from discordkit.states import (
     PAULIS,
     BipartiteState,
     DensityOperator,
+    _validate_states,
     bell_state,
     max_entangled,
     partial_trace,
@@ -47,7 +48,8 @@ from discordkit.states import (
     random_unitary,
     von_neumann_entropy,
 )
-from discordkit.annihilators import build_da_channel, random_da_spec
+from discordkit.annihilators import _probe_stream, build_da_channel, random_da_spec
+from discordkit.channels import random_channel
 from discordkit.tolerances import REFINE_MARGIN, ZERO_CUTOFF
 
 
@@ -89,28 +91,32 @@ def equal_weight_cq(dim_a, dim_b, seed):
 
 def is_cq_exact_loop(rho, tol=1e-9):
     """The block-pair loop that ``is_cq_exact`` replaced: every normality
-    defect and commutator one at a time, a strictly larger one replacing
-    the worst so far."""
+    defect and commutator one at a time, the residual being the largest of
+    them all.  Each normality defect must equal the commutator of the block
+    with its adjoint block bit for bit (0 on the diagonal), so ``worst`` is
+    the first commutator pair to reach the maximum: a strictly larger one
+    replaces the worst so far."""
     blocks = _b_blocks(rho.matrix, rho.dim_a, rho.dim_b)
     db = rho.dim_b
     scale = float(np.linalg.norm(rho.matrix))
     worst = None
     worst_val = 0.0
+    normality = []
     labels = [(i, j) for i in range(db) for j in range(db)]
     flat = [blocks[i, j] for i, j in labels]
     for x, (i, j) in enumerate(labels):
         a_ij = flat[x]
         defect = float(np.linalg.norm(a_ij @ a_ij.conj().T - a_ij.conj().T @ a_ij))
-        if defect > worst_val:
-            worst_val = defect
-            worst = ("normality", (i, j))
+        a_ji = blocks[j, i]
+        assert defect == (0.0 if i == j else float(np.linalg.norm(a_ij @ a_ji - a_ji @ a_ij)))
+        normality.append(defect)
         for y in range(x + 1, len(labels)):
             a_kl = flat[y]
             comm = float(np.linalg.norm(a_ij @ a_kl - a_kl @ a_ij))
             if comm > worst_val:
                 worst_val = comm
                 worst = ("commutator", (i, j), labels[y])
-    residual = worst_val / max(scale, 1e-300)
+    residual = max(worst_val, *normality) / max(scale, 1e-300)
     return CQCheck(is_cq=residual <= tol, residual=residual, worst=worst, tol=tol)
 
 
@@ -634,6 +640,24 @@ class TestIsCQExact:
         check = is_cq_exact(rho)
         assert check.is_cq and check.residual == 0.0 and check.worst is None
 
+    def test_state_that_is_not_exactly_hermitian(self):
+        """A complex pure state is Hermitian only up to rounding; it is judged
+        on its Hermitian part, as the loop judges that part."""
+        states = [BipartiteState(2, 3, random_density(6, "haar-pure", [9, k])) for k in range(5)]
+        states += [
+            product_state(random_density(3, "haar-pure", [10, k]), random_density(2, "haar-pure", k))
+            for k in range(5)
+        ]
+        skewed = 0
+        for rho in states:
+            m = rho.matrix
+            herm = BipartiteState(rho.dim_a, rho.dim_b, DensityOperator(len(m), (m + m.conj().T) / 2))
+            skewed += not np.array_equal(m, m.conj().T)
+            check, loop = is_cq_exact(rho), is_cq_exact_loop(herm)
+            assert check.residual == loop.residual
+            assert check.worst == loop.worst
+        assert skewed >= 5
+
 
 class TestStackedCQResiduals:
     """One stacked scan gives each state's residual bit for bit, and the worst pair
@@ -666,6 +690,36 @@ class TestStackedCQResiduals:
     def test_empty_stack(self):
         residuals, pairs = _cq_residuals(np.zeros((0, 6, 6), dtype=complex), 3, 2)
         assert residuals == [] and len(pairs) == 0
+
+    def test_one_dimensional_b_has_no_pair(self):
+        states = [random_bipartite(3, 1, [11, k]) for k in range(4)]
+        states.append(BipartiteState(3, 1, random_density(3, "haar-pure", 12)))
+        residuals, pairs = _cq_residuals(np.array([rho.matrix for rho in states]), 3, 1)
+        assert residuals == [0.0] * 5 and len(pairs) == 5
+        for rho in states:
+            check = is_cq_exact(rho)
+            assert check.is_cq and check.residual == 0.0 and check.worst is None
+
+    @pytest.mark.parametrize(
+        "dims", list(itertools.product(range(1, 6), repeat=2)), ids=lambda d: f"{d[0]}x{d[1]}"
+    )
+    def test_every_split_matches_the_loop(self, dims):
+        """Validated probe-stream states and their images under a random channel:
+        the scan of distinct block pairs gives the loop's residual (normality
+        defects included) bit for bit, and its first worst commutator pair."""
+        d = dims[0] * dims[1]
+        probes, error = _validate_states(np.array(list(_probe_stream(*dims, 23, n_draws=12))))
+        assert error is None
+        images, error = _validate_states(random_channel(d, d, 2, [d, 5]).apply_matrix(probes))
+        assert error is None
+        stack = np.concatenate((probes, images))
+        residuals, pairs = _cq_residuals(stack, *dims)
+        for m, residual in zip(stack, residuals):
+            rho = BipartiteState(*dims, DensityOperator(d, m))
+            check, loop = is_cq_exact(rho), is_cq_exact_loop(rho)
+            assert residual == check.residual == loop.residual
+            assert check.worst == loop.worst
+        assert (max(residuals) > 1e-3) == (min(dims) > 1)
 
 
 class TestCQDecompose:

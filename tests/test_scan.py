@@ -259,7 +259,8 @@ class TestWitnessSearchesMatchEagerScan:
     def test_random_channels(self, side, dim, dim_other):
         for seed in range(3):
             channel = random_channel(dim, dim, 2, [seed, dim, dim_other])
-            new = _discordant_output_witness(channel, side, dim_other, 137 + seed, CQ_TOL)
+            new, note = _discordant_output_witness(channel, side, dim_other, 137 + seed, CQ_TOL)
+            assert note == ""
             old = discordant_output_witness_eager(channel, side, dim_other, 137 + seed, CQ_TOL)
             assert old is not None
             assert_same_witness(new, old)
@@ -273,7 +274,9 @@ class TestWitnessSearchesMatchEagerScan:
         ids=["dephasing-A", "point-B"],
     )
     def test_every_probe_checked(self, side, channel):
-        assert _discordant_output_witness(channel, side, 2, 137, CQ_TOL) is None
+        witness, note = _discordant_output_witness(channel, side, 2, 137, CQ_TOL)
+        assert witness is None
+        assert note.startswith("no discordant output among 500 probe inputs: ")
         assert discordant_output_witness_eager(channel, side, 2, 137, CQ_TOL) is None
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2)])
