@@ -26,6 +26,7 @@ import numpy as np
 from .channels import (
     QuantumChannel,
     _canonical_phase,
+    analyze_transfer,
     compose,
     make_point_channel,
     random_channel,
@@ -62,7 +63,6 @@ from .tolerances import (
     NULLSPACE_CUTOFF,
     PARTITION_TOL,
     POINT_SPREAD_TOL,
-    RANK_TOL,
     REBUILD_TOL,
 )
 
@@ -354,16 +354,11 @@ def _commutant_element(generators, dim: int, rng) -> np.ndarray:
 
 
 def _eigen_clusters(x: np.ndarray) -> list[np.ndarray]:
-    """Group eigenvectors of a Hermitian matrix by clustered eigenvalues."""
+    """Group eigenvectors of a Hermitian matrix by clustered eigenvalues: a
+    gap above ``CLUSTER_GAP * max(1, max |eigenvalue|)`` starts a new group."""
     eigvals, eigvecs = np.linalg.eigh(x)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
-    groups = []
-    start = 0
-    for k in range(1, eigvals.size + 1):
-        if k == eigvals.size or eigvals[k] - eigvals[k - 1] > CLUSTER_GAP * scale:
-            groups.append(eigvecs[:, start:k])
-            start = k
-    return groups
+    return np.split(eigvecs, np.flatnonzero(np.diff(eigvals) > CLUSTER_GAP * scale) + 1, axis=1)
 
 
 def _canonical_entries(entries: list[Entry], dim_a: int, dim_b: int) -> tuple[Entry, ...]:
@@ -382,14 +377,16 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
     """Recover an annihilating-channel partition from the channel's image span.
 
     Callers certify the channel first (:func:`apply_and_certify`); this
-    does not repeat it.  The left singular vectors of ``channel.transfer()``
-    above the ``RANK_TOL`` cut are the coordinates of an orthonormal
-    Hermitian basis ``X_m`` of the span of the channel's outputs.  The A
-    partition is the joint block structure of the B blocks of the ``X_m``,
-    extracted as the eigenspaces of a random element of their commutant,
-    drawn from ``MATCH_SEED``.  A block with projector ``P`` is pinned to
-    ``sigma`` when ``tr_A[(P (x) 1) X_m] = tr[(P (x) 1) X_m] sigma`` for every
-    ``m`` within ``POINT_SPREAD_TOL``, with ``sigma`` the least-squares fit.
+    does not repeat it.  The ``image`` of the channel's one cached transfer
+    analysis (:func:`analyze_transfer`), the left singular vectors of
+    ``channel.transfer()`` above the ``RANK_TOL`` cut, gives the coordinates
+    of an orthonormal Hermitian basis ``X_m`` of the span of the channel's
+    outputs.  The A partition is the joint block structure of the B blocks of
+    the ``X_m``, extracted as the eigenspaces of a random element of their
+    commutant, drawn from ``MATCH_SEED``.  A block with projector ``P`` is
+    pinned to ``sigma`` when ``tr_A[(P (x) 1) X_m] = tr[(P (x) 1) X_m] sigma``
+    for every ``m`` within ``POINT_SPREAD_TOL``, with ``sigma`` the
+    least-squares fit.
     The recovered spec reuses the channel itself as pre-channel, which is
     exact for any channel of the annihilating form.  The superoperator
     product ``S_stage S`` is that of the rebuilt stage after the channel, and
@@ -398,8 +395,7 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
     """
     _check_acts_on_ab(channel, dim_a, dim_b)
     d = dim_a * dim_b
-    u, svals, _ = np.linalg.svd(channel.transfer())
-    coords = u[:, svals > RANK_TOL * max(svals[0], 1e-300)]
+    coords = analyze_transfer(channel).image
     images = np.einsum("am,aij->mij", coords, np.array(hermitian_basis(d).elements))
     x4 = images.reshape(-1, dim_a, dim_b, dim_a, dim_b)
     generators = _b_blocks(images, dim_a, dim_b).reshape(-1, dim_a, dim_a)

@@ -72,6 +72,7 @@ class QuantumChannel:
         self.dim_in, self.dim_out = dim_in, dim_out
         self.choi = _freeze(choi)
         self._transfer: np.ndarray | None = None
+        self._analysis: TransferAnalysis | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -309,13 +310,15 @@ def choi_distance(a: QuantumChannel, b: QuantumChannel) -> float:
 
 @dataclass(frozen=True)
 class TransferAnalysis:
-    """Spectral summary of a real transfer matrix.
+    """Spectral summary of a real transfer matrix, from its one thin SVD.
 
     The determinant is reported through the singular values,
     ``sign * exp(sum log sigma_i)``, with the sign taken from an LU
     factorisation; a matrix is flagged rank deficient when
     ``sigma_min < RANK_TOL * sigma_max``, in which case the determinant is
-    reported as exactly zero.
+    reported as exactly zero.  ``image`` (read-only) holds the left singular
+    vectors above the ``RANK_TOL`` cut, as columns: the coordinates, in the
+    output Hermitian basis, of an orthonormal basis of the image span.
     """
 
     matrix: np.ndarray
@@ -324,28 +327,34 @@ class TransferAnalysis:
     rank: int
     rank_deficient: bool
     det: float
+    image: np.ndarray
 
 
 def analyze_transfer(channel: QuantumChannel) -> TransferAnalysis:
+    """The :class:`TransferAnalysis` of ``channel.transfer()``, cached on the channel."""
+    if channel._analysis is not None:
+        return channel._analysis
     t = channel.transfer()
-    s = np.linalg.svd(t, compute_uv=False)
+    u, s, _ = np.linalg.svd(t, full_matrices=False)
     sigma_max = float(s[0])
     sigma_min = float(s[-1])
-    rank = int(np.sum(s > RANK_TOL * max(sigma_max, 1e-300)))
+    keep = s > RANK_TOL * max(sigma_max, 1e-300)
     deficient = sigma_min < RANK_TOL * sigma_max
     sign = float(np.linalg.slogdet(t)[0]) if t.shape[0] == t.shape[1] else 0.0
     if deficient or sigma_min <= 0.0 or sign == 0.0:
         det = 0.0
     else:
         det = sign * float(np.exp(np.sum(np.log(s))))
-    return TransferAnalysis(
+    channel._analysis = TransferAnalysis(
         matrix=t,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
-        rank=rank,
+        rank=int(keep.sum()),
         rank_deficient=deficient,
         det=det,
+        image=_freeze(u[:, keep]),
     )
+    return channel._analysis
 
 
 # -- named constructors ----------------------------------------------------

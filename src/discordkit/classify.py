@@ -335,6 +335,14 @@ class ClassificationReport:
     match: MatchResult | None = None
 
 
+def _no_witness_note(scan: CertificationReport, tol: float) -> str:
+    """Why a scan in which no output failed yields no witness."""
+    return (
+        f"no discordant output among {scan.n_checked} probe inputs: their largest "
+        f"CQ residual {scan.worst_residual:.3e} is within cq_tol {tol:.3e}"
+    )
+
+
 def _discordant_output_witness(
     channel: QuantumChannel, side: str, dim_other: int, seed: int, tol: float
 ) -> tuple[dict | None, str]:
@@ -346,10 +354,7 @@ def _discordant_output_witness(
     probes = itertools.islice(_probe_stream(*dims, seed), WITNESS_BUDGET)
     scan = _cq_scan(extended, probes, dims, tol, out_dims)
     if scan.failing_input is None:
-        return None, (
-            f"no discordant output among {scan.n_checked} probe inputs: their largest "
-            f"CQ residual {scan.worst_residual:.3e} is within cq_tol {tol:.3e}"
-        )
+        return None, _no_witness_note(scan, tol)
     return {
         "kind": "discordant-output",
         "input": scan.failing_input,
@@ -516,6 +521,7 @@ class LocalDAVerdict:
     kind: str  # "da-via-a" | "da-via-b" | "not-da"
     witness: BipartiteState | None = None
     residual: float | None = None
+    notes: str = ""
 
     def __bool__(self) -> bool:
         return self.kind != "not-da"
@@ -534,7 +540,8 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
     neither holds the verdict is ``not-da``, and a witness input with a
     non-CQ output is searched for.  ``residual`` is the largest output CQ
     residual the search reached; when it is within ``CQ_TOL`` no probe
-    failed, and ``witness`` is None rather than an input whose output passes.
+    failed, ``witness`` is None rather than an input whose output passes, and
+    ``notes`` says so.
     """
     if _qc_decision(channel_a.choi[None], channel_a.dim_in)[0].kind == "yes":
         return LocalDAVerdict(kind="da-via-a")
@@ -544,4 +551,7 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
     probes = itertools.islice(_probe_stream(dim_a, dim_b, _LOCAL_DA_SEED), _LOCAL_DA_BUDGET)
     scan = _cq_scan(product, probes, (dim_a, dim_b), CQ_TOL, (channel_a.dim_out, channel_b.dim_out))
-    return LocalDAVerdict(kind="not-da", witness=scan.failing_input, residual=scan.worst_residual)
+    notes = _no_witness_note(scan, CQ_TOL) if scan.failing_input is None else ""
+    return LocalDAVerdict(
+        kind="not-da", witness=scan.failing_input, residual=scan.worst_residual, notes=notes
+    )

@@ -637,16 +637,15 @@ def _cq_draws(matrices: np.ndarray, dim_a: int, dim_b: int, tol: float):
     n = len(matrices)
     da, db = dim_a, dim_b
     blocks = _b_blocks(matrices, da, db)
+    flat = blocks.reshape(n, db * db, da, da)
+    herm = (flat + flat.conj().swapaxes(-1, -2)) / 2.0
+    skew = (flat - flat.conj().swapaxes(-1, -2)) / 2j
     scales = np.maximum(1.0, _frobenius_norms(matrices))
     rng = as_rng(DECOMPOSE_SEED)
     for _ in range(DECOMPOSE_RETRIES):
-        combined = np.zeros((n, da, da), dtype=complex)
-        for i in range(db):
-            for j in range(db):
-                a_ij = blocks[:, i, j]
-                herm = (a_ij + a_ij.conj().transpose(0, 2, 1)) / 2.0
-                skew = (a_ij - a_ij.conj().transpose(0, 2, 1)) / 2j
-                combined += rng.standard_normal() * herm + rng.standard_normal() * skew
+        # Summed in block order over axis 1, as a loop adding block by block.
+        c = rng.standard_normal((db * db, 2))
+        combined = (c[:, 0, None, None] * herm + c[:, 1, None, None] * skew).sum(axis=1)
         _, basis = np.linalg.eigh(combined)
         cond = np.einsum("nak,nijab,nbk->nkij", basis.conj(), blocks, basis)
         weights = np.clip(np.einsum("nkii->nk", cond).real, 0.0, None)

@@ -94,13 +94,16 @@ class DensityOperator:
 
     @classmethod
     def pure(cls, vector, *, name: str = "state") -> "DensityOperator":
-        """Rank-1 projector onto the (normalised) ``vector``."""
+        """Rank-1 projector onto the (normalised) ``vector``, stored as the
+        Hermitian part of ``|v><v|``, which rounding can leave skewed for a
+        complex ``v``; for a real ``v`` that part is the outer product itself."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
         if norm < ZERO_CUTOFF:
             raise InvalidStateError(f"{name}: zero vector cannot define a pure state")
         v = v / norm
-        return cls(dim=v.size, matrix=_freeze(np.outer(v, v.conj())))
+        m = np.outer(v, v.conj())
+        return cls(dim=v.size, matrix=_freeze((m + m.conj().T) / 2.0))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":

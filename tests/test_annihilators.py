@@ -19,6 +19,7 @@ from discordkit.annihilators import (
     random_da_spec,
     structural_match,
     _commutant_element,
+    _eigen_clusters,
 )
 from discordkit.classify import ActsOnAB, classify_channel, is_local_da
 from discordkit.channels import (
@@ -47,7 +48,7 @@ from discordkit.states import (
     random_density,
     random_unitary,
 )
-from discordkit.tolerances import CQ_TOL, NULLSPACE_CUTOFF
+from discordkit.tolerances import CLUSTER_GAP, CQ_TOL, NULLSPACE_CUTOFF, RANK_TOL
 
 
 def z_dephasing():
@@ -333,6 +334,37 @@ class TestStructuralMatch:
             product = stage.superop @ channel.superop
             assert np.linalg.norm(product - compose(stage, channel).superop) <= 1e-14
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_image_is_the_cut_of_the_full_svd(self, dims):
+        # The cached thin SVD selects the same left singular vectors, bit for
+        # bit, as the full SVD that structural_match took on its own.
+        d = dims[0] * dims[1]
+        for seed in range(4):
+            for channel in (
+                build_da_channel(random_da_spec(*dims, [seed, 18])),
+                random_channel(d, d, 2, [seed, 19]),
+            ):
+                u, s, _ = np.linalg.svd(channel.transfer())
+                want = u[:, s > RANK_TOL * max(s[0], 1e-300)]
+                image = analyze_transfer(channel).image
+                assert image.shape == want.shape and image.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3), (4, 2)])
+    def test_match_does_not_depend_on_a_prior_analysis(self, dims):
+        for seed in range(3):
+            spec = random_da_spec(*dims, [seed, 20])
+            fresh, analysed = build_da_channel(spec), build_da_channel(spec)
+            analyze_transfer(analysed)
+            a, b = structural_match(fresh, *dims), structural_match(analysed, *dims)
+            assert a.matched and b.matched
+            assert a.residual == b.residual
+            assert a.spec.projectors.tobytes() == b.spec.projectors.tobytes()
+            actions = [[e.action for e in m.spec.entries] for m in (a, b)]
+            assert [type(x) for x in actions[0]] == [type(x) for x in actions[1]]
+            for x, y in zip(*actions):
+                if isinstance(x, PointTo):
+                    assert x.state.matrix.tobytes() == y.state.matrix.tobytes()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_4x4_match_peak_memory(self, seed):
         # A match holds no (d², r, d, d) Kraus intermediate; at 4x4 it needs 6-8 MiB.
@@ -438,7 +470,10 @@ class TestIsLocalDA:
             if verdict.witness is None:
                 no_witness += 1
                 assert verdict.residual <= CQ_TOL
+                assert "among 200 probe inputs" in verdict.notes
+                assert f"CQ residual {verdict.residual:.3e} is within" in verdict.notes
                 continue
+            assert verdict.notes == ""
             product = compose(extend(channel_b, "B", 2), extend(channel_a, "A", 2))
             assert verdict.residual > CQ_TOL
             assert not is_cq_exact(product.apply(verdict.witness))
@@ -473,3 +508,39 @@ class TestCommutantElement:
             got = _commutant_element(generators, dim_a, as_rng(seed))
             want = commutant_element_loop(generators, dim_a, as_rng(seed))
             assert np.array_equal(got, want)
+
+
+def eigen_clusters_loop(x):
+    """``_eigen_clusters`` as an index loop over the ascending eigenvalues."""
+    eigvals, eigvecs = np.linalg.eigh(x)
+    scale = max(1.0, float(np.max(np.abs(eigvals))))
+    groups, start = [], 0
+    for k in range(1, eigvals.size + 1):
+        if k == eigvals.size or eigvals[k] - eigvals[k - 1] > CLUSTER_GAP * scale:
+            groups.append(eigvecs[:, start:k])
+            start = k
+    return groups
+
+
+class TestEigenClusters:
+    @pytest.mark.parametrize(
+        "spectrum, sizes",
+        [
+            ([-1.0, 0.0, 0.5, 2.0], [1, 1, 1, 1]),  # all distinct
+            ([0.3, 0.3 + 4e-7, 0.3 + 8e-7], [3]),  # one cluster, its span above the gap
+            ([0.0, 0.999e-6, 1.0], [2, 1]),  # a gap just below CLUSTER_GAP
+            ([0.0, 1.001e-6, 1.0], [1, 1, 1]),  # and just above it
+            ([0.0, 1.998e-6, 2.0], [2, 1]),  # the gap scales with the largest |eigenvalue|
+            ([0.0, 2.002e-6, 2.0], [1, 1, 1]),
+            ([-3.0, -3.0, 0.0, 0.0, 0.0], [2, 3]),
+        ],
+    )
+    def test_crafted_spectra(self, spectrum, sizes):
+        frame = random_unitary(len(spectrum), [48, len(spectrum)])
+        x = (frame * np.array(spectrum)) @ frame.conj().T
+        x = (x + x.conj().T) / 2
+        groups = _eigen_clusters(x)
+        assert [g.shape[1] for g in groups] == sizes
+        want = eigen_clusters_loop(x)
+        assert len(groups) == len(want)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(groups, want))

@@ -349,6 +349,16 @@ class TestRealTransfer:
         assert analysis.det == pytest.approx(1.0)
         assert not analysis.rank_deficient
 
+    def test_analysis_is_cached_and_read_only(self):
+        channel = random_channel(4, 4, 2, 5)
+        analysis = analyze_transfer(channel)
+        assert analyze_transfer(channel) is analysis
+        assert analysis.matrix is channel.transfer()
+        assert analysis.image.shape == (16, analysis.rank)
+        assert not analysis.image.flags.writeable
+        with pytest.raises(ValueError):
+            analysis.image[0, 0] = 0.0
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_point_channel_rank_one(self, dim):
         channel = make_point_channel(DensityOperator.maximally_mixed(dim))

@@ -333,6 +333,25 @@ class TestClassifyChannel:
         extended = extend(z_dephasing(), "B", 2)
         assert not is_cq_exact(extended.apply(w["input"]))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)])
+    def test_ab_takes_one_svd_of_the_transfer_matrix(self, monkeypatch, dims):
+        # The screening and the structural match read one cached analysis; the
+        # commutant's SVD factors a matrix of another shape.
+        channel = build_da_channel(random_da_spec(*dims, [3, 17]))
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = classify_channel(channel, ActsOnAB(*dims))
+        assert report.label == "da" and report.match.matched
+        t_shape = channel.transfer().shape
+        assert shapes.count(t_shape) == 1
+        assert len(shapes) > 1
+
     def test_point_on_b(self):
         sigma = random_density(2, "hilbert-schmidt", 4)
         report = classify_channel(make_point_channel(sigma), ActsOnB(dim_a=2))

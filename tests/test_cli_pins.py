@@ -94,12 +94,12 @@ DIGESTS = {
     "da33.json": "bac63b7b6f4135287d01e620c7bf0ff216fe9c48b3e7af70df0fd43ac9ca32ca",
     "da33_spec.json": "a306d0358b1ede5d5867db25f1d5862b21e46791a120235cc58b7efacf2b7990",
     "da42.json": "f7d577bb17cfba210677420240922272713c7bd427a2be7a292b78d9ffd2e2be",
-    "cls_AB_da22": "f973ea8db5e5564c1fc194a66cad36fee1d219190d4e28837eb1e24298c36580",
-    "cls_AB_da22_s20": "021a68bf7239736e891049c87ad30430757a0e4163b7177a8e972fd9684e2b27",
-    "cls_AB_da23": "74f29d822810a9fd773acbfbd64602b0e3fa46cfcca9f2fb360769acacee3ac0",
-    "cls_AB_da33": "2a0670e9fdc86c8276543e9c7ecbcf2dec668e39ba71ea6d321c6f884c373ee3",
-    "cls_AB_da42": "2c255488dd02aefdfde27375a2f48b39d70f0ac519e4b88eac6cb103e34e297a",
-    "cls_AB_rand": "902e6031f1cab8627e899696650e7f069f451be032ed2a2137845c6ef0db6ff1",
+    "cls_AB_da22": "b80553e4fcffbf619d4b226474f746daba5a05bff80b839aac31c9486110e8f7",
+    "cls_AB_da22_s20": "0decf27ac86adc35515a2f91c30eced4c8509b49afd40f2f52cb4cb457addcbc",
+    "cls_AB_da23": "3dee388eaccd1e98ba58043a27436eddafa24cef5747f4ee6c386e179fbd9a75",
+    "cls_AB_da33": "1846e176061b765ea8112f304dd67aec556eea3c770a1340fdf37bb93f15c5b5",
+    "cls_AB_da42": "1d1cee2de2c3342b6255b02c784bdd9aa65d7d318e77d28b3ca83ab9f6a8fb7c",
+    "cls_AB_rand": "a93f550b105a23fed77f95f4036e1a5b6f93fa26528cb821b31206a81cf069b7",
     "cls_A_deph": "cf70682bb4c96bb0fde1e55172b1ead8ac90bcbae099aea9deee9241181b12e4",
     "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",
     "cls_A_rand": "8ae1d4db890707e68350182c77ba644119750df8e9a1fe06f6f45c443632d4c4",
@@ -114,9 +114,9 @@ DIGESTS = {
     "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
     "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
     "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",
-    "verify_pass": "bf8569838712d1444f9388d63b5d940ac97d0f24d19c7df715d6a4211c9230d9",
+    "verify_pass": "f6d6b0883d2068a161213ac9571b3b539c70b78b90df44016868763836df58b1",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "witness.json": "df981d4fdb0f3857a671f888f1ed737a40c0c9e595f66a55459d129938a1cd58",
+    "witness.json": "bd29216f4751a51a78d57cb5bb1dc125f3ea791fb4d3ac0e7c01436f165949b9",
     "sweep_A": "5864d72ec2b19cc30caa2921749f25c9e5db64f497736726e9b3ef118f31482c",
     "sweep_B": "7ded4d5ba4f1e1318525af2d0d3c728c5b4052c192f1d070884dfabd977c7ba8",
     "sweep_A_probes": "32be2fa791f0b19c43af15fbcb29cbf003991cc1f3a02032ef33a6a0857ac72b",

@@ -23,7 +23,10 @@ from discordkit.discord import (
     _grid_angles,
     _pattern_search,
     _qubit_correlation_ops,
+    DECOMPOSE_RETRIES,
+    DECOMPOSE_SEED,
     _b_blocks,
+    _cq_draws,
     _cq_residuals,
     _qubit_scores,
     _weighted_entropies,
@@ -37,7 +40,9 @@ from discordkit.states import (
     PAULIS,
     BipartiteState,
     DensityOperator,
+    _frobenius_norms,
     _validate_states,
+    as_rng,
     bell_state,
     max_entangled,
     partial_trace,
@@ -49,7 +54,7 @@ from discordkit.states import (
     von_neumann_entropy,
 )
 from discordkit.annihilators import _probe_stream, build_da_channel, random_da_spec
-from discordkit.channels import random_channel
+from discordkit.channels import _cq_form, _swap_slots, make_qc_channel, random_channel
 from discordkit.tolerances import REFINE_MARGIN, ZERO_CUTOFF
 
 
@@ -643,11 +648,18 @@ class TestIsCQExact:
     def test_state_that_is_not_exactly_hermitian(self):
         """A complex pure state is Hermitian only up to rounding; it is judged
         on its Hermitian part, as the loop judges that part."""
-        states = [BipartiteState(2, 3, random_density(6, "haar-pure", [9, k])) for k in range(5)]
-        states += [
-            product_state(random_density(3, "haar-pure", [10, k]), random_density(2, "haar-pure", k))
-            for k in range(5)
-        ]
+        def skewed_pure(dim, seed):
+            # |v><v| of the vector random_density(dim, "haar-pure", seed) draws,
+            # without taking its Hermitian part.
+            rng = as_rng(seed)
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = v / np.linalg.norm(v)
+            return np.outer(v, v.conj())
+
+        matrices = [skewed_pure(6, [9, k]) for k in range(5)]
+        products = [np.kron(skewed_pure(3, [10, k]), skewed_pure(2, k)) for k in range(5)]
+        states = [BipartiteState(2, 3, DensityOperator(6, m)) for m in matrices]
+        states += [BipartiteState(3, 2, DensityOperator(6, m)) for m in products]
         skewed = 0
         for rho in states:
             m = rho.matrix
@@ -782,6 +794,67 @@ class TestCQDecompose:
         )
         decomp = cq_decompose(rho)
         assert np.linalg.norm(decomp.reconstruct().matrix - rho.matrix) <= 1e-8
+
+
+def cq_draws_loop(matrices, dim_a, dim_b, tol):
+    """The draws of ``_cq_draws`` with each draw's block combination summed by a
+    Python double loop over the B blocks, one coefficient pair per block."""
+    n = len(matrices)
+    blocks = _b_blocks(matrices, dim_a, dim_b)
+    scales = np.maximum(1.0, _frobenius_norms(matrices))
+    rng = as_rng(DECOMPOSE_SEED)
+    for _ in range(DECOMPOSE_RETRIES):
+        combined = np.zeros((n, dim_a, dim_a), dtype=complex)
+        for i in range(dim_b):
+            for j in range(dim_b):
+                a_ij = blocks[:, i, j]
+                herm = (a_ij + a_ij.conj().transpose(0, 2, 1)) / 2.0
+                skew = (a_ij - a_ij.conj().transpose(0, 2, 1)) / 2j
+                combined += rng.standard_normal() * herm + rng.standard_normal() * skew
+        _, basis = np.linalg.eigh(combined)
+        cond = np.einsum("nak,nijab,nbk->nkij", basis.conj(), blocks, basis)
+        weights = np.clip(np.einsum("nkii->nk", cond).real, 0.0, None)
+        residuals = _frobenius_norms(_cq_form(basis, cond) - matrices)
+        yield residuals / scales, residuals <= tol * scales, basis, weights, cond
+
+
+class TestCQDrawsStacked:
+    """The stacked block combination of ``_cq_draws`` equals the block loop bit
+    for bit, on the CQ stacks of ``cq_decompose`` and the slot-swapped Choi
+    stacks of ``_qc_decision``."""
+
+    @staticmethod
+    def assert_same_draws(matrices, dim_a, dim_b):
+        draws = list(_cq_draws(matrices, dim_a, dim_b, 1e-9))
+        loop = list(cq_draws_loop(matrices, dim_a, dim_b, 1e-9))
+        assert len(draws) == len(loop) == DECOMPOSE_RETRIES
+        for got, want in zip(draws, loop):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)])
+    def test_cq_stacks(self, dims):
+        states = [cq_state([41, *dims, k], *dims).matrix for k in range(20)]
+        states += [equal_weight_cq(*dims, [42, k]).matrix for k in range(5)]
+        self.assert_same_draws(np.array(states), *dims)
+        for m in states[:5]:
+            self.assert_same_draws(m[None], *dims)
+
+    @pytest.mark.parametrize("dim_in, dim_out", [(2, 2), (3, 3), (4, 2), (2, 4)])
+    def test_slot_swapped_choi_stacks(self, dim_in, dim_out):
+        chois = []
+        for k in range(8):
+            frame = random_unitary(dim_out, [43, dim_in, dim_out, k])
+            kets = [frame[:, j] for j in range(min(dim_in, dim_out))]
+            rng = as_rng([44, dim_in, dim_out, k])
+            effects = np.array([random_density(dim_in, "hilbert-schmidt", rng).matrix for _ in kets])
+            root = np.linalg.inv(np.linalg.cholesky(effects.sum(axis=0)))
+            povm = [root @ f @ root.conj().T for f in effects]
+            chois.append(make_qc_channel(povm, kets).choi)
+            chois.append(random_channel(dim_in, dim_out, 2, [45, dim_in, dim_out, k]).choi)
+        nus, error = _validate_states(_swap_slots(np.array(chois), dim_in, dim_out) / dim_in)
+        assert error is None
+        self.assert_same_draws(nus, dim_out, dim_in)
 
 
 class TestHybridAgainstOracle:

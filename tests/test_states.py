@@ -337,6 +337,36 @@ class TestEntropy:
         )
 
 
+class TestPure:
+    def test_complex_vectors_give_exactly_hermitian_matrices(self):
+        skewed = 0
+        for k in range(20):
+            rng = np.random.default_rng([46, k])
+            v = rng.standard_normal(2 + k % 4) + 1j * rng.standard_normal(2 + k % 4)
+            m = DensityOperator.pure(v).matrix
+            assert np.array_equal(m, m.conj().T)
+            outer = np.outer(v, v.conj()) / np.vdot(v, v).real
+            skewed += not np.array_equal(outer, outer.conj().T)
+            np.testing.assert_allclose(m, outer, rtol=0, atol=1e-15)
+        assert skewed >= 5
+
+    def test_real_vectors_give_the_outer_product(self):
+        # Equal as values, and bit for bit but for the sign of a zero entry.
+        s = 1 / np.sqrt(2)
+        vectors = [[1, 0], [0, 1], [1, 1], [1, -1], [0.6, 0, -0.8], [0, s, -s, 0]]
+        vectors.append([s, 0, 0, 0, s, 0])
+        vectors += [np.random.default_rng([47, k]).standard_normal(2 + k % 4) for k in range(20)]
+        for vec in vectors:
+            v = np.asarray(vec, dtype=complex)
+            v = v / np.linalg.norm(v)
+            want = np.outer(v, v.conj())
+            got = DensityOperator.pure(vec).matrix
+            assert np.array_equal(got, want)
+            parts, want_parts = got.view(float), want.view(float)  # real and imaginary parts
+            nonzero = want_parts != 0
+            assert parts[nonzero].tobytes() == want_parts[nonzero].tobytes()
+
+
 class TestRandomEnsembles:
     def test_haar_pure_purity(self):
         rho = random_density(2, "haar-pure", 0)
