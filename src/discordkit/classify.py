@@ -4,8 +4,9 @@ Point channels (the only channels on B that break discord), quantum-
 classical measure-and-prepare channels (the only ones on A that do),
 entanglement breaking via the PPT criterion, and the combined classifier
 with its tetrahedron sweep over unital qubit channels.  Each family has one
-decision function, which takes a stack of Choi matrices: the public verdict
-is its one-channel case and the sweep calls it once per slab of grid points.
+decision function, which takes a stack of Choi matrices and answers in
+arrays: the public verdict is its one-channel case and the sweep calls it
+once per bounded stack of grid points.
 Every negative verdict adds a witness that can be re-checked independently;
 the discordant-output searches and the sweep's probe states take prefixes of
 the probe stream of :mod:`discordkit.annihilators`.
@@ -14,6 +15,7 @@ the probe stream of :mod:`discordkit.annihilators`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +54,10 @@ from .states import (
 from .tolerances import CQ_TOL, EB_TOL
 
 WITNESS_BUDGET = 500
+# Grid points per stacked decision of the tetrahedron sweep: a step-0.25 grid
+# (249 points) fits one stack.  Larger stacks ran faster but raised the
+# sweep's peak memory.
+SWEEP_STACK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,43 +133,60 @@ def _choi_partial_transpose(chois: np.ndarray, dim_in: int) -> np.ndarray:
 
 # -- family tests --------------------------------------------------------------
 # Each decision takes a stack ``(n, d, d)`` of Choi matrices with input
-# dimension ``dim_in`` and returns one witness-free verdict per matrix.
+# dimension ``dim_in`` and answers in arrays, one row per matrix.
 
 
-def _point_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> list[Verdict]:
-    """The decisions of :func:`is_point_channel`, without a witness."""
+class _Decisions(Sequence):
+    """The answers of one stacked decision: the ``yes`` mask and the
+    ``residuals``, and ``decisions[i]``, row i's witness-free :class:`Verdict`,
+    built from the kept arrays only when it is read."""
+
+    def __init__(self, yes: np.ndarray, residuals: np.ndarray, verdict: Callable[[int], Verdict]):
+        self.yes, self.residuals, self._verdict = yes, residuals, verdict
+
+    def __len__(self) -> int:
+        return len(self.yes)
+
+    def __getitem__(self, row: int) -> Verdict:
+        return self._verdict(range(len(self))[row])
+
+
+def _point_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Decisions:
+    """The decisions of :func:`is_point_channel`; a "yes" verdict's fixed
+    state is read off the kept stack of marginals."""
     dim_out = chois.shape[-1] // dim_in
     sigmas = partial_trace_matrix(chois, dim_in, dim_out, "B") / dim_in
     targets = np.kron(np.eye(dim_in, dtype=complex), sigmas)
-    residuals = _frobenius_norms(chois - targets).tolist()
-    thresholds = (tol * np.maximum(1.0, _frobenius_norms(chois))).tolist()
-    return [
-        Verdict(
-            kind="yes",
-            residual=residual,
-            details={"fixed_state": DensityOperator.from_matrix(sigma, name="point target")},
-        )
-        if residual <= threshold
-        else Verdict(kind="no", residual=residual)
-        for sigma, residual, threshold in zip(sigmas, residuals, thresholds)
-    ]
+    residuals = _frobenius_norms(chois - targets)
+    yes = residuals <= tol * np.maximum(1.0, _frobenius_norms(chois))
+
+    def verdict(row: int) -> Verdict:
+        residual = float(residuals[row])
+        if not yes[row]:
+            return Verdict(kind="no", residual=residual)
+        fixed = DensityOperator.from_matrix(sigmas[row], name="point target")
+        return Verdict(kind="yes", residual=residual, details={"fixed_state": fixed})
+
+    return _Decisions(yes, residuals, verdict)
 
 
-def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> list[Verdict]:
-    """The decisions of :func:`is_qc_channel`, without a witness: one stacked
-    validation and CQ test of the slot-swapped normalised Choi matrices, then
-    one stacked rebuild of the channels that pass."""
+def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Decisions:
+    """The decisions of :func:`is_qc_channel`: one stacked validation and CQ
+    test of the slot-swapped normalised Choi matrices, then one stacked
+    rebuild of the channels that pass, whose verdicts are kept."""
     dim_out = chois.shape[-1] // dim_in
     nus, error = _validate_states(_swap_slots(chois, dim_in, dim_out) / dim_in, name="swapped Choi")
     if error is not None:
         raise error
-    residuals, _ = _cq_residuals(nus, dim_out, dim_in)
-    verdicts = [Verdict(kind="no", residual=residual) for residual in residuals]
-    cq = np.flatnonzero(np.array(residuals) <= tol)
-    if cq.size:
-        for row, verdict in zip(cq.tolist(), _qc_rebuild(chois[cq], nus[cq], dim_in, tol)):
-            verdicts[row] = verdict
-    return verdicts
+    residuals = np.array(_cq_residuals(nus, dim_out, dim_in)[0])
+    cq = np.flatnonzero(residuals <= tol)
+    rebuilt = dict(zip(cq.tolist(), _qc_rebuild(chois[cq], nus[cq], dim_in, tol) if cq.size else []))
+    yes = np.zeros(len(chois), dtype=bool)
+    for row, verdict in rebuilt.items():
+        yes[row], residuals[row] = verdict.kind == "yes", verdict.residual
+    return _Decisions(
+        yes, residuals, lambda row: rebuilt.get(row) or Verdict(kind="no", residual=float(residuals[row]))
+    )
 
 
 def _qc_rebuild(chois: np.ndarray, nus: np.ndarray, dim_in: int, tol: float) -> list[Verdict]:
@@ -272,29 +295,38 @@ def is_entanglement_breaking(channel: QuantumChannel) -> Verdict:
     return verdict
 
 
-def _eb_decision(chois: np.ndarray, dim_in: int) -> list[Verdict]:
-    """The verdicts of :func:`is_entanglement_breaking`, from one stacked
-    ``eigh`` of the partial transposes."""
-    dim_out = chois.shape[-1] // dim_in
+def _eb_decision(chois: np.ndarray, dim_in: int) -> _Decisions:
+    """The decisions of :func:`is_entanglement_breaking`, from one stacked
+    ``eigh`` of the partial transposes; a "no" verdict's witness is read off
+    the kept eigenvectors."""
+    n, d = chois.shape[:2]
+    dim_out = d // dim_in
     eigvals, eigvecs = np.linalg.eigh(_choi_partial_transpose(chois, dim_in))
-    verdicts = []
-    for choi, lowest, vecs in zip(chois, eigvals[:, 0].tolist(), eigvecs):
-        if lowest < -EB_TOL:
-            witness = {"kind": "npt-eigenvector", "eigenvalue": lowest, "vector": vecs[:, 0]}
-            verdicts.append(Verdict(kind="no", residual=-lowest, witness=witness))
-            continue
-        kind, notes = "yes", ""
-        if (dim_in, dim_out) not in {(2, 2), (2, 3), (3, 2)}:
-            nu = choi / dim_in
-            marg_in = partial_trace_matrix(nu, dim_in, dim_out, "A")
-            marg_out = partial_trace_matrix(nu, dim_in, dim_out, "B")
-            if np.linalg.norm(nu - np.kron(marg_in, marg_out)) <= EB_TOL:
-                notes = "Choi matrix is a product state, hence separable in any dimension"
-            else:
-                kind = "unknown"
-                notes = "PPT holds but is not sufficient for separability in these dimensions"
-        verdicts.append(Verdict(kind=kind, residual=max(0.0, -lowest), notes=notes))
-    return verdicts
+    lowest = eigvals[:, 0]
+    npt = lowest < -EB_TOL
+    residuals = np.where(-lowest > 0.0, -lowest, 0.0)  # max(0.0, -lowest), row by row
+    unknown, note = np.zeros(n, dtype=bool), ""
+    if (dim_in, dim_out) not in {(2, 2), (2, 3), (3, 2)}:
+        nu = chois / dim_in
+        marg_in = partial_trace_matrix(nu, dim_in, dim_out, "A")
+        marg_out = partial_trace_matrix(nu, dim_in, dim_out, "B")
+        # np.kron(marg_in, marg_out) of each row
+        krons = (marg_in[:, :, None, :, None] * marg_out[:, None, :, None, :]).reshape(n, d, d)
+        unknown = ~npt & ~(_frobenius_norms(nu - krons) <= EB_TOL)
+        note = "Choi matrix is a product state, hence separable in any dimension"
+
+    def verdict(row: int) -> Verdict:
+        residual = float(residuals[row])
+        if npt[row]:
+            vector = eigvecs[row, :, 0]
+            witness = {"kind": "npt-eigenvector", "eigenvalue": float(lowest[row]), "vector": vector}
+            return Verdict(kind="no", residual=residual, witness=witness)
+        if unknown[row]:
+            notes = "PPT holds but is not sufficient for separability in these dimensions"
+            return Verdict(kind="unknown", residual=residual, notes=notes)
+        return Verdict(kind="yes", residual=residual, notes=note)
+
+    return _Decisions(~npt & ~unknown, residuals, verdict)
 
 
 # -- combined classification -----------------------------------------------------
@@ -457,6 +489,23 @@ def _axis_count(step: float) -> int:
     return round(intervals) + 1
 
 
+def _grid_stacks(values: np.ndarray, bound: int):
+    """The grid points inside the tetrahedron, in row order, as arrays
+    ``(3, m)`` of ``(l1, l2, l3)`` with ``m`` at most ``bound``, each filled
+    from consecutive ``l1`` slabs."""
+    slab_l2, slab_l3 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
+    pending = np.empty((3, 0))
+    for l1 in values.tolist():
+        inside = _in_cptp_tetrahedron(l1, slab_l2, slab_l3)
+        slab = (np.full(np.count_nonzero(inside), l1), slab_l2[inside], slab_l3[inside])
+        pending = np.concatenate([pending, slab], axis=1)
+        while pending.shape[1] >= bound:
+            yield pending[:, :bound]
+            pending = pending[:, bound:]
+    if pending.shape[1]:
+        yield pending
+
+
 def tetrahedron_sweep(
     step: float,
     side: str,
@@ -466,14 +515,15 @@ def tetrahedron_sweep(
 ) -> list[SweepRow]:
     """Classify the unital-qubit CPTP tetrahedron on a regular grid.
 
-    Each grid point gets the witness-free decision of ``is_qc_channel`` (side
-    A) or ``is_point_channel`` (side B) and its entanglement-breaking
-    verdict; when ``n_probe_states`` is positive the maximal
-    discord over the probe outputs of the extended channel is reported,
-    otherwise NaN.  Rows are ordered by grid index.  The grid is decided one
-    ``l1`` slab at a time: the slab's points inside the tetrahedron get one
+    Each grid point gets the decision of ``is_qc_channel`` (side A) or
+    ``is_point_channel`` (side B) and its entanglement-breaking decision;
+    when ``n_probe_states`` is positive the maximal discord over the probe
+    outputs of the extended channel is reported, otherwise NaN.  Rows are
+    ordered by grid index.  The grid is decided in stacks of at most
+    ``SWEEP_STACK`` points from consecutive ``l1`` slabs: each stack gets one
     Choi stack from the Pauli Choi matrices, one trace-preservation check and
-    one call of each stacked decision.
+    one call of each stacked decision, of which the sweep reads only the
+    ``yes`` masks.
     """
     count = _axis_count(step)
     side = side.upper()
@@ -484,22 +534,18 @@ def tetrahedron_sweep(
     dims = (2, dim_other) if side == "A" else (dim_other, 2)
     probes = witness_probe_states(*dims, budget=n_probe_states, seed=seed) if n_probe_states else []
     decide = _qc_decision if side == "A" else _point_decision
-    slab_l2, slab_l3 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
     rows = []
-    for l1 in values.tolist():
-        inside = _in_cptp_tetrahedron(l1, slab_l2, slab_l3)
-        l2, l3 = slab_l2[inside], slab_l3[inside]
+    for l1, l2, l3 in _grid_stacks(values, SWEEP_STACK):
         chois = _unital_qubit_chois(l1, l2, l3)
         _check_trace_preserving(chois, 2)
-        is_db = [verdict.kind == "yes" for verdict in decide(chois, 2)]
-        is_eb = [verdict.kind == "yes" for verdict in _eb_decision(chois, 2)]
-        for i, (x2, x3) in enumerate(zip(l2.tolist(), l3.tolist())):
+        is_db, is_eb = decide(chois, 2).yes.tolist(), _eb_decision(chois, 2).yes.tolist()
+        for i, lam in enumerate(zip(l1.tolist(), l2.tolist(), l3.tolist())):
             max_discord = float("nan")
             if probes:
                 extended = extend(QuantumChannel._of_choi(chois[i], 2, 2), side, dim_other)
                 discords = [discord(extended.apply(p), Hybrid()).value for p in probes]
                 max_discord = max([0.0] + discords)
-            rows.append(SweepRow(l1, x2, x3, is_db[i], is_eb[i], max_discord))
+            rows.append(SweepRow(*lam, is_db[i], is_eb[i], max_discord))
     return rows
 
 
@@ -543,9 +589,9 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
     failed, ``witness`` is None rather than an input whose output passes, and
     ``notes`` says so.
     """
-    if _qc_decision(channel_a.choi[None], channel_a.dim_in)[0].kind == "yes":
+    if _qc_decision(channel_a.choi[None], channel_a.dim_in).yes[0]:
         return LocalDAVerdict(kind="da-via-a")
-    if _point_decision(channel_b.choi[None], channel_b.dim_in)[0].kind == "yes":
+    if _point_decision(channel_b.choi[None], channel_b.dim_in).yes[0]:
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))

@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     except (InputError, FileFormatError, InvalidStateError, InvalidChannelError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read or written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - internal failures

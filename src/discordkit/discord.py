@@ -389,6 +389,19 @@ def _unitary_scores(r4: np.ndarray, s_b: float, us: np.ndarray) -> np.ndarray:
     return s_b - _weighted_entropies(blocks).sum(axis=1)
 
 
+@lru_cache(maxsize=None)
+def _givens_stencil(dim: int) -> tuple[np.ndarray, ...]:
+    """The rotations of :func:`_rotation_neighbours` on a ``dim`` frame,
+    read-only: their index k, pair (i, j), phase and angle sign, and the
+    identity they start from."""
+    i, j = np.triu_indices(dim, 1)
+    # Each pair at phase 1 (φ = 0) and 1j (φ = π/2), each at +h and −h.
+    n = len(i)
+    k, i, j = np.arange(4 * n), np.repeat(i, 4), np.repeat(j, 4)
+    phase, signs = np.tile([1.0, 1.0, 1j, 1j], n), np.tile([1.0, -1.0, 1.0, -1.0], n)
+    return tuple(_freeze(a) for a in (k, i, j, phase, signs, np.eye(dim, dtype=complex)))
+
+
 def _rotation_neighbours(us: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Neighbours ``u @ R`` of frames ``u`` for the 2·d(d−1) rotations
     R = exp(±i·h·G), G the real or the imaginary off-diagonal generator of a
@@ -396,15 +409,10 @@ def _rotation_neighbours(us: np.ndarray, h: np.ndarray) -> np.ndarray:
     −e^{−iφ}·sin(±h) at (i, j) and e^{iφ}·sin(±h) at (j, i), with φ = 0 or π/2.
     """
     live, dim, _ = us.shape
-    i, j = np.triu_indices(dim, 1)
-    # Each pair at phase 1 (φ = 0) and 1j (φ = π/2), each at +h and −h.
-    n = len(i)
-    i, j = np.repeat(i, 4), np.repeat(j, 4)
-    phase = np.tile([1.0, 1.0, 1j, 1j], n)
-    angle = h * np.tile([1.0, -1.0, 1.0, -1.0], n)
+    k, i, j, phase, signs, eye = _givens_stencil(dim)
+    angle = h * signs
     c, s = np.cos(angle), np.sin(angle)
-    k = np.arange(4 * n)
-    r = np.broadcast_to(np.eye(dim, dtype=complex), (live, 4 * n, dim, dim)).copy()
+    r = np.broadcast_to(eye, (live, len(k), dim, dim)).copy()
     r[:, k, i, i] = c
     r[:, k, j, j] = c
     r[:, k, i, j] = -phase.conj() * s

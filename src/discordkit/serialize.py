@@ -108,7 +108,7 @@ def _load_json(source) -> dict:
     path = Path(source)
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, oversized or too deep JSON
         raise FileFormatError(str(path), f"invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FileFormatError(str(path), "top-level value must be an object")

@@ -26,6 +26,7 @@ from discordkit.classify import (
     ActsOnA,
     ActsOnAB,
     ActsOnB,
+    Verdict,
     _eb_decision,
     _hermitian_probe_inputs,
     _point_decision,
@@ -612,22 +613,62 @@ class TestStackedDecisions:
 
 class TestTetrahedronSweep:
     @pytest.mark.parametrize("side", ["A", "B"])
-    def test_one_stacked_decision_per_slab(self, monkeypatch, side):
-        calls = []
+    def test_one_stacked_decision_per_stack(self, monkeypatch, side):
+        calls = {"decide": [], "eb": []}
         name = "_qc_decision" if side == "A" else "_point_decision"
-        decide = getattr(classify, name)
+        decide, eb = getattr(classify, name), classify._eb_decision
 
         def counted(chois, dim_in, tol=classify.CQ_TOL):
-            calls.append(len(chois))
+            calls["decide"].append(len(chois))
             return decide(chois, dim_in, tol)
+
+        def counted_eb(chois, dim_in):
+            calls["eb"].append(len(chois))
+            return eb(chois, dim_in)
 
         def refuse(*args, **kwargs):
             raise AssertionError("without probes the sweep builds no channel per row")
 
         monkeypatch.setattr(classify, name, counted)
+        monkeypatch.setattr(classify, "_eb_decision", counted_eb)
         monkeypatch.setattr(classify, "QuantumChannel", refuse)
-        rows = tetrahedron_sweep(step=0.25, side=side)
-        assert len(calls) == 9 and sum(calls) == len(rows)
+        assert len(tetrahedron_sweep(step=0.25, side=side)) == 249
+        assert calls == {"decide": [249], "eb": [249]}
+        # Slabs of up to 545 rows at step 1/16: stacks split and join them.
+        calls["decide"], calls["eb"] = [], []
+        rows = tetrahedron_sweep(step=0.0625, side=side)
+        sizes = calls["decide"]
+        assert calls["eb"] == sizes and sum(sizes) == len(rows) == 12001
+        assert sizes[:-1] == [classify.SWEEP_STACK] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= classify.SWEEP_STACK
+
+    @pytest.mark.parametrize("side, cq_rows", [("A", 49), ("B", 0)])
+    def test_no_verdict_for_a_row_that_is_not_cq(self, monkeypatch, side, cq_rows):
+        # Side A keeps the rebuild's verdict of each CQ row, the 49 rows on
+        # the axes; no other row gets a Verdict, a witness or a fixed state.
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["kind"])
+            return Verdict(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a no-probe sweep builds no witness or state per row")
+
+        monkeypatch.setattr(classify, "Verdict", counted)
+        monkeypatch.setattr(classify, "DensityOperator", refuse)
+        monkeypatch.setattr(classify, "_probe_pair_witness", refuse)
+        rows = tetrahedron_sweep(step=0.125, side=side)
+        assert built == ["yes"] * cq_rows
+        if side == "A":
+            assert sum(row.is_db for row in rows) == cq_rows
+
+    @pytest.mark.parametrize("bound", [1, 7, 10**6])
+    def test_csv_does_not_depend_on_the_stack_bound(self, monkeypatch, bound):
+        expected = {side: sweep_to_csv(tetrahedron_sweep(step=0.25, side=side)) for side in "AB"}
+        monkeypatch.setattr(classify, "SWEEP_STACK", bound)
+        for side in "AB":
+            assert sweep_to_csv(tetrahedron_sweep(step=0.25, side=side)) == expected[side]
 
     @pytest.mark.parametrize("step", [1e-30, 1e-300, 5e-324])
     def test_step_beyond_an_array_rejected(self, step):

@@ -391,6 +391,41 @@ def test_out_of_range_tolerance_exits_2(tmp_path, capsys, command, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "contents",
+    [
+        "{}".encode("utf-16"),  # starts with the bytes ff fe
+        b'{"dims": [2, 2], "matrix": [[' + b"9" * 5000 + b", 0]]}",
+        b"[" * 100_000,
+    ],
+    ids=["undecodable", "oversized-integer", "too-deep"],
+)
+@pytest.mark.parametrize("command", ["discord", "classify", "verify-da"])
+def test_malformed_file_contents_exit_2(tmp_path, capsys, command, contents):
+    path = tmp_path / "bad.json"
+    path.write_bytes(contents)
+    argv = {
+        "discord": ["discord", str(path)],
+        "classify": ["classify", str(path), "--side", "A"],
+        "verify-da": ["verify-da", "--channel", str(path), "--dims", "2x2",
+                      "--witness-out", str(tmp_path / "witness.json")],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {path}: invalid JSON ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["discord", "{d}"], ["tetra-sweep", "--step", "0.5", "--side", "A", "--out", "{d}"]],
+    ids=["read", "write"],
+)
+def test_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *(arg.format(d=tmp_path) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 class TestSweepCommand:
     def test_axis_rows_side_a(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

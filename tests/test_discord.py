@@ -508,6 +508,38 @@ class TestUnitaryScores:
             np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
 
 
+def rotation_neighbours_rebuilt(us, h):
+    """``_rotation_neighbours`` as it built its stencil on every call."""
+    live, dim, _ = us.shape
+    i, j = np.triu_indices(dim, 1)
+    n = len(i)
+    i, j = np.repeat(i, 4), np.repeat(j, 4)
+    phase = np.tile([1.0, 1.0, 1j, 1j], n)
+    angle = h * np.tile([1.0, -1.0, 1.0, -1.0], n)
+    c, s = np.cos(angle), np.sin(angle)
+    k = np.arange(4 * n)
+    r = np.broadcast_to(np.eye(dim, dtype=complex), (live, 4 * n, dim, dim)).copy()
+    r[:, k, i, i] = c
+    r[:, k, j, j] = c
+    r[:, k, i, j] = -phase.conj() * s
+    r[:, k, j, i] = phase * s
+    return us[:, None] @ r
+
+
+class TestRotationNeighbours:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_cached_stencil_gives_the_same_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        us = np.stack([random_unitary(dim, rng) for _ in range(5)])
+        h = np.pi / 4.0 / 2.0 ** rng.integers(0, 20, size=(5, 1))
+        for _ in range(2):  # the second call reads the cached stencil
+            got = discord_module._rotation_neighbours(us, h)
+            assert got.tobytes() == rotation_neighbours_rebuilt(us, h).tobytes()
+        stencil = discord_module._givens_stencil(dim)
+        assert stencil is discord_module._givens_stencil(dim)
+        assert not any(a.flags.writeable for a in stencil)
+
+
 class TestMultiStartClosedForm:
     @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2)], ids=["3x2", "3x3", "4x2"])
     def test_equal_weight_cq_states(self, dims):
