@@ -263,7 +263,7 @@ def _cq_scan(
         if error is not None:
             raise error
         valid, error = _validate_states(channel.apply_matrix(states), name="channel output")
-        residuals, _ = _cq_residuals(valid, *out_dims)
+        residuals = _cq_residuals(valid, *out_dims)[0].tolist()
         for state, image, residual in zip(states, valid, residuals):
             n_checked += 1
             if residual > worst:

@@ -54,9 +54,9 @@ from .states import (
 from .tolerances import CQ_TOL, EB_TOL
 
 WITNESS_BUDGET = 500
-# Grid points per stacked decision of the tetrahedron sweep: a step-0.25 grid
-# (249 points) fits one stack.  Larger stacks ran faster but raised the
-# sweep's peak memory.
+# Grid points per stacked decision of the tetrahedron sweep, cut from the
+# array of all the grid's inside points: a step-0.25 grid (249 points) fits
+# one stack.  Larger stacks ran faster but raised the sweep's peak memory.
 SWEEP_STACK = 256
 
 
@@ -172,67 +172,60 @@ def _point_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Dec
 
 def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Decisions:
     """The decisions of :func:`is_qc_channel`: one stacked validation and CQ
-    test of the slot-swapped normalised Choi matrices, then one stacked
-    rebuild of the channels that pass, whose verdicts are kept."""
-    dim_out = chois.shape[-1] // dim_in
+    test of the slot-swapped normalised Choi matrices ``nu``, then one stacked
+    rebuild per decomposition draw of the CQ rows not yet rebuilt.
+
+    Each draw that reconstructs a row's ``nu`` gives a POVM
+    ``F_k = dim_in * p_k * tau_k^T`` and an output basis ``|k>``, whose
+    channel has the Choi matrix ``sum_k F_k^T (x) |k><k|``: the slot swap of
+    their CQ form, as ``make_qc_channel`` builds it.  A CQ row is "yes" at
+    the first draw whose rebuilt Choi matrix lies within ``tol``, and keeps
+    that draw's POVM and basis; otherwise it is "no" with the smallest
+    rebuild residual, or the last reconstruction residual when no draw
+    reconstructs ``nu``.
+    """
+    n, dim_out = len(chois), chois.shape[-1] // dim_in
     nus, error = _validate_states(_swap_slots(chois, dim_in, dim_out) / dim_in, name="swapped Choi")
     if error is not None:
         raise error
-    residuals = np.array(_cq_residuals(nus, dim_out, dim_in)[0])
-    cq = np.flatnonzero(residuals <= tol)
-    rebuilt = dict(zip(cq.tolist(), _qc_rebuild(chois[cq], nus[cq], dim_in, tol) if cq.size else []))
-    yes = np.zeros(len(chois), dtype=bool)
-    for row, verdict in rebuilt.items():
-        yes[row], residuals[row] = verdict.kind == "yes", verdict.residual
-    return _Decisions(
-        yes, residuals, lambda row: rebuilt.get(row) or Verdict(kind="no", residual=float(residuals[row]))
-    )
+    residuals = _cq_residuals(nus, dim_out, dim_in)[0]
+    is_cq = residuals <= tol
+    cq = np.flatnonzero(is_cq)
+    yes = np.zeros(n, dtype=bool)
+    povms = np.empty((n, dim_out, dim_in, dim_in), dtype=complex)
+    bases = np.empty((n, dim_out, dim_out), dtype=complex)
+    if cq.size:
+        scales = np.maximum(1.0, _frobenius_norms(chois[cq]))
+        rebuilds = np.full(cq.size, np.inf)  # the smallest: a hit lies below every miss
+        for relative, accepted, basis, weights, blocks in _cq_draws(nus[cq], dim_out, dim_in, tol):
+            fresh = np.flatnonzero(accepted & ~yes[cq])
+            if fresh.size:
+                probs, conditionals = _cq_conditionals(weights[fresh], blocks[fresh])
+                weighted = (dim_in * probs)[..., None, None] * conditionals  # the F_k^T
+                rebuilt = _swap_slots(_cq_form(basis[fresh], weighted), dim_out, dim_in)
+                drawn = _frobenius_norms(rebuilt - chois[cq[fresh]]) / scales[fresh]
+                rebuilds[fresh] = np.minimum(rebuilds[fresh], drawn)
+                hit = drawn <= tol
+                rows = cq[fresh[hit]]
+                yes[rows] = True
+                povms[rows] = weighted[hit].transpose(0, 1, 3, 2)
+                bases[rows] = basis[fresh[hit]].transpose(0, 2, 1)  # row k is basis[:, k]
+            if yes[cq].all():
+                break
+        residuals[cq] = np.where(rebuilds < np.inf, rebuilds, relative)
 
-
-def _qc_rebuild(chois: np.ndarray, nus: np.ndarray, dim_in: int, tol: float) -> list[Verdict]:
-    """The verdicts on channels whose slot-swapped normalised Choi matrices
-    ``nus`` are CQ.
-
-    Each draw of the CQ decomposition that reconstructs a channel's ``nu``
-    gives a POVM ``F_k = dim_in * p_k * tau_k^T`` and an output basis
-    ``|k>``, whose channel has the Choi matrix ``sum_k F_k^T (x) |k><k|``:
-    the slot swap of their CQ form, as ``make_qc_channel`` builds it.  The
-    answer is "yes" at the first draw whose rebuilt Choi matrix lies within
-    ``tol``; otherwise "no" with the smallest rebuild residual, or the last
-    reconstruction residual when no draw reconstructs ``nu``.
-    """
-    n = len(chois)
-    dim_out = chois.shape[-1] // dim_in
-    scales = np.maximum(1.0, _frobenius_norms(chois))
-    verdicts: list[Verdict | None] = [None] * n
-    misses: list[list[float]] = [[] for _ in range(n)]
-    for relative, accepted, basis, weights, blocks in _cq_draws(nus, dim_out, dim_in, tol):
-        rows = np.flatnonzero(accepted & np.array([v is None for v in verdicts], dtype=bool))
-        if rows.size:
-            probs, conditionals = _cq_conditionals(weights[rows], blocks[rows])
-            weighted = (dim_in * probs)[..., None, None] * conditionals  # the F_k^T
-            rebuilt = _swap_slots(_cq_form(basis[rows], weighted), dim_out, dim_in)
-            residuals = _frobenius_norms(rebuilt - chois[rows]) / scales[rows]
-            povms = weighted.transpose(0, 1, 3, 2)
-            kets = basis[rows].transpose(0, 2, 1)  # row k is basis[:, k]
-            for row, residual, povm, ket in zip(rows.tolist(), residuals.tolist(), povms, kets):
-                if residual <= tol:
-                    details = {"povm": list(povm), "basis": list(ket)}
-                    verdicts[row] = Verdict(kind="yes", residual=residual, details=details)
-                else:
-                    misses[row].append(residual)
-        if all(verdicts):
-            break
-    return [
-        verdict
-        or Verdict(
-            kind="no",
-            residual=min(misses[row], default=float(relative[row])),
-            notes="Choi is classical on the output slot but the extracted form "
-            "does not reproduce the channel",
+    def verdict(row: int) -> Verdict:
+        residual = float(residuals[row])
+        if yes[row]:
+            details = {"povm": list(povms[row]), "basis": list(bases[row])}
+            return Verdict(kind="yes", residual=residual, details=details)
+        notes = (
+            "Choi is classical on the output slot but the extracted form "
+            "does not reproduce the channel" if is_cq[row] else ""
         )
-        for row, verdict in enumerate(verdicts)
-    ]
+        return Verdict(kind="no", residual=residual, notes=notes)
+
+    return _Decisions(yes, residuals, verdict)
 
 
 def _with_witness(verdict: Verdict, channel: QuantumChannel, kind: str) -> Verdict:
@@ -489,21 +482,17 @@ def _axis_count(step: float) -> int:
     return round(intervals) + 1
 
 
-def _grid_stacks(values: np.ndarray, bound: int):
+def _grid_stacks(values: np.ndarray, bound: int) -> list[np.ndarray]:
     """The grid points inside the tetrahedron, in row order, as arrays
-    ``(3, m)`` of ``(l1, l2, l3)`` with ``m`` at most ``bound``, each filled
-    from consecutive ``l1`` slabs."""
+    ``(3, m)`` of ``(l1, l2, l3)`` with ``m`` at most ``bound``: the inside
+    points of every ``l1`` slab, gathered into one array, cut into stacks."""
     slab_l2, slab_l3 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
-    pending = np.empty((3, 0))
+    slabs = []
     for l1 in values.tolist():
         inside = _in_cptp_tetrahedron(l1, slab_l2, slab_l3)
-        slab = (np.full(np.count_nonzero(inside), l1), slab_l2[inside], slab_l3[inside])
-        pending = np.concatenate([pending, slab], axis=1)
-        while pending.shape[1] >= bound:
-            yield pending[:, :bound]
-            pending = pending[:, bound:]
-    if pending.shape[1]:
-        yield pending
+        slabs.append((np.full(np.count_nonzero(inside), l1), slab_l2[inside], slab_l3[inside]))
+    points = np.concatenate(slabs, axis=1)
+    return [points[:, start : start + bound] for start in range(0, points.shape[1], bound)]
 
 
 def tetrahedron_sweep(
@@ -550,10 +539,15 @@ def tetrahedron_sweep(
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
+    """The rows as CSV, numbers to 9 significant digits.  Each of a sweep's
+    ``round(2 / step) + 1`` distinct grid values is formatted once, keyed by
+    value: its grid ``-1 + k * step`` holds no ``-0.0``, which keys as 0.0."""
+    values = {v for row in rows for v in (row.l1, row.l2, row.l3)}
+    grid = {value: f"{value:.9g}" for value in values}
     lines = ["l1,l2,l3,is_db,is_eb,max_discord"]
     for row in rows:
         lines.append(
-            f"{row.l1:.9g},{row.l2:.9g},{row.l3:.9g},"
+            f"{grid[row.l1]},{grid[row.l2]},{grid[row.l3]},"
             f"{str(row.is_db).lower()},{str(row.is_eb).lower()},{row.max_discord:.9g}"
         )
     return "\n".join(lines) + "\n"

@@ -545,6 +545,7 @@ def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
     stack in row-major order; the first pair to reach the maximum is ``worst``.
     """
     (residual,), (pair,) = _cq_residuals(rho.matrix[None], rho.dim_a, rho.dim_b)
+    residual = float(residual)
     worst = None
     if residual > 0.0:
         worst = ("commutator", *(divmod(int(k[pair]), rho.dim_b) for k in _block_pairs(rho.dim_b)))
@@ -561,7 +562,7 @@ def _block_pairs(dim_b: int) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[list[float], np.ndarray]:
+def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
     """The residual of :func:`is_cq_exact` for each state of the stack
     ``(n, dim_a * dim_b, dim_a * dim_b)``, bit for bit, in one scan, and the
     index in :func:`_block_pairs` of each state's first worst pair (0 if none).
@@ -569,16 +570,15 @@ def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[list[fl
     ``A_ji = A_ij^dag`` holds exactly and each normality defect is a commutator."""
     n = len(matrices)
     if dim_b == 1:  # no pair of distinct blocks: every state is CQ
-        return [0.0] * n, np.zeros(n, dtype=np.intp)
+        return np.zeros(n), np.zeros(n, dtype=np.intp)
     first, second = _block_pairs(dim_b)
     herm = (matrices + matrices.conj().transpose(0, 2, 1)) / 2.0
     blocks = _b_blocks(herm, dim_a, dim_b).reshape(n, dim_b * dim_b, dim_a, dim_a)
     a, b = blocks[:, first], blocks[:, second]
     defects = _frobenius_norms((a @ b - b @ a).reshape(-1, dim_a, dim_a)).reshape(n, len(first))
     pairs = np.argmax(defects, axis=1)
-    worst = defects[np.arange(n), pairs].tolist()
-    scales = _frobenius_norms(herm).tolist()
-    return [val / max(scale, 1e-300) for val, scale in zip(worst, scales)], pairs
+    scales = _frobenius_norms(herm)  # a zero norm has zero defects
+    return defects[np.arange(n), pairs] / np.where(scales > 0.0, scales, 1.0), pairs
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ class FileFormatError(ValueError):
     """Malformed input file; the message names the field at fault."""
 
     def __init__(self, field: str, problem: str):
-        self.field = field
+        self.field, self.problem = field, problem
         super().__init__(f"{field}: {problem}")
 
 
@@ -251,7 +251,12 @@ def load_da_spec(source) -> DAChannelSpec:
             raise FileFormatError(f"{field}.kind", f"expected 'rank1' or 'multi', got {kind!r}")
     pre = None
     if "pre_channel" in payload:
-        pre = load_channel(payload["pre_channel"])
+        if not isinstance(payload["pre_channel"], dict):
+            raise FileFormatError("pre_channel", "expected an object")
+        try:
+            pre = load_channel(payload["pre_channel"])
+        except FileFormatError as exc:
+            raise FileFormatError(f"pre_channel.{exc.field}", exc.problem) from exc
     try:
         return DAChannelSpec.make(dim_a, dim_b, entries, pre_channel=pre)
     except InvalidDASpecError as exc:

@@ -13,6 +13,8 @@ from discordkit.channels import (
     QuantumChannel,
     UnitalQubitParams,
     _in_cptp_tetrahedron,
+    _cq_form,
+    _swap_slots,
     _unital_qubit_chois,
     compose,
     extend,
@@ -141,6 +143,48 @@ def qc_decision_kraus_route(chois, dim_in, tol):
         if i not in done:
             verdicts[row] = ("no", min(misses[row], default=float(relative[i])))
     return verdicts
+
+
+def qc_decision_eager(chois, dim_in, tol):
+    """The verdicts of ``_qc_decision`` as it built them before it answered in
+    arrays: the rebuild made a ``Verdict`` for every CQ row and kept each row's
+    rebuild misses in a list."""
+    dim_out = chois.shape[-1] // dim_in
+    nus, error = _validate_states(_swap_slots(chois, dim_in, dim_out) / dim_in, name="swapped Choi")
+    assert error is None
+    residuals, _ = _cq_residuals(nus, dim_out, dim_in)
+    cq = np.flatnonzero(residuals <= tol).tolist()
+    scales = np.maximum(1.0, np.array([np.linalg.norm(chois[row]) for row in cq]))
+    verdicts = {row: None for row in cq}
+    misses = {row: [] for row in cq}
+    for relative, accepted, basis, weights, blocks in _cq_draws(nus[cq], dim_out, dim_in, tol):
+        rows = [i for i in np.flatnonzero(accepted).tolist() if verdicts[cq[i]] is None]
+        if rows:
+            probs, conditionals = _cq_conditionals(weights[rows], blocks[rows])
+            weighted = (dim_in * probs)[..., None, None] * conditionals
+            rebuilt = _swap_slots(_cq_form(basis[rows], weighted), dim_out, dim_in)
+            for k, i in enumerate(rows):
+                residual = float(np.linalg.norm(rebuilt[k] - chois[cq[i]]) / scales[i])
+                if residual <= tol:
+                    povm, kets = list(weighted[k].transpose(0, 2, 1)), list(basis[i].T)
+                    details = {"povm": povm, "basis": kets}
+                    verdicts[cq[i]] = Verdict(kind="yes", residual=residual, details=details)
+                else:
+                    misses[cq[i]].append(residual)
+        if all(verdicts.values()):
+            break
+    notes = (
+        "Choi is classical on the output slot but the extracted form "
+        "does not reproduce the channel"
+    )
+    for i, row in enumerate(cq):
+        if verdicts[row] is None:
+            residual = min(misses[row], default=float(relative[i]))
+            verdicts[row] = Verdict(kind="no", residual=residual, notes=notes)
+    return [
+        verdicts.get(row) or Verdict(kind="no", residual=float(residual))
+        for row, residual in enumerate(residuals)
+    ]
 
 
 # The scalar scores the probe-pair witnesses used before pairs became one stack.
@@ -279,6 +323,53 @@ class TestIsQCChannel:
         w = verdict.witness
         assert w["kind"] == "noncommuting-outputs"
         assert recheck_witness(channel, w) >= w["commutator_norm"] / 2
+
+
+def verdict_bytes(verdict):
+    """Kind, residual, notes and details of a witness-free verdict, as bytes."""
+    details = {
+        key: [(a.shape, a.tobytes()) for a in map(np.asarray, value)]
+        for key, value in (verdict.details or {}).items()
+    }
+    return verdict.kind, struct.pack("<d", verdict.residual), verdict.notes, details
+
+
+def qc_corpus():
+    """Seeded channels by ``(dim_in, dim_out)``: qubit measure-and-prepare
+    channels mixed with a little of a random channel, mixtures at d = 2 and 3,
+    random channels and point channels.  At each tolerance some CQ rows are
+    not rebuilt."""
+    corpus = {dims: [] for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]}
+    for eps in (0.0, 2e-8, 5e-8, 1e-7, 1e-4, 1e-3, 5e-3):
+        corpus[2, 2] += [near_qc_channel(k, eps) for k in range(12)]
+    for dims in [(2, 3), (3, 2), (3, 3)]:
+        for weight in (0.0, 1e-7, 1e-4, 1e-3):
+            corpus[dims] += near_qc_corpus(*dims, weight, 4)
+    for d in (2, 3):
+        corpus[d, d] += [random_channel(d, d, 2, [d, k, 29]) for k in range(3)]
+        sigmas = [random_density(d, "hilbert-schmidt", [d, k]) for k in range(2)]
+        corpus[d, d] += [make_point_channel(sigma) for sigma in sigmas]
+    return corpus
+
+
+class TestQCDecisionMatchesEagerRebuild:
+    """The array bookkeeping of ``_qc_decision`` gives, bit for bit, the
+    verdicts that the eager rebuild built row by row."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 3e-3])
+    def test_stacks_and_single_channels(self, tol):
+        kinds, unrebuilt = set(), 0
+        for (dim_in, _), channels in qc_corpus().items():
+            chois = np.array([c.choi for c in channels])
+            reference = [verdict_bytes(v) for v in qc_decision_eager(chois, dim_in, tol)]
+            assert [verdict_bytes(v) for v in _qc_decision(chois, dim_in, tol)] == reference
+            for choi, expected in zip(chois, reference):
+                (single,) = _qc_decision(choi[None], dim_in, tol)
+                assert verdict_bytes(single) == expected
+                kinds.add(expected[0])
+                unrebuilt += bool(expected[2])
+        assert kinds == {"yes", "no"}
+        assert unrebuilt > 0
 
 
 class TestEntanglementBreaking:
@@ -644,8 +735,9 @@ class TestTetrahedronSweep:
 
     @pytest.mark.parametrize("side, cq_rows", [("A", 49), ("B", 0)])
     def test_no_verdict_for_a_row_that_is_not_cq(self, monkeypatch, side, cq_rows):
-        # Side A keeps the rebuild's verdict of each CQ row, the 49 rows on
-        # the axes; no other row gets a Verdict, a witness or a fixed state.
+        # The sweep reads only the yes masks, so no row gets a Verdict, a
+        # witness or a fixed state: not even side A's 49 CQ rows on the axes,
+        # which are rebuilt and all pass.
         built = []
 
         def counted(*args, **kwargs):
@@ -659,7 +751,7 @@ class TestTetrahedronSweep:
         monkeypatch.setattr(classify, "DensityOperator", refuse)
         monkeypatch.setattr(classify, "_probe_pair_witness", refuse)
         rows = tetrahedron_sweep(step=0.125, side=side)
-        assert built == ["yes"] * cq_rows
+        assert built == []
         if side == "A":
             assert sum(row.is_db for row in rows) == cq_rows
 

@@ -587,6 +587,41 @@ class TestGenAndVerify:
         assert code == 2
         assert "entries: entries 0 and 2 overlap (norm 7.071e-01)" in err
 
+    @pytest.mark.parametrize(
+        "pre, message",
+        [
+            ([1, 2], "pre_channel: expected an object"),
+            (7, "pre_channel: expected an object"),
+            (None, "pre_channel: expected an object"),
+            ("prep.json", "pre_channel: expected an object"),
+            (
+                {"type": "kraus", "d_in": 0, "d_out": 4, "data": []},
+                "pre_channel.d_in: expected a positive integer, got 0",
+            ),
+            (
+                {"type": "kraus", "d_in": 4, "d_out": 4, "data": [[[1.0, 0.0]]]},
+                "pre_channel.data[0]: expected 16 entries for shape (4, 4), got 1",
+            ),
+        ],
+        ids=["list", "number", "null", "path", "bad-dimension", "bad-kraus"],
+    )
+    def test_spec_pre_channel_must_be_a_channel_object(
+        self, tmp_path, capsys, monkeypatch, pre, message
+    ):
+        # A string is not read as a path, even where it names a channel file.
+        monkeypatch.chdir(tmp_path)
+        save_channel(QuantumChannel.identity(4), tmp_path / "prep.json")
+        identity = {"type": "identity"}
+        entries = [
+            {"kind": "rank1", "vector": encode_matrix(basis_ket(2, k)), "action": identity}
+            for k in range(2)
+        ]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"dims": [2, 2], "entries": entries, "pre_channel": pre}))
+        code, out, err = run(capsys, "gen-da", "--spec", str(spec_path), "--out", "na.json")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "na.json").exists()
+
     def test_full_space_point_spec(self, tmp_path, capsys):
         from discordkit.channels import choi_distance, extend, make_point_channel
         from discordkit.serialize import load_channel

@@ -733,13 +733,13 @@ class TestStackedCQResiduals:
 
     def test_empty_stack(self):
         residuals, pairs = _cq_residuals(np.zeros((0, 6, 6), dtype=complex), 3, 2)
-        assert residuals == [] and len(pairs) == 0
+        assert residuals.tolist() == [] and len(pairs) == 0
 
     def test_one_dimensional_b_has_no_pair(self):
         states = [random_bipartite(3, 1, [11, k]) for k in range(4)]
         states.append(BipartiteState(3, 1, random_density(3, "haar-pure", 12)))
         residuals, pairs = _cq_residuals(np.array([rho.matrix for rho in states]), 3, 1)
-        assert residuals == [0.0] * 5 and len(pairs) == 5
+        assert residuals.tolist() == [0.0] * 5 and len(pairs) == 5
         for rho in states:
             check = is_cq_exact(rho)
             assert check.is_cq and check.residual == 0.0 and check.worst is None
