@@ -19,7 +19,7 @@ which the range of its transfer matrix gives exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,11 @@ MATCH_RETRIES = 3
 
 
 class InvalidDASpecError(ValueError):
-    """The partition violates the annihilating-channel structure."""
+    """The spec violates the annihilating form; ``field`` names the spec field at fault."""
+
+    def __init__(self, problem: str, field: str = "entries"):
+        self.field = field
+        super().__init__(problem)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +111,9 @@ class DAChannelSpec:
             d = dim_a * dim_b
             if (pre_channel.dim_in, pre_channel.dim_out) != (d, d):
                 raise InvalidDASpecError(
-                    f"pre-channel acts on dimension {pre_channel.dim_in}, expected {d}"
+                    f"pre-channel acts on {pre_channel.dim_in} -> {pre_channel.dim_out}, "
+                    f"expected {d} -> {d}",
+                    field="pre_channel",
                 )
         return cls(dim_a, dim_b, pre_channel, entries, _freeze(projectors))
 
@@ -387,11 +393,11 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
     pinned to ``sigma`` when ``tr_A[(P (x) 1) X_m] = tr[(P (x) 1) X_m] sigma``
     for every ``m`` within ``POINT_SPREAD_TOL``, with ``sigma`` the
     least-squares fit.
-    The recovered spec reuses the channel itself as pre-channel, which is
-    exact for any channel of the annihilating form.  The superoperator
-    product ``S_stage S`` is that of the rebuilt stage after the channel, and
-    its distance from ``S``, relative to ``max(1, ||S||)`` and within
-    ``REBUILD_TOL``, certifies the match.
+    The recovered spec is the stage alone, with no pre-channel: the classified
+    channel is its own pre-channel, since an annihilating channel equals the
+    stage after itself.  The superoperator product ``S_stage S`` of the rebuilt
+    stage after the channel, within ``REBUILD_TOL`` of ``S`` relative to
+    ``max(1, ||S||)``, certifies the match.
     """
     _check_acts_on_ab(channel, dim_a, dim_b)
     d = dim_a * dim_b
@@ -427,10 +433,8 @@ def structural_match(channel: QuantumChannel, dim_a: int, dim_b: int) -> MatchRe
             else:
                 entries.append(MultiEntry(projector=vecs @ vecs.conj().T, action=action))
         else:
-            spec = DAChannelSpec.make(
-                dim_a, dim_b, _canonical_entries(entries, dim_a, dim_b), pre_channel=channel
-            )
-            stage = build_da_channel(replace(spec, pre_channel=None))
+            spec = DAChannelSpec.make(dim_a, dim_b, _canonical_entries(entries, dim_a, dim_b))
+            stage = build_da_channel(spec)
             residual = float(np.linalg.norm(stage.superop @ superop - superop)) / scale
             if residual <= REBUILD_TOL:
                 return MatchResult(spec=spec, residual=residual)

@@ -144,6 +144,8 @@ def cmd_classify(args) -> int:
     if report.match is not None and report.match.matched:
         payload["recovered_spec"] = da_spec_to_json(report.match.spec)
         payload["match_residual"] = report.match.residual
+    elif report.match is not None:
+        payload["match_notes"] = report.match.notes
     _emit(payload, args.out)
     return EXIT_OK
 

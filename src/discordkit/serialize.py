@@ -260,7 +260,7 @@ def load_da_spec(source) -> DAChannelSpec:
     try:
         return DAChannelSpec.make(dim_a, dim_b, entries, pre_channel=pre)
     except InvalidDASpecError as exc:
-        raise FileFormatError("entries", str(exc)) from exc
+        raise FileFormatError(exc.field, str(exc)) from exc
 
 
 # -- results -------------------------------------------------------------------------

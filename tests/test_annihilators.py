@@ -110,7 +110,7 @@ class TestSpecValidation:
             )
 
     def test_overlapping_entries_rejected(self):
-        with pytest.raises(InvalidDASpecError, match="overlap"):
+        with pytest.raises(InvalidDASpecError, match="overlap") as info:
             DAChannelSpec.make(
                 2,
                 2,
@@ -120,6 +120,7 @@ class TestSpecValidation:
                     Rank1Entry(basis_ket(2, 1), IdentityAction()),
                 ],
             )
+        assert info.value.field == "entries"
 
     def test_overlapping_pair_named(self):
         entries = [
@@ -153,7 +154,7 @@ class TestSpecValidation:
         assert np.allclose(spec.projectors.sum(axis=0), np.eye(3), atol=1e-10)
 
     def test_pre_channel_dimension_checked(self):
-        with pytest.raises(InvalidDASpecError, match="pre-channel"):
+        with pytest.raises(InvalidDASpecError, match="pre-channel") as info:
             DAChannelSpec.make(
                 2,
                 2,
@@ -163,6 +164,7 @@ class TestSpecValidation:
                 ],
                 pre_channel=QuantumChannel.identity(2),
             )
+        assert info.value.field == "pre_channel"
 
     def test_oblique_projector_rejected(self):
         entries = oblique_spec_entries()

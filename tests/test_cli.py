@@ -16,9 +16,11 @@ from discordkit.annihilators import (
     Rank1Entry,
     apply_and_certify,
     build_da_channel,
+    random_da_spec,
 )
 from discordkit.channels import (
     QuantumChannel,
+    compose,
     make_point_channel,
     make_qc_channel,
     mix_channels,
@@ -28,6 +30,7 @@ from discordkit.cli import build_parser, main
 from discordkit.discord import is_cq_exact
 from discordkit.serialize import (
     encode_matrix,
+    load_channel,
     load_state,
     save_channel,
     save_state,
@@ -41,7 +44,7 @@ from discordkit.states import (
     random_bipartite,
     random_density,
 )
-from discordkit.tolerances import CQ_TOL, VALIDITY_TOL
+from discordkit.tolerances import CQ_TOL, REBUILD_TOL, VALIDITY_TOL
 
 
 @pytest.fixture
@@ -306,6 +309,20 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", str(path), "--side", "A")
         assert code == 2
         assert "not PSD" in err
+
+    def test_inconclusive_report_says_why(self, tmp_path, capsys):
+        # Certified at --tol-cq 1e-3, but its rank-2 block keeps B input-dependent.
+        da = build_da_channel(random_da_spec(2, 2, 0))
+        path = tmp_path / "near_da.json"
+        save_channel(mix_channels([(1 - 1e-5, da), (1e-5, QuantumChannel.identity(4))]), path)
+        code, out, _ = run(
+            capsys, "classify", str(path), "--side", "AB", "--dims", "2x2", "--tol-cq", "1e-3"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["label"] == "inconclusive"
+        assert payload["match_notes"] == "rank-2 block has input-dependent B conditional"
+        assert "recovered_spec" not in payload
 
     def test_ab_requires_dims(self, tmp_path, capsys):
         path = tmp_path / "identity.json"
@@ -602,8 +619,21 @@ class TestGenAndVerify:
                 {"type": "kraus", "d_in": 4, "d_out": 4, "data": [[[1.0, 0.0]]]},
                 "pre_channel.data[0]: expected 16 entries for shape (4, 4), got 1",
             ),
+            (
+                {"type": "kraus", "d_in": 2, "d_out": 2, "data": [encode_matrix(np.eye(2))]},
+                "pre_channel: pre-channel acts on 2 -> 2, expected 4 -> 4",
+            ),
+            (
+                {
+                    "type": "kraus",
+                    "d_in": 4,
+                    "d_out": 2,
+                    "data": [encode_matrix(np.eye(4)[2 * k : 2 * k + 2]) for k in range(2)],
+                },
+                "pre_channel: pre-channel acts on 4 -> 2, expected 4 -> 4",
+            ),
         ],
-        ids=["list", "number", "null", "path", "bad-dimension", "bad-kraus"],
+        ids=["list", "number", "null", "path", "bad-dimension", "bad-kraus", "qubit", "4to2"],
     )
     def test_spec_pre_channel_must_be_a_channel_object(
         self, tmp_path, capsys, monkeypatch, pre, message
@@ -622,9 +652,30 @@ class TestGenAndVerify:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "na.json").exists()
 
+    @pytest.mark.parametrize("dims", ["2x2", "2x3", "3x2", "3x3", "4x2"])
+    def test_recovered_spec_round_trips(self, tmp_path, capsys, dims):
+        # The printed spec is the stage alone; the channel is its own pre-channel.
+        channel_path, spec_path, stage_path = (tmp_path / n for n in ("da", "spec", "stage"))
+        code, _, _ = run(
+            capsys, "gen-da", "--random", dims, "--seed", "5", "--out", str(channel_path)
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "classify", str(channel_path), "--side", "AB", "--dims", dims)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["label"] == "da"
+        assert "pre_channel" not in payload["recovered_spec"]
+        spec_path.write_text(json.dumps(payload["recovered_spec"]))
+        code, out, _ = run(capsys, "gen-da", "--spec", str(spec_path), "--out", str(stage_path))
+        assert code == 0
+        assert json.loads(out) == payload["recovered_spec"]
+        channel, stage = load_channel(channel_path), load_channel(stage_path)
+        superop = channel.superop
+        distance = np.linalg.norm(compose(stage, channel).superop - superop)
+        assert distance <= REBUILD_TOL * max(1.0, np.linalg.norm(superop))
+
     def test_full_space_point_spec(self, tmp_path, capsys):
         from discordkit.channels import choi_distance, extend, make_point_channel
-        from discordkit.serialize import load_channel
         from discordkit.states import DensityOperator
 
         r = DensityOperator.diagonal([0.7, 0.3])

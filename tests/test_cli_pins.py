@@ -94,11 +94,11 @@ DIGESTS = {
     "da33.json": "bac63b7b6f4135287d01e620c7bf0ff216fe9c48b3e7af70df0fd43ac9ca32ca",
     "da33_spec.json": "a306d0358b1ede5d5867db25f1d5862b21e46791a120235cc58b7efacf2b7990",
     "da42.json": "f7d577bb17cfba210677420240922272713c7bd427a2be7a292b78d9ffd2e2be",
-    "cls_AB_da22": "b80553e4fcffbf619d4b226474f746daba5a05bff80b839aac31c9486110e8f7",
-    "cls_AB_da22_s20": "0decf27ac86adc35515a2f91c30eced4c8509b49afd40f2f52cb4cb457addcbc",
-    "cls_AB_da23": "3dee388eaccd1e98ba58043a27436eddafa24cef5747f4ee6c386e179fbd9a75",
-    "cls_AB_da33": "1846e176061b765ea8112f304dd67aec556eea3c770a1340fdf37bb93f15c5b5",
-    "cls_AB_da42": "1d1cee2de2c3342b6255b02c784bdd9aa65d7d318e77d28b3ca83ab9f6a8fb7c",
+    "cls_AB_da22": "fbc634b8b6e6dd64c53cecf912d3a1fb41b32aae496b24e6f6eaaea341f31aff",
+    "cls_AB_da22_s20": "3babfad413115bc9c9b0cdde68f3a45b586dcc212374aecace24e13bde29b6f0",
+    "cls_AB_da23": "5e5eecd2817605e20ef591b424ec1f93f05f1ba14fdeccb51fa8027201a2dc79",
+    "cls_AB_da33": "c6a6cc1f7e93e3452b83523946801493798546fab6b8bad5459460839d269140",
+    "cls_AB_da42": "afe553dd9effbaf92a5cd7f96facf3ca8faac56c6dab64cc23e1680ee36a5ea7",
     "cls_AB_rand": "a93f550b105a23fed77f95f4036e1a5b6f93fa26528cb821b31206a81cf069b7",
     "cls_A_deph": "cf70682bb4c96bb0fde1e55172b1ead8ac90bcbae099aea9deee9241181b12e4",
     "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",
