@@ -205,21 +205,27 @@ class CertificationReport:
         return self.failing_input is None
 
 
-def _probe_stream(dim_a: int, dim_b: int, seed: int, n_draws: int | None = None):
+def _probe_stream(
+    dim_a: int, dim_b: int, seed: int, n_draws: int | None = None, budget: int | None = None
+):
     """The one stream of probe inputs, as raw matrices on ``dim_a (x) dim_b``.
 
     First a fixed head: the four Bell states at 2x2, otherwise the maximally
     entangled state when both dimensions are at least 2; the product states
     ``|ij>`` with ``i, j < 2``; and two noncommuting classical mixtures.  Then
     ``n_draws`` Hilbert-Schmidt draws (endless when None), draw ``i`` from a
-    generator seeded with ``(seed, i)``, so every probe is reproducible.  The
-    dimensions are checked at the call; each probe is built when it is pulled.
+    generator seeded with ``(seed, i)``, so every probe is reproducible; the
+    stream ends after ``budget`` probes when that is not None.  The dimensions
+    are checked at the call, which returns ``take``: ``take(n)`` builds the next
+    ``n`` probes (fewer at the end) and returns them as one ``(k, d, d)``
+    stack, the head probe by probe and the draws of the chunk in one stacked
+    :func:`_ginibre_density`.
     """
     for name, value in (("dim_a", dim_a), ("dim_b", dim_b)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
-    def probes():
+    def fixed():
         if dim_a == 2 and dim_b == 2:
             for k in range(4):
                 yield bell_state(k).matrix
@@ -234,53 +240,72 @@ def _probe_stream(dim_a: int, dim_b: int, seed: int, n_draws: int | None = None)
         for ket_b in (plus_b, basis_ket(dim_b, dim_b - 1)):
             plus = np.kron(np.outer(plus_a, plus_a.conj()), np.outer(ket_b, ket_b.conj()))
             yield 0.5 * zero + 0.5 * plus
-        d = dim_a * dim_b
-        for index in itertools.count() if n_draws is None else range(n_draws):
-            yield _ginibre_density(d, d, as_rng([seed, index]))
 
-    return probes()
+    d = dim_a * dim_b
+    head = fixed()
+    taken = drawn = 0
+
+    def take(n: int) -> np.ndarray:
+        nonlocal taken, drawn
+        if budget is not None:
+            n = min(n, budget - taken)
+        stack = np.array(list(itertools.islice(head, n)), dtype=complex).reshape(-1, d, d)
+        k = n - len(stack) if n_draws is None else min(n - len(stack), n_draws - drawn)
+        if k > 0:
+            rngs = [as_rng([seed, index]) for index in range(drawn, drawn + k)]
+            stack = np.concatenate((stack, _ginibre_density(d, d, rngs)))
+            drawn += k
+        taken += len(stack)
+        return stack
+
+    return take
 
 
 def _cq_scan(
     channel: QuantumChannel,
-    inputs,
+    take,
     dims: tuple[int, int],
     tol: float,
     out_dims: tuple[int, int] | None = None,
 ) -> CertificationReport:
     """Apply ``channel`` to the inputs and run the exact CQ test on each output.
 
-    Stops at the first output that is not classical-quantum.  ``inputs`` is
-    any iterable of raw matrices that are states on ``dims``, and outputs are
-    judged on ``out_dims`` (by default ``dims``); it is pulled in chunks of
-    1, 2, 4, ..., so at most ``2 * n_checked - 1`` inputs are built.  Each
-    chunk takes one stacked validation of its inputs, one stacked
-    application, one stacked output validation and one stacked CQ test, bit
-    for bit equal to per-input calls, and is then judged in input order: an
-    output that is not a state raises only after every earlier output has
-    passed.  Only the worst input and the failing input and output are kept.
+    Stops at the first output that is not classical-quantum.  ``take(n)``
+    returns the next ``n`` inputs (fewer at the end, none when spent) as one
+    stack of raw matrices that are states on ``dims``, as the ``take`` of
+    :func:`_probe_stream` does; outputs are judged on ``out_dims`` (by
+    default ``dims``).  The scan takes chunks of 1, 2, 4, ..., so at most
+    ``2 * n_checked - 1`` inputs are built.  Each chunk takes one stacked
+    validation of its inputs, one stacked application, one stacked output
+    validation and one stacked CQ test, bit for bit equal to per-input calls,
+    and is judged with masks in input order: the first failing output is the
+    first whose residual is not within ``tol`` (NaN fails), the worst the first
+    to reach the largest residual up to it, and an output that is not a state
+    raises only after every earlier output has passed.  Only the worst input
+    and the failing input and output are kept.
     """
     out_dims = out_dims or dims
-    inputs = iter(inputs)
     n_checked, worst, worst_input = 0, 0.0, None
     size = 1
-    while chunk := list(itertools.islice(inputs, size)):
-        states, error = _validate_states(np.array(chunk, dtype=complex))
+    while len(chunk := take(size)):
+        states, error = _validate_states(chunk)
         if error is not None:
             raise error
         valid, error = _validate_states(channel.apply_matrix(states), name="channel output")
-        residuals = _cq_residuals(valid, *out_dims)[0].tolist()
-        for state, image, residual in zip(states, valid, residuals):
-            n_checked += 1
-            if residual > worst:
-                worst, worst_input = residual, state
-            if not residual <= tol:
-                return CertificationReport(
-                    n_checked, worst, _wrap(worst_input, dims), _wrap(state, dims),
-                    residual, _wrap(image, out_dims),
-                )
-        if error is not None:
+        residuals = _cq_residuals(valid, *out_dims)[0]
+        failing = np.flatnonzero(~(residuals <= tol))
+        if not len(failing) and error is not None:
             raise error
+        stop = int(failing[0]) + 1 if len(failing) else len(residuals)
+        n_checked += stop
+        k = int(np.argmax(np.fmax(residuals[:stop], 0.0)))  # NaN never the worst
+        if residuals[k] > worst:
+            worst, worst_input = float(residuals[k]), states[k]
+        if len(failing):
+            return CertificationReport(
+                n_checked, worst, _wrap(worst_input, dims), _wrap(states[stop - 1], dims),
+                float(residuals[stop - 1]), _wrap(valid[stop - 1], out_dims),
+            )
         size *= 2
     return CertificationReport(n_checked, worst, _wrap(worst_input, dims), None, None, None)
 
@@ -314,8 +339,8 @@ def apply_and_certify(
     Hilbert-Schmidt draws of the probe stream, requiring CQ outputs.
 
     Draw ``i`` uses a generator seeded from ``(seed, i)``, so any reported
-    witness is reproducible.  Inputs are built only as the scan reaches them,
-    so a failing channel stops before most are built.
+    witness is reproducible.  Inputs are built a chunk at a time as the scan
+    reaches them, so a failing channel stops before most are built.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be at least 0, got {n_samples}")

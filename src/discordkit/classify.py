@@ -14,7 +14,6 @@ the probe stream of :mod:`discordkit.annihilators`.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -78,7 +77,7 @@ def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, s
     """The first ``budget`` states of the probe stream, validated."""
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    probes = itertools.islice(_probe_stream(dim_a, dim_b, seed), budget)
+    probes = _probe_stream(dim_a, dim_b, seed)(budget)
     return [BipartiteState.from_matrix(m, dim_a, dim_b) for m in probes]
 
 
@@ -376,7 +375,7 @@ def _discordant_output_witness(
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
     out_dims = (channel.dim_out, dim_other) if side == "A" else (dim_other, channel.dim_out)
-    probes = itertools.islice(_probe_stream(*dims, seed), WITNESS_BUDGET)
+    probes = _probe_stream(*dims, seed, budget=WITNESS_BUDGET)
     scan = _cq_scan(extended, probes, dims, tol, out_dims)
     if scan.failing_input is None:
         return None, _no_witness_note(scan, tol)
@@ -589,7 +588,7 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
-    probes = itertools.islice(_probe_stream(dim_a, dim_b, _LOCAL_DA_SEED), _LOCAL_DA_BUDGET)
+    probes = _probe_stream(dim_a, dim_b, _LOCAL_DA_SEED, budget=_LOCAL_DA_BUDGET)
     scan = _cq_scan(product, probes, (dim_a, dim_b), CQ_TOL, (channel_a.dim_out, channel_b.dim_out))
     notes = _no_witness_note(scan, CQ_TOL) if scan.failing_input is None else ""
     return LocalDAVerdict(

@@ -1,9 +1,12 @@
 """JSON and CSV interchange formats.
 
 Complex matrices are encoded as row-major flat lists of ``[re, im]``
-pairs.  State files carry ``{"dims": [dA, dB] or [d], "matrix": ...}``;
-channel files carry ``{"type": "kraus"|"choi", "d_in": ..., "d_out": ...,
-"data": ...}``.  The channel writer always emits the canonical form:
+pairs, written and read as one float array: a list of finite int or float
+pairs decodes in one pass, and any other list is checked entry by entry so
+the error names the first bad entry.  State files carry
+``{"dims": [dA, dB] or [d], "matrix": ...}``; channel files carry
+``{"type": "kraus"|"choi", "d_in": ..., "d_out": ..., "data": ...}``.
+The channel writer always emits the canonical form:
 Kraus operators extracted from the Choi eigendecomposition in descending
 eigenvalue order, each with the phase that makes its pivot (its first entry
 within a relative ``ZERO_CUTOFF`` of the largest magnitude) real and
@@ -14,6 +17,7 @@ invariants and raise :class:`FileFormatError` naming the offending field.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -45,13 +49,16 @@ class FileFormatError(ValueError):
 
 
 def encode_matrix(m: np.ndarray) -> list:
-    flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _is_finite_number(x) -> bool:
-    # bool is a subclass of int, but JSON true/false are not numbers.
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # bool is a subclass of int, but JSON true/false are not numbers; an int
+    # beyond the float range is not finite.
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _dimensions(value, field: str, lengths: tuple[int, ...] | None = None):
@@ -76,6 +83,15 @@ def decode_matrix(data, shape: tuple[int, int], field: str) -> np.ndarray:
     expected = shape[0] * shape[1]
     if len(data) != expected:
         raise FileFormatError(field, f"expected {expected} entries for shape {shape}, got {len(data)}")
+    # Pairs of ints and floats convert as one array, each int to the float
+    # complex() makes of it; any other list goes entry by entry below.
+    try:
+        if set(map(type, itertools.chain.from_iterable(data))) <= {int, float}:
+            pairs = np.array(data, dtype=float)
+            if pairs.shape == (expected, 2) and np.isfinite(pairs).all():
+                return pairs.view(complex).reshape(shape)
+    except (TypeError, ValueError, OverflowError):  # a scalar or ragged pair, a huge int
+        pass
     out = np.empty(expected, dtype=complex)
     for idx, pair in enumerate(data):
         if (

@@ -301,15 +301,17 @@ def random_density(
         k = rank
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
-    return DensityOperator.from_matrix(_ginibre_density(dim, k, rng))
+    return DensityOperator.from_matrix(_ginibre_density(dim, k, [rng])[0])
 
 
-def _ginibre_density(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """The matrix G G^dag / tr(G G^dag) of a complex standard-normal ``dim x k``
-    G drawn from ``rng``, before validation."""
-    g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+def _ginibre_density(dim: int, k: int, rngs) -> np.ndarray:
+    """The stack of matrices G G^dag / tr(G G^dag), one per generator of
+    ``rngs``, each of a complex standard-normal ``dim x k`` G that its
+    generator draws as real then imaginary part in one call, before validation."""
+    parts = np.array([rng.standard_normal((2, dim, k)) for rng in rngs])
+    g = parts[:, 0] + 1j * parts[:, 1]
+    m = g @ g.conj().transpose(0, 2, 1)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
 def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:

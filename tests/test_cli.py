@@ -391,6 +391,38 @@ def test_out_of_range_count_exits_2(tmp_path, capsys, argv, flag):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("state", "matrix[0]"), ("channel", "data[0][0]"), ("spec", "entries[0].vector[0]")],
+)
+def test_out_of_range_integer_entry_exits_2(tmp_path, capsys, kind, field):
+    path = tmp_path / f"{kind}.json"
+    if kind == "state":
+        payload = state_to_json(bell_state(0))
+        payload["matrix"][0] = [HUGE, 0]
+        argv = ["discord", str(path)]
+    elif kind == "channel":
+        payload = {"type": "kraus", "d_in": 2, "d_out": 2, "data": [encode_matrix(np.eye(2))]}
+        payload["data"][0][0] = [HUGE, 0]
+        argv = ["classify", str(path), "--side", "B"]
+    else:
+        identity = {"type": "identity"}
+        entries = [
+            {"kind": "rank1", "vector": encode_matrix(basis_ket(2, k)), "action": identity}
+            for k in range(2)
+        ]
+        entries[0]["vector"][0] = [HUGE, 0]
+        payload = {"dims": [2, 2], "entries": entries}
+        argv = ["gen-da", "--spec", str(path), "--out", str(tmp_path / "na.json")]
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: expected an [re, im] pair of finite numbers, got [1000")
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("flag", ["--tol-cq", "--tol-cptp"])
 @pytest.mark.parametrize("command", ["classify", "verify-da"])

@@ -70,6 +70,9 @@ COMMANDS = [
     ),
     ("default_32", ["discord", "{w}/s32.json"], 0),
     ("verify_pass", ["verify-da", "--channel", "{w}/da22.json", "--dims", "2x2"], 0),
+    ("verify_da23", ["verify-da", "--channel", "{w}/da23.json", "--dims", "2x3"], 0),
+    ("verify_da33", ["verify-da", "--channel", "{w}/da33.json", "--dims", "3x3"], 0),
+    ("verify_da42", ["verify-da", "--channel", "{w}/da42.json", "--dims", "4x2"], 0),
     (
         "verify_fail",
         [
@@ -115,6 +118,9 @@ DIGESTS = {
     "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
     "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",
     "verify_pass": "f6d6b0883d2068a161213ac9571b3b539c70b78b90df44016868763836df58b1",
+    "verify_da23": "34fe34d406d131f27f97a8ce7ddc25efc327597503d3a3f71a45a1e283fc4961",
+    "verify_da33": "85a0e8568b5fd3de0747c7bc1c2d2519df1a050fe31dedc0f9ee0acf8b0685bc",
+    "verify_da42": "1c468ec4122438aa6cb6ba7244e84e550a9c99144841c49d1248a52968711a7e",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "witness.json": "bd29216f4751a51a78d57cb5bb1dc125f3ea791fb4d3ac0e7c01436f165949b9",
     "sweep_A": "5864d72ec2b19cc30caa2921749f25c9e5db64f497736726e9b3ef118f31482c",

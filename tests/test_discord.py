@@ -752,7 +752,7 @@ class TestStackedCQResiduals:
         the scan of distinct block pairs gives the loop's residual (normality
         defects included) bit for bit, and its first worst commutator pair."""
         d = dims[0] * dims[1]
-        probes, error = _validate_states(np.array(list(_probe_stream(*dims, 23, n_draws=12))))
+        probes, error = _validate_states(_probe_stream(*dims, 23, n_draws=12)(100))
         assert error is None
         images, error = _validate_states(random_channel(d, d, 2, [d, 5]).apply_matrix(probes))
         assert error is None

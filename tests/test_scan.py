@@ -1,8 +1,9 @@
 """The one CQ scan over the one probe stream: a lazy, chunked pull that
 matches the eager scan bit for bit.
 
-``_cq_scan`` pulls raw input matrices in chunks of 1, 2, 4, ..., and
-``_probe_stream`` builds each probe when it is pulled.  The eager reference
+``_cq_scan`` takes raw input matrices in chunks of 1, 2, 4, ..., and
+``_probe_stream`` builds each chunk when it is taken, the fixed head probe by
+probe and the chunk's seeded draws as one stack.  The eager reference
 below builds the stream as a list, the fixed head state by state and then the
 seeded draws one index at a time, and scans it one input at a time: each test
 checks that the lazy scan returns the same ``n_checked``, residuals, worst and
@@ -12,6 +13,7 @@ at most ``2 * n_checked - 1`` inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,9 +194,15 @@ def head_length(dim_a: int, dim_b: int) -> int:
     return len(probe_head_list(dim_a, dim_b))
 
 
+def take_from(matrices):
+    """A ``take`` over an iterable of matrices, pulling each only when taken."""
+    matrices = iter(matrices)
+    return lambda n: np.array(list(itertools.islice(matrices, n)), dtype=complex).reshape(-1, 4, 4)
+
+
 def scan_states(channel, states, tol=CQ_TOL) -> CertificationReport:
     """``_cq_scan`` on the matrices of two-qubit states."""
-    return _cq_scan(channel, (state.matrix for state in states), (2, 2), tol)
+    return _cq_scan(channel, take_from(state.matrix for state in states), (2, 2), tol)
 
 
 # -- certification -------------------------------------------------------------------------
@@ -317,15 +325,26 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def drawn_rows(calls) -> int:
+    """Hilbert-Schmidt draws made by recorded ``_ginibre_density`` calls: one
+    per generator."""
+    return sum(len(rngs) for _, _, rngs in calls)
+
+
 def count_pulls(monkeypatch) -> list:
-    """Record every probe the certification pulls from the probe stream."""
+    """Record every probe the certification takes from the probe stream."""
     pulled = []
     original = annihilators._probe_stream
 
     def counted(*args, **kwargs):
-        for probe in original(*args, **kwargs):
-            pulled.append(probe)
-            yield probe
+        take = original(*args, **kwargs)
+
+        def counted_take(n):
+            stack = take(n)
+            pulled.extend(stack)
+            return stack
+
+        return counted_take
 
     monkeypatch.setattr(annihilators, "_probe_stream", counted)
     return pulled
@@ -343,12 +362,25 @@ class TestInputsDrawnOnDemand:
     def test_head_is_built_one_probe_per_pull(self, monkeypatch):
         bells = count_calls(monkeypatch, annihilators, "bell_state")
         draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
-        stream = annihilators._probe_stream(2, 2, 0)
+        take = annihilators._probe_stream(2, 2, 0)
         assert bells == [] and draws == []
         for k in range(1, 15):
-            next(stream)
+            assert len(take(1)) == 1
             assert len(bells) == min(k, 4)
-            assert len(draws) == max(0, k - head_length(2, 2))
+            assert drawn_rows(draws) == max(0, k - head_length(2, 2))
+
+    @pytest.mark.parametrize("dims", DA_DIMS)
+    def test_each_chunk_draws_once(self, monkeypatch, dims):
+        draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
+        head = head_length(*dims)
+        take = annihilators._probe_stream(*dims, 0, n_draws=40)
+        pulled = 0
+        for size in (1, 2, 4, 8, 16, 32, 64):
+            calls, rows = len(draws), drawn_rows(draws)
+            pulled += len(take(size))
+            assert drawn_rows(draws) == min(max(0, pulled - head), 40)
+            assert len(draws) - calls == (drawn_rows(draws) > rows)
+        assert pulled == head + 40 and len(take(1)) == 0
 
     def test_failing_certification_builds_few_inputs(self, monkeypatch):
         pulled = count_pulls(monkeypatch)
@@ -361,7 +393,7 @@ class TestInputsDrawnOnDemand:
             report = apply_and_certify(channel, dim_a, dim_b)
             assert not report.passed
             assert len(pulled) <= 2 * report.n_checked - 1
-            assert len(draws) == max(0, len(pulled) - head_length(dim_a, dim_b))
+            assert drawn_rows(draws) == max(0, len(pulled) - head_length(dim_a, dim_b))
 
     @pytest.mark.parametrize("dims", DA_DIMS)
     def test_structural_match_draws_no_input(self, monkeypatch, dims):
@@ -371,7 +403,7 @@ class TestInputsDrawnOnDemand:
         draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
         report = classify_channel(channel, ActsOnAB(*dims), samples=20)
         assert report.label == "da" and len(scans) == 1
-        assert len(draws) == 20  # the certification's samples
+        assert drawn_rows(draws) == 20  # the certification's samples
 
     def test_passing_certification_takes_two_eigh_per_chunk(self, monkeypatch):
         channel = build_da_channel(random_da_spec(3, 3, [0, 3, 3]))
@@ -382,6 +414,15 @@ class TestInputsDrawnOnDemand:
         # Chunks of 1, 2, ..., 128 inputs: one stacked validation of the
         # inputs and one of the outputs each.
         assert len(calls) <= 2 * 8
+
+    def test_passing_certification_draws_once_per_chunk(self, monkeypatch):
+        channel = build_da_channel(random_da_spec(3, 3, [0, 3, 3]))
+        draws = count_calls(monkeypatch, annihilators, "_ginibre_density")
+        report = apply_and_certify(channel, 3, 3, seed=0)
+        assert report.passed and report.n_checked == head_length(3, 3) + 200
+        # Chunks of 1, 2, ..., 128 inputs, each drawing its rows in one call.
+        assert len(draws) <= 8
+        assert drawn_rows(draws) == report.n_checked - head_length(3, 3)
 
 
 class TestCertificationChecksTheProbeStates:
@@ -442,6 +483,16 @@ class TestFirstFailureInAChunk:
             scan_states(channel, inputs)
         assert str(chunked.value) == str(eager.value)
         assert "channel output: matrix is not positive semidefinite" in str(chunked.value)
+
+
+def test_worst_input_is_the_first_of_a_tie():
+    # The identity's images of the Bell states tie in CQ residual; inputs 4
+    # to 7 make one chunk.
+    mixed = BipartiteState(2, 2, DensityOperator.diagonal(np.full(4, 0.25)))
+    inputs = [mixed] * 3 + [bell_state(k) for k in (2, 0, 1, 3)]
+    report = scan_states(QuantumChannel.identity(4), inputs, tol=1.0)
+    assert report.passed and same_state(report.worst_input, bell_state(2))
+    assert_same_scan(report, cq_scan_loop(QuantumChannel.identity(4), inputs, tol=1.0))
 
 
 def test_report_keeps_the_failing_output():

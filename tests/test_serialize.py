@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discordkit.annihilators import build_da_channel, random_da_spec
 from discordkit.channels import (
@@ -14,14 +16,18 @@ from discordkit.channels import (
 )
 from discordkit.classify import is_point_channel
 from discordkit.discord import Hybrid, discord
+from discordkit import serialize
 from discordkit.serialize import (
     FileFormatError,
     channel_to_json,
+    decode_matrix,
+    encode_matrix,
     da_spec_to_json,
     discord_result_to_json,
     load_channel,
     load_da_spec,
     load_state,
+    save_channel,
     state_to_json,
     verdict_to_json,
 )
@@ -105,6 +111,72 @@ class TestStateFiles:
         payload = {"dims": [2], "matrix": [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(FileFormatError, match="matrix"):
             load_state(payload)
+
+
+def decode_reference(data, shape):
+    """Entry by entry: ``complex(re, im)`` of each pair."""
+    out = np.empty(len(data), dtype=complex)
+    for idx, (re, im) in enumerate(data):
+        out[idx] = complex(re, im)
+    return out.reshape(shape)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([0, -0.0, 5e-324, -2.5e-320, 2**53 + 1, -(2**53 + 3), 10**300, 2**1023]),
+)
+REFUSED = [True, False, "1.0", None, [1.0], [1.0, 2.0], float("nan"), float("inf"), 10**400]
+
+
+class TestArrayDecode:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=12))
+    def test_matches_the_entry_by_entry_reference(self, values):
+        checks = []
+        data = [list(pair) for pair in values]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_is_finite_number", lambda x: checks.append(x))
+            decoded = decode_matrix(data, (len(data), 1), "m")
+        assert decoded.tobytes() == decode_reference(data, (len(data), 1)).tobytes()
+        assert checks == []  # decoded as one array
+
+    @pytest.mark.parametrize("bad", REFUSED, ids=repr)
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_bad_value_is_refused_at_its_index(self, bad, slot):
+        data = [[0.5, -0.0], [1, 2], [3.0, 4], [5.5, 6.5]]
+        data[2][slot] = bad
+        with pytest.raises(FileFormatError) as exc:
+            decode_matrix(data, (2, 2), "m")
+        assert str(exc.value) == f"m[2]: expected an [re, im] pair of finite numbers, got {data[2]!r}"
+
+    @pytest.mark.parametrize(
+        "pair", [[1.0], [1.0, 2.0, 3.0], [], "ab", None, 7, (1.0, True), {"re": 1.0, "im": 0.0}],
+        ids=repr,
+    )
+    def test_bad_pair_is_refused_at_its_index(self, pair):
+        data = [[0.5, 0.0], pair, [3.0, 4.0], [5.5, 6.5]]
+        with pytest.raises(FileFormatError) as exc:
+            decode_matrix(data, (4, 1), "m")
+        assert str(exc.value) == f"m[1]: expected an [re, im] pair of finite numbers, got {pair!r}"
+
+    def test_valid_channel_load_checks_no_entry(self, monkeypatch, tmp_path):
+        checks = []
+        monkeypatch.setattr(serialize, "_is_finite_number", lambda x: checks.append(x))
+        channel = random_channel(3, 3, 4, 12)
+        save_channel(channel, tmp_path / "channel.json")
+        loaded = load_channel(tmp_path / "channel.json")
+        assert checks == []
+        assert choi_distance(loaded, channel) <= 1e-9
+
+    def test_encode_matches_the_entry_by_entry_writer(self):
+        rng = np.random.default_rng(4)
+        m = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))).T  # not contiguous
+        m[0, 0] = complex(-0.0, 5e-324)
+        assert encode_matrix(m) == [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+        assert json.dumps(encode_matrix(m)) == json.dumps(
+            [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+        )
 
 
 class TestChannelFiles:

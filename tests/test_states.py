@@ -74,7 +74,7 @@ def validator_corpus(d, seed):
     """Raw matrices of dimension ``d``: Hilbert-Schmidt draws, rank-deficient
     outputs of an annihilating channel and pure states."""
     rng = np.random.default_rng(seed)
-    hs = [_ginibre_density(d, d, rng) for _ in range(60)]
+    hs = list(_ginibre_density(d, d, [rng] * 60))
     dim_a = 2 if d % 2 == 0 else 3
     channel = build_da_channel(random_da_spec(dim_a, d // dim_a, seed))
     outputs = list(channel.apply_matrix(np.array(hs)))
