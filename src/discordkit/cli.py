@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -37,6 +36,7 @@ from .serialize import (
     certification_to_json,
     da_spec_to_json,
     discord_result_to_json,
+    json_text,
     load_channel,
     load_da_spec,
     load_state,
@@ -83,7 +83,7 @@ def _ab_dims(channel, text: str) -> tuple[int, int]:
 
 
 def _emit(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json_text(payload, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
     else:

@@ -13,6 +13,8 @@ within a relative ``ZERO_CUTOFF`` of the largest magnitude) real and
 positive, so Choi matrices that differ by rounding write entries that do
 too, unless a kept eigenvalue is degenerate.  Readers enforce the physical
 invariants and raise :class:`FileFormatError` naming the offending field.
+Every JSON text the package writes (state and channel files, and the CLI's
+reports and spec echoes) comes from one writer, :func:`json_text`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,73 @@ class FileFormatError(ValueError):
 
 def encode_matrix(m: np.ndarray) -> list:
     return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def json_text(payload, *, sort_keys: bool = False) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=sort_keys, allow_nan=False)``,
+    byte for byte.
+
+    json's indenting encoder is pure Python; this one walks dicts and lists
+    itself and writes each list of ``[re, im]`` pairs of finite floats (what
+    :func:`encode_matrix` makes) with one ``%r`` template, since json writes
+    a float as ``float.__repr__``.  Every other value is json's own encoding
+    of it, so a non-finite float raises json's ``ValueError``.
+    """
+    return _render(payload, "\n", sort_keys)
+
+
+def _render(value, newline: str, sort_keys: bool) -> str:
+    """``value`` as :func:`json_text` writes it, where ``newline`` is a line
+    break followed by the indent of the enclosing line."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items()) if sort_keys else value.items()
+        body = ",".join(f"{inner}{_key(k)}: {_render(v, inner, sort_keys)}" for k, v in items)
+        return "{" + body + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        floats = _float_pairs(value)
+        if floats is not None:
+            pair = f"{inner}[{inner}  %r,{inner}  %r{inner}]"
+            return "[" + ",".join([pair] * len(value)) % floats + newline + "]"
+        return "[" + ",".join(inner + _render(v, inner, sort_keys) for v in value) + newline + "]"
+    return _scalar(value)
+
+
+def _scalar(value) -> str:
+    """json's text for a value that is not a list or dict, with the error
+    json's indenting encoder raises for a non-finite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return _encode(value)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string, or the JSON spelling of an
+    int, float, bool or None as a string."""
+    if isinstance(key, str):
+        return _encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _float_pairs(items) -> tuple | None:
+    """The entries of ``items``, a list of two-entry lists of finite floats,
+    as one flat tuple; None for any other list.  Exact floats only: the
+    ``%r`` of a float subclass, or of a bool, is not json's spelling."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = tuple(itertools.chain.from_iterable(items))
+    if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+        return flat
+    return None
 
 
 def _is_finite_number(x) -> bool:
@@ -155,7 +224,7 @@ def load_state(source) -> DensityOperator | BipartiteState:
 
 
 def save_state(state, path):
-    Path(path).write_text(json.dumps(state_to_json(state), indent=2) + "\n")
+    Path(path).write_text(json_text(state_to_json(state)) + "\n")
 
 
 # -- channels --------------------------------------------------------------------
@@ -193,7 +262,7 @@ def load_channel(source, *, cp_tol: float = VALIDITY_TOL) -> QuantumChannel:
 
 
 def save_channel(channel: QuantumChannel, path):
-    Path(path).write_text(json.dumps(channel_to_json(channel), indent=2) + "\n")
+    Path(path).write_text(json_text(channel_to_json(channel)) + "\n")
 
 
 # -- annihilating-channel specs ----------------------------------------------------

@@ -1053,6 +1053,8 @@ class TestClosedFormSpectra:
             assert np.array_equal(got, eigvalsh_weighted_entropies(blocks.copy())), seed
 
     def test_2x2_hybrid_diagonalises_no_conditional_block(self, monkeypatch):
+        # Drawn before the patch: validating a state takes an eigvalsh too.
+        rho_22, rho_23 = random_bipartite(2, 2, 77), random_bipartite(2, 3, 77)
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -1061,11 +1063,11 @@ class TestClosedFormSpectra:
             return eigvalsh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        discord(random_bipartite(2, 2, 77), Hybrid())
+        discord(rho_22, Hybrid())
         # Only the entropies S(B), S(A) and S(AB) of I(A:B).
         assert shapes == [(2, 2), (2, 2), (4, 4)]
         shapes.clear()
-        discord(random_bipartite(2, 3, 77), Hybrid())
+        discord(rho_23, Hybrid())
         assert shapes[:3] == [(3, 3), (2, 2), (6, 6)]
         assert len(shapes) > 3 and all(len(s) == 3 and s[1:] == (3, 3) for s in shapes[3:])
 

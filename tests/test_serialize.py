@@ -1,12 +1,14 @@
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discordkit.annihilators import build_da_channel, random_da_spec
+from discordkit.annihilators import apply_and_certify, build_da_channel, random_da_spec
 from discordkit.channels import (
     QuantumChannel,
     UnitalQubitParams,
@@ -14,20 +16,24 @@ from discordkit.channels import (
     make_unital_qubit,
     random_channel,
 )
-from discordkit.classify import is_point_channel
-from discordkit.discord import Hybrid, discord
+from discordkit.classify import is_point_channel, is_qc_channel
+from discordkit.cli import main
+from discordkit.discord import Hybrid, MultiStart, discord
 from discordkit import serialize
 from discordkit.serialize import (
     FileFormatError,
+    certification_to_json,
     channel_to_json,
     decode_matrix,
     encode_matrix,
     da_spec_to_json,
     discord_result_to_json,
+    json_text,
     load_channel,
     load_da_spec,
     load_state,
     save_channel,
+    save_state,
     state_to_json,
     verdict_to_json,
 )
@@ -326,3 +332,166 @@ class TestResultPayloads:
         assert payload["kind"] == "no"
         assert "witness" in payload
         json.dumps(payload)  # must be JSON-clean
+
+
+def dumps_reference(payload, sort_keys=False) -> str:
+    return json.dumps(payload, indent=2, sort_keys=sort_keys, allow_nan=False)
+
+
+def json_outcome(write, payload, sort_keys):
+    try:
+        return write(payload, sort_keys=sort_keys)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e16, -1e16, 1e300, 0.1, 2.0**53]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), FLOATS, st.text(max_size=8)
+)
+# Lists of two-entry lists: float pairs take the matrix path; int, bool and
+# mixed pairs, and pairs of other lengths, must not.
+PAIRS = st.one_of(
+    st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=6),
+    st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2), min_size=1, max_size=4),
+    st.lists(st.lists(st.booleans(), min_size=2, max_size=2), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(-5, 5), FLOATS).map(list), min_size=1, max_size=4),
+    st.lists(st.lists(FLOATS, min_size=0, max_size=3), min_size=1, max_size=4),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(SCALARS, PAIRS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def report_payloads():
+    """One of each payload the package writes."""
+    spec = random_da_spec(2, 3, 5)
+    da = build_da_channel(spec)
+    qc = random_channel(2, 2, 2, 3)
+    report = apply_and_certify(da, 2, 3, n_samples=4, seed=1)
+    return [
+        state_to_json(random_bipartite(2, 3, 0)),
+        state_to_json(random_density(3, "hilbert-schmidt", 1)),
+        state_to_json(bell_state(2)),
+        channel_to_json(da),
+        channel_to_json(qc),
+        da_spec_to_json(spec),
+        da_spec_to_json(replace(spec, pre_channel=None)),
+        verdict_to_json(is_point_channel(qc)),
+        verdict_to_json(is_qc_channel(qc)),
+        certification_to_json(report),
+        discord_result_to_json(discord(random_bipartite(2, 2, 4), Hybrid())),
+        discord_result_to_json(discord(random_bipartite(3, 2, 4), MultiStart(restarts=2))),
+    ]
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=JSON_VALUES, sort_keys=st.booleans())
+    def test_equals_json_dumps_indent_2(self, payload, sort_keys):
+        assert json_text(payload, sort_keys=sort_keys) == dumps_reference(payload, sort_keys)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            [],
+            [[]],
+            {"a": [], "b": {}, "c": [{}]},
+            [[-0.0, 0.0], [1e-300, 1e16]],
+            [[1, 2], [3, 4]],
+            [[True, False]],
+            [[1, 2.0], [3.5, 4]],
+            [[1.0, 2.0], [3.0]],
+            [(1.0, 2.0)],
+            ([1.0, 2.0], [3.0, 4.0]),
+            [[np.float64(0.1), 2.0]],
+            {"héllo ✓": "ünïcödé \u2028 \"quoted\"\n", "z": None},
+            {"report": {"label": "da", "notes": ["x", "y"], "m": [[0.5, -0.5]]}},
+            {1: "int", 2.5: "float", False: "bool"},
+            {2: "int", True: "bool", None: "none"},  # unsortable: json's TypeError
+        ],
+    )
+    def test_edge_payloads(self, payload):
+        for sort_keys in (False, True):
+            assert json_outcome(json_text, payload, sort_keys) == json_outcome(
+                dumps_reference, payload, sort_keys
+            )
+
+    def test_every_report_payload(self):
+        for payload in report_payloads():
+            for sort_keys in (False, True):
+                assert json_text(payload, sort_keys=sort_keys) == dumps_reference(payload, sort_keys)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            float("nan"),
+            [float("inf")],
+            {"a": -float("inf")},
+            [[1.0, float("nan")]],
+            [[float("inf"), 0.0], [1.0, 2.0]],
+            {float("nan"): 1},
+            [np.float64("-inf")],
+            {"x": [[1.0, 2.0]], "y": {1.0, 2.0}},
+            {(1, 2): 3},
+        ],
+    )
+    def test_refuses_what_json_refuses(self, payload):
+        for sort_keys in (False, True):
+            want = json_outcome(dumps_reference, payload, sort_keys)
+            assert isinstance(want, tuple)
+            assert json_outcome(json_text, payload, sort_keys) == want
+
+    def test_files_and_reports_are_the_indented_json_of_their_payload(self, tmp_path, capsys):
+        channel, state = build_da_channel(random_da_spec(3, 2, 6)), random_bipartite(2, 2, 7)
+        save_channel(channel, tmp_path / "c.json")
+        save_state(state, tmp_path / "s.json")
+        assert (tmp_path / "c.json").read_text() == dumps_reference(channel_to_json(channel)) + "\n"
+        assert (tmp_path / "s.json").read_text() == dumps_reference(state_to_json(state)) + "\n"
+        for argv in (
+            ["classify", str(tmp_path / "c.json"), "--side", "AB", "--dims", "3x2", "--samples", "5"],
+            ["discord", str(tmp_path / "s.json")],
+            ["gen-da", "--random", "2x2", "--out", str(tmp_path / "g.json")],
+        ):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == dumps_reference(json.loads(out), sort_keys=True) + "\n"
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "discordkit"
+
+
+def indented_json_calls(source: str) -> list[int]:
+    """Lines of the ``json.dump``/``json.dumps`` calls (or bare ``dump``/``dumps``)
+    in ``source`` that pass ``indent``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("dump", "dumps") and any(kw.arg == "indent" for kw in node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_indented_json_call_is_found():
+    source = "import json\njson.dumps(x)\njson.dumps(x, indent=2)\nfrom json import dump\ndump(x, f, indent=None)\n"
+    assert indented_json_calls(source) == [3, 5]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "serialize.py"), ids=lambda p: p.name
+)
+def test_only_the_writer_encodes_indented_json(path):
+    # json's indenting encoder is pure Python; serialize.json_text writes the same text.
+    assert not indented_json_calls(path.read_text())

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discordkit.annihilators import build_da_channel, random_da_spec
+from discordkit.annihilators import _probe_stream, build_da_channel, random_da_spec
 from discordkit.states import (
     BipartiteState,
     DensityOperator,
@@ -11,6 +13,7 @@ from discordkit.states import (
     PAULI_Z,
     _frobenius_norms,
     _ginibre_density,
+    _hermitian_prefix,
     _validate_states,
     bell_state,
     eig_hermitian,
@@ -25,7 +28,7 @@ from discordkit.states import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit.tolerances import VALIDITY_TOL
+from discordkit.tolerances import VALIDITY_TOL, ZERO_CUTOFF
 
 
 def from_matrix_reference(matrix, name="state"):
@@ -152,6 +155,137 @@ class TestStackedValidation:
         valid, error = _validate_states(np.zeros((1, 0, 0), dtype=complex))
         assert len(valid) == 0
         assert same_outcome(error, from_matrix_reference(np.zeros((0, 0))))
+
+
+def validate_states_eager(ms, name="state"):
+    """The stacked validator as it was before it read eigenvalues first,
+    verbatim: one ``eigh`` of the whole stack, whose values every check reads."""
+    n_ok, error = _hermitian_prefix(ms, f"{name}: matrix", InvalidStateError)
+    h = ms[:n_ok]
+    h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(h)
+    clip = []
+    for k, trace in enumerate(np.trace(h, axis1=1, axis2=2).real.tolist()):
+        if abs(trace - 1.0) > VALIDITY_TOL:
+            error, h = InvalidStateError(f"{name}: trace is {trace!r}, expected 1"), h[:k]
+            break
+        if eigvals[k, 0] < -VALIDITY_TOL:
+            error, h = InvalidStateError(
+                f"{name}: matrix is not positive semidefinite "
+                f"(min eigenvalue {eigvals[k, 0]:.3e})"
+            ), h[:k]
+            break
+        if eigvals[k, 0] < 0.0:
+            clip.append(k)
+    if clip:
+        vecs = eigvecs[clip]
+        m = (vecs * np.clip(eigvals[clip], 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        m = (m + m.conj().transpose(0, 2, 1)) / 2.0
+        h[clip] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return h, error
+
+
+def assert_validates_as_eager(ms, name="state"):
+    """``_validate_states`` returns the eager reference's bits and error."""
+    got, error = _validate_states(ms, name=name)
+    want, want_error = validate_states_eager(ms, name=name)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (error is None and want_error is None) or same_outcome(error, want_error)
+    return got, error
+
+
+def eigh_rows(monkeypatch) -> list:
+    """The number of matrices each ``np.linalg.eigh`` call takes, as it runs."""
+    rows, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a) if np.ndim(a) == 3 else 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return rows
+
+
+def near_cut(d, lowest, seed):
+    """A ``d x d`` unit-trace Hermitian matrix with ``lowest`` as its lowest
+    eigenvalue, in a Haar-random basis."""
+    w = np.linspace(1.0, 2.0, d)
+    w[0] = 0.0
+    w = w / w.sum() * (1.0 - lowest)
+    w[0] = lowest
+    u = random_unitary(d, seed)
+    return (u * w) @ u.conj().T
+
+
+class TestEigenvaluesFirst:
+    @pytest.mark.parametrize("d, k", [(2, 2), (3, 3), (4, 4), (6, 6), (9, 9), (4, 2), (9, 1)])
+    def test_ginibre_chunks(self, d, k):
+        rngs = [np.random.default_rng([d, k, i]) for i in range(64)]
+        assert_validates_as_eager(_ginibre_density(d, k, rngs))
+
+    @pytest.mark.parametrize("dim_a", range(1, 6))
+    @pytest.mark.parametrize("dim_b", range(1, 6))
+    def test_fixed_head_probes(self, dim_a, dim_b):
+        head = _probe_stream(dim_a, dim_b, 0, n_draws=0)(100)
+        assert len(head) >= 3
+        assert_validates_as_eager(head)
+        for m in head:
+            assert_validates_as_eager(m[None])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_annihilating_channel_outputs(self, dims):
+        spec = random_da_spec(*dims, [1, *dims])
+        probes, error = _validate_states(_probe_stream(*dims, 3, n_draws=40)(100))
+        assert error is None
+        # The stage alone leaves some outputs rank deficient, to be clipped.
+        for channel in (build_da_channel(spec), build_da_channel(replace(spec, pre_channel=None))):
+            assert_validates_as_eager(channel.apply_matrix(probes), name="channel output")
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_members_either_side_of_the_cut(self, monkeypatch, d):
+        lows = [
+            4 * ZERO_CUTOFF, 1.01 * ZERO_CUTOFF, ZERO_CUTOFF, 0.99 * ZERO_CUTOFF,
+            0.5 * ZERO_CUTOFF, 0.0, -0.5 * ZERO_CUTOFF, -ZERO_CUTOFF, -1.01 * ZERO_CUTOFF,
+            -0.5 * VALIDITY_TOL, -0.99 * VALIDITY_TOL,
+        ]
+        stack = np.array([near_cut(d, low, [d, i]) for i, low in enumerate(lows)])
+        got, error = assert_validates_as_eager(stack)
+        assert error is None and len(got) == len(lows)
+        rows = eigh_rows(monkeypatch)
+        _validate_states(stack)
+        # Far above the cut a member takes no eigh; at or below it, every one does.
+        assert len(rows) == 1 and 7 <= rows[0] <= 10
+
+    @pytest.mark.parametrize("kind", ["trace", "not-psd"])
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_non_states(self, kind, k):
+        stack = validator_corpus(6, 9)[:10].copy()
+        stack[k] = spoil(stack[k], kind)
+        got, error = assert_validates_as_eager(stack, name="channel output")
+        assert len(got) == k and isinstance(error, InvalidStateError)
+        if kind == "not-psd":
+            assert "(min eigenvalue -1.000e-03)" in str(error)
+
+    def test_psd_failure_beyond_tolerance_names_the_min_eigenvalue(self):
+        stack = np.array([near_cut(3, low, [7, i]) for i, low in enumerate([0.1, -2 * VALIDITY_TOL])])
+        _, error = assert_validates_as_eager(stack)
+        assert str(error).startswith("state: matrix is not positive semidefinite (min eigenvalue -2.0")
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 1, 1), (0, 0, 0), (1, 0, 0), (3, 0, 0)])
+    def test_empty_and_zero_dimensional_stacks(self, monkeypatch, shape):
+        got, error = assert_validates_as_eager(np.zeros(shape, dtype=complex))
+        assert len(got) == 0 and (error is None) == (shape[0] == 0)
+        rows = eigh_rows(monkeypatch)
+        _validate_states(np.zeros(shape, dtype=complex))
+        assert rows == []
+
+    def test_full_rank_chunk_takes_no_eigh(self, monkeypatch):
+        stack = _ginibre_density(3, 3, [np.random.default_rng([5, i]) for i in range(128)])
+        rows = eigh_rows(monkeypatch)
+        valid, error = _validate_states(stack)
+        assert error is None and len(valid) == 128
+        assert sum(rows) == 0
+        assert np.array_equal(valid, (stack + stack.conj().transpose(0, 2, 1)) / 2.0)
 
 
 class TestDensityOperatorValidation:
