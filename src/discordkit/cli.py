@@ -199,7 +199,10 @@ def cmd_verify_da(args) -> int:
         },
         "certification": certification_to_json(report),
     }
-    ok = report.passed and analysis.rank_deficient
+    # On a split with a 1-dimensional side every state is CQ, so an invertible
+    # channel annihilates discord: the rank screen is necessary only when both
+    # sides are at least 2-dimensional.
+    ok = report.passed and (analysis.rank_deficient or min(da, db) < 2)
     if ok:
         _emit(payload, None)
         return EXIT_OK

@@ -524,7 +524,9 @@ class CQCheck:
 
     ``residual`` is the worst commutator of two distinct B-indexed blocks (a
     normality defect only repeats one), relative to the Frobenius norm of
-    the state, and ``worst`` is ``("commutator", p, q)`` for that pair."""
+    the state, and ``worst`` is ``("commutator", p, q)`` for that pair: of
+    the pair and its adjoint partner, which have the same norm, the first in
+    row-major order (see :func:`_block_pairs`)."""
 
     is_cq: bool
     residual: float
@@ -540,9 +542,13 @@ def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
 
     The state is CQ iff the blocks ``A_ij = <i|_B rho |j>_B`` are mutually
     commuting normal operators.  As ``A_ji = A_ij^dag``, the normality defect
-    of ``A_ij`` is its commutator with ``A_ji``, so only pairs of distinct
-    blocks are scanned, in Frobenius norm against ``tol * ||rho||_F``, as one
-    stack in row-major order; the first pair to reach the maximum is ``worst``.
+    of ``A_ij`` is its commutator with ``A_ji``, and the commutator of two
+    transposed blocks is the adjoint of the original one, so each adjoint
+    partner pair of distinct blocks is scored once, in Frobenius norm against
+    ``tol * ||rho||_F``; ``worst`` is the first kept pair, in row-major order,
+    to reach the maximum.  The residual is that of :func:`_cq_residuals`:
+    the same in a stack as alone, but not bit for bit the norm a per-pair
+    loop of block products would give.
     """
     (residual,), (pair,) = _cq_residuals(rho.matrix[None], rho.dim_a, rho.dim_b)
     residual = float(residual)
@@ -554,9 +560,17 @@ def is_cq_exact(rho: BipartiteState, tol: float = CQ_TOL) -> CQCheck:
 
 @lru_cache(maxsize=None)
 def _block_pairs(dim_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of distinct blocks among the ``dim_b**2`` B blocks, in
-    row-major order of the upper triangle: each pair's two block indices."""
+    """The pairs of distinct blocks among the ``dim_b**2`` B blocks that the
+    CQ test scores, in row-major order of the upper triangle: each pair's two
+    block indices.  With ``p^T`` the index of the transposed block, the pair
+    ``{p^T, q^T}`` has the adjoint commutator of ``{p, q}``; of the two, only
+    the first in that order is kept, which leaves
+    ``(m (m - 1) / 2 + dim_b (dim_b - 1)) / 2`` pairs for ``m = dim_b**2``."""
     first, second = np.triu_indices(dim_b * dim_b, 1)
+    transposed = np.arange(dim_b * dim_b).reshape(dim_b, dim_b).T.ravel()
+    low, high = np.sort((transposed[first], transposed[second]), axis=0)
+    keep = (first < low) | ((first == low) & (second <= high))
+    first, second = first[keep], second[keep]
     for index in (first, second):
         index.setflags(write=False)
     return first, second
@@ -564,18 +578,28 @@ def _block_pairs(dim_b: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
     """The residual of :func:`is_cq_exact` for each state of the stack
-    ``(n, dim_a * dim_b, dim_a * dim_b)``, bit for bit, in one scan, and the
-    index in :func:`_block_pairs` of each state's first worst pair (0 if none).
+    ``(n, dim_a * dim_b, dim_a * dim_b)`` in one scan, and the index in
+    :func:`_block_pairs` of each state's first worst pair (0 if none).
+
     The stack is read as its Hermitian part, a no-op on a validated state, so
-    ``A_ji = A_ij^dag`` holds exactly and each normality defect is a commutator."""
+    ``A_ji = A_ij^dag`` holds exactly and each normality defect is a commutator.
+    Every product ``A_p A_q`` of a state comes out of one product of its
+    stacked blocks, column ``[A_0; ...; A_m-1]`` times row ``[A_0|...|A_m-1]``.
+    A state's residual is the same bits in any stack, but differs from the
+    norm of a separate ``A_p A_q - A_q A_p`` at rounding level.
+    """
     n = len(matrices)
     if dim_b == 1:  # no pair of distinct blocks: every state is CQ
         return np.zeros(n), np.zeros(n, dtype=np.intp)
     first, second = _block_pairs(dim_b)
+    m = dim_b * dim_b
     herm = (matrices + matrices.conj().transpose(0, 2, 1)) / 2.0
-    blocks = _b_blocks(herm, dim_a, dim_b).reshape(n, dim_b * dim_b, dim_a, dim_a)
-    a, b = blocks[:, first], blocks[:, second]
-    defects = _frobenius_norms((a @ b - b @ a).reshape(-1, dim_a, dim_a)).reshape(n, len(first))
+    blocks = _b_blocks(herm, dim_a, dim_b).reshape(n, m, dim_a, dim_a)
+    column = blocks.reshape(n, m * dim_a, dim_a)
+    wide = column @ blocks.transpose(0, 2, 1, 3).reshape(n, dim_a, m * dim_a)
+    products = wide.reshape(n, m, dim_a, m, dim_a).transpose(0, 1, 3, 2, 4)  # [:, p, q] = A_p A_q
+    commutators = products[:, first, second] - products[:, second, first]
+    defects = _frobenius_norms(commutators.reshape(-1, dim_a, dim_a)).reshape(n, len(first))
     pairs = np.argmax(defects, axis=1)
     scales = _frobenius_norms(herm)  # a zero norm has zero defects
     return defects[np.arange(n), pairs] / np.where(scales > 0.0, scales, 1.0), pairs

@@ -748,6 +748,29 @@ class TestGenAndVerify:
         payload = json.loads(witness_path.read_text())
         assert payload["certification"]["passed"] is False
         assert "witness" in payload
+        assert payload["screening"]["rank_deficient"] is False
+
+    @pytest.mark.parametrize("dims", ["1x3", "3x1", "1x1"])
+    def test_invertible_channel_passes_where_a_side_is_trivial(self, tmp_path, capsys, dims):
+        """With a 1-dimensional side every state is CQ, so an invertible
+        annihilating channel passes; the screening is printed all the same."""
+        channel_path = str(tmp_path / "channel.json")
+        if dims == "3x1":
+            save_channel(QuantumChannel.identity(3), channel_path)
+        else:
+            spec_path = tmp_path / "spec.json"
+            rank1 = {"kind": "rank1", "vector": [[1.0, 0.0]], "action": {"type": "identity"}}
+            spec_path.write_text(json.dumps({"dims": [1, 3], "entries": [rank1]}))
+            source = ["--random", "1x1", "--seed", "4"] if dims == "1x1" else ["--spec", str(spec_path)]
+            assert run(capsys, "gen-da", *source, "--out", channel_path)[0] == 0
+        code, out, _ = run(capsys, "verify-da", "--channel", channel_path, "--dims", dims)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certification"]["passed"] is True
+        assert payload["screening"]["rank_deficient"] is False
+        assert "witness" not in payload
+        code, out, _ = run(capsys, "classify", channel_path, "--side", "AB", "--dims", dims)
+        assert (code, json.loads(out)["label"]) == (0, "da")
 
     def test_mixture_of_da_channels_fails_verification(self, tmp_path, capsys):
         sigma = [random_density(2, "hilbert-schmidt", 40 + k) for k in range(4)]

@@ -97,10 +97,10 @@ DIGESTS = {
     "da33.json": "bac63b7b6f4135287d01e620c7bf0ff216fe9c48b3e7af70df0fd43ac9ca32ca",
     "da33_spec.json": "a306d0358b1ede5d5867db25f1d5862b21e46791a120235cc58b7efacf2b7990",
     "da42.json": "f7d577bb17cfba210677420240922272713c7bd427a2be7a292b78d9ffd2e2be",
-    "cls_AB_da22": "fbc634b8b6e6dd64c53cecf912d3a1fb41b32aae496b24e6f6eaaea341f31aff",
-    "cls_AB_da22_s20": "3babfad413115bc9c9b0cdde68f3a45b586dcc212374aecace24e13bde29b6f0",
-    "cls_AB_da23": "5e5eecd2817605e20ef591b424ec1f93f05f1ba14fdeccb51fa8027201a2dc79",
-    "cls_AB_da33": "c6a6cc1f7e93e3452b83523946801493798546fab6b8bad5459460839d269140",
+    "cls_AB_da22": "5af734863bf930ce0ba29c38397da447870900ab618a70e8a443c559b72092cc",
+    "cls_AB_da22_s20": "5ad224d2e6b6170b124db7b5cd0b99ec7cf77ad79784af433bd2c105642f51a4",
+    "cls_AB_da23": "a4769deefc4d5d7dee85b425b335645cdc61973b030d2942ac181ab22f703897",
+    "cls_AB_da33": "d8d59b02517e4c4b454a535ea539b2c8870cf3110f9916140d5516dd73f8f5dd",
     "cls_AB_da42": "afe553dd9effbaf92a5cd7f96facf3ca8faac56c6dab64cc23e1680ee36a5ea7",
     "cls_AB_rand": "a93f550b105a23fed77f95f4036e1a5b6f93fa26528cb821b31206a81cf069b7",
     "cls_A_deph": "cf70682bb4c96bb0fde1e55172b1ead8ac90bcbae099aea9deee9241181b12e4",
@@ -108,7 +108,7 @@ DIGESTS = {
     "cls_A_rand": "8ae1d4db890707e68350182c77ba644119750df8e9a1fe06f6f45c443632d4c4",
     "cls_B_deph": "3d4f37346858c023ef97c313c9059f3209fb428c6733e8f1fdbb2e123a6e60f6",
     "cls_B_dephfull": "227fb9eb162c9db82e45a72a6289f1b8cd66d0f35dea5713b3e7256f5dbb8598",
-    "cls_B_rand": "763701c060bfd5ef4cbd3064fb75af6b6fd1423c470742fa7c43ee161567c507",
+    "cls_B_rand": "db2d768159f25d60f2d2c9a0acb8fcd956dc6a6ad1881659d7da9bd8ff32768f",
     "cls_A_rand3": "f381468d4c0415fcd86176509f25ea1fa91db6ae853bd445ab6f63345b87cf6d",
     "cls_B_rand3": "ff10a51111c3bd432b536f0240d01b0985ccf23a96eeb9baf73254b30238e4e3",
     "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
@@ -117,9 +117,9 @@ DIGESTS = {
     "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
     "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
     "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",
-    "verify_pass": "f6d6b0883d2068a161213ac9571b3b539c70b78b90df44016868763836df58b1",
-    "verify_da23": "34fe34d406d131f27f97a8ce7ddc25efc327597503d3a3f71a45a1e283fc4961",
-    "verify_da33": "85a0e8568b5fd3de0747c7bc1c2d2519df1a050fe31dedc0f9ee0acf8b0685bc",
+    "verify_pass": "2d16eb7f6d3bf3a0962b8c973a6a9ddf6b4a20f527637ec6d9b6286c376c7d91",
+    "verify_da23": "e8a932d5abf79657bc62204a61cc5ef7c1c69e76ebd81c57e69583f0c84d7719",
+    "verify_da33": "280cf46dee5a5f0ffbd4d0188aea69176640f56af06236a7ae00a55e9113260f",
     "verify_da42": "1c468ec4122438aa6cb6ba7244e84e550a9c99144841c49d1248a52968711a7e",
     "verify_fail": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "witness.json": "bd29216f4751a51a78d57cb5bb1dc125f3ea791fb4d3ac0e7c01436f165949b9",
