@@ -285,9 +285,9 @@ def _cq_scan(
     and the failing input and output are kept.
     """
     out_dims = out_dims or dims
-    n_checked, worst, worst_input = 0, 0.0, None
+    n_checked, worst, worst_input, failing = 0, 0.0, None, ()
     size = 1
-    while len(chunk := take(size)):
+    while not len(failing) and len(chunk := take(size)):
         states, error = _validate_states(chunk)
         if error is not None:
             raise error
@@ -301,20 +301,15 @@ def _cq_scan(
         k = int(np.argmax(np.fmax(residuals[:stop], 0.0)))  # NaN never the worst
         if residuals[k] > worst:
             worst, worst_input = float(residuals[k]), states[k]
-        if len(failing):
-            return CertificationReport(
-                n_checked, worst, _wrap(worst_input, dims), _wrap(states[stop - 1], dims),
-                float(residuals[stop - 1]), _wrap(valid[stop - 1], out_dims),
-            )
         size *= 2
-    return CertificationReport(n_checked, worst, _wrap(worst_input, dims), None, None, None)
-
-
-def _wrap(matrix: np.ndarray | None, dims: tuple[int, int]) -> BipartiteState | None:
-    """A validated matrix as a state on ``dims`` (None stays None)."""
-    if matrix is None:
-        return None
-    return BipartiteState(*dims, DensityOperator(dim=len(matrix), matrix=_freeze(matrix)))
+    if worst_input is not None:
+        worst_input = BipartiteState.from_matrix(worst_input, *dims)
+    if not len(failing):
+        return CertificationReport(n_checked, worst, worst_input, None, None, None)
+    return CertificationReport(
+        n_checked, worst, worst_input, BipartiteState.from_matrix(states[stop - 1], *dims),
+        float(residuals[stop - 1]), BipartiteState.from_matrix(valid[stop - 1], *out_dims),
+    )
 
 
 def _check_acts_on_ab(channel: QuantumChannel, dim_a: int, dim_b: int) -> None:

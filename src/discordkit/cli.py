@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=_nonnegative_int, default=42, help="seed for all randomness")
+        p.add_argument("--seed", type=_at_least(0), default=42, help="seed for all randomness")
 
     def add_tolerances(p):
         p.add_argument("--tol-cq", type=_tolerance, default=CQ_TOL, dest="tol_cq",
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_pair, default=None,
                    help="theta x phi grid of hybrid and grid, dA = 2 only (default 32x64); "
                    "each measurement is scored once, so antipodal points are skipped")
-    p.add_argument("--restarts", type=_nonnegative_int, default=20,
+    p.add_argument("--restarts", type=_at_least(0), default=20,
                    help="Haar frames of multistart, which every dA other than 2 uses; "
                    "hybrid and grid on a qubit A ignore it")
     p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
@@ -255,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a channel file")
     p.add_argument("channel", help="JSON channel file")
     p.add_argument("--side", choices=["A", "B", "AB", "a", "b", "ab"], required=True)
-    p.add_argument("--dim-other", type=_other_dimension, default=2, dest="dim_other",
+    p.add_argument("--dim-other", type=_at_least(ActsOnA.minimum), default=2, dest="dim_other",
                    help="dimension of the untouched subsystem, at least 2 (sides A and B)")
     p.add_argument("--dims", default=None, help="dAxdB split for side AB")
-    p.add_argument("--samples", type=_nonnegative_int, default=200,
+    p.add_argument("--samples", type=_at_least(0), default=200,
                    help="seeded Hilbert-Schmidt draws certified after the fixed probes (side AB)")
     p.add_argument("--out", default=None)
     add_common(p)
@@ -268,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tetra-sweep", help="sweep the unital-qubit tetrahedron to CSV")
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--side", choices=["A", "B", "a", "b"], required=True)
-    p.add_argument("--dim-other", type=_positive_int, default=2, dest="dim_other")
-    p.add_argument("--probes", type=_nonnegative_int, default=0,
+    p.add_argument("--dim-other", type=_at_least(1), default=2, dest="dim_other")
+    p.add_argument("--probes", type=_at_least(0), default=0,
                    help="probe states per grid point for the discord column (0 = skip)")
     p.add_argument("--out", default=None)
     add_common(p)
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-da", help="certify a channel as discord-annihilating")
     p.add_argument("--channel", required=True)
     p.add_argument("--dims", required=True, metavar="dAxdB")
-    p.add_argument("--samples", type=_nonnegative_int, default=200,
+    p.add_argument("--samples", type=_at_least(0), default=200,
                    help="seeded Hilbert-Schmidt draws certified after the fixed probes")
     p.add_argument("--witness-out", default="da_witness.json", dest="witness_out")
     add_common(p)
@@ -298,39 +298,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_pair(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected NTHETAxNPHI, got {text!r}")
-    n_theta, n_phi = int(parts[0]), int(parts[1])
+    try:
+        n_theta, n_phi = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NTHETAxNPHI, got {text!r}") from None
     if n_theta < 1 or n_phi < 1:
         raise argparse.ArgumentTypeError(f"grid counts must be at least 1, got {text!r}")
     return n_theta, n_phi
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
-    return value
+def _at_least(minimum: int):
+    """The argparse type of an integer flag that must be at least ``minimum``."""
 
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
-
-
-def _other_dimension(text: str) -> int:
-    """``classify --dim-other``, at least the minimum of the side A and B contexts."""
-    value = int(text)
-    if value < ActsOnA.minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {ActsOnA.minimum}, got {text!r}")
-    return value
+    return integer
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text!r}")
     return value

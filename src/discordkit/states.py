@@ -11,14 +11,15 @@ Conventions
 * Entropies are in bits (log base 2).
 * A matrix is accepted as a state when it is finite, Hermitian and unit
   trace to ``VALIDITY_TOL`` and its smallest eigenvalue is at least
-  ``-VALIDITY_TOL``.  Negative eigenvalues within that tolerance are
-  clipped to zero and the state renormalised; larger violations raise
+  ``-VALIDITY_TOL``.  A matrix with an eigenvalue in ``[-VALIDITY_TOL,
+  -ZERO_CUTOFF * max(1, ||rho||))`` is clipped to the PSD cone and
+  renormalised; shallower negative eigenvalues count as zero, so a valid
+  state validates to its own bits.  Larger violations raise
   :class:`InvalidStateError`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,8 +80,9 @@ class DensityOperator:
         """Validate ``matrix`` and wrap it.
 
         Entries must be finite, and Hermiticity and trace must hold to
-        ``VALIDITY_TOL``; eigenvalues in ``[-VALIDITY_TOL, 0)`` are clipped
-        to the PSD cone and the result renormalised.  Violations raise
+        ``VALIDITY_TOL``; a matrix with an eigenvalue in ``[-VALIDITY_TOL,
+        -ZERO_CUTOFF * max(1, ||rho||))`` is clipped to the PSD cone and
+        renormalised, and shallower ones count as zero.  Violations raise
         :class:`InvalidStateError` with a message naming the offending
         invariant.
         """
@@ -206,13 +208,15 @@ def _hermitian_prefix(hs: np.ndarray, what: str, error: type[ValueError]):
     n = len(hs)
     with np.errstate(invalid="ignore"):  # inf - inf in a member that is not finite
         norms = _frobenius_norms(np.concatenate((hs, hs - hs.conj().transpose(0, 2, 1))))
-    for k, (norm, defect) in enumerate(zip(norms[:n].tolist(), norms[n:].tolist())):
-        # Tested before max(1, norm) below, which would turn NaN into 1.
-        if not math.isfinite(norm):
-            return k, error(f"{what} is not finite")
-        if defect > VALIDITY_TOL * max(1.0, norm):
-            return k, error(f"{what} is not Hermitian (defect {defect:.3e})")
-    return n, None
+        # Finiteness is tested apart: max(1, norm) below is NaN for a NaN norm.
+        nonfinite = ~np.isfinite(norms[:n])
+        bad = nonfinite | (norms[n:] > VALIDITY_TOL * np.maximum(1.0, norms[:n]))
+    if not bad.any():
+        return n, None
+    k = int(np.argmax(bad))
+    if nonfinite[k]:
+        return k, error(f"{what} is not finite")
+    return k, error(f"{what} is not Hermitian (defect {norms[n + k]:.3e})")
 
 
 def _validate_states(
@@ -223,42 +227,32 @@ def _validate_states(
     Returns the matrices that :meth:`DensityOperator.from_matrix` would hold
     for the members before the first invalid one, bit for bit, and the error
     it raises on that member (None when every member is a state).  The
-    stack takes one ``eigvalsh``, and only the members whose lowest value is
-    not above ``ZERO_CUTOFF * max(1, ||h||)`` take an ``eigh``, whose values
-    every refusal and clip reads: both drivers are backward stable, so their
-    lowest eigenvalues differ by about ``d * eps * ||h||``, far below the
-    cut, and no other member has a negative one.  Members with a negative
-    eigenvalue within ``VALIDITY_TOL`` are clipped from their own eigenpairs.
+    stack takes one ``eigvalsh``, whose lowest values every refusal and clip
+    reads.  Only a member whose lowest value is below ``-ZERO_CUTOFF *
+    max(1, ||h||)`` takes an ``eigh`` and is clipped from its eigenpairs;
+    shallower negative values count as zero, so what this returns
+    validates to its own bits.
     """
     n_ok, error = _hermitian_prefix(ms, f"{name}: matrix", InvalidStateError)
     h = ms[:n_ok]
     h = (h + h.conj().transpose(0, 2, 1)) / 2.0
     spectra = np.linalg.eigvalsh(h)
     lowest = spectra.min(axis=1, initial=np.inf)  # a 0x0 member fails on its trace
+    traces = np.trace(h, axis1=1, axis2=2).real
+    off_trace = np.abs(traces - 1.0) > VALIDITY_TOL
+    bad = off_trace | (lowest < -VALIDITY_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        error = InvalidStateError(
+            f"{name}: trace is {float(traces[k])!r}, expected 1" if off_trace[k] else
+            f"{name}: matrix is not positive semidefinite (min eigenvalue {lowest[k]:.3e})"
+        )
+        h, spectra, lowest = h[:k], spectra[:k], lowest[:k]
     # The Frobenius norm of a Hermitian matrix is that of its spectrum.
-    cut = ZERO_CUTOFF * np.maximum(1.0, np.linalg.norm(spectra, axis=1))
-    eager = np.flatnonzero(~(lowest > cut))
-    if eager.size:
-        eigvals, eigvecs = np.linalg.eigh(h[eager])
-        lowest[eager] = eigvals[:, 0]
-    clip = []
-    for k, (trace, low) in enumerate(
-        zip(np.trace(h, axis1=1, axis2=2).real.tolist(), lowest.tolist())
-    ):
-        if abs(trace - 1.0) > VALIDITY_TOL:
-            error, h = InvalidStateError(f"{name}: trace is {trace!r}, expected 1"), h[:k]
-            break
-        if low < -VALIDITY_TOL:
-            error, h = InvalidStateError(
-                f"{name}: matrix is not positive semidefinite (min eigenvalue {low:.3e})"
-            ), h[:k]
-            break
-        if low < 0.0:
-            clip.append(k)
-    if clip:
-        rows = np.searchsorted(eager, clip)
-        vecs = eigvecs[rows]
-        m = (vecs * np.clip(eigvals[rows], 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    clip = np.flatnonzero(lowest < -ZERO_CUTOFF * np.maximum(1.0, np.linalg.norm(spectra, axis=1)))
+    if clip.size:
+        eigvals, vecs = np.linalg.eigh(h[clip])
+        m = (vecs * np.clip(eigvals, 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
         m = (m + m.conj().transpose(0, 2, 1)) / 2.0
         h[clip] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
     return h, error

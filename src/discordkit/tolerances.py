@@ -48,7 +48,9 @@ POINT_SPREAD_TOL = 1e-7
 REBUILD_TOL = 1e-6
 
 # -- zero cutoffs --------------------------------------------------------------
-# Probabilities, eigenvalues and norms below this count as zero; also the
+# Probabilities, eigenvalues and norms below this count as zero, and so does a
+# state's eigenvalue down to -ZERO_CUTOFF * max(1, ||rho||), below which
+# validation clips the state to the PSD cone; also the
 # slack of the unital-qubit tetrahedron test and of Kraus extraction from a
 # Choi matrix (relative to its largest eigenvalue), and the relative slack
 # within which entries tie for the phase pivot of a derived Kraus operator.

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -389,6 +390,43 @@ def test_out_of_range_count_exits_2(tmp_path, capsys, argv, flag):
         main([arg.format(**names) for arg in argv])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["discord", "{s}", "--seed", "abc"], "--seed"),
+        (["discord", "{s}", "--restarts", "1.5"], "--restarts"),
+        (["discord", "{s}", "--grid", "2xa"], "--grid"),
+        (["discord", "{s}", "--grid", "ax"], "--grid"),
+        (["classify", "{deph}", "--side", "A", "--dim-other", "two"], "--dim-other"),
+        (["classify", "{deph}", "--side", "A", "--tol-cq", "abc"], "--tol-cq"),
+        (["classify", "{deph}", "--side", "A", "--tol-cptp", "1e-9x"], "--tol-cptp"),
+        (["classify", "{deph}", "--side", "AB", "--dims", "2x2", "--samples", "ten"], "--samples"),
+        (["verify-da", "--channel", "{deph}", "--dims", "2x1", "--samples", ""], "--samples"),
+        (["tetra-sweep", "--step", "abc", "--side", "A"], "--step"),
+        (["tetra-sweep", "--step", "0.5", "--side", "A", "--dim-other", "x"], "--dim-other"),
+        (["tetra-sweep", "--step", "0.5", "--side", "A", "--probes", "3.0"], "--probes"),
+        (["gen-da", "--random", "2x2", "--seed", "seven", "--out", "{w}/da.json"], "--seed"),
+    ],
+    ids=[
+        "discord-seed", "discord-restarts", "discord-grid", "discord-grid-empty",
+        "classify-dim-other", "classify-tol-cq", "classify-tol-cptp", "classify-samples",
+        "verify-samples", "sweep-step", "sweep-dim-other", "sweep-probes", "gen-da-seed",
+    ],
+)
+def test_non_numeric_flag_exits_2_naming_only_the_flag(tmp_path, capsys, argv, flag):
+    deph = tmp_path / "deph.json"
+    save_channel(QuantumChannel([np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.diag([1.0, -1.0])]), deph)
+    save_state(random_bipartite(2, 2, 1), tmp_path / "s.json")
+    names = {"deph": deph, "s": tmp_path / "s.json", "w": tmp_path}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**names) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    # The message names no private function of the CLI, such as an argparse type.
+    assert re.search(r"(?<![\w-])_[A-Za-z]", err) is None, err
 
 
 HUGE = 10**400  # a JSON integer beyond the float range

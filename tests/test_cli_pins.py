@@ -105,14 +105,14 @@ DIGESTS = {
     "cls_AB_rand": "a93f550b105a23fed77f95f4036e1a5b6f93fa26528cb821b31206a81cf069b7",
     "cls_A_deph": "cf70682bb4c96bb0fde1e55172b1ead8ac90bcbae099aea9deee9241181b12e4",
     "cls_A_dephfull": "385216202b5d30d54c19a28bc534dd88713ce03d31b98350616c0c314defa208",
-    "cls_A_rand": "8ae1d4db890707e68350182c77ba644119750df8e9a1fe06f6f45c443632d4c4",
+    "cls_A_rand": "312048ba1289be3b334acbccb8eb16ea1c2ece1835e2eea71d871a7acdc3254a",
     "cls_B_deph": "3d4f37346858c023ef97c313c9059f3209fb428c6733e8f1fdbb2e123a6e60f6",
-    "cls_B_dephfull": "227fb9eb162c9db82e45a72a6289f1b8cd66d0f35dea5713b3e7256f5dbb8598",
-    "cls_B_rand": "db2d768159f25d60f2d2c9a0acb8fcd956dc6a6ad1881659d7da9bd8ff32768f",
-    "cls_A_rand3": "f381468d4c0415fcd86176509f25ea1fa91db6ae853bd445ab6f63345b87cf6d",
-    "cls_B_rand3": "ff10a51111c3bd432b536f0240d01b0985ccf23a96eeb9baf73254b30238e4e3",
+    "cls_B_dephfull": "1de52b75da8c2175d348da355d6932b4f8a72bc5c1682e2a262ad8b9668f9994",
+    "cls_B_rand": "8f088e9f219076f45dfdfb8b694ec7a53450081824909bf55566d6f4f7c77d83",
+    "cls_A_rand3": "0fc4c745b36d5c9192a8c4594773034a8f2299819364ef0efc91149c0ec2cf2f",
+    "cls_B_rand3": "775b94c00061df318d5b68b41036532a5a5db056f440de2d0ebab5ed294241cd",
     "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
-    "cls_B_deph3": "8e779326204699ec004f34d65f220f4e7c3331ca903bd27cee3c113b7297f466",
+    "cls_B_deph3": "b28c4483f1fbf1c405542ae3b55cee8cb5235c99872db71d43e2f652cd675510",
     "discord_22": "f7caf42231d9789e620025df4483a069025b691eb1409f5c32618c23d95f4228",
     "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
     "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",

@@ -837,7 +837,8 @@ class TestBlockPairs:
 def test_every_caller_hands_the_cq_test_a_hermitian_stack(monkeypatch):
     """``_cq_scan``, ``_qc_decision`` and ``is_cq_exact`` pass validated states,
     which equal their adjoint bit for bit, so reading the Hermitian part
-    changes nothing and ``A_ji = A_ij^dag`` holds exactly."""
+    changes nothing and ``A_ji = A_ij^dag`` holds exactly; and validation
+    returns each stack bit for bit, so the test reads what a state holds."""
     annihilators = importlib.import_module("discordkit.annihilators")
     classify = importlib.import_module("discordkit.classify")
     seen = {}
@@ -846,6 +847,7 @@ def test_every_caller_hands_the_cq_test_a_hermitian_stack(monkeypatch):
 
         def spy(matrices, dim_a, dim_b, name=module.__name__):
             exact = np.array_equal(matrices, matrices.conj().transpose(0, 2, 1))
+            exact &= _validate_states(matrices)[0].tobytes() == matrices.tobytes()
             seen.setdefault(name, []).append(exact)
             return original(matrices, dim_a, dim_b)
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discordkit.annihilators import _probe_stream, build_da_channel, random_da_spec
+from discordkit.cli import main
 from discordkit.states import (
     BipartiteState,
     DensityOperator,
@@ -31,9 +35,17 @@ from discordkit.states import (
 from discordkit.tolerances import VALIDITY_TOL, ZERO_CUTOFF
 
 
+def below_cut(eigvals) -> bool:
+    """Whether a spectrum's lowest value lies below ``-ZERO_CUTOFF * max(1, ||h||)``,
+    the cut under which validation clips (the Frobenius norm of a Hermitian
+    matrix is that of its spectrum)."""
+    return bool(eigvals[0] < -ZERO_CUTOFF * max(1.0, float(np.linalg.norm(eigvals))))
+
+
 def from_matrix_reference(matrix, name="state"):
-    """The per-matrix validation that the stacked validator replaced, verbatim:
-    the matrix ``DensityOperator.from_matrix`` held, or the error it raised."""
+    """The validation of one matrix: the matrix ``DensityOperator.from_matrix``
+    holds, or the error it raises.  Its ``eigvalsh`` decides every refusal and
+    the clip, and ``eigh``'s eigenpairs serve only to clip."""
     m = np.asarray(matrix, dtype=complex)
     what = f"{name}: matrix"
     norm = float(np.linalg.norm(m))
@@ -42,17 +54,18 @@ def from_matrix_reference(matrix, name="state"):
     defect = float(np.linalg.norm(m - m.conj().T))
     if defect > VALIDITY_TOL * max(1.0, norm):
         return InvalidStateError(f"{what} is not Hermitian (defect {defect:.3e})")
-    eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     m = (m + m.conj().T) / 2.0
+    spectrum = np.linalg.eigvalsh(m)
     trace = float(np.trace(m).real)
     if abs(trace - 1.0) > VALIDITY_TOL:
         return InvalidStateError(f"{name}: trace is {trace!r}, expected 1")
-    if eigvals[0] < -VALIDITY_TOL:
+    if spectrum[0] < -VALIDITY_TOL:
         return InvalidStateError(
             f"{name}: matrix is not positive semidefinite "
-            f"(min eigenvalue {eigvals[0]:.3e})"
+            f"(min eigenvalue {spectrum[0]:.3e})"
         )
-    if eigvals[0] < 0.0:
+    if below_cut(spectrum):
+        eigvals, eigvecs = np.linalg.eigh(m)
         clipped = np.clip(eigvals, 0.0, None)
         m = (eigvecs * clipped) @ eigvecs.conj().T
         m = (m + m.conj().T) / 2.0
@@ -110,16 +123,24 @@ SPOILS = ("nan", "non-hermitian", "trace", "not-psd")
 class TestStackedValidation:
     @pytest.mark.parametrize("d, seed", [(4, 1), (6, 2), (9, 3), (8, 4)])
     def test_bitwise_equal_to_one_call_per_matrix(self, d, seed):
-        stack = validator_corpus(d, seed)
+        # Members whose lowest eigenvalue lies between -VALIDITY_TOL and the cut.
+        lows = -np.geomspace(2 * ZERO_CUTOFF, 0.99 * VALIDITY_TOL, 12)
+        near = [near_cut(d, low, [d, seed, i]) for i, low in enumerate(lows)]
+        stack = np.concatenate((validator_corpus(d, seed), near))
         valid, error = _validate_states(stack)
         assert error is None and len(valid) == len(stack)
-        clipped = 0
+        clipped = rounded = 0
         for m, got in zip(stack, valid):
             assert np.array_equal(got, from_matrix_outcome(m))
             assert np.array_equal(got, from_matrix_reference(m))
-            clipped += np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] < 0.0
-        # The corpus reaches the clip branch, and not only there.
-        assert 30 <= clipped < len(stack)
+            spectrum = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+            clipped += below_cut(spectrum)
+            if spectrum[0] < 0.0 and not below_cut(spectrum):
+                # A rounding-level negative eigenvalue counts as zero.
+                assert np.array_equal(got, (m + m.conj().T) / 2.0)
+                rounded += 1
+        # The corpus reaches the clip branch, the rounding band and neither.
+        assert clipped == len(near) and rounded >= 30
 
     def test_the_spoiled_matrices_fail_their_invariant(self):
         m = validator_corpus(4, 1)[0]
@@ -158,24 +179,26 @@ class TestStackedValidation:
 
 
 def validate_states_eager(ms, name="state"):
-    """The stacked validator as it was before it read eigenvalues first,
-    verbatim: one ``eigh`` of the whole stack, whose values every check reads."""
+    """The stacked validator with a Python loop over the members and one
+    ``eigh`` of the whole stack: its ``eigvalsh`` decides every refusal and
+    every clip, and ``eigh``'s eigenpairs serve only to clip."""
     n_ok, error = _hermitian_prefix(ms, f"{name}: matrix", InvalidStateError)
     h = ms[:n_ok]
     h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+    spectra = np.linalg.eigvalsh(h)
     eigvals, eigvecs = np.linalg.eigh(h)
     clip = []
     for k, trace in enumerate(np.trace(h, axis1=1, axis2=2).real.tolist()):
         if abs(trace - 1.0) > VALIDITY_TOL:
             error, h = InvalidStateError(f"{name}: trace is {trace!r}, expected 1"), h[:k]
             break
-        if eigvals[k, 0] < -VALIDITY_TOL:
+        if spectra[k, 0] < -VALIDITY_TOL:
             error, h = InvalidStateError(
                 f"{name}: matrix is not positive semidefinite "
-                f"(min eigenvalue {eigvals[k, 0]:.3e})"
+                f"(min eigenvalue {spectra[k, 0]:.3e})"
             ), h[:k]
             break
-        if eigvals[k, 0] < 0.0:
+        if below_cut(spectra[k]):
             clip.append(k)
     if clip:
         vecs = eigvecs[clip]
@@ -237,7 +260,8 @@ class TestEigenvaluesFirst:
         spec = random_da_spec(*dims, [1, *dims])
         probes, error = _validate_states(_probe_stream(*dims, 3, n_draws=40)(100))
         assert error is None
-        # The stage alone leaves some outputs rank deficient, to be clipped.
+        # The stage alone leaves some outputs rank deficient, whose zero
+        # eigenvalues can round below 0 and still count as zero.
         for channel in (build_da_channel(spec), build_da_channel(replace(spec, pre_channel=None))):
             assert_validates_as_eager(channel.apply_matrix(probes), name="channel output")
 
@@ -252,9 +276,10 @@ class TestEigenvaluesFirst:
         got, error = assert_validates_as_eager(stack)
         assert error is None and len(got) == len(lows)
         rows = eigh_rows(monkeypatch)
-        _validate_states(stack)
-        # Far above the cut a member takes no eigh; at or below it, every one does.
-        assert len(rows) == 1 and 7 <= rows[0] <= 10
+        # Rounding puts the member on the cut on either side of it, so it is left out.
+        _validate_states(np.delete(stack, lows.index(-ZERO_CUTOFF), axis=0))
+        # Exactly the three members below the cut take an eigh.
+        assert rows == [3]
 
     @pytest.mark.parametrize("kind", ["trace", "not-psd"])
     @pytest.mark.parametrize("k", [0, 4, 9])
@@ -286,6 +311,61 @@ class TestEigenvaluesFirst:
         assert error is None and len(valid) == 128
         assert sum(rows) == 0
         assert np.array_equal(valid, (stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+
+
+def assert_fixed_point(ms, name="state"):
+    """Validating ``_validate_states``' output again returns the same bytes."""
+    valid, error = _validate_states(ms, name=name)
+    assert error is None
+    again, error = _validate_states(valid)
+    assert error is None and again.tobytes() == valid.tobytes()
+
+
+class TestValidationFixedPoint:
+    @pytest.mark.parametrize("dim_a", range(1, 6))
+    @pytest.mark.parametrize("dim_b", range(1, 6))
+    def test_probe_stream(self, dim_a, dim_b):
+        assert_fixed_point(_probe_stream(dim_a, dim_b, 0, n_draws=60)(100))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4)])
+    def test_annihilating_channel_outputs(self, dims, seed):
+        spec = random_da_spec(*dims, seed)
+        probes, error = _validate_states(_probe_stream(*dims, seed, n_draws=60)(100))
+        assert error is None
+        for channel in (build_da_channel(spec), build_da_channel(replace(spec, pre_channel=None))):
+            assert_fixed_point(channel.apply_matrix(probes), name="channel output")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        low=st.floats(-0.99 * VALIDITY_TOL, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_state_either_side_of_the_cut(self, d, low, seed):
+        assert_fixed_point(near_cut(d, low, seed)[None])
+
+
+def test_the_da_chain_takes_no_validation_eigh(monkeypatch, tmp_path):
+    """``gen-da --random``, ``verify-da`` and ``classify --side AB`` validate
+    every state without an ``eigh``: their outputs are never below the cut."""
+    callers, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for split, seed in [("2x2", 7), ("2x3", 9), ("3x2", 4), ("3x3", 8), ("4x2", 10)]:
+        path = str(tmp_path / f"da{split}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen-da", "--random", split, "--seed", str(seed), "--out", path]) == 0
+            assert main(
+                ["verify-da", "--channel", path, "--dims", split,
+                 "--witness-out", str(tmp_path / "witness.json")]
+            ) == 0
+            assert main(["classify", path, "--side", "AB", "--dims", split]) == 0
+    assert callers and "_validate_states" not in callers
 
 
 class TestDensityOperatorValidation:
