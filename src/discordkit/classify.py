@@ -359,6 +359,14 @@ class ClassificationReport:
     match: MatchResult | None = None
 
 
+# Why a measure-and-prepare channel is entanglement breaking where PPT is
+# not conclusive (Horodecki, Shor and Ruskai 2003, Rev. Math. Phys. 15, 629).
+_MEASURE_AND_PREPARE_NOTE = (
+    "measure-and-prepare, hence entanglement breaking: the Choi matrix "
+    "sum_k F_k^T (x) |k><k| is separable"
+)
+
+
 def _no_witness_note(scan: CertificationReport, tol: float) -> str:
     """Why a scan in which no output failed yields no witness."""
     return (
@@ -406,6 +414,8 @@ def classify_channel(
     at ``cq_tol``; the recovery draws no inputs and does not depend on
     ``seed``.  A "no" on A or B whose probe outputs are all CQ carries no
     witness; its notes give the probe count and their largest CQ residual.
+    A "yes" on A settles entanglement breaking where PPT cannot: the
+    measure-and-prepare form is a separable Choi matrix.
     """
     if isinstance(context, (ActsOnA, ActsOnB)):
         if isinstance(context, ActsOnA):
@@ -413,6 +423,8 @@ def classify_channel(
         else:
             side, dim_other, verdict = "B", context.dim_a, is_point_channel(channel, cq_tol)
         eb = is_entanglement_breaking(channel)
+        if side == "A" and verdict.kind == "yes" and eb.kind == "unknown":
+            eb = replace(eb, kind="yes", notes=_MEASURE_AND_PREPARE_NOTE)
         witness = None
         if verdict.kind != "yes":
             witness, note = _discordant_output_witness(channel, side, dim_other, 137 + seed, cq_tol)

@@ -10,6 +10,12 @@ maximum up to rounding, so the reported discord is an upper bound on the
 true value.  Zero-discord certification therefore never uses the
 optimiser: :func:`is_cq_exact` tests the block-commutation structure of
 the state directly, which is exact.
+
+For a qubit A, ``Hybrid`` scores a Bloch-angle grid and refines its best
+directions n by gradient ascent on the sphere, with
+dJ/dn_i = tr[T_i (L+ - L-)] / 2, where T_i = tr_A[(sigma_i (x) 1) rho] and
+L+- is log2 of the normalised conditional block (T0 +- n.T) / 2; the
+directions it returns are scored again by ``_qubit_scores``.
 """
 
 from __future__ import annotations
@@ -98,10 +104,7 @@ class ProjectiveMeasurement:
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "ProjectiveMeasurement":
         """Qubit measurement along the Bloch direction (theta, phi)."""
-        n = _bloch_directions(np.array([[theta, phi]]))[0]
-        nm = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-        eye = np.eye(2, dtype=complex)
-        return cls(dim=2, projectors=((eye + nm) / 2.0, (eye - nm) / 2.0))
+        return _bloch_measurement(_bloch_directions(np.array([[theta, phi]]))[0])
 
     def _check(self):
         # The projectors are Hermitian, so ||P_b P_a|| = ||P_a P_b|| and the
@@ -123,6 +126,14 @@ class ProjectiveMeasurement:
             raise ValueError("Bloch vector is defined for qubit measurements only")
         p0 = self.projectors[0]
         return np.array([np.trace(p0 @ s).real for s in PAULIS])
+
+
+def _bloch_measurement(n: np.ndarray) -> ProjectiveMeasurement:
+    """The qubit measurement {(1 + n.sigma) / 2, (1 - n.sigma) / 2} along the
+    unit Bloch vector ``n``."""
+    nm = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
+    eye = np.eye(2, dtype=complex)
+    return ProjectiveMeasurement(dim=2, projectors=((eye + nm) / 2.0, (eye - nm) / 2.0))
 
 
 def _bloch_directions(angles: np.ndarray) -> np.ndarray:
@@ -164,10 +175,11 @@ class MultiStart(_AtLeast):
 
 @dataclass(frozen=True)
 class Hybrid(_AtLeast):
-    """The :class:`Grid` followed by a batched pattern search from its 5 best
-    points, which are 5 distinct measurements; the search's first angle step
-    is the grid spacing.  Defined for a qubit A only: on dA != 2 it runs
-    ``MultiStart(20)`` instead."""
+    """The :class:`Grid` followed by a batched gradient ascent on the Bloch
+    sphere from its 5 best points, which are 5 distinct measurements, with
+    Barzilai-Borwein steps; the first step is the grid spacing pi/n_theta.
+    Defined for a qubit A only: on dA != 2 it runs ``MultiStart(20)``
+    instead."""
 
     n_theta: int = 32
     n_phi: int = 64
@@ -181,11 +193,11 @@ class OptimizerTrace:
     """What the optimiser did.
 
     ``restarts`` starts were refined (0 for Grid), ending at the scores
-    ``best_values``; ``n_evals`` counts every objective evaluation: grid
-    points (one per distinct measurement), starting frames and
-    pattern-search candidates; ``converged`` is False when a pattern search
-    stopped at ``PATTERN_MAX_ROUNDS`` with a step still above
-    ``ANGLE_STEP_TOL``.
+    ``best_values``; ``n_evals`` counts every point whose objective was
+    evaluated: grid points (one per distinct measurement), starting frames
+    and pattern-search candidates, and for Hybrid's ascent its starts, every
+    trial point and the final rescore; ``converged`` is False only when a
+    search stopped at ``PATTERN_MAX_ROUNDS`` with a start still live.
     """
 
     restarts: int
@@ -236,27 +248,36 @@ def _weighted_entropies(blocks: np.ndarray) -> np.ndarray:
     with p its trace; ``blocks`` is normalised in place.  A 2x2 block
     [[a, b*], [b, d]] has the eigenvalues ((a + d) -+ sqrt((a - d)^2 + 4|b|^2)) / 2
     (read, like ``eigvalsh``, from the lower triangle); larger blocks share
-    one stacked ``eigvalsh``.  Outcomes with p below ``ZERO_CUTOFF`` add
-    nothing."""
-    p = np.trace(blocks, axis1=-2, axis2=-1).real
-    blocks /= np.clip(p, ZERO_CUTOFF, None)[..., None, None]
+    one stacked ``eigvalsh``."""
+    p = _normalise(blocks)
     if blocks.shape[-1] == 2:
         a, d, b = blocks[..., 0, 0].real, blocks[..., 1, 1].real, blocks[..., 1, 0]
         root = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
         w = np.stack([(a + d) - root, (a + d) + root], axis=-1) / 2.0
     else:
         w = np.linalg.eigvalsh(blocks)
+    return _entropy_terms(p, w)[0]
+
+
+def _normalise(blocks: np.ndarray) -> np.ndarray:
+    """Divide each block by its trace p, in place, and return p."""
+    p = np.trace(blocks, axis1=-2, axis2=-1).real
+    blocks /= np.clip(p, ZERO_CUTOFF, None)[..., None, None]
+    return p
+
+
+def _entropy_terms(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p·S(block / p) from the normalised spectra ``w`` (..., db), and their
+    base-2 logarithms.  Eigenvalues at or below ``ZERO_CUTOFF`` take log 0,
+    and outcomes with p at or below it add nothing."""
     w = np.clip(w, 0.0, None)
     logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
-    return np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0)
+    return np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0), logs
 
 
-def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
-    """Classical-correlation values for a batch of Bloch directions (N, 3).
-
-    The 2N conditional blocks are outcome + for every direction, then
-    outcome -.
-    """
+def _qubit_blocks(t0, ts, directions: np.ndarray) -> np.ndarray:
+    """The 2N conditional blocks (T0 +- n.T) / 2 of Bloch directions (N, 3):
+    outcome + for every direction, then outcome -."""
     n = directions.shape[0]
     correlated = np.tensordot(directions, ts, axes=(1, 0))  # (N, db, db)
     # Filled in place, so the grid's 2N blocks exist once, not as a concatenated copy.
@@ -264,8 +285,38 @@ def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
     np.add(t0, correlated, out=blocks[:n])
     np.subtract(t0, correlated, out=blocks[n:])
     blocks *= 0.5
-    weighted = _weighted_entropies(blocks)
+    return blocks
+
+
+def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
+    """Classical-correlation values for a batch of Bloch directions (N, 3)."""
+    weighted = _weighted_entropies(_qubit_blocks(t0, ts, directions))
+    n = directions.shape[0]
     return s_b - (weighted[:n] + weighted[n:])
+
+
+def _qubit_value_grad(t0, ts, s_b, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classical-correlation values of unit Bloch directions (N, 3) and their
+    gradients on the sphere, from one stacked ``eigh`` of the 2N blocks
+    M+- = (T0 +- n.T) / 2.
+
+    With p+- = tr M+- and L+- = log2(M+- / p+-), dJ/dn_i = tr[T_i (L+ - L-)] / 2,
+    projected onto the tangent plane at n.  Eigenvalues and outcomes that
+    the scorer counts as zero take log 0.  The values are those of
+    :func:`_qubit_scores` up to rounding.
+    """
+    n = directions.shape[0]
+    blocks = _qubit_blocks(t0, ts, directions)
+    p = _normalise(blocks)
+    w, v = np.linalg.eigh(blocks)
+    weighted, logs = _entropy_terms(p, w)
+    logs *= (p > ZERO_CUTOFF)[:, None]
+    logm = (v * logs[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    # tr[T_i D] = sum over (b, d) of T_i[b, d] D[d, b], with D = L+ - L-.
+    diff = (logm[:n] - logm[n:]).swapaxes(-1, -2).reshape(n, -1)
+    grad = 0.5 * (diff @ ts.reshape(3, -1).T).real
+    grad -= np.sum(grad * directions, axis=1)[:, None] * directions
+    return s_b - (weighted[:n] + weighted[n:]), grad
 
 
 def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
@@ -283,12 +334,16 @@ def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
     return np.column_stack([np.pi * k / n_theta, 2.0 * np.pi * j / n_phi])
 
 
-# Rounds after which a pattern search stops whatever its step; the default
-# qubit grid reaches ANGLE_STEP_TOL in about 20 halvings plus a few dozen
-# moves, a MultiStart frame in about 23 halvings plus its moves.
+# Rounds after which a search stops whatever its step: a pattern search
+# makes one scoring call a round, a gradient ascent one value-and-gradient
+# call a round, and its final rescore counts as a round too.  The default
+# qubit grid and a MultiStart frame reach ANGLE_STEP_TOL in about 20-23
+# halvings plus their moves; a qubit ascent takes about 8 rounds.
 PATTERN_MAX_ROUNDS = 200
 # Hybrid refines this many of its best grid points.
 _REFINE_TOP = 5
+# The longest tangent step of a gradient ascent (radians on the Bloch sphere).
+_MAX_STEP = 0.5
 
 
 def _pattern_search(score, neighbours, starts, values, step):
@@ -324,49 +379,110 @@ def _pattern_search(score, neighbours, starts, values, step):
     return x, val, n_evals, converged
 
 
-# The 3x3 angle stencil around a Hybrid start, less its centre (whose score
-# is known), in units of the start's (theta, phi) step.
-_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real inner product of each row of ``a`` with the same row of ``b``."""
+    return (a.conj() * b).real.sum(axis=tuple(range(1, a.ndim)))
 
 
-def _angle_neighbours(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return x[:, None, :] + _STENCIL * h[:, None, :]
+def _gradient_ascent(value_grad, retract, score, starts, values, step):
+    """Refine every start at once by Riemannian gradient ascent.
+
+    ``value_grad`` rates a stack of points and gives their gradients in the
+    tangent spaces, ``retract(x, v)`` maps the tangent steps ``v`` at ``x``
+    back onto the manifold, and ``score``, the objective's scorer, gives the
+    returned values; ``values`` are the starts' scores.  Each round makes
+    one ``value_grad`` call: first at the starts, then at one trial point
+    per live start, a step along its gradient.  A trial replaces its start
+    only when it rates strictly higher, and the next step length is then
+    the Barzilai-Borwein step |s.s / s.y| (s the move, y the change of
+    gradient) times the new gradient's norm, at most ``_MAX_STEP``;
+    otherwise the step length halves.  The first step length is ``step``.
+    A start stops when an accepted step gains at most ``REFINE_MARGIN``,
+    when its next step's first-order gain (step length times gradient
+    norm) is at most that, or when its step length falls below
+    ``ANGLE_STEP_TOL``; one whose final score falls below its own returns
+    to it.  Returns the points, their scores, the number of points rated
+    and whether every start stopped within ``PATTERN_MAX_ROUNDS`` rounds,
+    the final ``score`` call included.
+    """
+    x = starts.copy()
+    val, grad = value_grad(x)
+    norms = np.sqrt(_row_dots(grad, grad))
+    h = np.full(len(x), float(step))
+    n_evals = len(x)
+    column = (-1,) + (1,) * (x.ndim - 1)
+
+    def stopped():
+        return (h < ANGLE_STEP_TOL) | (h * norms <= REFINE_MARGIN)
+
+    for _ in range(PATTERN_MAX_ROUNDS - 2):
+        live = np.flatnonzero(~stopped())
+        if live.size == 0:
+            break
+        trial = retract(x[live], grad[live] * (h[live] / norms[live]).reshape(column))
+        trial_val, trial_grad = value_grad(trial)
+        n_evals += len(trial)
+        up = trial_val > val[live]
+        h[live[~up]] /= 2.0
+        moved = live[up]
+        s, y = trial[up] - x[moved], trial_grad[up] - grad[moved]
+        ss, sy = _row_dots(s, s), np.abs(_row_dots(s, y))
+        bb = np.divide(ss, sy, out=np.full_like(ss, np.inf), where=sy > 0.0)
+        gain = trial_val[up] - val[moved]
+        x[moved], val[moved], grad[moved] = trial[up], trial_val[up], trial_grad[up]
+        norms[moved] = np.sqrt(_row_dots(grad[moved], grad[moved]))
+        length = np.where(norms[moved] > 0.0, np.minimum(bb * norms[moved], _MAX_STEP), 0.0)
+        h[moved] = np.where(gain > REFINE_MARGIN, length, 0.0)
+    converged = bool(stopped().all())
+    final = score(x)
+    # value_grad and score may round apart: no start ends below its own score.
+    back = ~(final >= values)
+    x[back], final[back] = starts[back], values[back]
+    return x, final, n_evals + len(x), converged
+
+
+def _unit_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Retraction onto the unit sphere: each row of x + v, normalised."""
+    y = x + v
+    return y / np.linalg.norm(y, axis=1)[:, None]
 
 
 def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid, s_b: float):
     t0, ts = _qubit_correlation_ops(rho)
 
-    def score(angles):
-        return _qubit_scores(t0, ts, s_b, _bloch_directions(angles))
+    def score(directions):
+        return _qubit_scores(t0, ts, s_b, directions)
 
-    angles = _grid_angles(strategy.n_theta, strategy.n_phi)
-    scores = score(angles)
+    directions = _bloch_directions(_grid_angles(strategy.n_theta, strategy.n_phi))
+    scores = score(directions)
     best_idx = int(np.argmax(scores))
-    best_angles = angles[best_idx]
+    best = directions[best_idx]
     best_val = float(scores[best_idx])
 
     if isinstance(strategy, Grid):
         trace = OptimizerTrace(
-            restarts=0, best_values=(best_val,), n_evals=len(angles), converged=True
+            restarts=0, best_values=(best_val,), n_evals=len(directions), converged=True
         )
-        return best_angles, best_val, trace
+        return best, best_val, trace
+
+    def value_grad(directions):
+        return _qubit_value_grad(t0, ts, s_b, directions)
 
     top = np.argsort(scores)[::-1][:_REFINE_TOP]
-    step = np.array([np.pi / strategy.n_theta, 2.0 * np.pi / strategy.n_phi])
-    refined_angles, refined, n_evals, converged = _pattern_search(
-        score, _angle_neighbours, angles[top], scores[top], step
+    refined_directions, refined, n_evals, converged = _gradient_ascent(
+        value_grad, _unit_rows, score, directions[top], scores[top], np.pi / strategy.n_theta
     )
-    for x, val in zip(refined_angles, refined):
+    for x, val in zip(refined_directions, refined):
         if val > best_val + REFINE_MARGIN:
             best_val = float(val)
-            best_angles = x
+            best = x
     trace = OptimizerTrace(
         restarts=len(top),
         best_values=tuple(float(v) for v in refined),
-        n_evals=len(angles) + n_evals,
+        n_evals=len(directions) + n_evals,
         converged=converged,
     )
-    return best_angles, best_val, trace
+    return best, best_val, trace
 
 
 # -- general-dimension evaluation --------------------------------------------
@@ -472,8 +588,8 @@ def _classical_correlation_traced(rho, strategy, seed, s_b):
     if isinstance(strategy, Grid) and rho.dim_a != 2:
         raise ValueError("Grid strategy is only defined for dim_a = 2")
     if rho.dim_a == 2 and isinstance(strategy, (Grid, Hybrid)):
-        angles, value, trace = _optimize_qubit(rho, strategy, s_b)
-        meas = ProjectiveMeasurement.from_bloch(angles[0], angles[1])
+        direction, value, trace = _optimize_qubit(rho, strategy, s_b)
+        meas = _bloch_measurement(direction)
     else:
         restarts = strategy.restarts if isinstance(strategy, MultiStart) else 20
         u, value, trace = _optimize_multistart(rho, restarts, seed, s_b)

@@ -57,8 +57,10 @@ REBUILD_TOL = 1e-6
 ZERO_CUTOFF = 1e-12
 
 # -- optimisation --------------------------------------------------------------
-# A refined qubit measurement replaces the grid optimum only when it gains more.
+# A refined qubit measurement replaces the grid optimum only when it gains
+# more; a start of the qubit gradient ascent stops once a step gains no more.
 REFINE_MARGIN = 1e-15
-# The qubit pattern search stops refining a start once its Bloch-angle step
-# (radians) falls below this.
+# A search stops refining a start once its step falls below this: the angle
+# steps (radians) of the MultiStart pattern search, and the tangent step
+# length of the qubit gradient ascent on the Bloch sphere.
 ANGLE_STEP_TOL = 1e-7

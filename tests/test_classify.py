@@ -417,6 +417,20 @@ class TestClassifyChannel:
         assert report.label == "db-a"
         assert report.eb_verdict.kind == "yes"
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_measure_and_prepare_is_entanglement_breaking(self, dim):
+        """A rank-1 projective QC channel dim -> dim: PPT alone says "unknown"
+        here, and the measure-and-prepare form settles it."""
+        basis = random_unitary(dim, [41, dim])
+        povm = [np.outer(basis[:, k], basis[:, k].conj()) for k in range(dim)]
+        channel = make_qc_channel(povm, [basis_ket(dim, k) for k in range(dim)])
+        assert is_entanglement_breaking(channel).kind == "unknown"
+        report = classify_channel(channel, ActsOnA(dim_b=2))
+        assert report.label == "db-a"
+        assert report.eb_verdict.kind == "yes"
+        assert "measure-and-prepare" in report.eb_verdict.notes
+        assert classify_channel(channel, ActsOnB(dim_a=2)).eb_verdict.kind == "unknown"
+
     def test_dephasing_on_b_rejected_with_witness(self):
         report = classify_channel(z_dephasing(), ActsOnB(dim_a=2))
         assert report.label == "not-db-b"

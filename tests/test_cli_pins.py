@@ -111,9 +111,9 @@ DIGESTS = {
     "cls_B_rand": "8f088e9f219076f45dfdfb8b694ec7a53450081824909bf55566d6f4f7c77d83",
     "cls_A_rand3": "0fc4c745b36d5c9192a8c4594773034a8f2299819364ef0efc91149c0ec2cf2f",
     "cls_B_rand3": "775b94c00061df318d5b68b41036532a5a5db056f440de2d0ebab5ed294241cd",
-    "cls_A_deph3": "0e5bffad8d6ad7d6f5704e40406c5d49732e6d5587ff2a17b8d2ed0331870b26",
+    "cls_A_deph3": "a4a280037d71a74d808d26995f8245c942bef43ea29c564145ecd57a4a947b4c",
     "cls_B_deph3": "b28c4483f1fbf1c405542ae3b55cee8cb5235c99872db71d43e2f652cd675510",
-    "discord_22": "f7caf42231d9789e620025df4483a069025b691eb1409f5c32618c23d95f4228",
+    "discord_22": "d66face605a146db4c495b431da8228ab585c272a138d7c7a95e17de67a8edf7",
     "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
     "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
     "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",

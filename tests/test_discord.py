@@ -18,7 +18,6 @@ from discordkit.discord import (
     MultiStart,
     ProjectiveMeasurement,
     _REFINE_TOP,
-    _angle_neighbours,
     _bloch_directions,
     _grid_angles,
     _pattern_search,
@@ -30,6 +29,7 @@ from discordkit.discord import (
     _cq_draws,
     _cq_residuals,
     _qubit_scores,
+    _qubit_value_grad,
     _weighted_entropies,
     classical_correlation,
     cq_decompose,
@@ -604,19 +604,25 @@ class TestMultiStartAgainstNelderMead:
 class TestOptimizerTrace:
     @staticmethod
     def count_points(monkeypatch):
-        """Count every point the optimiser scores."""
+        """Count every point the optimiser scores, or rates with its gradient."""
         scored = []
         qubit, unitary = discord_module._qubit_scores, discord_module._unitary_scores
+        value_grad = discord_module._qubit_value_grad
 
         def count_qubit(t0, ts, s_b, directions):
             scored.append(len(directions))
             return qubit(t0, ts, s_b, directions)
+
+        def count_value_grad(t0, ts, s_b, directions):
+            scored.append(len(directions))
+            return value_grad(t0, ts, s_b, directions)
 
         def count_unitary(r4, s_b, us):
             scored.append(len(us))
             return unitary(r4, s_b, us)
 
         monkeypatch.setattr(discord_module, "_qubit_scores", count_qubit)
+        monkeypatch.setattr(discord_module, "_qubit_value_grad", count_value_grad)
         monkeypatch.setattr(discord_module, "_unitary_scores", count_unitary)
         return scored
 
@@ -1053,10 +1059,22 @@ def eigvalsh_weighted_entropies(blocks):
     return np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0)
 
 
+# The 3x3 angle stencil around a start of the retired qubit pattern search,
+# less its centre (whose score is known), in units of the start's
+# (theta, phi) step.
+STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+
+
+def angle_neighbours(x, h):
+    return x[:, None, :] + STENCIL * h[:, None, :]
+
+
 def old_path_j(rho, strategy):
     """J of the former qubit path: the full-sphere grid scored through
-    ``eigvalsh`` and, for Hybrid, the library's pattern search from its 5 best
-    points, which may repeat a measurement."""
+    ``eigvalsh`` and, for Hybrid, the retired pattern search on (theta, phi)
+    from its 5 best points, which may repeat a measurement: the library's
+    ``_pattern_search`` with the angle stencil above, first steps the grid
+    spacing."""
     t0, ts = _qubit_correlation_ops(rho)
     s_b = von_neumann_entropy(partial_trace_matrix(rho.matrix, 2, rho.dim_b, "B"))
 
@@ -1073,7 +1091,7 @@ def old_path_j(rho, strategy):
         return best
     top = np.argsort(scores)[::-1][:_REFINE_TOP]
     step = np.array([np.pi / strategy.n_theta, 2.0 * np.pi / strategy.n_phi])
-    _, refined, _, _ = _pattern_search(score, _angle_neighbours, angles[top], scores[top], step)
+    _, refined, _, _ = _pattern_search(score, angle_neighbours, angles[top], scores[top], step)
     for val in refined:
         if val > best + REFINE_MARGIN:
             best = float(val)
@@ -1221,6 +1239,93 @@ class TestAgainstTheFullSphereEigvalshPath:
             for strategy in (Hybrid(), Grid()):
                 j, _ = classical_correlation(rho, strategy)
                 assert j >= old_path_j(rho, strategy) - 1e-14, (k, strategy)
+
+
+def degenerate_qubit_states():
+    """Pure, product and CQ 2 x dB states, whose conditional blocks are rank
+    deficient at the optimum, and Bell-diagonal states, one of them with
+    |c_2| = |c_3| > |c_1| (Bell weights p_1 = p_2), whose optima form a
+    circle of directions."""
+    states = []
+    for dim_b in (2, 3, 4):
+        seed = [3100, dim_b]
+        states.append(BipartiteState(2, dim_b, random_density(2 * dim_b, "haar-pure", seed)))
+        states.append(
+            product_state(
+                random_density(2, "hilbert-schmidt", seed + [1]),
+                random_density(dim_b, "hilbert-schmidt", seed + [2]),
+            )
+        )
+        states.append(cq_state(seed + [3], 2, dim_b))
+    for weights in ([0.3, 0.3, 0.0, 0.4], [0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]):
+        rho = bell_diagonal(np.array(weights) @ BELL_TETRAHEDRON)
+        u = np.kron(random_unitary(2, 3101), random_unitary(2, 3102))
+        states += [rho, BipartiteState.from_matrix(u @ rho.matrix @ u.conj().T, 2, 2)]
+    return states
+
+
+class TestQubitAscent:
+    """Hybrid refines its grid starts by gradient ascent on the Bloch sphere."""
+
+    @pytest.mark.parametrize("dim_b", [2, 3, 4])
+    def test_gradient_matches_a_central_difference(self, dim_b):
+        eps = 1e-5
+        for k in range(5):
+            rho = random_bipartite(2, dim_b, [3000, dim_b, k])
+            t0, ts = _qubit_correlation_ops(rho)
+            rng = np.random.default_rng([3001, dim_b, k])
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            _, (grad,) = _qubit_value_grad(t0, ts, 0.0, n[None])
+            assert abs(grad @ n) <= 1e-15
+            # Two unit tangent vectors at n and the retracted points n +- eps u.
+            tangents = np.linalg.svd(n[None])[2][1:]
+            points = n + eps * np.concatenate([tangents, -tangents])
+            points /= np.linalg.norm(points, axis=1)[:, None]
+            values = _qubit_scores(t0, ts, 0.0, points)
+            difference = (values[:2] - values[2:]) / (2.0 * eps)
+            assert np.abs(difference - tangents @ grad).max() <= 1e-6 * np.linalg.norm(grad), k
+
+    def test_values_are_the_scores_up_to_rounding(self):
+        for dim_b in (2, 3, 4):
+            rho = random_bipartite(2, dim_b, [3002, dim_b])
+            t0, ts = _qubit_correlation_ops(rho)
+            directions = _bloch_directions(_grid_angles(8, 8))
+            values, _ = _qubit_value_grad(t0, ts, 0.5, directions)
+            scores = _qubit_scores(t0, ts, 0.5, directions)
+            assert np.abs(values - scores).max() <= 1e-14, dim_b
+
+    def test_degenerate_states_reach_the_old_path(self):
+        for k, rho in enumerate(degenerate_qubit_states()):
+            result = discord(rho, Hybrid())
+            assert result.trace.converged, k
+            assert result.classical_correlation >= old_path_j(rho, Hybrid()) - 1e-14, k
+
+    def test_circle_of_optima(self):
+        """c = (-0.2, 0.4, -0.4): every direction in the yz plane is optimal."""
+        rho = degenerate_qubit_states()[9]
+        result = discord(rho, Hybrid())
+        expected = 1.0 - binary_entropy(0.7)
+        assert abs(result.classical_correlation - expected) <= 1e-12
+        assert abs(result.optimal_measurement.bloch_vector()[0]) <= 1e-6
+
+    @pytest.mark.parametrize("dim_b", [2, 3, 4])
+    def test_flat_objective_takes_no_step(self, dim_b):
+        """On a product state J is 0 for every measurement, so the gradient is
+        rounding and no step's first-order gain exceeds REFINE_MARGIN: the
+        ascent rates its starts, scores them again and stops."""
+        rho = degenerate_qubit_states()[3 * (dim_b - 2) + 1]
+        trace = discord(rho, Hybrid()).trace
+        assert trace.converged
+        assert trace.n_evals == len(_grid_angles(32, 64)) + 2 * _REFINE_TOP
+
+    @pytest.mark.parametrize(
+        "dim_b, seed, n_evals", [(2, 3200, 1033), (3, 3201, 1036), (4, 3202, 1034)]
+    )
+    def test_evaluation_counts_pinned(self, dim_b, seed, n_evals):
+        """Grid points, the five starts, every trial point and the final
+        rescore; the ascent is deterministic."""
+        assert discord(random_bipartite(2, dim_b, seed), Hybrid()).trace.n_evals == n_evals
 
 
 # -- Koashi-Winter oracle for rank-2 dA x 2 states --------------------------------
