@@ -15,7 +15,11 @@ For a qubit A, ``Hybrid`` scores a Bloch-angle grid and refines its best
 directions n by gradient ascent on the sphere, with
 dJ/dn_i = tr[T_i (L+ - L-)] / 2, where T_i = tr_A[(sigma_i (x) 1) rho] and
 L+- is log2 of the normalised conditional block (T0 +- n.T) / 2; the
-directions it returns are scored again by ``_qubit_scores``.
+directions it returns are scored again by ``_qubit_scores``.  For larger A,
+``MultiStart`` runs the same ascent on the unitary group U(dA), with the
+gradient G·U, G = E U^dag - U E^dag, where column k of E is Y_k u_k and
+Y_k = tr_B[rho (1 (x) L_k)], L_k being log2 of the normalised conditional
+block <u_k|_A rho |u_k>_A; its frames are scored again by ``_unitary_scores``.
 """
 
 from __future__ import annotations
@@ -164,10 +168,9 @@ class Grid(_AtLeast):
 
 @dataclass(frozen=True)
 class MultiStart(_AtLeast):
-    """Batched pattern search on U(dA) from the rho_A eigenbasis and
-    ``restarts`` seeded Haar frames; every round tries the Givens rotations
-    exp(±i·h·G) of each off-diagonal generator G on all live frames, first
-    step h = pi/4."""
+    """Batched gradient ascent on U(dA) from the rho_A eigenbasis and
+    ``restarts`` seeded Haar frames, with Barzilai-Borwein steps and a QR
+    retraction; the first step has Frobenius norm pi/4."""
 
     minimum = 0
     restarts: int = 20
@@ -194,10 +197,10 @@ class OptimizerTrace:
 
     ``restarts`` starts were refined (0 for Grid), ending at the scores
     ``best_values``; ``n_evals`` counts every point whose objective was
-    evaluated: grid points (one per distinct measurement), starting frames
-    and pattern-search candidates, and for Hybrid's ascent its starts, every
-    trial point and the final rescore; ``converged`` is False only when a
-    search stopped at ``PATTERN_MAX_ROUNDS`` with a start still live.
+    evaluated: grid points (one per distinct measurement) or starting
+    frames, then the gradient ascent's starts, every trial point and the
+    final rescore; ``converged`` is False only when the ascent stopped at
+    ``PATTERN_MAX_ROUNDS`` with a start still live.
     """
 
     restarts: int
@@ -295,23 +298,28 @@ def _qubit_scores(t0, ts, s_b, directions: np.ndarray) -> np.ndarray:
     return s_b - (weighted[:n] + weighted[n:])
 
 
-def _qubit_value_grad(t0, ts, s_b, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classical-correlation values of unit Bloch directions (N, 3) and their
-    gradients on the sphere, from one stacked ``eigh`` of the 2N blocks
-    M+- = (T0 +- n.T) / 2.
-
-    With p+- = tr M+- and L+- = log2(M+- / p+-), dJ/dn_i = tr[T_i (L+ - L-)] / 2,
-    projected onto the tangent plane at n.  Eigenvalues and outcomes that
-    the scorer counts as zero take log 0.  The values are those of
-    :func:`_qubit_scores` up to rounding.
-    """
-    n = directions.shape[0]
-    blocks = _qubit_blocks(t0, ts, directions)
+def _log_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p·S(block / p) of each unnormalised conditional block (..., db, db),
+    with p its trace, and L = log2(block / p), from one stacked ``eigh``;
+    ``blocks`` is normalised in place.  Eigenvalues and outcomes that the
+    scorer counts as zero take log 0."""
     p = _normalise(blocks)
     w, v = np.linalg.eigh(blocks)
     weighted, logs = _entropy_terms(p, w)
-    logs *= (p > ZERO_CUTOFF)[:, None]
-    logm = (v * logs[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    logs *= (p > ZERO_CUTOFF)[..., None]
+    return weighted, (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _qubit_value_grad(t0, ts, s_b, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classical-correlation values of unit Bloch directions (N, 3) and their
+    gradients on the sphere, from the 2N blocks M+- = (T0 +- n.T) / 2.
+
+    With L+- = log2(M+- / tr M+-) from :func:`_log_blocks`,
+    dJ/dn_i = tr[T_i (L+ - L-)] / 2, projected onto the tangent plane at n.
+    The values are those of :func:`_qubit_scores` up to rounding.
+    """
+    n = directions.shape[0]
+    weighted, logm = _log_blocks(_qubit_blocks(t0, ts, directions))
     # tr[T_i D] = sum over (b, d) of T_i[b, d] D[d, b], with D = L+ - L-.
     diff = (logm[:n] - logm[n:]).swapaxes(-1, -2).reshape(n, -1)
     grad = 0.5 * (diff @ ts.reshape(3, -1).T).real
@@ -334,49 +342,16 @@ def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
     return np.column_stack([np.pi * k / n_theta, 2.0 * np.pi * j / n_phi])
 
 
-# Rounds after which a search stops whatever its step: a pattern search
-# makes one scoring call a round, a gradient ascent one value-and-gradient
-# call a round, and its final rescore counts as a round too.  The default
-# qubit grid and a MultiStart frame reach ANGLE_STEP_TOL in about 20-23
-# halvings plus their moves; a qubit ascent takes about 8 rounds.
+# Rounds after which a gradient ascent stops whatever its step: one
+# value-and-gradient call a round, its final rescore counted as a round too.
+# A qubit ascent takes about 8 rounds; a MultiStart frame may reach the cap.
 PATTERN_MAX_ROUNDS = 200
 # Hybrid refines this many of its best grid points.
 _REFINE_TOP = 5
-# The longest tangent step of a gradient ascent (radians on the Bloch sphere).
+# The longest tangent step of a gradient ascent: radians on the Bloch sphere,
+# Frobenius norm on U(dA).  It and MultiStart's first step pi/4 are below 1,
+# so U + v is invertible for a unitary U and its QR retraction is defined.
 _MAX_STEP = 0.5
-
-
-def _pattern_search(score, neighbours, starts, values, step):
-    """Refine every start at once by a pattern search.
-
-    ``neighbours(x, h)`` gives the candidates around the live starts ``x`` at
-    steps ``h``, shape (live, m) + point shape, and ``score`` rates a flat
-    stack of points; each round makes one ``score`` call for all live
-    starts.  A start moves to its best neighbour only when that scores
-    strictly higher than the start, and otherwise halves its steps; it stops
-    once all its steps are below ``ANGLE_STEP_TOL``.  Returns the points,
-    their scores, the number of points scored and whether every start
-    stopped within ``PATTERN_MAX_ROUNDS``.
-    """
-    x = starts.copy()
-    val = values.copy()
-    h = np.tile(step, (len(x), 1))
-    n_evals = 0
-    for _ in range(PATTERN_MAX_ROUNDS):
-        live = np.flatnonzero(h.max(axis=1) >= ANGLE_STEP_TOL)
-        if live.size == 0:
-            break
-        cand = neighbours(x[live], h[live])
-        scores = score(cand.reshape((-1,) + x.shape[1:])).reshape(cand.shape[:2])
-        n_evals += scores.size
-        pick = np.argmax(scores, axis=1)
-        gain = scores[np.arange(live.size), pick]
-        moved = gain > val[live]
-        x[live[moved]] = cand[moved, pick[moved]]
-        val[live[moved]] = gain[moved]
-        h[live[~moved]] /= 2.0
-    converged = bool((h.max(axis=1) < ANGLE_STEP_TOL).all())
-    return x, val, n_evals, converged
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,6 +422,14 @@ def _unit_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y / np.linalg.norm(y, axis=1)[:, None]
 
 
+def _unitary_factor(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Retraction onto U(d): the unitary factor Q of each x + v = QR, with
+    the phases of R's diagonal moved into Q so that it is positive."""
+    q, r = np.linalg.qr(x + v)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid, s_b: float):
     t0, ts = _qubit_correlation_ops(rho)
 
@@ -488,52 +471,46 @@ def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid, s_b: float):
 # -- general-dimension evaluation --------------------------------------------
 
 
-def _unitary_scores(r4: np.ndarray, s_b: float, us: np.ndarray) -> np.ndarray:
-    """S(B) minus the average conditional entropy for a stack of measurement
-    bases ``us`` (N, dA, dA), one outcome per column.
-
-    One matrix product with every column of every basis and one weighted sum
-    build all N·dA conditional blocks <u_k|_A rho |u_k>_A.
+def _unitary_blocks(r4: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The N·dA conditional blocks <u_k|_A rho |u_k>_A (N, dA, dB, dB) of a
+    stack of measurement bases ``us`` (N, dA, dA), one outcome per column,
+    and the half product y[a, (b, d), n, k] = sum_c rho[(a, b), (c, d)] us[n, c, k]
+    they are summed from: one matrix product with every column of every
+    basis and one weighted sum build them all.
     """
     n, da, _ = us.shape
     db = r4.shape[1]
-    # y[a, (b, d), n, k] = sum_c rho[(a, b), (c, d)] us[n, c, k]
     y = r4.transpose(0, 1, 3, 2).reshape(-1, da) @ us.transpose(1, 0, 2).reshape(da, -1)
     y = y.reshape(da, db * db, n, da)
-    y *= us.conj().transpose(1, 0, 2)[:, None]
-    blocks = y.sum(axis=0).transpose(1, 2, 0).reshape(n, da, db, db)
-    return s_b - _weighted_entropies(blocks).sum(axis=1)
+    blocks = (y * us.conj().transpose(1, 0, 2)[:, None]).sum(axis=0)
+    return blocks.transpose(1, 2, 0).reshape(n, da, db, db), y
 
 
-@lru_cache(maxsize=None)
-def _givens_stencil(dim: int) -> tuple[np.ndarray, ...]:
-    """The rotations of :func:`_rotation_neighbours` on a ``dim`` frame,
-    read-only: their index k, pair (i, j), phase and angle sign, and the
-    identity they start from."""
-    i, j = np.triu_indices(dim, 1)
-    # Each pair at phase 1 (φ = 0) and 1j (φ = π/2), each at +h and −h.
-    n = len(i)
-    k, i, j = np.arange(4 * n), np.repeat(i, 4), np.repeat(j, 4)
-    phase, signs = np.tile([1.0, 1.0, 1j, 1j], n), np.tile([1.0, -1.0, 1.0, -1.0], n)
-    return tuple(_freeze(a) for a in (k, i, j, phase, signs, np.eye(dim, dtype=complex)))
+def _unitary_scores(r4: np.ndarray, s_b: float, us: np.ndarray) -> np.ndarray:
+    """S(B) minus the average conditional entropy for a stack of measurement
+    bases ``us`` (N, dA, dA), one outcome per column."""
+    return s_b - _weighted_entropies(_unitary_blocks(r4, us)[0]).sum(axis=1)
 
 
-def _rotation_neighbours(us: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Neighbours ``u @ R`` of frames ``u`` for the 2·d(d−1) rotations
-    R = exp(±i·h·G), G the real or the imaginary off-diagonal generator of a
-    pair i < j.  R is the Givens rotation cos h on (i, i) and (j, j),
-    −e^{−iφ}·sin(±h) at (i, j) and e^{iφ}·sin(±h) at (j, i), with φ = 0 or π/2.
+def _unitary_value_grad(r4, s_b, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classical-correlation values of measurement bases ``us`` (N, dA, dA)
+    and their gradients G·U on U(dA), from one stacked ``eigh`` of the N·dA
+    conditional blocks M_k = <u_k|_A rho |u_k>_A.
+
+    With L_k = log2(M_k / tr M_k) from :func:`_log_blocks` and
+    Y_k = tr_B[rho (1 (x) L_k)], dJ = 2 Re sum_k <du_k, Y_k u_k>, so the
+    gradient for the metric Re tr(X^dag Y) is G·U with the skew-Hermitian
+    G = E U^dag - U E^dag, column k of E being Y_k u_k.  The values are
+    those of :func:`_unitary_scores` up to rounding.
     """
-    live, dim, _ = us.shape
-    k, i, j, phase, signs, eye = _givens_stencil(dim)
-    angle = h * signs
-    c, s = np.cos(angle), np.sin(angle)
-    r = np.broadcast_to(eye, (live, len(k), dim, dim)).copy()
-    r[:, k, i, i] = c
-    r[:, k, j, j] = c
-    r[:, k, i, j] = -phase.conj() * s
-    r[:, k, j, i] = phase * s
-    return us[:, None] @ r
+    n, da, _ = us.shape
+    blocks, y = _unitary_blocks(r4, us)
+    weighted, logm = _log_blocks(blocks)
+    # Y_k u_k = sum over (b, d) of y[:, (b, d), n, k] L_k[d, b].
+    e = np.einsum("aenk,nke->nak", y, logm.swapaxes(-1, -2).reshape(n, da, -1))
+    g = e @ us.conj().swapaxes(-1, -2)
+    g -= g.conj().swapaxes(-1, -2)
+    return s_b - weighted.sum(axis=1), g @ us
 
 
 def _optimize_multistart(rho: BipartiteState, restarts: int, seed, s_b: float):
@@ -544,13 +521,14 @@ def _optimize_multistart(rho: BipartiteState, restarts: int, seed, s_b: float):
     def score(us):
         return _unitary_scores(r4, s_b, us)
 
+    def value_grad(us):
+        return _unitary_value_grad(r4, s_b, us)
+
     rho_a = partial_trace_matrix(rho.matrix, dim_a, rho.dim_b, "A")
     _, eigbasis = np.linalg.eigh((rho_a + rho_a.conj().T) / 2.0)
     frames = np.stack([eigbasis] + [random_unitary(dim_a, rng) for _ in range(restarts)])
-    # A one-dimensional A has no rotation, so its frames start converged.
-    step = np.array([np.pi / 4.0 if dim_a > 1 else 0.0])
-    us, values, n_evals, converged = _pattern_search(
-        score, _rotation_neighbours, frames, score(frames), step
+    us, values, n_evals, converged = _gradient_ascent(
+        value_grad, _unitary_factor, score, frames, score(frames), np.pi / 4.0
     )
     trace = OptimizerTrace(
         restarts=len(frames),

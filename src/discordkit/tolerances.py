@@ -58,9 +58,8 @@ ZERO_CUTOFF = 1e-12
 
 # -- optimisation --------------------------------------------------------------
 # A refined qubit measurement replaces the grid optimum only when it gains
-# more; a start of the qubit gradient ascent stops once a step gains no more.
+# more; a start of a gradient ascent stops once a step gains no more.
 REFINE_MARGIN = 1e-15
-# A search stops refining a start once its step falls below this: the angle
-# steps (radians) of the MultiStart pattern search, and the tangent step
-# length of the qubit gradient ascent on the Bloch sphere.
+# A gradient ascent stops refining a start once its tangent step length falls
+# below this, on the Bloch sphere and on U(dA) alike.
 ANGLE_STEP_TOL = 1e-7

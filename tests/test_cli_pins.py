@@ -115,8 +115,8 @@ DIGESTS = {
     "cls_B_deph3": "b28c4483f1fbf1c405542ae3b55cee8cb5235c99872db71d43e2f652cd675510",
     "discord_22": "d66face605a146db4c495b431da8228ab585c272a138d7c7a95e17de67a8edf7",
     "grid_22": "2dfe63b5e65b0e01bdaeb46c54e1304b584100a4ffc173c462f89abe34517470",
-    "discord_32": "7922225df6353baa2f1336ae41d9ddc7a36034bf59d7d77b3d1dfb7795f016aa",
-    "default_32": "6644795f1114936df0839b84d45862b3d0e1b1d820b7e869af30fe9734dae7c6",
+    "discord_32": "7fcc72975128bb97f5490f4e0625a43f8c7bc35ce8c43b2a52302c20a98b3285",
+    "default_32": "1e9843faeb83d1ce5d3218a791609f7b836837df42ed9262094a09f30dfe60b7",
     "verify_pass": "2d16eb7f6d3bf3a0962b8c973a6a9ddf6b4a20f527637ec6d9b6286c376c7d91",
     "verify_da23": "e8a932d5abf79657bc62204a61cc5ef7c1c69e76ebd81c57e69583f0c84d7719",
     "verify_da33": "280cf46dee5a5f0ffbd4d0188aea69176640f56af06236a7ae00a55e9113260f",

@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 from discordkit.discord import (
     CQCheck,
     DecompositionError,
+    PATTERN_MAX_ROUNDS,
     Grid,
     Hybrid,
     MultiStart,
@@ -20,7 +21,6 @@ from discordkit.discord import (
     _REFINE_TOP,
     _bloch_directions,
     _grid_angles,
-    _pattern_search,
     _qubit_correlation_ops,
     DECOMPOSE_RETRIES,
     DECOMPOSE_SEED,
@@ -30,6 +30,9 @@ from discordkit.discord import (
     _cq_residuals,
     _qubit_scores,
     _qubit_value_grad,
+    _unitary_factor,
+    _unitary_scores,
+    _unitary_value_grad,
     _weighted_entropies,
     classical_correlation,
     cq_decompose,
@@ -56,7 +59,7 @@ from discordkit.states import (
 )
 from discordkit.annihilators import _probe_stream, build_da_channel, random_da_spec
 from discordkit.channels import _cq_form, _swap_slots, make_qc_channel, random_channel
-from discordkit.tolerances import REFINE_MARGIN, ZERO_CUTOFF
+from discordkit.tolerances import ANGLE_STEP_TOL, REFINE_MARGIN, ZERO_CUTOFF
 
 
 discord_module = importlib.import_module("discordkit.discord")
@@ -542,38 +545,6 @@ class TestUnitaryScores:
             np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
 
 
-def rotation_neighbours_rebuilt(us, h):
-    """``_rotation_neighbours`` as it built its stencil on every call."""
-    live, dim, _ = us.shape
-    i, j = np.triu_indices(dim, 1)
-    n = len(i)
-    i, j = np.repeat(i, 4), np.repeat(j, 4)
-    phase = np.tile([1.0, 1.0, 1j, 1j], n)
-    angle = h * np.tile([1.0, -1.0, 1.0, -1.0], n)
-    c, s = np.cos(angle), np.sin(angle)
-    k = np.arange(4 * n)
-    r = np.broadcast_to(np.eye(dim, dtype=complex), (live, 4 * n, dim, dim)).copy()
-    r[:, k, i, i] = c
-    r[:, k, j, j] = c
-    r[:, k, i, j] = -phase.conj() * s
-    r[:, k, j, i] = phase * s
-    return us[:, None] @ r
-
-
-class TestRotationNeighbours:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_cached_stencil_gives_the_same_bits(self, dim):
-        rng = np.random.default_rng(dim)
-        us = np.stack([random_unitary(dim, rng) for _ in range(5)])
-        h = np.pi / 4.0 / 2.0 ** rng.integers(0, 20, size=(5, 1))
-        for _ in range(2):  # the second call reads the cached stencil
-            got = discord_module._rotation_neighbours(us, h)
-            assert got.tobytes() == rotation_neighbours_rebuilt(us, h).tobytes()
-        stencil = discord_module._givens_stencil(dim)
-        assert stencil is discord_module._givens_stencil(dim)
-        assert not any(a.flags.writeable for a in stencil)
-
-
 class TestMultiStartClosedForm:
     @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2)], ids=["3x2", "3x3", "4x2"])
     def test_equal_weight_cq_states(self, dims):
@@ -608,6 +579,7 @@ class TestOptimizerTrace:
         scored = []
         qubit, unitary = discord_module._qubit_scores, discord_module._unitary_scores
         value_grad = discord_module._qubit_value_grad
+        unitary_value_grad = discord_module._unitary_value_grad
 
         def count_qubit(t0, ts, s_b, directions):
             scored.append(len(directions))
@@ -621,9 +593,14 @@ class TestOptimizerTrace:
             scored.append(len(us))
             return unitary(r4, s_b, us)
 
+        def count_unitary_value_grad(r4, s_b, us):
+            scored.append(len(us))
+            return unitary_value_grad(r4, s_b, us)
+
         monkeypatch.setattr(discord_module, "_qubit_scores", count_qubit)
         monkeypatch.setattr(discord_module, "_qubit_value_grad", count_value_grad)
         monkeypatch.setattr(discord_module, "_unitary_scores", count_unitary)
+        monkeypatch.setattr(discord_module, "_unitary_value_grad", count_unitary_value_grad)
         return scored
 
     CASES = [
@@ -657,10 +634,12 @@ class TestOptimizerTrace:
         assert not discord(rho, strategy).trace.converged
 
     def test_one_dimensional_a_has_nothing_to_search(self):
+        """A 1x1 frame is a phase, whose gradient is zero: the ascent rates
+        the three frames, takes no step and scores them again."""
         rho = BipartiteState(1, 2, random_density(2, "hilbert-schmidt", 79))
         result = discord(rho, MultiStart(restarts=2))
         assert result.trace.converged
-        assert result.trace.n_evals == 3
+        assert result.trace.n_evals == 3 + 3 + 3
         assert abs(result.classical_correlation) <= 1e-12
 
 
@@ -1069,6 +1048,81 @@ def angle_neighbours(x, h):
     return x[:, None, :] + STENCIL * h[:, None, :]
 
 
+def _pattern_search(score, neighbours, starts, values, step):
+    """The retired refinement of both paths: every start at once by a
+    pattern search.
+
+    ``neighbours(x, h)`` gives the candidates around the live starts ``x`` at
+    steps ``h``, shape (live, m) + point shape, and ``score`` rates a flat
+    stack of points; each round makes one ``score`` call for all live
+    starts.  A start moves to its best neighbour only when that scores
+    strictly higher than the start, and otherwise halves its steps; it stops
+    once all its steps are below ``ANGLE_STEP_TOL``.  Returns the points,
+    their scores, the number of points scored and whether every start
+    stopped within ``PATTERN_MAX_ROUNDS``.
+    """
+    x = starts.copy()
+    val = values.copy()
+    h = np.tile(step, (len(x), 1))
+    n_evals = 0
+    for _ in range(PATTERN_MAX_ROUNDS):
+        live = np.flatnonzero(h.max(axis=1) >= ANGLE_STEP_TOL)
+        if live.size == 0:
+            break
+        cand = neighbours(x[live], h[live])
+        scores = score(cand.reshape((-1,) + x.shape[1:])).reshape(cand.shape[:2])
+        n_evals += scores.size
+        pick = np.argmax(scores, axis=1)
+        gain = scores[np.arange(live.size), pick]
+        moved = gain > val[live]
+        x[live[moved]] = cand[moved, pick[moved]]
+        val[live[moved]] = gain[moved]
+        h[live[~moved]] /= 2.0
+    converged = bool((h.max(axis=1) < ANGLE_STEP_TOL).all())
+    return x, val, n_evals, converged
+
+
+def rotation_neighbours(us, h):
+    """Neighbours ``u @ R`` of frames ``u`` for the 2·d(d−1) rotations
+    R = exp(±i·h·G), G the real or the imaginary off-diagonal generator of a
+    pair i < j: the Givens rotation cos h on (i, i) and (j, j),
+    −e^{−iφ}·sin(±h) at (i, j) and e^{iφ}·sin(±h) at (j, i), with φ = 0 or π/2."""
+    live, dim, _ = us.shape
+    i, j = np.triu_indices(dim, 1)
+    n = len(i)
+    i, j = np.repeat(i, 4), np.repeat(j, 4)
+    phase = np.tile([1.0, 1.0, 1j, 1j], n)
+    angle = h * np.tile([1.0, -1.0, 1.0, -1.0], n)
+    c, s = np.cos(angle), np.sin(angle)
+    k = np.arange(4 * n)
+    r = np.broadcast_to(np.eye(dim, dtype=complex), (live, 4 * n, dim, dim)).copy()
+    r[:, k, i, i] = c
+    r[:, k, j, j] = c
+    r[:, k, i, j] = -phase.conj() * s
+    r[:, k, j, i] = phase * s
+    return us[:, None] @ r
+
+
+def old_multistart_j(rho, restarts, seed=42):
+    """J of the former MultiStart path: the same frames (the rho_A eigenbasis
+    and ``restarts`` Haar frames drawn from ``seed``), each refined by the
+    pattern search over the Givens rotations above, first step pi/4."""
+    dim_a = rho.dim_a
+    r4 = rho.matrix.reshape(dim_a, rho.dim_b, dim_a, rho.dim_b)
+    s_b = von_neumann_entropy(partial_trace_matrix(rho.matrix, dim_a, rho.dim_b, "B"))
+
+    def score(us):
+        return _unitary_scores(r4, s_b, us)
+
+    rng = as_rng(seed)
+    rho_a = partial_trace_matrix(rho.matrix, dim_a, rho.dim_b, "A")
+    _, eigbasis = np.linalg.eigh((rho_a + rho_a.conj().T) / 2.0)
+    frames = np.stack([eigbasis] + [random_unitary(dim_a, rng) for _ in range(restarts)])
+    step = np.array([np.pi / 4.0 if dim_a > 1 else 0.0])
+    _, values, _, _ = _pattern_search(score, rotation_neighbours, frames, score(frames), step)
+    return float(values.max())
+
+
 def old_path_j(rho, strategy):
     """J of the former qubit path: the full-sphere grid scored through
     ``eigvalsh`` and, for Hybrid, the retired pattern search on (theta, phi)
@@ -1387,3 +1441,118 @@ class TestKoashiWinter:
                 assert j <= j_kw + 1e-14, (k, strategy)
                 if dim_a == 2 and isinstance(strategy, Hybrid):
                     assert j_kw - j <= 1e-7, k
+
+
+# -- MultiStart: gradient ascent on U(dA) -----------------------------------------
+
+
+def random_tangents(us, rng):
+    """A unit tangent vector Omega U at each frame U, Omega skew-Hermitian."""
+    a = rng.standard_normal(us.shape) + 1j * rng.standard_normal(us.shape)
+    tangents = (a - a.conj().swapaxes(-1, -2)) @ us
+    return tangents / np.linalg.norm(tangents, axis=(1, 2))[:, None, None]
+
+
+def rank_deficient_qudit_states(dim_a):
+    """States with pure or vanishing conditional blocks at their optimal
+    frames: the two pinned-A states, a Haar-pure A times a mixed B, and CQ
+    states, at dB = 2 and 3."""
+    states = []
+    for dim_b in (2, 3):
+        seed = [3500, dim_a, dim_b]
+        states += pinned_a_states(dim_a, dim_b, seed)
+        states.append(
+            product_state(
+                random_density(dim_a, "haar-pure", seed + [1]),
+                random_density(dim_b, "hilbert-schmidt", seed + [2]),
+            )
+        )
+        states += [cq_state(seed + [3], dim_a, dim_b), equal_weight_cq(dim_a, dim_b, seed + [4])]
+    return states
+
+
+class TestUnitaryAscent:
+    """MultiStart refines its frames by gradient ascent on U(dA)."""
+
+    DIMS = [(3, 2), (3, 3), (4, 2)]
+    IDS = ["3x2", "3x3", "4x2"]
+
+    @staticmethod
+    def operators(rho):
+        r4 = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+        return r4, von_neumann_entropy(partial_trace(rho, "B"))
+
+    @pytest.mark.parametrize("dims", DIMS, ids=IDS)
+    def test_gradient_matches_a_central_difference(self, dims):
+        eps = 1e-5
+        for k in range(5):
+            rho = random_bipartite(*dims, [3400, *dims, k])
+            r4, s_b = self.operators(rho)
+            rng = np.random.default_rng([3401, *dims, k])
+            us = np.stack([random_unitary(dims[0], rng) for _ in range(4)])
+            _, grads = _unitary_value_grad(r4, s_b, us)
+            # The gradient is a tangent vector: U^dag (G U) is skew-Hermitian.
+            skew = us.conj().swapaxes(-1, -2) @ grads
+            assert np.abs(skew + skew.conj().swapaxes(-1, -2)).max() <= 1e-14, k
+            tangents = random_tangents(us, rng)
+            plus = _unitary_scores(r4, s_b, _unitary_factor(us, eps * tangents))
+            minus = _unitary_scores(r4, s_b, _unitary_factor(us, -eps * tangents))
+            difference = (plus - minus) / (2.0 * eps)
+            slopes = (grads.conj() * tangents).real.sum(axis=(1, 2))
+            norms = np.linalg.norm(grads, axis=(1, 2))
+            assert (np.abs(difference - slopes) <= 1e-6 * norms).all(), k
+
+    @pytest.mark.parametrize("dims", DIMS + [(4, 4)], ids=IDS + ["4x4"])
+    def test_values_are_the_scores_up_to_rounding(self, dims):
+        rng = np.random.default_rng([3402, *dims])
+        for rho in [random_bipartite(*dims, rng)] + pinned_a_states(*dims, rng):
+            r4, s_b = self.operators(rho)
+            frames = [random_unitary(dims[0], rng) for _ in range(8)]
+            us = np.stack([np.eye(dims[0], dtype=complex)] + frames)
+            values, _ = _unitary_value_grad(r4, s_b, us)
+            assert np.abs(values - _unitary_scores(r4, s_b, us)).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_retracted_frames_are_unitary(self, dim):
+        """Steps as long as the first step pi/4 or as short as the step
+        tolerance; a zero step stays at its frame."""
+        rng = np.random.default_rng([3403, dim])
+        us = np.stack([random_unitary(dim, rng) for _ in range(12)])
+        lengths = np.array([np.pi / 4.0, discord_module._MAX_STEP, ANGLE_STEP_TOL] * 4)
+        for steps in (random_tangents(us, rng) * lengths[:, None, None], np.zeros_like(us)):
+            q = _unitary_factor(us, steps)
+            defect = q.conj().swapaxes(-1, -2) @ q - np.eye(dim)
+            assert np.abs(defect).max() <= 1e-14
+        assert np.abs(q - us).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim_a", [3, 4])
+    def test_rank_deficient_conditionals_reach_zero_discord(self, dim_a):
+        """Every state here has zero discord, so J = I(A:B) exactly.  The
+        pattern search could read up to 1.5e-12 above that, by moving an
+        outcome's probability just below ZERO_CUTOFF, where the scorer drops
+        it; J matches it wherever it stayed at or below the exact value."""
+        for k, rho in enumerate(rank_deficient_qudit_states(dim_a)):
+            result = discord(rho, MultiStart())
+            assert abs(result.value) <= 1e-14, k
+            exact = result.mutual_information
+            assert result.classical_correlation >= min(old_multistart_j(rho, 20), exact) - 1e-14, k
+
+    @pytest.mark.parametrize("dims", DIMS + [(4, 4)], ids=IDS + ["4x4"])
+    def test_never_below_the_pattern_search(self, dims):
+        for k in range(6):
+            rho = random_bipartite(*dims, [3300, *dims, k])
+            j, _ = classical_correlation(rho, MultiStart())
+            assert j >= old_multistart_j(rho, 20) - 1e-14, k
+
+    @pytest.mark.parametrize("dims, seed, n_evals", [((3, 3), 3404, 965), ((4, 2), 3405, 647)])
+    def test_evaluation_counts_pinned(self, dims, seed, n_evals):
+        """The frames, the ascent's starts, every trial point and the final
+        rescore; the ascent is deterministic."""
+        assert discord(random_bipartite(*dims, seed), MultiStart()).trace.n_evals == n_evals
+
+    def test_rank_two_shortfall_closes(self):
+        """The default MultiStart(20) once stopped 2.19e-7 below the
+        Koashi-Winter value on this 4x2 state."""
+        rho, frame = rank_two_state(4, [17, 4, 5])
+        j, _ = classical_correlation(rho, MultiStart())
+        assert 0.0 <= koashi_winter_j(rho, frame) - j <= 1e-9
