@@ -10,8 +10,9 @@ its one partition check, and the channel's image lies in the convex CQ
 subset with the same entries (:func:`induced_cq_subset`).
 :func:`build_da_channel` realises that form,
 :func:`apply_and_certify` scans its image on the one probe stream (fixed
-probes, then seeded Hilbert-Schmidt draws) that every discordant-output
-search of the package draws from, and :func:`structural_match` recovers the
+probes, then seeded Hilbert-Schmidt draws), whose fixed head also opens the
+seed-free witness family of the side A and B and product-channel searches
+of :mod:`discordkit.classify`, and :func:`structural_match` recovers the
 partition of a channel that is annihilating from the span of its image,
 which the range of its transfer matrix gives exactly.
 """
@@ -205,21 +206,18 @@ class CertificationReport:
         return self.failing_input is None
 
 
-def _probe_stream(
-    dim_a: int, dim_b: int, seed: int, n_draws: int | None = None, budget: int | None = None
-):
+def _probe_stream(dim_a: int, dim_b: int, seed: int, n_draws: int | None = None):
     """The one stream of probe inputs, as raw matrices on ``dim_a (x) dim_b``.
 
     First a fixed head: the four Bell states at 2x2, otherwise the maximally
     entangled state when both dimensions are at least 2; the product states
     ``|ij>`` with ``i, j < 2``; and two noncommuting classical mixtures.  Then
     ``n_draws`` Hilbert-Schmidt draws (endless when None), draw ``i`` from a
-    generator seeded with ``(seed, i)``, so every probe is reproducible; the
-    stream ends after ``budget`` probes when that is not None.  The dimensions
-    are checked at the call, which returns ``take``: ``take(n)`` builds the next
-    ``n`` probes (fewer at the end) and returns them as one ``(k, d, d)``
-    stack, the head probe by probe and the draws of the chunk in one stacked
-    :func:`_ginibre_density`.
+    generator seeded with ``(seed, i)``, so every probe is reproducible.  The
+    dimensions are checked at the call, which returns ``take``: ``take(n)``
+    builds the next ``n`` probes (fewer at the end) and returns them as one
+    ``(k, d, d)`` stack, the head probe by probe and the draws of the chunk
+    in one stacked :func:`_ginibre_density`.
     """
     for name, value in (("dim_a", dim_a), ("dim_b", dim_b)):
         if value < 1:
@@ -243,19 +241,16 @@ def _probe_stream(
 
     d = dim_a * dim_b
     head = fixed()
-    taken = drawn = 0
+    drawn = 0
 
     def take(n: int) -> np.ndarray:
-        nonlocal taken, drawn
-        if budget is not None:
-            n = min(n, budget - taken)
+        nonlocal drawn
         stack = np.array(list(itertools.islice(head, n)), dtype=complex).reshape(-1, d, d)
         k = n - len(stack) if n_draws is None else min(n - len(stack), n_draws - drawn)
         if k > 0:
             rngs = [as_rng([seed, index]) for index in range(drawn, drawn + k)]
             stack = np.concatenate((stack, _ginibre_density(d, d, rngs)))
             drawn += k
-        taken += len(stack)
         return stack
 
     return take

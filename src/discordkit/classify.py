@@ -8,8 +8,9 @@ decision function, which takes a stack of Choi matrices and answers in
 arrays: the public verdict is its one-channel case and the sweep calls it
 once per bounded stack of grid points.
 Every negative verdict adds a witness that can be re-checked independently;
-the discordant-output searches and the sweep's probe states take prefixes of
-the probe stream of :mod:`discordkit.annihilators`.
+the discordant-output searches scan the seed-free family of
+:func:`_two_block_family`, and the sweep's probe states are a prefix of the
+probe stream of :mod:`discordkit.annihilators`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .states import (
 )
 from .tolerances import CQ_TOL, EB_TOL
 
-WITNESS_BUDGET = 500
 # Grid points per stacked decision of the tetrahedron sweep, cut from the
 # array of all the grid's inside points: a step-0.25 grid (249 points) fits
 # one stack.  Larger stacks ran faster but raised the sweep's peak memory.
@@ -73,7 +73,7 @@ class Verdict:
 # -- witness probe states -----------------------------------------------------
 
 
-def witness_probe_states(dim_a: int, dim_b: int, budget: int = WITNESS_BUDGET, seed: int = 137):
+def witness_probe_states(dim_a: int, dim_b: int, budget: int, seed: int = 137):
     """The first ``budget`` states of the probe stream, validated."""
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -119,6 +119,31 @@ def _probe_pair_witness(channel: QuantumChannel, kind: str) -> dict:
         "input_b": DensityOperator.from_matrix(probes[second[best]], name="witness input"),
         score_key: float(scores[best]),
     }
+
+
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the square matrices of two broadcast stacks, row by row."""
+    rows = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return rows.reshape(*rows.shape[:-4], *[a.shape[-1] * b.shape[-1]] * 2)
+
+
+def _two_block_family(dims: tuple[int, int], factors: Callable[[], tuple]):
+    """A seed-free ``take`` for :func:`_cq_scan`: the probe stream's fixed head
+    on ``dims``, then ``(X (x) P + Y (x) Q) / 2`` for the broadcast stacks
+    ``X, P, Y, Q = factors()``, which is called once the scan passes the head."""
+    head, pairs = _probe_stream(*dims, 0, n_draws=0), None
+
+    def take(n: int) -> np.ndarray:
+        nonlocal pairs
+        stack = head(n)
+        if not len(stack):
+            if pairs is None:
+                x, p, y, q = factors()
+                pairs = 0.5 * (_kron_rows(x, p) + _kron_rows(y, q))
+            stack, pairs = pairs[:n], pairs[n:]
+        return stack
+
+    return take
 
 
 def _choi_partial_transpose(chois: np.ndarray, dim_in: int) -> np.ndarray:
@@ -302,9 +327,7 @@ def _eb_decision(chois: np.ndarray, dim_in: int) -> _Decisions:
         nu = chois / dim_in
         marg_in = partial_trace_matrix(nu, dim_in, dim_out, "A")
         marg_out = partial_trace_matrix(nu, dim_in, dim_out, "B")
-        # np.kron(marg_in, marg_out) of each row
-        krons = (marg_in[:, :, None, :, None] * marg_out[:, None, :, None, :]).reshape(n, d, d)
-        unknown = ~npt & ~(_frobenius_norms(nu - krons) <= EB_TOL)
+        unknown = ~npt & ~(_frobenius_norms(nu - _kron_rows(marg_in, marg_out)) <= EB_TOL)
         note = "Choi matrix is a product state, hence separable in any dimension"
 
     def verdict(row: int) -> Verdict:
@@ -376,15 +399,28 @@ def _no_witness_note(scan: CertificationReport, tol: float) -> str:
 
 
 def _discordant_output_witness(
-    channel: QuantumChannel, side: str, dim_other: int, seed: int, tol: float
+    channel: QuantumChannel, side: str, dim_other: int, tol: float
 ) -> tuple[dict | None, str]:
-    """The first probe input whose output is not CQ, as a witness, or None and
-    a note of how many probes were checked and how close their outputs came."""
+    """The first input of the side's witness family whose output is not CQ,
+    as a witness, or None and a note of how many inputs were checked and how
+    close their outputs came.  Past the head, the family pairs the Hermitian
+    probe inputs, in row-major order: side A over a < b as
+    ``(X_a (x) |0><0| + X_b (x) |1><1|) / 2``, side B over a != b as
+    ``(|0><0| (x) X_a + |+><+| (x) X_b) / 2``."""
     extended = extend(channel, side, dim_other)
     dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
     out_dims = (channel.dim_out, dim_other) if side == "A" else (dim_other, channel.dim_out)
-    probes = _probe_stream(*dims, seed, budget=WITNESS_BUDGET)
-    scan = _cq_scan(extended, probes, dims, tol, out_dims)
+
+    def factors():
+        probes, other = (np.array(_hermitian_probe_inputs(d)) for d in (channel.dim_in, dim_other))
+        zero, one, plus = other[0], other[1], other[dim_other]  # |0><0|, |1><1|, |+><+|
+        if side == "A":
+            first, second = np.triu_indices(len(probes), 1)
+            return probes[first], zero, probes[second], one
+        first, second = np.nonzero(~np.eye(len(probes), dtype=bool))
+        return zero, probes[first], plus, probes[second]
+
+    scan = _cq_scan(extended, _two_block_family(dims, factors), dims, tol, out_dims)
     if scan.failing_input is None:
         return None, _no_witness_note(scan, tol)
     return {
@@ -411,9 +447,10 @@ def classify_channel(
     transfer matrix, image certification on random inputs, and structural
     recovery of the annihilating form from the span of the channel's image.
     Every discord decision, on A, on B and in the certification, is judged
-    at ``cq_tol``; the recovery draws no inputs and does not depend on
-    ``seed``.  A "no" on A or B whose probe outputs are all CQ carries no
-    witness; its notes give the probe count and their largest CQ residual.
+    at ``cq_tol``.  Only the certification reads ``seed``: a "no" on A or B
+    seeks its witness in a seed-free family, and carries none when every
+    family output is CQ; its notes then give the input count and their
+    largest CQ residual.
     A "yes" on A settles entanglement breaking where PPT cannot: the
     measure-and-prepare form is a separable Choi matrix.
     """
@@ -427,7 +464,7 @@ def classify_channel(
             eb = replace(eb, kind="yes", notes=_MEASURE_AND_PREPARE_NOTE)
         witness = None
         if verdict.kind != "yes":
-            witness, note = _discordant_output_witness(channel, side, dim_other, 137 + seed, cq_tol)
+            witness, note = _discordant_output_witness(channel, side, dim_other, cq_tol)
             if note:
                 verdict = replace(verdict, notes="; ".join(filter(None, (verdict.notes, note))))
         label = ("db-" if verdict.kind == "yes" else "not-db-") + side.lower()
@@ -530,6 +567,8 @@ def tetrahedron_sweep(
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     _require_dims(dim_other=dim_other)
+    if n_probe_states < 0:
+        raise ValueError(f"n_probe_states must be at least 0, got {n_probe_states}")
     values = -1.0 + step * np.arange(count)
     dims = (2, dim_other) if side == "A" else (dim_other, 2)
     probes = witness_probe_states(*dims, budget=n_probe_states, seed=seed) if n_probe_states else []
@@ -578,21 +617,18 @@ class LocalDAVerdict:
         return self.kind != "not-da"
 
 
-# is_local_da searches this many witness probe states, drawn from this seed.
-_LOCAL_DA_BUDGET = 200
-_LOCAL_DA_SEED = 5
-
-
 def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDAVerdict:
     """Decide whether a product channel annihilates discord.
 
     This holds exactly when the A factor is a measure-and-prepare channel
     diagonal in a fixed basis, or the B factor is a point channel.  When
     neither holds the verdict is ``not-da``, and a witness input with a
-    non-CQ output is searched for.  ``residual`` is the largest output CQ
-    residual the search reached; when it is within ``CQ_TOL`` no probe
-    failed, ``witness`` is None rather than an input whose output passes, and
-    ``notes`` says so.
+    non-CQ output is sought among the probe stream's fixed head and
+    ``(X (x) P + Y (x) Q) / 2`` and ``(X (x) Q + Y (x) P) / 2``, with ``X, Y``
+    and ``P, Q`` the factors' :func:`_probe_pair_witness` inputs.  ``residual``
+    is the largest output CQ residual the search reached; when it is within
+    ``CQ_TOL`` no input failed, ``witness`` is None rather than an input whose
+    output passes, and ``notes`` says so.
     """
     if _qc_decision(channel_a.choi[None], channel_a.dim_in).yes[0]:
         return LocalDAVerdict(kind="da-via-a")
@@ -600,8 +636,16 @@ def is_local_da(channel_a: QuantumChannel, channel_b: QuantumChannel) -> LocalDA
         return LocalDAVerdict(kind="da-via-b")
     dim_a, dim_b = channel_a.dim_in, channel_b.dim_in
     product = compose(extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b))
-    probes = _probe_stream(dim_a, dim_b, _LOCAL_DA_SEED, budget=_LOCAL_DA_BUDGET)
-    scan = _cq_scan(product, probes, (dim_a, dim_b), CQ_TOL, (channel_a.dim_out, channel_b.dim_out))
+
+    def factors():
+        a = _probe_pair_witness(channel_a, "noncommuting-outputs")
+        b = _probe_pair_witness(channel_b, "distinct-outputs")
+        x, y = a["input_a"].matrix, a["input_b"].matrix
+        p, q = b["input_a"].matrix, b["input_b"].matrix
+        return x, np.array([p, q]), y, np.array([q, p])
+
+    family = _two_block_family((dim_a, dim_b), factors)
+    scan = _cq_scan(product, family, (dim_a, dim_b), CQ_TOL, (channel_a.dim_out, channel_b.dim_out))
     notes = _no_witness_note(scan, CQ_TOL) if scan.failing_input is None else ""
     return LocalDAVerdict(
         kind="not-da", witness=scan.failing_input, residual=scan.worst_residual, notes=notes

@@ -5,9 +5,11 @@ correlation ``J`` is maximised over rank-1 projective measurements on A.
 There is one evaluator of J: the reported value is the score that the
 optimiser's scorer (``_qubit_scores`` or ``_unitary_scores``) gave the
 returned measurement, with the same S(B) that I(A:B) uses.  It is the
-classical correlation of an actual measurement, a lower bound on the true
-maximum up to rounding, so the reported discord is an upper bound on the
-true value.  Zero-discord certification therefore never uses the
+classical correlation of an actual measurement but for the scorer's zero
+cutoff c = ``ZERO_CUTOFF``, which can raise J above it by up to
+dA c log2 dB + (dB - 1) c log2(1/c) (4.2e-11 at 2x2, 1.3e-10 at 4x4): within
+that, a lower bound on the true maximum, and the reported discord an upper
+bound on the true value.  Zero-discord certification therefore never uses the
 optimiser: :func:`is_cq_exact` tests the block-commutation structure of
 the state directly, which is exact.
 
@@ -272,7 +274,10 @@ def _normalise(blocks: np.ndarray) -> np.ndarray:
 def _entropy_terms(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p·S(block / p) from the normalised spectra ``w`` (..., db), and their
     base-2 logarithms.  Eigenvalues at or below ``ZERO_CUTOFF`` take log 0,
-    and outcomes with p at or below it add nothing."""
+    and outcomes with p at or below it add nothing: at most c log2 db each
+    (c = ``ZERO_CUTOFF``), and at most c log2(1/c) for each of the db - 1
+    smallest eigenvalues, so da outcomes sum to at most
+    da c log2 db + (db - 1) c log2(1/c) below the exact terms."""
     w = np.clip(w, 0.0, None)
     logs = np.where(w > ZERO_CUTOFF, np.log2(np.where(w > 0, w, 1.0)), 0.0)
     return np.where(p > ZERO_CUTOFF, p * -np.sum(w * logs, axis=-1), 0.0), logs
@@ -552,7 +557,9 @@ def classical_correlation(
 
     The returned value is the score that the strategy's own scorer gave the
     returned measurement, so it is the classical correlation of that
-    measurement (a lower bound on the true maximum, up to rounding); ties
+    measurement (a lower bound on the true maximum) up to the zero cutoff
+    c = ``ZERO_CUTOFF`` of :func:`_entropy_terms`, which can raise J by
+    dA c log2 dB + (dB - 1) c log2(1/c); ties
     between candidate measurements fall to the lowest grid or restart index.
     ``Hybrid`` and ``Grid`` need a qubit A: on dA != 2, ``Hybrid`` runs
     ``MultiStart(20)`` and ``Grid`` raises ValueError.
@@ -583,9 +590,11 @@ def discord(
     """Quantum discord D(A) = I(A:B) - J(B|A), in bits.
 
     I and J share one S(B), taken from the raw reduced matrix, and J is the
-    optimiser's own score at the returned measurement.  Because J is a lower
-    bound on the true maximum, the returned value is an upper bound on the
-    discord, and on a zero-discord state it can read a few 1e-15 below zero;
+    optimiser's own score at the returned measurement, a lower bound on the
+    true maximum up to dA c log2 dB + (dB - 1) c log2(1/c), c = ``ZERO_CUTOFF``
+    (the scorer's zero cutoff).  So the returned value is an upper bound on
+    the discord up to that margin, and on a zero-discord state it can read
+    below zero;
     use :func:`is_cq_exact` to certify zero discord rather than testing this
     value against zero.  On dA != 2, ``Hybrid`` runs ``MultiStart(20)`` and
     ``Grid`` raises ValueError.

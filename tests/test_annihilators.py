@@ -457,8 +457,9 @@ class TestIsLocalDA:
     @pytest.mark.parametrize("eps", [1e-7, 5e-8, 2e-8])
     def test_near_qc_factor_never_returns_a_passing_witness(self, eps):
         # A measure-and-prepare A factor in a Haar basis, nudged off the
-        # family by eps.  For most such products no probe output fails, and
+        # family by eps.  For most such products no family output fails, and
         # the verdict then carries no witness rather than an input that passes.
+        # The family is the 10 head inputs and 2 two-block inputs.
         no_witness = 0
         for s in range(10):
             frame = random_unitary(2, [s, 1])
@@ -472,7 +473,7 @@ class TestIsLocalDA:
             if verdict.witness is None:
                 no_witness += 1
                 assert verdict.residual <= CQ_TOL
-                assert "among 200 probe inputs" in verdict.notes
+                assert "among 12 probe inputs" in verdict.notes
                 assert f"CQ residual {verdict.residual:.3e} is within" in verdict.notes
                 continue
             assert verdict.notes == ""

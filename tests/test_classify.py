@@ -464,28 +464,42 @@ class TestClassifyChannel:
         assert report.label == "db-b"
 
     @staticmethod
-    def near_family_corpus(side, eps):
+    def near_family_corpus(side, eps, dim=2):
         """A measure-and-prepare channel in a Haar basis (side A) or a point
-        channel (side B), mixed with ``eps`` of a random channel, seeds 0-9."""
+        channel (side B) on a ``dim`` space, mixed with ``eps`` of a random
+        channel, seeds 0-9."""
         for s in range(10):
             if side == "A":
-                frame = random_unitary(2, [s, 1])
-                kets = [frame[:, k] for k in range(2)]
+                frame = random_unitary(dim, [s, 1])
+                kets = [frame[:, k] for k in range(dim)]
                 member = make_qc_channel([np.outer(k, k.conj()) for k in kets], kets)
             else:
-                member = make_point_channel(random_density(2, "hilbert-schmidt", [s, 1]))
-            yield mix_channels([(1 - eps, member), (eps, random_channel(2, 2, 2, [s, 2]))])
+                member = make_point_channel(random_density(dim, "hilbert-schmidt", [s, 1]))
+            yield mix_channels([(1 - eps, member), (eps, random_channel(dim, dim, 2, [s, 2]))])
+
+    # The witness family has 10 head inputs and 6 (side A) or 12 (side B)
+    # two-block inputs at dim 2, and 7 head inputs and 36 or 72 two-block
+    # inputs at dim 3.
+    FAMILY_SIZE = {("A", 2): 16, ("B", 2): 22, ("A", 3): 43, ("B", 3): 79}
 
     @pytest.mark.parametrize(
-        "side, eps, witnessed, unwitnessed",
-        [("A", 2e-8, 0, 6), ("B", 5e-8, 0, 10), ("A", 1e-3, 10, 0), ("B", 1e-3, 10, 0)],
+        "side, dim, eps, witnessed, unwitnessed",
+        [
+            pytest.param("A", 2, 2e-8, 0, 6, id="A-2e-08-0-6"),
+            pytest.param("B", 2, 5e-8, 0, 10, id="B-5e-08-0-10"),
+            pytest.param("A", 2, 1e-3, 10, 0, id="A-0.001-10-0"),
+            pytest.param("B", 2, 1e-3, 10, 0, id="B-0.001-10-0"),
+            # At dim 3 the family witnesses reports that 500 seeded probes left bare.
+            pytest.param("A", 3, 5e-8, 10, 0, id="A-3x3-5e-08-10-0"),
+            pytest.param("B", 3, 1e-7, 5, 5, id="B-3x3-1e-07-5-5"),
+        ],
     )
-    def test_every_not_db_report_says_why(self, side, eps, witnessed, unwitnessed):
+    def test_every_not_db_report_says_why(self, side, dim, eps, witnessed, unwitnessed):
         """Each "not-db" label carries a witness whose output re-checks as not
-        CQ, or a note that every probe output was CQ within ``cq_tol``."""
+        CQ, or a note that every family output was CQ within ``cq_tol``."""
         context = ActsOnA(dim_b=2) if side == "A" else ActsOnB(dim_a=2)
         notes, n_witnessed = [], 0
-        for channel in self.near_family_corpus(side, eps):
+        for channel in self.near_family_corpus(side, eps, dim):
             report = classify_channel(channel, context)
             if report.label == "db-" + side.lower():
                 continue
@@ -498,8 +512,9 @@ class TestClassifyChannel:
             assert "no discordant output" not in report.db_verdict.notes
             n_witnessed += 1
         assert (n_witnessed, len(notes)) == (witnessed, unwitnessed)
+        among = f"no discordant output among {self.FAMILY_SIZE[side, dim]} probe inputs: "
         for note in notes:
-            _, found, tail = note.partition("no discordant output among 500 probe inputs: ")
+            _, found, tail = note.partition(among)
             assert found and tail.endswith(f" is within cq_tol {CQ_TOL:.3e}")
             assert float(tail.split()[4]) <= CQ_TOL
 
@@ -830,6 +845,10 @@ class TestTetrahedronSweep:
         with pytest.raises(ValueError, match="dim_other must be at least 1"):
             tetrahedron_sweep(step=0.5, side="A", dim_other=dim_other, n_probe_states=1)
 
+    def test_negative_probe_count_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^n_probe_states must be at least 0, got -1$"):
+            tetrahedron_sweep(step=0.5, side="A", n_probe_states=-1)
+
     def test_csv_deterministic(self):
         rows1 = tetrahedron_sweep(step=0.5, side="A", n_probe_states=3, seed=9)
         rows2 = tetrahedron_sweep(step=0.5, side="A", n_probe_states=3, seed=9)
@@ -841,6 +860,64 @@ class TestTetrahedronSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "l1,l2,l3,is_db,is_eb,max_discord"
         assert len(lines) == len(rows) + 1
+
+
+class TestWitnessFamilyOracles:
+    """Closed forms of the output CQ residual of the two-block inputs, with
+    x = Phi(X) and y = Phi(Y).
+
+    Side A: the output of (X (x) |0><0| + Y (x) |1><1|) / 2 has the B blocks
+    x / 2 and y / 2, so its residual is
+    ||[x, y]||_F / 2 / sqrt(||x||_F^2 + ||y||_F^2).  Side B: the output of
+    (|0><0| (x) X + |+><+| (x) Y) / 2 has the blocks
+    (x_p |0><0| + y_p |+><+|) / 2, whose commutators are
+    (x_p y_q - y_p x_q) [|0><0|, |+><+|] / 4, so its residual is
+    max_{p != q} |x_p y_q - y_p x_q| / (2 sqrt 2 sqrt(||x||^2 + ||y||^2 + tr xy)).
+    """
+
+    @staticmethod
+    def residuals(channel, side, dim_other, inputs):
+        out = extend(channel, side, dim_other).apply_matrix(np.array(inputs))
+        if side == "A":
+            return _cq_residuals(out, channel.dim_out, dim_other)[0]
+        return _cq_residuals(out, dim_other, channel.dim_out)[0]
+
+    @pytest.mark.parametrize("dim_in", [2, 3, 4])
+    @pytest.mark.parametrize("dim_other", [2, 3])
+    def test_side_a(self, dim_in, dim_other):
+        channel = random_channel(dim_in, dim_in, 2, [dim_in, dim_other, 1])
+        probes = _hermitian_probe_inputs(dim_in)
+        zero, one = (np.outer(basis_ket(dim_other, k), basis_ket(dim_other, k)) for k in (0, 1))
+        pairs = [(a, b) for a in range(len(probes)) for b in range(a + 1, len(probes))]
+        inputs = [0.5 * (np.kron(probes[a], zero) + np.kron(probes[b], one)) for a, b in pairs]
+        images = channel.apply_matrix(np.array(probes))
+        want = []
+        for a, b in pairs:
+            x, y = images[a], images[b]
+            norm = np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2
+            want.append(0.5 * np.linalg.norm(x @ y - y @ x) / np.sqrt(norm))
+        got = self.residuals(channel, "A", dim_other, inputs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim_in", [2, 3, 4])
+    @pytest.mark.parametrize("dim_other", [2, 3])
+    def test_side_b(self, dim_in, dim_other):
+        channel = random_channel(dim_in, dim_in, 2, [dim_in, dim_other, 2])
+        probes = _hermitian_probe_inputs(dim_in)
+        zero = np.outer(basis_ket(dim_other, 0), basis_ket(dim_other, 0))
+        ket = (basis_ket(dim_other, 0) + basis_ket(dim_other, 1)) / np.sqrt(2)
+        plus = np.outer(ket, ket)
+        pairs = [(a, b) for a in range(len(probes)) for b in range(len(probes)) if a != b]
+        inputs = [0.5 * (np.kron(zero, probes[a]) + np.kron(plus, probes[b])) for a, b in pairs]
+        images = channel.apply_matrix(np.array(probes))
+        want = []
+        for a, b in pairs:
+            x, y = images[a], images[b]
+            minors = np.abs(np.outer(x, y) - np.outer(y, x))  # flattened entries p, q
+            norm = np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2 + np.trace(x @ y).real
+            want.append(minors.max() / (2.0 * np.sqrt(2.0) * np.sqrt(norm)))
+        got = self.residuals(channel, "B", dim_other, inputs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestProbePairWitness:

@@ -44,6 +44,7 @@ from discordkit.states import (
     product_state,
     random_bipartite,
     random_density,
+    random_unitary,
 )
 from discordkit.tolerances import CQ_TOL, REBUILD_TOL, VALIDITY_TOL
 
@@ -226,6 +227,25 @@ class TestClassifyCommand:
         payload = json.loads(out)
         assert payload["label"] == "db-a"
         assert payload["eb"]["kind"] == "yes"
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_sides_a_and_b_do_not_read_the_seed(self, tmp_path, capsys, side):
+        # Near the family the first failing input lies past the fixed probe
+        # head, where a seeded search would print a different report per seed.
+        dim, eps = (3, 5e-8) if side == "A" else (2, 1e-7)
+        k = 5
+        if side == "A":
+            frame = random_unitary(dim, [k, 1])
+            kets = list(frame.T)
+            member = make_qc_channel([np.outer(v, v.conj()) for v in kets], kets)
+        else:
+            member = make_point_channel(random_density(dim, "hilbert-schmidt", [k, 1]))
+        path = tmp_path / "near.json"
+        noise = random_channel(dim, dim, 2, [k, 2])
+        save_channel(mix_channels([(1 - eps, member), (eps, noise)]), path)
+        outs = [run(capsys, "classify", str(path), "--side", side, "--seed", seed) for seed in "12"]
+        assert outs[0] == outs[1]
+        assert "witness" in json.loads(outs[0][1])
 
     def test_identity_on_ab(self, tmp_path, capsys):
         path = tmp_path / "identity.json"

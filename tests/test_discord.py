@@ -28,6 +28,7 @@ from discordkit.discord import (
     _block_pairs,
     _cq_draws,
     _cq_residuals,
+    _entropy_terms,
     _qubit_scores,
     _qubit_value_grad,
     _unitary_factor,
@@ -525,6 +526,43 @@ class TestOneEvaluator:
         for k, rho in enumerate(states):
             assert is_cq_exact(rho), k
             assert discord(rho).value >= -1e-14, k
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_entropy_terms_stay_within_the_cutoff_bound(dim_a, dim_b):
+    """The scorer drops outcomes with p <= c and eigenvalues w <= c, with
+    c = ZERO_CUTOFF: each dropped outcome held at most p log2 dB <= c log2 dB
+    of conditional entropy, and each block at most dB - 1 eigenvalues, each
+    worth -w log2 w <= c log2(1/c).  So the summed p H(w) falls short of the
+    exact one by at most dA c log2 dB + (dB - 1) c log2(1/c), and J exceeds
+    its measurement's exact value by at most that."""
+    c = ZERO_CUTOFF
+    bound = dim_a * c * np.log2(dim_b) + (dim_b - 1) * c * np.log2(1.0 / c)
+    rng = np.random.default_rng([dim_a, dim_b])
+    worst = 0.0
+    for trial in range(200):
+        # Spectra whose small entries lie at, or at most c below, the cutoff.
+        shape = (dim_a, dim_b - 1)
+        small = np.where(rng.random(shape) < 0.5, c, rng.uniform(0.0, c, shape))
+        w = np.concatenate([1.0 - small.sum(axis=1, keepdims=True), small], axis=1)
+        # Outcomes with p at or below the cutoff, the rest sharing the remainder.
+        dropped = rng.random(dim_a) < 0.5
+        dropped[0] = False
+        p = np.where(dropped, np.where(rng.random(dim_a) < 0.5, c, rng.uniform(0.0, c, dim_a)), 0.0)
+        p[~dropped] = rng.dirichlet(np.ones(np.count_nonzero(~dropped))) * (1.0 - p.sum())
+        if trial == 0:  # every entry at the cutoff where the form allows one
+            w[:, 1:] = c
+            w[:, 0] = 1.0 - (dim_b - 1) * c
+            p[1:] = c
+            p[0] = 1.0 - (dim_a - 1) * c
+        positive = np.where(w > 0.0, w, 1.0)
+        exact = np.sum(p * -np.sum(w * np.log2(positive), axis=1))
+        gap = exact - np.sum(_entropy_terms(p, w)[0])
+        assert -1e-15 <= gap <= bound, trial
+        worst = max(worst, gap)
+    # The first trial drops dB - 1 eigenvalues at the cutoff from an outcome
+    # of weight near 1, which brings it within 10 % of the bound.
+    assert worst >= 0.9 * bound
 
 
 class TestUnitaryScores:

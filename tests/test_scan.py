@@ -1,11 +1,12 @@
-"""The one CQ scan over the one probe stream: a lazy, chunked pull that
-matches the eager scan bit for bit.
+"""The one CQ scan over the one probe stream and the witness family: a lazy,
+chunked pull that matches the eager scan bit for bit.
 
 ``_cq_scan`` takes raw input matrices in chunks of 1, 2, 4, ..., and
 ``_probe_stream`` builds each chunk when it is taken, the fixed head probe by
 probe and the chunk's seeded draws as one stack.  The eager reference
 below builds the stream as a list, the fixed head state by state and then the
-seeded draws one index at a time, and scans it one input at a time: each test
+seeded draws one index at a time, and the witness family as the same head and
+then one two-block input per pair, and scans it one input at a time: each test
 checks that the lazy scan returns the same ``n_checked``, residuals, worst and
 failing inputs and failing output, bit for bit, and that a failing scan builds
 at most ``2 * n_checked - 1`` inputs.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from discordkit import annihilators
+from discordkit import annihilators, classify
 from discordkit.annihilators import (
     CertificationReport,
     _cq_scan,
@@ -32,6 +33,8 @@ from discordkit.channels import (
     compose,
     extend,
     make_point_channel,
+    make_qc_channel,
+    mix_channels,
     random_channel,
 )
 from discordkit.classify import (
@@ -39,6 +42,8 @@ from discordkit.classify import (
     ActsOnAB,
     ActsOnB,
     _discordant_output_witness,
+    _hermitian_probe_inputs,
+    _probe_pair_witness,
     classify_channel,
     is_local_da,
     witness_probe_states,
@@ -53,6 +58,7 @@ from discordkit.states import (
     bell_state,
     max_entangled,
     random_density,
+    random_unitary,
 )
 from discordkit.tolerances import CQ_TOL
 
@@ -136,16 +142,50 @@ def certification_inputs_list(dim_a, dim_b, n_samples=200, seed=0):
     return probe_head_list(dim_a, dim_b) + draws_list(dim_a, dim_b, n_samples, seed)
 
 
-def witness_probe_states_list(dim_a: int, dim_b: int, budget: int = 500, seed: int = 137):
+def witness_probe_states_list(dim_a: int, dim_b: int, budget: int, seed: int):
     states = probe_head_list(dim_a, dim_b)
     states += draws_list(dim_a, dim_b, max(0, budget - len(states)), seed)
     return states[:budget]
 
 
-def discordant_output_witness_eager(channel, side, dim_other, seed, tol):
+def projector(ket: np.ndarray) -> np.ndarray:
+    return np.outer(ket, ket.conj())
+
+
+def two_block_list(dim_a, dim_b, blocks) -> list[BipartiteState]:
+    """The probe head, then ``(X (x) P + Y (x) Q) / 2`` for each ``(X, P, Y, Q)``."""
+    pairs = [
+        BipartiteState.from_matrix(0.5 * (np.kron(x, p) + np.kron(y, q)), dim_a, dim_b)
+        for x, p, y, q in blocks
+    ]
+    return probe_head_list(dim_a, dim_b) + pairs
+
+
+def side_family_list(dim_in: int, side: str, dim_other: int) -> list[BipartiteState]:
+    """Side A pairs the Hermitian probe inputs a < b against |0><0| and |1><1|,
+    side B pairs them a != b against |0><0| and |+><+|, one pair at a time."""
+    probes = _hermitian_probe_inputs(dim_in)
+    zero, one = projector(basis_ket(dim_other, 0)), projector(basis_ket(dim_other, 1))
+    plus = projector((basis_ket(dim_other, 0) + basis_ket(dim_other, 1)) / np.sqrt(2))
+    n = len(probes)
+    if side == "A":
+        blocks = [(probes[a], zero, probes[b], one) for a in range(n) for b in range(a + 1, n)]
+        return two_block_list(dim_in, dim_other, blocks)
+    blocks = [(zero, probes[a], plus, probes[b]) for a in range(n) for b in range(n) if a != b]
+    return two_block_list(dim_other, dim_in, blocks)
+
+
+def local_family_list(channel_a, channel_b) -> list[BipartiteState]:
+    a = _probe_pair_witness(channel_a, "noncommuting-outputs")
+    b = _probe_pair_witness(channel_b, "distinct-outputs")
+    x, y = a["input_a"].matrix, a["input_b"].matrix
+    p, q = b["input_a"].matrix, b["input_b"].matrix
+    return two_block_list(channel_a.dim_in, channel_b.dim_in, [(x, p, y, q), (x, q, y, p)])
+
+
+def discordant_output_witness_eager(channel, side, dim_other, tol):
     extended = extend(channel, side, dim_other)
-    dims = (channel.dim_in, dim_other) if side == "A" else (dim_other, channel.dim_in)
-    scan = cq_scan_loop(extended, witness_probe_states_list(dims[0], dims[1], seed=seed), tol)
+    scan = cq_scan_loop(extended, side_family_list(channel.dim_in, side, dim_other), tol)
     if scan.failing_input is None:
         return None
     return {
@@ -261,17 +301,44 @@ def assert_same_witness(new, old):
     assert new["cq_residual"] == old["cq_residual"]
 
 
+def near_family(side: str, dim: int, eps: float, seed: int) -> QuantumChannel:
+    """A measure-and-prepare channel (side A) or a point channel (side B),
+    mixed with ``eps`` of a random channel."""
+    if side == "A":
+        frame = random_unitary(dim, [seed, 1])
+        kets = list(frame.T)
+        member = make_qc_channel([projector(k) for k in kets], kets)
+    else:
+        member = make_point_channel(random_density(dim, "hilbert-schmidt", [seed, 1]))
+    return mix_channels([(1 - eps, member), (eps, random_channel(dim, dim, 2, [seed, 2]))])
+
+
 class TestWitnessSearchesMatchEagerScan:
     @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize("dim, dim_other", [(2, 2), (2, 3), (3, 2)])
     def test_random_channels(self, side, dim, dim_other):
         for seed in range(3):
             channel = random_channel(dim, dim, 2, [seed, dim, dim_other])
-            new, note = _discordant_output_witness(channel, side, dim_other, 137 + seed, CQ_TOL)
+            new, note = _discordant_output_witness(channel, side, dim_other, CQ_TOL)
             assert note == ""
-            old = discordant_output_witness_eager(channel, side, dim_other, 137 + seed, CQ_TOL)
+            old = discordant_output_witness_eager(channel, side, dim_other, CQ_TOL)
             assert old is not None
             assert_same_witness(new, old)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("dim, dim_other", [(2, 2), (3, 2), (3, 3)])
+    def test_witnesses_past_the_head(self, side, dim, dim_other):
+        # Near the family the first failing input is a two-block one, or none.
+        past_head = 0
+        for seed in range(6):
+            channel = near_family(side, dim, {"A": 5e-8, "B": 1e-7}[side], seed)
+            new, _ = _discordant_output_witness(channel, side, dim_other, CQ_TOL)
+            old = discordant_output_witness_eager(channel, side, dim_other, CQ_TOL)
+            assert_same_witness(new, old)
+            family = side_family_list(dim, side, dim_other)
+            scan = cq_scan_loop(extend(channel, side, dim_other), family)
+            past_head += len(scan.outputs) > head_length(dim, dim_other)
+        assert past_head > 0
 
     @pytest.mark.parametrize(
         "side, channel",
@@ -282,10 +349,14 @@ class TestWitnessSearchesMatchEagerScan:
         ids=["dephasing-A", "point-B"],
     )
     def test_every_probe_checked(self, side, channel):
-        witness, note = _discordant_output_witness(channel, side, 2, 137, CQ_TOL)
+        witness, note = _discordant_output_witness(channel, side, 2, CQ_TOL)
         assert witness is None
-        assert note.startswith("no discordant output among 500 probe inputs: ")
-        assert discordant_output_witness_eager(channel, side, 2, 137, CQ_TOL) is None
+        # 10 head inputs, then the 6 pairs a < b (side A) or the 12 pairs
+        # a != b (side B) of the 4 Hermitian probe inputs of a qubit.
+        count = {"A": 16, "B": 22}[side]
+        assert note.startswith(f"no discordant output among {count} probe inputs: ")
+        assert len(side_family_list(2, side, 2)) == count
+        assert discordant_output_witness_eager(channel, side, 2, CQ_TOL) is None
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2)])
     def test_local_da(self, dim_a, dim_b):
@@ -296,7 +367,7 @@ class TestWitnessSearchesMatchEagerScan:
             product = compose(
                 extend(channel_b, "B", channel_a.dim_out), extend(channel_a, "A", dim_b)
             )
-            old = cq_scan_loop(product, witness_probe_states_list(dim_a, dim_b, 200, 5))
+            old = cq_scan_loop(product, local_family_list(channel_a, channel_b))
             assert verdict.kind == "not-da"
             assert same_state(verdict.witness, old.worst_input)
             assert verdict.residual == old.worst_residual
@@ -358,6 +429,38 @@ class TestInputsDrawnOnDemand:
             report = classify_channel(random_channel(2, 2, 2, 60 + seed), context, seed=seed)
             assert report.witness is not None
         assert draws == []
+
+    def test_witness_in_the_head_builds_no_pair_input(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness lies in the head, so no pair input is built")
+
+        for name in ("_kron_rows", "_hermitian_probe_inputs", "_probe_pair_witness"):
+            monkeypatch.setattr(classify, name, refuse)
+        for seed in range(3):
+            channel = random_channel(2, 2, 2, 60 + seed)
+            for side, dim_other in (("A", 2), ("B", 3)):
+                witness, _ = _discordant_output_witness(channel, side, dim_other, CQ_TOL)
+                assert witness is not None
+            channel_a, channel_b = random_channel(2, 2, 2, [seed, 1]), random_channel(3, 3, 2, [seed, 2])
+            verdict = is_local_da(channel_a, channel_b)
+            assert verdict.witness is not None
+
+    def test_pair_inputs_are_built_once(self, monkeypatch):
+        # Each family builds its pair inputs from two Kronecker stacks.
+        krons = count_calls(monkeypatch, classify, "_kron_rows")
+        # Witnesses at inputs 25 and 16, past the head of 7 and 10 inputs.
+        for side, dim, eps in (("A", 3, 5e-8), ("B", 2, 1e-7)):
+            channel = near_family(side, dim, eps, 5)
+            krons.clear()
+            witness, _ = _discordant_output_witness(channel, side, 2, CQ_TOL)
+            assert witness is not None and len(krons) == 2
+        # A point channel passes on the whole family.
+        point = make_point_channel(random_density(2, "hilbert-schmidt", 8))
+        witness, _ = _discordant_output_witness(point, "B", 2, CQ_TOL)
+        assert witness is None and len(krons) == 4
+        krons.clear()
+        verdict = is_local_da(near_family("A", 2, 1e-7, 0), near_family("B", 2, 1e-7, 0))
+        assert verdict.kind == "not-da" and len(krons) == 2
 
     def test_head_is_built_one_probe_per_pull(self, monkeypatch):
         bells = count_calls(monkeypatch, annihilators, "bell_state")
