@@ -192,11 +192,10 @@ def random_da_spec(dim_a: int, dim_b: int, rng) -> DAChannelSpec:
 class CertificationReport:
     """A CQ scan of a channel's outputs up to the first non-CQ one, the failing
     input, residual and output (None if every output is CQ).  The worst residual
-    is over every output, its input the first to reach it (None if all 0)."""
+    is over every output."""
 
     n_checked: int
     worst_residual: float
-    worst_input: BipartiteState | None
     failing_input: BipartiteState | None
     failing_residual: float | None
     failing_output: BipartiteState | None
@@ -274,13 +273,13 @@ def _cq_scan(
     validation of its inputs, one stacked application, one stacked output
     validation and one stacked CQ test, bit for bit equal to per-input calls,
     and is judged with masks in input order: the first failing output is the
-    first whose residual is not within ``tol`` (NaN fails), the worst the first
-    to reach the largest residual up to it, and an output that is not a state
-    raises only after every earlier output has passed.  Only the worst input
-    and the failing input and output are kept.
+    first whose residual is not within ``tol`` (NaN fails), the worst residual
+    the largest up to it, and an output that is not a state raises only after
+    every earlier output has passed.  Only the failing input and output are
+    kept.
     """
     out_dims = out_dims or dims
-    n_checked, worst, worst_input, failing = 0, 0.0, None, ()
+    n_checked, worst, failing = 0, 0.0, ()
     size = 1
     while not len(failing) and len(chunk := take(size)):
         states, error = _validate_states(chunk)
@@ -293,16 +292,12 @@ def _cq_scan(
             raise error
         stop = int(failing[0]) + 1 if len(failing) else len(residuals)
         n_checked += stop
-        k = int(np.argmax(np.fmax(residuals[:stop], 0.0)))  # NaN never the worst
-        if residuals[k] > worst:
-            worst, worst_input = float(residuals[k]), states[k]
+        worst = max(worst, float(np.max(np.fmax(residuals[:stop], 0.0))))  # NaN never the worst
         size *= 2
-    if worst_input is not None:
-        worst_input = BipartiteState.from_matrix(worst_input, *dims)
     if not len(failing):
-        return CertificationReport(n_checked, worst, worst_input, None, None, None)
+        return CertificationReport(n_checked, worst, None, None, None)
     return CertificationReport(
-        n_checked, worst, worst_input, BipartiteState.from_matrix(states[stop - 1], *dims),
+        n_checked, worst, BipartiteState.from_matrix(states[stop - 1], *dims),
         float(residuals[stop - 1]), BipartiteState.from_matrix(valid[stop - 1], *out_dims),
     )
 

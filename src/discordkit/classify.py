@@ -7,6 +7,9 @@ with its tetrahedron sweep over unital qubit channels.  Each family has one
 decision function, which takes a stack of Choi matrices and answers in
 arrays: the public verdict is its one-channel case and the sweep calls it
 once per bounded stack of grid points.
+Measure-and-prepare is decided by the exact CQ test of the slot-swapped
+Choi matrix alone, at the tolerance that judges states; a "yes" verdict's
+POVM is decomposed only when that verdict is read.
 Every negative verdict adds a witness that can be re-checked independently;
 the discordant-output searches scan the seed-free family of
 :func:`_two_block_family`, and the sweep's probe states are a prefix of the
@@ -32,7 +35,6 @@ from .channels import (
     QuantumChannel,
     TransferAnalysis,
     _check_trace_preserving,
-    _cq_form,
     _in_cptp_tetrahedron,
     _require_dims,
     _swap_slots,
@@ -41,11 +43,12 @@ from .channels import (
     compose,
     extend,
 )
-from .discord import Hybrid, _cq_conditionals, _cq_draws, _cq_residuals, discord
+from .discord import DecompositionError, Hybrid, _cq_residuals, cq_decompose, discord
 from .states import (
     BipartiteState,
     DensityOperator,
     _AtLeast,
+    _freeze,
     _frobenius_norms,
     _validate_states,
     basis_ket,
@@ -73,7 +76,7 @@ class Verdict:
 # -- witness probe states -----------------------------------------------------
 
 
-def witness_probe_states(dim_a: int, dim_b: int, budget: int, seed: int = 137):
+def witness_probe_states(dim_a: int, dim_b: int, budget: int, seed: int):
     """The first ``budget`` states of the probe stream, validated."""
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -196,58 +199,35 @@ def _point_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Dec
 
 def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Decisions:
     """The decisions of :func:`is_qc_channel`: one stacked validation and CQ
-    test of the slot-swapped normalised Choi matrices ``nu``, then one stacked
-    rebuild per decomposition draw of the CQ rows not yet rebuilt.
+    test of the slot-swapped normalised Choi matrices ``nu``, each row "yes"
+    exactly when its CQ residual is within ``tol``.
 
-    Each draw that reconstructs a row's ``nu`` gives a POVM
-    ``F_k = dim_in * p_k * tau_k^T`` and an output basis ``|k>``, whose
-    channel has the Choi matrix ``sum_k F_k^T (x) |k><k|``: the slot swap of
-    their CQ form, as ``make_qc_channel`` builds it.  A CQ row is "yes" at
-    the first draw whose rebuilt Choi matrix lies within ``tol``, and keeps
-    that draw's POVM and basis; otherwise it is "no" with the smallest
-    rebuild residual, or the last reconstruction residual when no draw
-    reconstructs ``nu``.
+    A "yes" verdict's POVM ``F_k = dim_in * p_k * tau_k^T`` and output basis
+    ``|k>`` come from :func:`cq_decompose` of its row's ``nu`` when the
+    verdict is read; their channel has the Choi matrix
+    ``sum_k F_k^T (x) |k><k|``, as ``make_qc_channel`` builds it.  When no
+    decomposition draw reconstructs ``nu`` the verdict stays "yes", without
+    details, and its notes give the error.
     """
-    n, dim_out = len(chois), chois.shape[-1] // dim_in
+    dim_out = chois.shape[-1] // dim_in
     nus, error = _validate_states(_swap_slots(chois, dim_in, dim_out) / dim_in, name="swapped Choi")
     if error is not None:
         raise error
     residuals = _cq_residuals(nus, dim_out, dim_in)[0]
-    is_cq = residuals <= tol
-    cq = np.flatnonzero(is_cq)
-    yes = np.zeros(n, dtype=bool)
-    povms = np.empty((n, dim_out, dim_in, dim_in), dtype=complex)
-    bases = np.empty((n, dim_out, dim_out), dtype=complex)
-    if cq.size:
-        scales = np.maximum(1.0, _frobenius_norms(chois[cq]))
-        rebuilds = np.full(cq.size, np.inf)  # the smallest: a hit lies below every miss
-        for relative, accepted, basis, weights, blocks in _cq_draws(nus[cq], dim_out, dim_in, tol):
-            fresh = np.flatnonzero(accepted & ~yes[cq])
-            if fresh.size:
-                probs, conditionals = _cq_conditionals(weights[fresh], blocks[fresh])
-                weighted = (dim_in * probs)[..., None, None] * conditionals  # the F_k^T
-                rebuilt = _swap_slots(_cq_form(basis[fresh], weighted), dim_out, dim_in)
-                drawn = _frobenius_norms(rebuilt - chois[cq[fresh]]) / scales[fresh]
-                rebuilds[fresh] = np.minimum(rebuilds[fresh], drawn)
-                hit = drawn <= tol
-                rows = cq[fresh[hit]]
-                yes[rows] = True
-                povms[rows] = weighted[hit].transpose(0, 1, 3, 2)
-                bases[rows] = basis[fresh[hit]].transpose(0, 2, 1)  # row k is basis[:, k]
-            if yes[cq].all():
-                break
-        residuals[cq] = np.where(rebuilds < np.inf, rebuilds, relative)
+    yes = residuals <= tol
 
     def verdict(row: int) -> Verdict:
         residual = float(residuals[row])
-        if yes[row]:
-            details = {"povm": list(povms[row]), "basis": list(bases[row])}
-            return Verdict(kind="yes", residual=residual, details=details)
-        notes = (
-            "Choi is classical on the output slot but the extracted form "
-            "does not reproduce the channel" if is_cq[row] else ""
-        )
-        return Verdict(kind="no", residual=residual, notes=notes)
+        if not yes[row]:
+            return Verdict(kind="no", residual=residual)
+        nu = BipartiteState(dim_out, dim_in, DensityOperator(len(nus[row]), _freeze(nus[row])))
+        try:
+            cq = cq_decompose(nu, tol)
+        except DecompositionError as exc:
+            return Verdict(kind="yes", residual=residual, notes=str(exc))
+        povm = [dim_in * p * tau.matrix.T for p, tau in zip(cq.probs, cq.conditional_states)]
+        details = {"povm": povm, "basis": list(cq.basis.T)}  # row k is basis[:, k]
+        return Verdict(kind="yes", residual=residual, details=details)
 
     return _Decisions(yes, residuals, verdict)
 
@@ -273,12 +253,13 @@ def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     """Is the channel measure-and-prepare into a fixed orthonormal basis?
 
     The Choi matrix of such a channel, read as a bipartite in (x) out
-    operator, is classical on the output slot; the test runs the exact
-    CQ check on the slot-swapped normalised Choi and, on success, extracts
-    the POVM ``F_k = dim_in * (conditional input block)^T`` and basis.
-    The answer is "yes" only when the Choi matrix ``sum_k F_k^T (x) |k><k|``
-    rebuilt from them lies within ``tol * max(1, ||J||)`` of the channel's
-    ``J``.  A "no" carries the pair of probe inputs whose outputs commute
+    operator, is classical on the output slot, and only such a channel's
+    is: the answer is "yes" exactly when the exact CQ check on the
+    slot-swapped normalised Choi passes at ``tol``, and ``residual`` is its
+    CQ residual.  A "yes" carries the POVM
+    ``F_k = dim_in * (conditional input block)^T`` and basis in
+    ``details``, or None and a note when no decomposition draw resolves
+    them.  A "no" carries the pair of probe inputs whose outputs commute
     least.
     """
     (verdict,) = _qc_decision(channel.choi[None], channel.dim_in, tol)
@@ -451,8 +432,8 @@ def classify_channel(
     seeks its witness in a seed-free family, and carries none when every
     family output is CQ; its notes then give the input count and their
     largest CQ residual.
-    A "yes" on A settles entanglement breaking where PPT cannot: the
-    measure-and-prepare form is a separable Choi matrix.
+    A "yes" on A whose POVM was resolved settles entanglement breaking where
+    PPT cannot: the measure-and-prepare form is a separable Choi matrix.
     """
     if isinstance(context, (ActsOnA, ActsOnB)):
         if isinstance(context, ActsOnA):
@@ -460,7 +441,7 @@ def classify_channel(
         else:
             side, dim_other, verdict = "B", context.dim_a, is_point_channel(channel, cq_tol)
         eb = is_entanglement_breaking(channel)
-        if side == "A" and verdict.kind == "yes" and eb.kind == "unknown":
+        if side == "A" and verdict.details is not None and eb.kind == "unknown":
             eb = replace(eb, kind="yes", notes=_MEASURE_AND_PREPARE_NOTE)
         witness = None
         if verdict.kind != "yes":

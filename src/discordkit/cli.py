@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(0), default=200,
                    help="seeded Hilbert-Schmidt draws certified after the fixed probes (side AB)")
     p.add_argument("--out", default=None)
-    add_common(p)
+    p.add_argument("--seed", type=_at_least(0), default=42,
+                   help="seed of the side-AB certification draws; sides A and B draw nothing")
     add_tolerances(p)
     p.set_defaults(func=cmd_classify)
 

@@ -730,8 +730,8 @@ def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
     The common eigenbasis of the (commuting, normal) blocks is found by
     diagonalising a random real combination of their Hermitian and
     anti-Hermitian parts.  A draw is accepted when the CQ form of its basis
-    and blocks (:func:`_cq_form`, which also serves ``reconstruct`` and the
-    measure-and-prepare rebuild) lies within ``tol * max(1, ||rho||)`` of
+    and blocks (:func:`_cq_form`, which also serves ``reconstruct`` and
+    ``make_qc_channel``) lies within ``tol * max(1, ||rho||)`` of
     ``rho``; degenerate draws are retried with fresh coefficients.
     """
     check = is_cq_exact(rho, tol)

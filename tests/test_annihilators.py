@@ -454,13 +454,17 @@ class TestIsLocalDA:
         assert not check
         assert verdict.residual == check.residual
 
+    # The A factors whose swapped Choi matrix passes the CQ test, of 10: at
+    # eps 2e-8 every one does.
+    DA_VIA_A = {1e-7: 1, 5e-8: 5, 2e-8: 10}
+
     @pytest.mark.parametrize("eps", [1e-7, 5e-8, 2e-8])
     def test_near_qc_factor_never_returns_a_passing_witness(self, eps):
         # A measure-and-prepare A factor in a Haar basis, nudged off the
         # family by eps.  For most such products no family output fails, and
         # the verdict then carries no witness rather than an input that passes.
         # The family is the 10 head inputs and 2 two-block inputs.
-        no_witness = 0
+        no_witness, via_a = 0, 0
         for s in range(10):
             frame = random_unitary(2, [s, 1])
             kets = [frame[:, k] for k in range(2)]
@@ -469,6 +473,8 @@ class TestIsLocalDA:
             channel_b = random_channel(2, 2, 2, [s, 3])
             verdict = is_local_da(channel_a, channel_b)
             if verdict.kind != "not-da":
+                assert verdict.kind == "da-via-a"
+                via_a += 1
                 continue
             if verdict.witness is None:
                 no_witness += 1
@@ -480,7 +486,8 @@ class TestIsLocalDA:
             product = compose(extend(channel_b, "B", 2), extend(channel_a, "A", 2))
             assert verdict.residual > CQ_TOL
             assert not is_cq_exact(product.apply(verdict.witness))
-        assert no_witness > 0
+        assert via_a == self.DA_VIA_A[eps]
+        assert (no_witness > 0) == (via_a < 10)
 
 
 class TestCommutantElement:

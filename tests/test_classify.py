@@ -13,7 +13,6 @@ from discordkit.channels import (
     QuantumChannel,
     UnitalQubitParams,
     _in_cptp_tetrahedron,
-    _cq_form,
     _swap_slots,
     _unital_qubit_chois,
     compose,
@@ -44,19 +43,20 @@ from discordkit.classify import (
     witness_probe_states,
 )
 from discordkit.discord import (
+    DecompositionError,
     Hybrid,
-    _cq_conditionals,
-    _cq_draws,
     _cq_residuals,
+    cq_decompose,
     discord,
     is_cq_exact,
 )
 from discordkit.serialize import da_spec_to_json
 from discordkit.states import (
+    BipartiteState,
     DensityOperator,
-    _validate_states,
     basis_ket,
     bell_state,
+    max_entangled,
     random_density,
     random_unitary,
 )
@@ -101,90 +101,46 @@ def near_qc_corpus(dim_in, dim_out, weight, n):
     return channels
 
 
-def qc_decision_kraus_route(chois, dim_in, tol):
-    """The kinds and residuals of ``_qc_decision`` as it rebuilt channels
-    before it read the Choi matrix off the CQ form: each accepted draw's POVM
-    ``F_k = dim_in * p_k * tau_k^T`` and basis became the Kraus operators
-    ``sqrt(mu_m) |k><v_m|`` (one ``eigh`` per element, ``mu_m`` above 1e-14),
-    checked for completeness, and their Choi matrix was compared with the
-    channel's."""
-    n, d = chois.shape[:2]
-    dim_out = d // dim_in
-    swapped = chois.reshape(n, dim_in, dim_out, dim_in, dim_out).transpose(0, 2, 1, 4, 3)
-    nus, error = _validate_states(swapped.reshape(n, d, d) / dim_in)
-    assert error is None
-    residuals, _ = _cq_residuals(nus, dim_out, dim_in)
-    verdicts = [("no", residual) for residual in residuals]
-    cq = np.flatnonzero(np.array(residuals) <= tol)
-    done = {}
-    misses = {int(row): [] for row in cq}
-    for relative, accepted, basis, weights, blocks in _cq_draws(nus[cq], dim_out, dim_in, tol):
-        rows = [i for i in np.flatnonzero(accepted).tolist() if i not in done]
-        if rows:
-            probs, conditionals = _cq_conditionals(weights[rows], blocks[rows])
-            for i, p, taus in zip(rows, probs, conditionals):
-                kraus = []
-                for p_k, tau, ket in zip(p, taus, basis[i].T):
-                    f = dim_in * p_k * tau.T
-                    eigvals, eigvecs = np.linalg.eigh((f + f.conj().T) / 2.0)
-                    for mu, vec in zip(eigvals, eigvecs.T):
-                        if mu > 1e-14:
-                            kraus.append(np.sqrt(mu) * np.outer(ket, vec.conj()))
-                row = int(cq[i])
-                choi = QuantumChannel(np.array(kraus)).choi
-                residual = np.linalg.norm(choi - chois[row]) / max(1.0, np.linalg.norm(chois[row]))
-                if residual <= tol:
-                    done[i] = verdicts[row] = ("yes", residual)
-                else:
-                    misses[row].append(residual)
-        if len(done) == len(cq):
-            break
-    for i, row in enumerate(cq.tolist()):
-        if i not in done:
-            verdicts[row] = ("no", min(misses[row], default=float(relative[i])))
+def qc_decision_kraus_route(channels, tol):
+    """The kinds and residuals of ``_qc_decision`` by the one rule, reached
+    through the Kraus operators: ``nu = sum_m (K_m (x) 1)|W><W|(K_m (x) 1)^dag``
+    for the maximally entangled ``|W>``, validated, and "yes" exactly when
+    ``is_cq_exact`` passes it at ``tol``, with its CQ residual."""
+    verdicts = []
+    for channel in channels:
+        dim_in = channel.dim_in
+        omega = np.eye(dim_in).reshape(-1) / np.sqrt(dim_in)
+        kets = [np.kron(k, np.eye(dim_in)) @ omega for k in channel.kraus]
+        nu = sum(np.outer(v, v.conj()) for v in kets)
+        check = is_cq_exact(BipartiteState.from_matrix(nu, channel.dim_out, dim_in), tol)
+        verdicts.append(("yes" if check else "no", check.residual))
     return verdicts
 
 
 def qc_decision_eager(chois, dim_in, tol):
-    """The verdicts of ``_qc_decision`` as it built them before it answered in
-    arrays: the rebuild made a ``Verdict`` for every CQ row and kept each row's
-    rebuild misses in a list."""
-    dim_out = chois.shape[-1] // dim_in
-    nus, error = _validate_states(_swap_slots(chois, dim_in, dim_out) / dim_in, name="swapped Choi")
-    assert error is None
-    residuals, _ = _cq_residuals(nus, dim_out, dim_in)
-    cq = np.flatnonzero(residuals <= tol).tolist()
-    scales = np.maximum(1.0, np.array([np.linalg.norm(chois[row]) for row in cq]))
-    verdicts = {row: None for row in cq}
-    misses = {row: [] for row in cq}
-    for relative, accepted, basis, weights, blocks in _cq_draws(nus[cq], dim_out, dim_in, tol):
-        rows = [i for i in np.flatnonzero(accepted).tolist() if verdicts[cq[i]] is None]
-        if rows:
-            probs, conditionals = _cq_conditionals(weights[rows], blocks[rows])
-            weighted = (dim_in * probs)[..., None, None] * conditionals
-            rebuilt = _swap_slots(_cq_form(basis[rows], weighted), dim_out, dim_in)
-            for k, i in enumerate(rows):
-                residual = float(np.linalg.norm(rebuilt[k] - chois[cq[i]]) / scales[i])
-                if residual <= tol:
-                    povm, kets = list(weighted[k].transpose(0, 2, 1)), list(basis[i].T)
-                    details = {"povm": povm, "basis": kets}
-                    verdicts[cq[i]] = Verdict(kind="yes", residual=residual, details=details)
-                else:
-                    misses[cq[i]].append(residual)
-        if all(verdicts.values()):
-            break
-    notes = (
-        "Choi is classical on the output slot but the extracted form "
-        "does not reproduce the channel"
-    )
-    for i, row in enumerate(cq):
-        if verdicts[row] is None:
-            residual = min(misses[row], default=float(relative[i]))
-            verdicts[row] = Verdict(kind="no", residual=residual, notes=notes)
-    return [
-        verdicts.get(row) or Verdict(kind="no", residual=float(residual))
-        for row, residual in enumerate(residuals)
-    ]
+    """The verdicts of ``_qc_decision`` built row by row: each slot-swapped
+    Choi matrix validated alone, "yes" exactly when it passes ``is_cq_exact``
+    at ``tol``, and a "yes" row's POVM and basis read off ``cq_decompose``,
+    or no details and the error as notes when that fails."""
+    n, d = chois.shape[:2]
+    dim_out = d // dim_in
+    swapped = chois.reshape(n, dim_in, dim_out, dim_in, dim_out).transpose(0, 2, 1, 4, 3)
+    verdicts = []
+    for matrix in swapped.reshape(n, d, d) / dim_in:
+        nu = BipartiteState.from_matrix(matrix, dim_out, dim_in, name="swapped Choi")
+        check = is_cq_exact(nu, tol)
+        if not check:
+            verdicts.append(Verdict(kind="no", residual=check.residual))
+            continue
+        try:
+            cq = cq_decompose(nu, tol)
+        except DecompositionError as exc:
+            verdicts.append(Verdict(kind="yes", residual=check.residual, notes=str(exc)))
+            continue
+        povm = [dim_in * p * tau.matrix.T for p, tau in zip(cq.probs, cq.conditional_states)]
+        details = {"povm": povm, "basis": list(cq.basis.T)}
+        verdicts.append(Verdict(kind="yes", residual=check.residual, details=details))
+    return verdicts
 
 
 # The scalar scores the probe-pair witnesses used before pairs became one stack.
@@ -265,8 +221,8 @@ class TestIsQCChannel:
 
     @pytest.mark.parametrize("weight", [1e-4, 3e-4, 1e-3, 3e-3])
     def test_loose_tolerance_always_gives_a_verdict(self, weight):
-        # Near-QC channels pass the CQ test at 1e-3; a decomposition that
-        # does not rebuild the channel within it is a "no", not an error.
+        # Near-QC channels pass the CQ test at 1e-3, and the test alone
+        # decides: a decomposition that fails is a note, not an error.
         tol = 1e-3
         kinds = []
         for k in range(60):
@@ -279,42 +235,70 @@ class TestIsQCChannel:
     @pytest.mark.parametrize("tol", [1e-8, 1e-3])
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_rebuild_matches_the_kraus_route(self, dims, tol):
+        # The decision on the Choi stack against nu rebuilt from Kraus operators.
         kinds = []
-        for weight in (0.0, 1e-9, 1e-4, 1e-3):
-            chois = np.array([c.choi for c in near_qc_corpus(*dims, weight, 12)])
-            reference = qc_decision_kraus_route(chois, dims[0], tol)
+        for weight in (0.0, 1e-9, 1e-4, 1e-3, 1e-2):
+            channels = near_qc_corpus(*dims, weight, 12)
+            chois = np.array([c.choi for c in channels])
+            reference = qc_decision_kraus_route(channels, tol)
             for verdict, (kind, residual) in zip(_qc_decision(chois, dims[0], tol), reference):
                 assert verdict.kind == kind
                 assert abs(verdict.residual - residual) <= 1e-15
                 kinds.append(kind)
         assert "yes" in kinds and "no" in kinds
 
-    def test_details_rebuild_the_decisions_choi_matrix(self, monkeypatch):
-        # make_qc_channel on a "yes" verdict's POVM and basis builds, bit for
-        # bit, the Choi matrix that the decision rebuilt and accepted.
-        swap, rebuilt = classify._swap_slots, []
-
-        def recorded(*args):
-            rebuilt.append(swap(*args))
-            return rebuilt[-1]
-
-        monkeypatch.setattr(classify, "_swap_slots", recorded)
+    def test_details_rebuild_the_decisions_choi_matrix(self):
+        # make_qc_channel on a "yes" verdict's POVM and basis builds
+        # dim_in times the slot swap of the CQ form that cq_decompose
+        # accepted within CQ_TOL of nu, so it lies within dim_in * CQ_TOL of J.
         channels = [z_dephasing(), make_unital_qubit(UnitalQubitParams(0, 0, 0.7))]
         for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]:
             channels += near_qc_corpus(*dims, 0.0, 6) + near_qc_corpus(*dims, 1e-9, 6)
         for channel in channels:
             verdict = is_qc_channel(channel)
-            assert verdict.kind == "yes"
+            assert verdict.kind == "yes" and verdict.notes == ""
             built = make_qc_channel(verdict.details["povm"], verdict.details["basis"])
-            assert np.array_equal(built.choi, rebuilt[-1][0])
+            assert np.linalg.norm(built.choi - channel.choi) <= channel.dim_in * CQ_TOL
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_yes_exactly_when_the_swapped_choi_is_cq(self, tol):
+        # One rule, in a stack and alone: the verdict is is_cq_exact of nu.
+        kinds = set()
+        for (dim_in, dim_out), channels in qc_corpus().items():
+            stacked = _qc_decision(np.array([c.choi for c in channels]), dim_in, tol)
+            for row, channel in enumerate(channels):
+                swapped = _swap_slots(channel.choi[None], dim_in, dim_out)[0] / dim_in
+                check = is_cq_exact(BipartiteState.from_matrix(swapped, dim_out, dim_in), tol)
+                single = _qc_decision(channel.choi[None], dim_in, tol)
+                assert stacked.yes[row] == single.yes[0] == bool(check)
+                assert stacked.residuals[row] == single.residuals[0] == check.residual
+                kinds.add(bool(check))
+        assert kinds == {True, False}
+
+    def test_yes_without_a_povm(self):
+        # nu passes the CQ test, but no decomposition draw reconstructs it
+        # within CQ_TOL: still "yes", without details, and PPT alone decides
+        # entanglement breaking.
+        (channel,) = near_qc_corpus(3, 3, 5e-8, 1)
+        verdict = is_qc_channel(channel)
+        assert verdict.kind == "yes" and verdict.residual <= CQ_TOL
+        assert verdict.details is None
+        assert verdict.notes.startswith("failed to resolve a common eigenbasis after 5 attempts")
+        assert is_entanglement_breaking(channel).kind == "unknown"
+        report = classify_channel(channel, ActsOnA(dim_b=2))
+        assert report.label == "db-a" and report.witness is None
+        assert report.eb_verdict.kind == "unknown"
+        assert "measure-and-prepare" not in report.eb_verdict.notes
 
     @pytest.mark.parametrize("k", [16, 22, 33, 36, 57])
     def test_loose_tolerance_tries_every_draw(self, k):
-        # The channel rebuilt from the first accepted decomposition draw misses
-        # by 1.0e-3 to 1.6e-3; a later draw rebuilds it within 1.3e-4.
+        # The first decomposition draw reconstructs nu within 6.2e-4 to 2.0e-3
+        # (k = 36 misses 1e-3), a later one within 1e-4; the POVM comes from
+        # the first draw within 1e-3.
         verdict = is_qc_channel(near_qc_channel(k, 1e-4), tol=1e-3)
         assert verdict.kind == "yes"
         assert verdict.residual <= 1e-3
+        assert verdict.details is not None
 
     def test_depolarizing_no_with_noncommuting_witness(self):
         channel = make_unital_qubit(UnitalQubitParams(0.5, 0.5, 0.5))
@@ -337,8 +321,7 @@ def verdict_bytes(verdict):
 def qc_corpus():
     """Seeded channels by ``(dim_in, dim_out)``: qubit measure-and-prepare
     channels mixed with a little of a random channel, mixtures at d = 2 and 3,
-    random channels and point channels.  At each tolerance some CQ rows are
-    not rebuilt."""
+    random channels and point channels."""
     corpus = {dims: [] for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]}
     for eps in (0.0, 2e-8, 5e-8, 1e-7, 1e-4, 1e-3, 5e-3):
         corpus[2, 2] += [near_qc_channel(k, eps) for k in range(12)]
@@ -354,11 +337,14 @@ def qc_corpus():
 
 class TestQCDecisionMatchesEagerRebuild:
     """The array bookkeeping of ``_qc_decision`` gives, bit for bit, the
-    verdicts that the eager rebuild built row by row."""
+    verdicts that the eager reference built row by row."""
+
+    # The "yes" rows of the corpus whose POVM no decomposition draw resolves.
+    WITHOUT_POVM = {1e-8: 16, 1e-3: 8, 3e-3: 0}
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 3e-3])
     def test_stacks_and_single_channels(self, tol):
-        kinds, unrebuilt = set(), 0
+        kinds, without_povm = set(), 0
         for (dim_in, _), channels in qc_corpus().items():
             chois = np.array([c.choi for c in channels])
             reference = [verdict_bytes(v) for v in qc_decision_eager(chois, dim_in, tol)]
@@ -367,9 +353,9 @@ class TestQCDecisionMatchesEagerRebuild:
                 (single,) = _qc_decision(choi[None], dim_in, tol)
                 assert verdict_bytes(single) == expected
                 kinds.add(expected[0])
-                unrebuilt += bool(expected[2])
+                without_povm += bool(expected[2])
         assert kinds == {"yes", "no"}
-        assert unrebuilt > 0
+        assert without_povm == self.WITHOUT_POVM[tol]
 
 
 class TestEntanglementBreaking:
@@ -485,12 +471,17 @@ class TestClassifyChannel:
     @pytest.mark.parametrize(
         "side, dim, eps, witnessed, unwitnessed",
         [
-            pytest.param("A", 2, 2e-8, 0, 6, id="A-2e-08-0-6"),
+            # Side A decides on the CQ test of nu alone: at eps 2e-8 (dim 2)
+            # and 5e-8 (dim 3) every channel is "db-a", and every "no" has a
+            # witness.
+            pytest.param("A", 2, 2e-8, 0, 0, id="A-2e-08-0-0"),
+            pytest.param("A", 2, 5e-8, 5, 0, id="A-5e-08-5-0"),
             pytest.param("B", 2, 5e-8, 0, 10, id="B-5e-08-0-10"),
             pytest.param("A", 2, 1e-3, 10, 0, id="A-0.001-10-0"),
             pytest.param("B", 2, 1e-3, 10, 0, id="B-0.001-10-0"),
+            pytest.param("A", 3, 5e-8, 0, 0, id="A-3x3-5e-08-0-0"),
+            pytest.param("A", 3, 1e-7, 8, 0, id="A-3x3-1e-07-8-0"),
             # At dim 3 the family witnesses reports that 500 seeded probes left bare.
-            pytest.param("A", 3, 5e-8, 10, 0, id="A-3x3-5e-08-10-0"),
             pytest.param("B", 3, 1e-7, 5, 5, id="B-3x3-1e-07-5-5"),
         ],
     )
@@ -517,6 +508,24 @@ class TestClassifyChannel:
             _, found, tail = note.partition(among)
             assert found and tail.endswith(f" is within cq_tol {CQ_TOL:.3e}")
             assert float(tail.split()[4]) <= CQ_TOL
+
+    @pytest.mark.parametrize("dim_in, dim_out", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_side_a_no_is_witnessed_at_the_first_input(self, dim_in, dim_out):
+        # With dim_other >= dim_in the head's first input, maximally entangled,
+        # maps to nu itself: its output residual is the verdict's.
+        n_no = 0
+        for dim_other in (dim_in, dim_in + 1):
+            first = max_entangled(dim_in, dim_other).matrix
+            for eps in (1e-3, 1e-6, 1e-7, 3e-8):
+                for channel in near_qc_corpus(dim_in, dim_out, eps, 4):
+                    report = classify_channel(channel, ActsOnA(dim_b=dim_other))
+                    if report.label == "db-a":
+                        continue
+                    n_no += 1
+                    residual = report.db_verdict.residual
+                    assert np.allclose(report.witness["input"].matrix, first, rtol=0.0, atol=1e-15)
+                    assert abs(report.witness["cq_residual"] - residual) <= 1e-9 * residual
+        assert n_no > 0
 
     def test_built_da_channel_on_ab(self):
         spec = random_da_spec(2, 2, 5)
@@ -703,15 +712,16 @@ class TestStackedDecisions:
 
     @pytest.mark.parametrize("weight", [1e-4, 1e-3])
     def test_rows_that_need_later_draws(self, weight):
-        # At tol 1e-3 rows finish at different draws, and at weight 1e-3 four
-        # stay "no"; the stack must decide each row as it would alone.
+        # At tol 1e-3 every row passes the CQ test, and rows resolve their POVM
+        # at different decomposition draws; the stack must decide each row as
+        # it would alone.
         channels = [near_qc_channel(k, weight) for k in range(60)]
         stacked = _qc_decision(np.array([c.choi for c in channels]), 2, 1e-3)
         for channel, verdict in zip(channels, stacked):
             (single,) = _qc_decision(channel.choi[None], 2, 1e-3)
-            assert bits(verdict) == bits(single)
-            assert bits(verdict) == bits(is_qc_channel(channel, 1e-3))
-        assert sum(v.kind == "no" for v in stacked) == (0 if weight < 1e-3 else 4)
+            assert verdict_bytes(verdict) == verdict_bytes(single)
+            assert verdict_bytes(verdict) == verdict_bytes(is_qc_channel(channel, 1e-3))
+            assert verdict.kind == "yes" and verdict.details is not None
 
     def test_weights_drop_where_expected(self):
         # The Pauli Choi matrices are orthogonal rank-one projectors times 2, so
@@ -964,12 +974,12 @@ class TestProbePairWitness:
 
 class TestWitnessProbeStates:
     def test_budget_counts_states(self):
-        assert len(witness_probe_states(2, 2, budget=3)) == 3
-        assert witness_probe_states(2, 2, budget=0) == []
+        assert len(witness_probe_states(2, 2, budget=3, seed=0)) == 3
+        assert witness_probe_states(2, 2, budget=0, seed=0) == []
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget must be at least 0"):
-            witness_probe_states(2, 2, budget=-1)
+            witness_probe_states(2, 2, budget=-1, seed=0)
 
     @pytest.mark.parametrize(
         "dims, message",
@@ -982,4 +992,4 @@ class TestWitnessProbeStates:
     @pytest.mark.parametrize("budget", [0, 3])
     def test_dimension_below_one_rejected_by_name(self, dims, message, budget):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            witness_probe_states(*dims, budget=budget)
+            witness_probe_states(*dims, budget=budget, seed=0)

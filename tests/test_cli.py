@@ -230,9 +230,10 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_sides_a_and_b_do_not_read_the_seed(self, tmp_path, capsys, side):
-        # Near the family the first failing input lies past the fixed probe
-        # head, where a seeded search would print a different report per seed.
-        dim, eps = (3, 5e-8) if side == "A" else (2, 1e-7)
+        # Near the family a "no" still carries a witness.  On B the first
+        # failing input lies past the fixed probe head, where a seeded search
+        # would print a different report per seed.
+        dim, eps = (3, 1e-7) if side == "A" else (2, 1e-7)
         k = 5
         if side == "A":
             frame = random_unitary(dim, [k, 1])

@@ -71,7 +71,6 @@ class _CQScan:
 
     outputs: list[BipartiteState]
     worst_residual: float
-    worst_input: BipartiteState | None
     failing_input: BipartiteState | None = None
     failing_residual: float | None = None
 
@@ -79,16 +78,15 @@ class _CQScan:
 def cq_scan_loop(channel: QuantumChannel, inputs, tol: float = CQ_TOL) -> _CQScan:
     """The scan one input at a time, each input validated as it is reached."""
     outputs = []
-    worst, worst_input = 0.0, None
+    worst = 0.0
     for state in inputs:
         state = BipartiteState.from_matrix(state.matrix, state.dim_a, state.dim_b)
         outputs.append(channel.apply(state))
         check = is_cq_exact(outputs[-1], tol)
-        if check.residual > worst:
-            worst, worst_input = check.residual, state
+        worst = max(worst, check.residual)
         if not check:
-            return _CQScan(outputs, worst, worst_input, state, check.residual)
-    return _CQScan(outputs, worst, worst_input)
+            return _CQScan(outputs, worst, state, check.residual)
+    return _CQScan(outputs, worst)
 
 
 def probe_head_list(dim_a: int, dim_b: int) -> list[BipartiteState]:
@@ -210,7 +208,6 @@ def assert_same_scan(new: CertificationReport, old: _CQScan):
     assert same_state(new.failing_output, old.outputs[-1] if old.failing_input else None)
     assert new.worst_residual == old.worst_residual
     assert new.failing_residual == old.failing_residual
-    assert same_state(new.worst_input, old.worst_input)
     assert same_state(new.failing_input, old.failing_input)
     assert new.passed == (old.failing_input is None)
 
@@ -369,7 +366,7 @@ class TestWitnessSearchesMatchEagerScan:
             )
             old = cq_scan_loop(product, local_family_list(channel_a, channel_b))
             assert verdict.kind == "not-da"
-            assert same_state(verdict.witness, old.worst_input)
+            assert same_state(verdict.witness, old.failing_input)
             assert verdict.residual == old.worst_residual
 
     def test_probe_list_is_the_stream_prefix(self):
@@ -588,13 +585,13 @@ class TestFirstFailureInAChunk:
         assert "channel output: matrix is not positive semidefinite" in str(chunked.value)
 
 
-def test_worst_input_is_the_first_of_a_tie():
+def test_worst_residual_of_a_tie():
     # The identity's images of the Bell states tie in CQ residual; inputs 4
     # to 7 make one chunk.
     mixed = BipartiteState(2, 2, DensityOperator.diagonal(np.full(4, 0.25)))
     inputs = [mixed] * 3 + [bell_state(k) for k in (2, 0, 1, 3)]
     report = scan_states(QuantumChannel.identity(4), inputs, tol=1.0)
-    assert report.passed and same_state(report.worst_input, bell_state(2))
+    assert report.passed
     assert_same_scan(report, cq_scan_loop(QuantumChannel.identity(4), inputs, tol=1.0))
 
 
