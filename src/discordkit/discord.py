@@ -22,12 +22,15 @@ directions it returns are scored again by ``_qubit_scores``.  For larger A,
 gradient G·U, G = E U^dag - U E^dag, where column k of E is Y_k u_k and
 Y_k = tr_B[rho (1 (x) L_k)], L_k being log2 of the normalised conditional
 block <u_k|_A rho |u_k>_A; its frames are scored again by ``_unitary_scores``.
+Both run through one driver, :func:`_optimise`, with one pick rule: the
+refined point with the highest score wins, a tie going to the first in
+start order (``Grid`` refines nothing and keeps its best grid point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -90,9 +93,13 @@ class ProjectiveMeasurement:
     @classmethod
     def from_vectors(cls, vectors) -> "ProjectiveMeasurement":
         vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        if not vecs:
+            raise ValueError("a measurement needs at least one vector")
         dim = vecs[0].size
         projs = []
         for i, v in enumerate(vecs):
+            if v.size != dim:
+                raise ValueError(f"vector {i} has length {v.size}, but vector 0 has length {dim}")
             norm = np.linalg.norm(v)
             if not 0.0 < norm < np.inf:
                 raise ValueError(f"vector {i} has zero or non-finite norm {norm}")
@@ -198,7 +205,8 @@ class OptimizerTrace:
     """What the optimiser did.
 
     ``restarts`` starts were refined (0 for Grid), ending at the scores
-    ``best_values``; ``n_evals`` counts every point whose objective was
+    ``best_values`` in start order (Grid: its best grid score alone), of
+    which the reported J is the maximum; ``n_evals`` counts every point whose objective was
     evaluated: grid points (one per distinct measurement) or starting
     frames, then the gradient ascent's starts, every trial point and the
     final rescore; ``converged`` is False only when the ascent stopped at
@@ -435,44 +443,6 @@ def _unitary_factor(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _optimize_qubit(rho: BipartiteState, strategy: Grid | Hybrid, s_b: float):
-    t0, ts = _qubit_correlation_ops(rho)
-
-    def score(directions):
-        return _qubit_scores(t0, ts, s_b, directions)
-
-    directions = _bloch_directions(_grid_angles(strategy.n_theta, strategy.n_phi))
-    scores = score(directions)
-    best_idx = int(np.argmax(scores))
-    best = directions[best_idx]
-    best_val = float(scores[best_idx])
-
-    if isinstance(strategy, Grid):
-        trace = OptimizerTrace(
-            restarts=0, best_values=(best_val,), n_evals=len(directions), converged=True
-        )
-        return best, best_val, trace
-
-    def value_grad(directions):
-        return _qubit_value_grad(t0, ts, s_b, directions)
-
-    top = np.argsort(scores)[::-1][:_REFINE_TOP]
-    refined_directions, refined, n_evals, converged = _gradient_ascent(
-        value_grad, _unit_rows, score, directions[top], scores[top], np.pi / strategy.n_theta
-    )
-    for x, val in zip(refined_directions, refined):
-        if val > best_val + REFINE_MARGIN:
-            best_val = float(val)
-            best = x
-    trace = OptimizerTrace(
-        restarts=len(top),
-        best_values=tuple(float(v) for v in refined),
-        n_evals=len(directions) + n_evals,
-        converged=converged,
-    )
-    return best, best_val, trace
-
-
 # -- general-dimension evaluation --------------------------------------------
 
 
@@ -518,31 +488,60 @@ def _unitary_value_grad(r4, s_b, us: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return s_b - weighted.sum(axis=1), g @ us
 
 
-def _optimize_multistart(rho: BipartiteState, restarts: int, seed, s_b: float):
-    rng = as_rng(seed)
-    dim_a = rho.dim_a
-    r4 = rho.matrix.reshape(dim_a, rho.dim_b, dim_a, rho.dim_b)
+# -- the optimiser -------------------------------------------------------------
 
-    def score(us):
-        return _unitary_scores(r4, s_b, us)
 
-    def value_grad(us):
-        return _unitary_value_grad(r4, s_b, us)
+def _optimise(rho: BipartiteState, strategy: Strategy, seed, s_b: float):
+    """J(B|A), the measurement that reaches it and the :class:`OptimizerTrace`.
 
-    rho_a = partial_trace_matrix(rho.matrix, dim_a, rho.dim_b, "A")
-    _, eigbasis = np.linalg.eigh((rho_a + rho_a.conj().T) / 2.0)
-    frames = np.stack([eigbasis] + [random_unitary(dim_a, rng) for _ in range(restarts)])
-    us, values, n_evals, converged = _gradient_ascent(
-        value_grad, _unitary_factor, score, frames, score(frames), np.pi / 4.0
-    )
-    trace = OptimizerTrace(
-        restarts=len(frames),
-        best_values=tuple(float(v) for v in values),
-        n_evals=len(frames) + n_evals,
-        converged=converged,
-    )
+    The strategy chooses the starts, the scorer, the value-and-gradient
+    function, the retraction and the first step of :func:`_gradient_ascent`.
+    Grid and Hybrid on a qubit A score the Bloch-angle grid: Hybrid refines
+    its ``_REFINE_TOP`` best points, in descending grid-score order, and
+    Grid refines none, keeping its best point.  On any other A the starts
+    are the rho_A eigenbasis and ``restarts`` seeded Haar frames (20 under
+    Hybrid), all refined.  The point with the highest score wins, a tie
+    going to the first in start order.
+    """
+    if rho.dim_a == 2 and isinstance(strategy, (Grid, Hybrid)):
+        t0, ts = _qubit_correlation_ops(rho)
+        score = partial(_qubit_scores, t0, ts, s_b)
+        value_grad = partial(_qubit_value_grad, t0, ts, s_b)
+        retract, step, measurement = _unit_rows, np.pi / strategy.n_theta, _bloch_measurement
+        grid = _bloch_directions(_grid_angles(strategy.n_theta, strategy.n_phi))
+        scores = score(grid)
+        if isinstance(strategy, Grid):
+            top = [int(np.argmax(scores))]
+        else:
+            top = np.argsort(scores)[::-1][:_REFINE_TOP]
+        starts, values, n_evals = grid[top], scores[top], len(grid)
+    elif isinstance(strategy, (Hybrid, MultiStart)):
+        da = rho.dim_a
+        r4 = rho.matrix.reshape(da, rho.dim_b, da, rho.dim_b)
+        score = partial(_unitary_scores, r4, s_b)
+        value_grad = partial(_unitary_value_grad, r4, s_b)
+        retract, step = _unitary_factor, np.pi / 4.0
+        measurement = ProjectiveMeasurement.from_unitary
+        haar = strategy.restarts if isinstance(strategy, MultiStart) else 20
+        rho_a = partial_trace_matrix(rho.matrix, da, rho.dim_b, "A")
+        _, eigbasis = np.linalg.eigh((rho_a + rho_a.conj().T) / 2.0)
+        rng = as_rng(seed)
+        starts = np.stack([eigbasis] + [random_unitary(da, rng) for _ in range(haar)])
+        values, n_evals = score(starts), len(starts)
+    elif isinstance(strategy, Grid):
+        raise ValueError("Grid strategy is only defined for dim_a = 2")
+    else:
+        kind = type(strategy).__name__
+        raise TypeError(f"strategy must be Grid, Hybrid or MultiStart, got {kind}")
+    restarts, converged = 0, True
+    if not isinstance(strategy, Grid):
+        starts, values, evals, converged = _gradient_ascent(
+            value_grad, retract, score, starts, values, step
+        )
+        restarts, n_evals = len(starts), n_evals + evals
     best = int(np.argmax(values))
-    return us[best], float(values[best]), trace
+    trace = OptimizerTrace(restarts, tuple(float(v) for v in values), n_evals, converged)
+    return float(values[best]), measurement(starts[best]), trace
 
 
 # -- public optimisation API ---------------------------------------------------
@@ -559,27 +558,17 @@ def classical_correlation(
     returned measurement, so it is the classical correlation of that
     measurement (a lower bound on the true maximum) up to the zero cutoff
     c = ``ZERO_CUTOFF`` of :func:`_entropy_terms`, which can raise J by
-    dA c log2 dB + (dB - 1) c log2(1/c); ties
-    between candidate measurements fall to the lowest grid or restart index.
-    ``Hybrid`` and ``Grid`` need a qubit A: on dA != 2, ``Hybrid`` runs
-    ``MultiStart(20)`` and ``Grid`` raises ValueError.
+    dA c log2 dB + (dB - 1) c log2(1/c).  It is ``max(trace.best_values)``:
+    ties fall to the first start in start order, which for ``Hybrid`` on a
+    qubit A is descending grid score and for ``MultiStart`` the rho_A
+    eigenbasis, then the Haar frames.  ``Hybrid`` and ``Grid`` need a qubit
+    A: on dA != 2, ``Hybrid`` runs ``MultiStart(20)`` and ``Grid`` raises
+    ValueError.  A strategy that is not a ``Grid``, ``Hybrid`` or
+    ``MultiStart`` raises TypeError.
     """
     s_b = _reduced_entropy(rho, "B")
-    value, meas, _ = _classical_correlation_traced(rho, strategy, seed, s_b)
+    value, meas, _ = _optimise(rho, strategy, seed, s_b)
     return value, meas
-
-
-def _classical_correlation_traced(rho, strategy, seed, s_b):
-    if isinstance(strategy, Grid) and rho.dim_a != 2:
-        raise ValueError("Grid strategy is only defined for dim_a = 2")
-    if rho.dim_a == 2 and isinstance(strategy, (Grid, Hybrid)):
-        direction, value, trace = _optimize_qubit(rho, strategy, s_b)
-        meas = _bloch_measurement(direction)
-    else:
-        restarts = strategy.restarts if isinstance(strategy, MultiStart) else 20
-        u, value, trace = _optimize_multistart(rho, restarts, seed, s_b)
-        meas = ProjectiveMeasurement.from_unitary(u)
-    return value, meas, trace
 
 
 def discord(
@@ -597,11 +586,11 @@ def discord(
     below zero;
     use :func:`is_cq_exact` to certify zero discord rather than testing this
     value against zero.  On dA != 2, ``Hybrid`` runs ``MultiStart(20)`` and
-    ``Grid`` raises ValueError.
+    ``Grid`` raises ValueError; any other strategy raises TypeError.
     """
     s_b = _reduced_entropy(rho, "B")
     info = _mutual_information(rho, s_b)
-    j_value, meas, trace = _classical_correlation_traced(rho, strategy, seed, s_b)
+    j_value, meas, trace = _optimise(rho, strategy, seed, s_b)
     return DiscordResult(
         value=info - j_value,
         mutual_information=info,
@@ -729,10 +718,15 @@ def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
 
     The common eigenbasis of the (commuting, normal) blocks is found by
     diagonalising a random real combination of their Hermitian and
-    anti-Hermitian parts.  A draw is accepted when the CQ form of its basis
-    and blocks (:func:`_cq_form`, which also serves ``reconstruct`` and
-    ``make_qc_channel``) lies within ``tol * max(1, ||rho||)`` of
-    ``rho``; degenerate draws are retried with fresh coefficients.
+    anti-Hermitian parts, drawn from ``DECOMPOSE_SEED``.  A draw is accepted
+    when the CQ form of its basis and blocks (:func:`_cq_form`, which also
+    serves ``reconstruct`` and ``make_qc_channel``) lies within
+    ``tol * max(1, ||rho||)`` of ``rho``; degenerate draws are retried with
+    fresh coefficients, ``DECOMPOSE_RETRIES`` draws in all.  That rebuild
+    bound is absolute, and the rebuild defect grows like the state's
+    distance from the CQ set over the blocks' eigen-gap, while
+    :func:`is_cq_exact` bounds a relative commutator norm: a state that
+    passes the CQ test at ``tol`` can still be refused here.
     """
     check = is_cq_exact(rho, tol)
     if not check:
@@ -742,58 +736,42 @@ def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
             check.residual,
         )
     da, db = rho.dim_a, rho.dim_b
-    for residuals, accepted, basis, weights, blocks in _cq_draws(rho.matrix[None], da, db, tol):
-        if accepted[0]:
-            (probs,), (conditionals,) = _cq_conditionals(weights, blocks)
+    blocks = _b_blocks(rho.matrix, da, db)
+    flat = blocks.reshape(db * db, da, da)
+    herm = (flat + flat.conj().swapaxes(-1, -2)) / 2.0
+    skew = (flat - flat.conj().swapaxes(-1, -2)) / 2j
+    scale = max(1.0, float(np.linalg.norm(rho.matrix)))
+    rng = as_rng(DECOMPOSE_SEED)
+    for _ in range(DECOMPOSE_RETRIES):
+        # Summed in block order over axis 0, as a loop adding block by block.
+        c = rng.standard_normal((db * db, 2))
+        combined = (c[:, 0, None, None] * herm + c[:, 1, None, None] * skew).sum(axis=0)
+        _, basis = np.linalg.eigh(combined)
+        cond = np.einsum("ak,ijab,bk->kij", basis.conj(), blocks, basis)
+        defect = np.linalg.norm(_cq_form(basis[None], cond[None])[0] - rho.matrix)
+        if defect <= tol * scale:
+            probs, conditionals = _cq_conditionals(cond)
             return CQDecomposition(
                 dim_a=da,
                 dim_b=db,
-                basis=basis[0],
+                basis=basis,
                 probs=probs,
                 conditional_states=tuple(DensityOperator(db, _freeze(c)) for c in conditionals),
             )
     raise DecompositionError(
         f"failed to resolve a common eigenbasis after {DECOMPOSE_RETRIES} attempts "
-        f"(last reconstruction residual {residuals[0]:.3e})",
-        float(residuals[0]),
+        f"(last reconstruction residual {defect / scale:.3e})",
+        float(defect / scale),
     )
 
 
-def _cq_draws(matrices: np.ndarray, dim_a: int, dim_b: int, tol: float):
-    """The ``DECOMPOSE_RETRIES`` draws of :func:`cq_decompose` on a stack
-    ``(n, d, d)`` of CQ states, one draw at a time.
-
-    Every state takes the same random coefficients in a draw.  Each draw
-    yields the reconstruction residuals relative to ``max(1, ||rho||)``,
-    the mask of those within ``tol``, the eigenbases ``(n, dim_a, dim_a)``,
-    the unnormalised weights ``(n, dim_a)`` and the conditional blocks
-    ``(n, dim_a, dim_b, dim_b)``.
-    """
-    n = len(matrices)
-    da, db = dim_a, dim_b
-    blocks = _b_blocks(matrices, da, db)
-    flat = blocks.reshape(n, db * db, da, da)
-    herm = (flat + flat.conj().swapaxes(-1, -2)) / 2.0
-    skew = (flat - flat.conj().swapaxes(-1, -2)) / 2j
-    scales = np.maximum(1.0, _frobenius_norms(matrices))
-    rng = as_rng(DECOMPOSE_SEED)
-    for _ in range(DECOMPOSE_RETRIES):
-        # Summed in block order over axis 1, as a loop adding block by block.
-        c = rng.standard_normal((db * db, 2))
-        combined = (c[:, 0, None, None] * herm + c[:, 1, None, None] * skew).sum(axis=1)
-        _, basis = np.linalg.eigh(combined)
-        cond = np.einsum("nak,nijab,nbk->nkij", basis.conj(), blocks, basis)
-        weights = np.clip(np.einsum("nkii->nk", cond).real, 0.0, None)
-        residuals = _frobenius_norms(_cq_form(basis, cond) - matrices)
-        yield residuals / scales, residuals <= tol * scales, basis, weights, cond
-
-
-def _cq_conditionals(weights: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised weights and conditional states of accepted draws: each
-    block ``(..., dim_b, dim_b)`` whose weight exceeds ``ZERO_CUTOFF`` over
-    that weight, validated as a state, and the maximally mixed state for the
-    rest."""
+def _cq_conditionals(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised weights and conditional states of the conditional blocks
+    ``(dim_a, dim_b, dim_b)`` of an accepted draw: each block whose weight,
+    its trace clipped at 0, exceeds ``ZERO_CUTOFF`` over that weight,
+    validated as a state, and the maximally mixed state for the rest."""
     dim_b = blocks.shape[-1]
+    weights = np.clip(np.einsum("kii->k", blocks).real, 0.0, None)
     states = np.broadcast_to(np.eye(dim_b, dtype=complex) / dim_b, blocks.shape).copy()
     live = weights > ZERO_CUTOFF
     valid, error = _validate_states(
@@ -802,4 +780,4 @@ def _cq_conditionals(weights: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarra
     if error is not None:
         raise error
     states[live] = valid
-    return weights / weights.sum(axis=-1, keepdims=True), states
+    return weights / weights.sum(), states

@@ -57,8 +57,8 @@ REBUILD_TOL = 1e-6
 ZERO_CUTOFF = 1e-12
 
 # -- optimisation --------------------------------------------------------------
-# A refined qubit measurement replaces the grid optimum only when it gains
-# more; a start of a gradient ascent stops once a step gains no more.
+# A start of a gradient ascent stops once a step gains no more, or once its
+# next step's first-order gain is no more.
 REFINE_MARGIN = 1e-15
 # A gradient ascent stops refining a start once its tangent step length falls
 # below this, on the Bloch sphere and on U(dA) alike.
