@@ -43,7 +43,7 @@ from .channels import (
     compose,
     extend,
 )
-from .discord import DecompositionError, Hybrid, _cq_residuals, cq_decompose, discord
+from .discord import Hybrid, _cq_residuals, cq_decompose, discord
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -202,12 +202,12 @@ def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Decisi
     test of the slot-swapped normalised Choi matrices ``nu``, each row "yes"
     exactly when its CQ residual is within ``tol``.
 
-    A "yes" verdict's POVM ``F_k = dim_in * p_k * tau_k^T`` and output basis
-    ``|k>`` come from :func:`cq_decompose` of its row's ``nu`` when the
-    verdict is read; their channel has the Choi matrix
-    ``sum_k F_k^T (x) |k><k|``, as ``make_qc_channel`` builds it.  When no
-    decomposition draw reconstructs ``nu`` the verdict stays "yes", without
-    details, and its notes give the error.
+    A "yes" verdict's POVM ``F_k = dim_in * p_k * tau_k^T``, output basis
+    ``|k>`` and ``distance`` come from :func:`cq_decompose` of its row's
+    ``nu`` when the verdict is read: ``nu`` dephased on the output slot, whose
+    channel has the Choi matrix ``sum_k F_k^T (x) |k><k|``, as
+    ``make_qc_channel`` builds it, and lies ``dim_in * distance`` from the
+    row's Choi matrix.
     """
     dim_out = chois.shape[-1] // dim_in
     nus, error = _validate_states(_swap_slots(chois, dim_in, dim_out) / dim_in, name="swapped Choi")
@@ -221,12 +221,10 @@ def _qc_decision(chois: np.ndarray, dim_in: int, tol: float = CQ_TOL) -> _Decisi
         if not yes[row]:
             return Verdict(kind="no", residual=residual)
         nu = BipartiteState(dim_out, dim_in, DensityOperator(len(nus[row]), _freeze(nus[row])))
-        try:
-            cq = cq_decompose(nu, tol)
-        except DecompositionError as exc:
-            return Verdict(kind="yes", residual=residual, notes=str(exc))
+        cq = cq_decompose(nu, tol)
         povm = [dim_in * p * tau.matrix.T for p, tau in zip(cq.probs, cq.conditional_states)]
-        details = {"povm": povm, "basis": list(cq.basis.T)}  # row k is basis[:, k]
+        # Row k of "basis" is column k of cq.basis.
+        details = {"povm": povm, "basis": list(cq.basis.T), "distance": cq.distance}
         return Verdict(kind="yes", residual=residual, details=details)
 
     return _Decisions(yes, residuals, verdict)
@@ -256,11 +254,11 @@ def is_qc_channel(channel: QuantumChannel, tol: float = CQ_TOL) -> Verdict:
     operator, is classical on the output slot, and only such a channel's
     is: the answer is "yes" exactly when the exact CQ check on the
     slot-swapped normalised Choi passes at ``tol``, and ``residual`` is its
-    CQ residual.  A "yes" carries the POVM
-    ``F_k = dim_in * (conditional input block)^T`` and basis in
-    ``details``, or None and a note when no decomposition draw resolves
-    them.  A "no" carries the pair of probe inputs whose outputs commute
-    least.
+    CQ residual.  A "yes" carries in ``details`` the POVM
+    ``F_k = dim_in * (conditional input block)^T``, the basis and the
+    Frobenius ``distance`` of the normalised Choi matrix of that
+    measure-and-prepare channel from the channel's own.  A "no" carries the
+    pair of probe inputs whose outputs commute least.
     """
     (verdict,) = _qc_decision(channel.choi[None], channel.dim_in, tol)
     return _with_witness(verdict, channel, "noncommuting-outputs")
@@ -371,6 +369,33 @@ _MEASURE_AND_PREPARE_NOTE = (
 )
 
 
+def _measure_and_prepare_eb(eb: Verdict, distance: float, tol: float) -> Verdict:
+    """The PPT verdict ``eb`` of a side-A "yes" whose normalised Choi matrix
+    lies ``distance`` from that of its measure-and-prepare channel, which is
+    separable.  "unknown" becomes "yes" when the distance is within ``tol``,
+    and otherwise notes it.  A "no" notes that its lowest partial-transpose
+    eigenvalue is at least ``-distance`` (Weyl's inequality: the partial
+    transpose keeps the Frobenius norm and maps the separable matrix to a
+    positive one)."""
+    if eb.kind == "unknown" and distance <= tol:
+        return replace(eb, kind="yes", notes=_MEASURE_AND_PREPARE_NOTE)
+    form = (
+        f"the normalised Choi matrix lies {distance:.3e} from its separable "
+        "measure-and-prepare form"
+    )
+    if eb.kind == "unknown":
+        note = f"{form}, beyond cq_tol {tol:.3e}"
+    elif eb.kind == "no":
+        lowest = eb.witness["eigenvalue"]
+        note = (
+            f"{form}, so its lowest partial-transpose eigenvalue {lowest:.3e} "
+            f"is at least -{distance:.3e}"
+        )
+    else:
+        return eb
+    return replace(eb, notes="; ".join(filter(None, (eb.notes, note))))
+
+
 def _no_witness_note(scan: CertificationReport, tol: float) -> str:
     """Why a scan in which no output failed yields no witness."""
     return (
@@ -432,8 +457,10 @@ def classify_channel(
     seeks its witness in a seed-free family, and carries none when every
     family output is CQ; its notes then give the input count and their
     largest CQ residual.
-    A "yes" on A whose POVM was resolved settles entanglement breaking where
-    PPT cannot: the measure-and-prepare form is a separable Choi matrix.
+    A "yes" on A carries a measure-and-prepare channel whose separable Choi
+    matrix lies ``details["distance"]`` from the channel's (normalised): within
+    ``cq_tol`` it settles entanglement breaking where PPT cannot, and beyond
+    it, or against an entangled "no", the EB notes give that distance.
     """
     if isinstance(context, (ActsOnA, ActsOnB)):
         if isinstance(context, ActsOnA):
@@ -441,8 +468,8 @@ def classify_channel(
         else:
             side, dim_other, verdict = "B", context.dim_a, is_point_channel(channel, cq_tol)
         eb = is_entanglement_breaking(channel)
-        if side == "A" and verdict.details is not None and eb.kind == "unknown":
-            eb = replace(eb, kind="yes", notes=_MEASURE_AND_PREPARE_NOTE)
+        if side == "A" and verdict.kind == "yes":
+            eb = _measure_and_prepare_eb(eb, verdict.details["distance"], cq_tol)
         witness = None
         if verdict.kind != "yes":
             witness, note = _discordant_output_witness(channel, side, dim_other, cq_tol)

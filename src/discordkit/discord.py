@@ -61,18 +61,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# cq_decompose draws random combinations of the blocks from this seed and
-# gives up after this many draws that do not reconstruct the state.
-DECOMPOSE_SEED = 11
-DECOMPOSE_RETRIES = 5
-
-
 class DecompositionError(ValueError):
     """Raised when a classical-quantum decomposition cannot be extracted.
 
     ``residual`` is the relative defect that failed the tolerance: the CQ
-    residual of a state that is not classical-quantum, or the last
-    reconstruction residual.
+    residual of a state that is not classical-quantum.
     """
 
     def __init__(self, message: str, residual: float):
@@ -699,13 +692,16 @@ def _cq_residuals(matrices: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndar
 
 @dataclass(frozen=True, eq=False)
 class CQDecomposition:
-    """Witness of zero discord: basis on A, weights and conditional B states."""
+    """Witness of zero discord: basis on A, weights and conditional B states,
+    and ``distance``, the Frobenius distance of their CQ form from the state
+    they decompose."""
 
     dim_a: int
     dim_b: int
     basis: np.ndarray  # columns are the |psi_k>
     probs: np.ndarray
     conditional_states: tuple[DensityOperator, ...]
+    distance: float
 
     def reconstruct(self) -> BipartiteState:
         conditionals = np.array([state.matrix for state in self.conditional_states])
@@ -714,19 +710,19 @@ class CQDecomposition:
 
 
 def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
-    """Extract the classical basis and conditional states of a CQ state.
+    """The classical basis, weights and conditional states of a state that
+    passes :func:`is_cq_exact` at ``tol``; any other state is refused.
 
-    The common eigenbasis of the (commuting, normal) blocks is found by
-    diagonalising a random real combination of their Hermitian and
-    anti-Hermitian parts, drawn from ``DECOMPOSE_SEED``.  A draw is accepted
-    when the CQ form of its basis and blocks (:func:`_cq_form`, which also
-    serves ``reconstruct`` and ``make_qc_channel``) lies within
-    ``tol * max(1, ||rho||)`` of ``rho``; degenerate draws are retried with
-    fresh coefficients, ``DECOMPOSE_RETRIES`` draws in all.  That rebuild
-    bound is absolute, and the rebuild defect grows like the state's
-    distance from the CQ set over the blocks' eigen-gap, while
-    :func:`is_cq_exact` bounds a relative commutator norm: a state that
-    passes the CQ test at ``tol`` can still be refused here.
+    The basis is :func:`_joint_basis` of the Hermitian and anti-Hermitian
+    parts of the B blocks, and the decomposition is ``rho`` dephased on A in
+    it, ``sum_k (|k><k| (x) 1) rho (|k><k| (x) 1)``: a CQ state in any basis,
+    and the one in this basis nearest ``rho``.  Its CQ form
+    (:func:`_cq_form`, which also serves ``reconstruct`` and
+    ``make_qc_channel``) lies ``distance`` from ``rho`` in Frobenius norm,
+    rounding on an exactly CQ state.  Inside the CQ test's band it can
+    exceed ``tol``: the block commutators that the test bounds can be far
+    smaller than the state's distance from the CQ set where the blocks'
+    eigenvalues lie close.
     """
     check = is_cq_exact(rho, tol)
     if not check:
@@ -740,34 +736,64 @@ def cq_decompose(rho: BipartiteState, tol: float = CQ_TOL) -> CQDecomposition:
     flat = blocks.reshape(db * db, da, da)
     herm = (flat + flat.conj().swapaxes(-1, -2)) / 2.0
     skew = (flat - flat.conj().swapaxes(-1, -2)) / 2j
-    scale = max(1.0, float(np.linalg.norm(rho.matrix)))
-    rng = as_rng(DECOMPOSE_SEED)
-    for _ in range(DECOMPOSE_RETRIES):
-        # Summed in block order over axis 0, as a loop adding block by block.
-        c = rng.standard_normal((db * db, 2))
-        combined = (c[:, 0, None, None] * herm + c[:, 1, None, None] * skew).sum(axis=0)
-        _, basis = np.linalg.eigh(combined)
-        cond = np.einsum("ak,ijab,bk->kij", basis.conj(), blocks, basis)
-        defect = np.linalg.norm(_cq_form(basis[None], cond[None])[0] - rho.matrix)
-        if defect <= tol * scale:
-            probs, conditionals = _cq_conditionals(cond)
-            return CQDecomposition(
-                dim_a=da,
-                dim_b=db,
-                basis=basis,
-                probs=probs,
-                conditional_states=tuple(DensityOperator(db, _freeze(c)) for c in conditionals),
-            )
-    raise DecompositionError(
-        f"failed to resolve a common eigenbasis after {DECOMPOSE_RETRIES} attempts "
-        f"(last reconstruction residual {defect / scale:.3e})",
-        float(defect / scale),
+    basis = _joint_basis(np.concatenate([herm, skew]))
+    cond = np.einsum("ak,ijab,bk->kij", basis.conj(), blocks, basis)
+    distance = float(np.linalg.norm(_cq_form(basis[None], cond[None])[0] - rho.matrix))
+    probs, conditionals = _cq_conditionals(cond)
+    return CQDecomposition(
+        dim_a=da,
+        dim_b=db,
+        basis=basis,
+        probs=probs,
+        conditional_states=tuple(DensityOperator(db, _freeze(c)) for c in conditionals),
+        distance=distance,
     )
+
+
+# Jacobi sweeps after which _joint_basis stops even if a rotation still turns.
+_JOINT_SWEEPS = 30
+
+
+def _joint_basis(stack: np.ndarray) -> np.ndarray:
+    """The unitary whose columns most nearly diagonalise every Hermitian
+    matrix of ``stack`` (m, d, d) at once: Jacobi sweeps of complex Givens
+    rotations (Cardoso and Souloumiac 1996, SIAM J. Matrix Anal. Appl. 17,
+    161), each minimising the stack's squared off-diagonal norm over its
+    pair.  A rotation turns when its sine exceeds machine epsilon and the
+    pair's off-diagonal entries exceed rounding (below it, as between equal
+    eigenvalues, its angle is noise); the sweeps stop after one in which none
+    turns."""
+    d = stack.shape[-1]
+    eps = np.finfo(float).eps
+    floor = eps * np.linalg.norm(stack)
+    a, basis = stack.astype(complex), np.eye(d, dtype=complex)
+    for _ in range(_JOINT_SWEEPS):
+        turned = False
+        for p, q in zip(*np.triu_indices(d, 1)):
+            pp, pq, qp, qq = a[:, p, p], a[:, p, q], a[:, q, p], a[:, q, q]
+            g = np.array([pp - qq, pq + qp, 1j * (qp - pq)])
+            if np.linalg.norm(g[1:]) <= floor:
+                continue
+            _, vectors = np.linalg.eigh((g @ g.conj().T).real)
+            x, y, z = vectors[:, -1] if vectors[0, -1] >= 0.0 else -vectors[:, -1]
+            c = np.sqrt(0.5 + x / 2.0)
+            s = 0.5 * (y - 1j * z) / c
+            if abs(s) <= eps:
+                continue
+            turned = True
+            rotation = np.array([[c, -np.conj(s)], [s, c]])
+            pair = [p, q]
+            basis[:, pair] = basis[:, pair] @ rotation
+            a[:, pair, :] = rotation.conj().T @ a[:, pair, :]
+            a[:, :, pair] = a[:, :, pair] @ rotation
+        if not turned:
+            break
+    return basis
 
 
 def _cq_conditionals(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalised weights and conditional states of the conditional blocks
-    ``(dim_a, dim_b, dim_b)`` of an accepted draw: each block whose weight,
+    ``(dim_a, dim_b, dim_b)`` of a decomposition: each block whose weight,
     its trace clipped at 0, exceeds ``ZERO_CUTOFF`` over that weight,
     validated as a state, and the maximally mixed state for the rest."""
     dim_b = blocks.shape[-1]

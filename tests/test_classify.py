@@ -43,7 +43,6 @@ from discordkit.classify import (
     witness_probe_states,
 )
 from discordkit.discord import (
-    DecompositionError,
     Hybrid,
     _cq_residuals,
     cq_decompose,
@@ -120,8 +119,8 @@ def qc_decision_kraus_route(channels, tol):
 def qc_decision_eager(chois, dim_in, tol):
     """The verdicts of ``_qc_decision`` built row by row: each slot-swapped
     Choi matrix validated alone, "yes" exactly when it passes ``is_cq_exact``
-    at ``tol``, and a "yes" row's POVM and basis read off ``cq_decompose``,
-    or no details and the error as notes when that fails."""
+    at ``tol``, and a "yes" row's POVM, basis and distance read off
+    ``cq_decompose``."""
     n, d = chois.shape[:2]
     dim_out = d // dim_in
     swapped = chois.reshape(n, dim_in, dim_out, dim_in, dim_out).transpose(0, 2, 1, 4, 3)
@@ -132,13 +131,9 @@ def qc_decision_eager(chois, dim_in, tol):
         if not check:
             verdicts.append(Verdict(kind="no", residual=check.residual))
             continue
-        try:
-            cq = cq_decompose(nu, tol)
-        except DecompositionError as exc:
-            verdicts.append(Verdict(kind="yes", residual=check.residual, notes=str(exc)))
-            continue
+        cq = cq_decompose(nu, tol)
         povm = [dim_in * p * tau.matrix.T for p, tau in zip(cq.probs, cq.conditional_states)]
-        details = {"povm": povm, "basis": list(cq.basis.T)}
+        details = {"povm": povm, "basis": list(cq.basis.T), "distance": cq.distance}
         verdicts.append(Verdict(kind="yes", residual=check.residual, details=details))
     return verdicts
 
@@ -275,30 +270,35 @@ class TestIsQCChannel:
                 kinds.add(bool(check))
         assert kinds == {True, False}
 
-    def test_yes_without_a_povm(self):
-        # nu passes the CQ test, but no decomposition draw reconstructs it
-        # within CQ_TOL: still "yes", without details, and PPT alone decides
-        # entanglement breaking.
+    def test_yes_in_the_band_carries_its_povm(self):
+        # nu passes the CQ test, and its measure-and-prepare form lies beyond
+        # CQ_TOL: still "yes" with a POVM, and PPT alone decides entanglement
+        # breaking, with a note of that distance.
         (channel,) = near_qc_corpus(3, 3, 5e-8, 1)
         verdict = is_qc_channel(channel)
-        assert verdict.kind == "yes" and verdict.residual <= CQ_TOL
-        assert verdict.details is None
-        assert verdict.notes.startswith("failed to resolve a common eigenbasis after 5 attempts")
+        assert verdict.kind == "yes" and verdict.residual <= CQ_TOL and verdict.notes == ""
+        distance = verdict.details["distance"]
+        assert distance == pytest.approx(2.48e-8, abs=1e-10)
+        built = make_qc_channel(verdict.details["povm"], verdict.details["basis"])
+        assert np.linalg.norm(built.choi - channel.choi) <= channel.dim_in * distance + 1e-15
         assert is_entanglement_breaking(channel).kind == "unknown"
         report = classify_channel(channel, ActsOnA(dim_b=2))
         assert report.label == "db-a" and report.witness is None
         assert report.eb_verdict.kind == "unknown"
-        assert "measure-and-prepare" not in report.eb_verdict.notes
+        assert report.eb_verdict.notes.endswith(
+            f"; the normalised Choi matrix lies {distance:.3e} from its separable "
+            f"measure-and-prepare form, beyond cq_tol {CQ_TOL:.3e}"
+        )
 
     @pytest.mark.parametrize("k", [16, 22, 33, 36, 57])
     def test_loose_tolerance_tries_every_draw(self, k):
-        # The first decomposition draw reconstructs nu within 6.2e-4 to 2.0e-3
-        # (k = 36 misses 1e-3), a later one within 1e-4; the POVM comes from
-        # the first draw within 1e-3.
+        # Under the random-draw decomposition that the joint basis replaced,
+        # these channels' first draw rebuilt nu only within 6.2e-4 to 2.0e-3;
+        # the joint basis rebuilds it within 1e-3 at once.
         verdict = is_qc_channel(near_qc_channel(k, 1e-4), tol=1e-3)
         assert verdict.kind == "yes"
         assert verdict.residual <= 1e-3
-        assert verdict.details is not None
+        assert verdict.details["distance"] <= 1e-3
 
     def test_depolarizing_no_with_noncommuting_witness(self):
         channel = make_unital_qubit(UnitalQubitParams(0.5, 0.5, 0.5))
@@ -312,7 +312,9 @@ class TestIsQCChannel:
 def verdict_bytes(verdict):
     """Kind, residual, notes and details of a witness-free verdict, as bytes."""
     details = {
-        key: [(a.shape, a.tobytes()) for a in map(np.asarray, value)]
+        key: struct.pack("<d", value)
+        if key == "distance"
+        else [(a.shape, a.tobytes()) for a in map(np.asarray, value)]
         for key, value in (verdict.details or {}).items()
     }
     return verdict.kind, struct.pack("<d", verdict.residual), verdict.notes, details
@@ -335,12 +337,40 @@ def qc_corpus():
     return corpus
 
 
+def side_a_corpus():
+    """Seeded channels and the tolerances they are decided at: the
+    measure-and-prepare channels of ``near_qc_corpus`` at eight dimension
+    pairs, mixed with 0 to 1e-3 of a random channel, at tol 1e-9, 1e-8 and
+    1e-3, and the ``near_qc_channel`` mixtures at 1e-4 to 1e-3 at tol 1e-3."""
+    for dims in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)]:
+        for weight in (0.0, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+            channels = near_qc_corpus(*dims, weight, 8)
+            for tol in (1e-9, 1e-8, 1e-3):
+                yield channels, tol
+    for weight in (1e-4, 3e-4, 1e-3):
+        yield [near_qc_channel(k, weight) for k in range(60)], 1e-3
+
+
+def test_every_side_a_yes_carries_its_channel():
+    # make_qc_channel on a "yes" verdict's POVM and basis builds dim_in times
+    # the slot swap of nu dephased in the decomposition basis, which lies
+    # distance from nu: so the built Choi matrix lies dim_in * distance from J.
+    n_yes = 0
+    for channels, tol in side_a_corpus():
+        dim_in = channels[0].dim_in
+        decisions = _qc_decision(np.array([c.choi for c in channels]), dim_in, tol)
+        for row in np.flatnonzero(decisions.yes):
+            details = decisions[row].details
+            built = make_qc_channel(details["povm"], details["basis"])
+            excess = np.linalg.norm(built.choi - channels[row].choi) - dim_in * details["distance"]
+            assert excess <= 1e-15, (dim_in, tol, row)
+            n_yes += 1
+    assert n_yes == 1466
+
+
 class TestQCDecisionMatchesEagerRebuild:
     """The array bookkeeping of ``_qc_decision`` gives, bit for bit, the
     verdicts that the eager reference built row by row."""
-
-    # The "yes" rows of the corpus whose POVM no decomposition draw resolves.
-    WITHOUT_POVM = {1e-8: 16, 1e-3: 8, 3e-3: 0}
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 3e-3])
     def test_stacks_and_single_channels(self, tol):
@@ -353,9 +383,11 @@ class TestQCDecisionMatchesEagerRebuild:
                 (single,) = _qc_decision(choi[None], dim_in, tol)
                 assert verdict_bytes(single) == expected
                 kinds.add(expected[0])
-                without_povm += bool(expected[2])
+                without_povm += expected[0] == "yes" and "povm" not in expected[3]
         assert kinds == {"yes", "no"}
-        assert without_povm == self.WITHOUT_POVM[tol]
+        # Every "yes" row carries its POVM; the random-draw decomposition
+        # that the joint basis replaced left 16, 8 and 0 without one.
+        assert without_povm == 0
 
 
 class TestEntanglementBreaking:
@@ -402,6 +434,31 @@ class TestClassifyChannel:
         report = classify_channel(z_dephasing(), ActsOnA(dim_b=2))
         assert report.label == "db-a"
         assert report.eb_verdict.kind == "yes"
+
+    def test_entangled_db_a_is_near_a_separable_choi_matrix(self):
+        """A "db-a" report whose PPT test finds entanglement notes that its
+        lowest partial-transpose eigenvalue is at least minus the distance to
+        the separable measure-and-prepare Choi matrix (Weyl's inequality)."""
+        n_db, n_npt = 0, 0
+        for dim in (2, 3):
+            for eps in (1e-8, 2e-8, 5e-8, 1e-7):
+                for channel in self.near_family_corpus("A", eps, dim):
+                    report = classify_channel(channel, ActsOnA(dim_b=2))
+                    if report.label != "db-a":
+                        continue
+                    n_db += 1
+                    if report.eb_verdict.kind != "no":
+                        continue
+                    n_npt += 1
+                    eigenvalue = report.eb_verdict.witness["eigenvalue"]
+                    distance = report.db_verdict.details["distance"]
+                    assert -distance <= eigenvalue < 0.0
+                    assert report.eb_verdict.notes == (
+                        f"the normalised Choi matrix lies {distance:.3e} from its separable "
+                        "measure-and-prepare form, so its lowest partial-transpose eigenvalue "
+                        f"{eigenvalue:.3e} is at least -{distance:.3e}"
+                    )
+        assert (n_db, n_npt) == (58, 35)
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_measure_and_prepare_is_entanglement_breaking(self, dim):
@@ -711,10 +768,10 @@ class TestStackedDecisions:
             assert bits(eb[i]) == bits(is_entanglement_breaking(channel)), lam
 
     @pytest.mark.parametrize("weight", [1e-4, 1e-3])
-    def test_rows_that_need_later_draws(self, weight):
-        # At tol 1e-3 every row passes the CQ test, and rows resolve their POVM
-        # at different decomposition draws; the stack must decide each row as
-        # it would alone.
+    def test_rows_decompose_as_alone(self, weight):
+        # At tol 1e-3 every row passes the CQ test, and each row's POVM,
+        # basis and distance come from its own nu; the stack must decide each
+        # row as it would alone.
         channels = [near_qc_channel(k, weight) for k in range(60)]
         stacked = _qc_decision(np.array([c.choi for c in channels]), 2, 1e-3)
         for channel, verdict in zip(channels, stacked):

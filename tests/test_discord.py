@@ -22,13 +22,12 @@ from discordkit.discord import (
     _bloch_directions,
     _grid_angles,
     _qubit_correlation_ops,
-    DECOMPOSE_RETRIES,
-    DECOMPOSE_SEED,
     _b_blocks,
     _block_pairs,
     _cq_residuals,
     _entropy_terms,
     _gradient_ascent,
+    _joint_basis,
     _qubit_scores,
     _qubit_value_grad,
     _unit_rows,
@@ -963,17 +962,26 @@ class TestCQDecompose:
         assert np.linalg.norm(decomp.reconstruct().matrix - rho.matrix) <= 1e-8
 
 
+# The seed and the number of draws of the random-combination decomposition
+# that the joint basis of cq_decompose replaced.
+DRAWS_SEED = 11
+DRAWS = 5
+
+
 def cq_draws_loop(matrices, dim_a, dim_b, tol):
-    """The draws of :func:`cq_decompose`, on a stack of states at once, with
-    each draw's block combination summed by a Python double loop over the B
-    blocks, one coefficient pair per block.  Each draw yields the relative
-    reconstruction residuals, the mask of those within ``tol``, the
-    eigenbases, the unnormalised weights and the conditional blocks."""
+    """The draws of the decomposition that :func:`cq_decompose` replaced, on
+    a stack of states at once: the eigenbasis of a random real combination of
+    the blocks' Hermitian and anti-Hermitian parts, each combination summed
+    by a Python double loop over the B blocks, one coefficient pair per
+    block, a state taking the first draw whose CQ form lies within ``tol``.
+    Each draw yields the relative reconstruction residuals, the mask of those
+    within ``tol``, the eigenbases, the unnormalised weights and the
+    conditional blocks."""
     n = len(matrices)
     blocks = _b_blocks(matrices, dim_a, dim_b)
     scales = np.maximum(1.0, _frobenius_norms(matrices))
-    rng = as_rng(DECOMPOSE_SEED)
-    for _ in range(DECOMPOSE_RETRIES):
+    rng = as_rng(DRAWS_SEED)
+    for _ in range(DRAWS):
         combined = np.zeros((n, dim_a, dim_a), dtype=complex)
         for i in range(dim_b):
             for j in range(dim_b):
@@ -990,52 +998,40 @@ def cq_draws_loop(matrices, dim_a, dim_b, tol):
 
 class TestCQDrawsStacked:
     """On each state of the CQ stacks of ``cq_decompose`` and the
-    slot-swapped Choi stacks of ``_qc_decision``, ``cq_decompose`` returns,
-    bit for bit, the first draw of the stacked block loop that the state
-    accepts, or raises the loop's refusal."""
+    slot-swapped Choi stacks of ``_qc_decision``, ``cq_decompose`` refuses
+    exactly the states that fail the CQ test, and its distance is within
+    ``tol`` wherever a draw of the retired stacked block loop accepts the
+    state."""
 
     TOL = 1e-9
 
     @classmethod
-    def assert_first_accepted_draw(cls, matrices, dim_a, dim_b):
+    def assert_never_worse_than_the_draws(cls, matrices, dim_a, dim_b):
         draws = list(cq_draws_loop(matrices, dim_a, dim_b, cls.TOL))
-        assert len(draws) == DECOMPOSE_RETRIES
+        accepted = np.any([draw[1] for draw in draws], axis=0)
+        assert accepted.any()
         for row, m in enumerate(matrices):
             rho = BipartiteState.from_matrix(m, dim_a, dim_b)
             if not is_cq_exact(rho, cls.TOL):
                 with pytest.raises(DecompositionError, match="not classical-quantum"):
                     cq_decompose(rho, cls.TOL)
                 continue
-            accepted = [draw for draw in draws if draw[1][row]]
-            if not accepted:
-                residual = draws[-1][0][row]
-                with pytest.raises(DecompositionError, match=f"residual {residual:.3e}") as info:
-                    cq_decompose(rho, cls.TOL)
-                assert info.value.residual == residual
-                continue
-            _, _, basis, weights, cond = (part[row] for part in accepted[0])
             decomp = cq_decompose(rho, cls.TOL)
-            live = weights > ZERO_CUTOFF
-            states = np.broadcast_to(np.eye(dim_b, dtype=complex) / dim_b, cond.shape).copy()
-            states[live], error = _validate_states(cond[live] / weights[live][:, None, None])
-            assert error is None
-            got = [decomp.basis, decomp.probs]
-            got.append(np.array([c.matrix for c in decomp.conditional_states]))
-            for a, b in zip(got, [basis, weights / weights.sum(), states]):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            if accepted[row]:
+                assert decomp.distance <= cls.TOL, row
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)])
     def test_cq_stacks(self, dims):
         states = [cq_state([41, *dims, k], *dims).matrix for k in range(20)]
         states += [equal_weight_cq(*dims, [42, k]).matrix for k in range(5)]
-        # CQ to within 3e-9: most pass the CQ test, and some of those are refused.
+        # CQ to within 3e-9: most pass the CQ test, and the draws accept some of those.
         for k in range(10):
             cq = cq_state([46, *dims, k], *dims).matrix
             noise = random_bipartite(*dims, [47, *dims, k]).matrix
             states.append(BipartiteState.from_matrix((1 - 3e-9) * cq + 3e-9 * noise, *dims).matrix)
-        self.assert_first_accepted_draw(np.array(states), *dims)
+        self.assert_never_worse_than_the_draws(np.array(states), *dims)
         for m in states[:5]:
-            self.assert_first_accepted_draw(m[None], *dims)
+            self.assert_never_worse_than_the_draws(m[None], *dims)
 
     @pytest.mark.parametrize("dim_in, dim_out", [(2, 2), (3, 3), (4, 2), (2, 4)])
     def test_slot_swapped_choi_stacks(self, dim_in, dim_out):
@@ -1051,7 +1047,57 @@ class TestCQDrawsStacked:
             chois.append(random_channel(dim_in, dim_out, 2, [45, dim_in, dim_out, k]).choi)
         nus, error = _validate_states(_swap_slots(np.array(chois), dim_in, dim_out) / dim_in)
         assert error is None
-        self.assert_first_accepted_draw(nus, dim_out, dim_in)
+        self.assert_never_worse_than_the_draws(nus, dim_out, dim_in)
+
+
+def hermitian_parts(rho):
+    """The stack of :func:`_joint_basis` in ``cq_decompose``: the Hermitian
+    and the anti-Hermitian parts of the state's B blocks."""
+    flat = _b_blocks(rho.matrix, rho.dim_a, rho.dim_b).reshape(-1, rho.dim_a, rho.dim_a)
+    adjoint = flat.conj().swapaxes(-1, -2)
+    return np.concatenate([(flat + adjoint) / 2.0, (flat - adjoint) / 2j])
+
+
+def off_diagonal_norm(stack, basis):
+    turned = basis.conj().T @ stack @ basis
+    return np.linalg.norm(turned - turned * np.eye(stack.shape[-1]))
+
+
+class TestJointBasis:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_returns_a_unitary(self, dim):
+        rng = as_rng([48, dim])
+        for m in (2, 8):
+            g = rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
+            basis = _joint_basis(g + g.conj().swapaxes(-1, -2))
+            assert np.linalg.norm(basis.conj().T @ basis - np.eye(dim)) <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_diagonalises_commuting_stacks(self, dims):
+        # rho_A = 1 / dim_a is degenerate, so no one block's spectrum holds the
+        # basis; a product with a maximally mixed A gives a scalar stack.
+        scalar = product_state(
+            DensityOperator.maximally_mixed(dims[0]), random_density(dims[1], "hilbert-schmidt", 49)
+        )
+        assert np.array_equal(_joint_basis(hermitian_parts(scalar)), np.eye(dims[0]))
+        for seed in range(5):
+            stack = hermitian_parts(equal_weight_cq(*dims, [50, seed]))
+            basis = _joint_basis(stack)
+            assert off_diagonal_norm(stack, basis) <= 1e-15 * np.linalg.norm(stack)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3)])
+    def test_distance_is_that_of_the_dephased_state(self, dims):
+        # The decomposition is rho dephased in the joint basis, so its distance
+        # is the stack's off-diagonal norm, and its CQ form the reconstruction.
+        for seed in range(5):
+            cq = cq_state([51, seed], *dims).matrix
+            noise = random_bipartite(*dims, [52, seed]).matrix
+            rho = BipartiteState.from_matrix((1 - 1e-9) * cq + 1e-9 * noise, *dims)
+            decomp = cq_decompose(rho, 1e-3)
+            rebuilt = np.linalg.norm(decomp.reconstruct().matrix - rho.matrix)
+            assert abs(decomp.distance - rebuilt) <= 1e-15
+            off = off_diagonal_norm(hermitian_parts(rho), decomp.basis)
+            assert abs(decomp.distance - off) <= 1e-15
 
 
 class TestHybridAgainstOracle:

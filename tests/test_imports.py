@@ -1,6 +1,7 @@
 """Import structure of the package: package imports at module level only
 (scipy alone is imported where it is used), no unused import or private
-definition, and no cycle from ``annihilators`` back to ``classify``."""
+definition, and no cycle from ``annihilators`` back to ``classify``; and
+the sources of its probe states and of its seeded generators."""
 
 import ast
 from collections import defaultdict
@@ -203,3 +204,49 @@ def test_one_probe_generator():
     # Every probe state comes from the probe stream or from random_density.
     callers = _probe_builder_callers({p.name: p.read_text() for p in MODULES})
     assert sorted(set(callers)) == ["annihilators.py: _probe_stream", "states.py: random_density"]
+
+
+SEEDING_CALLS = {"as_rng", "default_rng", "RandomState", "SeedSequence", "seed"}
+
+
+def _constant_seeds(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for each module constant that seeds a generator in
+    ``source``: a name bound at module level, or imported in capitals, read
+    by an argument of a seeding call, by name or as an attribute."""
+    tree = ast.parse(source)
+    constants = set()
+    for top in tree.body:
+        if isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            constants.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(top, ast.ImportFrom):
+            names = (a.asname or a.name for a in top.names)
+            constants.update(name for name in names if name.isupper())
+    seeds = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in SEEDING_CALLS:
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                names = (n for n in ast.walk(arg) if isinstance(n, ast.Name))
+                seeds += [(n.lineno, n.id) for n in names if n.id in constants]
+    return sorted(seeds)
+
+
+def test_constant_seed_is_found():
+    source = (
+        "import numpy as np\nfrom .tolerances import OTHER_SEED, as_rng\nSEED = 3\n"
+        "def draw(seed, n):\n    a = np.random.default_rng(seed)\n    b = as_rng(SEED)\n"
+        "    c = np.random.default_rng(seed=[OTHER_SEED, n])\n    return as_rng(n + 1)\n"
+    )
+    assert _constant_seeds(source) == [(6, "SEED"), (7, "OTHER_SEED")]
+
+
+def test_no_generator_is_seeded_from_a_module_constant():
+    # structural_match's MATCH_SEED draw-and-retry loop is the one left.
+    seeds = {p.name: _constant_seeds(p.read_text()) for p in MODULES}
+    assert [(module, name) for module, found in seeds.items() for _, name in found] == [
+        ("annihilators.py", "MATCH_SEED")
+    ]
